@@ -40,8 +40,6 @@ def _load_channel(spec: str) -> qmat.KrausChannel:
         try:
             with open(spec) as f:
                 obj = json.load(f)
-        except OSError:
-            raise
         except json.JSONDecodeError as e:
             raise ValueError(f"channel file {spec}: {e}")
         return qmat.channel_from_json(obj)

@@ -31,7 +31,10 @@ __all__ = [
     "index_set_size",
     "sample_code",
     "encode",
+    "channel_output_space",
     "channel_output_state",
+    "receiver_encoder",
+    "conjugate_by_receiver_encoders",
 ]
 
 REASSEMBLY_TOL = 1e-10
@@ -256,10 +259,9 @@ def transpose_trick_residual(s: HwIndex, decomp: TypeDecomposition) -> float:
     entanglement onto the receiver side.
     """
     u_s = qmat.Operator(decomp.sender_space, hw_unitary(s, decomp))
-    u_r = qmat.Operator(decomp.receiver_space, hw_transpose_unitary(s, decomp))
-    full = decomp.full_space
-    lhs = qmat.embed(u_s, full).matrix @ decomp.phi_n.vector
-    rhs = qmat.embed(u_r, full).matrix @ decomp.phi_n.vector
+    vec = decomp.phi_n.vector
+    lhs = qmat.apply_local(u_s, vec, decomp.full_space)
+    rhs = qmat.apply_local(receiver_encoder([(decomp, s)]), vec, decomp.full_space)
     return float(np.linalg.norm(lhs - rhs))
 
 
@@ -340,6 +342,27 @@ def sample_code(decomp: TypeDecomposition, message_count: int, seed: int
     return EaCodeBook(message_count, entries, seed, decomp)
 
 
+def channel_output_space(channel: KrausChannel, decomp: TypeDecomposition,
+                         decomp2: TypeDecomposition | None = None
+                         ) -> FactorSpace:
+    """Factor order of :func:`channel_output_state`.
+
+    The receiver shares (A..., then B... for a second sender) come first,
+    then the channel outputs copy by copy (C1, C2, ... per output label).
+    """
+    n = decomp.n
+    shares = [decomp.receiver_space]
+    if decomp2 is not None:
+        if decomp2.n != n:
+            raise ValueError("both senders must share the same block length")
+        shares.append(decomp2.receiver_space)
+    out = qmat.power_space(channel.out_space, n)
+    return FactorSpace(
+        tuple(l for sp in shares for l in sp.labels) + out.labels,
+        tuple(d for sp in shares for d in sp.dims) + out.dims,
+    )
+
+
 def channel_output_state(channel: KrausChannel, decomp: TypeDecomposition,
                          decomp2: TypeDecomposition | None = None
                          ) -> DensityOperator:
@@ -348,68 +371,52 @@ def channel_output_state(channel: KrausChannel, decomp: TypeDecomposition,
     Single sender: rho on (A..., B...) from |phi>^(x)n through n channel
     uses.  Two senders: rho on (A..., B..., C...) from phi^(x)n (x)
     psi^(x)n, the channel consuming the two sender shares copy by copy.
+    The factor order is :func:`channel_output_space`.
     """
-    n = decomp.n
-    out_all = [
-        f"{l}{i}" for i in range(1, n + 1) for l in channel.out_space.labels
-    ]
+    space = channel_output_space(channel, decomp, decomp2)
     if decomp2 is None:
         state = decomp.phi_n.density()
-        for i in range(1, n + 1):
-            state = qmat.apply_channel(
-                channel, state,
-                acting_on=(f"{decomp.sender_label}{i}",),
-                out_labels=tuple(
-                    f"{l}{i}" for l in channel.out_space.labels
-                ),
-            )
-        return qmat.permute(
-            state, list(decomp.receiver_space.labels) + out_all
-        )
-    if decomp2.n != n:
-        raise ValueError("both senders must share the same block length")
-    state = qmat.tensor(decomp.phi_n, decomp2.phi_n).density()
-    for i in range(1, n + 1):
+        senders = (decomp.sender_label,)
+    else:
+        state = qmat.tensor(decomp.phi_n, decomp2.phi_n).density()
+        senders = (decomp.sender_label, decomp2.sender_label)
+    for i in range(1, decomp.n + 1):
         state = qmat.apply_channel(
             channel, state,
-            acting_on=(
-                f"{decomp.sender_label}{i}",
-                f"{decomp2.sender_label}{i}",
-            ),
+            acting_on=tuple(f"{l}{i}" for l in senders),
             out_labels=tuple(f"{l}{i}" for l in channel.out_space.labels),
         )
-    return qmat.permute(
-        state,
-        list(decomp.receiver_space.labels)
-        + list(decomp2.receiver_space.labels)
-        + out_all,
-    )
+    return qmat.permute(state, space.labels)
+
+
+def receiver_encoder(indexed_encoders) -> qmat.Operator:
+    """U^T(s_1) (x) U^T(s_2) (x) ... on the joint receiver shares.
+
+    ``indexed_encoders`` lists (decomp, index) pairs in the order their
+    receiver shares appear in the space the encoder will act on; apply the
+    result with :func:`qmat.apply_local` or :func:`qmat.conjugate_local`.
+    """
+    return qmat.tensor(*[
+        qmat.Operator(decomp.receiver_space, hw_transpose_unitary(s, decomp))
+        for decomp, s in indexed_encoders
+    ])
 
 
 def conjugate_by_receiver_encoders(state, indexed_encoders) -> DensityOperator:
     """sigma = (prod U^T) rho (prod U^*) for encoders given as (decomp, index) pairs."""
-    mat = state.matrix
-    for decomp, s in indexed_encoders:
-        u = qmat.embed(
-            qmat.Operator(decomp.receiver_space, hw_transpose_unitary(s, decomp)),
-            state.space,
-        ).matrix
-        mat = u @ mat @ u.conj().T
-    return DensityOperator(state.space, mat)
+    w = receiver_encoder(indexed_encoders)
+    return DensityOperator(
+        state.space, qmat.conjugate_local(w, state.matrix, state.space)
+    )
 
 
-def encode(book, m, channel: KrausChannel, phi_n=None, psi_n=None
-           ) -> DensityOperator:
+def encode(book, m, channel: KrausChannel) -> DensityOperator:
     """Receiver-side codeword state for message ``m``.
 
     Single sender: ``book`` is an :class:`EaCodeBook` and ``m`` a message
     index; the result is U^T(s_m) rho U^*(s_m) with the encoder pulled to
     the receiver share.  Two senders: ``book`` is a pair object with
     ``book1``/``book2`` attributes and ``m = (l, m2)``.
-
-    ``phi_n``/``psi_n`` optionally override the shared states' channel
-    output (must match the books' decompositions); by default the output is
-    rebuilt from the books.
     """
     if hasattr(book, "book1") and hasattr(book, "book2"):
         l, m2 = m

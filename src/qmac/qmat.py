@@ -30,6 +30,8 @@ __all__ = [
     "tensor",
     "permute",
     "embed",
+    "apply_local",
+    "conjugate_local",
     "partial_trace",
     "eig_hermitian",
     "operator_power",
@@ -317,6 +319,40 @@ def embed(op: Operator, target: FactorSpace) -> Operator:
     rest = target.subspace(missing)
     big = tensor(Operator(op.space, op.matrix), identity(rest))
     return permute(big, target.labels)
+
+
+def _local_shape(op: Operator, space: FactorSpace) -> tuple:
+    """Shape that exposes the factors ``op`` acts on as axis 1 of a 3-way split."""
+    labels = op.space.labels
+    start = space.axis(labels[0])
+    stop = start + len(labels)
+    if space.labels[start:stop] != labels:
+        raise ValueError(f"{labels} is not a contiguous run of {space.labels}")
+    if space.dims[start:stop] != op.space.dims:
+        raise ValueError(f"dimension mismatch on labels {labels}")
+    return (math.prod(space.dims[:start]), op.space.dim, -1)
+
+
+def apply_local(op: Operator, mat, space: FactorSpace) -> np.ndarray:
+    """(op (x) I) @ mat on ``space`` without forming op (x) I.
+
+    ``op`` must act on a contiguous run of ``space``'s factors, in the same
+    order; ``mat`` is a vector or matrix with ``space.dim`` rows.  The cost is
+    one (batched) product with the small matrix, not a ``space.dim``-sized one.
+    """
+    mat = np.asarray(mat)
+    out = np.matmul(op.matrix, mat.reshape(_local_shape(op, space)))
+    return out.reshape(mat.shape)
+
+
+def conjugate_local(op: Operator, mat, space: FactorSpace) -> np.ndarray:
+    """(op (x) I) mat (op (x) I)† on ``space`` as two local contractions.
+
+    The right-hand factor acts as op* on the left of the transpose:
+    X (op (x) I)† = ((op* (x) I) X^T)^T.
+    """
+    left = apply_local(op, mat, space)
+    return apply_local(Operator(op.space, op.matrix.conj()), left.T, space).T
 
 
 def partial_trace(op, keep: Iterable[str]):

@@ -298,14 +298,11 @@ def ea_protocol_instance(channel: KrausChannel, phi: PureState, n: int,
     sigma = {}
     words = {}
     for s in eacode.enumerate_indices(decomp):
-        u = qmat.embed(
-            qmat.Operator(
-                decomp.receiver_space, eacode.hw_transpose_unitary(s, decomp)
-            ),
-            full,
-        ).matrix
-        sigma[s] = DensityOperator(full, u @ rho_n.matrix @ u.conj().T)
-        words[s] = u @ pi_ab_full @ u.conj().T
+        u = eacode.receiver_encoder([(decomp, s)])
+        sigma[s] = DensityOperator(
+            full, qmat.conjugate_local(u, rho_n.matrix, full)
+        )
+        words[s] = qmat.conjugate_local(u, pi_ab_full, full)
     return decomp, code_proj, sigma, words
 
 

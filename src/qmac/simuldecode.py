@@ -94,14 +94,13 @@ class MacProjectors:
     """The typical-projector bundle of a two-sender channel output.
 
     ``marginals`` holds the seven embedded typical projectors keyed
-    "A", "B", "C", "AB", "AC", "BC", "ABC"; ``pi1_hat``, ``pi2_hat``,
-    ``pi3_hat`` are the three complementary products (A (x) BC, B (x) AC,
-    C (x) AB) and ``pi_full`` aliases the joint projector.  Everything
-    lives on the full (A..., B..., C...) space.
+    "A", "B", "C", "AB", "AC", "BC", "ABC"; ``pi23_hat`` is the product
+    of two complementary products, (B (x) AC)(C (x) AB), which every
+    detection operator sandwiches, and ``pi_full`` aliases the joint
+    projector.  Everything lives on the full (A..., B..., C...) space.
     """
 
-    __slots__ = ("space", "marginals", "pi1_hat", "pi2_hat", "pi3_hat",
-                 "pi_full", "delta")
+    __slots__ = ("space", "marginals", "pi23_hat", "pi_full", "delta")
 
     def __init__(self, space, marginals: dict, delta: float):
         frozen = {}
@@ -111,9 +110,10 @@ class MacProjectors:
             frozen[key] = m
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "marginals", frozen)
-        object.__setattr__(self, "pi1_hat", frozen["A"] @ frozen["BC"])
-        object.__setattr__(self, "pi2_hat", frozen["B"] @ frozen["AC"])
-        object.__setattr__(self, "pi3_hat", frozen["C"] @ frozen["AB"])
+        object.__setattr__(
+            self, "pi23_hat",
+            (frozen["B"] @ frozen["AC"]) @ (frozen["C"] @ frozen["AB"]),
+        )
         object.__setattr__(self, "pi_full", frozen["ABC"])
         object.__setattr__(self, "delta", float(delta))
 
@@ -125,8 +125,7 @@ def mac_typical_projectors(channel: KrausChannel, decomp1, decomp2,
                            delta: float) -> MacProjectors:
     """Build the seven typical projectors of the channel output and bundle them."""
     n = decomp1.n
-    rho_n = eacode.channel_output_state(channel, decomp1, decomp2)
-    full = rho_n.space
+    full = eacode.channel_output_space(channel, decomp1, decomp2)
     joint = qmat.tensor(decomp1.phi, decomp2.phi).density()
     rho_1 = qmat.apply_channel(channel, joint, acting_on=channel.in_space.labels)
     a, b = decomp1.receiver_label, decomp2.receiver_label
@@ -153,27 +152,20 @@ def mac_typical_projectors(channel: KrausChannel, decomp1, decomp2,
     return MacProjectors(full, marginals, delta)
 
 
-def _receiver_unitary(decomp, s, full_space) -> np.ndarray:
-    return qmat.embed(
-        Operator(decomp.receiver_space, eacode.hw_transpose_unitary(s, decomp)),
-        full_space,
-    ).matrix
-
-
 def build_upsilon(pair: MacCodePair, l: int, m: int,
                   projectors: MacProjectors) -> np.ndarray:
     """Detection operator for message pair (l, m).
 
     U^T_1 Pi3 Pi2 U^T_2 Pi_full U^*_2 Pi2 Pi3 U^*_1, with the encoders
     pulled to the receiver shares; positive semidefinite by construction.
+    Each encoder acts only on its own share (``qmat.conjugate_local``).
     """
     full = projectors.space
-    u1 = _receiver_unitary(pair.book1.decomp, pair.book1[l], full)
-    u2 = _receiver_unitary(pair.book2.decomp, pair.book2[m], full)
-    wing = (
-        u2.conj().T @ projectors.pi2_hat @ projectors.pi3_hat @ u1.conj().T
-    )
-    core = wing.conj().T @ projectors.pi_full @ wing
+    u1 = eacode.receiver_encoder([(pair.book1.decomp, pair.book1[l])])
+    u2 = eacode.receiver_encoder([(pair.book2.decomp, pair.book2[m])])
+    wing = projectors.pi23_hat
+    inner = qmat.conjugate_local(u2, projectors.pi_full, full)
+    core = qmat.conjugate_local(u1, wing.conj().T @ inner @ wing, full)
     return (core + core.conj().T) / 2.0
 
 
@@ -190,8 +182,17 @@ def sqrt_measurement(upsilons: Mapping) -> PovmSet:
     mats = {k: np.asarray(v, dtype=complex) for k, v in upsilons.items()}
     dim = next(iter(mats.values())).shape[0]
     total = sum(mats.values())
-    inv_root = qmat.operator_power(total, -0.5, support_cutoff=SUPPORT_CUTOFF)
-    supp = qmat.operator_power(total, 0.0, support_cutoff=SUPPORT_CUTOFF)
+    vals, vecs = qmat.eig_hermitian(total)
+    if float(vals.min()) < -qmat.PSD_TOL:
+        raise ValueError(
+            f"detection operators sum to an eigenvalue {vals.min():.3e} "
+            f"< -{qmat.PSD_TOL}"
+        )
+    on_support = vals > SUPPORT_CUTOFF
+    inv_root_vals = np.zeros_like(vals)
+    inv_root_vals[on_support] = vals[on_support] ** -0.5
+    inv_root = (vecs * inv_root_vals) @ vecs.conj().T
+    supp = (vecs * on_support) @ vecs.conj().T
     elements = {}
     recomposed = np.zeros((dim, dim), dtype=complex)
     for k, v in mats.items():
@@ -219,29 +220,80 @@ def simultaneous_povm(pair: MacCodePair, projectors: MacProjectors) -> PovmSet:
     return sqrt_measurement(ups)
 
 
-def _codeword_states(channel, pair):
+def _error_figures(pair: MacCodePair, povm: PovmSet, rho) -> dict:
+    """Every error figure of ``povm`` from one overlap table.
+
+    Fills T[k, j] = Tr{Lambda_k sigma_j} for POVM outcomes k and sent pairs
+    j = (l, m), and the abort weight Tr{(I - sum Lambda) sigma_j}, building
+    each codeword state sigma_j from the channel output ``rho`` once and
+    dropping it once its column is filled.  The average, the worst pair and
+    the shift-randomized maximum read the diagonal; the breakdown reads the
+    off-diagonal entries and the abort column, so its total is an
+    independent second path to the average error.
+    """
+    L, M = pair.L, pair.M
+    d1, d2 = pair.book1.decomp, pair.book2.decomp
+    keys = list(povm.keys())
+    sent = [(l, m) for l in range(L) for m in range(M)]
+    flat_elements = [povm[k].ravel() for k in keys]
+    flat_abort = povm.completion().ravel()
+    table = np.empty((len(keys), len(sent)))
+    abort = np.empty(len(sent))
+    for j, (l, m) in enumerate(sent):
+        sigma = eacode.conjugate_by_receiver_encoders(
+            rho, [(d1, pair.book1[l]), (d2, pair.book2[m])]
+        )
+        # Tr{A sigma} = sum_ab A[a, b] sigma[b, a]: O(d^2), no matrix product
+        flat = sigma.matrix.T.ravel()
+        table[:, j] = [np.dot(e, flat).real for e in flat_elements]
+        abort[j] = np.dot(flat_abort, flat).real
+    table, abort = table.tolist(), abort.tolist()
+
+    row = {k: i for i, k in enumerate(keys)}
+    success = [table[row[key]][j] for j, key in enumerate(sent)]
+    norm = L * M
+    parts = {"wrong_alice": 0.0, "wrong_bob": 0.0, "wrong_both": 0.0, "abort": 0.0}
+    for j, (l, m) in enumerate(sent):
+        for i, (lp, mp) in enumerate(keys):
+            if (lp, mp) == (l, m):
+                continue
+            w = table[i][j]
+            if lp != l and mp == m:
+                parts["wrong_alice"] += w / norm
+            elif lp == l and mp != m:
+                parts["wrong_bob"] += w / norm
+            else:
+                parts["wrong_both"] += w / norm
+        parts["abort"] += abort[j] / norm
+    parts["total"] = sum(parts.values())
+
+    # average each pair's error over all modular shifts (S, T) of both books
+    pairwise = {key: 1.0 - p for key, p in zip(sent, success)}
+    worst = 0.0
+    for l in range(L):
+        for m in range(M):
+            acc = 0.0
+            for s in range(L):
+                for t in range(M):
+                    acc += pairwise[((l + s) % L, (m + t) % M)]
+            worst = max(worst, acc / norm)
+    return {
+        "avg_error": 1.0 - sum(success) / norm,
+        "max_error_randomized": worst,
+        "epsilon_measured": 1.0 - min(success),
+        "breakdown": parts,
+    }
+
+
+def _standalone_figures(channel, pair, povm) -> dict:
     rho = eacode.channel_output_state(channel, pair.book1.decomp, pair.book2.decomp)
-    out = {}
-    for l in range(pair.L):
-        for m in range(pair.M):
-            out[(l, m)] = eacode.conjugate_by_receiver_encoders(
-                rho,
-                [(pair.book1.decomp, pair.book1[l]),
-                 (pair.book2.decomp, pair.book2[m])],
-            )
-    return out
+    return _error_figures(pair, povm, rho)
 
 
 def average_error(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
                   ) -> float:
     """Mean over (l, m) of Tr{(I - Lambda_{l,m}) sigma_{l,m}}."""
-    sigmas = _codeword_states(channel, pair)
-    dim = povm.space.dim
-    eye = np.eye(dim)
-    total = 0.0
-    for key, sigma in sigmas.items():
-        total += float(np.trace((eye - povm[key]) @ sigma.matrix).real)
-    return total / (pair.L * pair.M)
+    return _standalone_figures(channel, pair, povm)["avg_error"]
 
 
 def error_breakdown(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
@@ -252,24 +304,7 @@ def error_breakdown(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
     ``wrong_both``, ``abort`` (the implicit completion outcome) and
     ``total``.
     """
-    sigmas = _codeword_states(channel, pair)
-    abort = povm.completion()
-    parts = {"wrong_alice": 0.0, "wrong_bob": 0.0, "wrong_both": 0.0, "abort": 0.0}
-    norm = pair.L * pair.M
-    for (l, m), sigma in sigmas.items():
-        for (lp, mp) in povm.keys():
-            if (lp, mp) == (l, m):
-                continue
-            w = float(np.trace(povm[(lp, mp)] @ sigma.matrix).real)
-            if lp != l and mp == m:
-                parts["wrong_alice"] += w / norm
-            elif lp == l and mp != m:
-                parts["wrong_bob"] += w / norm
-            else:
-                parts["wrong_both"] += w / norm
-        parts["abort"] += float(np.trace(abort @ sigma.matrix).real) / norm
-    parts["total"] = sum(parts.values())
-    return parts
+    return _standalone_figures(channel, pair, povm)["breakdown"]
 
 
 def max_error_via_randomization(channel: KrausChannel, pair: MacCodePair,
@@ -280,22 +315,7 @@ def max_error_via_randomization(channel: KrausChannel, pair: MacCodePair,
     (S, T) of both codebooks; the result equals the plain average error for
     each pair, so the maximum does too.
     """
-    sigmas = _codeword_states(channel, pair)
-    dim = povm.space.dim
-    eye = np.eye(dim)
-    pairwise = {
-        key: float(np.trace((eye - povm[key]) @ sigma.matrix).real)
-        for key, sigma in sigmas.items()
-    }
-    worst = 0.0
-    for l in range(pair.L):
-        for m in range(pair.M):
-            acc = 0.0
-            for s in range(pair.L):
-                for t in range(pair.M):
-                    acc += pairwise[((l + s) % pair.L, (m + t) % pair.M)]
-            worst = max(worst, acc / (pair.L * pair.M))
-    return worst
+    return _standalone_figures(channel, pair, povm)["max_error_randomized"]
 
 
 def hayashi_nagaoka_check(S, T, tol: float = 1e-9):
@@ -439,18 +459,12 @@ def coherent_fidelity(channel: KrausChannel, pair: MacCodePair, povm: PovmSet,
     overlap = {}
     for l in range(L):
         for m in range(M):
-            u1 = qmat.embed(
-                Operator(d1.receiver_space,
-                         eacode.hw_transpose_unitary(pair.book1[l], d1)),
-                abc_space,
-            ).matrix
-            u2 = qmat.embed(
-                Operator(d2.receiver_space,
-                         eacode.hw_transpose_unitary(pair.book2[m], d2)),
-                abc_space,
-            ).matrix
-            vec = psi.vector.reshape(d_abc, d_env)
-            vec = (u1 @ u2) @ vec
+            u = eacode.receiver_encoder(
+                [(d1, pair.book1[l]), (d2, pair.book2[m])]
+            )
+            vec = qmat.apply_local(
+                u, psi.vector.reshape(d_abc, d_env), abc_space
+            )
             out = roots[(l, m)] @ vec
             overlap[(l, m)] = float(np.vdot(vec, out).real)
 
@@ -483,18 +497,18 @@ def ea_successive_povm(pair: MacCodePair, projectors: MacProjectors) -> PovmSet:
     )
     words_x = {}
     for s1 in set(b1.entries):
-        u1 = _receiver_unitary(b1.decomp, s1, full)
+        u1 = eacode.receiver_encoder([(b1.decomp, s1)])
         words_x[s1] = (
-            u1 @ projectors.marginals["AC"] @ u1.conj().T
+            qmat.conjugate_local(u1, projectors.marginals["AC"], full)
             @ projectors.marginals["B"]
         )
     words_xy = {}
     for s1 in set(b1.entries):
-        u1 = _receiver_unitary(b1.decomp, s1, full)
         for s2 in set(b2.entries):
-            u2 = _receiver_unitary(b2.decomp, s2, full)
-            rot = u1 @ u2
-            words_xy[(s1, s2)] = rot @ projectors.pi_full @ rot.conj().T
+            u = eacode.receiver_encoder([(b1.decomp, s1), (b2.decomp, s2)])
+            words_xy[(s1, s2)] = qmat.conjugate_local(
+                u, projectors.pi_full, full
+            )
     return seqdecode.successive_povm(
         list(b1.entries), list(b2.entries), code_proj, words_x, words_xy
     )
@@ -508,32 +522,18 @@ def run_mac_experiment(channel: KrausChannel, pair: MacCodePair, mode: str,
     over message pairs, so both the average success and the coherent
     fidelity clear 1 - epsilon_measured.
     """
-    projectors = mac_typical_projectors(
-        channel, pair.book1.decomp, pair.book2.decomp, delta
-    )
-    if mode == "simultaneous":
-        povm = simultaneous_povm(pair, projectors)
-    elif mode == "successive":
-        povm = ea_successive_povm(pair, projectors)
-    else:
+    decoders = {"simultaneous": simultaneous_povm,
+                "successive": ea_successive_povm}
+    if mode not in decoders:
         raise ValueError(f"unknown decoder mode {mode!r}")
-    sigmas = _codeword_states(channel, pair)
-    pairwise = {
-        key: float(np.trace(povm[key] @ sigma.matrix).real)
-        for key, sigma in sigmas.items()
-    }
-    avg_err = 1.0 - sum(pairwise.values()) / (pair.L * pair.M)
-    report = MacReport(
-        n=pair.book1.decomp.n,
-        L=pair.L,
-        M=pair.M,
-        avg_error=avg_err,
-        max_error_randomized=max_error_via_randomization(channel, pair, povm),
-        epsilon_measured=1.0 - min(pairwise.values()),
-        seeds=pair.seeds,
-        mode=mode,
-        breakdown=error_breakdown(channel, pair, povm),
+    d1, d2 = pair.book1.decomp, pair.book2.decomp
+    # the projectors and detection operators are released before evaluation
+    povm = decoders[mode](pair, mac_typical_projectors(channel, d1, d2, delta))
+    figures = _error_figures(
+        pair, povm, eacode.channel_output_state(channel, d1, d2)
     )
+    report = MacReport(n=d1.n, L=pair.L, M=pair.M, seeds=pair.seeds,
+                       mode=mode, **figures)
     return report, povm
 
 

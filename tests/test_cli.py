@@ -7,6 +7,31 @@ import numpy as np
 from qmac import cli, gaussian, qmat
 
 
+GOLDEN_MAC_N2_SEED0 = """\
+{
+  "n": 2,
+  "L": 4,
+  "M": 4,
+  "mode": "simultaneous",
+  "avg_error": 0.90625,
+  "max_error_randomized": 0.90625,
+  "epsilon_measured": 0.90625,
+  "seeds": [
+    0,
+    1
+  ],
+  "error_terms": {
+    "wrong_alice": 0.15625,
+    "wrong_bob": 0.28125,
+    "wrong_both": 0.46875,
+    "abort": -1.11022302463e-16,
+    "total": 0.90625
+  },
+  "trials": 1
+}
+"""
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
@@ -193,6 +218,14 @@ class TestSimulateMac:
         assert out1 == out2
         cli.emit_json(json.loads(out1))
         assert capsys.readouterr().out == out1
+
+    def test_golden_n2_output(self, capsys):
+        # pinned byte for byte; the figures match the benchmark's reference op
+        code, out, _ = run(capsys, "simulate-mac", "--channel", "cnot-mac",
+                           "--n", "2", "--L", "4", "--M", "4",
+                           "--mode", "simultaneous", "--seed", "0")
+        assert code == 0
+        assert out == GOLDEN_MAC_N2_SEED0
 
     def test_trials_average(self, capsys):
         base = ("simulate-mac", "--channel", "cnot-mac", "--n", "1",

@@ -188,6 +188,68 @@ class TestTransposeTrick:
             assert eacode.transpose_trick_residual(s, dec) < 1e-10
 
 
+class TestReceiverEncoders:
+    """The local contraction against the embedded-unitary oracle U rho U†."""
+
+    @staticmethod
+    def embedded(decomp, s, space):
+        u = eacode.hw_transpose_unitary(s, decomp)
+        return qmat.embed(qmat.Operator(decomp.receiver_space, u), space).matrix
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("senders", [1, 2])
+    def test_local_conjugation_matches_embed_oracle(self, n, senders):
+        d1 = eacode.type_decompose(schmidt_state([0.7, 0.3], "Ap", "A"), n)
+        if senders == 1:
+            ch = qmat.named_channel("amplitude-damping:0.3")
+            decomps = [d1]
+            rho = eacode.channel_output_state(ch, d1)
+        else:
+            ch = qmat.named_channel("cnot-mac")
+            d2 = eacode.type_decompose(schmidt_state([0.6, 0.4], "Bp", "B"), n)
+            decomps = [d1, d2]
+            rho = eacode.channel_output_state(ch, d1, d2)
+        space = rho.space
+        rng = np.random.default_rng(17 + n)
+        for trial in range(4):
+            encoders = [
+                (d, eacode.sample_code(d, 1, seed=100 * trial + i)[0])
+                for i, d in enumerate(decomps)
+            ]
+            want = rho.matrix
+            for d, s in encoders:
+                u = self.embedded(d, s, space)
+                want = u @ want @ u.conj().T
+            got = eacode.conjugate_by_receiver_encoders(rho, encoders).matrix
+            assert np.max(np.abs(got - want)) < 1e-12
+            # each encoder alone and a complex unitary (the Heisenberg-Weyl
+            # encoders of these small blocks are real), on their own (leading
+            # or middle) run of factors, acting on a non-Hermitian matrix and
+            # on columns
+            mat = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(
+                size=(space.dim, space.dim))
+            for d, s in encoders:
+                complex_u = qmat.Operator(
+                    d.receiver_space, random_unitary(rng, d.receiver_space.dim))
+                for w in (eacode.receiver_encoder([(d, s)]), complex_u):
+                    u = qmat.embed(w, space).matrix
+                    assert np.max(np.abs(
+                        qmat.conjugate_local(w, mat, space) - u @ mat @ u.conj().T
+                    )) < 1e-12
+                    assert np.max(np.abs(
+                        qmat.apply_local(w, mat[:, :3], space) - u @ mat[:, :3]
+                    )) < 1e-12
+
+    def test_encoder_order_must_follow_the_space(self):
+        d1 = eacode.type_decompose(bell_state("Ap", "A"), 1)
+        d2 = eacode.type_decompose(bell_state("Bp", "B"), 1)
+        rho = eacode.channel_output_state(qmat.named_channel("cnot-mac"), d1, d2)
+        s1 = eacode.sample_code(d1, 1, seed=1)[0]
+        s2 = eacode.sample_code(d2, 1, seed=2)[0]
+        with pytest.raises(ValueError, match="contiguous"):
+            eacode.conjugate_by_receiver_encoders(rho, [(d2, s2), (d1, s1)])
+
+
 class TestSampleCode:
     def test_reproducible(self):
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)

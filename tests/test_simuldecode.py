@@ -1,5 +1,7 @@
 """Simultaneous decoding, the operator inequality, randomization, coherence."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,13 @@ class TestSqrtMeasurement:
         vals = np.linalg.eigvalsh(povm.total())
         assert all(abs(v) < 1e-8 or abs(v - 1) < 1e-8 for v in vals)
 
+    def test_family_sum_must_be_hermitian_and_psd(self):
+        with pytest.raises(ValueError, match="eigenvalue"):
+            simuldecode.sqrt_measurement({0: np.diag([1.0, -1e-6]).astype(complex)})
+        skew = np.array([[1.0, 1e-6], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            simuldecode.sqrt_measurement({0: skew})
+
 
 class TestAverageError:
     def test_perfect_discrimination(self):
@@ -123,6 +132,8 @@ class TestAverageError:
         err = simuldecode.average_error(ch, pair, povm)
         rho = eacode.channel_output_state(ch, d1, d2)
         total = 0.0
+        want = dict.fromkeys(
+            ("wrong_alice", "wrong_bob", "wrong_both", "abort"), 0.0)
         abort = povm.completion()
         for l in range(2):
             for m in range(2):
@@ -130,12 +141,20 @@ class TestAverageError:
                     rho, [(d1, pair.book1[l]), (d2, pair.book2[m])]
                 ).matrix
                 for (lp, mp) in povm.keys():
-                    if (lp, mp) != (l, m):
-                        total += np.trace(povm[(lp, mp)] @ sigma).real
-                total += np.trace(abort @ sigma).real
-        assert np.isclose(err, total / 4, atol=1e-10)
+                    if (lp, mp) == (l, m):
+                        continue
+                    w = np.trace(povm[(lp, mp)] @ sigma).real / 4
+                    kind = ("wrong_alice" if mp == m else
+                            "wrong_bob" if lp == l else "wrong_both")
+                    want[kind] += w
+                    total += w
+                want["abort"] += np.trace(abort @ sigma).real / 4
+                total += np.trace(abort @ sigma).real / 4
+        assert np.isclose(err, total, atol=1e-10)
         parts = simuldecode.error_breakdown(ch, pair, povm)
         assert np.isclose(parts["total"], err, atol=1e-10)
+        for kind, value in want.items():
+            assert abs(parts[kind] - value) < 1e-12
 
     def test_error_never_increases_with_blocklength(self):
         # aggregate mean over 20 seed pairs at n = 2 vs the n = 1 value
@@ -337,3 +356,39 @@ class TestSuccessiveMode:
         r1, _ = simuldecode.run_mac_experiment(ch, pair, "simultaneous", 1.0)
         r2, _ = simuldecode.run_mac_experiment(ch, pair, "simultaneous", 1.0)
         assert r1.to_json() == r2.to_json()
+
+
+class TestOnePassEvaluation:
+    def test_one_channel_output_and_one_conjugation_per_pair(self, monkeypatch):
+        calls = Counter()
+        for name in ("channel_output_state", "conjugate_by_receiver_encoders"):
+            def counted(*args, _fn=getattr(eacode, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(eacode, name, counted)
+        ch = qmat.named_channel("cnot-mac")
+        d1 = eacode.type_decompose(bell_state("Ap", "A"), 1)
+        d2 = eacode.type_decompose(bell_state("Bp", "B"), 1)
+        pair = simuldecode.MacCodePair.sample(d1, d2, 2, 3, 51, 52)
+        for mode in ("simultaneous", "successive"):
+            calls.clear()
+            simuldecode.run_mac_experiment(ch, pair, mode, 1.0)
+            assert calls == {"channel_output_state": 1,
+                             "conjugate_by_receiver_encoders": 6}
+
+    @pytest.mark.parametrize("mode", ["simultaneous", "successive"])
+    def test_report_matches_standalone_wrappers(self, mode):
+        ch = qmat.named_channel("cnot-mac")
+        d1 = eacode.type_decompose(bell_state("Ap", "A"), 2)
+        d2 = eacode.type_decompose(bell_state("Bp", "B"), 2)
+        pair = simuldecode.MacCodePair.sample(d1, d2, 2, 2, 61, 62)
+        report, povm = simuldecode.run_mac_experiment(ch, pair, mode, 1.0)
+        out = report.to_json()
+        avg = simuldecode.average_error(ch, pair, povm)
+        mx = simuldecode.max_error_via_randomization(ch, pair, povm)
+        assert abs(out["avg_error"] - avg) < 1e-12
+        assert abs(out["max_error_randomized"] - mx) < 1e-12
+        parts = simuldecode.error_breakdown(ch, pair, povm)
+        assert out["error_terms"].keys() == parts.keys()
+        for key, value in parts.items():
+            assert abs(out["error_terms"][key] - value) < 1e-12
