@@ -32,7 +32,14 @@ def _round12(obj):
 
 
 def emit_json(obj, stream=None) -> None:
-    (stream or sys.stdout).write(json.dumps(_round12(obj), indent=2) + "\n")
+    """Write ``obj`` as strict JSON; NaN or infinity raises ValueError."""
+    text = json.dumps(_round12(obj), indent=2, allow_nan=False)
+    (stream or sys.stdout).write(text + "\n")
+
+
+def _check_delta(delta: float) -> None:
+    if not (delta >= 0 and math.isfinite(delta)):
+        raise ValueError(f"--delta must be a finite nonnegative number, got {delta}")
 
 
 def _load_channel(spec: str) -> qmat.KrausChannel:
@@ -137,6 +144,7 @@ def cmd_simulate_seq(args) -> int:
     phi = _shared_state(args.phi, d, channel.in_space.labels[0], "A")
     if args.messages < 1 or args.trials < 1 or args.n < 1:
         raise ValueError("n, messages and trials must be positive")
+    _check_delta(args.delta)
     report = seqdecode.ea_sequential_protocol(
         channel, phi, args.n, args.messages, args.delta, args.seed, args.trials
     )
@@ -153,6 +161,7 @@ def cmd_simulate_mac(args) -> int:
     psi = _shared_state(args.psi, db, channel.in_space.labels[1], "B")
     if args.L < 1 or args.M < 1 or args.n < 1 or args.trials < 1:
         raise ValueError("n, L, M and trials must be positive")
+    _check_delta(args.delta)
     d1 = eacode.type_decompose(phi, args.n)
     d2 = eacode.type_decompose(psi, args.n)
     reports = []

@@ -35,6 +35,7 @@ __all__ = [
     "channel_output_state",
     "receiver_encoder",
     "conjugate_by_receiver_encoders",
+    "average_codeword_state",
 ]
 
 REASSEMBLY_TOL = 1e-10
@@ -408,6 +409,36 @@ def conjugate_by_receiver_encoders(state, indexed_encoders) -> DensityOperator:
     return DensityOperator(
         state.space, qmat.conjugate_local(w, state.matrix, state.space)
     )
+
+
+def average_codeword_state(rho: DensityOperator, decomp: TypeDecomposition
+                           ) -> DensityOperator:
+    """rho-bar = |S|^-1 sum_s U^T(s) rho U^*(s), in closed form.
+
+    ``rho`` carries the receiver share of ``decomp`` as its leading factors,
+    as :func:`channel_output_state` lays it out.  The independent signs b_t
+    cancel every term between two type blocks, and the Heisenberg-Weyl
+    twirl inside block t replaces that block by I/d_t, so
+
+        rho-bar = sum_t (P_t / d_t) (x) Tr_A[(P_t (x) I) rho (P_t (x) I)]
+
+    with P_t the receiver projector onto block t.  The cost is one partial
+    trace per block instead of one conjugation per index in S.
+    """
+    share = decomp.receiver_space
+    if rho.space.labels[:len(share.labels)] != share.labels:
+        raise ValueError("the receiver share must lead the state's factors")
+    d_a = share.dim
+    d_rest = rho.space.dim // d_a
+    blocks = rho.matrix.reshape(d_a, d_rest, d_a, d_rest)
+    out = np.zeros((rho.space.dim, rho.space.dim), dtype=complex)
+    for t, sl in zip(decomp.types, decomp.block_slices):
+        cols = decomp._receiver_block_basis[:, sl]
+        p_t = cols @ cols.conj().T
+        # Tr_A[(P_t (x) I) rho]: contract rho's two receiver indices with P_t
+        rest = np.tensordot(blocks, p_t, axes=([0, 2], [1, 0]))
+        out += np.kron(p_t / t.dim, rest)
+    return DensityOperator(rho.space, out)
 
 
 def encode(book, m, channel: KrausChannel) -> DensityOperator:

@@ -61,9 +61,12 @@ def dimension_cap() -> int:
     raw = os.environ.get("QMAC_DIM_CAP")
     if raw is None:
         return DEFAULT_DIM_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap <= 0:
-        raise ValueError("QMAC_DIM_CAP must be a positive integer")
+        raise ValueError(f"QMAC_DIM_CAP must be a positive integer, got {raw!r}")
     return cap
 
 

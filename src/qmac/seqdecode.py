@@ -28,6 +28,8 @@ __all__ = [
     "expected_success_exhaustive",
     "packing_lower_bound",
     "packing_diagnostics",
+    "ea_protocol_instance",
+    "ea_packing_constants",
     "ea_sequential_protocol",
     "successive_povm",
     "successive_bound",
@@ -258,23 +260,15 @@ class SeqReport:
         }
 
 
-def ea_protocol_instance(channel: KrausChannel, phi: PureState, n: int,
-                         delta: float):
-    """Shared setup of the entanglement-assisted sequential experiment.
+def _ea_projectors(channel: KrausChannel, decomp, delta: float):
+    """Channel output and typical projectors of the assisted sequential code.
 
-    Returns ``(decomp, code_proj, sigma_by_index, word_proj_by_index)``
-    where the two dictionaries run over the full index set S.  The code
-    subspace projector is the product of the one-sided typical projectors;
-    each word projector is the joint typical projector conjugated by that
-    index's receiver-side encoder.
+    Returns ``(rho_n, code_proj, pi_ab)`` on rho_n's space (receiver share
+    first, then the channel outputs): the unencoded output, the code
+    projector Pi_A (x) Pi_B of the one-sided typical projectors, and the
+    joint typical projector Pi_AB, which is the word projector of s = 0.
     """
-    decomp = eacode.type_decompose(phi, n)
-    size = eacode.index_set_size(decomp)
-    if size > INDEX_SET_CAP:
-        raise DimensionCapError(
-            f"index set has {size} elements, beyond the exhaustive cap "
-            f"{INDEX_SET_CAP}"
-        )
+    phi, n = decomp.phi, decomp.n
     rho_n = eacode.channel_output_state(channel, decomp)
     rho_1 = qmat.apply_channel(
         channel, phi.density(), acting_on=(decomp.sender_label,)
@@ -295,15 +289,77 @@ def ea_protocol_instance(channel: KrausChannel, phi: PureState, n: int,
     pi_ab_full = qmat.embed(
         qmat.Operator(pi_ab.space, pi_ab.projector), full
     ).matrix
+    return rho_n, code_proj, pi_ab_full
+
+
+def _codeword(decomp, s, rho_n: DensityOperator, pi_ab: np.ndarray):
+    """(sigma_s, Pi_s): the codeword state and word projector of index s."""
+    u = eacode.receiver_encoder([(decomp, s)])
+    full = rho_n.space
+    sigma = DensityOperator(full, qmat.conjugate_local(u, rho_n.matrix, full))
+    return sigma, qmat.conjugate_local(u, pi_ab, full)
+
+
+def _covariant_constants(decomp, rho_n: DensityOperator, code_proj,
+                         pi_ab) -> typicality.MeasuredConstants:
+    """Packing constants over the uniform ensemble on S, without enumerating S.
+
+    U^T(s) is block-diagonal on the receiver's type blocks, so it commutes
+    with rho_A^(x)n and with Pi_A, a spectral projector of rho_A^(x)n, hence
+    with the code projector.  So Tr{Pi sigma_s} = Tr{Pi rho_n},
+    Tr{Pi_s sigma_s} = Tr{Pi_AB rho_n} and Pi_s sigma_s Pi_s has the same
+    spectrum for every s: epsilon and d are those of s = 0, where sigma =
+    rho_n and Pi_s = Pi_AB.  D comes from the closed-form average state
+    :func:`eacode.average_codeword_state`.  The commutator residual is the
+    one of s = 0; its max-norm is not invariant under the encoders.
+    """
+    epsilon, d, residual = typicality.measure_word_constants(
+        [rho_n.matrix], code_proj, [pi_ab]
+    )
+    rho_bar = eacode.average_codeword_state(rho_n, decomp)
+    D = typicality.measure_code_constant(rho_bar.matrix, code_proj)
+    return typicality.MeasuredConstants(epsilon, d, D, residual)
+
+
+def ea_protocol_instance(channel: KrausChannel, phi: PureState, n: int,
+                         delta: float):
+    """Every codeword of the entanglement-assisted sequential experiment.
+
+    Returns ``(decomp, code_proj, sigma_by_index, word_proj_by_index)``
+    where the two dictionaries run over the full index set S.  The code
+    subspace projector is the product of the one-sided typical projectors;
+    each word projector is the joint typical projector conjugated by that
+    index's receiver-side encoder.  This enumerates S and so refuses index
+    sets beyond ``INDEX_SET_CAP``; it is the brute-force reference for
+    :func:`ea_packing_constants` and the exhaustive codebook average.
+    """
+    decomp = eacode.type_decompose(phi, n)
+    size = eacode.index_set_size(decomp)
+    if size > INDEX_SET_CAP:
+        raise DimensionCapError(
+            f"index set has {size} elements, beyond the exhaustive cap "
+            f"{INDEX_SET_CAP}"
+        )
+    rho_n, code_proj, pi_ab = _ea_projectors(channel, decomp, delta)
     sigma = {}
     words = {}
     for s in eacode.enumerate_indices(decomp):
-        u = eacode.receiver_encoder([(decomp, s)])
-        sigma[s] = DensityOperator(
-            full, qmat.conjugate_local(u, rho_n.matrix, full)
-        )
-        words[s] = qmat.conjugate_local(u, pi_ab_full, full)
+        sigma[s], words[s] = _codeword(decomp, s, rho_n, pi_ab)
     return decomp, code_proj, sigma, words
+
+
+def ea_packing_constants(channel: KrausChannel, phi: PureState, n: int,
+                         delta: float) -> typicality.MeasuredConstants:
+    """Packing constants of the assisted code, uniform over the index set S.
+
+    Equal to :func:`typicality.measure_packing_constants` over every
+    codeword of :func:`ea_protocol_instance`, but built from the encoders'
+    covariance at a cost that does not grow with |S|.
+    """
+    decomp = eacode.type_decompose(phi, n)
+    return _covariant_constants(
+        decomp, *_ea_projectors(channel, decomp, delta)
+    )
 
 
 def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
@@ -314,28 +370,34 @@ def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
     Samples ``trials`` codebooks, builds the sequential POVM from the
     typical code/word projectors, evaluates the exact average success per
     book, and reports the empirical mean together with the packing bound at
-    constants measured over the full index set.
+    constants taken over the full index set (see
+    :func:`ea_packing_constants`).  Codeword states and word projectors are
+    built only for the indices the books draw.  Raises ``ValueError`` when
+    the code or word projector is empty at this ``delta``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    decomp, code_proj, sigma, words = ea_protocol_instance(
-        channel, phi, n, delta
-    )
-    all_s = list(sigma.keys())
-    uniform = [1.0 / len(all_s)] * len(all_s)
-    measured = typicality.measure_packing_constants(
-        uniform,
-        [sigma[s].matrix for s in all_s],
-        code_proj,
-        [words[s] for s in all_s],
-    )
+    decomp = eacode.type_decompose(phi, n)
+    rho_n, code_proj, pi_ab = _ea_projectors(channel, decomp, delta)
+    for name, proj in (("code", code_proj), ("word", pi_ab)):
+        if np.trace(proj).real < 0.5:
+            raise ValueError(
+                f"delta = {delta} leaves the typical {name} projector empty: "
+                "no eigenvector is delta-typical, so a larger delta is needed"
+            )
+    measured = _covariant_constants(decomp, rho_n, code_proj, pi_ab)
     eps = min(max(measured.epsilon, 1e-15), 1.0)
     bound = packing_lower_bound(
         PackingConstants(eps, measured.d, measured.D, message_count)
     )
+    sigma = {}
+    words = {}
     successes = []
     for t in range(trials):
         book = eacode.sample_code(decomp, message_count, seed + t)
+        for s in book.entries:
+            if s not in sigma:
+                sigma[s], words[s] = _codeword(decomp, s, rho_n, pi_ab)
         povm = sequential_povm(
             list(book.entries), code_proj, words
         )

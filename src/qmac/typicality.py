@@ -25,6 +25,8 @@ __all__ = [
     "type_sequences",
     "type_class_projector",
     "typical_projector",
+    "measure_word_constants",
+    "measure_code_constant",
     "measure_packing_constants",
 ]
 
@@ -215,8 +217,8 @@ def typical_projector(rho: qmat.DensityOperator, n: int, delta: float
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not delta >= 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
     vals, vecs = qmat.eig_hermitian(rho)
     vals = np.clip(vals.real, 0.0, None)
     entropy = float(-sum(v * math.log2(v) for v in vals if v > 0))
@@ -261,37 +263,34 @@ class MeasuredConstants:
         )
 
 
-def measure_packing_constants(probs, states, code_projector, word_projectors
-                              ) -> MeasuredConstants:
-    """Measure (epsilon, d, D) for an ensemble against given projectors.
+def measure_word_constants(states, code_projector, word_projectors
+                           ) -> tuple[float, float, float]:
+    """Measure the per-codeword packing constants (epsilon, d, residual).
 
     Parameters
     ----------
-    probs : sequence of float
-        Ensemble weights, summing to 1.
     states : sequence of ndarray
-        Density matrices rho_x, aligned with ``probs``.
+        Density matrices rho_x.
     code_projector : ndarray
         The code subspace projector Pi.
     word_projectors : sequence of ndarray
-        Codeword subspace projectors Pi_x, aligned with ``probs``.
+        Codeword subspace projectors Pi_x, aligned with ``states``.
 
     Returns
     -------
-    MeasuredConstants
+    (epsilon, d, commutator_residual)
         ``epsilon`` = 1 - min over x of min(Tr{Pi rho_x}, Tr{Pi_x rho_x});
         ``1/d`` = min over x of the least eigenvalue of Pi_x rho_x Pi_x on
-        the support of Pi_x; ``1/D`` = the largest eigenvalue of
-        Pi rho-bar Pi; ``commutator_residual`` is the max-norm of
-        [Pi_x, rho_x], worst case over x.
+        the support of Pi_x (d is infinite when every Pi_x is zero);
+        ``commutator_residual`` is the max-norm of [Pi_x, rho_x], worst case
+        over x.
     """
-    probs = [float(p) for p in probs]
     states = [np.asarray(s, dtype=complex) for s in states]
     word_projectors = [np.asarray(w, dtype=complex) for w in word_projectors]
     if not states:
         raise ValueError("empty ensemble")
-    if not (len(probs) == len(states) == len(word_projectors)):
-        raise ValueError("probs, states and word projectors must align")
+    if len(states) != len(word_projectors):
+        raise ValueError("states and word projectors must align")
     pi = np.asarray(code_projector, dtype=complex)
 
     min_overlap = 1.0
@@ -311,8 +310,50 @@ def measure_packing_constants(probs, states, code_projector, word_projectors
             inv_d = min(inv_d, float(np.linalg.eigvalsh(compressed).min()))
     epsilon = 1.0 - min_overlap
     d = (1.0 / inv_d) if (np.isfinite(inv_d) and inv_d > 0) else np.inf
+    return epsilon, d, residual
 
-    rho_bar = sum(p * rho for p, rho in zip(probs, states))
+
+def measure_code_constant(rho_bar, code_projector) -> float:
+    """D = 1 / (largest eigenvalue of Pi rho-bar Pi); infinite when that is 0.
+
+    ``rho_bar`` is the ensemble's average state and ``code_projector`` the
+    code subspace projector Pi.
+    """
+    pi = np.asarray(code_projector, dtype=complex)
+    rho_bar = np.asarray(rho_bar, dtype=complex)
     top = float(np.linalg.eigvalsh((pi @ rho_bar @ pi + (pi @ rho_bar @ pi).conj().T) / 2).max())
-    D = (1.0 / top) if top > 0 else np.inf
+    return (1.0 / top) if top > 0 else np.inf
+
+
+def measure_packing_constants(probs, states, code_projector, word_projectors
+                              ) -> MeasuredConstants:
+    """Measure (epsilon, d, D) for an ensemble against given projectors.
+
+    Parameters
+    ----------
+    probs : sequence of float
+        Ensemble weights, summing to 1.
+    states : sequence of ndarray
+        Density matrices rho_x, aligned with ``probs``.
+    code_projector : ndarray
+        The code subspace projector Pi.
+    word_projectors : sequence of ndarray
+        Codeword subspace projectors Pi_x, aligned with ``probs``.
+
+    Returns
+    -------
+    MeasuredConstants
+        ``epsilon``, ``d`` and ``commutator_residual`` as in
+        :func:`measure_word_constants`; ``D`` as in
+        :func:`measure_code_constant` at rho-bar = sum_x p(x) rho_x.
+    """
+    probs = [float(p) for p in probs]
+    states = [np.asarray(s, dtype=complex) for s in states]
+    if len(probs) != len(states):
+        raise ValueError("probs and states must align")
+    epsilon, d, residual = measure_word_constants(
+        states, code_projector, word_projectors
+    )
+    rho_bar = sum(p * rho for p, rho in zip(probs, states))
+    D = measure_code_constant(rho_bar, code_projector)
     return MeasuredConstants(epsilon, d, D, residual)

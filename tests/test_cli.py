@@ -1,8 +1,10 @@
 """Command-line interface: determinism, formats, exit codes."""
 
 import json
+import math
 
 import numpy as np
+import pytest
 
 from qmac import cli, gaussian, qmat
 
@@ -31,11 +33,35 @@ GOLDEN_MAC_N2_SEED0 = """\
 }
 """
 
+GOLDEN_SEQ_N3_SEED0 = """\
+{
+  "success_mean": 0.52811886645,
+  "success_stderr": 0.0173007718574,
+  "bound": 0.0,
+  "bound_condition_holds": false,
+  "epsilon": 0.022842,
+  "d": 13.4175958352,
+  "D": 2.91545189504,
+  "n": 3,
+  "message_count": 4,
+  "seed": 0,
+  "trials": 5
+}
+"""
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+class TestEmitJson:
+    def test_refuses_non_finite(self, capsys):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                cli.emit_json({"x": bad})
+        assert capsys.readouterr().out == ""
 
 
 class TestGaussianRegion:
@@ -172,6 +198,47 @@ class TestSimulateSeq:
         assert code == 4
         assert "cap" in err or "dimension" in err
 
+    def test_bad_cap_variable_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("QMAC_DIM_CAP", "abc")
+        code, _, err = run(capsys, "simulate-seq", "--channel", "identity:2")
+        assert code == 2
+        assert "QMAC_DIM_CAP" in err and "abc" in err
+
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-0.5"])
+    def test_bad_delta_exit_2(self, capsys, delta):
+        code, out, err = run(capsys, "simulate-seq", "--channel", "identity:2",
+                             "--n", "2", "--delta", delta)
+        assert code == 2 and out == ""
+        assert "--delta" in err
+
+    def test_empty_projector_exit_2(self, capsys):
+        # at delta = 0.01 no type is typical, so Pi_AB and Pi_A are empty
+        code, out, err = run(capsys, "simulate-seq", "--channel",
+                             "amplitude-damping:0.3", "--phi", "0.7,0.3",
+                             "--n", "2", "--delta", "0.01")
+        assert code == 2 and out == ""
+        assert "delta" in err and "empty" in err
+
+    def test_golden_n3_output(self, capsys):
+        # pinned byte for byte; the figures match the benchmark's reference op
+        code, out, _ = run(capsys, "simulate-seq", "--channel",
+                           "amplitude-damping:0.3", "--phi", "0.7,0.3",
+                           "--n", "3", "--messages", "4", "--trials", "5",
+                           "--seed", "0")
+        assert code == 0
+        assert out == GOLDEN_SEQ_N3_SEED0
+
+    def test_n4_beyond_index_set_cap(self, capsys):
+        # |S| = 294912 on d = 256: the protocol never enumerates S
+        code, out, _ = run(capsys, "simulate-seq", "--channel",
+                           "amplitude-damping:0.3", "--phi", "0.7,0.3",
+                           "--n", "4", "--messages", "2", "--trials", "1")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["n"] == 4
+        for key in ("success_mean", "bound", "epsilon", "d", "D"):
+            assert math.isfinite(obj[key]), key
+
 
 class TestSimulateMac:
     def test_modes_both_report(self, capsys):
@@ -208,6 +275,13 @@ class TestSimulateMac:
     def test_single_sender_rejected(self, capsys):
         code, _, err = run(capsys, "simulate-mac", "--channel", "identity:2")
         assert code == 2 and "two-sender" in err
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_bad_delta_exit_2(self, capsys, delta):
+        code, out, err = run(capsys, "simulate-mac", "--channel", "cnot-mac",
+                             "--delta", delta)
+        assert code == 2 and out == ""
+        assert "--delta" in err
 
     def test_byte_identical_reruns(self, capsys):
         args = ("simulate-mac", "--channel", "adder-mac", "--n", "1",

@@ -337,6 +337,37 @@ class TestExpectedCodeword:
         assert np.max(np.abs(acc - expect)) < 1e-10
 
 
+class TestAverageCodewordState:
+    @pytest.mark.parametrize("spec,probs,n", [
+        ("amplitude-damping:0.3", [0.7, 0.3], 2),
+        ("identity:2", [0.5, 0.5], 2),
+        ("depolarizing:0.2", [0.6, 0.4], 2),
+        ("amplitude-damping:0.3", [0.7, 0.3], 3),
+    ])
+    def test_closed_form_matches_index_set_average(self, spec, probs, n):
+        # oracle: the exhaustive average of U^T(s) rho U^*(s) over all of S
+        ch = qmat.named_channel(spec)
+        dec = eacode.type_decompose(schmidt_state(probs), n)
+        rho = eacode.channel_output_state(ch, dec)
+        acc = np.zeros_like(rho.matrix)
+        count = 0
+        for s in eacode.enumerate_indices(dec):
+            u = eacode.receiver_encoder([(dec, s)])
+            acc += qmat.conjugate_local(u, rho.matrix, rho.space)
+            count += 1
+        assert count == eacode.index_set_size(dec)
+        avg = eacode.average_codeword_state(rho, dec)
+        assert avg.space == rho.space
+        assert np.max(np.abs(avg.matrix - acc / count)) < 1e-12
+
+    def test_receiver_share_must_lead(self):
+        dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 1)
+        rho = eacode.channel_output_state(qmat.named_channel("identity:2"), dec)
+        swapped = qmat.permute(rho, tuple(reversed(rho.space.labels)))
+        with pytest.raises(ValueError, match="receiver share"):
+            eacode.average_codeword_state(swapped, dec)
+
+
 class TestEncode:
     def test_identity_channel_zero_index(self):
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from qmac import qmat, seqdecode, typicality
+from qmac import eacode, qmat, seqdecode, typicality
 from qmac.qmat import FactorSpace
 from qmac.seqdecode import PackingConstants, SuccessiveConstants
 
@@ -257,6 +257,89 @@ class TestEaSequentialProtocol:
         r2 = seqdecode.ea_sequential_protocol(ch, phi, 2, 2, 0.8, 5, 10)
         assert r1.to_json() == r2.to_json()
         assert r1.n == 2 and r1.message_count == 2
+
+
+def _same_constant(a, b, rel):
+    """Equal within ``rel`` relative, or both infinite."""
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return abs(a - b) <= rel * abs(b)
+
+
+class TestCovariantPackingConstants:
+    # (channel, shared state, n, delta); oracle: measure_packing_constants
+    # over every codeword of ea_protocol_instance, i.e. all of S
+    INSTANCES = [
+        ("amplitude-damping:0.3", schmidt_state([0.7, 0.3]), 2, 0.8),
+        # degenerate Schmidt spectrum: the receiver's eigenbasis is arbitrary
+        ("amplitude-damping:0.3", bell_state(), 2, 1.0),
+        ("depolarizing:0.2", schmidt_state([0.6, 0.4]), 2, 0.5),
+        # empty code and word projectors: epsilon 1, d and D infinite
+        ("amplitude-damping:0.3", schmidt_state([0.7, 0.3]), 2, 0.01),
+        # |S| = 4096 over 81 dimensions
+        ("identity:3", bell_state(dim=3), 2, 1.0),
+    ]
+
+    @pytest.mark.parametrize("spec,phi,n,delta", INSTANCES)
+    def test_matches_brute_force_over_index_set(self, spec, phi, n, delta):
+        ch = qmat.named_channel(spec)
+        _, code_proj, sigma, words = seqdecode.ea_protocol_instance(
+            ch, phi, n, delta
+        )
+        keys = list(sigma.keys())
+        brute = typicality.measure_packing_constants(
+            [1.0 / len(keys)] * len(keys), [sigma[s].matrix for s in keys],
+            code_proj, [words[s] for s in keys],
+        )
+        cov = seqdecode.ea_packing_constants(ch, phi, n, delta)
+        assert abs(cov.epsilon - brute.epsilon) <= 1e-12
+        assert _same_constant(cov.d, brute.d, 1e-12)
+        assert _same_constant(cov.D, brute.D, 1e-12)
+
+    def test_protocol_reports_covariant_constants(self):
+        ch = qmat.named_channel("amplitude-damping:0.3")
+        phi = schmidt_state([0.7, 0.3])
+        rep = seqdecode.ea_sequential_protocol(ch, phi, 2, 2, 0.8, 5, 3)
+        mc = seqdecode.ea_packing_constants(ch, phi, 2, 0.8)
+        assert (rep.epsilon, rep.d, rep.D) == (mc.epsilon, mc.d, mc.D)
+
+    def test_empty_projector_rejected_naming_delta(self):
+        ch = qmat.named_channel("amplitude-damping:0.3")
+        with pytest.raises(ValueError, match="delta"):
+            seqdecode.ea_sequential_protocol(
+                ch, schmidt_state([0.7, 0.3]), 2, 2, 0.01, 0, 1
+            )
+
+    def test_codewords_built_only_for_drawn_indices(self, monkeypatch):
+        calls = []
+        original = eacode.hw_transpose_unitary
+
+        def counting(s, decomp):
+            calls.append(s)
+            return original(s, decomp)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the protocol enumerated the index set")
+
+        monkeypatch.setattr(eacode, "hw_transpose_unitary", counting)
+        monkeypatch.setattr(seqdecode, "ea_protocol_instance", refuse)
+        trials, messages = 3, 4
+        seqdecode.ea_sequential_protocol(
+            qmat.named_channel("amplitude-damping:0.3"),
+            schmidt_state([0.7, 0.3]), 3, messages, 1.0, 0, trials,
+        )
+        assert 0 < len(calls) <= trials * messages
+        assert len(set(calls)) == len(calls)  # each index built once
+
+    def test_index_set_beyond_oracle_cap(self):
+        # n = 4: |S| = 294912, refused by the oracle, run by the protocol
+        ch = qmat.named_channel("amplitude-damping:0.3")
+        phi = schmidt_state([0.7, 0.3])
+        with pytest.raises(qmat.DimensionCapError, match="index set"):
+            seqdecode.ea_protocol_instance(ch, phi, 4, 1.0)
+        rep = seqdecode.ea_sequential_protocol(ch, phi, 4, 2, 1.0, 0, 1)
+        assert all(math.isfinite(x) for x in (rep.epsilon, rep.d, rep.D))
+        assert 0.0 <= rep.success_mean <= 1.0 + 1e-12
 
 
 class TestBoundAgainstExhaustiveSuccess:

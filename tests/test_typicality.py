@@ -149,6 +149,11 @@ class TestTypicalProjector:
         assert all(w2 >= w1 - 1e-12 for w1, w2 in zip(weights, weights[1:]))
         assert np.isclose(weights[-1], 1.0)
 
+    @pytest.mark.parametrize("delta", [-0.1, float("nan")])
+    def test_bad_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            typicality.typical_projector(qubit_state(0.8), 2, delta)
+
     def test_multipartite_marginal_usage(self):
         # projector built on a designated marginal embeds by label
         rng = np.random.default_rng(55)
@@ -184,6 +189,33 @@ class TestMeasurePackingConstants:
             [1.0], states, np.zeros((2, 2)), words
         )
         assert np.isclose(mc.epsilon, 1.0)
+
+    def test_composition_of_word_and_code_parts(self):
+        rng = np.random.default_rng(71)
+        dim = 4
+        states = [random_density(rng, dim) for _ in range(3)]
+        words = []
+        for rho in states:
+            _, vecs = np.linalg.eigh(rho)
+            words.append(vecs[:, 2:] @ vecs[:, 2:].conj().T)
+        probs = [0.5, 0.3, 0.2]
+        pi = np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex)
+        mc = typicality.measure_packing_constants(probs, states, pi, words)
+        eps, d, residual = typicality.measure_word_constants(states, pi, words)
+        rho_bar = sum(p * rho for p, rho in zip(probs, states))
+        assert (mc.epsilon, mc.d, mc.commutator_residual) == (eps, d, residual)
+        assert mc.D == typicality.measure_code_constant(rho_bar, pi)
+
+    def test_zero_code_projector_gives_infinite_D(self):
+        assert typicality.measure_code_constant(
+            np.eye(2) / 2, np.zeros((2, 2))
+        ) == np.inf
+
+    def test_misaligned_words_rejected(self):
+        with pytest.raises(ValueError, match="align"):
+            typicality.measure_word_constants(
+                [np.eye(2) / 2], np.eye(2), [np.eye(2), np.eye(2)]
+            )
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError, match="empty"):
