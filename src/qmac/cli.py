@@ -64,8 +64,10 @@ def _shared_state(spec: str, dim: int, sender: str, receiver: str) -> PureState:
                 f"state spec {spec!r} has {len(probs)} weights, channel input "
                 f"dimension is {dim}"
             )
-        if any(p <= 0 for p in probs):
-            raise ValueError("Schmidt weights must be positive")
+        if not all(p > 0 and math.isfinite(p) for p in probs):
+            raise ValueError(
+                f"state spec {spec!r}: Schmidt weights must be positive and finite"
+            )
         total = sum(probs)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"Schmidt weights sum to {total}, not 1")
@@ -112,8 +114,6 @@ def cmd_gaussian_region(args) -> int:
 def cmd_gaussian_sweep(args) -> int:
     if args.steps < 2:
         raise ValueError(f"steps must be at least 2, got {args.steps}")
-    if args.nsa < 0 or args.nsb < 0:
-        raise ValueError("mean photon numbers must be nonnegative")
     grid = [i / (args.steps - 1) for i in range(args.steps)]
     rows = gaussian.region_sweep(args.nsa, args.nsb, grid)
     _write_or_print(gaussian.sweep_csv(rows), args.out)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -187,20 +188,23 @@ def type_decompose(phi: PureState, n: int) -> TypeDecomposition:
     return TypeDecomposition(phi, n)
 
 
+@dataclass(frozen=True, slots=True)
 class HwIndex:
     """Per-type Heisenberg-Weyl indices (x_t, z_t, b_t).
 
     ``x_t`` and ``z_t`` are shift and phase exponents modulo the block
-    dimension; ``b_t`` in {0, 1} flips the block's global sign.
+    dimension; ``b_t`` in {0, 1} flips the block's global sign.  Two
+    indices are equal when their triples are.
     """
 
-    __slots__ = ("triples", "block_dims")
+    triples: tuple[tuple[int, int, int], ...]
+    block_dims: tuple[int, ...] = field(compare=False)
 
-    def __init__(self, triples, block_dims):
+    def __post_init__(self):
         triples = tuple(
-            (int(x), int(z), int(b)) for x, z, b in triples
+            (int(x), int(z), int(b)) for x, z, b in self.triples
         )
-        block_dims = tuple(int(d) for d in block_dims)
+        block_dims = tuple(int(d) for d in self.block_dims)
         if len(triples) != len(block_dims):
             raise ValueError("one (x, z, b) triple per type block required")
         for (x, z, b), d in zip(triples, block_dims):
@@ -210,15 +214,6 @@ class HwIndex:
                 )
         object.__setattr__(self, "triples", triples)
         object.__setattr__(self, "block_dims", block_dims)
-
-    def __setattr__(self, *a):
-        raise AttributeError("HwIndex is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, HwIndex) and self.triples == other.triples
-
-    def __hash__(self):
-        return hash(self.triples)
 
     def __repr__(self):
         return f"HwIndex{self.triples}"
@@ -281,22 +276,20 @@ def enumerate_indices(decomp: TypeDecomposition):
         yield HwIndex(combo, decomp.block_dims)
 
 
+@dataclass(frozen=True, slots=True)
 class EaCodeBook:
     """A random code: one Heisenberg-Weyl index vector per message."""
 
-    __slots__ = ("message_count", "entries", "seed", "decomp")
+    message_count: int
+    entries: tuple[HwIndex, ...]
+    seed: int
+    decomp: TypeDecomposition
 
-    def __init__(self, message_count, entries, seed, decomp):
-        entries = tuple(entries)
-        if len(entries) != message_count:
+    def __post_init__(self):
+        entries = tuple(self.entries)
+        if len(entries) != self.message_count:
             raise ValueError("entry count must equal message_count")
-        object.__setattr__(self, "message_count", int(message_count))
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "seed", int(seed))
-        object.__setattr__(self, "decomp", decomp)
-
-    def __setattr__(self, *a):
-        raise AttributeError("EaCodeBook is immutable")
 
     def __getitem__(self, m: int) -> HwIndex:
         return self.entries[m]

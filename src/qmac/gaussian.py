@@ -11,6 +11,7 @@ four-mode output state and reads off seven marginal entropies.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +51,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return j
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class CovarianceState:
     """Covariance matrix of a Gaussian state with labeled modes.
 
@@ -62,13 +64,14 @@ class CovarianceState:
         within 1e-8.
     """
 
-    __slots__ = ("modes", "matrix")
+    modes: tuple[str, ...]
+    matrix: np.ndarray
 
-    def __init__(self, modes: Sequence[str], matrix: np.ndarray):
-        modes = tuple(str(m) for m in modes)
+    def __post_init__(self):
+        modes = tuple(str(m) for m in self.modes)
         if len(set(modes)) != len(modes):
             raise ValueError(f"duplicate mode labels in {modes}")
-        v = np.array(matrix, dtype=float)
+        v = np.array(self.matrix, dtype=float)
         n = len(modes)
         if v.shape != (2 * n, 2 * n):
             raise ValueError(f"matrix shape {v.shape} for {n} modes")
@@ -81,9 +84,6 @@ class CovarianceState:
         v.setflags(write=False)
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "matrix", v)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CovarianceState is immutable")
 
     @property
     def n_modes(self) -> int:
@@ -108,13 +108,14 @@ class CovarianceState:
         return f"CovarianceState(modes={self.modes})"
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class SymplecticMap:
     """A linear quadrature transform preserving the symplectic form."""
 
-    __slots__ = ("matrix",)
+    matrix: np.ndarray
 
-    def __init__(self, matrix: np.ndarray):
-        s = np.array(matrix, dtype=float)
+    def __post_init__(self):
+        s = np.array(self.matrix, dtype=float)
         if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
             raise ValueError("symplectic matrix must be square of even size")
         n = s.shape[0] // 2
@@ -125,31 +126,28 @@ class SymplecticMap:
         s.setflags(write=False)
         object.__setattr__(self, "matrix", s)
 
-    def __setattr__(self, *a):
-        raise AttributeError("SymplecticMap is immutable")
-
     @property
     def n_modes(self) -> int:
         return self.matrix.shape[0] // 2
 
 
+@dataclass(frozen=True, slots=True)
 class BosonicMacParams:
     """Transmissivity and the two senders' mean photon numbers."""
 
-    __slots__ = ("eta", "nsa", "nsb")
+    eta: float
+    nsa: float
+    nsb: float
 
-    def __init__(self, eta: float, nsa: float, nsb: float):
-        eta, nsa, nsb = float(eta), float(nsa), float(nsb)
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"eta out of range: {eta}")
-        if nsa < 0 or nsb < 0:
-            raise ValueError("mean photon numbers must be nonnegative")
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "nsa", nsa)
-        object.__setattr__(self, "nsb", nsb)
-
-    def __setattr__(self, *a):
-        raise AttributeError("BosonicMacParams is immutable")
+    def __post_init__(self):
+        if not 0.0 <= self.eta <= 1.0:
+            raise ValueError(f"eta out of range: {self.eta}")
+        for name, value in (("nsa", self.nsa), ("nsb", self.nsb)):
+            if not (value >= 0 and math.isfinite(value)):
+                raise ValueError(
+                    f"{name} must be a finite nonnegative mean photon number, "
+                    f"got {value}"
+                )
 
 
 def g_entropy(N: float) -> float:

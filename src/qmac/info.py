@@ -9,6 +9,7 @@ vertex enumeration.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,31 +118,35 @@ def _pentagon_vertices(a: float, b: float, c: float) -> list[tuple[float, float]
     return seen
 
 
+@dataclass(frozen=True, slots=True)
 class RateRegion:
     """Pentagon rate region with per-sender and sum bounds in bits per use.
 
-    ``raw_bounds`` preserves pre-clamping values when negative bounds were
-    clamped to zero (coherent-information regions); otherwise it equals the
-    clamped triple.
+    Negative bounds are clamped to zero.  ``raw_bounds`` preserves the
+    pre-clamping values when they are given (coherent-information regions);
+    otherwise it equals the clamped triple.
     """
 
-    __slots__ = ("r1_max", "r2_max", "sum_max", "vertices", "raw_bounds")
+    r1_max: float
+    r2_max: float
+    sum_max: float
+    raw_bounds: tuple[float, float, float] | None = None
 
-    def __init__(self, r1_max: float, r2_max: float, sum_max: float,
-                 raw_bounds: tuple[float, float, float] | None = None):
-        r1, r2, s = max(float(r1_max), 0.0), max(float(r2_max), 0.0), max(float(sum_max), 0.0)
-        object.__setattr__(self, "r1_max", r1)
-        object.__setattr__(self, "r2_max", r2)
-        object.__setattr__(self, "sum_max", s)
-        object.__setattr__(self, "vertices", tuple(_pentagon_vertices(r1, r2, s)))
+    def __post_init__(self):
+        clamped = tuple(
+            max(float(x), 0.0) for x in (self.r1_max, self.r2_max, self.sum_max)
+        )
+        for name, value in zip(("r1_max", "r2_max", "sum_max"), clamped):
+            object.__setattr__(self, name, value)
         object.__setattr__(
             self, "raw_bounds",
-            tuple(float(x) for x in raw_bounds) if raw_bounds is not None
-            else (r1, r2, s),
+            clamped if self.raw_bounds is None
+            else tuple(float(x) for x in self.raw_bounds),
         )
 
-    def __setattr__(self, *a):
-        raise AttributeError("RateRegion is immutable")
+    @property
+    def vertices(self) -> tuple[tuple[float, float], ...]:
+        return tuple(_pentagon_vertices(self.r1_max, self.r2_max, self.sum_max))
 
     def bounds(self) -> tuple[float, float, float]:
         return (self.r1_max, self.r2_max, self.sum_max)
@@ -154,9 +159,6 @@ class RateRegion:
             and r2 <= self.r2_max + slack
             and r1 + r2 <= self.sum_max + slack
         )
-
-    def contains_region(self, other: "RateRegion", slack: float = 1e-9) -> bool:
-        return all(self.contains(x, y, slack) for x, y in other.vertices)
 
     def scale(self, factor: float) -> "RateRegion":
         return RateRegion(

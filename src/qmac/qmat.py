@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -78,12 +79,14 @@ def _check_cap(dim: int, what: str) -> None:
         )
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def frozen_copy(a: np.ndarray) -> np.ndarray:
+    """A read-only complex copy of ``a``."""
     out = np.array(a, dtype=complex)
     out.setflags(write=False)
     return out
 
 
+@dataclass(frozen=True, slots=True)
 class FactorSpace:
     """An ordered list of named tensor factors with their dimensions.
 
@@ -95,11 +98,12 @@ class FactorSpace:
         Positive dimension of each factor, aligned with ``labels``.
     """
 
-    __slots__ = ("labels", "dims")
+    labels: tuple[str, ...]
+    dims: tuple[int, ...]
 
-    def __init__(self, labels: Sequence[str], dims: Sequence[int]):
-        labels = tuple(str(l) for l in labels)
-        dims = tuple(int(d) for d in dims)
+    def __post_init__(self):
+        labels = tuple(str(l) for l in self.labels)
+        dims = tuple(int(d) for d in self.dims)
         if len(labels) != len(dims):
             raise ValueError("labels and dims must have equal length")
         if len(set(labels)) != len(labels):
@@ -109,9 +113,6 @@ class FactorSpace:
         _check_cap(math.prod(dims) if dims else 1, f"space {labels}")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("FactorSpace is immutable")
 
     @property
     def dim(self) -> int:
@@ -130,23 +131,6 @@ class FactorSpace:
         labels = tuple(labels)
         return FactorSpace(labels, tuple(self.dim_of(l) for l in labels))
 
-    def drop(self, labels: Iterable[str]) -> "FactorSpace":
-        gone = set(labels)
-        for l in gone:
-            self.axis(l)
-        keep = tuple(l for l in self.labels if l not in gone)
-        return self.subspace(keep)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FactorSpace)
-            and self.labels == other.labels
-            and self.dims == other.dims
-        )
-
-    def __hash__(self):
-        return hash((self.labels, self.dims))
-
     def __repr__(self):
         inner = ", ".join(f"{l}:{d}" for l, d in zip(self.labels, self.dims))
         return f"FactorSpace({inner})"
@@ -163,29 +147,25 @@ def power_space(space: FactorSpace, n: int) -> FactorSpace:
     return FactorSpace(labels, dims)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Operator:
     """A square matrix on a labeled factor space.  No constraints beyond shape."""
 
-    __slots__ = ("space", "matrix")
+    space: FactorSpace
+    matrix: np.ndarray
 
-    def __init__(self, space: FactorSpace, matrix: np.ndarray):
-        matrix = _frozen(matrix)
-        if matrix.shape != (space.dim, space.dim):
+    def __post_init__(self):
+        matrix = frozen_copy(self.matrix)
+        dim = self.space.dim
+        if matrix.shape != (dim, dim):
             raise ValueError(
-                f"matrix shape {matrix.shape} does not match space dim {space.dim}"
+                f"matrix shape {matrix.shape} does not match space dim {dim}"
             )
-        object.__setattr__(self, "space", space)
         object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
-
-    def dag(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T)
 
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
@@ -194,11 +174,18 @@ class Operator:
         return f"{type(self).__name__}(space={self.space!r}, dim={self.space.dim})"
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class DensityOperator(Operator):
     """A state: Hermitian, unit-trace, positive semidefinite within tolerance."""
 
+    # An own __init__ rather than a generated one: the generated one would
+    # equal Operator's by code object (code compares by value), so a profiler
+    # that keys calls by code could not tell state validation apart.
     def __init__(self, space: FactorSpace, matrix: np.ndarray):
-        super().__init__(space, matrix)
+        Operator.__init__(self, space, matrix)
+
+    def __post_init__(self):
+        Operator.__post_init__(self)
         defect = self.hermiticity_defect()
         if defect > HERMITICITY_TOL:
             raise ValueError(f"density matrix not Hermitian (defect {defect:.3e})")
@@ -210,25 +197,24 @@ class DensityOperator(Operator):
             raise ValueError(f"density matrix has eigenvalue {lo:.3e} < -{PSD_TOL}")
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class PureState:
     """A unit vector on a labeled factor space."""
 
-    __slots__ = ("space", "vector")
+    space: FactorSpace
+    vector: np.ndarray
 
-    def __init__(self, space: FactorSpace, vector: np.ndarray):
-        vector = _frozen(vector).reshape(-1)
-        if vector.shape != (space.dim,):
+    def __post_init__(self):
+        vector = frozen_copy(self.vector).reshape(-1)
+        dim = self.space.dim
+        if vector.shape != (dim,):
             raise ValueError(
-                f"vector length {vector.shape[0]} does not match space dim {space.dim}"
+                f"vector length {vector.shape[0]} does not match space dim {dim}"
             )
         nrm = float(np.linalg.norm(vector))
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"state vector norm {nrm} differs from 1")
-        object.__setattr__(self, "space", space)
         object.__setattr__(self, "vector", vector)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PureState is immutable")
 
     def density(self) -> DensityOperator:
         return DensityOperator(self.space, np.outer(self.vector, self.vector.conj()))
@@ -448,6 +434,7 @@ def support_projector(op, support_cutoff: float = 1e-12):
 # channels
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True, eq=False)
 class KrausChannel:
     """A completely positive trace-preserving map given by Kraus matrices.
 
@@ -461,27 +448,24 @@ class KrausChannel:
         within 1e-10.
     """
 
-    __slots__ = ("in_space", "out_space", "kraus", "name")
+    in_space: FactorSpace
+    out_space: FactorSpace
+    kraus: tuple[np.ndarray, ...]
+    name: str = ""
 
-    def __init__(self, in_space, out_space, kraus, name: str = ""):
-        kraus = tuple(_frozen(k) for k in kraus)
+    def __post_init__(self):
+        kraus = tuple(frozen_copy(k) for k in self.kraus)
         if not kraus:
             raise ValueError("a channel needs at least one Kraus matrix")
-        shape = (out_space.dim, in_space.dim)
+        shape = (self.out_space.dim, self.in_space.dim)
         for k in kraus:
             if k.shape != shape:
                 raise ValueError(f"Kraus matrix shape {k.shape}, expected {shape}")
         total = sum(k.conj().T @ k for k in kraus)
-        defect = float(np.max(np.abs(total - np.eye(in_space.dim))))
+        defect = float(np.max(np.abs(total - np.eye(self.in_space.dim))))
         if defect > KRAUS_TOL:
             raise ValueError(f"sum K†K deviates from identity by {defect:.3e}")
-        object.__setattr__(self, "in_space", in_space)
-        object.__setattr__(self, "out_space", out_space)
         object.__setattr__(self, "kraus", kraus)
-        object.__setattr__(self, "name", str(name))
-
-    def __setattr__(self, *a):
-        raise AttributeError("KrausChannel is immutable")
 
     @property
     def is_mac(self) -> bool:
@@ -586,6 +570,7 @@ def apply_isometry_to_state(ch: KrausChannel, state: PureState,
 # POVMs
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class PovmSet:
     """An indexed family of positive operators with sum at most the identity.
 
@@ -594,17 +579,17 @@ class PovmSet:
     [-1e-9, 1 + 1e-9], and the family total must satisfy sum <= I + 1e-9.
     """
 
-    __slots__ = ("space", "elements")
+    space: FactorSpace
+    elements: dict
 
-    def __init__(self, space: FactorSpace, elements):
-        elements = dict(elements)
+    def __post_init__(self):
+        elements = {k: frozen_copy(m) for k, m in dict(self.elements).items()}
         if not elements:
             raise ValueError("a POVM needs at least one element")
-        total = np.zeros((space.dim, space.dim), dtype=complex)
-        frozen = {}
+        dim = self.space.dim
+        total = np.zeros((dim, dim), dtype=complex)
         for key, mat in elements.items():
-            mat = _frozen(mat)
-            if mat.shape != (space.dim, space.dim):
+            if mat.shape != (dim, dim):
                 raise ValueError(f"element {key!r} has shape {mat.shape}")
             defect = float(np.max(np.abs(mat - mat.conj().T)))
             if defect > POVM_TOL:
@@ -616,20 +601,12 @@ class PovmSet:
                     f"[{vals.min():.3e}, {vals.max():.3e}], outside [0, 1]"
                 )
             total += mat
-            frozen[key] = mat
-        gap = np.linalg.eigvalsh(_sym(np.eye(space.dim) - total))
+        gap = np.linalg.eigvalsh(_sym(np.eye(dim) - total))
         if gap.min() < -POVM_TOL:
             raise ValueError(
                 f"POVM elements sum beyond identity (min gap eigenvalue {gap.min():.3e})"
             )
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "elements", frozen)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PovmSet is immutable")
-
-    def __len__(self):
-        return len(self.elements)
+        object.__setattr__(self, "elements", elements)
 
     def __getitem__(self, key) -> np.ndarray:
         return self.elements[key]

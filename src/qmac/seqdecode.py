@@ -10,6 +10,7 @@ one sender fully, then the other, over a multiple access channel.
 from __future__ import annotations
 
 import math
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,37 +43,28 @@ EXHAUSTIVE_CAP = 100_000
 INDEX_SET_CAP = 4096
 
 
+@dataclass(frozen=True, slots=True)
 class PackingConstants:
     """Constants feeding the sequential packing bound."""
 
-    __slots__ = ("epsilon", "d", "D", "message_count")
+    epsilon: float
+    d: float
+    D: float
+    message_count: int
 
-    def __init__(self, epsilon, d, D, message_count):
-        epsilon, d, D = float(epsilon), float(d), float(D)
-        if not 0.0 < epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-        if d <= 0 or D <= 0:
+    def __post_init__(self):
+        if not 0.0 < self.epsilon <= 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
+        if not (self.d > 0 and self.D > 0):
             raise ValueError("d and D must be positive")
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "message_count", int(message_count))
-
-    def __setattr__(self, *a):
-        raise AttributeError("PackingConstants is immutable")
 
 
+@dataclass(frozen=True, slots=True)
 class PackingBound:
     """Value of the packing bound plus whether its hypotheses held."""
 
-    __slots__ = ("value", "condition_holds")
-
-    def __init__(self, value: float, condition_holds: bool):
-        object.__setattr__(self, "value", float(value))
-        object.__setattr__(self, "condition_holds", bool(condition_holds))
-
-    def __setattr__(self, *a):
-        raise AttributeError("PackingBound is immutable")
+    value: float
+    condition_holds: bool
 
     def __repr__(self):
         return f"PackingBound({self.value:.6g}, condition_holds={self.condition_holds})"
@@ -219,45 +211,24 @@ def packing_diagnostics(ensemble, code_projector, word_projectors,
     return out
 
 
+@dataclass(frozen=True, slots=True)
 class SeqReport:
     """Result of one sequential-decoding experiment."""
 
-    __slots__ = ("success_mean", "success_stderr", "bound",
-                 "bound_condition_holds", "epsilon", "d", "D",
-                 "n", "message_count", "seed", "trials")
-
-    def __init__(self, success_mean, success_stderr, bound,
-                 bound_condition_holds, epsilon, d, D,
-                 n, message_count, seed, trials):
-        object.__setattr__(self, "success_mean", float(success_mean))
-        object.__setattr__(self, "success_stderr", float(success_stderr))
-        object.__setattr__(self, "bound", float(bound))
-        object.__setattr__(self, "bound_condition_holds", bool(bound_condition_holds))
-        object.__setattr__(self, "epsilon", float(epsilon))
-        object.__setattr__(self, "d", float(d))
-        object.__setattr__(self, "D", float(D))
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "message_count", int(message_count))
-        object.__setattr__(self, "seed", int(seed))
-        object.__setattr__(self, "trials", int(trials))
-
-    def __setattr__(self, *a):
-        raise AttributeError("SeqReport is immutable")
+    success_mean: float
+    success_stderr: float
+    bound: float
+    bound_condition_holds: bool
+    epsilon: float
+    d: float
+    D: float
+    n: int
+    message_count: int
+    seed: int
+    trials: int
 
     def to_json(self) -> dict:
-        return {
-            "success_mean": self.success_mean,
-            "success_stderr": self.success_stderr,
-            "bound": self.bound,
-            "bound_condition_holds": self.bound_condition_holds,
-            "epsilon": self.epsilon,
-            "d": self.d,
-            "D": self.D,
-            "n": self.n,
-            "message_count": self.message_count,
-            "seed": self.seed,
-            "trials": self.trials,
-        }
+        return asdict(self)
 
 
 def _ea_projectors(channel: KrausChannel, decomp, delta: float):
@@ -425,6 +396,7 @@ def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
 # two-stage (sequential and successive) decoding
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True)
 class SuccessiveConstants:
     """Constants of the two-stage packing bound.
 
@@ -432,52 +404,44 @@ class SuccessiveConstants:
     2 - e^{d1_minus L / D1} >= 1 - eps_prime.
     """
 
-    __slots__ = ("epsilon", "eps_prime", "d1_minus", "d1_plus", "d2", "D1",
-                 "L", "M")
+    epsilon: float
+    eps_prime: float
+    d1_minus: float
+    d1_plus: float
+    d2: float
+    D1: float
+    L: int
+    M: int
 
-    def __init__(self, epsilon, eps_prime, d1_minus, d1_plus, d2, D1, L, M):
-        vals = dict(epsilon=float(epsilon), eps_prime=float(eps_prime),
-                    d1_minus=float(d1_minus), d1_plus=float(d1_plus),
-                    d2=float(d2), D1=float(D1))
-        if vals["epsilon"] <= 0 or any(
-            vals[k] <= 0 for k in ("d1_minus", "d1_plus", "d2", "D1")
+    def __post_init__(self):
+        if not all(
+            getattr(self, k) > 0
+            for k in ("epsilon", "d1_minus", "d1_plus", "d2", "D1")
         ):
             raise ValueError("successive constants must be positive")
-        if vals["eps_prime"] < 0:
+        if not self.eps_prime >= 0:
             raise ValueError("eps_prime must be nonnegative")
-        required = math.exp(vals["d1_minus"] * int(L) / vals["D1"]) - 1.0
-        if vals["eps_prime"] < required - 1e-12:
+        required = math.exp(self.d1_minus * self.L / self.D1) - 1.0
+        if self.eps_prime < required - 1e-12:
             raise ValueError(
-                f"eps_prime {vals['eps_prime']} below the consistent minimum "
+                f"eps_prime {self.eps_prime} below the consistent minimum "
                 f"{required}"
             )
-        for k, v in vals.items():
-            object.__setattr__(self, k, v)
-        object.__setattr__(self, "L", int(L))
-        object.__setattr__(self, "M", int(M))
-
-    def __setattr__(self, *a):
-        raise AttributeError("SuccessiveConstants is immutable")
 
     @classmethod
     def from_measurements(cls, epsilon, d1_minus, d1_plus, d2, D1, L, M):
         """Pick the smallest consistent eps_prime."""
-        eps_prime = max(0.0, math.exp(float(d1_minus) * int(L) / float(D1)) - 1.0)
+        eps_prime = max(0.0, math.exp(d1_minus * L / D1) - 1.0)
         return cls(epsilon, eps_prime, d1_minus, d1_plus, d2, D1, L, M)
 
 
+@dataclass(frozen=True, slots=True)
 class SuccessiveBound:
     """Two-stage bound, raw and clamped to [0, 1]."""
 
-    __slots__ = ("value", "raw", "condition_holds")
-
-    def __init__(self, value, raw, condition_holds):
-        object.__setattr__(self, "value", float(value))
-        object.__setattr__(self, "raw", float(raw))
-        object.__setattr__(self, "condition_holds", bool(condition_holds))
-
-    def __setattr__(self, *a):
-        raise AttributeError("SuccessiveBound is immutable")
+    value: float
+    raw: float
+    condition_holds: bool
 
 
 def successive_bound(c: SuccessiveConstants) -> SuccessiveBound:

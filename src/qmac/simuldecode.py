@@ -11,6 +11,7 @@ isometry that decodes coherently.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -41,17 +42,12 @@ __all__ = [
 SUPPORT_CUTOFF = 1e-12
 
 
+@dataclass(frozen=True, slots=True)
 class MacCodePair:
     """Independent random codebooks for the two senders."""
 
-    __slots__ = ("book1", "book2")
-
-    def __init__(self, book1: eacode.EaCodeBook, book2: eacode.EaCodeBook):
-        object.__setattr__(self, "book1", book1)
-        object.__setattr__(self, "book2", book2)
-
-    def __setattr__(self, *a):
-        raise AttributeError("MacCodePair is immutable")
+    book1: eacode.EaCodeBook
+    book2: eacode.EaCodeBook
 
     @property
     def L(self) -> int:
@@ -90,40 +86,41 @@ def randomize_code(pair: MacCodePair, s_shift: int, t_shift: int) -> MacCodePair
     )
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class MacProjectors:
     """The typical-projector bundle of a two-sender channel output.
 
-    ``marginals`` holds the seven embedded typical projectors keyed
-    "A", "B", "C", "AB", "AC", "BC", "ABC"; ``pi23_hat`` is the product
-    of two complementary products, (B (x) AC)(C (x) AB), which every
-    detection operator sandwiches, and ``pi_full`` aliases the joint
-    projector.  Everything lives on the full (A..., B..., C...) space.
+    ``marginals`` holds the six embedded typical projectors keyed
+    "A", "B", "C", "AB", "AC", "ABC"; ``pi23_hat`` is the product of two
+    complementary products, (B (x) AC)(C (x) AB), which every detection
+    operator sandwiches, and ``pi_full`` is the joint projector.
+    Everything lives on the full (A..., B..., C...) space.
     """
 
-    __slots__ = ("space", "marginals", "pi23_hat", "pi_full", "delta")
+    space: qmat.FactorSpace
+    marginals: dict
+    delta: float
+    # built once: build_upsilon reads it for every message pair
+    pi23_hat: np.ndarray = field(init=False)
 
-    def __init__(self, space, marginals: dict, delta: float):
-        frozen = {}
-        for key, mat in marginals.items():
-            m = np.asarray(mat, dtype=complex).copy()
-            m.setflags(write=False)
-            frozen[key] = m
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "marginals", frozen)
+    def __post_init__(self):
+        m = {key: qmat.frozen_copy(mat) for key, mat in self.marginals.items()}
+        object.__setattr__(self, "marginals", m)
         object.__setattr__(
-            self, "pi23_hat",
-            (frozen["B"] @ frozen["AC"]) @ (frozen["C"] @ frozen["AB"]),
+            self, "pi23_hat", (m["B"] @ m["AC"]) @ (m["C"] @ m["AB"])
         )
-        object.__setattr__(self, "pi_full", frozen["ABC"])
-        object.__setattr__(self, "delta", float(delta))
 
-    def __setattr__(self, *a):
-        raise AttributeError("MacProjectors is immutable")
+    @property
+    def pi_full(self) -> np.ndarray:
+        return self.marginals["ABC"]
 
 
 def mac_typical_projectors(channel: KrausChannel, decomp1, decomp2,
                            delta: float) -> MacProjectors:
-    """Build the seven typical projectors of the channel output and bundle them."""
+    """Build the six typical projectors of the channel output and bundle them.
+
+    Raises ``ValueError`` when one of them is empty at this ``delta``.
+    """
     n = decomp1.n
     full = eacode.channel_output_space(channel, decomp1, decomp2)
     joint = qmat.tensor(decomp1.phi, decomp2.phi).density()
@@ -138,6 +135,12 @@ def mac_typical_projectors(channel: KrausChannel, decomp1, decomp2,
             else qmat.partial_trace(rho_1, labels)
         )
         tp = typicality.typical_projector(marg, n, delta)
+        if tp.rank == 0:
+            raise ValueError(
+                f"delta = {delta} leaves the typical {''.join(labels)} "
+                "projector empty: no eigenvector is delta-typical, so a "
+                "larger delta is needed"
+            )
         return qmat.embed(Operator(tp.space, tp.projector), full).matrix
 
     marginals = {
@@ -146,7 +149,6 @@ def mac_typical_projectors(channel: KrausChannel, decomp1, decomp2,
         "C": proj(c_labels),
         "AB": proj((a, b)),
         "AC": proj((a,) + c_labels),
-        "BC": proj((b,) + c_labels),
         "ABC": proj((a, b) + c_labels),
     }
     return MacProjectors(full, marginals, delta)
@@ -267,19 +269,11 @@ def _error_figures(pair: MacCodePair, povm: PovmSet, rho) -> dict:
         parts["abort"] += abort[j] / norm
     parts["total"] = sum(parts.values())
 
-    # average each pair's error over all modular shifts (S, T) of both books
-    pairwise = {key: 1.0 - p for key, p in zip(sent, success)}
-    worst = 0.0
-    for l in range(L):
-        for m in range(M):
-            acc = 0.0
-            for s in range(L):
-                for t in range(M):
-                    acc += pairwise[((l + s) % L, (m + t) % M)]
-            worst = max(worst, acc / norm)
     return {
         "avg_error": 1.0 - sum(success) / norm,
-        "max_error_randomized": worst,
+        # each pair's error averaged over every modular shift (S, T) of both
+        # books runs over every pair once: the mean of the pairwise errors
+        "max_error_randomized": sum(1.0 - p for p in success) / norm,
         "epsilon_measured": 1.0 - min(success),
         "breakdown": parts,
     }
@@ -311,9 +305,9 @@ def max_error_via_randomization(channel: KrausChannel, pair: MacCodePair,
                                 povm: PovmSet) -> float:
     """Max over message pairs of the shift-averaged error.
 
-    For every (l, m), average the pairwise error over all modular shifts
-    (S, T) of both codebooks; the result equals the plain average error for
-    each pair, so the maximum does too.
+    For every (l, m), the average of the pairwise error over all modular
+    shifts (S, T) of both codebooks runs over every pair once, so it is the
+    same for every (l, m): the mean of the pairwise errors.
     """
     return _standalone_figures(channel, pair, povm)["max_error_randomized"]
 
@@ -350,20 +344,17 @@ def hayashi_nagaoka_check(S, T, tol: float = 1e-9):
 # coherent decoding
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class CoherentDecoder:
     """Isometry sum_k sqrt(Lambda_k) (x) |k> over POVM outcomes plus abort."""
 
-    __slots__ = ("matrix", "outcomes", "povm")
+    matrix: np.ndarray
+    outcomes: tuple
+    povm: PovmSet
 
-    def __init__(self, matrix, outcomes, povm):
-        mat = np.asarray(matrix, dtype=complex).copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "outcomes", tuple(outcomes))
-        object.__setattr__(self, "povm", povm)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CoherentDecoder is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", qmat.frozen_copy(self.matrix))
+        object.__setattr__(self, "outcomes", tuple(self.outcomes))
 
     def isometry_defect(self) -> float:
         dim = self.matrix.shape[1]
@@ -401,38 +392,16 @@ def coherent_decoder(povm: PovmSet) -> CoherentDecoder:
     return dec
 
 
-def coherent_fidelity(channel: KrausChannel, pair: MacCodePair, povm: PovmSet,
-                      input_amplitudes=None) -> float:
+def coherent_fidelity(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
+                      ) -> float:
     """Overlap of the coherently decoded state with its ideal target.
 
     Averaged over the common-randomness shifts of both senders, the overlap
-    is a convex combination over (l, m) of <psi_{l,m}| sqrt(Lambda_{l,m})
-    |psi_{l,m}> on the purified channel output, so it is at least the
-    average success probability of the underlying POVM.
-
-    Parameters
-    ----------
-    input_amplitudes : (array, array), optional
-        Amplitude matrices alpha[j, l] and beta[k, m] of the two senders'
-        superposed messages; defaults to uniform.  Only the marginal message
-        weights affect the result, which is the point of the shift
-        averaging.
+    of every superposition of messages is the mean over (l, m) of
+    <psi_{l,m}| sqrt(Lambda_{l,m}) |psi_{l,m}> on the purified channel
+    output, so it is at least the average success probability of the
+    underlying POVM.
     """
-    L, M = pair.L, pair.M
-    if input_amplitudes is None:
-        p1 = np.full(L, 1.0 / L)
-        p2 = np.full(M, 1.0 / M)
-    else:
-        alpha, beta = input_amplitudes
-        alpha = np.atleast_2d(np.asarray(alpha, dtype=complex))
-        beta = np.atleast_2d(np.asarray(beta, dtype=complex))
-        if alpha.shape[-1] != L or beta.shape[-1] != M:
-            raise ValueError("amplitude matrices must have L and M columns")
-        p1 = (np.abs(alpha) ** 2).sum(axis=0)
-        p2 = (np.abs(beta) ** 2).sum(axis=0)
-        p1 = p1 / p1.sum()
-        p2 = p2 / p2.sum()
-
     d1, d2 = pair.book1.decomp, pair.book2.decomp
     n = d1.n
     psi = qmat.tensor(d1.phi_n, d2.phi_n)
@@ -454,29 +423,18 @@ def coherent_fidelity(channel: KrausChannel, pair: MacCodePair, povm: PovmSet,
     d_env = psi.space.dim // d_abc
     abc_space = psi.space.subspace(abc_labels)
 
-    roots = {k: qmat.operator_power(povm[k], 0.5, support_cutoff=0.0)
-             for k in povm.keys()}
-    overlap = {}
-    for l in range(L):
-        for m in range(M):
+    total = 0.0
+    for l in range(pair.L):
+        for m in range(pair.M):
             u = eacode.receiver_encoder(
                 [(d1, pair.book1[l]), (d2, pair.book2[m])]
             )
             vec = qmat.apply_local(
                 u, psi.vector.reshape(d_abc, d_env), abc_space
             )
-            out = roots[(l, m)] @ vec
-            overlap[(l, m)] = float(np.vdot(vec, out).real)
-
-    fidelity = 0.0
-    for l in range(L):
-        for m in range(M):
-            shift_avg = sum(
-                overlap[((l + s) % L, (m + t) % M)]
-                for s in range(L) for t in range(M)
-            ) / (L * M)
-            fidelity += p1[l] * p2[m] * shift_avg
-    return fidelity
+            root = qmat.operator_power(povm[(l, m)], 0.5, support_cutoff=0.0)
+            total += float(np.vdot(vec, root @ vec).real)
+    return total / (pair.L * pair.M)
 
 
 def ea_successive_povm(pair: MacCodePair, projectors: MacProjectors) -> PovmSet:
@@ -537,26 +495,19 @@ def run_mac_experiment(channel: KrausChannel, pair: MacCodePair, mode: str,
     return report, povm
 
 
+@dataclass(frozen=True, slots=True)
 class MacReport:
     """Result of one multiple-access decoding experiment."""
 
-    __slots__ = ("n", "L", "M", "avg_error", "max_error_randomized",
-                 "epsilon_measured", "seeds", "mode", "breakdown")
-
-    def __init__(self, n, L, M, avg_error, max_error_randomized,
-                 epsilon_measured, seeds, mode, breakdown):
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "L", int(L))
-        object.__setattr__(self, "M", int(M))
-        object.__setattr__(self, "avg_error", float(avg_error))
-        object.__setattr__(self, "max_error_randomized", float(max_error_randomized))
-        object.__setattr__(self, "epsilon_measured", float(epsilon_measured))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
-        object.__setattr__(self, "mode", str(mode))
-        object.__setattr__(self, "breakdown", dict(breakdown))
-
-    def __setattr__(self, *a):
-        raise AttributeError("MacReport is immutable")
+    n: int
+    L: int
+    M: int
+    avg_error: float
+    max_error_randomized: float
+    epsilon_measured: float
+    seeds: tuple[int, int]
+    mode: str
+    breakdown: dict
 
     def to_json(self) -> dict:
         return {

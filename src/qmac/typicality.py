@@ -10,6 +10,7 @@ an eigenvalue product, so projectors are assembled block by block.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -31,8 +32,11 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class TypeClass:
     """All length-n sequences with a fixed letter-occurrence histogram.
+
+    Two classes are equal when their counts are.
 
     Attributes
     ----------
@@ -44,35 +48,28 @@ class TypeClass:
         Lexicographically least member sequence.
     """
 
-    __slots__ = ("counts", "dim", "representative")
+    counts: tuple[int, ...]
+    dim: int = field(init=False, compare=False)
 
-    def __init__(self, counts: Sequence[int]):
-        counts = tuple(int(c) for c in counts)
+    def __post_init__(self):
+        counts = tuple(int(c) for c in self.counts)
         if any(c < 0 for c in counts):
             raise ValueError("type counts must be nonnegative")
-        n = sum(counts)
-        dim = math.factorial(n)
+        dim = math.factorial(sum(counts))
         for c in counts:
             dim //= math.factorial(c)
-        rep = tuple(
-            letter for letter, c in enumerate(counts) for _ in range(c)
-        )
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "representative", rep)
-
-    def __setattr__(self, *a):
-        raise AttributeError("TypeClass is immutable")
 
     @property
     def n(self) -> int:
         return sum(self.counts)
 
-    def __eq__(self, other):
-        return isinstance(other, TypeClass) and self.counts == other.counts
-
-    def __hash__(self):
-        return hash(self.counts)
+    @property
+    def representative(self) -> tuple[int, ...]:
+        return tuple(
+            letter for letter, c in enumerate(self.counts) for _ in range(c)
+        )
 
     def __repr__(self):
         return f"TypeClass{self.counts}"
@@ -163,6 +160,7 @@ def type_class_projector(t: TypeClass, local_basis: np.ndarray | None = None,
     return proj
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class TypicalProjector:
     """A delta-typical projector for the n-fold power of a state.
 
@@ -182,23 +180,16 @@ class TypicalProjector:
         projector is zero).
     """
 
-    __slots__ = ("space", "projector", "delta", "base_entropy",
-                 "weight", "lambda_max", "lambda_min")
+    space: qmat.FactorSpace
+    projector: np.ndarray
+    delta: float
+    base_entropy: float
+    weight: float
+    lambda_max: float
+    lambda_min: float
 
-    def __init__(self, space, projector, delta, base_entropy,
-                 weight, lambda_max, lambda_min):
-        mat = np.array(projector, dtype=complex)
-        mat.setflags(write=False)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "projector", mat)
-        object.__setattr__(self, "delta", float(delta))
-        object.__setattr__(self, "base_entropy", float(base_entropy))
-        object.__setattr__(self, "weight", float(weight))
-        object.__setattr__(self, "lambda_max", float(lambda_max))
-        object.__setattr__(self, "lambda_min", float(lambda_min))
-
-    def __setattr__(self, *a):
-        raise AttributeError("TypicalProjector is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "projector", qmat.frozen_copy(self.projector))
 
     @property
     def rank(self) -> int:
@@ -242,19 +233,14 @@ def typical_projector(rho: qmat.DensityOperator, n: int, delta: float
     return TypicalProjector(space, proj, delta, entropy, weight, lam_max, lam_min)
 
 
+@dataclass(frozen=True, slots=True)
 class MeasuredConstants:
     """Packing-hypothesis constants measured on an explicit ensemble."""
 
-    __slots__ = ("epsilon", "d", "D", "commutator_residual")
-
-    def __init__(self, epsilon, d, D, commutator_residual):
-        object.__setattr__(self, "epsilon", float(epsilon))
-        object.__setattr__(self, "d", float(d))
-        object.__setattr__(self, "D", float(D))
-        object.__setattr__(self, "commutator_residual", float(commutator_residual))
-
-    def __setattr__(self, *a):
-        raise AttributeError("MeasuredConstants is immutable")
+    epsilon: float
+    d: float
+    D: float
+    commutator_residual: float
 
     def __repr__(self):
         return (

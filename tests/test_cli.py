@@ -50,6 +50,72 @@ GOLDEN_SEQ_N3_SEED0 = """\
 """
 
 
+# Region commands pinned byte for byte: each output must equal
+# json.dumps(figures, indent=2) plus a newline, the figures printed at 12
+# significant digits.  Together they cover the pentagon vertices (five-,
+# three-, four- and one-vertex regions), the clamping of negative bounds and
+# the raw bounds of the catalytic region.
+GOLDEN_REGIONS = {
+    ("gaussian-region", "--eta", "0.5", "--nsa", "10", "--nsb", "10"): {
+        "eta": 0.5, "nsa": 10.0, "nsb": 10.0,
+        "ea_region": {
+            "r1": 8.67111367031, "r2": 8.67111367031, "sum": 9.66893371227,
+            "vertices": [[0.0, 0.0], [8.67111367031, 0.0],
+                         [8.67111367031, 0.997820041966],
+                         [0.997820041966, 8.67111367031],
+                         [0.0, 8.67111367031]],
+        },
+        "ea_region_numeric": {
+            "r1": 8.67111367031, "r2": 8.67111367031, "sum": 9.66893371227,
+            "vertices": [[0.0, 0.0], [8.67111367031, 0.0],
+                         [8.67111367031, 0.997820041966],
+                         [0.997820041966, 8.67111367031],
+                         [0.0, 8.67111367031]],
+        },
+        "yen_shapiro": {
+            "r1": 4.83446685614, "r2": 4.83446685614, "sum": 4.83446685614,
+            "vertices": [[0.0, 0.0], [4.83446685614, 0.0],
+                         [0.0, 4.83446685614]],
+        },
+        "sum_gap": 4.83446685614,
+        "ea_contains_ys": True,
+    },
+    ("compare-ys", "--eta", "0.95", "--nsa", "1", "--nsb", "1"): {
+        "eta": 0.95, "nsa": 1.0, "nsb": 1.0,
+        "sum_gap": 2.0,
+        "ea_contains_ys": False,
+        "ea_region": {
+            "r1": 3.93174174403, "r2": 0.907877012359, "sum": 4.0,
+            "vertices": [[0.0, 0.0], [3.93174174403, 0.0],
+                         [3.93174174403, 0.0682582559705],
+                         [3.09212298764, 0.907877012359],
+                         [0.0, 0.907877012359]],
+        },
+        "yen_shapiro": {
+            "r1": 2.0, "r2": 2.0, "sum": 2.0,
+            "vertices": [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]],
+        },
+        "vertices": [{"vertex": [0.0, 0.0], "inside_ea": True},
+                     {"vertex": [2.0, 0.0], "inside_ea": True},
+                     {"vertex": [0.0, 2.0], "inside_ea": False}],
+    },
+    ("ea-region", "--channel", "cnot-mac", "--kind", "cc"): {
+        "r1": 1.0, "r2": 1.0, "sum": 2.0,
+        "vertices": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+    },
+    ("ea-region", "--channel", "cnot-mac", "--kind", "lsd"): {
+        "r1": 0.0, "r2": 0.0, "sum": 0.0,
+        "vertices": [[0.0, 0.0]],
+        "raw_bounds": [0.0, 0.0, 0.0],
+    },
+    ("ea-region", "--channel", "adder-mac", "--kind", "lsd",
+     "--phi", "0.7,0.3"): {
+        "r1": 0.0, "r2": 0.0, "sum": 0.0,
+        "vertices": [[0.0, 0.0]],
+        "raw_bounds": [0.0, 0.0, -0.440645449615],
+    },
+}
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
@@ -62,6 +128,36 @@ class TestEmitJson:
             with pytest.raises(ValueError):
                 cli.emit_json({"x": bad})
         assert capsys.readouterr().out == ""
+
+
+class TestGoldenRegions:
+    @pytest.mark.parametrize("argv", list(GOLDEN_REGIONS), ids=" ".join)
+    def test_output(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(GOLDEN_REGIONS[argv], indent=2) + "\n"
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv, named", [
+        (("gaussian-sweep", "--nsa", "1", "--nsb", "nan"), "nsb"),
+        (("gaussian-sweep", "--nsa", "inf", "--nsb", "1"), "nsa"),
+        (("gaussian-region", "--eta", "0.5", "--nsa", "nan", "--nsb", "1"),
+         "nsa"),
+        (("gaussian-region", "--eta", "nan", "--nsa", "1", "--nsb", "1"),
+         "eta"),
+        (("compare-ys", "--eta", "0.5", "--nsa", "1", "--nsb", "inf"), "nsb"),
+        (("simulate-seq", "--channel", "identity:2", "--phi", "0.5,nan"),
+         "0.5,nan"),
+        (("simulate-mac", "--channel", "cnot-mac", "--psi", "inf,0.5"),
+         "inf,0.5"),
+        (("ea-region", "--channel", "cnot-mac", "--phi", "nan,0.5"),
+         "nan,0.5"),
+    ], ids=lambda x: " ".join(x) if isinstance(x, tuple) else x)
+    def test_exit_2_names_input(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert named in err
 
 
 class TestGaussianRegion:
@@ -282,6 +378,13 @@ class TestSimulateMac:
                              "--delta", delta)
         assert code == 2 and out == ""
         assert "--delta" in err
+
+    def test_empty_projector_exit_2(self, capsys):
+        # at delta = 0 no type of the 0.7/0.3 Schmidt weights is typical
+        code, out, err = run(capsys, "simulate-mac", "--channel", "cnot-mac",
+                             "--phi", "0.7,0.3", "--n", "2", "--delta", "0")
+        assert code == 2 and out == ""
+        assert "delta" in err and "empty" in err
 
     def test_byte_identical_reruns(self, capsys):
         args = ("simulate-mac", "--channel", "adder-mac", "--n", "1",

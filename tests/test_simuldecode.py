@@ -44,6 +44,13 @@ class TestBuildUpsilon:
         ups = simuldecode.build_upsilon(pair, 0, 0, zeroed)
         assert np.max(np.abs(ups)) < 1e-12
 
+    def test_six_projectors_and_joint_alias(self):
+        ch = qmat.named_channel("cnot-mac")
+        _, d1, d2 = bell_pair_books(ch)
+        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
+        assert set(proj.marginals) == {"A", "B", "C", "AB", "AC", "ABC"}
+        assert proj.pi_full is proj.marginals["ABC"]
+
     def test_identity_projectors_identity_indices(self):
         ch = parallel_qubit_mac()
         pair, d1, d2 = phase_books(ch)
@@ -243,6 +250,32 @@ class TestRandomization:
         assert abs(avg - mx) < 1e-12
 
 
+    def test_one_pass_matches_shift_loop(self):
+        # reference: average each pair's error over every shift (S, T) of
+        # both books, then take the worst pair
+        ch = qmat.named_channel("adder-mac")
+        d1 = eacode.type_decompose(schmidt_state([0.7, 0.3], "Ap", "A"), 1)
+        d2 = eacode.type_decompose(bell_state("Bp", "B"), 1)
+        L, M = 3, 2
+        pair = simuldecode.MacCodePair.sample(d1, d2, L, M, 43, 44)
+        report, povm = simuldecode.run_mac_experiment(
+            ch, pair, "simultaneous", 1.5
+        )
+        rho = eacode.channel_output_state(ch, d1, d2)
+        pairwise = {}
+        for l in range(L):
+            for m in range(M):
+                sigma = eacode.conjugate_by_receiver_encoders(
+                    rho, [(d1, pair.book1[l]), (d2, pair.book2[m])]
+                )
+                pairwise[(l, m)] = 1.0 - np.trace(povm[(l, m)] @ sigma.matrix).real
+        worst = max(
+            sum(pairwise[((l + s) % L, (m + t) % M)]
+                for s in range(L) for t in range(M)) / (L * M)
+            for l in range(L) for m in range(M)
+        )
+        assert abs(report.max_error_randomized - worst) < 1e-12
+
 class TestExpectedCodewordUnderChannel:
     def test_sender2_twirl_structure(self):
         # exhaustive average over S2 of the encoded channel output equals
@@ -309,20 +342,6 @@ class TestCoherentDecoder:
         err = simuldecode.average_error(ch, pair, povm)
         fid = simuldecode.coherent_fidelity(ch, pair, povm)
         assert fid >= (1 - err) - 1e-10
-
-    def test_amplitudes_do_not_change_fidelity(self):
-        # the shift average washes out any message superposition weights
-        ch = qmat.named_channel("cnot-mac")
-        pair, d1, d2 = bell_pair_books(ch, seeds=(61, 62))
-        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
-        povm = simuldecode.simultaneous_povm(pair, proj)
-        f_uniform = simuldecode.coherent_fidelity(ch, pair, povm)
-        alpha = np.array([[0.9, 0.1], [0.3, 0.2]])
-        beta = np.array([[1.0, 2.0]])
-        f_skew = simuldecode.coherent_fidelity(
-            ch, pair, povm, input_amplitudes=(alpha, beta)
-        )
-        assert abs(f_uniform - f_skew) < 1e-10
 
 
 class TestSuccessiveMode:
