@@ -31,7 +31,6 @@ __all__ = [
     "enumerate_indices",
     "index_set_size",
     "sample_code",
-    "encode",
     "channel_output_space",
     "channel_output_state",
     "receiver_encoder",
@@ -138,18 +137,12 @@ class TypeDecomposition:
             PureState(copy_major, vec), self.full_space.labels
         )
         # per-block sequence bases, built once; columns ordered (type, lex seq)
-        sender_cols = []
-        receiver_cols = []
-        self.block_slices = []
-        start = 0
-        for t in self.types:
-            for seq in typicality.type_sequences(t):
-                sender_cols.append(typicality.sequence_vector(seq, left))
-                receiver_cols.append(typicality.sequence_vector(seq, right))
-            self.block_slices.append(slice(start, start + t.dim))
-            start += t.dim
-        self._sender_block_basis = np.stack(sender_cols, axis=1)
-        self._receiver_block_basis = np.stack(receiver_cols, axis=1)
+        starts = itertools.accumulate(self.block_dims, initial=0)
+        self.block_slices = [
+            slice(start, start + d) for start, d in zip(starts, self.block_dims)
+        ]
+        self._sender_block_basis = typicality.type_basis(self.types, left)
+        self._receiver_block_basis = typicality.type_basis(self.types, right)
         assembled = sum(
             math.sqrt(p) * self.block_vector(i) for i, p in enumerate(self.probs)
         )
@@ -176,11 +169,6 @@ class TypeDecomposition:
 
     def block_state(self, t_index: int) -> PureState:
         return PureState(self.full_space, self.block_vector(t_index))
-
-    @property
-    def blocks(self) -> tuple[PureState, ...]:
-        """All maximally entangled block states, in type order."""
-        return tuple(self.block_state(i) for i in range(len(self.types)))
 
 
 def type_decompose(phi: PureState, n: int) -> TypeDecomposition:
@@ -433,21 +421,3 @@ def average_codeword_state(rho: DensityOperator, decomp: TypeDecomposition
         out += np.kron(p_t / t.dim, rest)
     return DensityOperator(rho.space, out)
 
-
-def encode(book, m, channel: KrausChannel) -> DensityOperator:
-    """Receiver-side codeword state for message ``m``.
-
-    Single sender: ``book`` is an :class:`EaCodeBook` and ``m`` a message
-    index; the result is U^T(s_m) rho U^*(s_m) with the encoder pulled to
-    the receiver share.  Two senders: ``book`` is a pair object with
-    ``book1``/``book2`` attributes and ``m = (l, m2)``.
-    """
-    if hasattr(book, "book1") and hasattr(book, "book2"):
-        l, m2 = m
-        b1, b2 = book.book1, book.book2
-        rho = channel_output_state(channel, b1.decomp, b2.decomp)
-        return conjugate_by_receiver_encoders(
-            rho, [(b1.decomp, b1[l]), (b2.decomp, b2[m2])]
-        )
-    rho = channel_output_state(channel, book.decomp)
-    return conjugate_by_receiver_encoders(rho, [(book.decomp, book[m])])

@@ -153,11 +153,13 @@ class BosonicMacParams:
 def g_entropy(N: float) -> float:
     """Thermal-state entropy g(N) = (N+1) log2(N+1) - N log2 N in bits.
 
-    Values in (-1e-12, 0) clamp to zero; anything lower raises.
+    Values in (-1e-12, 0) clamp to zero; anything lower, NaN or +inf raises.
     """
     N = float(N)
-    if N < -1e-12:
-        raise ValueError(f"mean photon number {N} is negative")
+    if not -1e-12 <= N < math.inf:
+        raise ValueError(
+            f"mean photon number must be finite and nonnegative, got {N}"
+        )
     if N <= 0.0:
         return 0.0
     return (N + 1) * math.log2(N + 1) - N * math.log2(N)
@@ -166,8 +168,10 @@ def g_entropy(N: float) -> float:
 def tms_covariance(n_s: float, modes=("A", "Ap")) -> CovarianceState:
     """Two-mode squeezed vacuum with mean photon number ``n_s`` per arm."""
     n_s = float(n_s)
-    if n_s < 0:
-        raise ValueError("mean photon number must be nonnegative")
+    if not 0 <= n_s < math.inf:
+        raise ValueError(
+            f"mean photon number must be finite and nonnegative, got {n_s}"
+        )
     a = 2 * n_s + 1
     c = 2 * math.sqrt(n_s * (n_s + 1))
     v = np.array(

@@ -184,17 +184,22 @@ class RateRegion:
         )
 
 
-def ea_code_state(mac: KrausChannel, phi: PureState, psi: PureState
-                  ) -> DensityOperator:
-    """The receiver-plus-entanglement state: the channel applied to phi (x) psi.
+def ea_code_state(channel: KrausChannel, phi: PureState,
+                  psi: PureState | None = None) -> DensityOperator:
+    """Single-copy code state: the channel applied to the senders' shares.
 
-    ``phi`` lives on (Ap, A) and ``psi`` on (Bp, B); the channel consumes
-    Ap and Bp and the result lives on (A, B, C...).
+    Each shared state lives on (sender, receiver) labels, e.g. ``phi`` on
+    (Ap, A) and ``psi`` on (Bp, B).  The channel consumes the sender shares
+    (phi's alone for a single sender) and the result lives on the receiver
+    shares followed by the channel outputs: (A, B, C...) or (A, B...).
     """
-    joint = qmat.tensor(phi, psi).density()
-    out = qmat.apply_channel(mac, joint, acting_on=mac.in_space.labels)
-    order = ["A", "B"] + [l for l in out.space.labels if l not in ("A", "B")]
-    return qmat.permute(out, order)
+    states = (phi,) if psi is None else (phi, psi)
+    out = qmat.apply_channel(
+        channel, qmat.tensor(*states).density(),
+        acting_on=tuple(s.space.labels[0] for s in states),
+    )
+    receivers = tuple(s.space.labels[1] for s in states)
+    return qmat.permute(out, receivers + channel.out_space.labels)
 
 
 def _region_from_state(rho: DensityOperator, first, second) -> RateRegion:

@@ -249,8 +249,6 @@ def tensor(*ops):
     ValueError
         On duplicate labels across the inputs.
     """
-    if len(ops) == 1 and isinstance(ops[0], (list, tuple)):
-        ops = tuple(ops[0])
     if not ops:
         raise ValueError("tensor() needs at least one operand")
     labels = [l for op in ops for l in op.space.labels]
@@ -406,28 +404,19 @@ def eig_hermitian(op):
 
 
 def operator_power(op, exponent: float, support_cutoff: float = 1e-12):
-    """Apply ``x**exponent`` to the eigenvalues of a PSD operator.
+    """The matrix with ``x**exponent`` applied to the eigenvalues of a PSD operator.
 
     Eigenvalues at or below ``support_cutoff`` map to 0, which makes negative
     exponents the pseudo-inverse on the support.  An eigenvalue below -1e-9
     raises.
     """
-    m = _as_matrix(op)
-    vals, vecs = eig_hermitian(m)
+    vals, vecs = eig_hermitian(op)
     if float(vals.min()) < -PSD_TOL:
         raise ValueError(f"operator has eigenvalue {vals.min():.3e} < -{PSD_TOL}")
     fvals = np.array(
         [v**exponent if v > support_cutoff else 0.0 for v in vals.real]
     )
-    out = (vecs * fvals) @ vecs.conj().T
-    if isinstance(op, Operator):
-        return Operator(op.space, out)
-    return out
-
-
-def support_projector(op, support_cutoff: float = 1e-12):
-    """Projector onto the span of eigenvectors with eigenvalue > cutoff."""
-    return operator_power(op, 0.0, support_cutoff=support_cutoff)
+    return (vecs * fvals) @ vecs.conj().T
 
 
 # ---------------------------------------------------------------------------

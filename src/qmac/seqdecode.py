@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import eacode, qmat, typicality
+from . import eacode, info, qmat, typicality
 from .qmat import DensityOperator, DimensionCapError, KrausChannel, PovmSet, PureState
 
 __all__ = [
@@ -77,6 +77,12 @@ def _check_projector(p: np.ndarray, name: str) -> np.ndarray:
     return p
 
 
+def _sandwiches(pi: np.ndarray, word_projector, name: str):
+    """(Pi Pi_x Pi, Pi (I - Pi_x) Pi) for a checked word projector Pi_x."""
+    px = _check_projector(word_projector, name)
+    return pi @ px @ pi, pi @ (np.eye(pi.shape[0]) - px) @ pi
+
+
 def sequential_povm(code: Sequence, code_projector, word_projectors: Mapping
                     ) -> PovmSet:
     """POVM of the test-codewords-in-order decoder.
@@ -98,20 +104,17 @@ def sequential_povm(code: Sequence, code_projector, word_projectors: Mapping
     """
     pi = _check_projector(code_projector, "code projector")
     dim = pi.shape[0]
-    space = qmat.FactorSpace(("S",), (dim,))
-    eye = np.eye(dim)
-    pibar = {}
-    qbar = {}
-    for x in set(code):
-        px = _check_projector(word_projectors[x], f"word projector {x!r}")
-        pibar[x] = pi @ px @ pi
-        qbar[x] = pi @ (eye - px) @ pi
+    sandwiches = {
+        x: _sandwiches(pi, word_projectors[x], f"word projector {x!r}")
+        for x in set(code)
+    }
     elements = {}
-    left = eye
+    left = np.eye(dim)
     for m, x in enumerate(code):
-        elements[m] = left @ pibar[x] @ left.conj().T
-        left = left @ qbar[x]
-    return PovmSet(space, elements)
+        pibar, qbar = sandwiches[x]
+        elements[m] = left @ pibar @ left.conj().T
+        left = left @ qbar
+    return PovmSet(qmat.FactorSpace(("S",), (dim,)), elements)
 
 
 def exact_success_probability(states: Sequence, povm: PovmSet) -> float:
@@ -142,16 +145,11 @@ def expected_success_exhaustive(ensemble, code_projector, word_projectors,
             f"{n_letters}^{message_count} codebooks exceed the enumeration cap {cap}"
         )
     pi = _check_projector(code_projector, "code projector")
-    dim = pi.shape[0]
-    eye = np.eye(dim)
-    pibar = []
-    qbar = []
-    mats = []
-    for x in range(n_letters):
-        px = _check_projector(word_projectors[x], f"word projector {x}")
-        pibar.append(pi @ px @ pi)
-        qbar.append(pi @ (eye - px) @ pi)
-        mats.append(np.asarray(ensemble[x][1], dtype=complex))
+    sandwiches = [
+        _sandwiches(pi, word_projectors[x], f"word projector {x}")
+        for x in range(n_letters)
+    ]
+    mats = [np.asarray(rho, dtype=complex) for _, rho in ensemble]
     probs = [float(p) for p, _ in ensemble]
 
     total = 0.0
@@ -162,12 +160,12 @@ def expected_success_exhaustive(ensemble, code_projector, word_projectors,
         if depth == message_count:
             total += weight * success / message_count
             return
-        for x in range(n_letters):
-            lam = left @ pibar[x] @ left.conj().T
+        for x, (pibar, qbar) in enumerate(sandwiches):
+            lam = left @ pibar @ left.conj().T
             s_x = float(np.trace(lam @ mats[x]).real)
-            rec(weight * probs[x], left @ qbar[x], depth + 1, success + s_x)
+            rec(weight * probs[x], left @ qbar, depth + 1, success + s_x)
 
-    rec(1.0, eye, 0, 0.0)
+    rec(1.0, np.eye(pi.shape[0]), 0, 0.0)
     return total
 
 
@@ -238,29 +236,16 @@ def _ea_projectors(channel: KrausChannel, decomp, delta: float):
     first, then the channel outputs): the unencoded output, the code
     projector Pi_A (x) Pi_B of the one-sided typical projectors, and the
     joint typical projector Pi_AB, which is the word projector of s = 0.
+    The names A and B stand for the receiver share and the channel output.
     """
-    phi, n = decomp.phi, decomp.n
     rho_n = eacode.channel_output_state(channel, decomp)
-    rho_1 = qmat.apply_channel(
-        channel, phi.density(), acting_on=(decomp.sender_label,)
+    recv = (decomp.receiver_label,)
+    out = channel.out_space.labels
+    p = typicality.embedded_typical_projectors(
+        info.ea_code_state(channel, decomp.phi), decomp.n, delta,
+        {"A": recv, "B": out, "AB": recv + out}, rho_n.space,
     )
-    recv = decomp.receiver_label
-    out_labels = channel.out_space.labels
-    rho_1 = qmat.permute(rho_1, (recv,) + out_labels)
-    rho_a = qmat.partial_trace(rho_1, (recv,))
-    rho_b = qmat.partial_trace(rho_1, out_labels)
-    pi_a = typicality.typical_projector(rho_a, n, delta)
-    pi_b = typicality.typical_projector(rho_b, n, delta)
-    pi_ab = typicality.typical_projector(rho_1, n, delta)
-    full = rho_n.space
-    code_proj = (
-        qmat.embed(qmat.Operator(pi_a.space, pi_a.projector), full).matrix
-        @ qmat.embed(qmat.Operator(pi_b.space, pi_b.projector), full).matrix
-    )
-    pi_ab_full = qmat.embed(
-        qmat.Operator(pi_ab.space, pi_ab.projector), full
-    ).matrix
-    return rho_n, code_proj, pi_ab_full
+    return rho_n, p["A"] @ p["B"], p["AB"]
 
 
 def _codeword(decomp, s, rho_n: DensityOperator, pi_ab: np.ndarray):
@@ -350,12 +335,7 @@ def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
         raise ValueError("need at least one trial")
     decomp = eacode.type_decompose(phi, n)
     rho_n, code_proj, pi_ab = _ea_projectors(channel, decomp, delta)
-    for name, proj in (("code", code_proj), ("word", pi_ab)):
-        if np.trace(proj).real < 0.5:
-            raise ValueError(
-                f"delta = {delta} leaves the typical {name} projector empty: "
-                "no eigenvector is delta-typical, so a larger delta is needed"
-            )
+    typicality.require_nonempty({"code": code_proj, "word": pi_ab}, delta)
     measured = _covariant_constants(decomp, rho_n, code_proj, pi_ab)
     eps = min(max(measured.epsilon, 1e-15), 1.0)
     bound = packing_lower_bound(
@@ -466,33 +446,37 @@ def successive_povm(code1: Sequence, code2: Sequence, code_projector,
     M = Pi_{x(l),y(m)} Qbarbar_{x(l),y(m-1)} ... Qbarbar_{x(l),y(1)}
         Pi_{x(l)} Qbar_{x(l-1)} ... Qbar_{x(1)},
     where Qbar uses the code projector sandwich and Qbarbar the Pi_{x(l)}
-    sandwich.
+    sandwich.  Since Pi_{x(l)} absorbs into Qbarbar, this is the
+    sequential POVM of Bob's codewords inside Pi_{x(l)}, conjugated by
+    Alice's first-stage product:
+    Lambda_{l,m} = F Qbarbar ... Pibarbar_{x(l),y(m)} ... Qbarbar F†
+    with F = Qbar_{x(1)} ... Qbar_{x(l-1)} and Pibarbar the Pi_{x(l)}
+    sandwich of Pi_{x(l),y(m)}.
     """
     pi = _check_projector(code_projector, "code projector")
     dim = pi.shape[0]
-    eye = np.eye(dim)
-    space = qmat.FactorSpace(("S",), (dim,))
-    px = {
-        x: _check_projector(word_projectors_x[x], f"first-stage projector {x!r}")
+    # the first-stage call checks Pi_x before it serves as a sandwich
+    first_stage = {
+        x: _sandwiches(pi, word_projectors_x[x], f"first-stage projector {x!r}")
         for x in set(code1)
     }
-    pxy = {}
-    for x in set(code1):
-        for y in set(code2):
-            pxy[(x, y)] = _check_projector(
-                word_projectors_xy[(x, y)], f"second-stage projector {(x, y)!r}"
-            )
+    second_stage = {
+        (x, y): _sandwiches(
+            np.asarray(word_projectors_x[x], dtype=complex),
+            word_projectors_xy[(x, y)], f"second-stage projector {(x, y)!r}",
+        )
+        for x in set(code1) for y in set(code2)
+    }
     elements = {}
-    first = eye
+    first = np.eye(dim)
     for l, x in enumerate(code1):
-        second = px[x] @ first
+        left = first
         for m, y in enumerate(code2):
-            elements[(l, m)] = (
-                (pxy[(x, y)] @ second).conj().T @ (pxy[(x, y)] @ second)
-            )
-            second = (px[x] @ (eye - pxy[(x, y)]) @ px[x]) @ second
-        first = (pi @ (eye - px[x]) @ pi) @ first
-    return PovmSet(space, elements)
+            pibar, qbar = second_stage[(x, y)]
+            elements[(l, m)] = left @ pibar @ left.conj().T
+            left = left @ qbar
+        first = first @ first_stage[x][1]
+    return PovmSet(qmat.FactorSpace(("S",), (dim,)), elements)
 
 
 def unassisted_successive_exponents(n, delta, h_b, h_b_given_x, h_b_given_xy):

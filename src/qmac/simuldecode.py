@@ -16,8 +16,8 @@ from typing import Mapping
 
 import numpy as np
 
-from . import eacode, qmat, typicality
-from .qmat import KrausChannel, Operator, PovmSet
+from . import eacode, info, qmat, seqdecode, typicality
+from .qmat import KrausChannel, PovmSet
 
 __all__ = [
     "MacCodePair",
@@ -99,7 +99,6 @@ class MacProjectors:
 
     space: qmat.FactorSpace
     marginals: dict
-    delta: float
     # built once: build_upsilon reads it for every message pair
     pi23_hat: np.ndarray = field(init=False)
 
@@ -121,37 +120,17 @@ def mac_typical_projectors(channel: KrausChannel, decomp1, decomp2,
 
     Raises ``ValueError`` when one of them is empty at this ``delta``.
     """
-    n = decomp1.n
     full = eacode.channel_output_space(channel, decomp1, decomp2)
-    joint = qmat.tensor(decomp1.phi, decomp2.phi).density()
-    rho_1 = qmat.apply_channel(channel, joint, acting_on=channel.in_space.labels)
     a, b = decomp1.receiver_label, decomp2.receiver_label
-    c_labels = channel.out_space.labels
-    rho_1 = qmat.permute(rho_1, (a, b) + c_labels)
-
-    def proj(labels):
-        marg = (
-            rho_1 if set(labels) == set(rho_1.space.labels)
-            else qmat.partial_trace(rho_1, labels)
-        )
-        tp = typicality.typical_projector(marg, n, delta)
-        if tp.rank == 0:
-            raise ValueError(
-                f"delta = {delta} leaves the typical {''.join(labels)} "
-                "projector empty: no eigenvector is delta-typical, so a "
-                "larger delta is needed"
-            )
-        return qmat.embed(Operator(tp.space, tp.projector), full).matrix
-
-    marginals = {
-        "A": proj((a,)),
-        "B": proj((b,)),
-        "C": proj(c_labels),
-        "AB": proj((a, b)),
-        "AC": proj((a,) + c_labels),
-        "ABC": proj((a, b) + c_labels),
-    }
-    return MacProjectors(full, marginals, delta)
+    c = channel.out_space.labels
+    marginals = typicality.embedded_typical_projectors(
+        info.ea_code_state(channel, decomp1.phi, decomp2.phi), decomp1.n, delta,
+        {"A": (a,), "B": (b,), "C": c, "AB": (a, b), "AC": (a,) + c,
+         "ABC": (a, b) + c},
+        full,
+    )
+    typicality.require_nonempty(marginals, delta)
+    return MacProjectors(full, marginals)
 
 
 def build_upsilon(pair: MacCodePair, l: int, m: int,
@@ -350,7 +329,6 @@ class CoherentDecoder:
 
     matrix: np.ndarray
     outcomes: tuple
-    povm: PovmSet
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", qmat.frozen_copy(self.matrix))
@@ -385,7 +363,7 @@ def coherent_decoder(povm: PovmSet) -> CoherentDecoder:
     ))
     outcomes = keys + ["abort"]
     v = np.vstack(blocks)
-    dec = CoherentDecoder(v, outcomes, povm)
+    dec = CoherentDecoder(v, outcomes)
     defect = dec.isometry_defect()
     if defect > 1e-9:
         raise ValueError(f"coherent lift misses isometry by {defect:.3e}")
@@ -445,8 +423,6 @@ def ea_successive_povm(pair: MacCodePair, projectors: MacProjectors) -> PovmSet:
     by her encoder (times the B projector); the second stage tests Bob's
     with the rotated joint projector.
     """
-    from . import seqdecode
-
     full = projectors.space
     b1, b2 = pair.book1, pair.book2
     code_proj = (

@@ -24,8 +24,11 @@ __all__ = [
     "MeasuredConstants",
     "enumerate_types",
     "type_sequences",
+    "type_basis",
     "type_class_projector",
     "typical_projector",
+    "embedded_typical_projectors",
+    "require_nonempty",
     "measure_word_constants",
     "measure_code_constant",
     "measure_packing_constants",
@@ -124,16 +127,26 @@ def type_sequences(t: TypeClass):
     yield from rec()
 
 
-def sequence_vector(seq: Sequence[int], local_basis: np.ndarray) -> np.ndarray:
-    """Product vector  b_{z1} (x) ... (x) b_{zn}  from columns of local_basis."""
-    vec = local_basis[:, seq[0]]
-    for z in seq[1:]:
-        vec = np.kron(vec, local_basis[:, z])
-    return vec
+def type_basis(types: Sequence[TypeClass], local_basis: np.ndarray) -> np.ndarray:
+    """Product vectors  b_{z1} (x) ... (x) b_{zn}  as columns, one per sequence.
+
+    Columns run type by type and lexicographically within each type, so
+    each type owns a contiguous run of ``t.dim`` columns; ``local_basis``
+    holds the single-copy basis as columns.
+    """
+    local_basis = np.asarray(local_basis, dtype=complex)
+    seqs = np.array([seq for t in types for seq in type_sequences(t)])
+    cols = local_basis[:, seqs[:, 0]]
+    for letters in seqs.T[1:]:
+        # column-wise Kronecker product with the next letter's basis vector
+        cols = (cols[:, None, :] * local_basis[:, letters][None]).reshape(
+            -1, len(seqs)
+        )
+    return cols
 
 
-def type_class_projector(t: TypeClass, local_basis: np.ndarray | None = None,
-                         alphabet_size: int | None = None) -> np.ndarray:
+def type_class_projector(t: TypeClass, local_basis: np.ndarray | None = None
+                         ) -> np.ndarray:
     """Rank-d_t projector onto the span of a type class's product vectors.
 
     Parameters
@@ -144,20 +157,14 @@ def type_class_projector(t: TypeClass, local_basis: np.ndarray | None = None,
         basis of the alphabet size.
     """
     if local_basis is None:
-        d = alphabet_size if alphabet_size is not None else len(t.counts)
-        local_basis = np.eye(d, dtype=complex)
-    local_basis = np.asarray(local_basis, dtype=complex)
-    if local_basis.shape[1] != len(t.counts):
+        local_basis = np.eye(len(t.counts), dtype=complex)
+    if np.shape(local_basis)[1] != len(t.counts):
         raise ValueError(
-            f"basis has {local_basis.shape[1]} columns for a "
+            f"basis has {np.shape(local_basis)[1]} columns for a "
             f"{len(t.counts)}-letter type"
         )
-    dim = local_basis.shape[0] ** t.n
-    proj = np.zeros((dim, dim), dtype=complex)
-    for seq in type_sequences(t):
-        v = sequence_vector(seq, local_basis)
-        proj += np.outer(v, v.conj())
-    return proj
+    b = type_basis([t], local_basis)
+    return b @ b.conj().T
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -170,7 +177,6 @@ class TypicalProjector:
         The n-fold space (copy-major labels ``X1, Y1, X2, Y2, ...``).
     projector : ndarray
         The projector matrix; commutes with the n-fold state.
-    delta : float
     base_entropy : float
         Entropy of the single-copy state in bits.
     weight : float
@@ -182,7 +188,6 @@ class TypicalProjector:
 
     space: qmat.FactorSpace
     projector: np.ndarray
-    delta: float
     base_entropy: float
     weight: float
     lambda_max: float
@@ -204,7 +209,8 @@ def typical_projector(rho: qmat.DensityOperator, n: int, delta: float
     ``|-(1/n) log2 lam - H(rho)| <= delta``; eigenvectors touching a zero
     eigenvalue are never retained.  By construction every retained
     eigenvalue obeys the equipartition sandwich
-    2^{-n(H+delta)} <= lam <= 2^{-n(H-delta)}.
+    2^{-n(H+delta)} <= lam <= 2^{-n(H-delta)}.  The projector is B B† for
+    the :func:`type_basis` B of the retained types in the eigenbasis.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -214,8 +220,7 @@ def typical_projector(rho: qmat.DensityOperator, n: int, delta: float
     vals = np.clip(vals.real, 0.0, None)
     entropy = float(-sum(v * math.log2(v) for v in vals if v > 0))
     space = qmat.power_space(rho.space, n)
-    dim = space.dim
-    proj = np.zeros((dim, dim), dtype=complex)
+    typical = []
     weight = 0.0
     lam_max, lam_min = -np.inf, np.inf
     for t in enumerate_types(n, len(vals)):
@@ -223,14 +228,45 @@ def typical_projector(rho: qmat.DensityOperator, n: int, delta: float
             continue
         log_lam = sum(c * math.log2(vals[i]) for i, c in enumerate(t.counts) if c)
         if abs(-log_lam / n - entropy) <= delta + 1e-12:
-            proj += type_class_projector(t, vecs)
+            typical.append(t)
             lam = 2.0**log_lam
             weight += t.dim * lam
             lam_max = max(lam_max, lam)
             lam_min = min(lam_min, lam)
-    if not np.isfinite(lam_max):
+    if typical:
+        b = type_basis(typical, vecs)
+        proj = b @ b.conj().T
+    else:
+        proj = np.zeros((space.dim, space.dim), dtype=complex)
         lam_max = lam_min = float("nan")
-    return TypicalProjector(space, proj, delta, entropy, weight, lam_max, lam_min)
+    return TypicalProjector(space, proj, entropy, weight, lam_max, lam_min)
+
+
+def embedded_typical_projectors(rho: qmat.DensityOperator, n: int,
+                                delta: float, marginals: dict,
+                                target: qmat.FactorSpace) -> dict:
+    """Typical projectors of marginals of ``rho``, embedded in the n-fold space.
+
+    ``rho`` is a single-copy state and ``marginals`` maps a name to the
+    labels of ``rho`` that the marginal keeps.  Each marginal's typical
+    projector on its n copies (label X -> X1..Xn) is extended by identity
+    onto ``target``, which must hold those copies.  Returns name -> matrix.
+    """
+    out = {}
+    for name, labels in marginals.items():
+        tp = typical_projector(qmat.partial_trace(rho, labels), n, delta)
+        out[name] = qmat.embed(qmat.Operator(tp.space, tp.projector), target).matrix
+    return out
+
+
+def require_nonempty(projectors: dict, delta: float) -> None:
+    """Raise ``ValueError`` naming ``delta`` when a named projector is zero."""
+    for name, proj in projectors.items():
+        if np.trace(proj).real < 0.5:
+            raise ValueError(
+                f"delta = {delta} leaves the typical {name} projector empty: "
+                "no eigenvector is delta-typical, so a larger delta is needed"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -289,11 +325,12 @@ def measure_word_constants(states, code_projector, word_projectors
             float(np.trace(w @ rho).real),
         )
         residual = max(residual, float(np.max(np.abs(w @ rho - rho @ w))))
-        wvals, wvecs = qmat.eig_hermitian(w)
-        supp = wvecs[:, wvals > 0.5]
-        if supp.shape[1]:
-            compressed = supp.conj().T @ rho @ supp
-            inv_d = min(inv_d, float(np.linalg.eigvalsh(compressed).min()))
+        if np.trace(w).real > 0.5:
+            # I - Pi_x lifts the complement to eigenvalue 1, above every
+            # eigenvalue of the compressed state, so the least eigenvalue is
+            # the one on the support of Pi_x
+            lifted = w @ rho @ w + (np.eye(len(w)) - w)
+            inv_d = min(inv_d, float(np.linalg.eigvalsh(lifted).min()))
     epsilon = 1.0 - min_overlap
     d = (1.0 / inv_d) if (np.isfinite(inv_d) and inv_d > 0) else np.inf
     return epsilon, d, residual

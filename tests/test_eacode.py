@@ -369,14 +369,14 @@ class TestAverageCodewordState:
 
 
 class TestEncode:
+    """Codeword states: the channel output conjugated by receiver encoders."""
+
     def test_identity_channel_zero_index(self):
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 1)
-        book = eacode.EaCodeBook(
-            1, [HwIndex([(0, 0, 0), (0, 0, 0)], dec.block_dims)], 0, dec
-        )
+        s = HwIndex([(0, 0, 0), (0, 0, 0)], dec.block_dims)
         ch = qmat.named_channel("identity:2")
-        out = eacode.encode(book, 0, ch)
         rho = eacode.channel_output_state(ch, dec)
+        out = eacode.conjugate_by_receiver_encoders(rho, [(dec, s)])
         assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-12
 
     def test_spectrum_invariance(self):
@@ -386,7 +386,7 @@ class TestEncode:
         base = np.sort(np.linalg.eigvalsh(rho.matrix))
         book = eacode.sample_code(dec, 4, seed=2)
         for m in range(4):
-            out = eacode.encode(book, m, ch)
+            out = eacode.conjugate_by_receiver_encoders(rho, [(dec, book[m])])
             assert np.max(np.abs(np.sort(np.linalg.eigvalsh(out.matrix)) - base)) < 1e-10
 
     def test_exhaustive_average_matches_block_structure(self):
@@ -394,11 +394,11 @@ class TestEncode:
         # classically correlated state sum_z p(t_z) |z><z| (x) |z><z|
         dec = eacode.type_decompose(bell_state(), 1)
         ch = qmat.named_channel("identity:2")
+        rho = eacode.channel_output_state(ch, dec)
         acc = None
         count = 0
         for s in eacode.enumerate_indices(dec):
-            book = eacode.EaCodeBook(1, [s], 0, dec)
-            out = eacode.encode(book, 0, ch).matrix
+            out = eacode.conjugate_by_receiver_encoders(rho, [(dec, s)]).matrix
             acc = out if acc is None else acc + out
             count += 1
         acc /= count

@@ -42,6 +42,11 @@ class TestGEntropy:
         with pytest.raises(ValueError):
             g_entropy(-0.01)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected_naming_value(self, bad):
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            g_entropy(bad)
+
 
 class TestTmsCovariance:
     def test_vacuum_is_identity(self):
@@ -63,6 +68,11 @@ class TestTmsCovariance:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             tms_covariance(-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected_naming_value(self, bad):
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            tms_covariance(bad)
 
 
 class TestBeamsplitter:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qmac import info, qmat
+from qmac import eacode, info, qmat
 from qmac.info import RateRegion
 from qmac.qmat import DensityOperator, FactorSpace, PureState
 
@@ -280,6 +280,25 @@ class TestUnassistedCcRegion:
             info.unassisted_cc_region(
                 qmat.named_channel("adder-mac"), [(0.7, e0)], [(1.0, e0)]
             )
+
+
+class TestEaCodeState:
+    def test_single_sender_layout(self):
+        # oracle: the n = 1 channel output of the type decomposition
+        ch = qmat.named_channel("amplitude-damping:0.3")
+        phi = schmidt_state([0.7, 0.3])
+        rho = info.ea_code_state(ch, phi)
+        assert rho.space.labels == ("A", "B")
+        ref = eacode.channel_output_state(ch, eacode.type_decompose(phi, 1))
+        assert ref.space.labels == ("A1", "B1")
+        assert np.max(np.abs(rho.matrix - ref.matrix)) < 1e-12
+
+    def test_labels_come_from_the_states(self):
+        ch = parallel_qubit_mac()
+        rho = info.ea_code_state(ch, bell_state("Ap", "R"), bell_state("Bp", "S"))
+        assert rho.space.labels == ("R", "S") + ch.out_space.labels
+        ref = info.ea_code_state(ch, bell_state("Ap", "A"), bell_state("Bp", "B"))
+        assert np.array_equal(rho.matrix, ref.matrix)
 
 
 class TestQuantumRegions:

@@ -10,7 +10,7 @@ from qmac import eacode, qmat, seqdecode, typicality
 from qmac.qmat import FactorSpace
 from qmac.seqdecode import PackingConstants, SuccessiveConstants
 
-from conftest import bell_state, packing_instances, schmidt_state
+from conftest import bell_state, packing_instances, random_unitary, schmidt_state
 
 # |0.98 (2 - e^(2^-5))|^2, frozen from a 30-digit mpmath evaluation
 PACKING_BOUND_EXAMPLE = 0.900395004096159375474
@@ -410,6 +410,33 @@ class TestSuccessive:
                 )
         gap = np.linalg.eigvalsh(np.eye(dim) - povm.total())
         assert gap.min() >= -1e-9
+
+    def test_matches_product_definition(self):
+        # Lambda_{l,m} = M†M with M multiplied out factor by factor, on
+        # random projectors that do not commute; codes repeat letters
+        rng = np.random.default_rng(7)
+        dim = 6
+        eye = np.eye(dim)
+
+        def projector(rank):
+            u = random_unitary(rng, dim)[:, :rank]
+            return u @ u.conj().T
+
+        pi = projector(5)
+        px = {x: projector(3) for x in range(2)}
+        pxy = {(x, y): projector(2) for x in range(2) for y in range(3)}
+        code1, code2 = [0, 1, 0], [2, 0, 2, 1]
+        povm = seqdecode.successive_povm(code1, code2, pi, px, pxy)
+        for l, x in enumerate(code1):
+            for m, y in enumerate(code2):
+                mat = pxy[(x, y)]
+                for yy in reversed(code2[:m]):
+                    mat = mat @ px[x] @ (eye - pxy[(x, yy)]) @ px[x]
+                mat = mat @ px[x]
+                for xx in reversed(code1[:l]):
+                    mat = mat @ pi @ (eye - px[xx]) @ pi
+                expect = mat.conj().T @ mat
+                assert np.max(np.abs(povm[(l, m)] - expect)) < 1e-12
 
     def test_l_m_one_success_beats_bound(self):
         dim = 4

@@ -39,7 +39,7 @@ class TestBuildUpsilon:
         )
         dim = proj.space.dim
         zeroed = simuldecode.MacProjectors(
-            proj.space, {**proj.marginals, "ABC": np.zeros((dim, dim))}, 1.0
+            proj.space, {**proj.marginals, "ABC": np.zeros((dim, dim))}
         )
         ups = simuldecode.build_upsilon(pair, 0, 0, zeroed)
         assert np.max(np.abs(ups)) < 1e-12
@@ -60,7 +60,6 @@ class TestBuildUpsilon:
         all_eye = simuldecode.MacProjectors(
             proj.space,
             {k: eye.copy() for k in proj.marginals},
-            1.0,
         )
         ups = simuldecode.build_upsilon(pair, 0, 0, all_eye)
         assert np.max(np.abs(ups - eye)) < 1e-10

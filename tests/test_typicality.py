@@ -78,6 +78,43 @@ class TestTypeClassProjector:
         assert np.isclose(np.trace(proj).real, t.dim)
 
 
+def kron_vector(basis, seq):
+    """Reference product vector b_{z1} (x) ... (x) b_{zn}, one kron per letter."""
+    vec = basis[:, seq[0]]
+    for z in seq[1:]:
+        vec = np.kron(vec, basis[:, z])
+    return vec
+
+
+class TestTypeBasis:
+    def test_columns_are_kron_products_in_type_then_lex_order(self):
+        rng = np.random.default_rng(5)
+        u = random_unitary(rng, 3)
+        types = typicality.enumerate_types(3, 3)
+        b = typicality.type_basis(types, u)
+        seqs = [seq for t in types for seq in typicality.type_sequences(t)]
+        assert b.shape == (27, 27)
+        for col, seq in zip(b.T, seqs):
+            assert np.array_equal(col, kron_vector(u, seq))
+
+    def test_typical_projector_is_sum_of_outer_products(self):
+        # reference: one rank-one update per retained sequence
+        rho = DensityOperator(FactorSpace(("A",), (3,)),
+                              random_density(np.random.default_rng(9), 3))
+        tp = typicality.typical_projector(rho, 3, 0.2)
+        vals, vecs = qmat.eig_hermitian(rho)
+        expect = np.zeros((27, 27), dtype=complex)
+        kept = 0
+        for seq in itertools.product(range(3), repeat=3):
+            lam = math.prod(vals[z] for z in seq)
+            if abs(-math.log2(lam) / 3 - tp.base_entropy) <= 0.2 + 1e-12:
+                v = kron_vector(vecs, seq)
+                expect += np.outer(v, v.conj())
+                kept += 1
+        assert 0 < kept < 27
+        assert np.max(np.abs(tp.projector - expect)) < 1e-12
+
+
 def qubit_state(p):
     return DensityOperator(FactorSpace(("A",), (2,)), np.diag([p, 1 - p]))
 
@@ -220,6 +257,26 @@ class TestMeasurePackingConstants:
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             typicality.measure_packing_constants([], [], np.eye(2), [])
+
+    def test_least_eigenvalue_matches_support_compression(self):
+        # reference: the least eigenvalue of Pi_x rho_x Pi_x compressed onto
+        # an eigenbasis of Pi_x's support, skipping rank-0 projectors
+        rng = np.random.default_rng(13)
+        for dim in (2, 3, 5, 8):
+            states, words = [], []
+            for rank in range(dim + 1):
+                states.append(random_density(rng, dim))
+                u = random_unitary(rng, dim)[:, :rank]
+                words.append(u @ u.conj().T)
+            inv_d = np.inf
+            for rho, w in zip(states, words):
+                wvals, wvecs = np.linalg.eigh(w)
+                supp = wvecs[:, wvals > 0.5]
+                if supp.shape[1]:
+                    inv_d = min(inv_d, np.linalg.eigvalsh(
+                        supp.conj().T @ rho @ supp).min())
+            _, d, _ = typicality.measure_word_constants(states, np.eye(dim), words)
+            assert abs(d * inv_d - 1.0) <= 1e-12
 
     def test_ea_ensemble_cross_check(self):
         # oracle: eigendecomposition computed directly on each quantity
