@@ -3,7 +3,7 @@
 Every command is deterministic given its full flag set (seeds included),
 floats are emitted at 12 significant digits, and exit codes are 0 on
 success, 2 on validation failure, 3 on I/O failure, 4 when the dimension
-cap is exceeded.  ``QMAC_DIM_CAP`` overrides the cap.
+cap is exceeded or memory runs out.  ``QMAC_DIM_CAP`` overrides the cap.
 """
 
 from __future__ import annotations
@@ -46,10 +46,11 @@ def _load_channel(spec: str) -> qmat.KrausChannel:
     if spec.endswith(".json"):
         try:
             with open(spec) as f:
-                obj = json.load(f)
-        except json.JSONDecodeError as e:
+                return qmat.channel_from_json(json.load(f))
+        except DimensionCapError:
+            raise
+        except ValueError as e:  # JSONDecodeError included
             raise ValueError(f"channel file {spec}: {e}")
-        return qmat.channel_from_json(obj)
     return qmat.named_channel(spec)
 
 
@@ -390,6 +391,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except DimensionCapError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print(f"error: {args.command}: the instance is too large for memory",
+              file=sys.stderr)
         return 4
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -32,6 +32,7 @@ __all__ = [
     "index_set_size",
     "sample_code",
     "channel_output_space",
+    "channel_output_factor",
     "channel_output_state",
     "receiver_encoder",
     "conjugate_by_receiver_encoders",
@@ -345,6 +346,26 @@ def channel_output_space(channel: KrausChannel, decomp: TypeDecomposition,
     )
 
 
+def channel_output_factor(channel: KrausChannel, decomp: TypeDecomposition,
+                          decomp2: TypeDecomposition | None = None
+                          ) -> np.ndarray:
+    """R with R R† the channel output of :func:`channel_output_state`.
+
+    The rows follow :func:`channel_output_space`; the columns index the
+    environment of the n channel uses, so each column of R, after the
+    receiver encoders act on it, is one branch of the purified output.
+    """
+    space = channel_output_space(channel, decomp, decomp2)
+    decomps = (decomp,) if decomp2 is None else (decomp, decomp2)
+    uses = [
+        (tuple(f"{d.sender_label}{i}" for d in decomps),
+         tuple(f"{l}{i}" for l in channel.out_space.labels))
+        for i in range(1, decomp.n + 1)
+    ]
+    state = qmat.tensor(*(d.phi_n for d in decomps))
+    return qmat.output_factor(channel, state, uses, space.labels)
+
+
 def channel_output_state(channel: KrausChannel, decomp: TypeDecomposition,
                          decomp2: TypeDecomposition | None = None
                          ) -> DensityOperator:
@@ -353,22 +374,13 @@ def channel_output_state(channel: KrausChannel, decomp: TypeDecomposition,
     Single sender: rho on (A..., B...) from |phi>^(x)n through n channel
     uses.  Two senders: rho on (A..., B..., C...) from phi^(x)n (x)
     psi^(x)n, the channel consuming the two sender shares copy by copy.
-    The factor order is :func:`channel_output_space`.
+    The factor order is :func:`channel_output_space`, and rho = R R† with
+    R from :func:`channel_output_factor`.
     """
-    space = channel_output_space(channel, decomp, decomp2)
-    if decomp2 is None:
-        state = decomp.phi_n.density()
-        senders = (decomp.sender_label,)
-    else:
-        state = qmat.tensor(decomp.phi_n, decomp2.phi_n).density()
-        senders = (decomp.sender_label, decomp2.sender_label)
-    for i in range(1, decomp.n + 1):
-        state = qmat.apply_channel(
-            channel, state,
-            acting_on=tuple(f"{l}{i}" for l in senders),
-            out_labels=tuple(f"{l}{i}" for l in channel.out_space.labels),
-        )
-    return qmat.permute(state, space.labels)
+    r = channel_output_factor(channel, decomp, decomp2)
+    return DensityOperator(
+        channel_output_space(channel, decomp, decomp2), r @ r.conj().T
+    )
 
 
 def receiver_encoder(indexed_encoders) -> qmat.Operator:

@@ -214,11 +214,11 @@ def ea_cc_region(mac: KrausChannel, phi: PureState, psi: PureState) -> RateRegio
     """Entanglement-assisted classical rate region of a two-sender channel.
 
     Bounds are I(A;C|B), I(B;C|A) and I(AB;C) of the code state built from
-    the shared pure states ``phi`` (Alice, on Ap/A) and ``psi`` (Bob, on
-    Bp/B).
+    the shared pure states ``phi`` (Alice, e.g. on Ap/A) and ``psi`` (Bob,
+    e.g. on Bp/B); A and B are the states' second labels.
     """
     rho = ea_code_state(mac, phi, psi)
-    return _region_from_state(rho, "A", "B")
+    return _region_from_state(rho, phi.space.labels[1], psi.space.labels[1])
 
 
 def unassisted_cc_region(mac: KrausChannel, ensemble_x, ensemble_y) -> RateRegion:
@@ -269,9 +269,10 @@ def lsd_q_region(mac: KrausChannel, phi: PureState, psi: PureState) -> RateRegio
     ``raw_bounds``.
     """
     rho = ea_code_state(mac, phi, psi)
-    out_labels = tuple(l for l in rho.space.labels if l not in ("A", "B"))
+    a, b = phi.space.labels[1], psi.space.labels[1]
+    out_labels = tuple(l for l in rho.space.labels if l not in (a, b))
     h_all = von_neumann_entropy(rho)
-    s1 = _subsystem_entropy(rho, out_labels + ("B",)) - h_all
-    s2 = _subsystem_entropy(rho, out_labels + ("A",)) - h_all
+    s1 = _subsystem_entropy(rho, out_labels + (b,)) - h_all
+    s2 = _subsystem_entropy(rho, out_labels + (a,)) - h_all
     ssum = _subsystem_entropy(rho, out_labels) - h_all
     return RateRegion(s1, s2, ssum, raw_bounds=(s1, s2, ssum))

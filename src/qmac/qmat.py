@@ -37,7 +37,7 @@ __all__ = [
     "eig_hermitian",
     "operator_power",
     "apply_channel",
-    "isometric_extension",
+    "output_factor",
     "named_channel",
     "channel_from_json",
 ]
@@ -433,8 +433,8 @@ class KrausChannel:
         Declared input and output factors.  A multiple access channel simply
         has two input factors (conventionally ``Ap`` and ``Bp``).
     kraus : sequence of arrays
-        Matrices of shape ``(out_dim, in_dim)`` with sum K†K = identity
-        within 1e-10.
+        Matrices of shape ``(out_dim, in_dim)`` with finite entries and
+        sum K†K = identity within 1e-10.
     """
 
     in_space: FactorSpace
@@ -447,9 +447,11 @@ class KrausChannel:
         if not kraus:
             raise ValueError("a channel needs at least one Kraus matrix")
         shape = (self.out_space.dim, self.in_space.dim)
-        for k in kraus:
+        for i, k in enumerate(kraus):
             if k.shape != shape:
                 raise ValueError(f"Kraus matrix shape {k.shape}, expected {shape}")
+            if not np.isfinite(k).all():
+                raise ValueError(f"Kraus matrix {i} has a non-finite entry")
         total = sum(k.conj().T @ k for k in kraus)
         defect = float(np.max(np.abs(total - np.eye(self.in_space.dim))))
         if defect > KRAUS_TOL:
@@ -468,6 +470,27 @@ class KrausChannel:
         )
 
 
+def _channel_use(ch: KrausChannel, space: FactorSpace, acting_on, out_labels):
+    """Check a use of ``ch`` on ``space``: (acting_on, untouched labels, out space)."""
+    acting_on, out_labels = tuple(acting_on), tuple(out_labels)
+    if len(acting_on) != len(ch.in_space.labels):
+        raise ValueError("acting_on must name one label per channel input factor")
+    if len(out_labels) != len(ch.out_space.labels):
+        raise ValueError("out_labels must name one label per channel output factor")
+    for l, d in zip(acting_on, ch.in_space.dims):
+        if space.dim_of(l) != d:
+            raise ValueError(
+                f"label {l!r} has dimension {space.dim_of(l)}, channel wants {d}"
+            )
+    rest = tuple(l for l in space.labels if l not in set(acting_on))
+    if set(out_labels) & set(rest):
+        raise ValueError(f"output labels {out_labels} collide with {list(rest)}")
+    out_space = FactorSpace(
+        out_labels + rest, ch.out_space.dims + space.subspace(rest).dims
+    )
+    return acting_on, rest, out_space
+
+
 def apply_channel(ch: KrausChannel, state, acting_on=None, out_labels=None):
     """Apply a channel to named factors of a state, identity elsewhere.
 
@@ -482,28 +505,13 @@ def apply_channel(ch: KrausChannel, state, acting_on=None, out_labels=None):
         Names for the channel outputs in the result (defaults to the
         channel's output labels); must not collide with untouched factors.
     """
-    acting_on = tuple(acting_on) if acting_on is not None else ch.in_space.labels
-    out_labels = tuple(out_labels) if out_labels is not None else ch.out_space.labels
-    if len(acting_on) != len(ch.in_space.labels):
-        raise ValueError("acting_on must name one label per channel input factor")
-    if len(out_labels) != len(ch.out_space.labels):
-        raise ValueError("out_labels must name one label per channel output factor")
-    for l, d in zip(acting_on, ch.in_space.dims):
-        if state.space.dim_of(l) != d:
-            raise ValueError(
-                f"label {l!r} has dimension {state.space.dim_of(l)}, channel wants {d}"
-            )
-    rest = [l for l in state.space.labels if l not in set(acting_on)]
-    if set(out_labels) & set(rest):
-        raise ValueError(f"output labels {out_labels} collide with {rest}")
-    moved = permute(Operator(state.space, state.matrix), list(acting_on) + rest)
-    rest_space = state.space.subspace(rest) if rest else None
-    d_rest = rest_space.dim if rest_space else 1
-    new_space = FactorSpace(
-        out_labels + tuple(rest),
-        ch.out_space.dims + (rest_space.dims if rest_space else ()),
+    acting_on, rest, new_space = _channel_use(
+        ch, state.space,
+        ch.in_space.labels if acting_on is None else acting_on,
+        ch.out_space.labels if out_labels is None else out_labels,
     )
-    eye = np.eye(d_rest)
+    moved = permute(Operator(state.space, state.matrix), acting_on + rest)
+    eye = np.eye(new_space.dim // ch.out_space.dim)
     acc = np.zeros((new_space.dim, new_space.dim), dtype=complex)
     for k in ch.kraus:
         kf = np.kron(k, eye)
@@ -513,46 +521,42 @@ def apply_channel(ch: KrausChannel, state, acting_on=None, out_labels=None):
     return Operator(new_space, acc)
 
 
-def isometric_extension(ch: KrausChannel, env_label: str = "E"):
-    """Stinespring isometry V = sum_i K_i (x) |i>_E and its output space.
+def _rows_to(r: np.ndarray, space: FactorSpace, labels) -> np.ndarray:
+    """The rows of ``r`` (on ``space``) reordered to the factor order ``labels``."""
+    perm = _permutation(space, labels)
+    t = r.reshape(space.dims + (r.shape[-1],)).transpose(perm + [len(perm)])
+    return t.reshape(space.dim, r.shape[-1])
 
-    Returns ``(V, out_space)`` where ``V`` has shape
-    ``(out_dim * n_kraus, in_dim)`` and ``out_space`` appends an environment
-    factor of dimension ``n_kraus`` after the channel outputs.
+
+def output_factor(ch: KrausChannel, state: PureState, uses, labels) -> np.ndarray:
+    """R with R R† the output of ``state`` after the channel ``uses``.
+
+    Each use ``(acting_on, out_labels)`` sends the named factors through the
+    channel, as in :func:`apply_channel`, but contracts the Kraus matrices
+    with those factors only; the Kraus index joins R's columns, so the
+    environment is never a factor of the space.  R's rows follow ``labels``.
+    R is never wider than tall: more than d_in d_out Kraus matrices are
+    reduced to d_in d_out by a QR of the stacked matrices, and a use that
+    leaves R wider than tall is followed by a QR of R†.
     """
-    n_env = len(ch.kraus)
-    space = FactorSpace(
-        ch.out_space.labels + (env_label,), ch.out_space.dims + (n_env,)
-    )
-    d_out = ch.out_space.dim
-    v = np.zeros((d_out * n_env, ch.in_space.dim), dtype=complex)
-    for i, k in enumerate(ch.kraus):
-        env = np.zeros(n_env)
-        env[i] = 1.0
-        v += np.kron(k, env[:, None])
-    return v, space
-
-
-def apply_isometry_to_state(ch: KrausChannel, state: PureState,
-                            acting_on=None, out_labels=None,
-                            env_label: str = "E") -> PureState:
-    """Purified channel application: send named factors through V = sum K (x) |i>."""
-    acting_on = tuple(acting_on) if acting_on is not None else ch.in_space.labels
-    out_labels = tuple(out_labels) if out_labels is not None else ch.out_space.labels
-    v, vspace = isometric_extension(ch, env_label=env_label)
-    rest = [l for l in state.space.labels if l not in set(acting_on)]
-    moved = permute(state, list(acting_on) + rest)
-    d_in = ch.in_space.dim
-    d_rest = moved.space.dim // d_in
-    vec = moved.vector.reshape(d_in, d_rest)
-    out = (v @ vec).reshape(-1)
-    new_space = FactorSpace(
-        out_labels + (env_label,) + tuple(rest),
-        ch.out_space.dims + (len(ch.kraus),) + tuple(
-            state.space.dim_of(l) for l in rest
-        ),
-    )
-    return PureState(new_space, out)
+    d_in, d_out = ch.in_space.dim, ch.out_space.dim
+    kraus = np.stack(ch.kraus).reshape(len(ch.kraus), d_out * d_in)
+    if len(kraus) > d_out * d_in:
+        # rows of S with S^T S* = K^T K*: the same sum K_i X K_i†
+        kraus = np.linalg.qr(kraus, mode="r")
+    kraus = kraus.reshape(-1, d_in)  # rows (Kraus index, output)
+    space = state.space
+    r = state.vector.reshape(-1, 1)
+    for acting_on, out_labels in uses:
+        acting_on, rest, new_space = _channel_use(ch, space, acting_on, out_labels)
+        moved = _rows_to(r, space, acting_on + rest).reshape(d_in, -1)
+        # rows (Kraus, out, rest), columns c -> rows (out, rest), columns (c, Kraus)
+        r = (kraus @ moved).reshape(-1, new_space.dim, r.shape[1]).transpose(1, 2, 0)
+        r = r.reshape(new_space.dim, -1)
+        if r.shape[1] > r.shape[0]:
+            r = np.linalg.qr(r.conj().T, mode="r").conj().T
+        space = new_space
+    return _rows_to(r, space, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -730,17 +734,14 @@ def channel_from_json(obj: dict) -> KrausChannel:
     d_out = math.prod(out_dims)
     kraus = []
     for mat in obj["kraus"]:
-        arr = np.asarray(mat, dtype=float)
-        if arr.ndim == 2 and arr.shape == (d_out * d_in, 2):
-            flat = arr[:, 0] + 1j * arr[:, 1]
-            kraus.append(flat.reshape(d_out, d_in))
-        elif arr.ndim == 3 and arr.shape == (d_out, d_in, 2):
-            kraus.append(arr[:, :, 0] + 1j * arr[:, :, 1])
-        else:
+        arr = np.ascontiguousarray(mat, dtype=float)
+        if arr.shape not in ((d_out * d_in, 2), (d_out, d_in, 2)):
             raise ValueError(
                 f"Kraus entry has shape {arr.shape}; expected "
                 f"{d_out * d_in} row-major [re, im] pairs"
             )
+        # [re, im] pairs are the memory layout of complex entries
+        kraus.append(arr.view(complex).reshape(d_out, d_in))
     return KrausChannel(
         FactorSpace(in_labels, in_dims), FactorSpace(out_labels, out_dims), kraus
     )

@@ -381,35 +381,15 @@ def coherent_fidelity(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
     underlying POVM.
     """
     d1, d2 = pair.book1.decomp, pair.book2.decomp
-    n = d1.n
-    psi = qmat.tensor(d1.phi_n, d2.phi_n)
-    for i in range(1, n + 1):
-        psi = qmat.apply_isometry_to_state(
-            channel, psi,
-            acting_on=(f"{d1.sender_label}{i}", f"{d2.sender_label}{i}"),
-            out_labels=tuple(f"{l}{i}" for l in channel.out_space.labels),
-            env_label=f"E{i}",
-        )
-    abc_labels = (
-        d1.receiver_space.labels + d2.receiver_space.labels
-        + tuple(f"{l}{i}" for i in range(1, n + 1)
-                for l in channel.out_space.labels)
-    )
-    env_labels = tuple(f"E{i}" for i in range(1, n + 1))
-    psi = qmat.permute(psi, abc_labels + env_labels)
-    d_abc = psi.space.subspace(abc_labels).dim
-    d_env = psi.space.dim // d_abc
-    abc_space = psi.space.subspace(abc_labels)
-
+    space = eacode.channel_output_space(channel, d1, d2)
+    r = eacode.channel_output_factor(channel, d1, d2)
     total = 0.0
     for l in range(pair.L):
         for m in range(pair.M):
             u = eacode.receiver_encoder(
                 [(d1, pair.book1[l]), (d2, pair.book2[m])]
             )
-            vec = qmat.apply_local(
-                u, psi.vector.reshape(d_abc, d_env), abc_space
-            )
+            vec = qmat.apply_local(u, r, space)
             root = qmat.operator_power(povm[(l, m)], 0.5, support_cutoff=0.0)
             total += float(np.vdot(vec, root @ vec).real)
     return total / (pair.L * pair.M)

@@ -294,6 +294,18 @@ class TestSimulateSeq:
         assert code == 4
         assert "cap" in err or "dimension" in err
 
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+    def test_non_finite_channel_file_exit_2(self, capsys, tmp_path, entry):
+        # json reads NaN and Infinity; the channel must refuse them and name
+        # the file and the matrix, before any eigensolver sees them
+        obj = qmat.channel_to_json(qmat.named_channel("amplitude-damping:0.3"))
+        text = json.dumps(obj).replace("0.0", entry, 1)
+        spec = tmp_path / "damping.json"
+        spec.write_text(text)
+        code, out, err = run(capsys, "simulate-seq", "--channel", str(spec))
+        assert code == 2 and out == ""
+        assert str(spec) in err and "Kraus matrix 0" in err
+
     def test_bad_cap_variable_named(self, capsys, monkeypatch):
         monkeypatch.setenv("QMAC_DIM_CAP", "abc")
         code, _, err = run(capsys, "simulate-seq", "--channel", "identity:2")
@@ -395,6 +407,17 @@ class TestSimulateMac:
         assert out1 == out2
         cli.emit_json(json.loads(out1))
         assert capsys.readouterr().out == out1
+
+    def test_out_of_memory_exit_4(self, capsys, monkeypatch):
+        from qmac import simuldecode
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(simuldecode, "run_mac_experiment", exhausted)
+        code, out, err = run(capsys, "simulate-mac", "--channel", "cnot-mac")
+        assert code == 4 and out == ""
+        assert "simulate-mac" in err and "too large for memory" in err
 
     def test_golden_n2_output(self, capsys):
         # pinned byte for byte; the figures match the benchmark's reference op

@@ -10,7 +10,12 @@ from qmac import eacode, qmat
 from qmac.eacode import HwIndex
 from qmac.qmat import FactorSpace, PureState
 
-from conftest import bell_state, random_unitary, schmidt_state
+from conftest import (
+    bell_state,
+    random_kraus_channel,
+    random_unitary,
+    schmidt_state,
+)
 
 
 class TestSchmidt:
@@ -405,3 +410,118 @@ class TestEncode:
         expect = np.zeros((4, 4))
         expect[0, 0] = expect[3, 3] = 0.5
         assert np.max(np.abs(acc - expect)) < 1e-12
+
+
+def random_mac(rng, d_out=3, n_kraus=3):
+    """Random two-qubit-input channel with a d_out-dimensional output."""
+    big = random_unitary(rng, d_out * n_kraus)[:, :4]
+    kraus = [big[i * d_out:(i + 1) * d_out, :] for i in range(n_kraus)]
+    return qmat.KrausChannel(FactorSpace(("Ap", "Bp"), (2, 2)),
+                             FactorSpace(("C",), (d_out,)), kraus)
+
+
+def output_by_channel_loop(channel, decomp, decomp2=None):
+    """Oracle: the output as n dense Kraus sums, apply_channel copy by copy."""
+    if decomp2 is None:
+        state = decomp.phi_n.density()
+        senders = (decomp.sender_label,)
+    else:
+        state = qmat.tensor(decomp.phi_n, decomp2.phi_n).density()
+        senders = (decomp.sender_label, decomp2.sender_label)
+    for i in range(1, decomp.n + 1):
+        state = qmat.apply_channel(
+            channel, state,
+            acting_on=tuple(f"{l}{i}" for l in senders),
+            out_labels=tuple(f"{l}{i}" for l in channel.out_space.labels),
+        )
+    space = eacode.channel_output_space(channel, decomp, decomp2)
+    return qmat.permute(state, space.labels)
+
+
+SINGLE_SENDER = {
+    "identity:3": lambda: qmat.named_channel("identity:3"),
+    "depolarizing:0.2": lambda: qmat.named_channel("depolarizing:0.2"),
+    "amplitude-damping:0.3": lambda: qmat.named_channel("amplitude-damping:0.3"),
+    "random 2->3": lambda: random_kraus_channel(np.random.default_rng(41), 2, 3, 2),
+}
+TWO_SENDERS = {
+    "cnot-mac": lambda: qmat.named_channel("cnot-mac"),
+    "adder-mac": lambda: qmat.named_channel("adder-mac"),
+    "random 4->3": lambda: random_mac(np.random.default_rng(42)),
+}
+
+
+def shared_state(weights, dim, sender, receiver):
+    if weights == "bell":
+        return bell_state(sender, receiver, dim)
+    # identity:3 needs three Schmidt weights
+    return schmidt_state([0.6, 0.3, 0.1] if dim == 3 else [0.7, 0.3],
+                         sender, receiver)
+
+
+class TestChannelOutput:
+    """rho = R R† against the dense Kraus sums it replaces."""
+
+    @pytest.mark.parametrize("weights", ["bell", "skewed"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(SINGLE_SENDER))
+    def test_single_sender_matches_channel_loop(self, name, n, weights):
+        ch = SINGLE_SENDER[name]()
+        dec = eacode.type_decompose(
+            shared_state(weights, ch.in_space.dim, "Ap", "A"), n)
+        got = eacode.channel_output_state(ch, dec)
+        want = output_by_channel_loop(ch, dec)
+        assert got.space == want.space
+        assert np.max(np.abs(got.matrix - want.matrix)) < 1e-12
+        r = eacode.channel_output_factor(ch, dec)
+        assert r.shape[0] == got.space.dim and r.shape[1] <= r.shape[0]
+
+    @pytest.mark.parametrize("weights", ["bell", "skewed"])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("name", list(TWO_SENDERS))
+    def test_two_senders_match_channel_loop(self, name, n, weights):
+        ch = TWO_SENDERS[name]()
+        d1 = eacode.type_decompose(shared_state(weights, 2, "Ap", "A"), n)
+        d2 = eacode.type_decompose(bell_state("Bp", "B"), n)
+        got = eacode.channel_output_state(ch, d1, d2)
+        want = output_by_channel_loop(ch, d1, d2)
+        assert got.space == want.space
+        assert np.max(np.abs(got.matrix - want.matrix)) < 1e-12
+
+    def test_redundant_json_channel_is_the_identity(self):
+        # 64 copies of I/8 on two qubits: the noiseless channel, whose 64^n
+        # Kraus columns would outgrow R's rows without the reduction
+        entry = [[float(v), 0.0] for v in (np.eye(4) / 8).ravel()]
+        ch = qmat.channel_from_json(
+            {"in_dims": [2, 2], "out_dims": [4], "kraus": [entry] * 64})
+        noiseless = qmat.KrausChannel(ch.in_space, ch.out_space, [np.eye(4)])
+        d1 = eacode.type_decompose(bell_state("Ap", "A"), 2)
+        d2 = eacode.type_decompose(schmidt_state([0.7, 0.3], "Bp", "B"), 2)
+        got = eacode.channel_output_state(ch, d1, d2)
+        want = eacode.channel_output_state(noiseless, d1, d2)
+        assert np.max(np.abs(got.matrix - want.matrix)) < 1e-12
+        r = eacode.channel_output_factor(ch, d1, d2)
+        assert r.shape[1] <= r.shape[0] == got.space.dim
+
+    def test_no_kraus_sum_and_one_state(self, monkeypatch):
+        calls = {"apply_channel": 0, "DensityOperator": 0}
+
+        def apply_channel(*args, **kwargs):
+            calls["apply_channel"] += 1
+            return original_apply(*args, **kwargs)
+
+        def density_init(self, *args, **kwargs):
+            calls["DensityOperator"] += 1
+            original_init(self, *args, **kwargs)
+
+        original_apply = qmat.apply_channel
+        original_init = qmat.DensityOperator.__init__
+        monkeypatch.setattr(qmat, "apply_channel", apply_channel)
+        monkeypatch.setattr(qmat.DensityOperator, "__init__", density_init)
+        d1 = eacode.type_decompose(bell_state("Ap", "A"), 2)
+        d2 = eacode.type_decompose(bell_state("Bp", "B"), 2)
+        eacode.channel_output_state(qmat.named_channel("cnot-mac"), d1, d2)
+        assert calls == {"apply_channel": 0, "DensityOperator": 1}
+        calls.update(apply_channel=0, DensityOperator=0)
+        eacode.channel_output_state(qmat.named_channel("depolarizing:0.2"), d1)
+        assert calls == {"apply_channel": 0, "DensityOperator": 1}

@@ -188,15 +188,18 @@ class TestEaCcRegion:
         assert np.allclose(reg.bounds(), (0.0, 0.0, 0.0), atol=1e-9)
 
     def test_cnot_mac_versus_manual_entropy_oracle(self):
-        # oracle: build the purified 6-qubit state by hand, trace the
-        # 2-qubit dephasing ancilla, and evaluate the three informations
-        # from explicitly constructed marginals.
+        # oracle: build the purified 6-qubit state by hand as its factor R,
+        # whose columns index the 2-qubit dephasing ancilla, trace that
+        # ancilla as R R†, and evaluate the three informations from
+        # explicitly constructed marginals.
         ch = qmat.named_channel("cnot-mac")
         phi, psi = bell_state("Ap", "A"), bell_state("Bp", "B")
         joint = qmat.tensor(phi, psi)
-        pure = qmat.apply_isometry_to_state(ch, joint, acting_on=("Ap", "Bp"))
-        assert pure.space.dim == 64  # A, B, C (2 qubits), E (2-qubit ancilla)
-        rho = qmat.partial_trace(pure, ("A", "B", "C"))
+        r = qmat.output_factor(ch, joint, [(("Ap", "Bp"), ("C",))],
+                               ("A", "B", "C"))
+        assert r.shape == (16, 4)  # A, B, C (2 qubits) by E (2-qubit ancilla)
+        rho = DensityOperator(FactorSpace(("A", "B", "C"), (2, 2, 4)),
+                              r @ r.conj().T)
 
         def h(labels):
             sub = qmat.partial_trace(rho, labels)
@@ -328,3 +331,15 @@ class TestQuantumRegions:
         )
         assert reg.bounds() == (0.0, 0.0, 0.0)
         assert reg.raw_bounds[0] < 0  # I(A>C|B) is negative here
+
+    @pytest.mark.parametrize("name", ["cnot-mac", "adder-mac"])
+    def test_regions_read_receiver_labels_from_the_states(self, name):
+        # phi on (Ap, R) and psi on (Bp, S) give the regions of (Ap, A) and
+        # (Bp, B): the receiver labels are names, not fixed letters
+        ch = qmat.named_channel(name)
+        renamed = (schmidt_state([0.7, 0.3], "Ap", "R"), bell_state("Bp", "S"))
+        plain = (schmidt_state([0.7, 0.3], "Ap", "A"), bell_state("Bp", "B"))
+        for region in (info.ea_cc_region, info.ea_q_region, info.lsd_q_region):
+            got, want = region(ch, *renamed), region(ch, *plain)
+            assert np.allclose(got.bounds(), want.bounds(), rtol=0, atol=1e-12)
+            assert np.allclose(got.raw_bounds, want.raw_bounds, rtol=0, atol=1e-12)

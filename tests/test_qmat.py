@@ -17,7 +17,12 @@ from qmac.qmat import (
     PureState,
 )
 
-from conftest import bell_state, random_density, random_kraus_channel
+from conftest import (
+    bell_state,
+    random_density,
+    random_kraus_channel,
+    random_pure_vector,
+)
 
 
 def basis_projector(dim, i):
@@ -245,6 +250,15 @@ class TestChannels:
         with pytest.raises(ValueError, match="identity"):
             KrausChannel(FactorSpace(("Ap",), (2,)), FactorSpace(("B",), (2,)), bad)
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_non_finite_kraus_rejected(self, entry):
+        # a NaN makes the completeness defect NaN, which no comparison fails
+        second = np.zeros((2, 2), dtype=complex)
+        second[1, 0] = entry
+        with pytest.raises(ValueError, match="Kraus matrix 1 has a non-finite"):
+            KrausChannel(FactorSpace(("Ap",), (2,)), FactorSpace(("B",), (2,)),
+                         [np.eye(2), second])
+
     @pytest.mark.parametrize("name", [
         "identity:3", "depolarizing:0.4", "amplitude-damping:0.25",
         "cnot-mac", "adder-mac",
@@ -320,10 +334,18 @@ class TestPovmSet:
 
 
 class TestIsometricExtension:
+    """The output factor R (R R† is the channel output) and the isometry it holds."""
+
     def test_stinespring_reproduces_channel(self):
+        # sent through the channel, half of |Phi> = sum_a |aa> / sqrt(d) gives
+        # the factor R[(b, a), i] = K_i[b, a] / sqrt(d): the Stinespring
+        # isometry V = sum_i K_i (x) |i>_E up to the order of its indices
         rng = np.random.default_rng(77)
         ch = random_kraus_channel(rng, 2, 3, n_kraus=2)
-        v, space = qmat.isometric_extension(ch)
+        r = qmat.output_factor(ch, bell_state("Ap", "Q"), [(("Ap",), ("B",))],
+                               ("B", "Q"))
+        v = math.sqrt(2) * r.reshape(3, 2, 2).transpose(0, 2, 1).reshape(6, 2)
+        space = FactorSpace(("B", "E"), (3, 2))
         assert np.max(np.abs(v.conj().T @ v - np.eye(2))) < 1e-10
         rho = random_density(rng, 2)
         big = v @ rho @ v.conj().T
@@ -335,8 +357,55 @@ class TestIsometricExtension:
     def test_purified_application_matches_channel(self):
         ch = qmat.named_channel("amplitude-damping:0.4")
         bell = bell_state("Ap", "A")
-        pure = qmat.apply_isometry_to_state(ch, bell, acting_on=("Ap",))
-        reduced = qmat.partial_trace(pure, ("B", "A")).matrix
+        r = qmat.output_factor(ch, bell, [(("Ap",), ("B",))], ("B", "A"))
+        reduced = r @ r.conj().T
         direct = qmat.apply_channel(ch, bell.density(), acting_on=("Ap",))
         direct = qmat.permute(direct, ("B", "A")).matrix
         assert np.max(np.abs(reduced - direct)) < 1e-10
+
+    def test_wide_factor_is_compressed(self):
+        # four Kraus matrices on a lone qubit would give R four columns for
+        # two rows; a QR of R† keeps R R† with two
+        ch = qmat.named_channel("depolarizing:0.3")
+        rng = np.random.default_rng(78)
+        state = PureState(FactorSpace(("Ap",), (2,)), random_pure_vector(rng, 2))
+        r = qmat.output_factor(ch, state, [(("Ap",), ("B",))], ("B",))
+        assert r.shape == (2, 2)
+        direct = qmat.apply_channel(ch, state.density()).matrix
+        assert np.max(np.abs(r @ r.conj().T - direct)) < 1e-12
+
+    def test_redundant_kraus_set_is_reduced(self):
+        # 64 copies of I/8 are the identity channel; the factor keeps at most
+        # d_in d_out = 4 Kraus columns per use
+        ch = KrausChannel(FactorSpace(("Ap",), (2,)), FactorSpace(("B",), (2,)),
+                          [np.eye(2) / 8] * 64)
+        bell = bell_state("Ap", "A")
+        r = qmat.output_factor(ch, bell, [(("Ap",), ("B",))], ("A", "B"))
+        assert r.shape == (4, 4)
+        assert np.max(np.abs(r @ r.conj().T - bell.density().matrix)) < 1e-12
+
+    def test_uses_in_sequence_and_row_order(self):
+        # two uses of a 2 -> 3 channel on the two halves of a random state
+        # on (Ap1, Ap2, Q); rows in a requested order differ by a permutation
+        rng = np.random.default_rng(79)
+        ch = random_kraus_channel(rng, 2, 3, n_kraus=3)
+        space = FactorSpace(("Ap1", "Ap2", "Q"), (2, 2, 2))
+        state = PureState(space, random_pure_vector(rng, 8))
+        uses = [(("Ap1",), ("B1",)), (("Ap2",), ("B2",))]
+        r = qmat.output_factor(ch, state, uses, ("Q", "B1", "B2"))
+        want = state.density()
+        for (acting_on, out_labels) in uses:
+            want = qmat.apply_channel(ch, want, acting_on, out_labels)
+        want = qmat.permute(want, ("Q", "B1", "B2")).matrix
+        assert r.shape == (18, 9)
+        assert np.max(np.abs(r @ r.conj().T - want)) < 1e-12
+
+    def test_use_checks(self):
+        ch = qmat.named_channel("identity:2")
+        bell = bell_state("Ap", "A")
+        with pytest.raises(ValueError, match="collide"):
+            qmat.output_factor(ch, bell, [(("Ap",), ("A",))], ("A",))
+        with pytest.raises(ValueError, match="permutation"):
+            qmat.output_factor(ch, bell, [(("Ap",), ("B",))], ("A",))
+        with pytest.raises(KeyError):
+            qmat.output_factor(ch, bell, [(("Bp",), ("B",))], ("A", "B"))
