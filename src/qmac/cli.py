@@ -59,7 +59,10 @@ def _shared_state(spec: str, dim: int, sender: str, receiver: str) -> PureState:
     if spec == "bell":
         probs = [1.0 / dim] * dim
     else:
-        probs = [float(x) for x in spec.split(",")]
+        try:
+            probs = [float(x) for x in spec.split(",")]
+        except ValueError as e:
+            raise ValueError(f"state spec {spec!r}: {e}") from None
         if len(probs) != dim:
             raise ValueError(
                 f"state spec {spec!r} has {len(probs)} weights, channel input "
@@ -175,11 +178,9 @@ def cmd_simulate_mac(args) -> int:
             channel, pair, args.mode, args.delta
         )
         reports.append(report)
-    if args.trials == 1:
-        out = reports[0].to_json()
-    else:
+    out = reports[0].to_json()
+    if args.trials > 1:
         # codebook-level averages over the per-trial exact figures
-        out = reports[0].to_json()
         for key in ("avg_error", "max_error_randomized", "epsilon_measured"):
             out[key] = sum(r.to_json()[key] for r in reports) / args.trials
         out["error_terms"] = {

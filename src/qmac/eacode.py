@@ -107,8 +107,6 @@ class TypeDecomposition:
         self.sender_label = sender
         self.receiver_label = receiver
         self.schmidt_probs = coeffs**2
-        self.sender_basis = left
-        self.receiver_basis = right
         self.types = tuple(typicality.enumerate_types(n, d))
         self.probs = np.array(
             [

@@ -191,15 +191,17 @@ def ea_code_state(channel: KrausChannel, phi: PureState,
     Each shared state lives on (sender, receiver) labels, e.g. ``phi`` on
     (Ap, A) and ``psi`` on (Bp, B).  The channel consumes the sender shares
     (phi's alone for a single sender) and the result lives on the receiver
-    shares followed by the channel outputs: (A, B, C...) or (A, B...).
+    shares followed by the channel outputs: (A, B, C...) or (A, B...).  It
+    is R R† with R from :func:`qmat.output_factor`.
     """
     states = (phi,) if psi is None else (phi, psi)
-    out = qmat.apply_channel(
-        channel, qmat.tensor(*states).density(),
-        acting_on=tuple(s.space.labels[0] for s in states),
-    )
+    joint = qmat.tensor(*states)
+    senders = tuple(s.space.labels[0] for s in states)
     receivers = tuple(s.space.labels[1] for s in states)
-    return qmat.permute(out, receivers + channel.out_space.labels)
+    outs = channel.out_space.labels
+    r = qmat.output_factor(channel, joint, [(senders, outs)], receivers + outs)
+    dims = joint.space.subspace(receivers).dims + channel.out_space.dims
+    return DensityOperator(FactorSpace(receivers + outs, dims), r @ r.conj().T)
 
 
 def _region_from_state(rho: DensityOperator, first, second) -> RateRegion:
@@ -235,7 +237,6 @@ def unassisted_cc_region(mac: KrausChannel, ensemble_x, ensemble_y) -> RateRegio
         total = sum(p for p, _ in ens)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"ensemble {who} weights sum to {total}, not 1")
-    da, db = mac.in_space.dims
     nx, ny = len(ensemble_x), len(ensemble_y)
     space_c = mac.out_space
     dim = nx * ny * space_c.dim

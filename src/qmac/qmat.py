@@ -71,14 +71,6 @@ def dimension_cap() -> int:
     return cap
 
 
-def _check_cap(dim: int, what: str) -> None:
-    cap = dimension_cap()
-    if dim > cap:
-        raise DimensionCapError(
-            f"{what} has dimension {dim}, exceeding the cap {cap}"
-        )
-
-
 def frozen_copy(a: np.ndarray) -> np.ndarray:
     """A read-only complex copy of ``a``."""
     out = np.array(a, dtype=complex)
@@ -110,13 +102,18 @@ class FactorSpace:
             raise ValueError(f"duplicate factor labels in {labels}")
         if any(d <= 0 for d in dims):
             raise ValueError("factor dimensions must be positive")
-        _check_cap(math.prod(dims) if dims else 1, f"space {labels}")
+        cap = dimension_cap()
+        if math.prod(dims) > cap:
+            raise DimensionCapError(
+                f"space {labels} has dimension {math.prod(dims)}, "
+                f"exceeding the cap {cap}"
+            )
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
 
     @property
     def dim(self) -> int:
-        return math.prod(self.dims) if self.dims else 1
+        return math.prod(self.dims)
 
     def axis(self, label: str) -> int:
         try:
@@ -374,12 +371,6 @@ def partial_trace(op, keep: Iterable[str]):
 # spectral operations
 # ---------------------------------------------------------------------------
 
-def _as_matrix(op) -> np.ndarray:
-    if isinstance(op, Operator):
-        return np.asarray(op.matrix)
-    return np.asarray(op, dtype=complex)
-
-
 def eig_hermitian(op):
     """Eigendecomposition of a Hermitian operator, eigenvalues descending.
 
@@ -394,7 +385,7 @@ def eig_hermitian(op):
         Real eigenvalues, descending; eigenvectors as orthonormal columns
         aligned with the eigenvalues.
     """
-    m = _as_matrix(op)
+    m = op.matrix if isinstance(op, Operator) else np.asarray(op, dtype=complex)
     defect = float(np.max(np.abs(m - m.conj().T)))
     if defect > HERMITICITY_HARD_TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > 1e-8)")
@@ -651,8 +642,15 @@ def named_channel(name: str) -> KrausChannel:
         inputs x, y produce |x+y> in a 3-dimensional output register.
     """
     kind, _, arg = name.partition(":")
+
+    def parameter(convert, default):
+        try:
+            return convert(arg) if arg else default
+        except ValueError as e:
+            raise ValueError(f"named channel {name!r}: {e}") from None
+
     if kind == "identity":
-        d = int(arg) if arg else 2
+        d = parameter(int, 2)
         if d < 1:
             raise ValueError("identity channel needs dimension >= 1")
         return KrausChannel(
@@ -660,7 +658,7 @@ def named_channel(name: str) -> KrausChannel:
             [np.eye(d)], name=name,
         )
     if kind == "depolarizing":
-        p = float(arg) if arg else 1.0
+        p = parameter(float, 1.0)
         if not 0.0 <= p <= 4.0 / 3.0:
             raise ValueError("depolarizing parameter must lie in [0, 4/3]")
         kraus = [
@@ -673,7 +671,7 @@ def named_channel(name: str) -> KrausChannel:
             FactorSpace(("Ap",), (2,)), FactorSpace(("B",), (2,)), kraus, name=name
         )
     if kind == "amplitude-damping":
-        g = float(arg) if arg else 0.5
+        g = parameter(float, 0.5)
         if not 0.0 <= g <= 1.0:
             raise ValueError("damping probability must lie in [0, 1]")
         k0 = np.array([[1, 0], [0, math.sqrt(1 - g)]], dtype=complex)
@@ -714,10 +712,16 @@ def channel_from_json(obj: dict) -> KrausChannel:
     ``[re, im]`` entry pairs (a nested rows-of-pairs layout is also
     accepted).  One input factor is labeled ``Ap`` (output ``B``); two
     input factors are labeled ``Ap``/``Bp`` (output ``C`` or ``C1``,
-    ``C2``, ...).
+    ``C2``, ...).  Anything else raises ``ValueError`` naming what is wrong.
     """
-    in_dims = tuple(int(d) for d in obj["in_dims"])
-    out_dims = tuple(int(d) for d in obj["out_dims"])
+    if not isinstance(obj, dict):
+        raise ValueError(f"a channel is a JSON object, got {type(obj).__name__}")
+    for key in ("in_dims", "out_dims", "kraus"):
+        if not isinstance(obj.get(key), list):
+            raise ValueError(f"the channel object needs a list {key!r}")
+    in_dims, out_dims = tuple(obj["in_dims"]), tuple(obj["out_dims"])
+    if not all(type(d) is int for d in in_dims + out_dims):
+        raise ValueError("in_dims and out_dims must list integers")
     if len(in_dims) == 1:
         in_labels = ("Ap",)
         out_labels = ("B",) if len(out_dims) == 1 else tuple(

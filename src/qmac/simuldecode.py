@@ -7,10 +7,15 @@ inverse square root of the sum yields a POVM.  A modular-shift relabeling
 of both codebooks converts the average error criterion into a maximal one,
 and lifting each POVM element to sqrt(Lambda) (x) |outcome> gives an
 isometry that decodes coherently.
+
+Every error figure reads one table of overlaps <V_lm, Lambda V_lm>_F =
+Tr{Lambda sigma_lm} on the codeword factors V_lm = U_lm R of the channel
+output rho_n = R R†, so no evaluation forms rho_n or any sigma_lm.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -76,10 +81,9 @@ def randomize_code(pair: MacCodePair, s_shift: int, t_shift: int) -> MacCodePair
     b1, b2 = pair.book1, pair.book2
     if not (0 <= s_shift < b1.message_count and 0 <= t_shift < b2.message_count):
         raise ValueError("shifts must lie within the message ranges")
-    e1 = tuple(b1.entries[(l + s_shift) % b1.message_count]
-               for l in range(b1.message_count))
-    e2 = tuple(b2.entries[(m + t_shift) % b2.message_count]
-               for m in range(b2.message_count))
+    # message l now sends the entry of message l + s (mod L), and so for Bob
+    e1 = b1.entries[s_shift:] + b1.entries[:s_shift]
+    e2 = b2.entries[t_shift:] + b2.entries[:t_shift]
     return MacCodePair(
         eacode.EaCodeBook(b1.message_count, e1, b1.seed, b1.decomp),
         eacode.EaCodeBook(b2.message_count, e2, b2.seed, b2.decomp),
@@ -157,10 +161,9 @@ def sqrt_measurement(upsilons: Mapping) -> PovmSet:
     inverse square root taken on the support (cutoff 1e-12).  The elements
     sum to the support projector of S.
     """
-    upsilons = dict(upsilons)
-    if not upsilons:
-        raise ValueError("need at least one detection operator")
     mats = {k: np.asarray(v, dtype=complex) for k, v in upsilons.items()}
+    if not mats:
+        raise ValueError("need at least one detection operator")
     dim = next(iter(mats.values())).shape[0]
     total = sum(mats.values())
     vals, vecs = qmat.eig_hermitian(total)
@@ -175,13 +178,10 @@ def sqrt_measurement(upsilons: Mapping) -> PovmSet:
     inv_root = (vecs * inv_root_vals) @ vecs.conj().T
     supp = (vecs * on_support) @ vecs.conj().T
     elements = {}
-    recomposed = np.zeros((dim, dim), dtype=complex)
     for k, v in mats.items():
         lam = inv_root @ v @ inv_root
-        lam = (lam + lam.conj().T) / 2.0
-        elements[k] = lam
-        recomposed += lam
-    defect = float(np.max(np.abs(recomposed - supp)))
+        elements[k] = (lam + lam.conj().T) / 2.0
+    defect = float(np.max(np.abs(sum(elements.values()) - supp)))
     if defect > 1e-8:
         raise ValueError(
             f"square-root measurement misses the support projector by {defect:.3e}; "
@@ -201,72 +201,80 @@ def simultaneous_povm(pair: MacCodePair, projectors: MacProjectors) -> PovmSet:
     return sqrt_measurement(ups)
 
 
-def _error_figures(pair: MacCodePair, povm: PovmSet, rho) -> dict:
-    """Every error figure of ``povm`` from one overlap table.
+def _codeword_factors(channel: KrausChannel, pair: MacCodePair):
+    """Yield V_lm = (U^T_1(s_l) (x) U^T_2(t_m)) R for every pair, l-major.
 
-    Fills T[k, j] = Tr{Lambda_k sigma_j} for POVM outcomes k and sent pairs
-    j = (l, m), and the abort weight Tr{(I - sum Lambda) sigma_j}, building
-    each codeword state sigma_j from the channel output ``rho`` once and
-    dropping it once its column is filled.  The average, the worst pair and
-    the shift-randomized maximum read the diagonal; the breakdown reads the
-    off-diagonal entries and the abort column, so its total is an
+    With rho_n = R R†, V_lm V_lm† is the codeword state sigma_lm.
+    """
+    d1, d2 = pair.book1.decomp, pair.book2.decomp
+    space = eacode.channel_output_space(channel, d1, d2)
+    r = eacode.channel_output_factor(channel, d1, d2)
+    for s, t in itertools.product(pair.book1.entries, pair.book2.entries):
+        u = eacode.receiver_encoder([(d1, s), (d2, t)])
+        yield qmat.apply_local(u, r, space)
+
+
+def _overlap_table(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
+                   ) -> np.ndarray:
+    """The table [T; abort] of ``povm`` on the codewords, (LM + 1) x LM.
+
+    T[k, j] = Re<V_j, Lambda_k V_j>_F = Tr{Lambda_k sigma_j} for outcome k
+    and sent pair j, both l-major; the last row is the abort weight
+    Re<V_j, (I - sum Lambda) V_j>_F.  Column j sums to Tr sigma_j = |V_j|^2,
+    which must be 1.
+    """
+    sent = list(itertools.product(range(pair.L), range(pair.M)))
+    if list(povm.keys()) != sent:
+        raise ValueError("POVM outcomes must be the L*M message pairs, l-major")
+    v = np.hstack(list(_codeword_factors(channel, pair)))
+    blocks = (v.shape[0], len(sent), -1)  # row, sent pair, environment column
+    table = np.array([
+        (v.conj() * (op @ v)).real.reshape(blocks).sum(axis=(0, 2))
+        for op in [povm[k] for k in sent] + [povm.completion()]
+    ])
+    for key, total in zip(sent, table.sum(axis=0)):
+        if abs(total - 1.0) > qmat.TRACE_TOL:
+            raise ValueError(f"codeword state {key} has trace {total}, not 1")
+    return table
+
+
+def _error_figures(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
+                   ) -> dict:
+    """Every error figure of ``povm``, each a reduction of one overlap table.
+
+    The average and the worst pair read the diagonal of T; the breakdown
+    reads the off-diagonal entries and the abort row, so its total is an
     independent second path to the average error.
     """
     L, M = pair.L, pair.M
-    d1, d2 = pair.book1.decomp, pair.book2.decomp
-    keys = list(povm.keys())
-    sent = [(l, m) for l in range(L) for m in range(M)]
-    flat_elements = [povm[k].ravel() for k in keys]
-    flat_abort = povm.completion().ravel()
-    table = np.empty((len(keys), len(sent)))
-    abort = np.empty(len(sent))
-    for j, (l, m) in enumerate(sent):
-        sigma = eacode.conjugate_by_receiver_encoders(
-            rho, [(d1, pair.book1[l]), (d2, pair.book2[m])]
-        )
-        # Tr{A sigma} = sum_ab A[a, b] sigma[b, a]: O(d^2), no matrix product
-        flat = sigma.matrix.T.ravel()
-        table[:, j] = [np.dot(e, flat).real for e in flat_elements]
-        abort[j] = np.dot(flat_abort, flat).real
-    table, abort = table.tolist(), abort.tolist()
-
-    row = {k: i for i, k in enumerate(keys)}
-    success = [table[row[key]][j] for j, key in enumerate(sent)]
+    table = _overlap_table(channel, pair, povm)
+    success = np.diagonal(table)
+    decoded = table[:-1].reshape(L, M, L, M)  # (l', m') decoded, (l, m) sent
+    same_l = np.eye(L, dtype=bool)[:, None, :, None]
+    same_m = np.eye(M, dtype=bool)[None, :, None, :]
     norm = L * M
-    parts = {"wrong_alice": 0.0, "wrong_bob": 0.0, "wrong_both": 0.0, "abort": 0.0}
-    for j, (l, m) in enumerate(sent):
-        for i, (lp, mp) in enumerate(keys):
-            if (lp, mp) == (l, m):
-                continue
-            w = table[i][j]
-            if lp != l and mp == m:
-                parts["wrong_alice"] += w / norm
-            elif lp == l and mp != m:
-                parts["wrong_bob"] += w / norm
-            else:
-                parts["wrong_both"] += w / norm
-        parts["abort"] += abort[j] / norm
+    parts = {
+        "wrong_alice": float(decoded.sum(where=~same_l & same_m)) / norm,
+        "wrong_bob": float(decoded.sum(where=same_l & ~same_m)) / norm,
+        "wrong_both": float(decoded.sum(where=~same_l & ~same_m)) / norm,
+        "abort": float(table[-1].sum()) / norm,
+    }
     parts["total"] = sum(parts.values())
-
+    avg_error = 1.0 - float(success.sum()) / norm
     return {
-        "avg_error": 1.0 - sum(success) / norm,
+        "avg_error": avg_error,
         # each pair's error averaged over every modular shift (S, T) of both
-        # books runs over every pair once: the mean of the pairwise errors
-        "max_error_randomized": sum(1.0 - p for p in success) / norm,
-        "epsilon_measured": 1.0 - min(success),
+        # books runs over every pair once: the average error, by construction
+        "max_error_randomized": avg_error,
+        "epsilon_measured": 1.0 - float(success.min()),
         "breakdown": parts,
     }
-
-
-def _standalone_figures(channel, pair, povm) -> dict:
-    rho = eacode.channel_output_state(channel, pair.book1.decomp, pair.book2.decomp)
-    return _error_figures(pair, povm, rho)
 
 
 def average_error(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
                   ) -> float:
     """Mean over (l, m) of Tr{(I - Lambda_{l,m}) sigma_{l,m}}."""
-    return _standalone_figures(channel, pair, povm)["avg_error"]
+    return _error_figures(channel, pair, povm)["avg_error"]
 
 
 def error_breakdown(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
@@ -277,7 +285,7 @@ def error_breakdown(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
     ``wrong_both``, ``abort`` (the implicit completion outcome) and
     ``total``.
     """
-    return _standalone_figures(channel, pair, povm)["breakdown"]
+    return _error_figures(channel, pair, povm)["breakdown"]
 
 
 def max_error_via_randomization(channel: KrausChannel, pair: MacCodePair,
@@ -286,9 +294,10 @@ def max_error_via_randomization(channel: KrausChannel, pair: MacCodePair,
 
     For every (l, m), the average of the pairwise error over all modular
     shifts (S, T) of both codebooks runs over every pair once, so it is the
-    same for every (l, m): the mean of the pairwise errors.
+    same for every (l, m): the mean of the pairwise errors.  It equals
+    :func:`average_error` by construction, as the same float.
     """
-    return _standalone_figures(channel, pair, povm)["max_error_randomized"]
+    return _error_figures(channel, pair, povm)["max_error_randomized"]
 
 
 def hayashi_nagaoka_check(S, T, tol: float = 1e-9):
@@ -352,18 +361,12 @@ def coherent_decoder(povm: PovmSet) -> CoherentDecoder:
     The completion element is appended under the key ``"abort"`` so the
     blocks' squares resolve the identity and V†V = I within 1e-9.
     """
-    keys = list(povm.keys())
-    dim = povm.space.dim
-    blocks = []
-    for k in keys:
-        blocks.append(qmat.operator_power(povm[k], 0.5, support_cutoff=0.0))
-    comp = povm.completion()
-    blocks.append(qmat.operator_power(
-        (comp + comp.conj().T) / 2, 0.5, support_cutoff=0.0
-    ))
-    outcomes = keys + ["abort"]
-    v = np.vstack(blocks)
-    dec = CoherentDecoder(v, outcomes)
+    outcomes = list(povm.keys()) + ["abort"]
+    # operator_power symmetrizes each element, the completion included
+    elements = [povm[k] for k in outcomes[:-1]] + [povm.completion()]
+    dec = CoherentDecoder(np.vstack([
+        qmat.operator_power(e, 0.5, support_cutoff=0.0) for e in elements
+    ]), outcomes)
     defect = dec.isometry_defect()
     if defect > 1e-9:
         raise ValueError(f"coherent lift misses isometry by {defect:.3e}")
@@ -380,19 +383,12 @@ def coherent_fidelity(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
     output, so it is at least the average success probability of the
     underlying POVM.
     """
-    d1, d2 = pair.book1.decomp, pair.book2.decomp
-    space = eacode.channel_output_space(channel, d1, d2)
-    r = eacode.channel_output_factor(channel, d1, d2)
+    sent = list(itertools.product(range(pair.L), range(pair.M)))
     total = 0.0
-    for l in range(pair.L):
-        for m in range(pair.M):
-            u = eacode.receiver_encoder(
-                [(d1, pair.book1[l]), (d2, pair.book2[m])]
-            )
-            vec = qmat.apply_local(u, r, space)
-            root = qmat.operator_power(povm[(l, m)], 0.5, support_cutoff=0.0)
-            total += float(np.vdot(vec, root @ vec).real)
-    return total / (pair.L * pair.M)
+    for key, v in zip(sent, _codeword_factors(channel, pair)):
+        root = qmat.operator_power(povm[key], 0.5, support_cutoff=0.0)
+        total += float(np.vdot(v, root @ v).real)
+    return total / len(sent)
 
 
 def ea_successive_povm(pair: MacCodePair, projectors: MacProjectors) -> PovmSet:
@@ -417,12 +413,9 @@ def ea_successive_povm(pair: MacCodePair, projectors: MacProjectors) -> PovmSet:
             @ projectors.marginals["B"]
         )
     words_xy = {}
-    for s1 in set(b1.entries):
-        for s2 in set(b2.entries):
-            u = eacode.receiver_encoder([(b1.decomp, s1), (b2.decomp, s2)])
-            words_xy[(s1, s2)] = qmat.conjugate_local(
-                u, projectors.pi_full, full
-            )
+    for s1, s2 in itertools.product(set(b1.entries), set(b2.entries)):
+        u = eacode.receiver_encoder([(b1.decomp, s1), (b2.decomp, s2)])
+        words_xy[(s1, s2)] = qmat.conjugate_local(u, projectors.pi_full, full)
     return seqdecode.successive_povm(
         list(b1.entries), list(b2.entries), code_proj, words_x, words_xy
     )
@@ -443,17 +436,18 @@ def run_mac_experiment(channel: KrausChannel, pair: MacCodePair, mode: str,
     d1, d2 = pair.book1.decomp, pair.book2.decomp
     # the projectors and detection operators are released before evaluation
     povm = decoders[mode](pair, mac_typical_projectors(channel, d1, d2, delta))
-    figures = _error_figures(
-        pair, povm, eacode.channel_output_state(channel, d1, d2)
-    )
     report = MacReport(n=d1.n, L=pair.L, M=pair.M, seeds=pair.seeds,
-                       mode=mode, **figures)
+                       mode=mode, **_error_figures(channel, pair, povm))
     return report, povm
 
 
 @dataclass(frozen=True, slots=True)
 class MacReport:
-    """Result of one multiple-access decoding experiment."""
+    """Result of one multiple-access decoding experiment.
+
+    ``max_error_randomized`` is ``avg_error`` by construction, as the same
+    float (see :func:`max_error_via_randomization`).
+    """
 
     n: int
     L: int

@@ -160,6 +160,20 @@ class TestNonFiniteInput:
         assert named in err
 
 
+class TestNonNumericSpec:
+    @pytest.mark.parametrize("argv, named", [
+        (("simulate-seq", "--channel", "depolarizing:abc"),
+         "named channel 'depolarizing:abc'"),
+        (("simulate-seq", "--channel", "identity:x"), "named channel 'identity:x'"),
+        (("simulate-mac", "--channel", "cnot-mac", "--phi", "0.5,abc"),
+         "state spec '0.5,abc'"),
+    ], ids=["depolarizing:abc", "identity:x", "phi 0.5,abc"])
+    def test_exit_2_names_spec(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert named in err
+
+
 class TestGaussianRegion:
     def test_symmetric_sum(self, capsys):
         code, out, _ = run(capsys, "gaussian-region", "--eta", "0.5",
@@ -305,6 +319,22 @@ class TestSimulateSeq:
         code, out, err = run(capsys, "simulate-seq", "--channel", str(spec))
         assert code == 2 and out == ""
         assert str(spec) in err and "Kraus matrix 0" in err
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"in_dims": [2]}', "out_dims"),
+        ('{"in_dims": [1, 2]}', "out_dims"),
+        ("[1, 2]", "object"),
+        ('{"in_dims": [2], "out_dims": [2], "kraus": 5}', "kraus"),
+        ('{"in_dims": [2.5], "out_dims": [2], "kraus": []}', "in_dims"),
+    ], ids=["no out_dims", "mac without out_dims", "a list", "kraus not a list",
+            "fractional dimension"])
+    def test_not_a_channel_object_exit_2(self, capsys, tmp_path, text, named):
+        # valid JSON that is not a channel object names the file and the key
+        spec = tmp_path / "shape.json"
+        spec.write_text(text)
+        code, out, err = run(capsys, "simulate-seq", "--channel", str(spec))
+        assert code == 2 and out == ""
+        assert f"channel file {spec}:" in err and named in err
 
     def test_bad_cap_variable_named(self, capsys, monkeypatch):
         monkeypatch.setenv("QMAC_DIM_CAP", "abc")

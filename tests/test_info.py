@@ -303,6 +303,44 @@ class TestEaCodeState:
         ref = info.ea_code_state(ch, bell_state("Ap", "A"), bell_state("Bp", "B"))
         assert np.array_equal(rho.matrix, ref.matrix)
 
+    @pytest.mark.parametrize("name, weights", [
+        ("cnot-mac", [0.7, 0.3]), ("adder-mac", [0.5, 0.5]),
+        ("depolarizing:0.2", [0.7, 0.3]), ("amplitude-damping:0.3", [0.6, 0.4]),
+        ("identity:3", [0.6, 0.3, 0.1]),
+    ])
+    def test_matches_dense_kraus_sum(self, name, weights):
+        # oracle: the channel's Kraus sum on the full input density matrix
+        ch = qmat.named_channel(name)
+        states = [schmidt_state(weights, s, r)
+                  for s, r in zip(ch.in_space.labels, ("A", "B"))]
+        rho = info.ea_code_state(ch, *states)
+        dense = qmat.apply_channel(ch, qmat.tensor(*states).density(),
+                                   acting_on=ch.in_space.labels)
+        dense = qmat.permute(dense, rho.space.labels)
+        assert np.max(np.abs(rho.matrix - dense.matrix)) < 1e-12
+
+    def test_no_kraus_sum_and_one_state(self, monkeypatch):
+        calls = {"apply_channel": 0, "DensityOperator": 0}
+
+        def apply_channel(*args, **kwargs):
+            calls["apply_channel"] += 1
+            return original_apply(*args, **kwargs)
+
+        def density_init(self, *args, **kwargs):
+            calls["DensityOperator"] += 1
+            original_init(self, *args, **kwargs)
+
+        original_apply = qmat.apply_channel
+        original_init = qmat.DensityOperator.__init__
+        monkeypatch.setattr(qmat, "apply_channel", apply_channel)
+        monkeypatch.setattr(qmat.DensityOperator, "__init__", density_init)
+        info.ea_code_state(qmat.named_channel("cnot-mac"),
+                           bell_state("Ap", "A"), bell_state("Bp", "B"))
+        assert calls == {"apply_channel": 0, "DensityOperator": 1}
+        calls.update(apply_channel=0, DensityOperator=0)
+        info.ea_code_state(qmat.named_channel("depolarizing:0.2"), bell_state())
+        assert calls == {"apply_channel": 0, "DensityOperator": 1}
+
 
 class TestQuantumRegions:
     def test_ea_q_is_half_cc_exactly(self):

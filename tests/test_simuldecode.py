@@ -31,6 +31,42 @@ def phase_books(channel):
     return bell_pair_books(channel, 1, [idx_i, idx_z], [idx_i, idx_z])
 
 
+def check_against_dense_oracle(ch, pair, povm):
+    """The factor table and every figure against dense sigma_lm = U rho_n U†.
+
+    Oracle: build each codeword state as a density matrix, take the
+    probability of every outcome and of abort by a dense trace, and sum the
+    wrong outcomes by which sender was misidentified.
+    """
+    d1, d2 = pair.book1.decomp, pair.book2.decomp
+    rho = eacode.channel_output_state(ch, d1, d2)
+    L, M = pair.L, pair.M
+    sent = [(l, m) for l in range(L) for m in range(M)]
+    ops = [povm[k] for k in sent] + [povm.completion()]
+    want_table = np.empty((len(sent) + 1, len(sent)))
+    want = dict.fromkeys(("wrong_alice", "wrong_bob", "wrong_both", "abort"), 0.0)
+    for j, (l, m) in enumerate(sent):
+        sigma = eacode.conjugate_by_receiver_encoders(
+            rho, [(d1, pair.book1[l]), (d2, pair.book2[m])]
+        ).matrix
+        want_table[:, j] = [np.trace(op @ sigma).real for op in ops]
+        for i, (lp, mp) in enumerate(sent):
+            if (lp, mp) != (l, m):
+                kind = ("wrong_alice" if mp == m else
+                        "wrong_bob" if lp == l else "wrong_both")
+                want[kind] += want_table[i, j] / (L * M)
+        want["abort"] += want_table[-1, j] / (L * M)
+    table = simuldecode._overlap_table(ch, pair, povm)
+    assert table.shape == want_table.shape
+    assert np.max(np.abs(table - want_table)) < 1e-12
+    err = simuldecode.average_error(ch, pair, povm)
+    assert abs(err - sum(want.values())) < 1e-12
+    parts = simuldecode.error_breakdown(ch, pair, povm)
+    assert abs(parts["total"] - err) < 1e-12
+    for kind, value in want.items():
+        assert abs(parts[kind] - value) < 1e-12
+
+
 class TestBuildUpsilon:
     def test_zero_joint_projector(self):
         pair, d1, d2 = bell_pair_books(qmat.named_channel("cnot-mac"))
@@ -129,38 +165,35 @@ class TestAverageError:
         assert np.isclose(err, 1 - 1 / 4, atol=1e-12)
 
     def test_outcome_enumeration_oracle(self):
-        # oracle: sum the probability of every wrong outcome and the abort
-        # outcome for each sent pair; must equal the reported average error
         ch = qmat.named_channel("cnot-mac")
         pair, d1, d2 = bell_pair_books(ch, seeds=(21, 22))
         proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
         povm = simuldecode.simultaneous_povm(pair, proj)
-        err = simuldecode.average_error(ch, pair, povm)
-        rho = eacode.channel_output_state(ch, d1, d2)
-        total = 0.0
-        want = dict.fromkeys(
-            ("wrong_alice", "wrong_bob", "wrong_both", "abort"), 0.0)
-        abort = povm.completion()
-        for l in range(2):
-            for m in range(2):
-                sigma = eacode.conjugate_by_receiver_encoders(
-                    rho, [(d1, pair.book1[l]), (d2, pair.book2[m])]
-                ).matrix
-                for (lp, mp) in povm.keys():
-                    if (lp, mp) == (l, m):
-                        continue
-                    w = np.trace(povm[(lp, mp)] @ sigma).real / 4
-                    kind = ("wrong_alice" if mp == m else
-                            "wrong_bob" if lp == l else "wrong_both")
-                    want[kind] += w
-                    total += w
-                want["abort"] += np.trace(abort @ sigma).real / 4
-                total += np.trace(abort @ sigma).real / 4
-        assert np.isclose(err, total, atol=1e-10)
-        parts = simuldecode.error_breakdown(ch, pair, povm)
-        assert np.isclose(parts["total"], err, atol=1e-10)
-        for kind, value in want.items():
-            assert abs(parts[kind] - value) < 1e-12
+        check_against_dense_oracle(ch, pair, povm)
+
+    @pytest.mark.parametrize("name, weights, n, L, M, mode", [
+        ("adder-mac", None, 1, 3, 2, "simultaneous"),
+        ("cnot-mac", [0.7, 0.3], 1, 2, 3, "simultaneous"),
+        ("cnot-mac", [0.7, 0.3], 2, 3, 2, "simultaneous"),
+        ("adder-mac", [0.7, 0.3], 2, 2, 3, "simultaneous"),
+        ("cnot-mac", None, 1, 3, 2, "successive"),
+        ("adder-mac", [0.7, 0.3], 1, 2, 3, "successive"),
+        ("cnot-mac", [0.7, 0.3], 2, 2, 3, "successive"),
+    ], ids=lambda v: "skewed" if v == [0.7, 0.3] else
+        "bell" if v is None else str(v))
+    def test_factor_table_matches_dense_oracle(self, name, weights, n, L, M,
+                                               mode):
+        ch = qmat.named_channel(name)
+        states = [bell_state(s, r) if weights is None
+                  else schmidt_state(weights, s, r)
+                  for s, r in (("Ap", "A"), ("Bp", "B"))]
+        d1, d2 = (eacode.type_decompose(phi, n) for phi in states)
+        pair = simuldecode.MacCodePair.sample(d1, d2, L, M, 23, 24)
+        delta = 1.5 if name == "adder-mac" else 1.0
+        decoder = {"simultaneous": simuldecode.simultaneous_povm,
+                   "successive": simuldecode.ea_successive_povm}[mode]
+        povm = decoder(pair, simuldecode.mac_typical_projectors(ch, d1, d2, delta))
+        check_against_dense_oracle(ch, pair, povm)
 
     def test_error_never_increases_with_blocklength(self):
         # aggregate mean over 20 seed pairs at n = 2 vs the n = 1 value
@@ -274,6 +307,34 @@ class TestRandomization:
             for l in range(L) for m in range(M)
         )
         assert abs(report.max_error_randomized - worst) < 1e-12
+
+    @pytest.mark.parametrize("name, weights, L, M", [
+        ("cnot-mac", None, 3, 3),
+        ("adder-mac", [0.7, 0.3], 3, 2),
+    ], ids=lambda v: "skewed" if v == [0.7, 0.3] else
+        "bell" if v is None else str(v))
+    def test_relabeled_code_permutes_the_table(self, name, weights, L, M):
+        # decoding randomize_code(pair, s, t) with its own POVM sends pair
+        # (l, m) to the original (l + s, m + t): the same table, with rows
+        # and columns permuted, so every pair's shift average is the mean
+        ch = qmat.named_channel(name)
+        phi = (bell_state("Ap", "A") if weights is None
+               else schmidt_state(weights, "Ap", "A"))
+        d1 = eacode.type_decompose(phi, 2)
+        d2 = eacode.type_decompose(bell_state("Bp", "B"), 2)
+        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.5)
+        pair = simuldecode.MacCodePair.sample(d1, d2, L, M, 45, 46)
+        table = simuldecode._overlap_table(
+            ch, pair, simuldecode.simultaneous_povm(pair, proj))
+        for s, t in ((1, 0), (0, 1), (L - 1, M - 1)):
+            shifted = simuldecode.randomize_code(pair, s, t)
+            got = simuldecode._overlap_table(
+                ch, shifted, simuldecode.simultaneous_povm(shifted, proj))
+            cols = [((l + s) % L) * M + (m + t) % M
+                    for l in range(L) for m in range(M)]
+            rows = cols + [L * M]  # the abort row stays last
+            assert np.max(np.abs(got - table[np.ix_(rows, cols)])) < 1e-12
+
 
 class TestExpectedCodewordUnderChannel:
     def test_sender2_twirl_structure(self):
@@ -389,9 +450,12 @@ class TestSuccessiveMode:
 
 
 class TestOnePassEvaluation:
-    def test_one_channel_output_and_one_conjugation_per_pair(self, monkeypatch):
+    def test_one_output_factor_and_no_dense_state(self, monkeypatch):
+        # every figure comes from the factor R: rho_n and the codeword
+        # states sigma_lm are never formed
         calls = Counter()
-        for name in ("channel_output_state", "conjugate_by_receiver_encoders"):
+        for name in ("channel_output_factor", "channel_output_state",
+                     "conjugate_by_receiver_encoders"):
             def counted(*args, _fn=getattr(eacode, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
@@ -402,9 +466,32 @@ class TestOnePassEvaluation:
         pair = simuldecode.MacCodePair.sample(d1, d2, 2, 3, 51, 52)
         for mode in ("simultaneous", "successive"):
             calls.clear()
-            simuldecode.run_mac_experiment(ch, pair, mode, 1.0)
-            assert calls == {"channel_output_state": 1,
-                             "conjugate_by_receiver_encoders": 6}
+            _, povm = simuldecode.run_mac_experiment(ch, pair, mode, 1.0)
+            assert calls == {"channel_output_factor": 1}
+            calls.clear()
+            simuldecode.error_breakdown(ch, pair, povm)
+            assert calls == {"channel_output_factor": 1}
+
+    def test_codeword_trace_is_checked(self, monkeypatch):
+        # Tr sigma_lm = |V_lm|^2 is checked on the table's columns
+        ch = qmat.named_channel("cnot-mac")
+        pair, d1, d2 = bell_pair_books(ch)
+        povm = simuldecode.simultaneous_povm(
+            pair, simuldecode.mac_typical_projectors(ch, d1, d2, 1.0))
+        factor = eacode.channel_output_factor
+        monkeypatch.setattr(eacode, "channel_output_factor",
+                            lambda *args: 1.001 * factor(*args))
+        with pytest.raises(ValueError, match=r"codeword state \(0, 0\) has trace"):
+            simuldecode.average_error(ch, pair, povm)
+
+    def test_outcomes_must_be_the_pairs_in_order(self):
+        ch = qmat.named_channel("cnot-mac")
+        pair, _, _ = bell_pair_books(ch)
+        space = FactorSpace(("S",), (16,))
+        swapped = PovmSet(space, {(l, m): np.eye(16) / 4
+                                  for m in range(2) for l in range(2)})
+        with pytest.raises(ValueError, match="l-major"):
+            simuldecode.average_error(ch, pair, swapped)
 
     @pytest.mark.parametrize("mode", ["simultaneous", "successive"])
     def test_report_matches_standalone_wrappers(self, mode):
