@@ -23,12 +23,14 @@ __all__ = [
     "SymplecticMap",
     "BosonicMacParams",
     "g_entropy",
+    "symplectic_form",
     "tms_covariance",
     "beamsplitter_symplectic",
     "apply_symplectic",
     "symplectic_eigenvalues",
     "gaussian_entropy",
     "ea_bosonic_region",
+    "bosonic_output_state",
     "ea_bosonic_region_numeric",
     "yen_shapiro_bound",
     "compare_regions",
@@ -142,12 +144,17 @@ class BosonicMacParams:
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta out of range: {self.eta}")
-        for name, value in (("nsa", self.nsa), ("nsb", self.nsb)):
-            if not (value >= 0 and math.isfinite(value)):
-                raise ValueError(
-                    f"{name} must be a finite nonnegative mean photon number, "
-                    f"got {value}"
-                )
+        _check_photon_numbers(self.nsa, self.nsb)
+
+
+def _check_photon_numbers(nsa: float, nsb: float) -> None:
+    """Refuse a negative, NaN or infinite mean photon number, naming it."""
+    for name, value in (("nsa", nsa), ("nsb", nsb)):
+        if not (value >= 0 and math.isfinite(value)):
+            raise ValueError(
+                f"{name} must be a finite nonnegative mean photon number, "
+                f"got {value}"
+            )
 
 
 def g_entropy(N: float) -> float:
@@ -268,27 +275,28 @@ def _lambda_pair(coeff: float, nsa: float, nsb: float) -> tuple[float, float]:
     return abs(coeff * diff + root), abs(coeff * diff - root)
 
 
-def ea_bosonic_region(p: BosonicMacParams) -> RateRegion:
-    """Closed-form entanglement-assisted region of the beamsplitter MAC.
+def _region_figures(eta: float, nsa: float, nsb: float, ga: float, gb: float
+                    ) -> tuple[float, float, float, float, float]:
+    """Unclamped (r1, r2, sum, ys_sum, sum_gap) at one point, given g(Na), g(Nb).
 
-    The pair entropies enter through the symplectic eigenvalues of the
-    sender-receiver covariance blocks; the expressions produce the negative
-    branch with a sign, so absolute values are taken (symplectic spectra
-    are |eig(iJV)| by definition), which the numeric pipeline confirms.
+    The only place the closed forms are written.  The pair entropies enter
+    through the symplectic eigenvalues of the sender-receiver covariance
+    blocks; the expressions produce the negative branch with a sign, so
+    absolute values are taken (symplectic spectra are |eig(iJV)| by
+    definition), which the numeric pipeline confirms.  h_E is the
+    environment entropy, the sum gap is g(Na) + g(Nb) - h_E.
     """
-    eta, nsa, nsb = p.eta, p.nsa, p.nsb
     h_e = g_entropy(eta * nsb + (1 - eta) * nsa)
-    lam_ac = _lambda_pair(1 - eta, nsa, nsb)
-    lam_bc = _lambda_pair(eta, nsa, nsb)
-    h_ac = sum(g_entropy((lam - 1) / 2) for lam in lam_ac)
-    h_bc = sum(g_entropy((lam - 1) / 2) for lam in lam_bc)
-    r1 = g_entropy(nsa) + h_bc - h_e
-    r2 = g_entropy(nsb) + h_ac - h_e
-    rsum = (
-        g_entropy(nsa) + g_entropy(nsb)
-        + g_entropy(eta * nsa + (1 - eta) * nsb) - h_e
-    )
-    return RateRegion(r1, r2, rsum)
+    ys_sum = g_entropy(eta * nsa + (1 - eta) * nsb)
+    h_ac = sum(g_entropy((lam - 1) / 2) for lam in _lambda_pair(1 - eta, nsa, nsb))
+    h_bc = sum(g_entropy((lam - 1) / 2) for lam in _lambda_pair(eta, nsa, nsb))
+    return (ga + h_bc - h_e, gb + h_ac - h_e, ga + gb + ys_sum - h_e, ys_sum,
+            ga + gb - h_e)
+
+
+def ea_bosonic_region(p: BosonicMacParams) -> RateRegion:
+    """Closed-form entanglement-assisted region of the beamsplitter MAC."""
+    return compare_regions(p)["ea"]
 
 
 def bosonic_output_state(p: BosonicMacParams) -> CovarianceState:
@@ -337,11 +345,7 @@ def ea_bosonic_region_numeric(p: BosonicMacParams) -> RateRegion:
 
 def yen_shapiro_bound(p: BosonicMacParams) -> RateRegion:
     """Outer bound for unassisted communication over the same beamsplitter."""
-    return RateRegion(
-        g_entropy(p.nsa),
-        g_entropy(p.nsb),
-        g_entropy(p.eta * p.nsa + (1 - p.eta) * p.nsb),
-    )
+    return compare_regions(p)["ys"]
 
 
 def compare_regions(p: BosonicMacParams) -> dict:
@@ -352,12 +356,10 @@ def compare_regions(p: BosonicMacParams) -> dict:
     g), a vertex-by-vertex report, and whether the assisted region contains
     the outer bound.
     """
-    ea = ea_bosonic_region(p)
-    ys = yen_shapiro_bound(p)
-    sum_gap = (
-        g_entropy(p.nsa) + g_entropy(p.nsb)
-        - g_entropy(p.eta * p.nsb + (1 - p.eta) * p.nsa)
-    )
+    ga, gb = g_entropy(p.nsa), g_entropy(p.nsb)
+    r1, r2, rsum, ys_sum, sum_gap = _region_figures(p.eta, p.nsa, p.nsb, ga, gb)
+    ea = RateRegion(r1, r2, rsum)
+    ys = RateRegion(ga, gb, ys_sum)
     vertex_report = [
         {"vertex": [x, y], "inside_ea": ea.contains(x, y)}
         for x, y in ys.vertices
@@ -371,39 +373,31 @@ def compare_regions(p: BosonicMacParams) -> dict:
     }
 
 
+SWEEP_CSV_HEADER = "eta,r1,r2,sum,ys_r1,ys_r2,ys_sum,sum_gap"
+_SWEEP_KEYS = tuple(SWEEP_CSV_HEADER.split(","))
+
+
 def region_sweep(nsa: float, nsb: float, eta_grid) -> list[dict]:
-    """One region comparison per grid point, as plain row records."""
+    """One region comparison per grid point, as plain row records.
+
+    g(Na) and g(Nb) are evaluated once per sweep; the outer bound, being
+    g values, needs no clamp.
+    """
+    _check_photon_numbers(nsa, nsb)
+    ga, gb = g_entropy(nsa), g_entropy(nsb)
     rows = []
     for eta in eta_grid:
         p = BosonicMacParams(float(eta), nsa, nsb)
-        ea = ea_bosonic_region(p)
-        ys = yen_shapiro_bound(p)
-        rows.append({
-            "eta": float(eta),
-            "r1": ea.r1_max,
-            "r2": ea.r2_max,
-            "sum": ea.sum_max,
-            "ys_r1": ys.r1_max,
-            "ys_r2": ys.r2_max,
-            "ys_sum": ys.sum_max,
-            "sum_gap": (
-                g_entropy(nsa) + g_entropy(nsb)
-                - g_entropy(float(eta) * nsb + (1 - float(eta)) * nsa)
-            ),
-        })
+        r1, r2, rsum, ys_sum, sum_gap = _region_figures(p.eta, nsa, nsb, ga, gb)
+        ea = RateRegion(r1, r2, rsum)
+        rows.append(dict(zip(_SWEEP_KEYS, (p.eta, *ea.bounds(), ga, gb, ys_sum,
+                                           sum_gap))))
     return rows
-
-
-SWEEP_CSV_HEADER = "eta,r1,r2,sum,ys_r1,ys_r2,ys_sum,sum_gap"
 
 
 def sweep_csv(rows: list[dict]) -> str:
     """Locale-independent CSV at 12 significant digits, one row per point."""
     lines = [SWEEP_CSV_HEADER]
     for row in rows:
-        lines.append(",".join(
-            format(row[k], ".12g")
-            for k in ("eta", "r1", "r2", "sum", "ys_r1", "ys_r2", "ys_sum",
-                      "sum_gap")
-        ))
+        lines.append(",".join(format(row[k], ".12g") for k in _SWEEP_KEYS))
     return "\n".join(lines) + "\n"

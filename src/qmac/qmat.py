@@ -27,6 +27,8 @@ __all__ = [
     "KrausChannel",
     "PovmSet",
     "dimension_cap",
+    "frozen_copy",
+    "power_space",
     "identity",
     "tensor",
     "permute",
@@ -40,6 +42,7 @@ __all__ = [
     "output_factor",
     "named_channel",
     "channel_from_json",
+    "channel_to_json",
 ]
 
 DEFAULT_DIM_CAP = 4096
@@ -643,16 +646,19 @@ def named_channel(name: str) -> KrausChannel:
     """
     kind, _, arg = name.partition(":")
 
+    def refuse(reason):
+        return ValueError(f"named channel {name!r}: {reason}")
+
     def parameter(convert, default):
         try:
             return convert(arg) if arg else default
         except ValueError as e:
-            raise ValueError(f"named channel {name!r}: {e}") from None
+            raise refuse(e) from None
 
     if kind == "identity":
         d = parameter(int, 2)
         if d < 1:
-            raise ValueError("identity channel needs dimension >= 1")
+            raise refuse("identity channel needs dimension >= 1")
         return KrausChannel(
             FactorSpace(("Ap",), (d,)), FactorSpace(("B",), (d,)),
             [np.eye(d)], name=name,
@@ -660,7 +666,7 @@ def named_channel(name: str) -> KrausChannel:
     if kind == "depolarizing":
         p = parameter(float, 1.0)
         if not 0.0 <= p <= 4.0 / 3.0:
-            raise ValueError("depolarizing parameter must lie in [0, 4/3]")
+            raise refuse("depolarizing parameter must lie in [0, 4/3]")
         kraus = [
             math.sqrt(max(1 - 3 * p / 4, 0.0)) * np.eye(2),
             math.sqrt(p / 4) * _PAULI_X,
@@ -673,7 +679,7 @@ def named_channel(name: str) -> KrausChannel:
     if kind == "amplitude-damping":
         g = parameter(float, 0.5)
         if not 0.0 <= g <= 1.0:
-            raise ValueError("damping probability must lie in [0, 1]")
+            raise refuse("damping probability must lie in [0, 1]")
         k0 = np.array([[1, 0], [0, math.sqrt(1 - g)]], dtype=complex)
         k1 = np.array([[0, math.sqrt(g)], [0, 0]], dtype=complex)
         return KrausChannel(
@@ -737,11 +743,15 @@ def channel_from_json(obj: dict) -> KrausChannel:
     d_in = math.prod(in_dims)
     d_out = math.prod(out_dims)
     kraus = []
-    for mat in obj["kraus"]:
-        arr = np.ascontiguousarray(mat, dtype=float)
+    for i, mat in enumerate(obj["kraus"]):
+        try:
+            arr = np.ascontiguousarray(mat, dtype=float)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"Kraus matrix {i} is not a list of numbers: {e}"
+                             ) from None
         if arr.shape not in ((d_out * d_in, 2), (d_out, d_in, 2)):
             raise ValueError(
-                f"Kraus entry has shape {arr.shape}; expected "
+                f"Kraus matrix {i} has shape {arr.shape}; expected "
                 f"{d_out * d_in} row-major [re, im] pairs"
             )
         # [re, im] pairs are the memory layout of complex entries

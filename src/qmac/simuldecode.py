@@ -31,7 +31,7 @@ __all__ = [
     "build_upsilon",
     "sqrt_measurement",
     "simultaneous_povm",
-    "average_error",
+    "error_figures",
     "error_breakdown",
     "hayashi_nagaoka_check",
     "randomize_code",
@@ -238,13 +238,17 @@ def _overlap_table(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
     return table
 
 
-def _error_figures(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
-                   ) -> dict:
+def error_figures(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
+                  ) -> dict:
     """Every error figure of ``povm``, each a reduction of one overlap table.
 
-    The average and the worst pair read the diagonal of T; the breakdown
-    reads the off-diagonal entries and the abort row, so its total is an
-    independent second path to the average error.
+    Returns ``avg_error`` (the mean over (l, m) of
+    Tr{(I - Lambda_{l,m}) sigma_{l,m}}), ``max_error_randomized``,
+    ``epsilon_measured`` and the ``breakdown`` dict of
+    :func:`error_breakdown`.  The average and the worst pair read the
+    diagonal of T; the breakdown reads the off-diagonal entries and the
+    abort row, so its total is an independent second path to the average
+    error.
     """
     L, M = pair.L, pair.M
     table = _overlap_table(channel, pair, povm)
@@ -271,33 +275,31 @@ def _error_figures(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
     }
 
 
-def average_error(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
-                  ) -> float:
-    """Mean over (l, m) of Tr{(I - Lambda_{l,m}) sigma_{l,m}}."""
-    return _error_figures(channel, pair, povm)["avg_error"]
-
-
 def error_breakdown(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
                     ) -> dict:
-    """Split the average error by which sender was misidentified.
+    """``error_figures(...)["breakdown"]``: the average error split by which
+    sender was misidentified.
 
-    Returns a dict with ``wrong_alice`` (l' != l, m' = m), ``wrong_bob``,
+    The dict holds ``wrong_alice`` (l' != l, m' = m), ``wrong_bob``,
     ``wrong_both``, ``abort`` (the implicit completion outcome) and
-    ``total``.
+    ``total``.  Kept as a name because the benchmark tracer
+    (``perfbench/spans.py``) binds it.
     """
-    return _error_figures(channel, pair, povm)["breakdown"]
+    return error_figures(channel, pair, povm)["breakdown"]
 
 
 def max_error_via_randomization(channel: KrausChannel, pair: MacCodePair,
                                 povm: PovmSet) -> float:
-    """Max over message pairs of the shift-averaged error.
+    """``error_figures(...)["max_error_randomized"]``: max over message pairs
+    of the shift-averaged error.
 
     For every (l, m), the average of the pairwise error over all modular
     shifts (S, T) of both codebooks runs over every pair once, so it is the
     same for every (l, m): the mean of the pairwise errors.  It equals
-    :func:`average_error` by construction, as the same float.
+    ``avg_error`` by construction, as the same float.  Kept as a name
+    because the benchmark tracer (``perfbench/spans.py``) binds it.
     """
-    return _error_figures(channel, pair, povm)["max_error_randomized"]
+    return error_figures(channel, pair, povm)["max_error_randomized"]
 
 
 def hayashi_nagaoka_check(S, T, tol: float = 1e-9):
@@ -437,7 +439,7 @@ def run_mac_experiment(channel: KrausChannel, pair: MacCodePair, mode: str,
     # the projectors and detection operators are released before evaluation
     povm = decoders[mode](pair, mac_typical_projectors(channel, d1, d2, delta))
     report = MacReport(n=d1.n, L=pair.L, M=pair.M, seeds=pair.seeds,
-                       mode=mode, **_error_figures(channel, pair, povm))
+                       mode=mode, **error_figures(channel, pair, povm))
     return report, povm
 
 

@@ -234,7 +234,7 @@ def test_criterion_10_randomization_identity(cnot_mac_instance):
     cases.append((par, pair3, simuldecode.simultaneous_povm(pair3, proj3)))
     worst = 0.0
     for channel, code_pair, code_povm in cases:
-        avg = simuldecode.average_error(channel, code_pair, code_povm)
+        avg = simuldecode.error_figures(channel, code_pair, code_povm)["avg_error"]
         mx = simuldecode.max_error_via_randomization(
             channel, code_pair, code_povm
         )

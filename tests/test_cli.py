@@ -116,6 +116,42 @@ GOLDEN_REGIONS = {
     },
 }
 
+
+# gaussian-sweep CSVs pinned byte for byte.  The rows cover eta = 0 and
+# eta = 1, and the clamp at zero: the unclamped r1 at (0, 7), eta = 0.1 is
+# -4.4e-16.
+GOLDEN_SWEEPS = {
+    ("1000", "10"): """\
+eta,r1,r2,sum,ys_r1,ys_r2,ys_sum,sum_gap
+0,0,9.66893371227,9.66893371227,11.4092004327,4.83446685614,4.83446685614,4.83446685614
+0.1,13.0722670496,9.66725494752,13.2022657275,11.4092004327,4.83446685614,8.21747708703,4.98478864052
+0.2,14.2399786887,9.66515924525,14.2992119909,11.4092004327,4.83446685614,9.14659723156,5.15261475932
+0.3,15.014854024,9.66246925323,15.0497027616,11.4092004327,4.83446685614,9.70713700538,5.34256575621
+0.4,15.6486805687,9.65889041096,15.6711801024,11.4092004327,4.83446685614,10.1098062192,5.56137388324
+0.5,16.2286285326,9.65389495601,16.2436672889,11.4092004327,4.83446685614,10.4242620875,5.81940520133
+0.6,16.806111174,9.6464341786,16.8161544753,11.4092004327,4.83446685614,10.6822934056,6.1338610697
+0.7,17.4311673571,9.63408497472,17.4376318162,11.4092004327,4.83446685614,10.9011015327,6.53653028349
+0.8,18.1843481199,9.60970041012,18.1881225869,11.4092004327,4.83446685614,11.0910525296,7.09707005732
+0.9,19.2833900855,9.53893503427,19.2850688502,11.4092004327,4.83446685614,11.2588786484,8.02619020185
+1,22.8184008655,0,22.8184008655,11.4092004327,4.83446685614,11.4092004327,11.4092004327
+""",
+    ("0", "7"): """\
+eta,r1,r2,sum,ys_r1,ys_r2,ys_sum,sum_gap
+0,0,8.69703109119,8.69703109119,0,4.3485155456,4.3485155456,4.3485155456
+0.1,0,6.89383292269,6.89383292269,0,4.3485155456,4.20692766689,2.6869052558
+0.2,4.88498130835e-15,6.04671605899,6.04671605899,0,4.3485155456,4.04988552936,1.99683052963
+0.3,0,5.4098893263,5.4098893263,0,4.3485155456,3.87358766018,1.53630166612
+0.4,0,4.86153813494,4.86153813494,0,4.3485155456,3.67262526378,1.18891287116
+0.5,0,4.3485155456,4.3485155456,0,4.3485155456,3.43892027929,0.909595266308
+0.6,0,3.83549295626,3.83549295626,0,4.3485155456,3.15960267444,0.675890281821
+0.7,0,3.28714176489,3.28714176489,0,4.3485155456,2.81221387948,0.474927885414
+0.8,0,2.6503150322,2.6503150322,0,4.3485155456,2.35168501596,0.298630016241
+0.9,2.6645352591e-14,1.80319816851,1.80319816851,0,4.3485155456,1.6616102898,0.141587878709
+1,0,0,0,0,4.3485155456,0,0
+""",
+}
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
@@ -158,6 +194,16 @@ class TestNonFiniteInput:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert named in err
+
+
+class TestOutOfRangeSpec:
+    @pytest.mark.parametrize("spec", [
+        "depolarizing:nan", "identity:0", "amplitude-damping:2",
+    ])
+    def test_exit_2_names_spec(self, capsys, spec):
+        code, out, err = run(capsys, "simulate-seq", "--channel", spec)
+        assert code == 2 and out == ""
+        assert f"named channel {spec!r}:" in err
 
 
 class TestNonNumericSpec:
@@ -256,8 +302,15 @@ class TestGaussianSweep:
                             "--nsa", "1000", "--nsb", "10")
         obj = json.loads(reg_out)
         assert float(row[0]) == 0.5
-        assert np.isclose(float(row[1]), obj["ea_region"]["r1"], rtol=1e-11)
-        assert np.isclose(float(row[7]), obj["sum_gap"], rtol=1e-11)
+        assert float(row[1]) == obj["ea_region"]["r1"]
+        assert float(row[7]) == obj["sum_gap"]
+
+    @pytest.mark.parametrize("nsa, nsb", list(GOLDEN_SWEEPS), ids="-".join)
+    def test_golden_csv(self, capsys, nsa, nsb):
+        code, out, _ = run(capsys, "gaussian-sweep", "--steps", "11",
+                           "--nsa", nsa, "--nsb", nsb)
+        assert code == 0
+        assert out == GOLDEN_SWEEPS[nsa, nsb]
 
 
 class TestCompareYs:
@@ -326,8 +379,10 @@ class TestSimulateSeq:
         ("[1, 2]", "object"),
         ('{"in_dims": [2], "out_dims": [2], "kraus": 5}', "kraus"),
         ('{"in_dims": [2.5], "out_dims": [2], "kraus": []}', "in_dims"),
+        ('{"in_dims": [2], "out_dims": [2], "kraus": [{"a": 1}]}',
+         "Kraus matrix 0"),
     ], ids=["no out_dims", "mac without out_dims", "a list", "kraus not a list",
-            "fractional dimension"])
+            "fractional dimension", "kraus entry an object"])
     def test_not_a_channel_object_exit_2(self, capsys, tmp_path, text, named):
         # valid JSON that is not a channel object names the file and the key
         spec = tmp_path / "shape.json"

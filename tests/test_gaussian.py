@@ -312,3 +312,32 @@ class TestRegionSweep:
         # 12 significant digits survive a parse round trip
         val = float(lines[1].split(",")[3])
         assert np.isclose(val, rows[0]["sum"], rtol=1e-11)
+
+    @pytest.mark.parametrize("nsa, nsb", [(1000.0, 10.0), (0.0, 7.0),
+                                          (2.5, 2.5), (0.3, 0.0)])
+    def test_rows_equal_point_functions(self, nsa, nsb):
+        grid = np.linspace(0, 1, 41)
+        for row in gaussian.region_sweep(nsa, nsb, grid):
+            p = BosonicMacParams(row["eta"], nsa, nsb)
+            cmp_ = gaussian.compare_regions(p)
+            ea = gaussian.ea_bosonic_region(p)
+            ys = gaussian.yen_shapiro_bound(p)
+            assert ea.bounds() == cmp_["ea"].bounds()
+            assert ys.bounds() == cmp_["ys"].bounds()
+            assert (row["r1"], row["r2"], row["sum"]) == ea.bounds()
+            assert (row["ys_r1"], row["ys_r2"], row["ys_sum"]) == ys.bounds()
+            assert row["sum_gap"] == cmp_["sum_gap"]
+
+    def test_six_entropies_per_point(self, monkeypatch):
+        calls = 0
+        g = gaussian.g_entropy
+
+        def counted(n):
+            nonlocal calls
+            calls += 1
+            return g(n)
+
+        monkeypatch.setattr(gaussian, "g_entropy", counted)
+        k = 25
+        gaussian.region_sweep(30.0, 5.0, np.linspace(0, 1, k))
+        assert calls <= 6 * k + 2

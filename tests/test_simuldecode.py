@@ -59,7 +59,7 @@ def check_against_dense_oracle(ch, pair, povm):
     table = simuldecode._overlap_table(ch, pair, povm)
     assert table.shape == want_table.shape
     assert np.max(np.abs(table - want_table)) < 1e-12
-    err = simuldecode.average_error(ch, pair, povm)
+    err = simuldecode.error_figures(ch, pair, povm)["avg_error"]
     assert abs(err - sum(want.values())) < 1e-12
     parts = simuldecode.error_breakdown(ch, pair, povm)
     assert abs(parts["total"] - err) < 1e-12
@@ -151,7 +151,7 @@ class TestAverageError:
         pair, d1, d2 = phase_books(ch)
         proj = simuldecode.mac_typical_projectors(ch, d1, d2, 2.0)
         povm = simuldecode.simultaneous_povm(pair, proj)
-        assert simuldecode.average_error(ch, pair, povm) < 1e-9
+        assert simuldecode.error_figures(ch, pair, povm)["avg_error"] < 1e-9
 
     def test_uniform_povm(self):
         ch = qmat.named_channel("cnot-mac")
@@ -161,7 +161,7 @@ class TestAverageError:
             FactorSpace(("S",), (dim,)),
             {(l, m): np.eye(dim) / 4 for l in range(2) for m in range(2)},
         )
-        err = simuldecode.average_error(ch, pair, uniform)
+        err = simuldecode.error_figures(ch, pair, uniform)["avg_error"]
         assert np.isclose(err, 1 - 1 / 4, atol=1e-12)
 
     def test_outcome_enumeration_oracle(self):
@@ -208,7 +208,7 @@ class TestAverageError:
                     d1, d2, 2, 2, 1000 + 2 * seed, 1001 + 2 * seed
                 )
                 povm = simuldecode.simultaneous_povm(pair, proj)
-                errs[n].append(simuldecode.average_error(ch, pair, povm))
+                errs[n].append(simuldecode.error_figures(ch, pair, povm)["avg_error"])
         assert np.mean(errs[2]) <= np.mean(errs[1]) + 1e-12
 
 
@@ -265,7 +265,7 @@ class TestRandomization:
         pair, d1, d2 = bell_pair_books(ch, seeds=(31, 32))
         proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
         povm = simuldecode.simultaneous_povm(pair, proj)
-        avg = simuldecode.average_error(ch, pair, povm)
+        avg = simuldecode.error_figures(ch, pair, povm)["avg_error"]
         mx = simuldecode.max_error_via_randomization(ch, pair, povm)
         assert abs(avg - mx) < 1e-12
 
@@ -277,7 +277,7 @@ class TestRandomization:
         pair = simuldecode.MacCodePair.sample(d1, d2, 3, 2, 41, 42)
         proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.5)
         povm = simuldecode.simultaneous_povm(pair, proj)
-        avg = simuldecode.average_error(ch, pair, povm)
+        avg = simuldecode.error_figures(ch, pair, povm)["avg_error"]
         mx = simuldecode.max_error_via_randomization(ch, pair, povm)
         assert abs(avg - mx) < 1e-12
 
@@ -399,7 +399,7 @@ class TestCoherentDecoder:
         pair, d1, d2 = bell_pair_books(ch, seeds=(51, 52))
         proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
         povm = simuldecode.simultaneous_povm(pair, proj)
-        err = simuldecode.average_error(ch, pair, povm)
+        err = simuldecode.error_figures(ch, pair, povm)["avg_error"]
         fid = simuldecode.coherent_fidelity(ch, pair, povm)
         assert fid >= (1 - err) - 1e-10
 
@@ -422,7 +422,7 @@ class TestSuccessiveMode:
         pair, d1, d2 = phase_books(ch)
         proj = simuldecode.mac_typical_projectors(ch, d1, d2, 2.0)
         povm = simuldecode.ea_successive_povm(pair, proj)
-        assert simuldecode.average_error(ch, pair, povm) < 1e-9
+        assert simuldecode.error_figures(ch, pair, povm)["avg_error"] < 1e-9
 
     def test_ea_successive_povm_valid_and_reported(self):
         ch = qmat.named_channel("cnot-mac")
@@ -482,7 +482,7 @@ class TestOnePassEvaluation:
         monkeypatch.setattr(eacode, "channel_output_factor",
                             lambda *args: 1.001 * factor(*args))
         with pytest.raises(ValueError, match=r"codeword state \(0, 0\) has trace"):
-            simuldecode.average_error(ch, pair, povm)
+            simuldecode.error_figures(ch, pair, povm)["avg_error"]
 
     def test_outcomes_must_be_the_pairs_in_order(self):
         ch = qmat.named_channel("cnot-mac")
@@ -491,7 +491,7 @@ class TestOnePassEvaluation:
         swapped = PovmSet(space, {(l, m): np.eye(16) / 4
                                   for m in range(2) for l in range(2)})
         with pytest.raises(ValueError, match="l-major"):
-            simuldecode.average_error(ch, pair, swapped)
+            simuldecode.error_figures(ch, pair, swapped)["avg_error"]
 
     @pytest.mark.parametrize("mode", ["simultaneous", "successive"])
     def test_report_matches_standalone_wrappers(self, mode):
@@ -501,7 +501,7 @@ class TestOnePassEvaluation:
         pair = simuldecode.MacCodePair.sample(d1, d2, 2, 2, 61, 62)
         report, povm = simuldecode.run_mac_experiment(ch, pair, mode, 1.0)
         out = report.to_json()
-        avg = simuldecode.average_error(ch, pair, povm)
+        avg = simuldecode.error_figures(ch, pair, povm)["avg_error"]
         mx = simuldecode.max_error_via_randomization(ch, pair, povm)
         assert abs(out["avg_error"] - avg) < 1e-12
         assert abs(out["max_error_randomized"] - mx) < 1e-12

@@ -1,10 +1,15 @@
-"""The benchmark's tracer still finds every function it wraps."""
+"""Module surfaces: the benchmark's tracer finds every function it wraps,
+and each module's ``__all__`` lists what it defines."""
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
-from qmac import cli, eacode, gaussian, qmat, seqdecode, simuldecode, typicality
+import pytest
+
+from qmac import (cli, eacode, gaussian, info, qmat, seqdecode, simuldecode,
+                  typicality)
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -22,3 +27,18 @@ def test_tracer_wraps_every_layer(monkeypatch):
         "cli": cli, "qmat": qmat, "eacode": eacode, "typicality": typicality,
         "seqdecode": seqdecode, "simuldecode": simuldecode, "gaussian": gaussian,
     })
+
+
+@pytest.mark.parametrize("module", [eacode, gaussian, info, qmat, seqdecode,
+                                    simuldecode, typicality],
+                         ids=lambda m: m.__name__)
+def test_all_lists_every_public_definition(module):
+    listed = set(module.__all__)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+    defined = {
+        name for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    }
+    assert sorted(defined - listed) == []
