@@ -32,16 +32,13 @@ print("vertices:", region.vertices)
 for n in (1, 2):
     d1 = eacode.type_decompose(phi, n)
     d2 = eacode.type_decompose(psi, n)
-    projectors = simuldecode.mac_typical_projectors(channel, d1, d2, 1.0)
     errs = {"simultaneous": [], "successive": []}
     for seed in range(8):
         pair = simuldecode.MacCodePair.sample(
             d1, d2, 2, 2, 100 + 2 * seed, 101 + 2 * seed
         )
         for mode in errs:
-            rep, _ = simuldecode.run_mac_experiment(
-                channel, pair, mode, 1.0
-            )
+            rep = simuldecode.run_mac_experiment(channel, pair, mode, 1.0)
             errs[mode].append(rep.avg_error)
     print(f"\nn = {n}: mean average error over 8 codebooks")
     for mode, vals in errs.items():
@@ -52,7 +49,10 @@ for n in (1, 2):
 d1 = eacode.type_decompose(phi, 2)
 d2 = eacode.type_decompose(psi, 2)
 pair = simuldecode.MacCodePair.sample(d1, d2, 2, 2, 7, 8)
-report, povm = simuldecode.run_mac_experiment(channel, pair, "simultaneous", 1.0)
+report = simuldecode.run_mac_experiment(channel, pair, "simultaneous", 1.0)
+# the coherent decoder lifts the dense POVM itself
+povm = simuldecode.simultaneous_povm(
+    pair, simuldecode.mac_typical_projectors(channel, d1, d2, 1.0))
 print("\nn = 2 simultaneous decoder, seeds", report.seeds)
 print("  average error:", round(report.avg_error, 6))
 print("  error terms:", {k: round(v, 6) for k, v in report.breakdown.items()})

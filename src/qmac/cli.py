@@ -172,10 +172,9 @@ def cmd_simulate_mac(args) -> int:
             d1, d2, args.L, args.M,
             2 * (args.seed + t), 2 * (args.seed + t) + 1,
         )
-        report, _ = simuldecode.run_mac_experiment(
+        reports.append(simuldecode.run_mac_experiment(
             channel, pair, args.mode, args.delta
-        )
-        reports.append(report)
+        ))
     out = reports[0].to_json()
     if args.trials > 1:
         # codebook-level averages over the per-trial exact figures
@@ -277,20 +276,27 @@ def cmd_check(args) -> int:
         ok = ok and holds
     report("Hayashi-Nagaoka operator inequality", ok)
 
-    # randomization identity and POVM completeness on a small instance
+    # randomization identity, POVM completeness and the Gram form against
+    # the dense POVM on a small instance
     bell = _shared_state("bell", 2, "Ap", "A")
     bell2 = _shared_state("bell", 2, "Bp", "B")
     channel = qmat.named_channel("cnot-mac")
-    pair = simuldecode.MacCodePair.sample(
-        eacode.type_decompose(bell, 1), eacode.type_decompose(bell2, 1),
-        2, 2, 11, 12,
-    )
-    rep, povm = simuldecode.run_mac_experiment(channel, pair, "simultaneous", 1.0)
+    d1, d2 = eacode.type_decompose(bell, 1), eacode.type_decompose(bell2, 1)
+    pair = simuldecode.MacCodePair.sample(d1, d2, 2, 2, 11, 12)
+    rep = simuldecode.run_mac_experiment(channel, pair, "simultaneous", 1.0)
     ok = abs(rep.max_error_randomized - rep.avg_error) < 1e-12
     report("shift-randomized max error equals average error", ok,
            f"difference {abs(rep.max_error_randomized - rep.avg_error):.2e}")
+    projectors = simuldecode.mac_typical_projectors(channel, d1, d2, 1.0)
+    povm = simuldecode.simultaneous_povm(pair, projectors)
     gap = np.linalg.eigvalsh(np.eye(povm.space.dim) - povm.total()).min()
     report("POVM completeness", gap >= -1e-9, f"min identity gap {gap:.2e}")
+    worst = float(np.max(np.abs(
+        simuldecode.gram_table(channel, pair, projectors)
+        - simuldecode.overlap_table(channel, pair, povm)
+    )))
+    report("Gram-form table equals the dense POVM's table", worst < 1e-12,
+           f"max deviation {worst:.2e}")
 
     print(f"{'all checks passed' if failures == 0 else f'{failures} check(s) failed'}")
     return 0 if failures == 0 else 1

@@ -32,6 +32,7 @@ __all__ = [
     "identity",
     "tensor",
     "permute",
+    "permute_rows",
     "embed",
     "apply_local",
     "conjugate_local",
@@ -290,6 +291,16 @@ def permute(op, new_labels: Sequence[str]):
     return Operator(space, mat)
 
 
+def permute_rows(r: np.ndarray, space: FactorSpace, labels) -> np.ndarray:
+    """The rows of ``r`` (on ``space``) reordered to the factor order ``labels``.
+
+    The row counterpart of :func:`permute`, for a stack of column vectors.
+    """
+    perm = _permutation(space, labels)
+    t = r.reshape(space.dims + (r.shape[-1],)).transpose(perm + [len(perm)])
+    return t.reshape(space.dim, r.shape[-1])
+
+
 def embed(op: Operator, target: FactorSpace) -> Operator:
     """Extend an operator by identity onto a larger labeled space.
 
@@ -515,13 +526,6 @@ def apply_channel(ch: KrausChannel, state, acting_on=None, out_labels=None):
     return Operator(new_space, acc)
 
 
-def _rows_to(r: np.ndarray, space: FactorSpace, labels) -> np.ndarray:
-    """The rows of ``r`` (on ``space``) reordered to the factor order ``labels``."""
-    perm = _permutation(space, labels)
-    t = r.reshape(space.dims + (r.shape[-1],)).transpose(perm + [len(perm)])
-    return t.reshape(space.dim, r.shape[-1])
-
-
 def output_factor(ch: KrausChannel, state: PureState, uses, labels) -> np.ndarray:
     """R with R R† the output of ``state`` after the channel ``uses``.
 
@@ -543,14 +547,14 @@ def output_factor(ch: KrausChannel, state: PureState, uses, labels) -> np.ndarra
     r = state.vector.reshape(-1, 1)
     for acting_on, out_labels in uses:
         acting_on, rest, new_space = _channel_use(ch, space, acting_on, out_labels)
-        moved = _rows_to(r, space, acting_on + rest).reshape(d_in, -1)
+        moved = permute_rows(r, space, acting_on + rest).reshape(d_in, -1)
         # rows (Kraus, out, rest), columns c -> rows (out, rest), columns (c, Kraus)
         r = (kraus @ moved).reshape(-1, new_space.dim, r.shape[1]).transpose(1, 2, 0)
         r = r.reshape(new_space.dim, -1)
         if r.shape[1] > r.shape[0]:
             r = np.linalg.qr(r.conj().T, mode="r").conj().T
         space = new_space
-    return _rows_to(r, space, labels)
+    return permute_rows(r, space, labels)
 
 
 # ---------------------------------------------------------------------------

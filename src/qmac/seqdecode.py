@@ -335,7 +335,8 @@ def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
         raise ValueError("need at least one trial")
     decomp = eacode.type_decompose(phi, n)
     rho_n, code_proj, pi_ab = _ea_projectors(channel, decomp, delta)
-    typicality.require_nonempty({"code": code_proj, "word": pi_ab}, delta)
+    typicality.require_nonempty(
+        {"code": np.trace(code_proj).real, "word": np.trace(pi_ab).real}, delta)
     measured = _covariant_constants(decomp, rho_n, code_proj, pi_ab)
     eps = min(max(measured.epsilon, 1e-15), 1.0)
     bound = packing_lower_bound(

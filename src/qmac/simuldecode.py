@@ -8,9 +8,19 @@ of both codebooks converts the average error criterion into a maximal one,
 and lifting each POVM element to sqrt(Lambda) (x) |outcome> gives an
 isometry that decodes coherently.
 
-Every error figure reads one table of overlaps <V_lm, Lambda V_lm>_F =
-Tr{Lambda sigma_lm} on the codeword factors V_lm = U_lm R of the channel
-output rho_n = R R†, so no evaluation forms rho_n or any sigma_lm.
+Every error figure reads one table T[k, j] = Tr{Lambda_k sigma_j} of
+overlaps on the codeword factors V_j = U_j R of the channel output
+rho_n = R R†, so no evaluation forms rho_n or any sigma_j.  The
+simultaneous decoder's table is read in Gram form (:func:`gram_table`):
+each detection operator is Upsilon_k = W_k W_k† with W_k only d x r, where
+r is the rank of the joint typical projector Pi_ABC = B B†, and the
+square-root measurement of the W_k is that of Hausladen, Jozsa,
+Schumacher, Westmoreland and Wootters (PRA 54, 1869, 1996), taken on the
+Gram matrix G = W†W or on S = W W†, whichever is smaller.  No d x d matrix
+is formed.  The dense path (:func:`build_upsilon`,
+:func:`sqrt_measurement`, :func:`simultaneous_povm` and
+:func:`overlap_table`) stays as its oracle, and it is the path of the
+successive decoder and of the coherent decoder.
 """
 
 from __future__ import annotations
@@ -31,6 +41,8 @@ __all__ = [
     "build_upsilon",
     "sqrt_measurement",
     "simultaneous_povm",
+    "overlap_table",
+    "gram_table",
     "error_figures",
     "error_breakdown",
     "hayashi_nagaoka_check",
@@ -92,66 +104,135 @@ def randomize_code(pair: MacCodePair, s_shift: int, t_shift: int) -> MacCodePair
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class MacProjectors:
-    """The typical-projector bundle of a two-sender channel output.
+    """The six typical projectors of a two-sender channel output, kept small.
 
-    ``marginals`` holds the six embedded typical projectors keyed
-    "A", "B", "C", "AB", "AC", "ABC"; ``pi23_hat`` is the product of two
-    complementary products, (B (x) AC)(C (x) AB), which every detection
-    operator sandwiches, and ``pi_full`` is the joint projector.
-    Everything lives on the full (A..., B..., C...) space.
+    ``space`` is the full (A..., B..., C...) space.  ``marginals`` maps "A",
+    "B", "C", "AB" and "AC" to each typical projector as an
+    :class:`~qmac.qmat.Operator` on its own n-copy factors, in the factor
+    order of ``space``; ``joint_basis`` holds orthonormal columns B of the
+    joint projector Pi_ABC = B B† (``space.dim`` x r).  The Gram-form decoder
+    applies them to d x r blocks; :meth:`embedded` builds the d x d matrices
+    that the dense oracle and the successive decoder read.
     """
 
     space: qmat.FactorSpace
     marginals: dict
-    # built once: build_upsilon reads it for every message pair
-    pi23_hat: np.ndarray = field(init=False)
+    joint_basis: np.ndarray
+    # d x d matrices, each built on first use by embedded()
+    _dense: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
-        m = {key: qmat.frozen_copy(mat) for key, mat in self.marginals.items()}
-        object.__setattr__(self, "marginals", m)
-        object.__setattr__(
-            self, "pi23_hat", (m["B"] @ m["AC"]) @ (m["C"] @ m["AB"])
-        )
+        object.__setattr__(self, "marginals", dict(self.marginals))
+        object.__setattr__(self, "joint_basis", qmat.frozen_copy(self.joint_basis))
 
-    @property
-    def pi_full(self) -> np.ndarray:
-        return self.marginals["ABC"]
+    def embedded(self, name: str) -> np.ndarray:
+        """Projector ``name`` ("A", "B", "C", "AB", "AC" or "ABC") as a d x d
+        matrix on ``space``, or "wing", the product (Pi_B Pi_AC)(Pi_C Pi_AB);
+        each built once."""
+        if name not in self._dense:
+            if name == "ABC":
+                mat = self.joint_basis @ self.joint_basis.conj().T
+            elif name == "wing":
+                pi = self.embedded
+                mat = (pi("B") @ pi("AC")) @ (pi("C") @ pi("AB"))
+            else:
+                mat = qmat.embed(self.marginals[name], self.space).matrix
+            self._dense[name] = qmat.frozen_copy(mat)
+        return self._dense[name]
+
+    def apply(self, name: str, mat: np.ndarray) -> np.ndarray:
+        """(Pi_name (x) I) @ mat for a marginal, on d x c blocks.
+
+        A, B, C and AB are contiguous runs of factors and act in place; the
+        B shares split AC, so the rows move to (B..., A..., C...) and back.
+        """
+        op = self.marginals[name]
+        labels = op.space.labels
+        start = self.space.axis(labels[0])
+        if self.space.labels[start:start + len(labels)] == labels:
+            return qmat.apply_local(op, mat, self.space)
+        moved = self.space.subspace(
+            [l for l in self.space.labels if l not in labels] + list(labels))
+        out = qmat.apply_local(
+            op, qmat.permute_rows(mat, self.space, moved.labels), moved)
+        return qmat.permute_rows(out, moved, self.space.labels)
 
 
 def mac_typical_projectors(channel: KrausChannel, decomp1, decomp2,
                            delta: float) -> MacProjectors:
     """Build the six typical projectors of the channel output and bundle them.
 
-    Raises ``ValueError`` when one of them is empty at this ``delta``.
+    Each stays on its own n-copy factors, and the joint one as its basis,
+    so no d x d matrix is formed.  Raises ``ValueError`` when one of them is
+    empty at this ``delta``.
     """
     full = eacode.channel_output_space(channel, decomp1, decomp2)
     a, b = decomp1.receiver_label, decomp2.receiver_label
     c = channel.out_space.labels
-    marginals = typicality.embedded_typical_projectors(
-        info.ea_code_state(channel, decomp1.phi, decomp2.phi), decomp1.n, delta,
-        {"A": (a,), "B": (b,), "C": c, "AB": (a, b), "AC": (a,) + c,
-         "ABC": (a, b) + c},
-        full,
-    )
-    typicality.require_nonempty(marginals, delta)
-    return MacProjectors(full, marginals)
+    rho = info.ea_code_state(channel, decomp1.phi, decomp2.phi)
+    typical = {
+        name: typicality.typical_projector(
+            qmat.partial_trace(rho, labels), decomp1.n, delta)
+        for name, labels in (("A", (a,)), ("B", (b,)), ("C", c),
+                             ("AB", (a, b)), ("AC", (a,) + c),
+                             ("ABC", (a, b) + c))
+    }
+    typicality.require_nonempty(
+        {name: tp.rank for name, tp in typical.items()}, delta)
+    joint = typical.pop("ABC")
+    marginals = {
+        name: qmat.permute(qmat.Operator(tp.space, tp.projector),
+                           [l for l in full.labels if l in tp.space.labels])
+        for name, tp in typical.items()
+    }
+    return MacProjectors(
+        full, marginals, qmat.permute_rows(joint.basis, joint.space, full.labels))
 
 
 def build_upsilon(pair: MacCodePair, l: int, m: int,
                   projectors: MacProjectors) -> np.ndarray:
-    """Detection operator for message pair (l, m).
+    """Detection operator for message pair (l, m), as a dense d x d matrix.
 
-    U^T_1 Pi3 Pi2 U^T_2 Pi_full U^*_2 Pi2 Pi3 U^*_1, with the encoders
-    pulled to the receiver shares; positive semidefinite by construction.
-    Each encoder acts only on its own share (``qmat.conjugate_local``).
+    U^T_1 wing† U^T_2 Pi_ABC U^*_2 wing U^*_1 with the wing
+    (Pi_B Pi_AC)(Pi_C Pi_AB) and the encoders pulled to the receiver shares;
+    positive semidefinite by construction.  Each encoder acts only on its own
+    share (``qmat.conjugate_local``).  The oracle of :func:`gram_table`.
     """
     full = projectors.space
     u1 = eacode.receiver_encoder([(pair.book1.decomp, pair.book1[l])])
     u2 = eacode.receiver_encoder([(pair.book2.decomp, pair.book2[m])])
-    wing = projectors.pi23_hat
-    inner = qmat.conjugate_local(u2, projectors.pi_full, full)
+    wing = projectors.embedded("wing")
+    inner = qmat.conjugate_local(u2, projectors.embedded("ABC"), full)
     core = qmat.conjugate_local(u1, wing.conj().T @ inner @ wing, full)
     return (core + core.conj().T) / 2.0
+
+
+def _inverse_root(total: np.ndarray):
+    """(total^{+1/2}, support projector) of a family sum, cutoff 1e-12.
+
+    Raises when ``total`` has an eigenvalue below -1e-9.
+    """
+    vals, vecs = qmat.eig_hermitian(total)
+    if float(vals.min()) < -qmat.PSD_TOL:
+        raise ValueError(
+            f"detection operators sum to an eigenvalue {vals.min():.3e} "
+            f"< -{qmat.PSD_TOL}"
+        )
+    on_support = vals > SUPPORT_CUTOFF
+    inv_root_vals = np.zeros_like(vals)
+    inv_root_vals[on_support] = vals[on_support] ** -0.5
+    return ((vecs * inv_root_vals) @ vecs.conj().T,
+            (vecs * on_support) @ vecs.conj().T)
+
+
+def _check_support(resolved: np.ndarray, supp: np.ndarray) -> None:
+    """Raise when the measurement misses the support projector by over 1e-8."""
+    defect = float(np.max(np.abs(resolved - supp)))
+    if defect > 1e-8:
+        raise ValueError(
+            f"square-root measurement misses the support projector by {defect:.3e}; "
+            "some detection operator leaks outside the family support"
+        )
 
 
 def sqrt_measurement(upsilons: Mapping) -> PovmSet:
@@ -165,34 +246,21 @@ def sqrt_measurement(upsilons: Mapping) -> PovmSet:
     if not mats:
         raise ValueError("need at least one detection operator")
     dim = next(iter(mats.values())).shape[0]
-    total = sum(mats.values())
-    vals, vecs = qmat.eig_hermitian(total)
-    if float(vals.min()) < -qmat.PSD_TOL:
-        raise ValueError(
-            f"detection operators sum to an eigenvalue {vals.min():.3e} "
-            f"< -{qmat.PSD_TOL}"
-        )
-    on_support = vals > SUPPORT_CUTOFF
-    inv_root_vals = np.zeros_like(vals)
-    inv_root_vals[on_support] = vals[on_support] ** -0.5
-    inv_root = (vecs * inv_root_vals) @ vecs.conj().T
-    supp = (vecs * on_support) @ vecs.conj().T
+    inv_root, supp = _inverse_root(sum(mats.values()))
     elements = {}
     for k, v in mats.items():
         lam = inv_root @ v @ inv_root
         elements[k] = (lam + lam.conj().T) / 2.0
-    defect = float(np.max(np.abs(sum(elements.values()) - supp)))
-    if defect > 1e-8:
-        raise ValueError(
-            f"square-root measurement misses the support projector by {defect:.3e}; "
-            "some detection operator leaks outside the family support"
-        )
+    _check_support(sum(elements.values()), supp)
     space = qmat.FactorSpace(("S",), (dim,))
     return PovmSet(space, elements)
 
 
 def simultaneous_povm(pair: MacCodePair, projectors: MacProjectors) -> PovmSet:
-    """Square-root measurement over all (l, m) detection operators."""
+    """Square-root measurement over all (l, m) detection operators, dense.
+
+    The oracle of :func:`gram_table`, for callers that need the POVM itself.
+    """
     ups = {
         (l, m): build_upsilon(pair, l, m, projectors)
         for l in range(pair.L)
@@ -214,8 +282,15 @@ def _codeword_factors(channel: KrausChannel, pair: MacCodePair):
         yield qmat.apply_local(u, r, space)
 
 
-def _overlap_table(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
-                   ) -> np.ndarray:
+def _check_traces(sent, traces) -> None:
+    """Tr sigma_j = |V_j|^2 must be 1 for every sent pair."""
+    for key, total in zip(sent, traces):
+        if abs(total - 1.0) > qmat.TRACE_TOL:
+            raise ValueError(f"codeword state {key} has trace {total}, not 1")
+
+
+def overlap_table(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
+                  ) -> np.ndarray:
     """The table [T; abort] of ``povm`` on the codewords, (LM + 1) x LM.
 
     T[k, j] = Re<V_j, Lambda_k V_j>_F = Tr{Lambda_k sigma_j} for outcome k
@@ -232,26 +307,68 @@ def _overlap_table(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
         (v.conj() * (op @ v)).real.reshape(blocks).sum(axis=(0, 2))
         for op in [povm[k] for k in sent] + [povm.completion()]
     ])
-    for key, total in zip(sent, table.sum(axis=0)):
-        if abs(total - 1.0) > qmat.TRACE_TOL:
-            raise ValueError(f"codeword state {key} has trace {total}, not 1")
+    _check_traces(sent, table.sum(axis=0))
     return table
 
 
-def error_figures(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
-                  ) -> dict:
-    """Every error figure of ``povm``, each a reduction of one overlap table.
+def _detection_factors(pair: MacCodePair, projectors: MacProjectors
+                       ) -> np.ndarray:
+    """W = [W_lm], l-major, with Upsilon_lm = W_lm W_lm† (d x LMr).
 
-    Returns ``avg_error`` (the mean over (l, m) of
-    Tr{(I - Lambda_{l,m}) sigma_{l,m}}), ``max_error_randomized``,
-    ``epsilon_measured`` and the ``breakdown`` dict of
-    :func:`error_breakdown`.  The average and the worst pair read the
-    diagonal of T; the breakdown reads the off-diagonal entries and the
-    abort row, so its total is an independent second path to the average
-    error.
+    W_lm = U^T_1(s_l) wing† U^T_2(t_m) B, where Pi_ABC = B B† and
+    wing† = Pi_AB Pi_C Pi_AC Pi_B; every factor acts on d x r blocks.
     """
+    space = projectors.space
+    d1, d2 = pair.book1.decomp, pair.book2.decomp
+    y = np.hstack([
+        qmat.apply_local(eacode.receiver_encoder([(d2, t)]),
+                         projectors.joint_basis, space)
+        for t in pair.book2.entries
+    ])
+    for name in ("B", "AC", "C", "AB"):
+        y = projectors.apply(name, y)
+    return np.hstack([
+        qmat.apply_local(eacode.receiver_encoder([(d1, s)]), y, space)
+        for s in pair.book1.entries
+    ])
+
+
+def gram_table(channel: KrausChannel, pair: MacCodePair,
+               projectors: MacProjectors) -> np.ndarray:
+    """The simultaneous decoder's table [T; abort] in Gram form.
+
+    Equal to ``overlap_table(channel, pair, simultaneous_povm(pair,
+    projectors))`` without forming a d x d matrix.  Stack W = [W_1 ... W_K]
+    (K = LM; :func:`_detection_factors`), so the family sum is S = W W† and
+    the Gram matrix G = W†W is Kr x Kr.  On the support S^{+1/2} W =
+    W G^{+1/2}, so Lambda_k = W G^{+1/2} P_k† P_k G^{+1/2} W† with P_k the
+    rows of block k, and T[k, j] = |P_k G^{+1/2} W† V_j|_F^2.  Since
+    G^{+1/2} W† = W† S^{+1/2} there, the smaller of G and S is decomposed.
+    The abort row is |V_j|^2 - sum_k T[k, j].
+
+    The checks of :func:`sqrt_measurement` move to the smaller space: G
+    (or S) must be PSD within 1e-9, G^{+1/2} G G^{+1/2} must equal its
+    support projector within 1e-8, and |V_j|^2 must be 1.
+    """
+    sent = list(itertools.product(range(pair.L), range(pair.M)))
+    v = np.hstack(list(_codeword_factors(channel, pair)))
+    traces = (v.conj() * v).real.reshape(v.shape[0], len(sent), -1).sum(axis=(0, 2))
+    _check_traces(sent, traces)
+    w = _detection_factors(pair, projectors)
+    wh = w.conj().T
+    gram_side = w.shape[1] <= w.shape[0]
+    total = wh @ w if gram_side else w @ wh  # G or S
+    inv_root, supp = _inverse_root(total)
+    _check_support(inv_root @ total @ inv_root, supp)
+    x = inv_root @ (wh @ v) if gram_side else wh @ (inv_root @ v)
+    weights = (x.conj() * x).real.reshape(
+        len(sent), w.shape[1] // len(sent), len(sent), -1).sum(axis=(1, 3))
+    return np.vstack([weights, traces - weights.sum(axis=0)])
+
+
+def _figures(pair: MacCodePair, table: np.ndarray) -> dict:
+    """Every error figure as a reduction of the table [T; abort]."""
     L, M = pair.L, pair.M
-    table = _overlap_table(channel, pair, povm)
     success = np.diagonal(table)
     decoded = table[:-1].reshape(L, M, L, M)  # (l', m') decoded, (l, m) sent
     same_l = np.eye(L, dtype=bool)[:, None, :, None]
@@ -273,6 +390,21 @@ def error_figures(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
         "epsilon_measured": 1.0 - float(success.min()),
         "breakdown": parts,
     }
+
+
+def error_figures(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
+                  ) -> dict:
+    """Every error figure of ``povm``, each a reduction of one overlap table.
+
+    Returns ``avg_error`` (the mean over (l, m) of
+    Tr{(I - Lambda_{l,m}) sigma_{l,m}}), ``max_error_randomized``,
+    ``epsilon_measured`` and the ``breakdown`` dict of
+    :func:`error_breakdown`.  The average and the worst pair read the
+    diagonal of T; the breakdown reads the off-diagonal entries and the
+    abort row, so its total is an independent second path to the average
+    error.
+    """
+    return _figures(pair, overlap_table(channel, pair, povm))
 
 
 def error_breakdown(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
@@ -403,44 +535,44 @@ def ea_successive_povm(pair: MacCodePair, projectors: MacProjectors) -> PovmSet:
     """
     full = projectors.space
     b1, b2 = pair.book1, pair.book2
-    code_proj = (
-        projectors.marginals["A"] @ projectors.marginals["B"]
-        @ projectors.marginals["C"]
-    )
+    pi = projectors.embedded
+    code_proj = pi("A") @ pi("B") @ pi("C")
     words_x = {}
     for s1 in set(b1.entries):
         u1 = eacode.receiver_encoder([(b1.decomp, s1)])
-        words_x[s1] = (
-            qmat.conjugate_local(u1, projectors.marginals["AC"], full)
-            @ projectors.marginals["B"]
-        )
+        words_x[s1] = qmat.conjugate_local(u1, pi("AC"), full) @ pi("B")
     words_xy = {}
     for s1, s2 in itertools.product(set(b1.entries), set(b2.entries)):
         u = eacode.receiver_encoder([(b1.decomp, s1), (b2.decomp, s2)])
-        words_xy[(s1, s2)] = qmat.conjugate_local(u, projectors.pi_full, full)
+        words_xy[(s1, s2)] = qmat.conjugate_local(u, pi("ABC"), full)
     return seqdecode.successive_povm(
         list(b1.entries), list(b2.entries), code_proj, words_x, words_xy
     )
 
 
 def run_mac_experiment(channel: KrausChannel, pair: MacCodePair, mode: str,
-                       delta: float):
-    """Build the requested decoder and report its exact error figures.
+                       delta: float) -> MacReport:
+    """Decode with the requested decoder and report its exact error figures.
 
-    ``epsilon_measured`` is the worst pairwise miss 1 - min Tr{Lambda sigma}
-    over message pairs, so both the average success and the coherent
-    fidelity clear 1 - epsilon_measured.
+    The simultaneous decoder is read in Gram form (:func:`gram_table`) and
+    forms no d x d matrix; the successive decoder builds its dense POVM.
+    Callers that need the POVM build it with :func:`simultaneous_povm` or
+    :func:`ea_successive_povm`.  ``epsilon_measured`` is the worst pairwise
+    miss 1 - min Tr{Lambda sigma} over message pairs, so both the average
+    success and the coherent fidelity clear 1 - epsilon_measured.
     """
-    decoders = {"simultaneous": simultaneous_povm,
-                "successive": ea_successive_povm}
-    if mode not in decoders:
+    if mode not in ("simultaneous", "successive"):
         raise ValueError(f"unknown decoder mode {mode!r}")
     d1, d2 = pair.book1.decomp, pair.book2.decomp
-    # the projectors and detection operators are released before evaluation
-    povm = decoders[mode](pair, mac_typical_projectors(channel, d1, d2, delta))
-    report = MacReport(n=d1.n, L=pair.L, M=pair.M, seeds=pair.seeds,
-                       mode=mode, **error_figures(channel, pair, povm))
-    return report, povm
+    projectors = mac_typical_projectors(channel, d1, d2, delta)
+    if mode == "simultaneous":
+        table = gram_table(channel, pair, projectors)
+    else:
+        povm = ea_successive_povm(pair, projectors)
+        del projectors  # its d x d matrices go before evaluation
+        table = overlap_table(channel, pair, povm)
+    return MacReport(n=d1.n, L=pair.L, M=pair.M, seeds=pair.seeds,
+                     mode=mode, **_figures(pair, table))
 
 
 @dataclass(frozen=True, slots=True)

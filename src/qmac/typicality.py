@@ -175,8 +175,9 @@ class TypicalProjector:
     ----------
     space : FactorSpace
         The n-fold space (copy-major labels ``X1, Y1, X2, Y2, ...``).
-    projector : ndarray
-        The projector matrix; commutes with the n-fold state.
+    basis : ndarray
+        Orthonormal columns B spanning the projector's range, one per
+        retained product eigenvector (``space.dim`` x rank).
     base_entropy : float
         Entropy of the single-copy state in bits.
     weight : float
@@ -187,18 +188,24 @@ class TypicalProjector:
     """
 
     space: qmat.FactorSpace
-    projector: np.ndarray
+    basis: np.ndarray
     base_entropy: float
     weight: float
     lambda_max: float
     lambda_min: float
 
     def __post_init__(self):
-        object.__setattr__(self, "projector", qmat.frozen_copy(self.projector))
+        object.__setattr__(self, "basis", qmat.frozen_copy(self.basis))
+
+    @property
+    def projector(self) -> np.ndarray:
+        """The projector B B†, which commutes with the n-fold state; formed
+        on each access."""
+        return self.basis @ self.basis.conj().T
 
     @property
     def rank(self) -> int:
-        return int(round(np.trace(self.projector).real))
+        return self.basis.shape[1]
 
 
 def typical_projector(rho: qmat.DensityOperator, n: int, delta: float
@@ -209,8 +216,8 @@ def typical_projector(rho: qmat.DensityOperator, n: int, delta: float
     ``|-(1/n) log2 lam - H(rho)| <= delta``; eigenvectors touching a zero
     eigenvalue are never retained.  By construction every retained
     eigenvalue obeys the equipartition sandwich
-    2^{-n(H+delta)} <= lam <= 2^{-n(H-delta)}.  The projector is B B† for
-    the :func:`type_basis` B of the retained types in the eigenbasis.
+    2^{-n(H+delta)} <= lam <= 2^{-n(H-delta)}.  The basis B is the
+    :func:`type_basis` of the retained types in the eigenbasis.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -234,12 +241,11 @@ def typical_projector(rho: qmat.DensityOperator, n: int, delta: float
             lam_max = max(lam_max, lam)
             lam_min = min(lam_min, lam)
     if typical:
-        b = type_basis(typical, vecs)
-        proj = b @ b.conj().T
+        basis = type_basis(typical, vecs)
     else:
-        proj = np.zeros((space.dim, space.dim), dtype=complex)
+        basis = np.zeros((space.dim, 0), dtype=complex)
         lam_max = lam_min = float("nan")
-    return TypicalProjector(space, proj, entropy, weight, lam_max, lam_min)
+    return TypicalProjector(space, basis, entropy, weight, lam_max, lam_min)
 
 
 def embedded_typical_projectors(rho: qmat.DensityOperator, n: int,
@@ -259,10 +265,13 @@ def embedded_typical_projectors(rho: qmat.DensityOperator, n: int,
     return out
 
 
-def require_nonempty(projectors: dict, delta: float) -> None:
-    """Raise ``ValueError`` naming ``delta`` when a named projector is zero."""
-    for name, proj in projectors.items():
-        if np.trace(proj).real < 0.5:
+def require_nonempty(ranks: dict, delta: float) -> None:
+    """Raise ``ValueError`` naming ``delta`` when a named projector is zero.
+
+    ``ranks`` maps each projector's name to its rank, which is its trace.
+    """
+    for name, rank in ranks.items():
+        if rank < 0.5:
             raise ValueError(
                 f"delta = {delta} leaves the typical {name} projector empty: "
                 "no eigenvector is delta-typical, so a larger delta is needed"

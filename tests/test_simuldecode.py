@@ -5,11 +5,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qmac import eacode, qmat, simuldecode
+from qmac import eacode, info, qmat, simuldecode, typicality
 from qmac.eacode import HwIndex
 from qmac.qmat import FactorSpace, PovmSet
 
 from conftest import bell_state, parallel_qubit_mac, schmidt_state
+
+
+DECODERS = {"simultaneous": simuldecode.simultaneous_povm,
+            "successive": simuldecode.ea_successive_povm}
 
 
 def bell_pair_books(channel, n=1, entries1=None, entries2=None, seeds=(5, 6)):
@@ -56,7 +60,7 @@ def check_against_dense_oracle(ch, pair, povm):
                         "wrong_bob" if lp == l else "wrong_both")
                 want[kind] += want_table[i, j] / (L * M)
         want["abort"] += want_table[-1, j] / (L * M)
-    table = simuldecode._overlap_table(ch, pair, povm)
+    table = simuldecode.overlap_table(ch, pair, povm)
     assert table.shape == want_table.shape
     assert np.max(np.abs(table - want_table)) < 1e-12
     err = simuldecode.error_figures(ch, pair, povm)["avg_error"]
@@ -75,7 +79,7 @@ class TestBuildUpsilon:
         )
         dim = proj.space.dim
         zeroed = simuldecode.MacProjectors(
-            proj.space, {**proj.marginals, "ABC": np.zeros((dim, dim))}
+            proj.space, proj.marginals, np.zeros((dim, 0))
         )
         ups = simuldecode.build_upsilon(pair, 0, 0, zeroed)
         assert np.max(np.abs(ups)) < 1e-12
@@ -84,8 +88,24 @@ class TestBuildUpsilon:
         ch = qmat.named_channel("cnot-mac")
         _, d1, d2 = bell_pair_books(ch)
         proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
-        assert set(proj.marginals) == {"A", "B", "C", "AB", "AC", "ABC"}
-        assert proj.pi_full is proj.marginals["ABC"]
+        # five marginals on their own factors, the joint one as its basis
+        assert set(proj.marginals) == {"A", "B", "C", "AB", "AC"}
+        for op in proj.marginals.values():
+            assert set(op.space.labels) < set(proj.space.labels)
+        b = proj.joint_basis
+        assert np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) < 1e-12
+        # embedded() builds each of the six once, equal to the eager
+        # embedding of the single-copy state's typical projectors
+        out = ch.out_space.labels
+        want = typicality.embedded_typical_projectors(
+            info.ea_code_state(ch, d1.phi, d2.phi), 1, 1.0,
+            {"A": ("A",), "B": ("B",), "C": out, "AB": ("A", "B"),
+             "AC": ("A",) + out, "ABC": ("A", "B") + out},
+            proj.space,
+        )
+        for name, mat in want.items():
+            assert proj.embedded(name) is proj.embedded(name)
+            assert np.max(np.abs(proj.embedded(name) - mat)) < 1e-12
 
     def test_identity_projectors_identity_indices(self):
         ch = parallel_qubit_mac()
@@ -95,7 +115,9 @@ class TestBuildUpsilon:
         eye = np.eye(dim)
         all_eye = simuldecode.MacProjectors(
             proj.space,
-            {k: eye.copy() for k in proj.marginals},
+            {k: qmat.Operator(op.space, np.eye(op.space.dim))
+             for k, op in proj.marginals.items()},
+            eye,
         )
         ups = simuldecode.build_upsilon(pair, 0, 0, all_eye)
         assert np.max(np.abs(ups - eye)) < 1e-10
@@ -190,9 +212,8 @@ class TestAverageError:
         d1, d2 = (eacode.type_decompose(phi, n) for phi in states)
         pair = simuldecode.MacCodePair.sample(d1, d2, L, M, 23, 24)
         delta = 1.5 if name == "adder-mac" else 1.0
-        decoder = {"simultaneous": simuldecode.simultaneous_povm,
-                   "successive": simuldecode.ea_successive_povm}[mode]
-        povm = decoder(pair, simuldecode.mac_typical_projectors(ch, d1, d2, delta))
+        povm = DECODERS[mode](
+            pair, simuldecode.mac_typical_projectors(ch, d1, d2, delta))
         check_against_dense_oracle(ch, pair, povm)
 
     def test_error_never_increases_with_blocklength(self):
@@ -290,9 +311,9 @@ class TestRandomization:
         d2 = eacode.type_decompose(bell_state("Bp", "B"), 1)
         L, M = 3, 2
         pair = simuldecode.MacCodePair.sample(d1, d2, L, M, 43, 44)
-        report, povm = simuldecode.run_mac_experiment(
-            ch, pair, "simultaneous", 1.5
-        )
+        report = simuldecode.run_mac_experiment(ch, pair, "simultaneous", 1.5)
+        povm = simuldecode.simultaneous_povm(
+            pair, simuldecode.mac_typical_projectors(ch, d1, d2, 1.5))
         rho = eacode.channel_output_state(ch, d1, d2)
         pairwise = {}
         for l in range(L):
@@ -324,11 +345,11 @@ class TestRandomization:
         d2 = eacode.type_decompose(bell_state("Bp", "B"), 2)
         proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.5)
         pair = simuldecode.MacCodePair.sample(d1, d2, L, M, 45, 46)
-        table = simuldecode._overlap_table(
+        table = simuldecode.overlap_table(
             ch, pair, simuldecode.simultaneous_povm(pair, proj))
         for s, t in ((1, 0), (0, 1), (L - 1, M - 1)):
             shifted = simuldecode.randomize_code(pair, s, t)
-            got = simuldecode._overlap_table(
+            got = simuldecode.overlap_table(
                 ch, shifted, simuldecode.simultaneous_povm(shifted, proj))
             cols = [((l + s) % L) * M + (m + t) % M
                     for l in range(L) for m in range(M)]
@@ -427,7 +448,9 @@ class TestSuccessiveMode:
     def test_ea_successive_povm_valid_and_reported(self):
         ch = qmat.named_channel("cnot-mac")
         pair, d1, d2 = bell_pair_books(ch, seeds=(71, 72))
-        report, povm = simuldecode.run_mac_experiment(ch, pair, "successive", 1.0)
+        report = simuldecode.run_mac_experiment(ch, pair, "successive", 1.0)
+        povm = simuldecode.ea_successive_povm(
+            pair, simuldecode.mac_typical_projectors(ch, d1, d2, 1.0))
         gap = np.linalg.eigvalsh(
             np.eye(povm.space.dim) - povm.total()
         ).min()
@@ -444,8 +467,8 @@ class TestSuccessiveMode:
     def test_reports_are_deterministic(self):
         ch = qmat.named_channel("cnot-mac")
         pair, _, _ = bell_pair_books(ch, seeds=(81, 82))
-        r1, _ = simuldecode.run_mac_experiment(ch, pair, "simultaneous", 1.0)
-        r2, _ = simuldecode.run_mac_experiment(ch, pair, "simultaneous", 1.0)
+        r1 = simuldecode.run_mac_experiment(ch, pair, "simultaneous", 1.0)
+        r2 = simuldecode.run_mac_experiment(ch, pair, "simultaneous", 1.0)
         assert r1.to_json() == r2.to_json()
 
 
@@ -464,16 +487,36 @@ class TestOnePassEvaluation:
         d1 = eacode.type_decompose(bell_state("Ap", "A"), 1)
         d2 = eacode.type_decompose(bell_state("Bp", "B"), 1)
         pair = simuldecode.MacCodePair.sample(d1, d2, 2, 3, 51, 52)
-        for mode in ("simultaneous", "successive"):
+        for mode, decoder in DECODERS.items():
             calls.clear()
-            _, povm = simuldecode.run_mac_experiment(ch, pair, mode, 1.0)
+            simuldecode.run_mac_experiment(ch, pair, mode, 1.0)
             assert calls == {"channel_output_factor": 1}
+            povm = decoder(
+                pair, simuldecode.mac_typical_projectors(ch, d1, d2, 1.0))
             calls.clear()
             simuldecode.error_breakdown(ch, pair, povm)
             assert calls == {"channel_output_factor": 1}
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_simultaneous_run_forms_no_dense_operator(self, monkeypatch, n):
+        # the Gram form builds no detection operator, no dense square-root
+        # measurement and no embedded d x d projector
+        calls = Counter()
+        for module, name in ((simuldecode, "build_upsilon"),
+                             (simuldecode, "sqrt_measurement"),
+                             (qmat, "embed")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        ch = qmat.named_channel("cnot-mac")
+        pair, _, _ = bell_pair_books(ch, n=n, seeds=(57, 58))
+        report = simuldecode.run_mac_experiment(ch, pair, "simultaneous", 1.0)
+        assert 0 <= report.avg_error <= 1
+        assert calls == {}
+
     def test_codeword_trace_is_checked(self, monkeypatch):
-        # Tr sigma_lm = |V_lm|^2 is checked on the table's columns
+        # Tr sigma_lm = |V_lm|^2 is checked on the dense table's columns
         ch = qmat.named_channel("cnot-mac")
         pair, d1, d2 = bell_pair_books(ch)
         povm = simuldecode.simultaneous_povm(
@@ -483,6 +526,9 @@ class TestOnePassEvaluation:
                             lambda *args: 1.001 * factor(*args))
         with pytest.raises(ValueError, match=r"codeword state \(0, 0\) has trace"):
             simuldecode.error_figures(ch, pair, povm)["avg_error"]
+        # and on |V_lm|^2 by the Gram form
+        with pytest.raises(ValueError, match=r"codeword state \(0, 0\) has trace"):
+            simuldecode.run_mac_experiment(ch, pair, "simultaneous", 1.0)
 
     def test_outcomes_must_be_the_pairs_in_order(self):
         ch = qmat.named_channel("cnot-mac")
@@ -499,7 +545,9 @@ class TestOnePassEvaluation:
         d1 = eacode.type_decompose(bell_state("Ap", "A"), 2)
         d2 = eacode.type_decompose(bell_state("Bp", "B"), 2)
         pair = simuldecode.MacCodePair.sample(d1, d2, 2, 2, 61, 62)
-        report, povm = simuldecode.run_mac_experiment(ch, pair, mode, 1.0)
+        report = simuldecode.run_mac_experiment(ch, pair, mode, 1.0)
+        povm = DECODERS[mode](
+            pair, simuldecode.mac_typical_projectors(ch, d1, d2, 1.0))
         out = report.to_json()
         avg = simuldecode.error_figures(ch, pair, povm)["avg_error"]
         mx = simuldecode.max_error_via_randomization(ch, pair, povm)
@@ -509,3 +557,93 @@ class TestOnePassEvaluation:
         assert out["error_terms"].keys() == parts.keys()
         for key, value in parts.items():
             assert abs(out["error_terms"][key] - value) < 1e-12
+
+
+def sample_pair(name, weights, n, L, M, seeds):
+    ch = qmat.named_channel(name)
+    states = [bell_state(s, r) if weights is None
+              else schmidt_state(weights, s, r)
+              for s, r in (("Ap", "A"), ("Bp", "B"))]
+    d1, d2 = (eacode.type_decompose(phi, n) for phi in states)
+    return ch, simuldecode.MacCodePair.sample(d1, d2, L, M, *seeds), d1, d2
+
+
+class TestGramForm:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name, weights, n, L, M, branch", [
+        ("cnot-mac", None, 1, 2, 2, "G"),
+        ("cnot-mac", [0.7, 0.3], 1, 3, 2, "S"),
+        ("adder-mac", None, 1, 2, 3, "S"),
+        ("adder-mac", [0.7, 0.3], 1, 3, 2, "S"),
+        ("cnot-mac", None, 1, 8, 6, "S"),
+        ("cnot-mac", None, 2, 3, 2, "G"),
+        ("cnot-mac", [0.7, 0.3], 2, 2, 3, "G"),
+        ("adder-mac", None, 2, 2, 3, "G"),
+        ("adder-mac", [0.7, 0.3], 2, 3, 2, "G"),
+    ], ids=lambda v: "skewed" if v == [0.7, 0.3] else
+        "bell" if v is None else str(v))
+    def test_table_matches_dense_oracle(self, name, weights, n, L, M, branch,
+                                        seed):
+        # oracle: the dense square-root measurement and its overlap table;
+        # "S" marks Kr > d, where the d x d family sum is decomposed
+        ch, pair, d1, d2 = sample_pair(name, weights, n, L, M,
+                                       (2 * seed, 2 * seed + 1))
+        proj = simuldecode.mac_typical_projectors(
+            ch, d1, d2, 1.5 if name == "adder-mac" else 1.0)
+        kr = L * M * proj.joint_basis.shape[1]
+        assert (kr > proj.space.dim) == (branch == "S")
+        want = simuldecode.overlap_table(
+            ch, pair, simuldecode.simultaneous_povm(pair, proj))
+        got = simuldecode.gram_table(ch, pair, proj)
+        assert got.shape == want.shape == (L * M + 1, L * M)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_detection_factors_square_to_the_dense_operators(self):
+        ch, pair, d1, d2 = sample_pair("adder-mac", [0.7, 0.3], 2, 2, 3,
+                                       (63, 64))
+        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.5)
+        w = simuldecode._detection_factors(pair, proj)
+        r = proj.joint_basis.shape[1]
+        for k, (l, m) in enumerate(
+                (l, m) for l in range(pair.L) for m in range(pair.M)):
+            block = w[:, k * r:(k + 1) * r]
+            ups = simuldecode.build_upsilon(pair, l, m, proj)
+            assert np.max(np.abs(block @ block.conj().T - ups)) < 1e-12
+
+    def test_support_defect_is_checked(self, monkeypatch):
+        # a wrong inverse root misses the support projector of G
+        ch, pair, d1, d2 = sample_pair("cnot-mac", None, 2, 2, 2, (65, 66))
+        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
+        inverse_root = simuldecode._inverse_root
+        monkeypatch.setattr(simuldecode, "_inverse_root", lambda m: tuple(
+            1.001 * x if i == 0 else x for i, x in enumerate(inverse_root(m))))
+        with pytest.raises(ValueError, match="misses the support projector"):
+            simuldecode.gram_table(ch, pair, proj)
+
+
+class TestBlocklengthThree:
+    # d = 1728 (adder-mac) and 4096 (cnot-mac): no dense oracle runs here,
+    # so these check what the Gram form can check on its own
+
+    def test_adder_mac_identities(self):
+        ch, pair, d1, d2 = sample_pair("adder-mac", None, 3, 2, 2, (0, 1))
+        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
+        assert proj.space.dim == 1728
+        report = simuldecode.run_mac_experiment(ch, pair, "simultaneous", 1.0)
+        assert abs(report.breakdown["total"] - report.avg_error) < 1e-12
+        table = simuldecode.gram_table(ch, pair, proj)
+        assert table[:-1].sum(axis=0).max() <= 1 + 1e-12
+        assert table[-1].min() >= -1e-12
+        # G^{+1/2} G G^{+1/2} is the support projector of G
+        w = simuldecode._detection_factors(pair, proj)
+        assert w.shape[1] <= w.shape[0]
+        gram = w.conj().T @ w
+        inv_root, supp = simuldecode._inverse_root(gram)
+        assert np.max(np.abs(inv_root @ gram @ inv_root - supp)) < 1e-10
+
+    def test_cnot_mac_average_error(self):
+        # an independent implementation measured the same value
+        ch, pair, _, _ = sample_pair("cnot-mac", None, 3, 2, 2, (0, 1))
+        report = simuldecode.run_mac_experiment(ch, pair, "simultaneous", 1.0)
+        assert abs(report.avg_error - 0.52734375) < 1e-12
+        assert abs(report.breakdown["total"] - report.avg_error) < 1e-12
