@@ -39,7 +39,8 @@ for nsa, nsb in ((1000.0, 10.0), (10.0, 10.0)):
     print("  eta     R1       R2       sum      YS sum   gap")
     for row in rows:
         print("  {eta:4.2f}  {r1:7.3f}  {r2:7.3f}  {sum:7.3f}  "
-              "{ys_sum:7.3f}  {sum_gap:6.3f}".format(**row))
+              "{ys_sum:7.3f}  {sum_gap:6.3f}".format(
+                  **{key: row[key] for key in rows.dtype.names}))
 
 # Containment against the unassisted outer bound flips with parameters.
 for eta, nsa, nsb in ((0.5, 10.0, 8.0), (0.95, 1.0, 1.0)):

@@ -9,9 +9,11 @@ cap is exceeded or memory runs out.  ``QMAC_DIM_CAP`` overrides the cap.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -101,9 +103,7 @@ def cmd_gaussian_region(args) -> int:
         return 0
     cmp_ = gaussian.compare_regions(p)
     emit_json({
-        "eta": p.eta,
-        "nsa": p.nsa,
-        "nsb": p.nsb,
+        **asdict(p),
         "ea_region": cmp_["ea"].to_json(),
         "ea_region_numeric": gaussian.ea_bosonic_region_numeric(p).to_json(),
         "yen_shapiro": cmp_["ys"].to_json(),
@@ -116,7 +116,7 @@ def cmd_gaussian_region(args) -> int:
 def cmd_gaussian_sweep(args) -> int:
     if args.steps < 2:
         raise ValueError(f"steps must be at least 2, got {args.steps}")
-    grid = [i / (args.steps - 1) for i in range(args.steps)]
+    grid = np.arange(args.steps) / (args.steps - 1)
     rows = gaussian.region_sweep(args.nsa, args.nsb, grid)
     _write_or_print(gaussian.sweep_csv(rows), args.out)
     return 0
@@ -126,9 +126,7 @@ def cmd_compare_ys(args) -> int:
     p = BosonicMacParams(args.eta, args.nsa, args.nsb)
     cmp_ = gaussian.compare_regions(p)
     emit_json({
-        "eta": p.eta,
-        "nsa": p.nsa,
-        "nsb": p.nsb,
+        **asdict(p),
         "sum_gap": cmp_["sum_gap"],
         "ea_contains_ys": cmp_["ea_contains_ys"],
         "ea_region": cmp_["ea"].to_json(),
@@ -225,13 +223,11 @@ def cmd_check(args) -> int:
 
     # closed form vs numeric oracle on a coarse grid
     worst = 0.0
-    for eta in (0.1, 0.5, 0.9):
-        for nsa in (0.5, 10.0):
-            for nsb in (1.0, 100.0):
-                p = BosonicMacParams(eta, nsa, nsb)
-                c = gaussian.ea_bosonic_region(p).bounds()
-                o = gaussian.ea_bosonic_region_numeric(p).bounds()
-                worst = max(worst, max(abs(x - y) for x, y in zip(c, o)))
+    for p in itertools.starmap(BosonicMacParams, itertools.product(
+            (0.1, 0.5, 0.9), (0.5, 10.0), (1.0, 100.0))):
+        c = gaussian.ea_bosonic_region(p).bounds()
+        o = gaussian.ea_bosonic_region_numeric(p).bounds()
+        worst = max(worst, max(abs(x - y) for x, y in zip(c, o)))
     report("bosonic region closed form vs numeric oracle", worst < 1e-9,
            f"max deviation {worst:.2e}")
 
@@ -245,11 +241,9 @@ def cmd_check(args) -> int:
 
     # sum-rate gap positivity on a deterministic random sample
     rng = np.random.default_rng(20260810)
-    gaps = []
-    for _ in range(1000):
-        p = BosonicMacParams(float(rng.uniform()), float(rng.uniform(0, 50)),
-                             float(rng.uniform(0, 50)))
-        gaps.append(gaussian.compare_regions(p)["sum_gap"])
+    gaps = [gaussian.compare_regions(BosonicMacParams(
+        float(rng.uniform()), float(rng.uniform(0, 50)), float(rng.uniform(0, 50))
+    ))["sum_gap"] for _ in range(1000)]
     report("sum-rate gap nonnegative", min(gaps) >= -1e-9,
            f"min {min(gaps):.2e}")
 

@@ -239,18 +239,15 @@ def symplectic_eigenvalues(v: CovarianceState) -> np.ndarray:
     """
     n = v.n_modes
     m = 1j * symplectic_form(n) @ v.matrix
-    raw = np.abs(np.linalg.eigvals(m))
-    raw.sort()
-    raw = raw[::-1]
-    nus = []
-    for k in range(n):
-        a, b = raw[2 * k], raw[2 * k + 1]
-        if abs(a - b) > PAIRING_TOL * max(1.0, a):
-            raise ValueError(
-                f"unpaired symplectic spectrum: {a} vs {b} at position {k}"
-            )
-        nus.append((a + b) / 2.0)
-    nus = np.array(nus)
+    raw = np.sort(np.abs(np.linalg.eigvals(m)))[::-1].reshape(n, 2)
+    a, b = raw[:, 0], raw[:, 1]
+    unpaired = np.flatnonzero(np.abs(a - b) > PAIRING_TOL * np.maximum(1.0, a))
+    if unpaired.size:
+        k = unpaired[0]
+        raise ValueError(
+            f"unpaired symplectic spectrum: {a[k]} vs {b[k]} at position {k}"
+        )
+    nus = (a + b) / 2.0
     if nus.min() < 1.0 - PHYSICALITY_TOL:
         raise ValueError(f"symplectic eigenvalue {nus.min()} below 1")
     return nus
@@ -266,30 +263,40 @@ def gaussian_entropy(v: CovarianceState) -> float:
 # the beamsplitter MAC with two-mode-squeezed assistance
 # ---------------------------------------------------------------------------
 
-def _lambda_pair(coeff: float, nsa: float, nsb: float) -> tuple[float, float]:
-    """|lambda+-| = |c |Na-Nb| +- sqrt(c^2 (Na-Nb)^2 + 2c(2NaNb+Na+Nb) + 1)|."""
+def _g_array(n: np.ndarray) -> np.ndarray:
+    """:func:`g_entropy` elementwise, with its domain rule and formula."""
+    ok = (n >= -1e-12) & (n < math.inf)
+    if not ok.all():
+        raise ValueError(
+            f"mean photon number must be finite and nonnegative, got {n[~ok][0]}"
+        )
+    pos = n > 0.0
+    m = np.where(pos, n, 1.0)  # keeps 0 log2 0 out of the arithmetic
+    return np.where(pos, (m + 1) * np.log2(m + 1) - m * np.log2(m), 0.0)
+
+
+def _lambda_pair(c: np.ndarray, nsa: float, nsb: float) -> np.ndarray:
+    """|lambda+-| = |c D +- sqrt(c^2 D^2 + 2c(2NaNb+Na+Nb) + 1)|, D = |Na-Nb|."""
     diff = abs(nsa - nsb)
-    root = math.sqrt(
-        coeff**2 * diff**2 + 2 * coeff * (2 * nsa * nsb + nsa + nsb) + 1.0
-    )
-    return abs(coeff * diff + root), abs(coeff * diff - root)
+    root = np.sqrt(c**2 * diff**2 + 2 * c * (2 * nsa * nsb + nsa + nsb) + 1.0)
+    return np.abs([c * diff + root, c * diff - root])
 
 
-def _region_figures(eta: float, nsa: float, nsb: float, ga: float, gb: float
-                    ) -> tuple[float, float, float, float, float]:
-    """Unclamped (r1, r2, sum, ys_sum, sum_gap) at one point, given g(Na), g(Nb).
+def _region_figures(eta: np.ndarray, nsa: float, nsb: float, ga: float,
+                    gb: float) -> tuple[np.ndarray, ...]:
+    """Unclamped (r1, r2, sum, ys_sum, sum_gap) over eta, given g(Na) and g(Nb).
 
     The only place the closed forms are written.  The pair entropies enter
-    through the symplectic eigenvalues of the sender-receiver covariance
-    blocks; the expressions produce the negative branch with a sign, so
-    absolute values are taken (symplectic spectra are |eig(iJV)| by
-    definition), which the numeric pipeline confirms.  h_E is the
-    environment entropy, the sum gap is g(Na) + g(Nb) - h_E.
+    through the symplectic eigenvalues lambda+- of the AC (c = 1 - eta) and
+    BC (c = eta) blocks; the expressions produce the negative branch with a
+    sign, so absolute values are taken, which the numeric pipeline confirms.
+    h_E is the environment entropy, the sum gap is g(Na) + g(Nb) - h_E.
     """
-    h_e = g_entropy(eta * nsb + (1 - eta) * nsa)
-    ys_sum = g_entropy(eta * nsa + (1 - eta) * nsb)
-    h_ac = sum(g_entropy((lam - 1) / 2) for lam in _lambda_pair(1 - eta, nsa, nsb))
-    h_bc = sum(g_entropy((lam - 1) / 2) for lam in _lambda_pair(eta, nsa, nsb))
+    lam_plus, lam_minus = _lambda_pair(np.array([1 - eta, eta]), nsa, nsb)
+    g_plus, g_minus, (h_e, ys_sum) = _g_array(np.array([
+        (lam_plus - 1) / 2, (lam_minus - 1) / 2,
+        [eta * nsb + (1 - eta) * nsa, eta * nsa + (1 - eta) * nsb]]))
+    h_ac, h_bc = g_plus + g_minus
     return (ga + h_bc - h_e, gb + h_ac - h_e, ga + gb + ys_sum - h_e, ys_sum,
             ga + gb - h_e)
 
@@ -327,20 +334,12 @@ def ea_bosonic_region_numeric(p: BosonicMacParams) -> RateRegion:
     """
     v = bosonic_output_state(p)
 
-    def h(modes):
+    def h(*modes):
         return gaussian_entropy(v.marginal(modes))
 
-    h_a = h(("A",))
-    h_b = h(("B",))
-    h_c = h(("C",))
-    h_ab = h(("A", "B"))
-    h_ac = h(("A", "C"))
-    h_bc = h(("B", "C"))
-    h_abc = h(("E",))  # the global state is pure
-    r1 = h_a + h_bc - h_abc
-    r2 = h_b + h_ac - h_abc
-    rsum = h_ab + h_c - h_abc
-    return RateRegion(r1, r2, rsum)
+    h_abc = h("E")  # the global state is pure
+    return RateRegion(h("A") + h("B", "C") - h_abc, h("B") + h("A", "C") - h_abc,
+                      h("A", "B") + h("C") - h_abc)
 
 
 def yen_shapiro_bound(p: BosonicMacParams) -> RateRegion:
@@ -357,47 +356,54 @@ def compare_regions(p: BosonicMacParams) -> dict:
     the outer bound.
     """
     ga, gb = g_entropy(p.nsa), g_entropy(p.nsb)
-    r1, r2, rsum, ys_sum, sum_gap = _region_figures(p.eta, p.nsa, p.nsb, ga, gb)
-    ea = RateRegion(r1, r2, rsum)
-    ys = RateRegion(ga, gb, ys_sum)
-    vertex_report = [
-        {"vertex": [x, y], "inside_ea": ea.contains(x, y)}
-        for x, y in ys.vertices
-    ]
-    return {
-        "ea": ea,
-        "ys": ys,
-        "sum_gap": sum_gap,
-        "ea_contains_ys": all(rec["inside_ea"] for rec in vertex_report),
-        "vertices": vertex_report,
-    }
+    r1, r2, rsum, ys_sum, sum_gap = (float(x[0]) for x in _region_figures(
+        np.array([p.eta]), p.nsa, p.nsb, ga, gb))
+    ea, ys = RateRegion(r1, r2, rsum), RateRegion(ga, gb, ys_sum)
+    vertices = [{"vertex": [x, y], "inside_ea": ea.contains(x, y)}
+                for x, y in ys.vertices]
+    return {"ea": ea, "ys": ys, "sum_gap": sum_gap,
+            "ea_contains_ys": all(v["inside_ea"] for v in vertices),
+            "vertices": vertices}
 
 
 SWEEP_CSV_HEADER = "eta,r1,r2,sum,ys_r1,ys_r2,ys_sum,sum_gap"
 _SWEEP_KEYS = tuple(SWEEP_CSV_HEADER.split(","))
 
 
-def region_sweep(nsa: float, nsb: float, eta_grid) -> list[dict]:
-    """One region comparison per grid point, as plain row records.
+def region_sweep(nsa: float, nsb: float, eta_grid) -> np.ndarray:
+    """One region comparison per grid point; the fields are the CSV columns.
 
-    g(Na) and g(Nb) are evaluated once per sweep; the outer bound, being
-    g values, needs no clamp.
+    N_a, N_b and the grid are checked once and g(Na), g(Nb) evaluated once;
+    the outer bound, being g values, needs no clamp.
     """
     _check_photon_numbers(nsa, nsb)
+    eta = np.asarray(eta_grid, dtype=float)
+    bad = ~((eta >= 0.0) & (eta <= 1.0))
+    if bad.any():
+        raise ValueError(f"eta out of range: {eta[bad][0]}")
     ga, gb = g_entropy(nsa), g_entropy(nsb)
-    rows = []
-    for eta in eta_grid:
-        p = BosonicMacParams(float(eta), nsa, nsb)
-        r1, r2, rsum, ys_sum, sum_gap = _region_figures(p.eta, nsa, nsb, ga, gb)
-        ea = RateRegion(r1, r2, rsum)
-        rows.append(dict(zip(_SWEEP_KEYS, (p.eta, *ea.bounds(), ga, gb, ys_sum,
-                                           sum_gap))))
+    r1, r2, rsum, ys_sum, sum_gap = _region_figures(eta, nsa, nsb, ga, gb)
+    rows = np.empty(len(eta), dtype=[(key, float) for key in _SWEEP_KEYS])
+    rows["eta"], rows["ys_r1"], rows["ys_r2"] = eta, ga, gb
+    rows["r1"], rows["r2"], rows["sum"] = (np.maximum(x, 0.0) for x in (r1, r2, rsum))
+    rows["ys_sum"], rows["sum_gap"] = ys_sum, sum_gap
     return rows
 
 
-def sweep_csv(rows: list[dict]) -> str:
-    """Locale-independent CSV at 12 significant digits, one row per point."""
-    lines = [SWEEP_CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(format(row[k], ".12g") for k in _SWEEP_KEYS))
-    return "\n".join(lines) + "\n"
+def sweep_csv(rows: np.ndarray) -> str:
+    """Locale-independent CSV at 12 significant digits, one row per point.
+
+    Each row is one ``%`` on a template; ys_r1 and ys_r2, constant over a
+    :func:`region_sweep`, are written into the template once.
+    """
+    cells, columns = [], []
+    for key in _SWEEP_KEYS:
+        column = rows[key]
+        if key in ("ys_r1", "ys_r2") and len(column) and (column == column[0]).all():
+            cells.append(format(column[0], ".12g"))
+        else:
+            cells.append("%.12g")
+            columns.append(column.tolist())
+    template = ",".join(cells)
+    return "\n".join([SWEEP_CSV_HEADER,
+                      *(template % row for row in zip(*columns)), ""])

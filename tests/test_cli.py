@@ -182,6 +182,8 @@ class TestNonFiniteInput:
          "nsa"),
         (("gaussian-region", "--eta", "nan", "--nsa", "1", "--nsb", "1"),
          "eta"),
+        (("gaussian-region", "--format", "csv", "--eta", "nan", "--nsa", "1",
+          "--nsb", "1"), "eta"),
         (("compare-ys", "--eta", "0.5", "--nsa", "1", "--nsb", "inf"), "nsb"),
         (("simulate-seq", "--channel", "identity:2", "--phi", "0.5,nan"),
          "0.5,nan"),

@@ -293,9 +293,10 @@ class TestRegionSweep:
     def test_endpoints_finite(self):
         rows = gaussian.region_sweep(1000.0, 10.0, [0.0, 0.5, 1.0])
         assert len(rows) == 3
+        assert rows.dtype.names == tuple(gaussian.SWEEP_CSV_HEADER.split(","))
         for row in rows:
-            for key, val in row.items():
-                assert np.isfinite(val), key
+            for key in rows.dtype.names:
+                assert np.isfinite(row[key]), key
 
     def test_symmetric_sum_constant(self):
         rows = gaussian.region_sweep(10.0, 10.0, np.linspace(0, 1, 21))
@@ -328,7 +329,9 @@ class TestRegionSweep:
             assert (row["ys_r1"], row["ys_r2"], row["ys_sum"]) == ys.bounds()
             assert row["sum_gap"] == cmp_["sum_gap"]
 
-    def test_six_entropies_per_point(self, monkeypatch):
+    def test_scalar_entropy_calls_independent_of_grid(self, monkeypatch):
+        # the grid goes through the closed form as one array, so the scalar
+        # g evaluations per sweep (g(Na) and g(Nb)) do not grow with it
         calls = 0
         g = gaussian.g_entropy
 
@@ -338,6 +341,94 @@ class TestRegionSweep:
             return g(n)
 
         monkeypatch.setattr(gaussian, "g_entropy", counted)
-        k = 25
-        gaussian.region_sweep(30.0, 5.0, np.linspace(0, 1, k))
-        assert calls <= 6 * k + 2
+        counts = []
+        for k in (25, 1001):
+            calls = 0
+            gaussian.region_sweep(30.0, 5.0, np.linspace(0, 1, k))
+            counts.append(calls)
+        assert counts[0] == counts[1] <= 2
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5])
+    def test_eta_checked_over_the_grid(self, bad):
+        grid = [0.0, 0.5, bad, 1.0]
+        with pytest.raises(ValueError, match="eta"):
+            gaussian.region_sweep(1.0, 2.0, grid)
+
+    def test_empty_grid_header_only(self):
+        rows = gaussian.region_sweep(1.0, 2.0, [])
+        assert len(rows) == 0
+        assert gaussian.sweep_csv(rows) == gaussian.SWEEP_CSV_HEADER + "\n"
+        with pytest.raises(ValueError, match="nsb"):
+            gaussian.region_sweep(1.0, math.nan, [])
+
+    def test_constant_columns_written_once(self):
+        # ys_r1 and ys_r2 go into the row template; a column that varies
+        # is still written row by row
+        rows = gaussian.region_sweep(3.0, 4.0, [0.0, 0.25, 1.0])
+        text = gaussian.sweep_csv(rows)
+        assert text.split("\n")[1].split(",")[4:6] == [
+            format(g_entropy(3.0), ".12g"), format(g_entropy(4.0), ".12g")]
+        rows["ys_r1"][1] = 1.5
+        lines = gaussian.sweep_csv(rows).split("\n")
+        assert [line.split(",")[4] for line in lines[1:4]] == [
+            format(g_entropy(3.0), ".12g"), "1.5", format(g_entropy(3.0), ".12g")]
+
+    def test_grid_matches_integer_division(self):
+        # gaussian-sweep builds its grid as arange / (steps - 1)
+        for steps in (2, 3, 11, 101, 100001):
+            grid = (np.arange(steps) / (steps - 1)).tolist()
+            assert grid == [i / (steps - 1) for i in range(steps)]
+
+
+class TestGArray:
+    def test_domain_rule(self):
+        zeros = gaussian._g_array(np.array([-1e-12, -1e-13, -0.0, 0.0]))
+        assert zeros.tolist() == [0.0, 0.0, 0.0, 0.0]
+        for bad in (-2e-12, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                gaussian._g_array(np.array([1.0, bad]))
+
+    def test_matches_scalar_g(self):
+        xs = np.concatenate([[0.0, 1e-300, 1e-12, 0.5, 1.0, 10.0],
+                             np.geomspace(1e-9, 1e6, 400)])
+        got = gaussian._g_array(xs)
+        assert np.all(np.isfinite(got))
+        want = np.array([g_entropy(x) for x in xs])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, want))
+        assert abs(got[4] - 2.0) <= 1e-14 and abs(got[5] - G_10) < 1e-13
+
+
+def _region_figures_oracle(eta, nsa, nsb):
+    """Unclamped (r1, r2, sum, ys_sum, sum_gap) at one point, on math floats."""
+    ga, gb = g_entropy(nsa), g_entropy(nsb)
+    diff = abs(nsa - nsb)
+
+    def pair_entropy(c):
+        root = math.sqrt(c * c * diff * diff
+                         + 2 * c * (2 * nsa * nsb + nsa + nsb) + 1.0)
+        return (g_entropy((abs(c * diff + root) - 1) / 2)
+                + g_entropy((abs(c * diff - root) - 1) / 2))
+
+    h_e = g_entropy(eta * nsb + (1 - eta) * nsa)
+    ys_sum = g_entropy(eta * nsa + (1 - eta) * nsb)
+    return (ga + pair_entropy(eta) - h_e, gb + pair_entropy(1 - eta) - h_e,
+            ga + gb + ys_sum - h_e, ys_sum, ga + gb - h_e)
+
+
+class TestSweepAgainstPointOracle:
+    @pytest.mark.parametrize("nsa, nsb", [(1000.0, 10.0), (0.0, 7.0),
+                                          (7.0, 0.0), (2.5, 2.5)])
+    def test_every_row_of_a_fine_grid(self, nsa, nsb):
+        steps = 100001
+        grid = np.arange(steps) / (steps - 1)
+        rows = gaussian.region_sweep(nsa, nsb, grid)
+        want = np.array([_region_figures_oracle(eta, nsa, nsb)
+                         for eta in grid.tolist()])
+        want[:, :3] = np.maximum(want[:, :3], 0.0)
+        assert np.array_equal(rows["eta"], grid)
+        assert np.all(rows["ys_r1"] == g_entropy(nsa))
+        assert np.all(rows["ys_r2"] == g_entropy(nsb))
+        for j, key in enumerate(("r1", "r2", "sum", "ys_sum", "sum_gap")):
+            dev = np.abs(rows[key] - want[:, j])
+            assert np.all(dev <= 1e-12 * np.maximum(1.0, np.abs(want[:, j]))), (
+                key, float(dev.max()))
