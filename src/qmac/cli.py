@@ -292,6 +292,30 @@ def cmd_check(args) -> int:
     report("Gram-form table equals the dense POVM's table", worst < 1e-12,
            f"max deviation {worst:.2e}")
 
+    # the factored sequential and successive tables against their dense POVMs
+    seq_channel = qmat.named_channel("depolarizing:0.2")
+    decomp, code_proj, sigma, words = seqdecode.ea_protocol_instance(
+        seq_channel, phi, 1, 1.0)
+    entries = eacode.sample_code(decomp, 6, 5).entries
+    povm = seqdecode.sequential_povm(list(entries), code_proj, words)
+    dense = np.array([[np.trace(op @ sigma[s].matrix).real
+                       for op in (povm[k], povm.completion())]
+                      for k, s in enumerate(entries)])
+    factored = seqdecode.sequential_weights(
+        eacode.channel_output_factor(seq_channel, decomp),
+        [eacode.receiver_encoder([(decomp, s)]) for s in entries],
+        seqdecode.sequential_projectors(seq_channel, decomp, 1.0))
+    worst = float(np.max(np.abs(np.array(factored).T - dense)))
+    report("factored sequential table equals the dense sequential POVM's",
+           worst < 1e-12, f"max deviation {worst:.2e}")
+    worst = float(np.max(np.abs(
+        simuldecode.successive_table(channel, pair, projectors)
+        - simuldecode.overlap_table(
+            channel, pair, simuldecode.ea_successive_povm(pair, projectors))
+    )))
+    report("factored successive table equals the dense successive POVM's",
+           worst < 1e-12, f"max deviation {worst:.2e}")
+
     print(f"{'all checks passed' if failures == 0 else f'{failures} check(s) failed'}")
     return 0 if failures == 0 else 1
 

@@ -37,6 +37,7 @@ __all__ = [
     "receiver_encoder",
     "conjugate_by_receiver_encoders",
     "average_codeword_state",
+    "average_codeword_factors",
 ]
 
 REASSEMBLY_TOL = 1e-10
@@ -431,3 +432,22 @@ def average_codeword_state(rho: DensityOperator, decomp: TypeDecomposition
         out += np.kron(p_t / t.dim, rest)
     return DensityOperator(rho.space, out)
 
+
+def average_codeword_factors(r: np.ndarray, decomp: TypeDecomposition):
+    """The type blocks of :func:`average_codeword_state`, on the factor R.
+
+    ``r`` is R with rho = R R† on :func:`channel_output_space`, the receiver
+    share of ``decomp`` leading.  Yields one pair (C_t, Y_t) per type block:
+    C_t holds orthonormal columns of the receiver projector P_t = C_t C_t†,
+    and Y_t Y_t† = Tr_A[(P_t (x) I) rho], so that
+
+        rho-bar = sum_t (P_t / d_t) (x) Y_t Y_t†.
+
+    Y_t has the rows of rho after the receiver share and d_t times R's
+    columns.  No d x d matrix is formed.
+    """
+    rows = r.reshape(decomp.receiver_space.dim, -1)
+    for sl in decomp.block_slices:
+        cols = decomp._receiver_block_basis[:, sl]
+        y = (cols.conj().T @ rows).reshape(cols.shape[1], -1, r.shape[1])
+        yield cols, y.transpose(1, 0, 2).reshape(y.shape[1], -1)

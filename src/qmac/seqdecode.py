@@ -5,6 +5,13 @@ measurements; its POVM is a product of sandwiched projectors.  The packing
 bound lower-bounds the code-averaged success probability from four measured
 constants (epsilon, d, D, message count).  The successive variant decodes
 one sender fully, then the other, over a multiple access channel.
+
+The assisted experiment is read on the codeword factors V_k = U_k R of the
+channel output rho_n = R R† (:func:`sequential_weights`): each POVM element
+is a product of projectors, so its weight on a codeword is the squared norm
+of a product of projectors applied to V_k, and no d x d matrix is formed.
+The dense POVMs (:func:`sequential_povm`, :func:`successive_povm`) and the
+brute-force :func:`ea_protocol_instance` stay as its oracles.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ __all__ = [
     "SuccessiveConstants",
     "SuccessiveBound",
     "SeqReport",
+    "sequential_projectors",
+    "sequential_weights",
     "sequential_povm",
     "exact_success_probability",
     "expected_success_exhaustive",
@@ -38,8 +47,8 @@ __all__ = [
     "assisted_successive_exponents",
 ]
 
-PROJECTOR_TOL = 1e-9
 EXHAUSTIVE_CAP = 100_000
+LN2 = math.log(2.0)
 INDEX_SET_CAP = 4096
 
 
@@ -72,8 +81,9 @@ class PackingBound:
 
 def _check_projector(p: np.ndarray, name: str) -> np.ndarray:
     p = np.asarray(p, dtype=complex)
-    if float(np.max(np.abs(p @ p - p))) > PROJECTOR_TOL:
-        raise ValueError(f"{name} is not idempotent within {PROJECTOR_TOL}")
+    tol = typicality.PROJECTOR_TOL
+    if float(np.max(np.abs(p @ p - p))) > tol:
+        raise ValueError(f"{name} is not idempotent within {tol}")
     return p
 
 
@@ -174,8 +184,12 @@ def packing_lower_bound(c: PackingConstants) -> PackingBound:
 
     The flag also drops when epsilon exceeds 1/2, where the guarantee is
     vacuous even though the absolute value would produce a positive number.
+    The bracket is not positive once d|M|/D >= ln 2, where e^{d|M|/D} is
+    not evaluated, since it overflows for large message counts.
     """
     x = c.d * c.message_count / c.D
+    if not x < LN2:
+        return PackingBound(0.0, False)
     bracket = 2.0 - math.exp(x)
     if bracket <= 0.0:
         return PackingBound(0.0, False)
@@ -229,23 +243,23 @@ class SeqReport:
         return asdict(self)
 
 
-def _ea_projectors(channel: KrausChannel, decomp, delta: float):
-    """Channel output and typical projectors of the assisted sequential code.
+def sequential_projectors(channel: KrausChannel, decomp, delta: float
+                          ) -> typicality.ProjectorBundle:
+    """Typical projectors of the assisted sequential code, kept small.
 
-    Returns ``(rho_n, code_proj, pi_ab)`` on rho_n's space (receiver share
-    first, then the channel outputs): the unencoded output, the code
-    projector Pi_A (x) Pi_B of the one-sided typical projectors, and the
-    joint typical projector Pi_AB, which is the word projector of s = 0.
-    The names A and B stand for the receiver share and the channel output.
+    On the channel output space (receiver share first, then the channel
+    outputs), "A" is the receiver share's and "B" the channel outputs'
+    typical projector, each on its own factors; Pi_A Pi_B is the code
+    projector.  The joint "AB", kept as its basis, is the word projector of
+    s = 0.  No d x d matrix is formed.
     """
-    rho_n = eacode.channel_output_state(channel, decomp)
     recv = (decomp.receiver_label,)
     out = channel.out_space.labels
-    p = typicality.embedded_typical_projectors(
+    return typicality.projector_bundle(
         info.ea_code_state(channel, decomp.phi), decomp.n, delta,
-        {"A": recv, "B": out, "AB": recv + out}, rho_n.space,
+        {"A": recv, "B": out, "AB": recv + out}, "AB",
+        eacode.channel_output_space(channel, decomp),
     )
-    return rho_n, p["A"] @ p["B"], p["AB"]
 
 
 def _codeword(decomp, s, rho_n: DensityOperator, pi_ab: np.ndarray):
@@ -256,24 +270,53 @@ def _codeword(decomp, s, rho_n: DensityOperator, pi_ab: np.ndarray):
     return sigma, qmat.conjugate_local(u, pi_ab, full)
 
 
-def _covariant_constants(decomp, rho_n: DensityOperator, code_proj,
-                         pi_ab) -> typicality.MeasuredConstants:
-    """Packing constants over the uniform ensemble on S, without enumerating S.
+def _squared_norm(x: np.ndarray) -> float:
+    return float(np.vdot(x, x).real)
+
+
+def _factor_constants(r: np.ndarray, decomp,
+                      projectors: typicality.ProjectorBundle
+                      ) -> typicality.MeasuredConstants:
+    """Packing constants over the uniform ensemble on S, read off R.
 
     U^T(s) is block-diagonal on the receiver's type blocks, so it commutes
     with rho_A^(x)n and with Pi_A, a spectral projector of rho_A^(x)n, hence
-    with the code projector.  So Tr{Pi sigma_s} = Tr{Pi rho_n},
-    Tr{Pi_s sigma_s} = Tr{Pi_AB rho_n} and Pi_s sigma_s Pi_s has the same
-    spectrum for every s: epsilon and d are those of s = 0, where sigma =
-    rho_n and Pi_s = Pi_AB.  D comes from the closed-form average state
-    :func:`eacode.average_codeword_state`.  The commutator residual is the
-    one of s = 0; its max-norm is not invariant under the encoders.
+    with the code projector Pi = Pi_A Pi_B.  So Tr{Pi sigma_s} =
+    Tr{Pi rho_n}, Tr{Pi_s sigma_s} = Tr{Pi_AB rho_n} and Pi_s sigma_s Pi_s
+    has the same spectrum for every s: epsilon and d are those of s = 0,
+    where sigma = rho_n = R R† and Pi_s = Pi_AB = B B†.  So
+    Tr{Pi rho_n} = |Pi R|^2 and Tr{Pi_AB rho_n} = |B† R|^2, and on the
+    support of Pi_AB the compressed state has the spectrum of
+    (B† R)(B† R)†: 1/d is the least squared singular value of B† R (zero
+    when R has fewer columns than B).  The average state is
+    sum_t (P_t / d_t) (x) Y_t Y_t† (:func:`eacode.average_codeword_factors`)
+    and Pi_A P_t is P_t or 0, so the top eigenvalue of Pi rho-bar Pi, 1/D,
+    is the largest of lambda_max(Pi_B Y_t Y_t† Pi_B) / d_t over the blocks
+    that Pi_A keeps.  The commutator residual is the Frobenius norm of
+    [Pi_AB, rho_n], sqrt(2) |(I - B B†) R R† B|_F, which bounds its
+    max-norm.  No d x d matrix is formed.
     """
-    epsilon, d, residual = typicality.measure_word_constants(
-        [rho_n.matrix], code_proj, [pi_ab]
-    )
-    rho_bar = eacode.average_codeword_state(rho_n, decomp)
-    D = typicality.measure_code_constant(rho_bar.matrix, code_proj)
+    r_b = projectors.apply("B", r)
+    b = projectors.joint_basis
+    overlap = b.conj().T @ r
+    epsilon = 1.0 - min(1.0, _squared_norm(projectors.apply("A", r_b)),
+                        _squared_norm(overlap))
+    if overlap.shape[0] == 0:
+        inv_d = np.inf
+    elif overlap.shape[1] < overlap.shape[0]:
+        inv_d = 0.0
+    else:
+        inv_d = float(np.linalg.svd(overlap, compute_uv=False).min()) ** 2
+    d = (1.0 / inv_d) if (np.isfinite(inv_d) and inv_d > 0) else np.inf
+    pi_a = projectors.marginals["A"].matrix
+    top = max((
+        float(np.linalg.eigvalsh(y @ y.conj().T)[-1]) / cols.shape[1]
+        for cols, y in eacode.average_codeword_factors(r_b, decomp)
+        if _squared_norm(pi_a @ cols) > 0.5
+    ), default=0.0)
+    D = (1.0 / top) if top > 0 else np.inf
+    residual = math.sqrt(2.0) * float(
+        np.linalg.norm((r - b @ overlap) @ overlap.conj().T))
     return typicality.MeasuredConstants(epsilon, d, D, residual)
 
 
@@ -287,7 +330,8 @@ def ea_protocol_instance(channel: KrausChannel, phi: PureState, n: int,
     each word projector is the joint typical projector conjugated by that
     index's receiver-side encoder.  This enumerates S and so refuses index
     sets beyond ``INDEX_SET_CAP``; it is the brute-force reference for
-    :func:`ea_packing_constants` and the exhaustive codebook average.
+    :func:`ea_packing_constants`, for :func:`sequential_weights` and for
+    the exhaustive codebook average.  Every matrix is d x d.
     """
     decomp = eacode.type_decompose(phi, n)
     size = eacode.index_set_size(decomp)
@@ -296,7 +340,9 @@ def ea_protocol_instance(channel: KrausChannel, phi: PureState, n: int,
             f"index set has {size} elements, beyond the exhaustive cap "
             f"{INDEX_SET_CAP}"
         )
-    rho_n, code_proj, pi_ab = _ea_projectors(channel, decomp, delta)
+    p = sequential_projectors(channel, decomp, delta)
+    rho_n = eacode.channel_output_state(channel, decomp)
+    code_proj, pi_ab = p.embedded("A") @ p.embedded("B"), p.embedded("AB")
     sigma = {}
     words = {}
     for s in eacode.enumerate_indices(decomp):
@@ -309,13 +355,98 @@ def ea_packing_constants(channel: KrausChannel, phi: PureState, n: int,
     """Packing constants of the assisted code, uniform over the index set S.
 
     Equal to :func:`typicality.measure_packing_constants` over every
-    codeword of :func:`ea_protocol_instance`, but built from the encoders'
-    covariance at a cost that does not grow with |S|.
+    codeword of :func:`ea_protocol_instance`, but read off the channel
+    output factor R by the encoders' covariance (:func:`_factor_constants`)
+    at a cost that does not grow with |S|.  The commutator residual is a
+    Frobenius norm here, which bounds the max-norm that
+    :func:`typicality.measure_word_constants` reports.
     """
     decomp = eacode.type_decompose(phi, n)
-    return _covariant_constants(
-        decomp, *_ea_projectors(channel, decomp, delta)
-    )
+    return _factor_constants(
+        eacode.channel_output_factor(channel, decomp), decomp,
+        sequential_projectors(channel, decomp, delta))
+
+
+def _block_weights(y: np.ndarray, count: int) -> np.ndarray:
+    """|Y_j|_F^2 of each of ``count`` equal column blocks Y_j of ``y``."""
+    return (y.conj() * y).real.reshape(y.shape[0], count, -1).sum(axis=(0, 2))
+
+
+def _check_traces(sent, traces) -> None:
+    """Tr sigma_j = |V_j|^2 must be 1 for every sent codeword."""
+    for key, total in zip(sent, traces):
+        if abs(total - 1.0) > qmat.TRACE_TOL:
+            raise ValueError(f"codeword state {key} has trace {total}, not 1")
+
+
+def _abort_weights(sent, traces, decoded) -> np.ndarray:
+    """|V_j|^2 minus the decoded weight of each codeword, which is the weight
+    of the completion outcome and must be at least -1e-9."""
+    abort = traces - decoded
+    for key, weight in zip(sent, abort):
+        if weight < -qmat.POVM_TOL:
+            raise ValueError(
+                f"codeword {key} has abort weight {weight:.3e} < "
+                f"-{qmat.POVM_TOL}: the decoder's weights exceed its trace")
+    return abort
+
+
+def _word(encoder: qmat.Operator, projectors: typicality.ProjectorBundle):
+    """Y -> U Pi_joint U† Y, as W (W† Y) with W = U B on d x r columns."""
+    w = qmat.apply_local(encoder, projectors.joint_basis, projectors.space)
+    return lambda y: w @ (w.conj().T @ y)
+
+
+def _chain(y: np.ndarray, project, words):
+    """Yield Pi_k Y_k for the word projectors Pi_k (callables) in order.
+
+    Y_1 = ``y`` lies in the range of the code projector Pi (``project``),
+    and Y_{k+1} = Pi (Y_k - Pi_k Y_k) = Pi (I - Pi_k) Pi Y_k.  So with y =
+    Pi V, the k-th output is Pi_k Pi Qbar_{k-1} ... Qbar_1 V, whose squared
+    norm is the weight of the sequential POVM's k-th element on V V†.
+    """
+    for k, word in enumerate(words):
+        if k:
+            y = project(y - p)
+        p = word(y)
+        yield p
+
+
+def sequential_weights(factor: np.ndarray, encoders: Sequence,
+                       projectors: typicality.ProjectorBundle):
+    """Success and abort weights of one codebook, on the codeword factors.
+
+    ``encoders`` lists the receiver encoders U_k of the book's messages in
+    order and ``factor`` is R with rho_n = R R†, on ``projectors.space``
+    (:func:`sequential_projectors`).  Returns ``(success, abort)`` with
+    success[k] = Tr{Lambda_k sigma_k} and abort[k] =
+    Tr{(I - sum_m Lambda_m) sigma_k}, where Lambda is :func:`sequential_povm`
+    of the word projectors U_k Pi_AB U_k† inside the code projector
+    Pi_A Pi_B and sigma_k = V_k V_k†, V_k = U_k R.
+
+    Stack V = [V_1 ... V_K] and set Y = Pi V; row k of the table is the
+    block norms of Pi_{x_k} Y, and then Y <- Pi (Y - Pi_{x_k} Y)
+    (:func:`_chain`).  Only the diagonal and the column sums are kept, so
+    memory is a few d x Kr blocks.  Tr sigma_k = |V_k|^2 must be 1 and every
+    abort weight at least -1e-9.
+    """
+    space = projectors.space
+    count = len(encoders)
+    v = np.hstack([qmat.apply_local(u, factor, space) for u in encoders])
+    traces = _block_weights(v, count)
+    _check_traces(range(count), traces)
+
+    def code(y):
+        return projectors.apply("A", projectors.apply("B", y))
+
+    success = np.empty(count)
+    decoded = np.zeros(count)
+    words = (_word(u, projectors) for u in encoders)
+    for k, p in enumerate(_chain(code(v), code, words)):
+        weights = _block_weights(p, count)
+        success[k] = weights[k]
+        decoded += weights
+    return success, _abort_weights(range(count), traces, decoded)
 
 
 def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
@@ -323,39 +454,38 @@ def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
                            trials: int) -> SeqReport:
     """Run the entanglement-assisted sequential decoder end to end.
 
-    Samples ``trials`` codebooks, builds the sequential POVM from the
-    typical code/word projectors, evaluates the exact average success per
-    book, and reports the empirical mean together with the packing bound at
-    constants taken over the full index set (see
-    :func:`ea_packing_constants`).  Codeword states and word projectors are
-    built only for the indices the books draw.  Raises ``ValueError`` when
-    the code or word projector is empty at this ``delta``.
+    Samples ``trials`` codebooks, evaluates the exact average success of
+    the sequential decoder on each (:func:`sequential_weights`), and
+    reports the empirical mean together with the packing bound at constants
+    taken over the full index set (:func:`ea_packing_constants`).  Everything
+    is read off the channel output factor R; neither rho_n nor a codeword
+    state nor a POVM element is formed.  Encoders are built only for the
+    indices the books draw, each once.  Raises ``ValueError`` when the
+    code or word projector is empty at this ``delta``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     decomp = eacode.type_decompose(phi, n)
-    rho_n, code_proj, pi_ab = _ea_projectors(channel, decomp, delta)
-    typicality.require_nonempty(
-        {"code": np.trace(code_proj).real, "word": np.trace(pi_ab).real}, delta)
-    measured = _covariant_constants(decomp, rho_n, code_proj, pi_ab)
-    eps = min(max(measured.epsilon, 1e-15), 1.0)
-    bound = packing_lower_bound(
-        PackingConstants(eps, measured.d, measured.D, message_count)
-    )
-    sigma = {}
-    words = {}
+    projectors = sequential_projectors(channel, decomp, delta)
+    typicality.require_nonempty({
+        "code": projectors.rank("A") * projectors.rank("B"),
+        "word": projectors.rank("AB"),
+    }, delta)
+    factor = eacode.channel_output_factor(channel, decomp)
+    measured = _factor_constants(factor, decomp, projectors)
+    bound = packing_lower_bound(PackingConstants(
+        min(max(measured.epsilon, 1e-15), 1.0), measured.d, measured.D,
+        message_count))
+    encoders = {}
     successes = []
     for t in range(trials):
         book = eacode.sample_code(decomp, message_count, seed + t)
         for s in book.entries:
-            if s not in sigma:
-                sigma[s], words[s] = _codeword(decomp, s, rho_n, pi_ab)
-        povm = sequential_povm(
-            list(book.entries), code_proj, words
-        )
-        successes.append(
-            exact_success_probability([sigma[s] for s in book.entries], povm)
-        )
+            if s not in encoders:
+                encoders[s] = eacode.receiver_encoder([(decomp, s)])
+        success, _ = sequential_weights(
+            factor, [encoders[s] for s in book.entries], projectors)
+        successes.append(float(success.mean()))
     arr = np.array(successes)
     stderr = float(arr.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return SeqReport(
@@ -376,6 +506,14 @@ def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
 # ---------------------------------------------------------------------------
 # two-stage (sequential and successive) decoding
 # ---------------------------------------------------------------------------
+
+def _exp(x: float) -> float:
+    """e^x, or infinity where that overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
 
 @dataclass(frozen=True, slots=True)
 class SuccessiveConstants:
@@ -402,7 +540,7 @@ class SuccessiveConstants:
             raise ValueError("successive constants must be positive")
         if not self.eps_prime >= 0:
             raise ValueError("eps_prime must be nonnegative")
-        required = math.exp(self.d1_minus * self.L / self.D1) - 1.0
+        required = _exp(self.d1_minus * self.L / self.D1) - 1.0
         if self.eps_prime < required - 1e-12:
             raise ValueError(
                 f"eps_prime {self.eps_prime} below the consistent minimum "
@@ -411,8 +549,9 @@ class SuccessiveConstants:
 
     @classmethod
     def from_measurements(cls, epsilon, d1_minus, d1_plus, d2, D1, L, M):
-        """Pick the smallest consistent eps_prime."""
-        eps_prime = max(0.0, math.exp(d1_minus * L / D1) - 1.0)
+        """Pick the smallest consistent eps_prime (infinite when e^{d1_minus
+        L / D1} overflows)."""
+        eps_prime = max(0.0, _exp(d1_minus * L / D1) - 1.0)
         return cls(epsilon, eps_prime, d1_minus, d1_plus, d2, D1, L, M)
 
 
@@ -429,9 +568,12 @@ def successive_bound(c: SuccessiveConstants) -> SuccessiveBound:
     """|(1-2eps)(2 - e^{d2 M / d1_plus})|^2 - 2 sqrt(2 (eps + eps')).
 
     The raw value may be negative at desk scale; the clamped value floors
-    it at zero.
+    it at zero.  As in :func:`packing_lower_bound`, the bracket is not
+    positive once d2 M / d1_plus >= ln 2, where the exponential is not
+    evaluated.
     """
-    bracket = 2.0 - math.exp(c.d2 * c.M / c.d1_plus)
+    x = c.d2 * c.M / c.d1_plus
+    bracket = 2.0 - math.exp(x) if x < LN2 else 0.0
     positive = bracket > 0.0 and c.epsilon <= 0.5
     main = abs((1.0 - 2.0 * c.epsilon) * bracket) ** 2 if bracket > 0 else 0.0
     raw = main - 2.0 * math.sqrt(2.0 * (c.epsilon + c.eps_prime))

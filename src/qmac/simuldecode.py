@@ -16,17 +16,20 @@ each detection operator is Upsilon_k = W_k W_k† with W_k only d x r, where
 r is the rank of the joint typical projector Pi_ABC = B B†, and the
 square-root measurement of the W_k is that of Hausladen, Jozsa,
 Schumacher, Westmoreland and Wootters (PRA 54, 1869, 1996), taken on the
-Gram matrix G = W†W or on S = W W†, whichever is smaller.  No d x d matrix
-is formed.  The dense path (:func:`build_upsilon`,
-:func:`sqrt_measurement`, :func:`simultaneous_povm` and
-:func:`overlap_table`) stays as its oracle, and it is the path of the
-successive decoder and of the coherent decoder.
+Gram matrix G = W†W or on S = W W†, whichever is smaller.  The successive
+decoder's POVM is a product of projectors, so its table
+(:func:`successive_table`) propagates the codeword factors through those
+projectors.  Neither forms a d x d matrix.  The dense path
+(:func:`build_upsilon`, :func:`sqrt_measurement`,
+:func:`simultaneous_povm`, :func:`ea_successive_povm` and
+:func:`overlap_table`) stays as their oracle, and it is the path of the
+coherent decoder.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -36,13 +39,13 @@ from .qmat import KrausChannel, PovmSet
 
 __all__ = [
     "MacCodePair",
-    "MacProjectors",
     "mac_typical_projectors",
     "build_upsilon",
     "sqrt_measurement",
     "simultaneous_povm",
     "overlap_table",
     "gram_table",
+    "successive_table",
     "error_figures",
     "error_breakdown",
     "hayashi_nagaoka_check",
@@ -102,95 +105,31 @@ def randomize_code(pair: MacCodePair, s_shift: int, t_shift: int) -> MacCodePair
     )
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class MacProjectors:
+def mac_typical_projectors(channel: KrausChannel, decomp1, decomp2,
+                           delta: float) -> typicality.ProjectorBundle:
     """The six typical projectors of a two-sender channel output, kept small.
 
-    ``space`` is the full (A..., B..., C...) space.  ``marginals`` maps "A",
-    "B", "C", "AB" and "AC" to each typical projector as an
-    :class:`~qmac.qmat.Operator` on its own n-copy factors, in the factor
-    order of ``space``; ``joint_basis`` holds orthonormal columns B of the
-    joint projector Pi_ABC = B B† (``space.dim`` x r).  The Gram-form decoder
-    applies them to d x r blocks; :meth:`embedded` builds the d x d matrices
-    that the dense oracle and the successive decoder read.
+    On the full (A..., B..., C...) space, "A", "B", "C", "AB" and "AC" stay
+    operators on their own n-copy factors and the joint "ABC" is kept as its
+    basis (:class:`~qmac.typicality.ProjectorBundle`), so no d x d matrix is
+    formed.  Raises ``ValueError`` when one of them is empty at this
+    ``delta``.
     """
-
-    space: qmat.FactorSpace
-    marginals: dict
-    joint_basis: np.ndarray
-    # d x d matrices, each built on first use by embedded()
-    _dense: dict = field(default_factory=dict, init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "marginals", dict(self.marginals))
-        object.__setattr__(self, "joint_basis", qmat.frozen_copy(self.joint_basis))
-
-    def embedded(self, name: str) -> np.ndarray:
-        """Projector ``name`` ("A", "B", "C", "AB", "AC" or "ABC") as a d x d
-        matrix on ``space``, or "wing", the product (Pi_B Pi_AC)(Pi_C Pi_AB);
-        each built once."""
-        if name not in self._dense:
-            if name == "ABC":
-                mat = self.joint_basis @ self.joint_basis.conj().T
-            elif name == "wing":
-                pi = self.embedded
-                mat = (pi("B") @ pi("AC")) @ (pi("C") @ pi("AB"))
-            else:
-                mat = qmat.embed(self.marginals[name], self.space).matrix
-            self._dense[name] = qmat.frozen_copy(mat)
-        return self._dense[name]
-
-    def apply(self, name: str, mat: np.ndarray) -> np.ndarray:
-        """(Pi_name (x) I) @ mat for a marginal, on d x c blocks.
-
-        A, B, C and AB are contiguous runs of factors and act in place; the
-        B shares split AC, so the rows move to (B..., A..., C...) and back.
-        """
-        op = self.marginals[name]
-        labels = op.space.labels
-        start = self.space.axis(labels[0])
-        if self.space.labels[start:start + len(labels)] == labels:
-            return qmat.apply_local(op, mat, self.space)
-        moved = self.space.subspace(
-            [l for l in self.space.labels if l not in labels] + list(labels))
-        out = qmat.apply_local(
-            op, qmat.permute_rows(mat, self.space, moved.labels), moved)
-        return qmat.permute_rows(out, moved, self.space.labels)
-
-
-def mac_typical_projectors(channel: KrausChannel, decomp1, decomp2,
-                           delta: float) -> MacProjectors:
-    """Build the six typical projectors of the channel output and bundle them.
-
-    Each stays on its own n-copy factors, and the joint one as its basis,
-    so no d x d matrix is formed.  Raises ``ValueError`` when one of them is
-    empty at this ``delta``.
-    """
-    full = eacode.channel_output_space(channel, decomp1, decomp2)
     a, b = decomp1.receiver_label, decomp2.receiver_label
     c = channel.out_space.labels
-    rho = info.ea_code_state(channel, decomp1.phi, decomp2.phi)
-    typical = {
-        name: typicality.typical_projector(
-            qmat.partial_trace(rho, labels), decomp1.n, delta)
-        for name, labels in (("A", (a,)), ("B", (b,)), ("C", c),
-                             ("AB", (a, b)), ("AC", (a,) + c),
-                             ("ABC", (a, b) + c))
-    }
+    labels = {"A": (a,), "B": (b,), "C": c, "AB": (a, b), "AC": (a,) + c,
+              "ABC": (a, b) + c}
+    projectors = typicality.projector_bundle(
+        info.ea_code_state(channel, decomp1.phi, decomp2.phi), decomp1.n,
+        delta, labels, "ABC",
+        eacode.channel_output_space(channel, decomp1, decomp2))
     typicality.require_nonempty(
-        {name: tp.rank for name, tp in typical.items()}, delta)
-    joint = typical.pop("ABC")
-    marginals = {
-        name: qmat.permute(qmat.Operator(tp.space, tp.projector),
-                           [l for l in full.labels if l in tp.space.labels])
-        for name, tp in typical.items()
-    }
-    return MacProjectors(
-        full, marginals, qmat.permute_rows(joint.basis, joint.space, full.labels))
+        {name: projectors.rank(name) for name in labels}, delta)
+    return projectors
 
 
 def build_upsilon(pair: MacCodePair, l: int, m: int,
-                  projectors: MacProjectors) -> np.ndarray:
+                  projectors: typicality.ProjectorBundle) -> np.ndarray:
     """Detection operator for message pair (l, m), as a dense d x d matrix.
 
     U^T_1 wing† U^T_2 Pi_ABC U^*_2 wing U^*_1 with the wing
@@ -201,7 +140,8 @@ def build_upsilon(pair: MacCodePair, l: int, m: int,
     full = projectors.space
     u1 = eacode.receiver_encoder([(pair.book1.decomp, pair.book1[l])])
     u2 = eacode.receiver_encoder([(pair.book2.decomp, pair.book2[m])])
-    wing = projectors.embedded("wing")
+    pi = projectors.embedded
+    wing = (pi("B") @ pi("AC")) @ (pi("C") @ pi("AB"))
     inner = qmat.conjugate_local(u2, projectors.embedded("ABC"), full)
     core = qmat.conjugate_local(u1, wing.conj().T @ inner @ wing, full)
     return (core + core.conj().T) / 2.0
@@ -256,7 +196,8 @@ def sqrt_measurement(upsilons: Mapping) -> PovmSet:
     return PovmSet(space, elements)
 
 
-def simultaneous_povm(pair: MacCodePair, projectors: MacProjectors) -> PovmSet:
+def simultaneous_povm(pair: MacCodePair,
+                      projectors: typicality.ProjectorBundle) -> PovmSet:
     """Square-root measurement over all (l, m) detection operators, dense.
 
     The oracle of :func:`gram_table`, for callers that need the POVM itself.
@@ -282,11 +223,14 @@ def _codeword_factors(channel: KrausChannel, pair: MacCodePair):
         yield qmat.apply_local(u, r, space)
 
 
-def _check_traces(sent, traces) -> None:
-    """Tr sigma_j = |V_j|^2 must be 1 for every sent pair."""
-    for key, total in zip(sent, traces):
-        if abs(total - 1.0) > qmat.TRACE_TOL:
-            raise ValueError(f"codeword state {key} has trace {total}, not 1")
+def _stacked_codewords(channel: KrausChannel, pair: MacCodePair):
+    """(sent, V, traces): the pairs (l, m), l-major, V = [V_11 ... V_LM] and
+    Tr sigma_lm = |V_lm|^2, each checked to be 1."""
+    sent = list(itertools.product(range(pair.L), range(pair.M)))
+    v = np.hstack(list(_codeword_factors(channel, pair)))
+    traces = seqdecode._block_weights(v, len(sent))
+    seqdecode._check_traces(sent, traces)
+    return sent, v, traces
 
 
 def overlap_table(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
@@ -307,12 +251,12 @@ def overlap_table(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
         (v.conj() * (op @ v)).real.reshape(blocks).sum(axis=(0, 2))
         for op in [povm[k] for k in sent] + [povm.completion()]
     ])
-    _check_traces(sent, table.sum(axis=0))
+    seqdecode._check_traces(sent, table.sum(axis=0))
     return table
 
 
-def _detection_factors(pair: MacCodePair, projectors: MacProjectors
-                       ) -> np.ndarray:
+def _detection_factors(pair: MacCodePair,
+                       projectors: typicality.ProjectorBundle) -> np.ndarray:
     """W = [W_lm], l-major, with Upsilon_lm = W_lm W_lm† (d x LMr).
 
     W_lm = U^T_1(s_l) wing† U^T_2(t_m) B, where Pi_ABC = B B† and
@@ -334,7 +278,7 @@ def _detection_factors(pair: MacCodePair, projectors: MacProjectors
 
 
 def gram_table(channel: KrausChannel, pair: MacCodePair,
-               projectors: MacProjectors) -> np.ndarray:
+               projectors: typicality.ProjectorBundle) -> np.ndarray:
     """The simultaneous decoder's table [T; abort] in Gram form.
 
     Equal to ``overlap_table(channel, pair, simultaneous_povm(pair,
@@ -348,12 +292,10 @@ def gram_table(channel: KrausChannel, pair: MacCodePair,
 
     The checks of :func:`sqrt_measurement` move to the smaller space: G
     (or S) must be PSD within 1e-9, G^{+1/2} G G^{+1/2} must equal its
-    support projector within 1e-8, and |V_j|^2 must be 1.
+    support projector within 1e-8, |V_j|^2 must be 1 and every abort
+    weight at least -1e-9.
     """
-    sent = list(itertools.product(range(pair.L), range(pair.M)))
-    v = np.hstack(list(_codeword_factors(channel, pair)))
-    traces = (v.conj() * v).real.reshape(v.shape[0], len(sent), -1).sum(axis=(0, 2))
-    _check_traces(sent, traces)
+    sent, v, traces = _stacked_codewords(channel, pair)
     w = _detection_factors(pair, projectors)
     wh = w.conj().T
     gram_side = w.shape[1] <= w.shape[0]
@@ -363,7 +305,57 @@ def gram_table(channel: KrausChannel, pair: MacCodePair,
     x = inv_root @ (wh @ v) if gram_side else wh @ (inv_root @ v)
     weights = (x.conj() * x).real.reshape(
         len(sent), w.shape[1] // len(sent), len(sent), -1).sum(axis=(1, 3))
-    return np.vstack([weights, traces - weights.sum(axis=0)])
+    return np.vstack([
+        weights, seqdecode._abort_weights(sent, traces, weights.sum(axis=0))])
+
+
+def successive_table(channel: KrausChannel, pair: MacCodePair,
+                     projectors: typicality.ProjectorBundle) -> np.ndarray:
+    """The successive decoder's table [T; abort] on the codeword factors.
+
+    Equal to ``overlap_table(channel, pair, ea_successive_povm(pair,
+    projectors))`` without forming a d x d matrix.  That POVM is
+    :func:`seqdecode.successive_povm` with the code projector
+    Pi = Pi_A Pi_B Pi_C, Alice's words Pi_x(s) = U_1(s) Pi_AC U_1(s)† Pi_B and
+    the pair words Pi_xy(s, t) = U(s, t) Pi_ABC U(s, t)†.  Its element
+    (l, m) is M†M with M = Pi_xy(s_l, t_m) Pi_x(s_l) times the products of
+    the earlier tests, so T[(l, m), j] is the squared norm of M V_j.  Stack
+    V = [V_11 ... V_LM]; for each l, Bob's stage runs the sequential chain
+    (:func:`seqdecode._chain`) inside Pi_x(s_l) from Pi_x(s_l) Y, and then
+    Alice's stage moves on with Y <- Pi (I - Pi_x(s_l)) Pi Y, from Y = V.
+    |V_j|^2 must be 1 and every abort weight at least -1e-9.
+    """
+    sent, v, traces = _stacked_codewords(channel, pair)
+    space = projectors.space
+    d1, d2 = pair.book1.decomp, pair.book2.decomp
+
+    def code(y):
+        for name in ("C", "B", "A"):
+            y = projectors.apply(name, y)
+        return y
+
+    def alice(s):
+        u = eacode.receiver_encoder([(d1, s)])
+        u_dag = qmat.Operator(u.space, u.matrix.conj().T)
+        return lambda y: qmat.apply_local(u, projectors.apply(
+            "AC", qmat.apply_local(u_dag, projectors.apply("B", y), space)),
+            space)
+
+    rows = []
+    y = v
+    for l, s in enumerate(pair.book1.entries):
+        pi_x = alice(s)
+        words = (seqdecode._word(eacode.receiver_encoder([(d1, s), (d2, t)]),
+                                 projectors)
+                 for t in pair.book2.entries)
+        rows += [seqdecode._block_weights(p, len(sent))
+                 for p in seqdecode._chain(pi_x(y), pi_x, words)]
+        if l + 1 < pair.L:
+            y = code(y)
+            y = code(y - pi_x(y))
+    weights = np.array(rows)
+    return np.vstack([
+        weights, seqdecode._abort_weights(sent, traces, weights.sum(axis=0))])
 
 
 def _figures(pair: MacCodePair, table: np.ndarray) -> dict:
@@ -525,7 +517,8 @@ def coherent_fidelity(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
     return total / len(sent)
 
 
-def ea_successive_povm(pair: MacCodePair, projectors: MacProjectors) -> PovmSet:
+def ea_successive_povm(pair: MacCodePair,
+                       projectors: typicality.ProjectorBundle) -> PovmSet:
     """Two-stage decoder instantiated with the typical-projector families.
 
     Code subspace: the product of the three single-system projectors.
@@ -555,8 +548,9 @@ def run_mac_experiment(channel: KrausChannel, pair: MacCodePair, mode: str,
     """Decode with the requested decoder and report its exact error figures.
 
     The simultaneous decoder is read in Gram form (:func:`gram_table`) and
-    forms no d x d matrix; the successive decoder builds its dense POVM.
-    Callers that need the POVM build it with :func:`simultaneous_povm` or
+    the successive decoder on the codeword factors
+    (:func:`successive_table`); neither forms a d x d matrix.  Callers that
+    need the POVM build it with :func:`simultaneous_povm` or
     :func:`ea_successive_povm`.  ``epsilon_measured`` is the worst pairwise
     miss 1 - min Tr{Lambda sigma} over message pairs, so both the average
     success and the coherent fidelity clear 1 - epsilon_measured.
@@ -565,12 +559,8 @@ def run_mac_experiment(channel: KrausChannel, pair: MacCodePair, mode: str,
         raise ValueError(f"unknown decoder mode {mode!r}")
     d1, d2 = pair.book1.decomp, pair.book2.decomp
     projectors = mac_typical_projectors(channel, d1, d2, delta)
-    if mode == "simultaneous":
-        table = gram_table(channel, pair, projectors)
-    else:
-        povm = ea_successive_povm(pair, projectors)
-        del projectors  # its d x d matrices go before evaluation
-        table = overlap_table(channel, pair, povm)
+    decoder = gram_table if mode == "simultaneous" else successive_table
+    table = decoder(channel, pair, projectors)
     return MacReport(n=d1.n, L=pair.L, M=pair.M, seeds=pair.seeds,
                      mode=mode, **_figures(pair, table))
 

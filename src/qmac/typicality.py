@@ -21,18 +21,22 @@ from .qmat import DimensionCapError
 __all__ = [
     "TypeClass",
     "TypicalProjector",
+    "ProjectorBundle",
     "MeasuredConstants",
     "enumerate_types",
     "type_sequences",
     "type_basis",
     "type_class_projector",
     "typical_projector",
+    "projector_bundle",
     "embedded_typical_projectors",
     "require_nonempty",
     "measure_word_constants",
     "measure_code_constant",
     "measure_packing_constants",
 ]
+
+PROJECTOR_TOL = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,6 +250,107 @@ def typical_projector(rho: qmat.DensityOperator, n: int, delta: float
         basis = np.zeros((space.dim, 0), dtype=complex)
         lam_max = lam_min = float("nan")
     return TypicalProjector(space, basis, entropy, weight, lam_max, lam_min)
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class ProjectorBundle:
+    """The typical projectors of one n-copy space, each kept small.
+
+    ``marginals`` maps a name to a projector as an
+    :class:`~qmac.qmat.Operator` on its own n-copy factors, in the factor
+    order of ``space``.  The projector named ``joint`` acts on every factor
+    of ``space`` and is kept as orthonormal columns B, Pi = B B†
+    (``joint_basis``, ``space.dim`` x r).  The factored decoders apply them
+    to d x c blocks; :meth:`embedded` builds the d x d matrices that the
+    dense oracles read.  Each marginal must be a Hermitian idempotent and B
+    must have orthonormal columns, within 1e-9.
+    """
+
+    space: qmat.FactorSpace
+    marginals: dict
+    joint: str
+    joint_basis: np.ndarray
+    # d x d matrices, each built on first use by embedded()
+    _dense: dict = field(default_factory=dict, init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "marginals", dict(self.marginals))
+        object.__setattr__(self, "joint_basis", qmat.frozen_copy(self.joint_basis))
+        for name, op in self.marginals.items():
+            p = op.matrix
+            defect = max(float(np.max(np.abs(p - p.conj().T))),
+                         float(np.max(np.abs(p @ p - p))))
+            if defect > PROJECTOR_TOL:
+                raise ValueError(
+                    f"projector {name!r} is not a Hermitian idempotent "
+                    f"(defect {defect:.3e} > {PROJECTOR_TOL})")
+        b = self.joint_basis
+        defect = float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1])),
+                              initial=0.0))
+        if defect > PROJECTOR_TOL:
+            raise ValueError(
+                f"basis of projector {self.joint!r} is not orthonormal "
+                f"(defect {defect:.3e} > {PROJECTOR_TOL})")
+
+    def rank(self, name: str) -> int:
+        """Rank of projector ``name``, which is its trace."""
+        if name == self.joint:
+            return self.joint_basis.shape[1]
+        return round(self.marginals[name].trace.real)
+
+    def embedded(self, name: str) -> np.ndarray:
+        """Projector ``name`` as a d x d matrix on ``space``, built once."""
+        if name not in self._dense:
+            if name == self.joint:
+                mat = self.joint_basis @ self.joint_basis.conj().T
+            else:
+                mat = qmat.embed(self.marginals[name], self.space).matrix
+            self._dense[name] = qmat.frozen_copy(mat)
+        return self._dense[name]
+
+    def apply(self, name: str, mat: np.ndarray) -> np.ndarray:
+        """(Pi_name (x) I) @ mat for a marginal, on d x c blocks.
+
+        A marginal on a contiguous run of factors acts in place; one whose
+        factors are split by others (the MAC's AC, split by the B shares)
+        moves the rows to (others..., own...) and back.
+        """
+        op = self.marginals[name]
+        labels = op.space.labels
+        start = self.space.axis(labels[0])
+        if self.space.labels[start:start + len(labels)] == labels:
+            return qmat.apply_local(op, mat, self.space)
+        moved = self.space.subspace(
+            [l for l in self.space.labels if l not in labels] + list(labels))
+        out = qmat.apply_local(
+            op, qmat.permute_rows(mat, self.space, moved.labels), moved)
+        return qmat.permute_rows(out, moved, self.space.labels)
+
+
+def projector_bundle(rho: qmat.DensityOperator, n: int, delta: float,
+                     marginals: dict, joint: str, space: qmat.FactorSpace
+                     ) -> ProjectorBundle:
+    """Typical projectors of marginals of ``rho``, on the n-copy ``space``.
+
+    ``rho`` is a single-copy state and ``marginals`` maps a name to the
+    labels of ``rho`` that the marginal keeps (label X covers X1..Xn of
+    ``space``).  The one named ``joint`` must keep every label; it becomes
+    the bundle's basis and the others operators on their own factors, so
+    no d x d matrix is formed.  An empty projector is not an error here.
+    """
+    typical = {
+        name: typical_projector(qmat.partial_trace(rho, labels), n, delta)
+        for name, labels in marginals.items()
+    }
+    whole = typical.pop(joint)
+    return ProjectorBundle(
+        space,
+        {name: qmat.permute(qmat.Operator(tp.space, tp.projector),
+                            [l for l in space.labels if l in tp.space.labels])
+         for name, tp in typical.items()},
+        joint,
+        qmat.permute_rows(whole.basis, whole.space, space.labels),
+    )
 
 
 def embedded_typical_projectors(rho: qmat.DensityOperator, n: int,

@@ -50,6 +50,84 @@ GOLDEN_SEQ_N3_SEED0 = """\
 """
 
 
+# The successive decoder pinned byte for byte.  The dense POVM printed each
+# of these identically, except that the abort term of the cnot-mac n = 2
+# run, an exact zero, printed 0.0 there and its rounding residual here.  The
+# adder-mac n = 3 run is the dense POVM's output, which took 38 s and 1.8 GB.
+GOLDEN_SUCCESSIVE = {
+    ("--channel", "cnot-mac", "--n", "2", "--L", "2", "--M", "3",
+     "--seed", "5"): """\
+{
+  "n": 2,
+  "L": 2,
+  "M": 3,
+  "mode": "successive",
+  "avg_error": 0.75,
+  "max_error_randomized": 0.75,
+  "epsilon_measured": 1.0,
+  "seeds": [
+    10,
+    11
+  ],
+  "error_terms": {
+    "wrong_alice": 0.0833333333333,
+    "wrong_bob": 0.5,
+    "wrong_both": 0.166666666667,
+    "abort": -2.22044604925e-16,
+    "total": 0.75
+  },
+  "trials": 1
+}
+""",
+    ("--channel", "adder-mac", "--n", "1", "--L", "3", "--M", "2",
+     "--delta", "1.5", "--seed", "5"): """\
+{
+  "n": 1,
+  "L": 3,
+  "M": 2,
+  "mode": "successive",
+  "avg_error": 0.833333333333,
+  "max_error_randomized": 0.833333333333,
+  "epsilon_measured": 1.0,
+  "seeds": [
+    10,
+    11
+  ],
+  "error_terms": {
+    "wrong_alice": 0.333333333333,
+    "wrong_bob": 0.166666666667,
+    "wrong_both": 0.333333333333,
+    "abort": 0.0,
+    "total": 0.833333333333
+  },
+  "trials": 1
+}
+""",
+    ("--channel", "adder-mac", "--n", "3", "--L", "2", "--M", "2"): """\
+{
+  "n": 3,
+  "L": 2,
+  "M": 2,
+  "mode": "successive",
+  "avg_error": 0.5625,
+  "max_error_randomized": 0.5625,
+  "epsilon_measured": 0.90625,
+  "seeds": [
+    0,
+    1
+  ],
+  "error_terms": {
+    "wrong_alice": 0.21484375,
+    "wrong_bob": 0.203125,
+    "wrong_both": 0.109375,
+    "abort": 0.03515625,
+    "total": 0.5625
+  },
+  "trials": 1
+}
+""",
+}
+
 # Region commands pinned byte for byte: each output must equal
 # json.dumps(figures, indent=2) plus a newline, the figures printed at 12
 # significant digits.  Together they cover the pentagon vertices (five-,
@@ -423,6 +501,15 @@ class TestSimulateSeq:
         assert code == 0
         assert out == GOLDEN_SEQ_N3_SEED0
 
+    def test_bound_exponent_overflow(self, capsys):
+        # d |M| / D = 750, where e^x overflows a float: the bound is 0
+        code, out, _ = run(capsys, "simulate-seq", "--channel", "identity:2",
+                           "--messages", "1500", "--trials", "1")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["d"] * obj["message_count"] / obj["D"] == 750
+        assert obj["bound"] == 0.0 and obj["bound_condition_holds"] is False
+
     def test_n4_beyond_index_set_cap(self, capsys):
         # |S| = 294912 on d = 256: the protocol never enumerates S
         code, out, _ = run(capsys, "simulate-seq", "--channel",
@@ -517,6 +604,15 @@ class TestSimulateMac:
         # real abort weight would not fit under this bound
         assert abs(json.loads(out)["error_terms"]["abort"]) <= 1e-14
 
+    @pytest.mark.parametrize("argv", list(GOLDEN_SUCCESSIVE), ids=" ".join)
+    def test_golden_successive_output(self, capsys, argv):
+        code, out, _ = run(capsys, "simulate-mac", "--mode", "successive",
+                           *argv)
+        assert code == 0
+        assert out == GOLDEN_SUCCESSIVE[argv]
+        # an abort weight is at least a rounding residual below zero
+        assert json.loads(out)["error_terms"]["abort"] >= -1e-14
+
     def test_trials_average(self, capsys):
         base = ("simulate-mac", "--channel", "cnot-mac", "--n", "1",
                 "--L", "2", "--M", "2", "--mode", "simultaneous")
@@ -572,3 +668,6 @@ class TestCheck:
         assert "[FAIL]" not in out
         assert out.count("[PASS]") >= 8
         assert "[PASS] Gram-form table equals the dense POVM's table" in out
+        for decoder in ("sequential", "successive"):
+            assert (f"[PASS] factored {decoder} table equals the dense "
+                    f"{decoder} POVM's") in out

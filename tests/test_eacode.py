@@ -364,6 +364,12 @@ class TestAverageCodewordState:
         avg = eacode.average_codeword_state(rho, dec)
         assert avg.space == rho.space
         assert np.max(np.abs(avg.matrix - acc / count)) < 1e-12
+        # the same blocks on the factor R
+        factored = sum(
+            np.kron(cols @ cols.conj().T / cols.shape[1], y @ y.conj().T)
+            for cols, y in eacode.average_codeword_factors(
+                eacode.channel_output_factor(ch, dec), dec))
+        assert np.max(np.abs(factored - acc / count)) < 1e-12
 
     def test_receiver_share_must_lead(self):
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 1)

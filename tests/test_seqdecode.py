@@ -171,6 +171,15 @@ class TestPackingBound:
         with pytest.raises(ValueError):
             PackingConstants(0.1, -1.0, 1.0, 2)
 
+    def test_huge_exponent_gives_zero_without_overflow(self):
+        # d|M|/D = 1e6: e^x overflows a float, and the bracket is negative
+        # from x = ln 2 on
+        b = seqdecode.packing_lower_bound(PackingConstants(0.1, 1e6, 1.0, 1))
+        assert b.value == 0.0 and not b.condition_holds
+        b = seqdecode.packing_lower_bound(
+            PackingConstants(0.1, 1.0, 1.0 / math.log(2), 1))
+        assert b.value == 0.0 and not b.condition_holds
+
 
 class TestPackingDiagnostics:
     def test_orthogonal_closed_form(self):
@@ -278,6 +287,10 @@ class TestCovariantPackingConstants:
         ("amplitude-damping:0.3", schmidt_state([0.7, 0.3]), 2, 0.01),
         # |S| = 4096 over 81 dimensions
         ("identity:3", bell_state(dim=3), 2, 1.0),
+        ("identity:2", bell_state(), 1, 1.0),
+        ("identity:2", schmidt_state([0.7, 0.3]), 2, 1.0),
+        ("depolarizing:0.2", schmidt_state([0.8, 0.2]), 1, 1.0),
+        ("amplitude-damping:0.3", schmidt_state([0.8, 0.2]), 2, 1.0),
     ]
 
     @pytest.mark.parametrize("spec,phi,n,delta", INSTANCES)
@@ -295,6 +308,31 @@ class TestCovariantPackingConstants:
         assert abs(cov.epsilon - brute.epsilon) <= 1e-12
         assert _same_constant(cov.d, brute.d, 1e-12)
         assert _same_constant(cov.D, brute.D, 1e-12)
+
+    @pytest.mark.parametrize("spec,weights,delta", [
+        ("amplitude-damping:0.3", [0.7, 0.3], 1.0),
+        ("depolarizing:0.2", None, 1.0),
+        ("identity:2", [0.8, 0.2], 0.5),
+    ], ids=str)
+    def test_matches_dense_covariant_path_at_n3(self, spec, weights, delta):
+        # oracle: the constants of s = 0 on the dense rho_n and Pi_AB, and D
+        # on the dense closed-form average state (|S| = 1296 at n = 3)
+        ch = qmat.named_channel(spec)
+        phi = bell_state() if weights is None else schmidt_state(weights)
+        decomp = eacode.type_decompose(phi, 3)
+        p = seqdecode.sequential_projectors(ch, decomp, delta)
+        rho = eacode.channel_output_state(ch, decomp)
+        code_proj = p.embedded("A") @ p.embedded("B")
+        eps, d, residual = typicality.measure_word_constants(
+            [rho.matrix], code_proj, [p.embedded("AB")])
+        D = typicality.measure_code_constant(
+            eacode.average_codeword_state(rho, decomp).matrix, code_proj)
+        cov = seqdecode.ea_packing_constants(ch, phi, 3, delta)
+        assert abs(cov.epsilon - eps) <= 1e-12
+        assert _same_constant(cov.d, d, 1e-12)
+        assert _same_constant(cov.D, D, 1e-12)
+        # a Frobenius norm, which bounds the max-norm
+        assert residual - 1e-15 <= cov.commutator_residual < 1e-12
 
     def test_protocol_reports_covariant_constants(self):
         ch = qmat.named_channel("amplitude-damping:0.3")
@@ -386,6 +424,19 @@ class TestSuccessive:
         c = SuccessiveConstants.from_measurements(0.1, 1.0, 2.0, 1.0, 10.0, 2, 2)
         assert np.isclose(c.eps_prime, math.exp(2 / 10) - 1)
 
+    def test_huge_exponents_without_overflow(self):
+        # d1- L / D1 = 1e6 makes the consistent eps' infinite; d2 M / d1+ =
+        # 1e6 makes the bracket negative, so the bound is 0
+        c = SuccessiveConstants.from_measurements(
+            0.1, d1_minus=1e6, d1_plus=1.0, d2=1e6, D1=1.0, L=1, M=1)
+        assert c.eps_prime == math.inf
+        b = seqdecode.successive_bound(c)
+        assert b.value == 0.0 and not b.condition_holds
+        c = SuccessiveConstants.from_measurements(
+            0.1, d1_minus=1.0, d1_plus=1.0, d2=1e6, D1=1e9, L=1, M=1)
+        b = seqdecode.successive_bound(c)
+        assert b.value == 0.0 and b.raw < 0 and not b.condition_holds
+
     def test_orthogonal_two_stage_decodes_perfectly(self):
         # Pi_x: rank-2 blocks; Pi_xy: basis states; codewords the basis states
         dim = 4
@@ -476,3 +527,103 @@ class TestParameterExponents:
     def test_numeric_consistency(self):
         e = seqdecode.unassisted_successive_exponents(3, 0.1, 1.5, 0.9, 0.4)
         assert np.isclose(e["D1"] - e["d1_minus"], 3 * ((1.5 - 0.9) - 0.2))
+
+
+def dense_weights(instance, entries):
+    """Oracle: (success, abort, mean success) of the dense sequential POVM
+    on the dense codeword states of ``ea_protocol_instance``."""
+    _, code_proj, sigma, words = instance
+    povm = seqdecode.sequential_povm(list(entries), code_proj, words)
+    states = [sigma[s] for s in entries]
+    table = np.array([[np.trace(op @ rho.matrix).real
+                       for op in (povm[k], povm.completion())]
+                      for k, rho in enumerate(states)])
+    return table[:, 0], table[:, 1], seqdecode.exact_success_probability(
+        states, povm)
+
+
+def factored_weights(channel, decomp, delta, entries):
+    return seqdecode.sequential_weights(
+        eacode.channel_output_factor(channel, decomp),
+        [eacode.receiver_encoder([(decomp, s)]) for s in entries],
+        seqdecode.sequential_projectors(channel, decomp, delta))
+
+
+SEQ_CHANNELS = ("identity:2", "depolarizing:0.2", "amplitude-damping:0.3")
+SCHMIDT = {"bell": None, "0.7,0.3": [0.7, 0.3], "0.8,0.2": [0.8, 0.2]}
+
+
+class TestSequentialWeights:
+    # every channel and Schmidt spectrum at n = 1, 2; one spectrum at n = 3,
+    # where the oracle builds all 1296 dense codewords
+    @pytest.mark.parametrize("spec,weights,n", [
+        (spec, w, n) for spec in SEQ_CHANNELS for w in SCHMIDT for n in (1, 2)
+    ] + [(spec, "0.7,0.3", 3) for spec in SEQ_CHANNELS])
+    def test_matches_dense_povm(self, spec, weights, n):
+        ch = qmat.named_channel(spec)
+        w = SCHMIDT[weights]
+        phi = bell_state() if w is None else schmidt_state(w)
+        instance = seqdecode.ea_protocol_instance(ch, phi, n, 1.0)
+        decomp = instance[0]
+        for seed, messages in ((0, 4), (7, 3), (11, 6)):
+            entries = eacode.sample_code(decomp, messages, seed).entries
+            success, abort = factored_weights(ch, decomp, 1.0, entries)
+            want_success, want_abort, mean = dense_weights(instance, entries)
+            assert np.max(np.abs(success - want_success)) < 1e-12
+            assert np.max(np.abs(abort - want_abort)) < 1e-12
+            assert abs(float(success.mean()) - mean) < 1e-12
+
+    def test_book_repeating_an_index(self):
+        # n = 1: |S| = 4, so nine messages repeat some index
+        ch = qmat.named_channel("depolarizing:0.2")
+        instance = seqdecode.ea_protocol_instance(
+            ch, schmidt_state([0.7, 0.3]), 1, 1.0)
+        decomp = instance[0]
+        entries = eacode.sample_code(decomp, 9, 3).entries
+        assert len(set(entries)) < len(entries)
+        success, abort = factored_weights(ch, decomp, 1.0, entries)
+        want_success, want_abort, _ = dense_weights(instance, entries)
+        assert np.max(np.abs(success - want_success)) < 1e-12
+        assert np.max(np.abs(abort - want_abort)) < 1e-12
+
+    def test_protocol_forms_no_dense_operator(self, monkeypatch):
+        # neither rho_n, a codeword state, an embedded projector nor a POVM
+        def refuse(*args, **kwargs):
+            raise AssertionError("the protocol formed a d x d matrix")
+
+        for module, name in ((seqdecode, "sequential_povm"),
+                             (seqdecode, "exact_success_probability"),
+                             (eacode, "channel_output_state"),
+                             (qmat, "embed")):
+            monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(typicality.ProjectorBundle, "embedded", refuse)
+        rep = seqdecode.ea_sequential_protocol(
+            qmat.named_channel("amplitude-damping:0.3"),
+            schmidt_state([0.7, 0.3]), 3, 4, 1.0, 0, 2)
+        assert 0.0 <= rep.success_mean <= 1.0
+
+    def test_codeword_trace_is_checked(self, monkeypatch):
+        factor = eacode.channel_output_factor
+        monkeypatch.setattr(eacode, "channel_output_factor",
+                            lambda *args: 1.001 * factor(*args))
+        with pytest.raises(ValueError, match="codeword state 0 has trace"):
+            seqdecode.ea_sequential_protocol(
+                qmat.named_channel("identity:2"), bell_state(), 1, 2, 1.0,
+                0, 1)
+
+    def test_abort_weight_is_checked(self, monkeypatch):
+        # a word map that doubles its output decodes more than the trace
+        word = seqdecode._word
+        monkeypatch.setattr(seqdecode, "_word", lambda *args: (
+            lambda y, f=word(*args): 2.0 * f(y)))
+        with pytest.raises(ValueError, match="abort weight"):
+            seqdecode.ea_sequential_protocol(
+                qmat.named_channel("identity:2"), bell_state(), 1, 2, 1.0,
+                0, 1)
+
+    def test_blocklength_five(self):
+        # the dense path measured 0.986686862179 here in about 70 s
+        rep = seqdecode.ea_sequential_protocol(
+            qmat.named_channel("identity:2"), bell_state(), 5, 4, 1.0, 0, 10)
+        assert abs(rep.success_mean - 0.986686862179) < 1e-12
+        assert (rep.d, rep.D) == (pytest.approx(1.0), pytest.approx(32.0))

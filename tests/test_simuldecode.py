@@ -1,11 +1,12 @@
 """Simultaneous decoding, the operator inequality, randomization, coherence."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from qmac import eacode, info, qmat, simuldecode, typicality
+from qmac import eacode, info, qmat, seqdecode, simuldecode, typicality
 from qmac.eacode import HwIndex
 from qmac.qmat import FactorSpace, PovmSet
 
@@ -78,9 +79,7 @@ class TestBuildUpsilon:
             qmat.named_channel("cnot-mac"), d1, d2, 1.0
         )
         dim = proj.space.dim
-        zeroed = simuldecode.MacProjectors(
-            proj.space, proj.marginals, np.zeros((dim, 0))
-        )
+        zeroed = dataclasses.replace(proj, joint_basis=np.zeros((dim, 0)))
         ups = simuldecode.build_upsilon(pair, 0, 0, zeroed)
         assert np.max(np.abs(ups)) < 1e-12
 
@@ -113,11 +112,11 @@ class TestBuildUpsilon:
         proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
         dim = proj.space.dim
         eye = np.eye(dim)
-        all_eye = simuldecode.MacProjectors(
-            proj.space,
-            {k: qmat.Operator(op.space, np.eye(op.space.dim))
-             for k, op in proj.marginals.items()},
-            eye,
+        all_eye = dataclasses.replace(
+            proj,
+            marginals={k: qmat.Operator(op.space, np.eye(op.space.dim))
+                       for k, op in proj.marginals.items()},
+            joint_basis=eye,
         )
         ups = simuldecode.build_upsilon(pair, 0, 0, all_eye)
         assert np.max(np.abs(ups - eye)) < 1e-10
@@ -646,4 +645,64 @@ class TestBlocklengthThree:
         ch, pair, _, _ = sample_pair("cnot-mac", None, 3, 2, 2, (0, 1))
         report = simuldecode.run_mac_experiment(ch, pair, "simultaneous", 1.0)
         assert abs(report.avg_error - 0.52734375) < 1e-12
+        assert abs(report.breakdown["total"] - report.avg_error) < 1e-12
+
+
+class TestSuccessiveTable:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name, weights, n, L, M", [
+        ("cnot-mac", None, 1, 3, 2),
+        ("adder-mac", [0.7, 0.3], 1, 2, 3),
+        ("cnot-mac", None, 1, 1, 3),
+        ("adder-mac", None, 1, 3, 1),
+        ("cnot-mac", [0.7, 0.3], 2, 2, 3),
+        ("adder-mac", None, 2, 3, 2),
+    ], ids=lambda v: "skewed" if v == [0.7, 0.3] else
+        "bell" if v is None else str(v))
+    def test_matches_dense_oracle(self, name, weights, n, L, M, seed):
+        # oracle: the dense successive POVM and its overlap table
+        ch, pair, d1, d2 = sample_pair(name, weights, n, L, M,
+                                       (2 * seed, 2 * seed + 1))
+        proj = simuldecode.mac_typical_projectors(
+            ch, d1, d2, 1.5 if name == "adder-mac" else 1.0)
+        want = simuldecode.overlap_table(
+            ch, pair, simuldecode.ea_successive_povm(pair, proj))
+        got = simuldecode.successive_table(ch, pair, proj)
+        assert got.shape == want.shape == (L * M + 1, L * M)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_run_forms_no_dense_operator(self, monkeypatch, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the successive run formed a d x d matrix")
+
+        for module, name in ((seqdecode, "successive_povm"),
+                             (simuldecode, "ea_successive_povm"),
+                             (simuldecode, "overlap_table"),
+                             (qmat, "embed")):
+            monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(typicality.ProjectorBundle, "embedded", refuse)
+        ch = qmat.named_channel("cnot-mac")
+        pair, _, _ = bell_pair_books(ch, n=n, seeds=(59, 60))
+        report = simuldecode.run_mac_experiment(ch, pair, "successive", 1.0)
+        assert abs(report.breakdown["total"] - report.avg_error) < 1e-12
+
+    def test_codeword_trace_is_checked(self, monkeypatch):
+        ch = qmat.named_channel("cnot-mac")
+        pair, _, _ = bell_pair_books(ch)
+        factor = eacode.channel_output_factor
+        monkeypatch.setattr(eacode, "channel_output_factor",
+                            lambda *args: 1.001 * factor(*args))
+        with pytest.raises(ValueError, match=r"codeword state \(0, 0\) has trace"):
+            simuldecode.run_mac_experiment(ch, pair, "successive", 1.0)
+
+    def test_cnot_mac_blocklength_three(self):
+        # d = 4096, where the dense POVM ran out of memory: the identities
+        # the table satisfies on its own
+        ch, pair, d1, d2 = sample_pair("cnot-mac", None, 3, 2, 2, (0, 1))
+        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
+        table = simuldecode.successive_table(ch, pair, proj)
+        assert np.max(np.abs(table.sum(axis=0) - 1.0)) < 1e-12
+        assert table.min() >= -1e-12
+        report = simuldecode.run_mac_experiment(ch, pair, "successive", 1.0)
         assert abs(report.breakdown["total"] - report.avg_error) < 1e-12

@@ -201,6 +201,43 @@ class TestTypicalProjector:
         assert tp.space.labels == ("B1", "B2")
 
 
+class TestProjectorBundle:
+    def bundle(self):
+        # a two-qubit state with a non-product spectrum, at n = 2
+        rng = np.random.default_rng(31)
+        rho = DensityOperator(FactorSpace(("A", "B"), (2, 2)),
+                              random_density(rng, 4))
+        space = FactorSpace(("A1", "A2", "B1", "B2"), (2,) * 4)
+        return rho, typicality.projector_bundle(
+            rho, 2, 0.6, {"A": ("A",), "B": ("B",), "AB": ("A", "B")}, "AB",
+            space)
+
+    def test_matches_embedded_projectors(self):
+        # oracle: the typical projectors embedded as d x d matrices
+        rho, p = self.bundle()
+        want = typicality.embedded_typical_projectors(
+            rho, 2, 0.6, {"A": ("A",), "B": ("B",), "AB": ("A", "B")}, p.space)
+        mats = np.random.default_rng(32).normal(size=(16, 3))
+        for name, mat in want.items():
+            assert np.max(np.abs(p.embedded(name) - mat)) < 1e-12
+            # the embedding multiplies the rank by the other factors' 4
+            assert 4 ** (name != "AB") * p.rank(name) == round(
+                np.trace(mat).real)
+            if name != "AB":
+                assert np.max(np.abs(p.apply(name, mats) - mat @ mats)) < 1e-12
+
+    def test_rejects_a_non_projector(self):
+        _, p = self.bundle()
+        half = qmat.Operator(p.marginals["A"].space,
+                             p.marginals["A"].matrix / 2)
+        with pytest.raises(ValueError, match="'A' is not a Hermitian idempotent"):
+            typicality.ProjectorBundle(p.space, {**p.marginals, "A": half},
+                                       p.joint, p.joint_basis)
+        with pytest.raises(ValueError, match="'AB' is not orthonormal"):
+            typicality.ProjectorBundle(p.space, p.marginals, p.joint,
+                                       1.1 * p.joint_basis)
+
+
 class TestMeasurePackingConstants:
     def test_orthogonal_pure_codewords(self):
         dim = 4
