@@ -44,6 +44,14 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"--delta must be a finite nonnegative number, got {delta}")
 
 
+def _check_seed(seed: int, keys: range) -> None:
+    """The codebook generator keys that --seed derives must lie in [0, 2^128)."""
+    if keys[0] < 0 or keys[-1] >= 1 << 128:
+        raise ValueError(
+            f"--seed {seed} derives generator keys {keys[0]}..{keys[-1]}, "
+            "outside [0, 2^128)")
+
+
 def _load_channel(spec: str) -> qmat.KrausChannel:
     if spec.endswith(".json"):
         try:
@@ -145,6 +153,7 @@ def cmd_simulate_seq(args) -> int:
     if args.messages < 1 or args.trials < 1 or args.n < 1:
         raise ValueError("n, messages and trials must be positive")
     _check_delta(args.delta)
+    _check_seed(args.seed, range(args.seed, args.seed + args.trials))
     report = seqdecode.ea_sequential_protocol(
         channel, phi, args.n, args.messages, args.delta, args.seed, args.trials
     )
@@ -162,6 +171,7 @@ def cmd_simulate_mac(args) -> int:
     if args.L < 1 or args.M < 1 or args.n < 1 or args.trials < 1:
         raise ValueError("n, L, M and trials must be positive")
     _check_delta(args.delta)
+    _check_seed(args.seed, range(2 * args.seed, 2 * (args.seed + args.trials)))
     d1 = eacode.type_decompose(phi, args.n)
     d2 = eacode.type_decompose(psi, args.n)
     reports = []
@@ -285,33 +295,35 @@ def cmd_check(args) -> int:
     povm = simuldecode.simultaneous_povm(pair, projectors)
     gap = np.linalg.eigvalsh(np.eye(povm.space.dim) - povm.total()).min()
     report("POVM completeness", gap >= -1e-9, f"min identity gap {gap:.2e}")
+    sent, v, _ = pair.codewords(channel)
     worst = float(np.max(np.abs(
         simuldecode.gram_table(channel, pair, projectors)
-        - simuldecode.overlap_table(channel, pair, povm)
+        - eacode.overlap_table(sent, v, povm)
     )))
     report("Gram-form table equals the dense POVM's table", worst < 1e-12,
            f"max deviation {worst:.2e}")
 
     # the factored sequential and successive tables against their dense POVMs
     seq_channel = qmat.named_channel("depolarizing:0.2")
-    decomp, code_proj, sigma, words = seqdecode.ea_protocol_instance(
+    decomp, code_proj, _, words = seqdecode.ea_protocol_instance(
         seq_channel, phi, 1, 1.0)
     entries = eacode.sample_code(decomp, 6, 5).entries
+    factor = eacode.channel_output_factor(seq_channel, decomp)
+    encoders = [eacode.receiver_encoder([(decomp, s)]) for s in entries]
+    seq_projectors = seqdecode.sequential_projectors(seq_channel, decomp, 1.0)
+    seq_v, _ = eacode.codeword_factors(range(6), factor, encoders,
+                                       seq_projectors.space)
     povm = seqdecode.sequential_povm(list(entries), code_proj, words)
-    dense = np.array([[np.trace(op @ sigma[s].matrix).real
-                       for op in (povm[k], povm.completion())]
-                      for k, s in enumerate(entries)])
-    factored = seqdecode.sequential_weights(
-        eacode.channel_output_factor(seq_channel, decomp),
-        [eacode.receiver_encoder([(decomp, s)]) for s in entries],
-        seqdecode.sequential_projectors(seq_channel, decomp, 1.0))
-    worst = float(np.max(np.abs(np.array(factored).T - dense)))
+    worst = float(np.max(np.abs(
+        seqdecode.sequential_table(factor, encoders, seq_projectors)
+        - eacode.overlap_table(range(6), seq_v, povm)
+    )))
     report("factored sequential table equals the dense sequential POVM's",
            worst < 1e-12, f"max deviation {worst:.2e}")
     worst = float(np.max(np.abs(
-        simuldecode.successive_table(channel, pair, projectors)
-        - simuldecode.overlap_table(
-            channel, pair, simuldecode.ea_successive_povm(pair, projectors))
+        seqdecode.successive_table(channel, pair, projectors)
+        - eacode.overlap_table(
+            sent, v, seqdecode.ea_successive_povm(pair, projectors))
     )))
     report("factored successive table equals the dense successive POVM's",
            worst < 1e-12, f"max deviation {worst:.2e}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qmat, typicality
-from .qmat import DensityOperator, FactorSpace, KrausChannel, PureState
+from .qmat import DensityOperator, FactorSpace, KrausChannel, PovmSet, PureState
 
 __all__ = [
     "TypeDecomposition",
@@ -38,6 +38,10 @@ __all__ = [
     "conjugate_by_receiver_encoders",
     "average_codeword_state",
     "average_codeword_factors",
+    "block_overlaps",
+    "codeword_factors",
+    "codeword_table",
+    "overlap_table",
 ]
 
 REASSEMBLY_TOL = 1e-10
@@ -282,25 +286,6 @@ class EaCodeBook:
     def __getitem__(self, m: int) -> HwIndex:
         return self.entries[m]
 
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "message_count": self.message_count,
-            "entries": [
-                {str(t): list(triple) for t, triple in enumerate(s.triples)}
-                for s in self.entries
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict, decomp: TypeDecomposition) -> "EaCodeBook":
-        entries = []
-        dims = decomp.block_dims
-        for rec in obj["entries"]:
-            triples = [tuple(rec[str(t)]) for t in range(len(dims))]
-            entries.append(HwIndex(triples, dims))
-        return cls(obj["message_count"], entries, obj["seed"], decomp)
-
 
 def sample_code(decomp: TypeDecomposition, message_count: int, seed: int
                 ) -> EaCodeBook:
@@ -451,3 +436,63 @@ def average_codeword_factors(r: np.ndarray, decomp: TypeDecomposition):
         cols = decomp._receiver_block_basis[:, sl]
         y = (cols.conj().T @ rows).reshape(cols.shape[1], -1, r.shape[1])
         yield cols, y.transpose(1, 0, 2).reshape(y.shape[1], -1)
+
+
+def block_overlaps(x: np.ndarray, y: np.ndarray, count: int) -> np.ndarray:
+    """Re<X_j, Y_j>_F of each of ``count`` equal column blocks of ``x``, ``y``."""
+    return (x.conj() * y).real.reshape(x.shape[0], count, -1).sum(axis=(0, 2))
+
+
+def _check_traces(sent, traces) -> None:
+    """Tr sigma_j = |V_j|^2 must be 1 for every sent codeword."""
+    for key, total in zip(sent, traces):
+        if abs(total - 1.0) > qmat.TRACE_TOL:
+            raise ValueError(f"codeword state {key} has trace {total}, not 1")
+
+
+def codeword_factors(sent, r: np.ndarray, encoders, space: FactorSpace):
+    """(V, traces): the codeword factors of the ``sent`` codewords.
+
+    ``encoders`` lists the receiver encoders U_j of the sent codewords in
+    order (:func:`receiver_encoder`) and ``r`` is R with rho = R R† on
+    ``space``.  V = [V_1 ... V_K] with V_j = U_j R, so sigma_j = V_j V_j†,
+    and traces[j] = Tr sigma_j = |V_j|^2, which must be 1.
+    """
+    v = np.hstack([qmat.apply_local(u, r, space) for u in encoders])
+    traces = block_overlaps(v, v, len(sent))
+    _check_traces(sent, traces)
+    return v, traces
+
+
+def codeword_table(sent, traces, weights: np.ndarray) -> np.ndarray:
+    """The table [T; abort] from a decoder's weights T[k, j] = Tr{Lambda_k sigma_j}.
+
+    The abort row is |V_j|^2 minus the decoded weight of column j, which is
+    the weight of the completion outcome and must be at least -1e-9.
+    """
+    abort = traces - weights.sum(axis=0)
+    for key, weight in zip(sent, abort):
+        if weight < -qmat.POVM_TOL:
+            raise ValueError(
+                f"codeword {key} has abort weight {weight:.3e} < "
+                f"-{qmat.POVM_TOL}: the decoder's weights exceed its trace")
+    return np.vstack([weights, abort])
+
+
+def overlap_table(sent, v: np.ndarray, povm: PovmSet) -> np.ndarray:
+    """The table [T; abort] of a dense ``povm`` on the codeword factors V.
+
+    T[k, j] = Re<V_j, Lambda_k V_j>_F = Tr{Lambda_k sigma_j} for outcome k
+    and sent codeword j, both in the order of ``sent``; the last row is the
+    abort weight Re<V_j, (I - sum Lambda) V_j>_F.  Column j sums to
+    Tr sigma_j = |V_j|^2, which must be 1.
+    """
+    sent = list(sent)
+    if list(povm.keys()) != sent:
+        raise ValueError("POVM outcomes must be the sent codewords, in order")
+    table = np.array([
+        block_overlaps(v, op @ v, len(sent))
+        for op in [povm[k] for k in sent] + [povm.completion()]
+    ])
+    _check_traces(sent, table.sum(axis=0))
+    return table

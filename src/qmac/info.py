@@ -173,10 +173,6 @@ class RateRegion:
             "vertices": [[x, y] for x, y in self.vertices],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "RateRegion":
-        return cls(obj["r1"], obj["r2"], obj["sum"])
-
     def __repr__(self):
         return (
             f"RateRegion(r1<={self.r1_max:.6g}, r2<={self.r2_max:.6g}, "

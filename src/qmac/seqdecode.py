@@ -6,16 +6,19 @@ bound lower-bounds the code-averaged success probability from four measured
 constants (epsilon, d, D, message count).  The successive variant decodes
 one sender fully, then the other, over a multiple access channel.
 
-The assisted experiment is read on the codeword factors V_k = U_k R of the
-channel output rho_n = R R† (:func:`sequential_weights`): each POVM element
-is a product of projectors, so its weight on a codeword is the squared norm
-of a product of projectors applied to V_k, and no d x d matrix is formed.
-The dense POVMs (:func:`sequential_povm`, :func:`successive_povm`) and the
-brute-force :func:`ea_protocol_instance` stay as its oracles.
+The assisted experiments are read on the codeword factors V_k = U_k R of
+the channel output rho_n = R R† (:func:`sequential_table`,
+:func:`successive_table`): each POVM element is a product of projectors, so
+its weight on a codeword is the squared norm of a product of projectors
+applied to V_k, and no d x d matrix is formed.  The dense POVMs
+(:func:`sequential_povm`, :func:`successive_povm`,
+:func:`ea_successive_povm`) and the brute-force
+:func:`ea_protocol_instance` stay as their oracles.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
@@ -32,7 +35,7 @@ __all__ = [
     "SuccessiveBound",
     "SeqReport",
     "sequential_projectors",
-    "sequential_weights",
+    "sequential_table",
     "sequential_povm",
     "exact_success_probability",
     "expected_success_exhaustive",
@@ -42,6 +45,8 @@ __all__ = [
     "ea_packing_constants",
     "ea_sequential_protocol",
     "successive_povm",
+    "ea_successive_povm",
+    "successive_table",
     "successive_bound",
     "unassisted_successive_exponents",
     "assisted_successive_exponents",
@@ -330,7 +335,7 @@ def ea_protocol_instance(channel: KrausChannel, phi: PureState, n: int,
     each word projector is the joint typical projector conjugated by that
     index's receiver-side encoder.  This enumerates S and so refuses index
     sets beyond ``INDEX_SET_CAP``; it is the brute-force reference for
-    :func:`ea_packing_constants`, for :func:`sequential_weights` and for
+    :func:`ea_packing_constants`, for :func:`sequential_table` and for
     the exhaustive codebook average.  Every matrix is d x d.
     """
     decomp = eacode.type_decompose(phi, n)
@@ -367,30 +372,6 @@ def ea_packing_constants(channel: KrausChannel, phi: PureState, n: int,
         sequential_projectors(channel, decomp, delta))
 
 
-def _block_weights(y: np.ndarray, count: int) -> np.ndarray:
-    """|Y_j|_F^2 of each of ``count`` equal column blocks Y_j of ``y``."""
-    return (y.conj() * y).real.reshape(y.shape[0], count, -1).sum(axis=(0, 2))
-
-
-def _check_traces(sent, traces) -> None:
-    """Tr sigma_j = |V_j|^2 must be 1 for every sent codeword."""
-    for key, total in zip(sent, traces):
-        if abs(total - 1.0) > qmat.TRACE_TOL:
-            raise ValueError(f"codeword state {key} has trace {total}, not 1")
-
-
-def _abort_weights(sent, traces, decoded) -> np.ndarray:
-    """|V_j|^2 minus the decoded weight of each codeword, which is the weight
-    of the completion outcome and must be at least -1e-9."""
-    abort = traces - decoded
-    for key, weight in zip(sent, abort):
-        if weight < -qmat.POVM_TOL:
-            raise ValueError(
-                f"codeword {key} has abort weight {weight:.3e} < "
-                f"-{qmat.POVM_TOL}: the decoder's weights exceed its trace")
-    return abort
-
-
 def _word(encoder: qmat.Operator, projectors: typicality.ProjectorBundle):
     """Y -> U Pi_joint U† Y, as W (W† Y) with W = U B on d x r columns."""
     w = qmat.apply_local(encoder, projectors.joint_basis, projectors.space)
@@ -412,41 +393,34 @@ def _chain(y: np.ndarray, project, words):
         yield p
 
 
-def sequential_weights(factor: np.ndarray, encoders: Sequence,
-                       projectors: typicality.ProjectorBundle):
-    """Success and abort weights of one codebook, on the codeword factors.
+def sequential_table(factor: np.ndarray, encoders: Sequence,
+                     projectors: typicality.ProjectorBundle) -> np.ndarray:
+    """The sequential decoder's table [T; abort] on the codeword factors.
 
     ``encoders`` lists the receiver encoders U_k of the book's messages in
     order and ``factor`` is R with rho_n = R R†, on ``projectors.space``
-    (:func:`sequential_projectors`).  Returns ``(success, abort)`` with
-    success[k] = Tr{Lambda_k sigma_k} and abort[k] =
-    Tr{(I - sum_m Lambda_m) sigma_k}, where Lambda is :func:`sequential_povm`
-    of the word projectors U_k Pi_AB U_k† inside the code projector
-    Pi_A Pi_B and sigma_k = V_k V_k†, V_k = U_k R.
+    (:func:`sequential_projectors`).  T[k, j] = Tr{Lambda_k sigma_j}, where
+    Lambda is :func:`sequential_povm` of the word projectors U_k Pi_AB U_k†
+    inside the code projector Pi_A Pi_B and sigma_j = V_j V_j†,
+    V_j = U_j R; the last row is the abort weight
+    Tr{(I - sum_k Lambda_k) sigma_j}.
 
     Stack V = [V_1 ... V_K] and set Y = Pi V; row k of the table is the
     block norms of Pi_{x_k} Y, and then Y <- Pi (Y - Pi_{x_k} Y)
-    (:func:`_chain`).  Only the diagonal and the column sums are kept, so
-    memory is a few d x Kr blocks.  Tr sigma_k = |V_k|^2 must be 1 and every
-    abort weight at least -1e-9.
+    (:func:`_chain`), so memory is a few d x Kr blocks.  Tr sigma_k =
+    |V_k|^2 must be 1 and every abort weight at least -1e-9.
     """
-    space = projectors.space
-    count = len(encoders)
-    v = np.hstack([qmat.apply_local(u, factor, space) for u in encoders])
-    traces = _block_weights(v, count)
-    _check_traces(range(count), traces)
+    sent = range(len(encoders))
+    v, traces = eacode.codeword_factors(sent, factor, encoders,
+                                        projectors.space)
 
     def code(y):
         return projectors.apply("A", projectors.apply("B", y))
 
-    success = np.empty(count)
-    decoded = np.zeros(count)
     words = (_word(u, projectors) for u in encoders)
-    for k, p in enumerate(_chain(code(v), code, words)):
-        weights = _block_weights(p, count)
-        success[k] = weights[k]
-        decoded += weights
-    return success, _abort_weights(range(count), traces, decoded)
+    weights = np.array([eacode.block_overlaps(p, p, len(sent))
+                        for p in _chain(code(v), code, words)])
+    return eacode.codeword_table(sent, traces, weights)
 
 
 def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
@@ -455,13 +429,13 @@ def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
     """Run the entanglement-assisted sequential decoder end to end.
 
     Samples ``trials`` codebooks, evaluates the exact average success of
-    the sequential decoder on each (:func:`sequential_weights`), and
-    reports the empirical mean together with the packing bound at constants
-    taken over the full index set (:func:`ea_packing_constants`).  Everything
-    is read off the channel output factor R; neither rho_n nor a codeword
-    state nor a POVM element is formed.  Encoders are built only for the
-    indices the books draw, each once.  Raises ``ValueError`` when the
-    code or word projector is empty at this ``delta``.
+    the sequential decoder on each (the diagonal of :func:`sequential_table`),
+    and reports the empirical mean together with the packing bound at
+    constants taken over the full index set (:func:`ea_packing_constants`).
+    Everything is read off the channel output factor R; neither rho_n nor a
+    codeword state nor a POVM element is formed.  Encoders are built only
+    for the indices the books draw, each once.  Raises ``ValueError`` when
+    the code or word projector is empty at this ``delta``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -483,9 +457,9 @@ def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
         for s in book.entries:
             if s not in encoders:
                 encoders[s] = eacode.receiver_encoder([(decomp, s)])
-        success, _ = sequential_weights(
+        table = sequential_table(
             factor, [encoders[s] for s in book.entries], projectors)
-        successes.append(float(success.mean()))
+        successes.append(float(np.diagonal(table).mean()))
     arr = np.array(successes)
     stderr = float(arr.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return SeqReport(
@@ -620,6 +594,80 @@ def successive_povm(code1: Sequence, code2: Sequence, code_projector,
             left = left @ qbar
         first = first @ first_stage[x][1]
     return PovmSet(qmat.FactorSpace(("S",), (dim,)), elements)
+
+
+def ea_successive_povm(pair, projectors: typicality.ProjectorBundle
+                       ) -> PovmSet:
+    """Two-stage decoder of a MAC code pair with the typical-projector families.
+
+    Code subspace: the product of the three single-system projectors.
+    First stage tests Alice's codewords with the AC-pair projector rotated
+    by her encoder (times the B projector); the second stage tests Bob's
+    with the rotated joint projector.  The oracle of
+    :func:`successive_table`.
+    """
+    full = projectors.space
+    b1, b2 = pair.book1, pair.book2
+    pi = projectors.embedded
+    code_proj = pi("A") @ pi("B") @ pi("C")
+    words_x = {}
+    for s1 in set(b1.entries):
+        u1 = eacode.receiver_encoder([(b1.decomp, s1)])
+        words_x[s1] = qmat.conjugate_local(u1, pi("AC"), full) @ pi("B")
+    words_xy = {}
+    for s1, s2 in itertools.product(set(b1.entries), set(b2.entries)):
+        u = eacode.receiver_encoder([(b1.decomp, s1), (b2.decomp, s2)])
+        words_xy[(s1, s2)] = qmat.conjugate_local(u, pi("ABC"), full)
+    return successive_povm(
+        list(b1.entries), list(b2.entries), code_proj, words_x, words_xy
+    )
+
+
+def successive_table(channel: KrausChannel, pair,
+                     projectors: typicality.ProjectorBundle) -> np.ndarray:
+    """The successive decoder's table [T; abort] on the codeword factors.
+
+    ``pair`` is a :class:`~qmac.simuldecode.MacCodePair`.  Equal to
+    ``eacode.overlap_table(sent, V, ea_successive_povm(pair, projectors))``
+    on ``(sent, V, _) = pair.codewords(channel)`` without forming a d x d
+    matrix.  That POVM is :func:`successive_povm` with the code projector
+    Pi = Pi_A Pi_B Pi_C, Alice's words Pi_x(s) = U_1(s) Pi_AC U_1(s)† Pi_B
+    and the pair words Pi_xy(s, t) = U(s, t) Pi_ABC U(s, t)†.  Its element
+    (l, m) is M†M with M = Pi_xy(s_l, t_m) Pi_x(s_l) times the products of
+    the earlier tests, so T[(l, m), j] is the squared norm of M V_j.  Stack
+    V = [V_11 ... V_LM]; for each l, Bob's stage runs the sequential chain
+    (:func:`_chain`) inside Pi_x(s_l) from Pi_x(s_l) Y, and then Alice's
+    stage moves on with Y <- Pi (I - Pi_x(s_l)) Pi Y, from Y = V.
+    |V_j|^2 must be 1 and every abort weight at least -1e-9.
+    """
+    sent, v, traces = pair.codewords(channel)
+    space = projectors.space
+    d1, d2 = pair.book1.decomp, pair.book2.decomp
+
+    def code(y):
+        for name in ("C", "B", "A"):
+            y = projectors.apply(name, y)
+        return y
+
+    def alice(s):
+        u = eacode.receiver_encoder([(d1, s)])
+        u_dag = qmat.Operator(u.space, u.matrix.conj().T)
+        return lambda y: qmat.apply_local(u, projectors.apply(
+            "AC", qmat.apply_local(u_dag, projectors.apply("B", y), space)),
+            space)
+
+    rows = []
+    y = v
+    for l, s in enumerate(pair.book1.entries):
+        pi_x = alice(s)
+        words = (_word(eacode.receiver_encoder([(d1, s), (d2, t)]), projectors)
+                 for t in pair.book2.entries)
+        rows += [eacode.block_overlaps(p, p, len(sent))
+                 for p in _chain(pi_x(y), pi_x, words)]
+        if l + 1 < pair.L:
+            y = code(y)
+            y = code(y - pi_x(y))
+    return eacode.codeword_table(sent, traces, np.array(rows))
 
 
 def unassisted_successive_exponents(n, delta, h_b, h_b_given_x, h_b_given_xy):

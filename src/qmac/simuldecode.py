@@ -16,14 +16,12 @@ each detection operator is Upsilon_k = W_k W_k† with W_k only d x r, where
 r is the rank of the joint typical projector Pi_ABC = B B†, and the
 square-root measurement of the W_k is that of Hausladen, Jozsa,
 Schumacher, Westmoreland and Wootters (PRA 54, 1869, 1996), taken on the
-Gram matrix G = W†W or on S = W W†, whichever is smaller.  The successive
-decoder's POVM is a product of projectors, so its table
-(:func:`successive_table`) propagates the codeword factors through those
-projectors.  Neither forms a d x d matrix.  The dense path
-(:func:`build_upsilon`, :func:`sqrt_measurement`,
-:func:`simultaneous_povm`, :func:`ea_successive_povm` and
-:func:`overlap_table`) stays as their oracle, and it is the path of the
-coherent decoder.
+Gram matrix G = W†W or on S = W W†, whichever is smaller, so no d x d
+matrix is formed.  The successive decoder's table is
+:func:`seqdecode.successive_table`.  The dense path (:func:`build_upsilon`,
+:func:`sqrt_measurement` and :func:`simultaneous_povm`, read by
+:func:`eacode.overlap_table`) stays as the oracle, and it is the path of
+the coherent decoder.
 """
 
 from __future__ import annotations
@@ -43,9 +41,7 @@ __all__ = [
     "build_upsilon",
     "sqrt_measurement",
     "simultaneous_povm",
-    "overlap_table",
     "gram_table",
-    "successive_table",
     "error_figures",
     "error_breakdown",
     "hayashi_nagaoka_check",
@@ -54,7 +50,6 @@ __all__ = [
     "coherent_decoder",
     "coherent_fidelity",
     "CoherentDecoder",
-    "ea_successive_povm",
     "run_mac_experiment",
     "MacReport",
 ]
@@ -80,6 +75,22 @@ class MacCodePair:
     @property
     def seeds(self) -> tuple[int, int]:
         return (self.book1.seed, self.book2.seed)
+
+    def codewords(self, channel: KrausChannel):
+        """(sent, V, traces): the pairs (l, m), l-major, V = [V_11 ... V_LM]
+        with V_lm = (U^T_1(s_l) (x) U^T_2(t_m)) R and rho_n = R R†, and
+        Tr sigma_lm = |V_lm|^2, each checked to be 1
+        (:func:`eacode.codeword_factors`)."""
+        d1, d2 = self.book1.decomp, self.book2.decomp
+        sent = list(itertools.product(range(self.L), range(self.M)))
+        encoders = [
+            eacode.receiver_encoder([(d1, s), (d2, t)])
+            for s, t in itertools.product(self.book1.entries, self.book2.entries)
+        ]
+        v, traces = eacode.codeword_factors(
+            sent, eacode.channel_output_factor(channel, d1, d2), encoders,
+            eacode.channel_output_space(channel, d1, d2))
+        return sent, v, traces
 
     @classmethod
     def sample(cls, decomp1, decomp2, L, M, seed1, seed2):
@@ -210,51 +221,6 @@ def simultaneous_povm(pair: MacCodePair,
     return sqrt_measurement(ups)
 
 
-def _codeword_factors(channel: KrausChannel, pair: MacCodePair):
-    """Yield V_lm = (U^T_1(s_l) (x) U^T_2(t_m)) R for every pair, l-major.
-
-    With rho_n = R R†, V_lm V_lm† is the codeword state sigma_lm.
-    """
-    d1, d2 = pair.book1.decomp, pair.book2.decomp
-    space = eacode.channel_output_space(channel, d1, d2)
-    r = eacode.channel_output_factor(channel, d1, d2)
-    for s, t in itertools.product(pair.book1.entries, pair.book2.entries):
-        u = eacode.receiver_encoder([(d1, s), (d2, t)])
-        yield qmat.apply_local(u, r, space)
-
-
-def _stacked_codewords(channel: KrausChannel, pair: MacCodePair):
-    """(sent, V, traces): the pairs (l, m), l-major, V = [V_11 ... V_LM] and
-    Tr sigma_lm = |V_lm|^2, each checked to be 1."""
-    sent = list(itertools.product(range(pair.L), range(pair.M)))
-    v = np.hstack(list(_codeword_factors(channel, pair)))
-    traces = seqdecode._block_weights(v, len(sent))
-    seqdecode._check_traces(sent, traces)
-    return sent, v, traces
-
-
-def overlap_table(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
-                  ) -> np.ndarray:
-    """The table [T; abort] of ``povm`` on the codewords, (LM + 1) x LM.
-
-    T[k, j] = Re<V_j, Lambda_k V_j>_F = Tr{Lambda_k sigma_j} for outcome k
-    and sent pair j, both l-major; the last row is the abort weight
-    Re<V_j, (I - sum Lambda) V_j>_F.  Column j sums to Tr sigma_j = |V_j|^2,
-    which must be 1.
-    """
-    sent = list(itertools.product(range(pair.L), range(pair.M)))
-    if list(povm.keys()) != sent:
-        raise ValueError("POVM outcomes must be the L*M message pairs, l-major")
-    v = np.hstack(list(_codeword_factors(channel, pair)))
-    blocks = (v.shape[0], len(sent), -1)  # row, sent pair, environment column
-    table = np.array([
-        (v.conj() * (op @ v)).real.reshape(blocks).sum(axis=(0, 2))
-        for op in [povm[k] for k in sent] + [povm.completion()]
-    ])
-    seqdecode._check_traces(sent, table.sum(axis=0))
-    return table
-
-
 def _detection_factors(pair: MacCodePair,
                        projectors: typicality.ProjectorBundle) -> np.ndarray:
     """W = [W_lm], l-major, with Upsilon_lm = W_lm W_lm† (d x LMr).
@@ -281,8 +247,9 @@ def gram_table(channel: KrausChannel, pair: MacCodePair,
                projectors: typicality.ProjectorBundle) -> np.ndarray:
     """The simultaneous decoder's table [T; abort] in Gram form.
 
-    Equal to ``overlap_table(channel, pair, simultaneous_povm(pair,
-    projectors))`` without forming a d x d matrix.  Stack W = [W_1 ... W_K]
+    Equal to ``eacode.overlap_table(sent, V, simultaneous_povm(pair,
+    projectors))`` on ``(sent, V, _) = pair.codewords(channel)`` without
+    forming a d x d matrix.  Stack W = [W_1 ... W_K]
     (K = LM; :func:`_detection_factors`), so the family sum is S = W W† and
     the Gram matrix G = W†W is Kr x Kr.  On the support S^{+1/2} W =
     W G^{+1/2}, so Lambda_k = W G^{+1/2} P_k† P_k G^{+1/2} W† with P_k the
@@ -295,7 +262,7 @@ def gram_table(channel: KrausChannel, pair: MacCodePair,
     support projector within 1e-8, |V_j|^2 must be 1 and every abort
     weight at least -1e-9.
     """
-    sent, v, traces = _stacked_codewords(channel, pair)
+    sent, v, traces = pair.codewords(channel)
     w = _detection_factors(pair, projectors)
     wh = w.conj().T
     gram_side = w.shape[1] <= w.shape[0]
@@ -305,57 +272,7 @@ def gram_table(channel: KrausChannel, pair: MacCodePair,
     x = inv_root @ (wh @ v) if gram_side else wh @ (inv_root @ v)
     weights = (x.conj() * x).real.reshape(
         len(sent), w.shape[1] // len(sent), len(sent), -1).sum(axis=(1, 3))
-    return np.vstack([
-        weights, seqdecode._abort_weights(sent, traces, weights.sum(axis=0))])
-
-
-def successive_table(channel: KrausChannel, pair: MacCodePair,
-                     projectors: typicality.ProjectorBundle) -> np.ndarray:
-    """The successive decoder's table [T; abort] on the codeword factors.
-
-    Equal to ``overlap_table(channel, pair, ea_successive_povm(pair,
-    projectors))`` without forming a d x d matrix.  That POVM is
-    :func:`seqdecode.successive_povm` with the code projector
-    Pi = Pi_A Pi_B Pi_C, Alice's words Pi_x(s) = U_1(s) Pi_AC U_1(s)† Pi_B and
-    the pair words Pi_xy(s, t) = U(s, t) Pi_ABC U(s, t)†.  Its element
-    (l, m) is M†M with M = Pi_xy(s_l, t_m) Pi_x(s_l) times the products of
-    the earlier tests, so T[(l, m), j] is the squared norm of M V_j.  Stack
-    V = [V_11 ... V_LM]; for each l, Bob's stage runs the sequential chain
-    (:func:`seqdecode._chain`) inside Pi_x(s_l) from Pi_x(s_l) Y, and then
-    Alice's stage moves on with Y <- Pi (I - Pi_x(s_l)) Pi Y, from Y = V.
-    |V_j|^2 must be 1 and every abort weight at least -1e-9.
-    """
-    sent, v, traces = _stacked_codewords(channel, pair)
-    space = projectors.space
-    d1, d2 = pair.book1.decomp, pair.book2.decomp
-
-    def code(y):
-        for name in ("C", "B", "A"):
-            y = projectors.apply(name, y)
-        return y
-
-    def alice(s):
-        u = eacode.receiver_encoder([(d1, s)])
-        u_dag = qmat.Operator(u.space, u.matrix.conj().T)
-        return lambda y: qmat.apply_local(u, projectors.apply(
-            "AC", qmat.apply_local(u_dag, projectors.apply("B", y), space)),
-            space)
-
-    rows = []
-    y = v
-    for l, s in enumerate(pair.book1.entries):
-        pi_x = alice(s)
-        words = (seqdecode._word(eacode.receiver_encoder([(d1, s), (d2, t)]),
-                                 projectors)
-                 for t in pair.book2.entries)
-        rows += [seqdecode._block_weights(p, len(sent))
-                 for p in seqdecode._chain(pi_x(y), pi_x, words)]
-        if l + 1 < pair.L:
-            y = code(y)
-            y = code(y - pi_x(y))
-    weights = np.array(rows)
-    return np.vstack([
-        weights, seqdecode._abort_weights(sent, traces, weights.sum(axis=0))])
+    return eacode.codeword_table(sent, traces, weights)
 
 
 def _figures(pair: MacCodePair, table: np.ndarray) -> dict:
@@ -396,7 +313,8 @@ def error_figures(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
     abort row, so its total is an independent second path to the average
     error.
     """
-    return _figures(pair, overlap_table(channel, pair, povm))
+    sent, v, _ = pair.codewords(channel)
+    return _figures(pair, eacode.overlap_table(sent, v, povm))
 
 
 def error_breakdown(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
@@ -507,40 +425,14 @@ def coherent_fidelity(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
     of every superposition of messages is the mean over (l, m) of
     <psi_{l,m}| sqrt(Lambda_{l,m}) |psi_{l,m}> on the purified channel
     output, so it is at least the average success probability of the
-    underlying POVM.
+    underlying POVM.  Tr sigma_lm = |V_lm|^2 must be 1.
     """
-    sent = list(itertools.product(range(pair.L), range(pair.M)))
+    sent, v, _ = pair.codewords(channel)
     total = 0.0
-    for key, v in zip(sent, _codeword_factors(channel, pair)):
+    for key, v_j in zip(sent, np.split(v, len(sent), axis=1)):
         root = qmat.operator_power(povm[key], 0.5, support_cutoff=0.0)
-        total += float(np.vdot(v, root @ v).real)
+        total += float(np.vdot(v_j, root @ v_j).real)
     return total / len(sent)
-
-
-def ea_successive_povm(pair: MacCodePair,
-                       projectors: typicality.ProjectorBundle) -> PovmSet:
-    """Two-stage decoder instantiated with the typical-projector families.
-
-    Code subspace: the product of the three single-system projectors.
-    First stage tests Alice's codewords with the AC-pair projector rotated
-    by her encoder (times the B projector); the second stage tests Bob's
-    with the rotated joint projector.
-    """
-    full = projectors.space
-    b1, b2 = pair.book1, pair.book2
-    pi = projectors.embedded
-    code_proj = pi("A") @ pi("B") @ pi("C")
-    words_x = {}
-    for s1 in set(b1.entries):
-        u1 = eacode.receiver_encoder([(b1.decomp, s1)])
-        words_x[s1] = qmat.conjugate_local(u1, pi("AC"), full) @ pi("B")
-    words_xy = {}
-    for s1, s2 in itertools.product(set(b1.entries), set(b2.entries)):
-        u = eacode.receiver_encoder([(b1.decomp, s1), (b2.decomp, s2)])
-        words_xy[(s1, s2)] = qmat.conjugate_local(u, pi("ABC"), full)
-    return seqdecode.successive_povm(
-        list(b1.entries), list(b2.entries), code_proj, words_x, words_xy
-    )
 
 
 def run_mac_experiment(channel: KrausChannel, pair: MacCodePair, mode: str,
@@ -549,17 +441,19 @@ def run_mac_experiment(channel: KrausChannel, pair: MacCodePair, mode: str,
 
     The simultaneous decoder is read in Gram form (:func:`gram_table`) and
     the successive decoder on the codeword factors
-    (:func:`successive_table`); neither forms a d x d matrix.  Callers that
-    need the POVM build it with :func:`simultaneous_povm` or
-    :func:`ea_successive_povm`.  ``epsilon_measured`` is the worst pairwise
-    miss 1 - min Tr{Lambda sigma} over message pairs, so both the average
-    success and the coherent fidelity clear 1 - epsilon_measured.
+    (:func:`seqdecode.successive_table`); neither forms a d x d matrix.
+    Callers that need the POVM build it with :func:`simultaneous_povm` or
+    :func:`seqdecode.ea_successive_povm`.  ``epsilon_measured`` is the
+    worst pairwise miss 1 - min Tr{Lambda sigma} over message pairs, so
+    both the average success and the coherent fidelity clear
+    1 - epsilon_measured.
     """
     if mode not in ("simultaneous", "successive"):
         raise ValueError(f"unknown decoder mode {mode!r}")
     d1, d2 = pair.book1.decomp, pair.book2.decomp
     projectors = mac_typical_projectors(channel, d1, d2, delta)
-    decoder = gram_table if mode == "simultaneous" else successive_table
+    decoder = (gram_table if mode == "simultaneous"
+               else seqdecode.successive_table)
     table = decoder(channel, pair, projectors)
     return MacReport(n=d1.n, L=pair.L, M=pair.M, seeds=pair.seeds,
                      mode=mode, **_figures(pair, table))

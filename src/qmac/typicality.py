@@ -222,6 +222,8 @@ def typical_projector(rho: qmat.DensityOperator, n: int, delta: float
     eigenvalue obeys the equipartition sandwich
     2^{-n(H+delta)} <= lam <= 2^{-n(H-delta)}.  The basis B is the
     :func:`type_basis` of the retained types in the eigenbasis.
+    Eigenvalues at most dim * machine epsilon * lambda_max are rounding
+    residuals of zero, and count as zero.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -229,6 +231,7 @@ def typical_projector(rho: qmat.DensityOperator, n: int, delta: float
         raise ValueError(f"delta must be nonnegative, got {delta}")
     vals, vecs = qmat.eig_hermitian(rho)
     vals = np.clip(vals.real, 0.0, None)
+    vals[vals <= len(vals) * np.finfo(float).eps * vals.max()] = 0.0
     entropy = float(-sum(v * math.log2(v) for v in vals if v > 0))
     space = qmat.power_space(rho.space, n)
     typical = []

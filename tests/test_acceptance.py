@@ -295,7 +295,7 @@ def test_criterion_13_povm_completeness(measured_instances, cnot_mac_instance):
         count += 1
     # the square-root measurement and the successive decoder on the MAC
     ch, pair, projectors, povm = cnot_mac_instance
-    for p in (povm, simuldecode.ea_successive_povm(pair, projectors)):
+    for p in (povm, seqdecode.ea_successive_povm(pair, projectors)):
         gap = np.linalg.eigvalsh(np.eye(p.space.dim) - p.total()).min()
         worst = min(worst, gap)
         count += 1

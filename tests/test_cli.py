@@ -276,6 +276,30 @@ class TestNonFiniteInput:
         assert named in err
 
 
+class TestSeedRange:
+    # the codebook generator takes keys in [0, 2^128): seed + t for
+    # simulate-seq, 2 (seed + t) and 2 (seed + t) + 1 for simulate-mac
+    @pytest.mark.parametrize("argv", [
+        ("simulate-seq", "--channel", "identity:2", "--seed", "-1"),
+        ("simulate-seq", "--channel", "identity:2", "--seed", str(2**128)),
+        ("simulate-mac", "--channel", "cnot-mac", "--seed", "-1"),
+        ("simulate-mac", "--channel", "cnot-mac", "--seed", str(2**128)),
+        # the second trial's keys are 2^128 and 2^128 + 1
+        ("simulate-mac", "--channel", "cnot-mac", "--trials", "2",
+         "--seed", str(2**127 - 1)),
+    ], ids=" ".join)
+    def test_exit_2_names_seed(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "--seed" in err
+
+    def test_largest_seq_seed_runs(self, capsys):
+        code, out, _ = run(capsys, "simulate-seq", "--channel", "identity:2",
+                           "--trials", "2", "--seed", str(2**128 - 2))
+        assert code == 0
+        assert json.loads(out)["seed"] == 2**128 - 2
+
+
 class TestOutOfRangeSpec:
     @pytest.mark.parametrize("spec", [
         "depolarizing:nan", "identity:0", "amplitude-damping:2",
@@ -500,6 +524,17 @@ class TestSimulateSeq:
                            "--seed", "0")
         assert code == 0
         assert out == GOLDEN_SEQ_N3_SEED0
+
+    def test_large_delta_keeps_rounding_eigenvalues_out(self, capsys):
+        # a zero eigenvalue of the pure rho_AB rounds to 5.08e-17, which
+        # delta > 54 would count as typical, making d infinite
+        code, out, _ = run(capsys, "simulate-seq", "--channel", "identity:3",
+                           "--delta", "60")
+        assert code == 0
+        _, want, _ = run(capsys, "simulate-seq", "--channel", "identity:3",
+                         "--delta", "50")
+        assert out == want
+        assert json.loads(out)["d"] == 1.0
 
     def test_bound_exponent_overflow(self, capsys):
         # d |M| / D = 750, where e^x overflows a float: the bound is 0

@@ -278,13 +278,6 @@ class TestSampleCode:
         assert len(counts) == 4
         assert min(counts.values()) > 800  # uniform within loose bounds
 
-    def test_json_round_trip(self):
-        dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)
-        book = eacode.sample_code(dec, 3, seed=12)
-        back = eacode.EaCodeBook.from_json(book.to_json(), dec)
-        assert back.entries == book.entries
-        assert back.seed == book.seed
-
 
 class TestExpectedCodeword:
     @pytest.mark.parametrize("n,want_dim", [(2, 2), (3, 3)])

@@ -1,6 +1,5 @@
 """Entropies, mutual informations, and the rate-region calculators."""
 
-import json
 import math
 
 import numpy as np
@@ -165,12 +164,6 @@ class TestPentagonVertices:
     def test_negative_bounds_clamp(self):
         reg = RateRegion(-0.5, 1.0, 2.0)
         assert reg.r1_max == 0.0
-
-    def test_json_round_trip(self):
-        reg = RateRegion(1.5, 2.5, 3.0)
-        back = RateRegion.from_json(json.loads(json.dumps(reg.to_json())))
-        assert back.bounds() == reg.bounds()
-        assert back.vertices == reg.vertices
 
 
 class TestEaCcRegion:

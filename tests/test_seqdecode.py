@@ -529,21 +529,21 @@ class TestParameterExponents:
         assert np.isclose(e["D1"] - e["d1_minus"], 3 * ((1.5 - 0.9) - 0.2))
 
 
-def dense_weights(instance, entries):
-    """Oracle: (success, abort, mean success) of the dense sequential POVM
-    on the dense codeword states of ``ea_protocol_instance``."""
+def dense_table(instance, entries):
+    """Oracle: the full table [T; abort] of the dense sequential POVM on the
+    dense codeword states of ``ea_protocol_instance``, off-diagonal entries
+    included, and the mean success."""
     _, code_proj, sigma, words = instance
     povm = seqdecode.sequential_povm(list(entries), code_proj, words)
     states = [sigma[s] for s in entries]
-    table = np.array([[np.trace(op @ rho.matrix).real
-                       for op in (povm[k], povm.completion())]
-                      for k, rho in enumerate(states)])
-    return table[:, 0], table[:, 1], seqdecode.exact_success_probability(
-        states, povm)
+    ops = [povm[k] for k in range(len(entries))] + [povm.completion()]
+    table = np.array([[np.trace(op @ rho.matrix).real for rho in states]
+                      for op in ops])
+    return table, seqdecode.exact_success_probability(states, povm)
 
 
-def factored_weights(channel, decomp, delta, entries):
-    return seqdecode.sequential_weights(
+def factored_table(channel, decomp, delta, entries):
+    return seqdecode.sequential_table(
         eacode.channel_output_factor(channel, decomp),
         [eacode.receiver_encoder([(decomp, s)]) for s in entries],
         seqdecode.sequential_projectors(channel, decomp, delta))
@@ -567,11 +567,11 @@ class TestSequentialWeights:
         decomp = instance[0]
         for seed, messages in ((0, 4), (7, 3), (11, 6)):
             entries = eacode.sample_code(decomp, messages, seed).entries
-            success, abort = factored_weights(ch, decomp, 1.0, entries)
-            want_success, want_abort, mean = dense_weights(instance, entries)
-            assert np.max(np.abs(success - want_success)) < 1e-12
-            assert np.max(np.abs(abort - want_abort)) < 1e-12
-            assert abs(float(success.mean()) - mean) < 1e-12
+            table = factored_table(ch, decomp, 1.0, entries)
+            want, mean = dense_table(instance, entries)
+            assert table.shape == want.shape == (messages + 1, messages)
+            assert np.max(np.abs(table - want)) < 1e-12
+            assert abs(float(np.diagonal(table).mean()) - mean) < 1e-12
 
     def test_book_repeating_an_index(self):
         # n = 1: |S| = 4, so nine messages repeat some index
@@ -581,10 +581,9 @@ class TestSequentialWeights:
         decomp = instance[0]
         entries = eacode.sample_code(decomp, 9, 3).entries
         assert len(set(entries)) < len(entries)
-        success, abort = factored_weights(ch, decomp, 1.0, entries)
-        want_success, want_abort, _ = dense_weights(instance, entries)
-        assert np.max(np.abs(success - want_success)) < 1e-12
-        assert np.max(np.abs(abort - want_abort)) < 1e-12
+        table = factored_table(ch, decomp, 1.0, entries)
+        want, _ = dense_table(instance, entries)
+        assert np.max(np.abs(table - want)) < 1e-12
 
     def test_protocol_forms_no_dense_operator(self, monkeypatch):
         # neither rho_n, a codeword state, an embedded projector nor a POVM

@@ -14,7 +14,13 @@ from conftest import bell_state, parallel_qubit_mac, schmidt_state
 
 
 DECODERS = {"simultaneous": simuldecode.simultaneous_povm,
-            "successive": simuldecode.ea_successive_povm}
+            "successive": seqdecode.ea_successive_povm}
+
+
+def overlap_table(ch, pair, povm):
+    """The dense reader's table of ``povm`` on the pair's codewords."""
+    sent, v, _ = pair.codewords(ch)
+    return eacode.overlap_table(sent, v, povm)
 
 
 def bell_pair_books(channel, n=1, entries1=None, entries2=None, seeds=(5, 6)):
@@ -61,7 +67,7 @@ def check_against_dense_oracle(ch, pair, povm):
                         "wrong_bob" if lp == l else "wrong_both")
                 want[kind] += want_table[i, j] / (L * M)
         want["abort"] += want_table[-1, j] / (L * M)
-    table = simuldecode.overlap_table(ch, pair, povm)
+    table = overlap_table(ch, pair, povm)
     assert table.shape == want_table.shape
     assert np.max(np.abs(table - want_table)) < 1e-12
     err = simuldecode.error_figures(ch, pair, povm)["avg_error"]
@@ -344,11 +350,11 @@ class TestRandomization:
         d2 = eacode.type_decompose(bell_state("Bp", "B"), 2)
         proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.5)
         pair = simuldecode.MacCodePair.sample(d1, d2, L, M, 45, 46)
-        table = simuldecode.overlap_table(
+        table = overlap_table(
             ch, pair, simuldecode.simultaneous_povm(pair, proj))
         for s, t in ((1, 0), (0, 1), (L - 1, M - 1)):
             shifted = simuldecode.randomize_code(pair, s, t)
-            got = simuldecode.overlap_table(
+            got = overlap_table(
                 ch, shifted, simuldecode.simultaneous_povm(shifted, proj))
             cols = [((l + s) % L) * M + (m + t) % M
                     for l in range(L) for m in range(M)]
@@ -435,20 +441,31 @@ class TestCoherentDecoder:
         monkeypatch.setenv("QMAC_DIM_CAP", "1024")
         assert simuldecode.coherent_fidelity(ch, pair, povm) == fid
 
+    def test_codeword_trace_is_checked(self, monkeypatch):
+        ch = qmat.named_channel("cnot-mac")
+        pair, d1, d2 = bell_pair_books(ch)
+        povm = simuldecode.simultaneous_povm(
+            pair, simuldecode.mac_typical_projectors(ch, d1, d2, 1.0))
+        factor = eacode.channel_output_factor
+        monkeypatch.setattr(eacode, "channel_output_factor",
+                            lambda *args: 1.001 * factor(*args))
+        with pytest.raises(ValueError, match=r"codeword state \(0, 0\) has trace"):
+            simuldecode.coherent_fidelity(ch, pair, povm)
+
 
 class TestSuccessiveMode:
     def test_successive_decodes_orthogonal_instance(self):
         ch = parallel_qubit_mac()
         pair, d1, d2 = phase_books(ch)
         proj = simuldecode.mac_typical_projectors(ch, d1, d2, 2.0)
-        povm = simuldecode.ea_successive_povm(pair, proj)
+        povm = seqdecode.ea_successive_povm(pair, proj)
         assert simuldecode.error_figures(ch, pair, povm)["avg_error"] < 1e-9
 
     def test_ea_successive_povm_valid_and_reported(self):
         ch = qmat.named_channel("cnot-mac")
         pair, d1, d2 = bell_pair_books(ch, seeds=(71, 72))
         report = simuldecode.run_mac_experiment(ch, pair, "successive", 1.0)
-        povm = simuldecode.ea_successive_povm(
+        povm = seqdecode.ea_successive_povm(
             pair, simuldecode.mac_typical_projectors(ch, d1, d2, 1.0))
         gap = np.linalg.eigvalsh(
             np.eye(povm.space.dim) - povm.total()
@@ -535,7 +552,8 @@ class TestOnePassEvaluation:
         space = FactorSpace(("S",), (16,))
         swapped = PovmSet(space, {(l, m): np.eye(16) / 4
                                   for m in range(2) for l in range(2)})
-        with pytest.raises(ValueError, match="l-major"):
+        # the pairs are sent l-major, and this POVM lists them m-major
+        with pytest.raises(ValueError, match="sent codewords, in order"):
             simuldecode.error_figures(ch, pair, swapped)["avg_error"]
 
     @pytest.mark.parametrize("mode", ["simultaneous", "successive"])
@@ -591,7 +609,7 @@ class TestGramForm:
             ch, d1, d2, 1.5 if name == "adder-mac" else 1.0)
         kr = L * M * proj.joint_basis.shape[1]
         assert (kr > proj.space.dim) == (branch == "S")
-        want = simuldecode.overlap_table(
+        want = overlap_table(
             ch, pair, simuldecode.simultaneous_povm(pair, proj))
         got = simuldecode.gram_table(ch, pair, proj)
         assert got.shape == want.shape == (L * M + 1, L * M)
@@ -665,9 +683,9 @@ class TestSuccessiveTable:
                                        (2 * seed, 2 * seed + 1))
         proj = simuldecode.mac_typical_projectors(
             ch, d1, d2, 1.5 if name == "adder-mac" else 1.0)
-        want = simuldecode.overlap_table(
-            ch, pair, simuldecode.ea_successive_povm(pair, proj))
-        got = simuldecode.successive_table(ch, pair, proj)
+        want = overlap_table(
+            ch, pair, seqdecode.ea_successive_povm(pair, proj))
+        got = seqdecode.successive_table(ch, pair, proj)
         assert got.shape == want.shape == (L * M + 1, L * M)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -677,8 +695,8 @@ class TestSuccessiveTable:
             raise AssertionError("the successive run formed a d x d matrix")
 
         for module, name in ((seqdecode, "successive_povm"),
-                             (simuldecode, "ea_successive_povm"),
-                             (simuldecode, "overlap_table"),
+                             (seqdecode, "ea_successive_povm"),
+                             (eacode, "overlap_table"),
                              (qmat, "embed")):
             monkeypatch.setattr(module, name, refuse)
         monkeypatch.setattr(typicality.ProjectorBundle, "embedded", refuse)
@@ -701,7 +719,7 @@ class TestSuccessiveTable:
         # the table satisfies on its own
         ch, pair, d1, d2 = sample_pair("cnot-mac", None, 3, 2, 2, (0, 1))
         proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
-        table = simuldecode.successive_table(ch, pair, proj)
+        table = seqdecode.successive_table(ch, pair, proj)
         assert np.max(np.abs(table.sum(axis=0) - 1.0)) < 1e-12
         assert table.min() >= -1e-12
         report = simuldecode.run_mac_experiment(ch, pair, "successive", 1.0)

@@ -1,6 +1,8 @@
 """Module surfaces: the benchmark's tracer finds every function it wraps,
-and each module's ``__all__`` lists what it defines."""
+each module's ``__all__`` lists what it defines, and no module reads
+another's private names."""
 
+import ast
 import importlib.util
 import inspect
 import sys
@@ -11,7 +13,9 @@ import pytest
 from qmac import (cli, eacode, gaussian, info, qmat, seqdecode, simuldecode,
                   typicality)
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
+SRC = ROOT / "src" / "qmac"
 
 
 def test_tracer_wraps_every_layer(monkeypatch):
@@ -42,3 +46,29 @@ def test_all_lists_every_public_definition(module):
         and obj.__module__ == module.__name__
     }
     assert sorted(defined - listed) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a helper that two modules share is public in one of them
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    modules.update(a.asname or a.name for a in node.names)
+                else:
+                    reads += [f"{path.stem} imports {node.module}.{a.name}"
+                              for a in node.names if _private(a.name)]
+        reads += [
+            f"{path.stem} reads {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and _private(node.attr)
+            and isinstance(node.value, ast.Name) and node.value.id in modules
+        ]
+    assert reads == []

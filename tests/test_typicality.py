@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from qmac import qmat, typicality
+from qmac import info, qmat, typicality
 from qmac.qmat import DensityOperator, DimensionCapError, FactorSpace
 
-from conftest import random_density, random_unitary
+from conftest import random_density, random_unitary, schmidt_state
 
 
 class TestEnumerateTypes:
@@ -185,6 +185,18 @@ class TestTypicalProjector:
         ]
         assert all(w2 >= w1 - 1e-12 for w1, w2 in zip(weights, weights[1:]))
         assert np.isclose(weights[-1], 1.0)
+
+    @pytest.mark.parametrize("delta", [60.0, 1e300])
+    def test_rounding_eigenvalues_are_not_typical(self, delta):
+        # rho_AB of identity:3 on the state simulate-seq builds for "bell"
+        # is pure; eigh returns one of its zero eigenvalues as 5.08e-17,
+        # which a delta above 54 would otherwise admit beside the one true
+        # eigenvector
+        rho = info.ea_code_state(qmat.named_channel("identity:3"),
+                                 schmidt_state([1 / 3] * 3))
+        tp = typicality.typical_projector(rho, 1, delta)
+        assert tp.rank == 1
+        assert tp.lambda_min == tp.lambda_max
 
     @pytest.mark.parametrize("delta", [-0.1, float("nan")])
     def test_bad_delta_rejected(self, delta):
