@@ -3,7 +3,8 @@
 Every command is deterministic given its full flag set (seeds included),
 floats are emitted at 12 significant digits, and exit codes are 0 on
 success, 2 on validation failure, 3 on I/O failure, 4 when the dimension
-cap is exceeded or memory runs out.  ``QMAC_DIM_CAP`` overrides the cap.
+cap is exceeded or memory runs out, or when ``simulate-mac`` is estimated
+not to fit in memory.  ``QMAC_DIM_CAP`` overrides the cap.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import argparse
 import itertools
 import json
 import math
+import os
+import resource
 import sys
 from dataclasses import asdict
 
@@ -161,6 +164,24 @@ def cmd_simulate_seq(args) -> int:
     return 0
 
 
+def _check_mac_memory(channel, d1, d2, args) -> None:
+    """Refuse, before it allocates, a run whose codeword stack V (d x LMc,
+    c <= k^n columns of R for k Kraus matrices), counted three times, plus
+    the simultaneous decoder's LMr x LMc expanded table (r <= c), exceeds
+    the smaller of the soft address-space limit and physical memory."""
+    d = eacode.channel_output_space(channel, d1, d2).dim
+    k, c = args.L * args.M, min(d, len(channel.kraus) ** args.n)
+    need = 16 * k * c * (3 * d + (k * c if args.mode == "simultaneous" else 0))
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    limit = min(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"),
+                math.inf if soft == resource.RLIM_INFINITY else soft)
+    if need > limit:
+        raise MemoryError(
+            f"the run needs an estimated {need / 2**30:.3g} GiB for the "
+            "codeword stack and the decoder's blocks, over the memory limit "
+            f"of {limit / 2**30:.3g} GiB")
+
+
 def cmd_simulate_mac(args) -> int:
     channel = _load_channel(args.channel)
     if not channel.is_mac:
@@ -174,6 +195,7 @@ def cmd_simulate_mac(args) -> int:
     _check_seed(args.seed, range(2 * args.seed, 2 * (args.seed + args.trials)))
     d1 = eacode.type_decompose(phi, args.n)
     d2 = eacode.type_decompose(psi, args.n)
+    _check_mac_memory(channel, d1, d2, args)
     reports = []
     for t in range(args.trials):
         pair = simuldecode.MacCodePair.sample(
@@ -423,9 +445,9 @@ def main(argv=None) -> int:
     except DimensionCapError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except MemoryError:
-        print(f"error: {args.command}: the instance is too large for memory",
-              file=sys.stderr)
+    except MemoryError as e:
+        reason = str(e) or "the instance is too large for memory"
+        print(f"error: {args.command}: {reason}", file=sys.stderr)
         return 4
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -38,6 +38,7 @@ __all__ = [
     "conjugate_local",
     "partial_trace",
     "eig_hermitian",
+    "rounding_residuals",
     "operator_power",
     "apply_channel",
     "output_factor",
@@ -406,6 +407,12 @@ def eig_hermitian(op):
     vals, vecs = np.linalg.eigh(_sym(m))
     order = np.argsort(-vals, kind="stable")
     return vals[order], vecs[:, order]
+
+
+def rounding_residuals(vals: np.ndarray, size: int) -> np.ndarray:
+    """Which ``vals`` (the spectrum of a matrix with larger side ``size``)
+    are rounding residuals of zero: at most size * eps * max(vals)."""
+    return vals <= size * np.finfo(float).eps * vals.max(initial=0.0)
 
 
 def operator_power(op, exponent: float, support_cutoff: float = 1e-12):

@@ -12,16 +12,17 @@ Every error figure reads one table T[k, j] = Tr{Lambda_k sigma_j} of
 overlaps on the codeword factors V_j = U_j R of the channel output
 rho_n = R R†, so no evaluation forms rho_n or any sigma_j.  The
 simultaneous decoder's table is read in Gram form (:func:`gram_table`):
-each detection operator is Upsilon_k = W_k W_k† with W_k only d x r, where
-r is the rank of the joint typical projector Pi_ABC = B B†, and the
-square-root measurement of the W_k is that of Hausladen, Jozsa,
-Schumacher, Westmoreland and Wootters (PRA 54, 1869, 1996), taken on the
-Gram matrix G = W†W or on S = W W†, whichever is smaller, so no d x d
-matrix is formed.  The successive decoder's table is
-:func:`seqdecode.successive_table`.  The dense path (:func:`build_upsilon`,
-:func:`sqrt_measurement` and :func:`simultaneous_povm`, read by
-:func:`eacode.overlap_table`) stays as the oracle, and it is the path of
-the coherent decoder.
+each detection operator is Upsilon_lm = W_lm W_lm† with W_lm only d x r,
+where r is the rank of the joint typical projector Pi_ABC = B B†, and the
+square-root measurement of the W_lm is that of Hausladen, Jozsa,
+Schumacher, Westmoreland and Wootters (PRA 54, 1869, 1996).  It is taken on
+the row space (dimension q <= Mr) of the factor Y = [Y_1 ... Y_M] that every
+W_lm = U_1(s_l) Y_m shares, on an Lq x Lq Gram matrix or on S = W W†,
+whichever is smaller, so no d x d matrix is formed.  The successive
+decoder's table is :func:`seqdecode.successive_table`.  The dense path
+(:func:`build_upsilon`, :func:`sqrt_measurement` and
+:func:`simultaneous_povm`, read by :func:`eacode.overlap_table`) stays as
+the oracle, and it is the path of the coherent decoder.
 """
 
 from __future__ import annotations
@@ -222,11 +223,14 @@ def simultaneous_povm(pair: MacCodePair,
 
 
 def _detection_factors(pair: MacCodePair,
-                       projectors: typicality.ProjectorBundle) -> np.ndarray:
-    """W = [W_lm], l-major, with Upsilon_lm = W_lm W_lm† (d x LMr).
+                       projectors: typicality.ProjectorBundle):
+    """(W', Z) with Upsilon_lm = W_lm W_lm† and W_lm = W'_l Z_m†.
 
-    W_lm = U^T_1(s_l) wing† U^T_2(t_m) B, where Pi_ABC = B B† and
-    wing† = Pi_AB Pi_C Pi_AC Pi_B; every factor acts on d x r blocks.
+    W_lm = U^T_1(s_l) Y_m with Y = [Y_1 ... Y_M] = wing† [U^T_2(t_m) B]_m
+    (d x Mr), Pi_ABC = B B† and wing† = Pi_AB Pi_C Pi_AC Pi_B.  Z (Mr x q)
+    holds Y's right singular vectors, less those of rounding residuals
+    (:func:`qmat.rounding_residuals`), so Y_m = (Y Z) Z_m† with Z_m block m
+    of Z's rows, and W' = [W'_1 ... W'_L] with W'_l = U^T_1(s_l) Y Z.
     """
     space = projectors.space
     d1, d2 = pair.book1.decomp, pair.book2.decomp
@@ -237,10 +241,13 @@ def _detection_factors(pair: MacCodePair,
     ])
     for name in ("B", "AC", "C", "AB"):
         y = projectors.apply(name, y)
+    _, sigma, zh = np.linalg.svd(y, full_matrices=False)
+    z = zh[~qmat.rounding_residuals(sigma, max(y.shape))].conj().T
+    y = y @ z
     return np.hstack([
         qmat.apply_local(eacode.receiver_encoder([(d1, s)]), y, space)
         for s in pair.book1.entries
-    ])
+    ]), z
 
 
 def gram_table(channel: KrausChannel, pair: MacCodePair,
@@ -249,29 +256,33 @@ def gram_table(channel: KrausChannel, pair: MacCodePair,
 
     Equal to ``eacode.overlap_table(sent, V, simultaneous_povm(pair,
     projectors))`` on ``(sent, V, _) = pair.codewords(channel)`` without
-    forming a d x d matrix.  Stack W = [W_1 ... W_K]
-    (K = LM; :func:`_detection_factors`), so the family sum is S = W W† and
-    the Gram matrix G = W†W is Kr x Kr.  On the support S^{+1/2} W =
-    W G^{+1/2}, so Lambda_k = W G^{+1/2} P_k† P_k G^{+1/2} W† with P_k the
-    rows of block k, and T[k, j] = |P_k G^{+1/2} W† V_j|_F^2.  Since
-    G^{+1/2} W† = W† S^{+1/2} there, the smaller of G and S is decomposed.
-    The abort row is |V_j|^2 - sum_k T[k, j].
+    forming a d x d matrix.  Stack W = [W_11 ... W_LM] (l-major), so the
+    family sum is S = W W† and, with G = W†W, S^{+1/2} W = W G^{+1/2} on
+    the support: Lambda_lm = W G^{+1/2} P_lm† P_lm G^{+1/2} W† with P_lm the
+    rows of block (l, m).  By :func:`_detection_factors`,
+    W = W' (I_L (x) Z)† with Z an isometry, so S = W'W'† and
+    G^{+1/2} W† = (I_L (x) Z) G'^{+1/2} W'† with G' = W'†W' only Lq x Lq.
+    Hence T[(l, m), j] = |Z_m X'_{l,j}|_F^2 for the blocks X'_{l,j} of
+    X' = G'^{+1/2} W'† V = W'† S^{+1/2} V, expanded by one product Z X'; the
+    smaller of G' and S is decomposed.  Abort: |V_j|^2 - sum_k T[k, j].
 
-    The checks of :func:`sqrt_measurement` move to the smaller space: G
-    (or S) must be PSD within 1e-9, G^{+1/2} G G^{+1/2} must equal its
+    The checks of :func:`sqrt_measurement` move to the smaller space: G'
+    (or S) must be PSD within 1e-9, G'^{+1/2} G' G'^{+1/2} must equal its
     support projector within 1e-8, |V_j|^2 must be 1 and every abort
     weight at least -1e-9.
     """
     sent, v, traces = pair.codewords(channel)
-    w = _detection_factors(pair, projectors)
+    w, z = _detection_factors(pair, projectors)
     wh = w.conj().T
     gram_side = w.shape[1] <= w.shape[0]
-    total = wh @ w if gram_side else w @ wh  # G or S
+    total = wh @ w if gram_side else w @ wh  # G' or S
     inv_root, supp = _inverse_root(total)
     _check_support(inv_root @ total @ inv_root, supp)
     x = inv_root @ (wh @ v) if gram_side else wh @ (inv_root @ v)
-    weights = (x.conj() * x).real.reshape(
-        len(sent), w.shape[1] // len(sent), len(sent), -1).sum(axis=(1, 3))
+    L, M, K, q = pair.L, pair.M, len(sent), z.shape[1]
+    x = z @ x.reshape(L, q, v.shape[1]).transpose(1, 0, 2).reshape(q, -1)
+    weights = (x.conj() * x).real.reshape(M, -1, L, K, v.shape[1] // K)
+    weights = weights.sum(axis=(1, 4)).transpose(1, 0, 2).reshape(K, K)
     return eacode.codeword_table(sent, traces, weights)
 
 

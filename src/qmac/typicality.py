@@ -223,7 +223,7 @@ def typical_projector(rho: qmat.DensityOperator, n: int, delta: float
     2^{-n(H+delta)} <= lam <= 2^{-n(H-delta)}.  The basis B is the
     :func:`type_basis` of the retained types in the eigenbasis.
     Eigenvalues at most dim * machine epsilon * lambda_max are rounding
-    residuals of zero, and count as zero.
+    residuals of zero (:func:`qmat.rounding_residuals`), and count as zero.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -231,7 +231,7 @@ def typical_projector(rho: qmat.DensityOperator, n: int, delta: float
         raise ValueError(f"delta must be nonnegative, got {delta}")
     vals, vecs = qmat.eig_hermitian(rho)
     vals = np.clip(vals.real, 0.0, None)
-    vals[vals <= len(vals) * np.finfo(float).eps * vals.max()] = 0.0
+    vals[qmat.rounding_residuals(vals, len(vals))] = 0.0
     entropy = float(-sum(v * math.log2(v) for v in vals if v > 0))
     space = qmat.power_space(rho.space, n)
     typical = []

@@ -2,6 +2,12 @@
 
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +32,7 @@ GOLDEN_MAC_N2_SEED0 = """\
     "wrong_alice": 0.15625,
     "wrong_bob": 0.28125,
     "wrong_both": 0.46875,
-    "abort": -3.33066907388e-16,
+    "abort": -5.55111512313e-16,
     "total": 0.90625
   },
   "trials": 1
@@ -627,6 +633,44 @@ class TestSimulateMac:
         code, out, err = run(capsys, "simulate-mac", "--channel", "cnot-mac")
         assert code == 4 and out == ""
         assert "simulate-mac" in err and "too large for memory" in err
+
+    def test_oversized_run_refused_up_front(self, capsys):
+        # 10^10 codeword pairs: refused before the books are sampled or the
+        # pairs listed, where the out-of-memory killer used to end the run
+        start = time.perf_counter()
+        code, out, err = run(capsys, "simulate-mac", "--channel", "cnot-mac",
+                             "--n", "2", "--L", "100000", "--M", "100000")
+        assert time.perf_counter() - start < 1
+        assert code == 4 and out == ""
+        assert "simulate-mac" in err and "estimated" in err
+        assert "GiB for the codeword stack" in err and "memory limit" in err
+
+    def test_refused_under_an_address_space_limit(self):
+        # under a 3 GiB address-space limit this run used to fail inside
+        # OpenBLAS's allocator with exit 1
+        def limit():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, hard))
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmac", "simulate-mac", "--channel",
+             "cnot-mac", "--n", "2", "--L", "300", "--M", "300"],
+            env=env, preexec_fn=limit, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert "over the memory limit of 3 GiB" in proc.stderr
+
+    def test_blocklength_three_headline(self, capsys):
+        # d = 4096: the two-sender experiment at n = 3 runs in Gram form
+        code, out, _ = run(capsys, "simulate-mac", "--channel", "cnot-mac",
+                           "--n", "3", "--L", "4", "--M", "4", "--seed", "0")
+        assert code == 0
+        obj = json.loads(out)
+        assert abs(obj["avg_error"] - 0.767578125) < 1e-12
+        assert obj["error_terms"]["total"] == obj["avg_error"]
 
     def test_golden_n2_output(self, capsys):
         # pinned byte for byte; the figures match the benchmark's reference op

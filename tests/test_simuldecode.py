@@ -1,6 +1,7 @@
 """Simultaneous decoding, the operator inequality, randomization, coherence."""
 
 import dataclasses
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -586,44 +587,76 @@ def sample_pair(name, weights, n, L, M, seeds):
 
 
 class TestGramForm:
+    # the cases whose square root is taken on the d x d family sum S, where
+    # Lq > d; every other case decomposes the Lq x Lq Gram matrix G'
+    S_SIDE = {("cnot-mac", 1, 8, 6), ("adder-mac", 1, 6, 4)}
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("name, weights, n, L, M, branch", [
+    @pytest.mark.parametrize("name, weights, n, L, M, kr_side", [
         ("cnot-mac", None, 1, 2, 2, "G"),
         ("cnot-mac", [0.7, 0.3], 1, 3, 2, "S"),
         ("adder-mac", None, 1, 2, 3, "S"),
         ("adder-mac", [0.7, 0.3], 1, 3, 2, "S"),
         ("cnot-mac", None, 1, 8, 6, "S"),
+        ("adder-mac", None, 1, 6, 4, "S"),
         ("cnot-mac", None, 2, 3, 2, "G"),
+        ("cnot-mac", None, 2, 2, 1, "G"),
         ("cnot-mac", [0.7, 0.3], 2, 2, 3, "G"),
         ("adder-mac", None, 2, 2, 3, "G"),
         ("adder-mac", [0.7, 0.3], 2, 3, 2, "G"),
     ], ids=lambda v: "skewed" if v == [0.7, 0.3] else
         "bell" if v is None else str(v))
-    def test_table_matches_dense_oracle(self, name, weights, n, L, M, branch,
+    def test_table_matches_dense_oracle(self, name, weights, n, L, M, kr_side,
                                         seed):
         # oracle: the dense square-root measurement and its overlap table;
-        # "S" marks Kr > d, where the d x d family sum is decomposed
+        # kr_side marks the side the full Kr x Kr Gram form took ("S" where
+        # Kr > d), and S_SIDE the side the factored form takes
         ch, pair, d1, d2 = sample_pair(name, weights, n, L, M,
                                        (2 * seed, 2 * seed + 1))
         proj = simuldecode.mac_typical_projectors(
             ch, d1, d2, 1.5 if name == "adder-mac" else 1.0)
         kr = L * M * proj.joint_basis.shape[1]
-        assert (kr > proj.space.dim) == (branch == "S")
+        assert (kr > proj.space.dim) == (kr_side == "S")
+        w, _ = simuldecode._detection_factors(pair, proj)
+        s_side = (name, n, L, M) in self.S_SIDE
+        assert (w.shape[1] > proj.space.dim) == s_side
         want = overlap_table(
             ch, pair, simuldecode.simultaneous_povm(pair, proj))
         got = simuldecode.gram_table(ch, pair, proj)
         assert got.shape == want.shape == (L * M + 1, L * M)
         assert np.max(np.abs(got - want)) < 1e-12
 
+    @pytest.mark.parametrize("M, q", [(1, 16), (4, 24)])
+    def test_row_space_of_the_shared_factor(self, M, q):
+        # Y = [Y_1 ... Y_M] has rank q: full column rank Mr = 16 at M = 1,
+        # where nothing is dropped, and 24 of Mr = 64 at M = 4
+        ch, pair, d1, d2 = sample_pair("cnot-mac", None, 2, 2, M, (2, 3))
+        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
+        w, z = simuldecode._detection_factors(pair, proj)
+        assert z.shape == (M * proj.joint_basis.shape[1], q)
+        assert w.shape == (proj.space.dim, pair.L * q)
+        assert np.max(np.abs(z.conj().T @ z - np.eye(q))) < 1e-12
+
+    def test_decomposes_the_small_gram_matrix(self, monkeypatch):
+        # the benchmark's op at --seed 1: G' is Lq x Lq = 96 x 96, where
+        # G = W†W was Kr x Kr = 256 x 256
+        ch, pair, d1, d2 = sample_pair("cnot-mac", None, 2, 4, 4, (2, 3))
+        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
+        shapes = []
+        inverse_root = simuldecode._inverse_root
+        monkeypatch.setattr(simuldecode, "_inverse_root",
+                            lambda m: shapes.append(m.shape) or inverse_root(m))
+        simuldecode.gram_table(ch, pair, proj)
+        assert shapes == [(96, 96)]
+
     def test_detection_factors_square_to_the_dense_operators(self):
         ch, pair, d1, d2 = sample_pair("adder-mac", [0.7, 0.3], 2, 2, 3,
                                        (63, 64))
         proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.5)
-        w = simuldecode._detection_factors(pair, proj)
-        r = proj.joint_basis.shape[1]
-        for k, (l, m) in enumerate(
-                (l, m) for l in range(pair.L) for m in range(pair.M)):
-            block = w[:, k * r:(k + 1) * r]
+        w, z = simuldecode._detection_factors(pair, proj)
+        r, q = proj.joint_basis.shape[1], z.shape[1]
+        for l, m in itertools.product(range(pair.L), range(pair.M)):
+            block = w[:, l * q:(l + 1) * q] @ z[m * r:(m + 1) * r].conj().T
             ups = simuldecode.build_upsilon(pair, l, m, proj)
             assert np.max(np.abs(block @ block.conj().T - ups)) < 1e-12
 
@@ -651,8 +684,8 @@ class TestBlocklengthThree:
         table = simuldecode.gram_table(ch, pair, proj)
         assert table[:-1].sum(axis=0).max() <= 1 + 1e-12
         assert table[-1].min() >= -1e-12
-        # G^{+1/2} G G^{+1/2} is the support projector of G
-        w = simuldecode._detection_factors(pair, proj)
+        # G'^{+1/2} G' G'^{+1/2} is the support projector of G'
+        w, _ = simuldecode._detection_factors(pair, proj)
         assert w.shape[1] <= w.shape[0]
         gram = w.conj().T @ w
         inv_root, supp = simuldecode._inverse_root(gram)
