@@ -3,8 +3,9 @@
 Every command is deterministic given its full flag set (seeds included),
 floats are emitted at 12 significant digits, and exit codes are 0 on
 success, 2 on validation failure, 3 on I/O failure, 4 when the dimension
-cap is exceeded or memory runs out, or when ``simulate-mac`` is estimated
-not to fit in memory.  ``QMAC_DIM_CAP`` overrides the cap.
+cap is exceeded or memory runs out, or when ``simulate-mac`` or
+``simulate-seq`` is estimated not to fit in memory.  ``QMAC_DIM_CAP``
+overrides the cap.
 """
 
 from __future__ import annotations
@@ -157,6 +158,7 @@ def cmd_simulate_seq(args) -> int:
         raise ValueError("n, messages and trials must be positive")
     _check_delta(args.delta)
     _check_seed(args.seed, range(args.seed, args.seed + args.trials))
+    _check_memory(channel, args, args.messages, False)
     report = seqdecode.ea_sequential_protocol(
         channel, phi, args.n, args.messages, args.delta, args.seed, args.trials
     )
@@ -164,14 +166,18 @@ def cmd_simulate_seq(args) -> int:
     return 0
 
 
-def _check_mac_memory(channel, d1, d2, args) -> None:
-    """Refuse, before it allocates, a run whose codeword stack V (d x LMc,
-    c <= k^n columns of R for k Kraus matrices), counted three times, plus
-    the simultaneous decoder's LMr x LMc expanded table (r <= c), exceeds
-    the smaller of the soft address-space limit and physical memory."""
-    d = eacode.channel_output_space(channel, d1, d2).dim
-    k, c = args.L * args.M, min(d, len(channel.kraus) ** args.n)
-    need = 16 * k * c * (3 * d + (k * c if args.mode == "simultaneous" else 0))
+def _check_memory(channel, args, k: int, expanded: bool) -> None:
+    """Refuse, before any codebook is sampled, a run of k codewords whose
+    blocks exceed the smaller of the soft address-space limit and physical
+    memory.  Counted at 16 B per entry: the codeword stack V (d x kc, c <=
+    k'^n columns of R for k' Kraus matrices) three times (V, its projection
+    and one decoder block), and with ``expanded`` the simultaneous decoder's
+    kr x kc expanded table (r <= c); at 8 B, the k x k weights and the
+    (k + 1) x k table."""
+    d = (math.prod(channel.in_space.dims) * channel.out_space.dim) ** args.n
+    c = min(d, len(channel.kraus) ** args.n)
+    need = (16 * k * c * (3 * d + (k * c if expanded else 0))
+            + 8 * k * (2 * k + 1))
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
     limit = min(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"),
                 math.inf if soft == resource.RLIM_INFINITY else soft)
@@ -195,7 +201,8 @@ def cmd_simulate_mac(args) -> int:
     _check_seed(args.seed, range(2 * args.seed, 2 * (args.seed + args.trials)))
     d1 = eacode.type_decompose(phi, args.n)
     d2 = eacode.type_decompose(psi, args.n)
-    _check_mac_memory(channel, d1, d2, args)
+    _check_memory(channel, args, args.L * args.M,
+                  args.mode == "simultaneous")
     reports = []
     for t in range(args.trials):
         pair = simuldecode.MacCodePair.sample(

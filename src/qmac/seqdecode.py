@@ -254,15 +254,15 @@ def sequential_projectors(channel: KrausChannel, decomp, delta: float
 
     On the channel output space (receiver share first, then the channel
     outputs), "A" is the receiver share's and "B" the channel outputs'
-    typical projector, each on its own factors; Pi_A Pi_B is the code
-    projector.  The joint "AB", kept as its basis, is the word projector of
-    s = 0.  No d x d matrix is formed.
+    typical projector; Pi_A Pi_B is the code projector.  The joint "AB" is
+    the word projector of s = 0.  Each is kept as its type basis on its own
+    factors, so no d x d matrix is formed.
     """
     recv = (decomp.receiver_label,)
     out = channel.out_space.labels
     return typicality.projector_bundle(
         info.ea_code_state(channel, decomp.phi), decomp.n, delta,
-        {"A": recv, "B": out, "AB": recv + out}, "AB",
+        {"A": recv, "B": out, "AB": recv + out},
         eacode.channel_output_space(channel, decomp),
     )
 
@@ -297,12 +297,13 @@ def _factor_constants(r: np.ndarray, decomp,
     sum_t (P_t / d_t) (x) Y_t Y_t† (:func:`eacode.average_codeword_factors`)
     and Pi_A P_t is P_t or 0, so the top eigenvalue of Pi rho-bar Pi, 1/D,
     is the largest of lambda_max(Pi_B Y_t Y_t† Pi_B) / d_t over the blocks
-    that Pi_A keeps.  The commutator residual is the Frobenius norm of
-    [Pi_AB, rho_n], sqrt(2) |(I - B B†) R R† B|_F, which bounds its
-    max-norm.  No d x d matrix is formed.
+    that Pi_A = B_A B_A† keeps, those with |B_A† P_t|^2 = d_t.  The
+    commutator residual is the Frobenius norm of [Pi_AB, rho_n],
+    sqrt(2) |(I - B B†) R R† B|_F, which bounds its max-norm.  No d x d
+    matrix is formed.
     """
     r_b = projectors.apply("B", r)
-    b = projectors.joint_basis
+    b = projectors.basis("AB")
     overlap = b.conj().T @ r
     epsilon = 1.0 - min(1.0, _squared_norm(projectors.apply("A", r_b)),
                         _squared_norm(overlap))
@@ -313,11 +314,11 @@ def _factor_constants(r: np.ndarray, decomp,
     else:
         inv_d = float(np.linalg.svd(overlap, compute_uv=False).min()) ** 2
     d = (1.0 / inv_d) if (np.isfinite(inv_d) and inv_d > 0) else np.inf
-    pi_a = projectors.marginals["A"].matrix
+    b_a = projectors.basis("A").conj().T
     top = max((
         float(np.linalg.eigvalsh(y @ y.conj().T)[-1]) / cols.shape[1]
         for cols, y in eacode.average_codeword_factors(r_b, decomp)
-        if _squared_norm(pi_a @ cols) > 0.5
+        if _squared_norm(b_a @ cols) > 0.5
     ), default=0.0)
     D = (1.0 / top) if top > 0 else np.inf
     residual = math.sqrt(2.0) * float(
@@ -372,9 +373,11 @@ def ea_packing_constants(channel: KrausChannel, phi: PureState, n: int,
         sequential_projectors(channel, decomp, delta))
 
 
-def _word(encoder: qmat.Operator, projectors: typicality.ProjectorBundle):
-    """Y -> U Pi_joint U† Y, as W (W† Y) with W = U B on d x r columns."""
-    w = qmat.apply_local(encoder, projectors.joint_basis, projectors.space)
+def _word(encoder: qmat.Operator, projectors: typicality.ProjectorBundle,
+          joint: str):
+    """Y -> U Pi_joint U† Y, as W (W† Y) with W = U B on d x r columns,
+    B = ``projectors.basis(joint)`` on every factor."""
+    w = qmat.apply_local(encoder, projectors.basis(joint), projectors.space)
     return lambda y: w @ (w.conj().T @ y)
 
 
@@ -417,7 +420,7 @@ def sequential_table(factor: np.ndarray, encoders: Sequence,
     def code(y):
         return projectors.apply("A", projectors.apply("B", y))
 
-    words = (_word(u, projectors) for u in encoders)
+    words = (_word(u, projectors, "AB") for u in encoders)
     weights = np.array([eacode.block_overlaps(p, p, len(sent))
                         for p in _chain(code(v), code, words)])
     return eacode.codeword_table(sent, traces, weights)
@@ -660,7 +663,8 @@ def successive_table(channel: KrausChannel, pair,
     y = v
     for l, s in enumerate(pair.book1.entries):
         pi_x = alice(s)
-        words = (_word(eacode.receiver_encoder([(d1, s), (d2, t)]), projectors)
+        words = (_word(eacode.receiver_encoder([(d1, s), (d2, t)]),
+                       projectors, "ABC")
                  for t in pair.book2.entries)
         rows += [eacode.block_overlaps(p, p, len(sent))
                  for p in _chain(pi_x(y), pi_x, words)]

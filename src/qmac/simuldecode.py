@@ -18,9 +18,11 @@ square-root measurement of the W_lm is that of Hausladen, Jozsa,
 Schumacher, Westmoreland and Wootters (PRA 54, 1869, 1996).  It is taken on
 the row space (dimension q <= Mr) of the factor Y = [Y_1 ... Y_M] that every
 W_lm = U_1(s_l) Y_m shares, on an Lq x Lq Gram matrix or on S = W W†,
-whichever is smaller, so no d x d matrix is formed.  The successive
-decoder's table is :func:`seqdecode.successive_table`.  The dense path
-(:func:`build_upsilon`, :func:`sqrt_measurement` and
+whichever is smaller, so no d x d matrix is formed.  Every typical
+projector is kept as its type basis B on its own factors
+(:class:`~qmac.typicality.ProjectorBundle`) and applied as B (B† Y).  The
+successive decoder's table is :func:`seqdecode.successive_table`.  The
+dense path (:func:`build_upsilon`, :func:`sqrt_measurement` and
 :func:`simultaneous_povm`, read by :func:`eacode.overlap_table`) stays as
 the oracle, and it is the path of the coherent decoder.
 """
@@ -121,9 +123,9 @@ def mac_typical_projectors(channel: KrausChannel, decomp1, decomp2,
                            delta: float) -> typicality.ProjectorBundle:
     """The six typical projectors of a two-sender channel output, kept small.
 
-    On the full (A..., B..., C...) space, "A", "B", "C", "AB" and "AC" stay
-    operators on their own n-copy factors and the joint "ABC" is kept as its
-    basis (:class:`~qmac.typicality.ProjectorBundle`), so no d x d matrix is
+    On the full (A..., B..., C...) space, each of "A", "B", "C", "AB", "AC"
+    and the joint "ABC" is kept as its type basis on its own n-copy factors
+    (:class:`~qmac.typicality.ProjectorBundle`), so no d x d matrix is
     formed.  Raises ``ValueError`` when one of them is empty at this
     ``delta``.
     """
@@ -133,8 +135,7 @@ def mac_typical_projectors(channel: KrausChannel, decomp1, decomp2,
               "ABC": (a, b) + c}
     projectors = typicality.projector_bundle(
         info.ea_code_state(channel, decomp1.phi, decomp2.phi), decomp1.n,
-        delta, labels, "ABC",
-        eacode.channel_output_space(channel, decomp1, decomp2))
+        delta, labels, eacode.channel_output_space(channel, decomp1, decomp2))
     typicality.require_nonempty(
         {name: projectors.rank(name) for name in labels}, delta)
     return projectors
@@ -227,7 +228,9 @@ def _detection_factors(pair: MacCodePair,
     """(W', Z) with Upsilon_lm = W_lm W_lm† and W_lm = W'_l Z_m†.
 
     W_lm = U^T_1(s_l) Y_m with Y = [Y_1 ... Y_M] = wing† [U^T_2(t_m) B]_m
-    (d x Mr), Pi_ABC = B B† and wing† = Pi_AB Pi_C Pi_AC Pi_B.  Z (Mr x q)
+    (d x Mr), B = ``projectors.basis("ABC")`` with Pi_ABC = B B†, and
+    wing† = Pi_AB Pi_C Pi_AC Pi_B, each applied by its basis
+    (:meth:`~qmac.typicality.ProjectorBundle.apply`).  Z (Mr x q)
     holds Y's right singular vectors, less those of rounding residuals
     (:func:`qmat.rounding_residuals`), so Y_m = (Y Z) Z_m† with Z_m block m
     of Z's rows, and W' = [W'_1 ... W'_L] with W'_l = U^T_1(s_l) Y Z.
@@ -236,7 +239,7 @@ def _detection_factors(pair: MacCodePair,
     d1, d2 = pair.book1.decomp, pair.book2.decomp
     y = np.hstack([
         qmat.apply_local(eacode.receiver_encoder([(d2, t)]),
-                         projectors.joint_basis, space)
+                         projectors.basis("ABC"), space)
         for t in pair.book2.entries
     ])
     for name in ("B", "AC", "C", "AB"):

@@ -257,103 +257,86 @@ def typical_projector(rho: qmat.DensityOperator, n: int, delta: float
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class ProjectorBundle:
-    """The typical projectors of one n-copy space, each kept small.
+    """The typical projectors of one n-copy space, each kept as its basis.
 
-    ``marginals`` maps a name to a projector as an
-    :class:`~qmac.qmat.Operator` on its own n-copy factors, in the factor
-    order of ``space``.  The projector named ``joint`` acts on every factor
-    of ``space`` and is kept as orthonormal columns B, Pi = B B†
-    (``joint_basis``, ``space.dim`` x r).  The factored decoders apply them
-    to d x c blocks; :meth:`embedded` builds the d x d matrices that the
-    dense oracles read.  Each marginal must be a Hermitian idempotent and B
-    must have orthonormal columns, within 1e-9.
+    ``bases`` maps a name to ``(labels, B)``: B holds orthonormal columns
+    spanning the projector Pi = B B† on the n-copy factors ``labels``, with
+    rows in the factor order of ``space``.  The joint projector is the
+    entry whose labels cover all of ``space``.  The factored decoders apply
+    them to d x c blocks; :meth:`embedded` builds the d x d matrices that
+    the dense oracles read.  Every B must have orthonormal columns, within
+    1e-9.
     """
 
     space: qmat.FactorSpace
-    marginals: dict
-    joint: str
-    joint_basis: np.ndarray
+    bases: dict
     # d x d matrices, each built on first use by embedded()
     _dense: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "marginals", dict(self.marginals))
-        object.__setattr__(self, "joint_basis", qmat.frozen_copy(self.joint_basis))
-        for name, op in self.marginals.items():
-            p = op.matrix
-            defect = max(float(np.max(np.abs(p - p.conj().T))),
-                         float(np.max(np.abs(p @ p - p))))
+        object.__setattr__(self, "bases", {
+            name: (tuple(labels), qmat.frozen_copy(b))
+            for name, (labels, b) in self.bases.items()})
+        for name, (_, b) in self.bases.items():
+            defect = float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1])),
+                                  initial=0.0))
             if defect > PROJECTOR_TOL:
                 raise ValueError(
-                    f"projector {name!r} is not a Hermitian idempotent "
+                    f"basis of projector {name!r} is not orthonormal "
                     f"(defect {defect:.3e} > {PROJECTOR_TOL})")
-        b = self.joint_basis
-        defect = float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1])),
-                              initial=0.0))
-        if defect > PROJECTOR_TOL:
-            raise ValueError(
-                f"basis of projector {self.joint!r} is not orthonormal "
-                f"(defect {defect:.3e} > {PROJECTOR_TOL})")
+
+    def basis(self, name: str) -> np.ndarray:
+        """The orthonormal columns B of projector ``name`` on its factors."""
+        return self.bases[name][1]
 
     def rank(self, name: str) -> int:
-        """Rank of projector ``name``, which is its trace."""
-        if name == self.joint:
-            return self.joint_basis.shape[1]
-        return round(self.marginals[name].trace.real)
+        """Rank of projector ``name``, its basis's column count."""
+        return self.basis(name).shape[1]
 
     def embedded(self, name: str) -> np.ndarray:
         """Projector ``name`` as a d x d matrix on ``space``, built once."""
         if name not in self._dense:
-            if name == self.joint:
-                mat = self.joint_basis @ self.joint_basis.conj().T
-            else:
-                mat = qmat.embed(self.marginals[name], self.space).matrix
-            self._dense[name] = qmat.frozen_copy(mat)
+            labels, b = self.bases[name]
+            op = qmat.Operator(self.space.subspace(labels), b @ b.conj().T)
+            self._dense[name] = qmat.frozen_copy(
+                qmat.embed(op, self.space).matrix)
         return self._dense[name]
 
     def apply(self, name: str, mat: np.ndarray) -> np.ndarray:
-        """(Pi_name (x) I) @ mat for a marginal, on d x c blocks.
+        """(Pi_name (x) I) @ mat on d x c blocks, as B (B† Y).
 
-        A marginal on a contiguous run of factors acts in place; one whose
-        factors are split by others (the MAC's AC, split by the B shares)
-        moves the rows to (others..., own...) and back.
+        The rows of the name's factors move to the front and back.  A
+        full-rank projector is the identity, so ``mat`` itself returns.
         """
-        op = self.marginals[name]
-        labels = op.space.labels
-        start = self.space.axis(labels[0])
-        if self.space.labels[start:start + len(labels)] == labels:
-            return qmat.apply_local(op, mat, self.space)
-        moved = self.space.subspace(
-            [l for l in self.space.labels if l not in labels] + list(labels))
-        out = qmat.apply_local(
-            op, qmat.permute_rows(mat, self.space, moved.labels), moved)
-        return qmat.permute_rows(out, moved, self.space.labels)
+        labels, b = self.bases[name]
+        if b.shape[1] == b.shape[0]:
+            return mat
+        own = [self.space.axis(l) for l in labels]
+        perm = own + [i for i in range(len(self.space.dims)) if i not in own]
+        y = mat.reshape(self.space.dims + (-1,)).transpose(perm + [len(perm)])
+        moved = y.shape
+        y = b @ (b.conj().T @ y.reshape(b.shape[0], -1))
+        back = np.argsort(perm).tolist() + [len(perm)]
+        return y.reshape(moved).transpose(back).reshape(mat.shape)
 
 
 def projector_bundle(rho: qmat.DensityOperator, n: int, delta: float,
-                     marginals: dict, joint: str, space: qmat.FactorSpace
+                     marginals: dict, space: qmat.FactorSpace
                      ) -> ProjectorBundle:
     """Typical projectors of marginals of ``rho``, on the n-copy ``space``.
 
     ``rho`` is a single-copy state and ``marginals`` maps a name to the
     labels of ``rho`` that the marginal keeps (label X covers X1..Xn of
-    ``space``).  The one named ``joint`` must keep every label; it becomes
-    the bundle's basis and the others operators on their own factors, so
-    no d x d matrix is formed.  An empty projector is not an error here.
+    ``space``).  Each projector is kept as its type basis, its rows moved
+    to the factor order of ``space``, so no d x d matrix is formed.  An
+    empty projector is not an error here.
     """
-    typical = {
-        name: typical_projector(qmat.partial_trace(rho, labels), n, delta)
-        for name, labels in marginals.items()
-    }
-    whole = typical.pop(joint)
-    return ProjectorBundle(
-        space,
-        {name: qmat.permute(qmat.Operator(tp.space, tp.projector),
-                            [l for l in space.labels if l in tp.space.labels])
-         for name, tp in typical.items()},
-        joint,
-        qmat.permute_rows(whole.basis, whole.space, space.labels),
-    )
+    bases = {}
+    for name, keep in marginals.items():
+        tp = typical_projector(qmat.partial_trace(rho, keep), n, delta)
+        labels = [l for l in space.labels if l in tp.space.labels]
+        bases[name] = (labels, qmat.permute_rows(tp.basis, tp.space, labels))
+    return ProjectorBundle(space, bases)
 
 
 def embedded_typical_projectors(rho: qmat.DensityOperator, n: int,
@@ -376,10 +359,10 @@ def embedded_typical_projectors(rho: qmat.DensityOperator, n: int,
 def require_nonempty(ranks: dict, delta: float) -> None:
     """Raise ``ValueError`` naming ``delta`` when a named projector is zero.
 
-    ``ranks`` maps each projector's name to its rank, which is its trace.
+    ``ranks`` maps each projector's name to its integer rank.
     """
     for name, rank in ranks.items():
-        if rank < 0.5:
+        if rank == 0:
             raise ValueError(
                 f"delta = {delta} leaves the typical {name} projector empty: "
                 "no eigenvector is delta-typical, so a larger delta is needed"

@@ -645,6 +645,16 @@ class TestSimulateMac:
         assert "simulate-mac" in err and "estimated" in err
         assert "GiB for the codeword stack" in err and "memory limit" in err
 
+    def test_oversized_sequential_run_refused_up_front(self, capsys):
+        # 3 * 10^6 messages: the (K + 1) x K table alone is about 72 TB
+        start = time.perf_counter()
+        code, out, err = run(capsys, "simulate-seq", "--channel", "identity:2",
+                             "--messages", "3000000", "--trials", "1")
+        assert time.perf_counter() - start < 1
+        assert code == 4 and out == ""
+        assert "simulate-seq" in err and "estimated" in err
+        assert "GiB for the codeword stack" in err and "memory limit" in err
+
     def test_refused_under_an_address_space_limit(self):
         # under a 3 GiB address-space limit this run used to fail inside
         # OpenBLAS's allocator with exit 1

@@ -86,7 +86,8 @@ class TestBuildUpsilon:
             qmat.named_channel("cnot-mac"), d1, d2, 1.0
         )
         dim = proj.space.dim
-        zeroed = dataclasses.replace(proj, joint_basis=np.zeros((dim, 0)))
+        zeroed = dataclasses.replace(proj, bases={
+            **proj.bases, "ABC": (proj.space.labels, np.zeros((dim, 0)))})
         ups = simuldecode.build_upsilon(pair, 0, 0, zeroed)
         assert np.max(np.abs(ups)) < 1e-12
 
@@ -94,12 +95,16 @@ class TestBuildUpsilon:
         ch = qmat.named_channel("cnot-mac")
         _, d1, d2 = bell_pair_books(ch)
         proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
-        # five marginals on their own factors, the joint one as its basis
-        assert set(proj.marginals) == {"A", "B", "C", "AB", "AC"}
-        for op in proj.marginals.values():
-            assert set(op.space.labels) < set(proj.space.labels)
-        b = proj.joint_basis
-        assert np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) < 1e-12
+        # five marginals on their own factors, the joint one on every factor,
+        # each as an orthonormal basis
+        assert set(proj.bases) == {"A", "B", "C", "AB", "AC", "ABC"}
+        for name, (labels, b) in proj.bases.items():
+            if name == "ABC":
+                assert labels == proj.space.labels
+            else:
+                assert set(labels) < set(proj.space.labels)
+            assert b.shape[0] == proj.space.subspace(labels).dim
+            assert np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) < 1e-12
         # embedded() builds each of the six once, equal to the eager
         # embedding of the single-copy state's typical projectors
         out = ch.out_space.labels
@@ -113,18 +118,33 @@ class TestBuildUpsilon:
             assert proj.embedded(name) is proj.embedded(name)
             assert np.max(np.abs(proj.embedded(name) - mat)) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("name", ["cnot-mac", "adder-mac"])
+    def test_apply_matches_the_embedded_projectors(self, name, n):
+        # AC's factors are split by B's; C and AB are rank-deficient here
+        ch = qmat.named_channel(name)
+        d1, d2 = (eacode.type_decompose(schmidt_state(w, s, r), n)
+                  for w, s, r in (([0.7, 0.3], "Ap", "A"),
+                                  ([0.6, 0.4], "Bp", "B")))
+        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
+        labels = proj.bases["AC"][0]
+        start = proj.space.labels.index(labels[0])
+        assert proj.space.labels[start:start + len(labels)] != labels
+        mats = np.random.default_rng(n).normal(size=(proj.space.dim, 5))
+        for key in ("AC", "C", "AB"):
+            if key != "AC":
+                assert proj.rank(key) < len(proj.basis(key))
+            want = proj.embedded(key) @ mats
+            assert np.max(np.abs(proj.apply(key, mats) - want)) < 1e-12
+
     def test_identity_projectors_identity_indices(self):
         ch = parallel_qubit_mac()
         pair, d1, d2 = phase_books(ch)
         proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
         dim = proj.space.dim
         eye = np.eye(dim)
-        all_eye = dataclasses.replace(
-            proj,
-            marginals={k: qmat.Operator(op.space, np.eye(op.space.dim))
-                       for k, op in proj.marginals.items()},
-            joint_basis=eye,
-        )
+        all_eye = dataclasses.replace(proj, bases={
+            k: (labels, np.eye(len(b))) for k, (labels, b) in proj.bases.items()})
         ups = simuldecode.build_upsilon(pair, 0, 0, all_eye)
         assert np.max(np.abs(ups - eye)) < 1e-10
 
@@ -615,7 +635,7 @@ class TestGramForm:
                                        (2 * seed, 2 * seed + 1))
         proj = simuldecode.mac_typical_projectors(
             ch, d1, d2, 1.5 if name == "adder-mac" else 1.0)
-        kr = L * M * proj.joint_basis.shape[1]
+        kr = L * M * proj.rank("ABC")
         assert (kr > proj.space.dim) == (kr_side == "S")
         w, _ = simuldecode._detection_factors(pair, proj)
         s_side = (name, n, L, M) in self.S_SIDE
@@ -633,7 +653,7 @@ class TestGramForm:
         ch, pair, d1, d2 = sample_pair("cnot-mac", None, 2, 2, M, (2, 3))
         proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
         w, z = simuldecode._detection_factors(pair, proj)
-        assert z.shape == (M * proj.joint_basis.shape[1], q)
+        assert z.shape == (M * proj.rank("ABC"), q)
         assert w.shape == (proj.space.dim, pair.L * q)
         assert np.max(np.abs(z.conj().T @ z - np.eye(q))) < 1e-12
 
@@ -654,7 +674,7 @@ class TestGramForm:
                                        (63, 64))
         proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.5)
         w, z = simuldecode._detection_factors(pair, proj)
-        r, q = proj.joint_basis.shape[1], z.shape[1]
+        r, q = proj.rank("ABC"), z.shape[1]
         for l, m in itertools.product(range(pair.L), range(pair.M)):
             block = w[:, l * q:(l + 1) * q] @ z[m * r:(m + 1) * r].conj().T
             ups = simuldecode.build_upsilon(pair, l, m, proj)

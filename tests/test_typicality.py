@@ -221,8 +221,7 @@ class TestProjectorBundle:
                               random_density(rng, 4))
         space = FactorSpace(("A1", "A2", "B1", "B2"), (2,) * 4)
         return rho, typicality.projector_bundle(
-            rho, 2, 0.6, {"A": ("A",), "B": ("B",), "AB": ("A", "B")}, "AB",
-            space)
+            rho, 2, 0.6, {"A": ("A",), "B": ("B",), "AB": ("A", "B")}, space)
 
     def test_matches_embedded_projectors(self):
         # oracle: the typical projectors embedded as d x d matrices
@@ -235,19 +234,55 @@ class TestProjectorBundle:
             # the embedding multiplies the rank by the other factors' 4
             assert 4 ** (name != "AB") * p.rank(name) == round(
                 np.trace(mat).real)
-            if name != "AB":
-                assert np.max(np.abs(p.apply(name, mats) - mat @ mats)) < 1e-12
+            assert np.max(np.abs(p.apply(name, mats) - mat @ mats)) < 1e-12
 
     def test_rejects_a_non_projector(self):
         _, p = self.bundle()
-        half = qmat.Operator(p.marginals["A"].space,
-                             p.marginals["A"].matrix / 2)
-        with pytest.raises(ValueError, match="'A' is not a Hermitian idempotent"):
-            typicality.ProjectorBundle(p.space, {**p.marginals, "A": half},
-                                       p.joint, p.joint_basis)
+        labels, b = p.bases["A"]
+        with pytest.raises(ValueError, match="'A' is not orthonormal"):
+            typicality.ProjectorBundle(p.space, {**p.bases, "A": (labels, b / 2)})
+        labels, b = p.bases["AB"]
         with pytest.raises(ValueError, match="'AB' is not orthonormal"):
-            typicality.ProjectorBundle(p.space, p.marginals, p.joint,
-                                       1.1 * p.joint_basis)
+            typicality.ProjectorBundle(p.space,
+                                       {**p.bases, "AB": (labels, 1.1 * b)})
+
+    def test_full_rank_projector_returns_its_input(self):
+        # every eigenvector of the maximally mixed state is typical
+        rho = DensityOperator(FactorSpace(("A", "B"), (2, 2)), np.eye(4) / 4)
+        space = FactorSpace(("A1", "A2", "B1", "B2"), (2,) * 4)
+        p = typicality.projector_bundle(
+            rho, 2, 0.0, {"A": ("A",), "B": ("B",), "AB": ("A", "B")}, space)
+        mats = np.random.default_rng(33).normal(size=(16, 3))
+        for name, (labels, _) in p.bases.items():
+            assert p.rank(name) == space.subspace(labels).dim
+            assert p.apply(name, mats) is mats
+
+    @pytest.mark.parametrize("run", ["sequential", "simultaneous", "successive"])
+    def test_decoders_form_no_dense_projector(self, monkeypatch, run):
+        # every projector stays a basis: neither the n-copy projector B B†
+        # nor its embedding is formed on the decoders' paths
+        from qmac import eacode, seqdecode, simuldecode
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense typical projector was formed")
+
+        monkeypatch.setattr(typicality.TypicalProjector, "projector",
+                            property(refuse))
+        monkeypatch.setattr(typicality.ProjectorBundle, "embedded", refuse)
+        monkeypatch.setattr(qmat, "embed", refuse)
+        if run == "sequential":
+            rep = seqdecode.ea_sequential_protocol(
+                qmat.named_channel("amplitude-damping:0.3"),
+                schmidt_state([0.7, 0.3]), 2, 4, 1.0, 0, 2)
+            assert 0.0 <= rep.success_mean <= 1.0
+            return
+        d1, d2 = (eacode.type_decompose(schmidt_state(w, s, r), 2)
+                  for w, s, r in (([0.7, 0.3], "Ap", "A"),
+                                  ([0.6, 0.4], "Bp", "B")))
+        pair = simuldecode.MacCodePair.sample(d1, d2, 2, 3, 4, 5)
+        rep = simuldecode.run_mac_experiment(
+            qmat.named_channel("cnot-mac"), pair, run, 1.0)
+        assert 0.0 <= rep.avg_error <= 1.0
 
 
 class TestMeasurePackingConstants:
