@@ -3,9 +3,9 @@
 Every command is deterministic given its full flag set (seeds included),
 floats are emitted at 12 significant digits, and exit codes are 0 on
 success, 2 on validation failure, 3 on I/O failure, 4 when the dimension
-cap is exceeded or memory runs out, or when ``simulate-mac`` or
-``simulate-seq`` is estimated not to fit in memory.  ``QMAC_DIM_CAP``
-overrides the cap.
+cap is exceeded or memory runs out, or when ``simulate-mac``,
+``simulate-seq`` or ``gaussian-sweep`` is estimated not to fit in memory.
+``QMAC_DIM_CAP`` overrides the cap.
 """
 
 from __future__ import annotations
@@ -128,6 +128,9 @@ def cmd_gaussian_region(args) -> int:
 def cmd_gaussian_sweep(args) -> int:
     if args.steps < 2:
         raise ValueError(f"steps must be at least 2, got {args.steps}")
+    # peak RSS, numpy 2 on x86-64: 87 MiB at 10^5 steps, 608 MiB at 10^6 and
+    # 1757 MiB at 3 * 10^6; 1000 B per step is at or above all three
+    _require_memory(1000 * args.steps, "the sweep's rows")
     grid = np.arange(args.steps) / (args.steps - 1)
     rows = gaussian.region_sweep(args.nsa, args.nsb, grid)
     _write_or_print(gaussian.sweep_csv(rows), args.out)
@@ -166,26 +169,31 @@ def cmd_simulate_seq(args) -> int:
     return 0
 
 
-def _check_memory(channel, args, k: int, expanded: bool) -> None:
-    """Refuse, before any codebook is sampled, a run of k codewords whose
-    blocks exceed the smaller of the soft address-space limit and physical
-    memory.  Counted at 16 B per entry: the codeword stack V (d x kc, c <=
-    k'^n columns of R for k' Kraus matrices) three times (V, its projection
-    and one decoder block), and with ``expanded`` the simultaneous decoder's
-    kr x kc expanded table (r <= c); at 8 B, the k x k weights and the
-    (k + 1) x k table."""
-    d = (math.prod(channel.in_space.dims) * channel.out_space.dim) ** args.n
-    c = min(d, len(channel.kraus) ** args.n)
-    need = (16 * k * c * (3 * d + (k * c if expanded else 0))
-            + 8 * k * (2 * k + 1))
+def _require_memory(need: float, what: str) -> None:
+    """Refuse a run whose estimated ``need`` bytes for ``what`` exceed the
+    smaller of the soft address-space limit and physical memory."""
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
     limit = min(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"),
                 math.inf if soft == resource.RLIM_INFINITY else soft)
     if need > limit:
         raise MemoryError(
-            f"the run needs an estimated {need / 2**30:.3g} GiB for the "
-            "codeword stack and the decoder's blocks, over the memory limit "
-            f"of {limit / 2**30:.3g} GiB")
+            f"the run needs an estimated {need / 2**30:.3g} GiB for {what}, "
+            f"over the memory limit of {limit / 2**30:.3g} GiB")
+
+
+def _check_memory(channel, args, k: int, expanded: bool) -> None:
+    """Refuse, before any codebook is sampled, a run of k codewords whose
+    blocks exceed the memory limit (:func:`_require_memory`).  Counted at
+    16 B per entry: the codeword stack V (d x kc, c <= k'^n columns of R
+    for k' Kraus matrices) four times (V, its projection, one decoder block
+    and the stacked encoded word bases, d x kr with r <= c), and with
+    ``expanded`` the simultaneous decoder's kr x kc expanded table; at 8 B,
+    the k x k weights and the (k + 1) x k table."""
+    d = (math.prod(channel.in_space.dims) * channel.out_space.dim) ** args.n
+    c = min(d, len(channel.kraus) ** args.n)
+    _require_memory(16 * k * c * (4 * d + (k * c if expanded else 0))
+                    + 8 * k * (2 * k + 1),
+                    "the codeword stack and the decoder's blocks")
 
 
 def cmd_simulate_mac(args) -> int:
@@ -336,15 +344,14 @@ def cmd_check(args) -> int:
     seq_channel = qmat.named_channel("depolarizing:0.2")
     decomp, code_proj, _, words = seqdecode.ea_protocol_instance(
         seq_channel, phi, 1, 1.0)
-    entries = eacode.sample_code(decomp, 6, 5).entries
+    book = eacode.sample_code(decomp, 6, 5)
     factor = eacode.channel_output_factor(seq_channel, decomp)
-    encoders = [eacode.receiver_encoder([(decomp, s)]) for s in entries]
     seq_projectors = seqdecode.sequential_projectors(seq_channel, decomp, 1.0)
-    seq_v, _ = eacode.codeword_factors(range(6), factor, encoders,
+    seq_v, _ = eacode.codeword_factors(range(6), factor, [book.encoders],
                                        seq_projectors.space)
-    povm = seqdecode.sequential_povm(list(entries), code_proj, words)
+    povm = seqdecode.sequential_povm(list(book.entries), code_proj, words)
     worst = float(np.max(np.abs(
-        seqdecode.sequential_table(factor, encoders, seq_projectors)
+        seqdecode.sequential_table(factor, book.encoders, seq_projectors)
         - eacode.overlap_table(range(6), seq_v, povm)
     )))
     report("factored sequential table equals the dense sequential POVM's",

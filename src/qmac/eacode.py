@@ -35,6 +35,7 @@ __all__ = [
     "channel_output_factor",
     "channel_output_state",
     "receiver_encoder",
+    "encode",
     "conjugate_by_receiver_encoders",
     "average_codeword_state",
     "average_codeword_factors",
@@ -213,6 +214,8 @@ class HwIndex:
 
 def _block_matrix(s: HwIndex, decomp: TypeDecomposition) -> np.ndarray:
     """Block-diagonal (-1)^b X(x) Z(z) in the (type, lex-sequence) basis."""
+    if s.block_dims != decomp.block_dims:
+        raise ValueError("index block dimensions do not match the decomposition")
     dim = decomp.sender_space.dim
     out = np.zeros((dim, dim), dtype=complex)
     for (x, z, b), t, sl in zip(s.triples, decomp.types, decomp.block_slices):
@@ -226,16 +229,12 @@ def _block_matrix(s: HwIndex, decomp: TypeDecomposition) -> np.ndarray:
 
 def hw_unitary(s: HwIndex, decomp: TypeDecomposition) -> np.ndarray:
     """The encoder U(s) on the sender's n-fold share, block-diagonal by type."""
-    if s.block_dims != decomp.block_dims:
-        raise ValueError("index block dimensions do not match the decomposition")
     b = decomp._sender_block_basis
     return b @ _block_matrix(s, decomp) @ b.conj().T
 
 
 def hw_transpose_unitary(s: HwIndex, decomp: TypeDecomposition) -> np.ndarray:
     """U^T(s) on the receiver's n-fold share (transpose in the paired bases)."""
-    if s.block_dims != decomp.block_dims:
-        raise ValueError("index block dimensions do not match the decomposition")
     b = decomp._receiver_block_basis
     return b @ _block_matrix(s, decomp).T @ b.conj().T
 
@@ -249,7 +248,7 @@ def transpose_trick_residual(s: HwIndex, decomp: TypeDecomposition) -> float:
     u_s = qmat.Operator(decomp.sender_space, hw_unitary(s, decomp))
     vec = decomp.phi_n.vector
     lhs = qmat.apply_local(u_s, vec, decomp.full_space)
-    rhs = qmat.apply_local(receiver_encoder([(decomp, s)]), vec, decomp.full_space)
+    rhs = qmat.apply_local(receiver_encoder(decomp, s), vec, decomp.full_space)
     return float(np.linalg.norm(lhs - rhs))
 
 
@@ -270,18 +269,26 @@ def enumerate_indices(decomp: TypeDecomposition):
 
 @dataclass(frozen=True, slots=True)
 class EaCodeBook:
-    """A random code: one Heisenberg-Weyl index vector per message."""
+    """A random code: one Heisenberg-Weyl index vector per message.
+
+    ``encoders`` holds the receiver encoder U^T(s) of each entry, in
+    message order (:func:`receiver_encoder`), built once with the book.
+    """
 
     message_count: int
     entries: tuple[HwIndex, ...]
     seed: int
     decomp: TypeDecomposition
+    encoders: tuple[qmat.Operator, ...] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
         entries = tuple(self.entries)
         if len(entries) != self.message_count:
             raise ValueError("entry count must equal message_count")
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "encoders", tuple(
+            receiver_encoder(self.decomp, s) for s in entries))
 
     def __getitem__(self, m: int) -> HwIndex:
         return self.entries[m]
@@ -367,25 +374,31 @@ def channel_output_state(channel: KrausChannel, decomp: TypeDecomposition,
     )
 
 
-def receiver_encoder(indexed_encoders) -> qmat.Operator:
-    """U^T(s_1) (x) U^T(s_2) (x) ... on the joint receiver shares.
+def receiver_encoder(decomp: TypeDecomposition, s: HwIndex) -> qmat.Operator:
+    """U^T(s) on ``decomp.receiver_space``, the sender's own receiver share.
 
-    ``indexed_encoders`` lists (decomp, index) pairs in the order their
-    receiver shares appear in the space the encoder will act on; apply the
-    result with :func:`qmat.apply_local` or :func:`qmat.conjugate_local`.
+    Each sender's encoder acts on its own share only, so the encoders of
+    two senders commute and no joint encoder is formed; apply one with
+    :func:`encode`, :func:`qmat.apply_local` or :func:`qmat.conjugate_local`.
     """
-    return qmat.tensor(*[
-        qmat.Operator(decomp.receiver_space, hw_transpose_unitary(s, decomp))
-        for decomp, s in indexed_encoders
-    ])
+    return qmat.Operator(decomp.receiver_space, hw_transpose_unitary(s, decomp))
+
+
+def encode(x: np.ndarray, encoders, space: FactorSpace) -> np.ndarray:
+    """[U_1 X ... U_K X]: each encoder applied to X on its own share of ``space``."""
+    return np.hstack([qmat.apply_local(u, x, space) for u in encoders])
 
 
 def conjugate_by_receiver_encoders(state, indexed_encoders) -> DensityOperator:
-    """sigma = (prod U^T) rho (prod U^*) for encoders given as (decomp, index) pairs."""
-    w = receiver_encoder(indexed_encoders)
-    return DensityOperator(
-        state.space, qmat.conjugate_local(w, state.matrix, state.space)
-    )
+    """sigma = (prod U^T) rho (prod U^*) for encoders given as (decomp, index) pairs.
+
+    Each encoder conjugates its own share in turn; they commute, so the
+    order of the pairs does not matter.
+    """
+    mat = state.matrix
+    for decomp, s in indexed_encoders:
+        mat = qmat.conjugate_local(receiver_encoder(decomp, s), mat, state.space)
+    return DensityOperator(state.space, mat)
 
 
 def average_codeword_state(rho: DensityOperator, decomp: TypeDecomposition
@@ -450,15 +463,19 @@ def _check_traces(sent, traces) -> None:
             raise ValueError(f"codeword state {key} has trace {total}, not 1")
 
 
-def codeword_factors(sent, r: np.ndarray, encoders, space: FactorSpace):
+def codeword_factors(sent, r: np.ndarray, books, space: FactorSpace):
     """(V, traces): the codeword factors of the ``sent`` codewords.
 
-    ``encoders`` lists the receiver encoders U_j of the sent codewords in
-    order (:func:`receiver_encoder`) and ``r`` is R with rho = R R† on
-    ``space``.  V = [V_1 ... V_K] with V_j = U_j R, so sigma_j = V_j V_j†,
-    and traces[j] = Tr sigma_j = |V_j|^2, which must be 1.
+    ``books`` lists one sequence of receiver encoders per sender
+    (:attr:`EaCodeBook.encoders`) and ``r`` is R with rho = R R† on
+    ``space``.  The last book's encoders act first (:func:`encode`), so two
+    books give the l-major V = [V_11 ... V_LM] with V_lm = U_1(s_l) U_2(t_m) R,
+    and one book gives V = [V_1 ... V_K] with V_k = U_k R.  sigma_j =
+    V_j V_j†, and traces[j] = Tr sigma_j = |V_j|^2, which must be 1.
     """
-    v = np.hstack([qmat.apply_local(u, r, space) for u in encoders])
+    v = r
+    for encoders in reversed(books):
+        v = encode(v, encoders, space)
     traces = block_overlaps(v, v, len(sent))
     _check_traces(sent, traces)
     return v, traces

@@ -18,7 +18,6 @@ applied to V_k, and no d x d matrix is formed.  The dense POVMs
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
@@ -267,14 +266,6 @@ def sequential_projectors(channel: KrausChannel, decomp, delta: float
     )
 
 
-def _codeword(decomp, s, rho_n: DensityOperator, pi_ab: np.ndarray):
-    """(sigma_s, Pi_s): the codeword state and word projector of index s."""
-    u = eacode.receiver_encoder([(decomp, s)])
-    full = rho_n.space
-    sigma = DensityOperator(full, qmat.conjugate_local(u, rho_n.matrix, full))
-    return sigma, qmat.conjugate_local(u, pi_ab, full)
-
-
 def _squared_norm(x: np.ndarray) -> float:
     return float(np.vdot(x, x).real)
 
@@ -349,10 +340,14 @@ def ea_protocol_instance(channel: KrausChannel, phi: PureState, n: int,
     p = sequential_projectors(channel, decomp, delta)
     rho_n = eacode.channel_output_state(channel, decomp)
     code_proj, pi_ab = p.embedded("A") @ p.embedded("B"), p.embedded("AB")
+    full = rho_n.space
     sigma = {}
     words = {}
     for s in eacode.enumerate_indices(decomp):
-        sigma[s], words[s] = _codeword(decomp, s, rho_n, pi_ab)
+        u = eacode.receiver_encoder(decomp, s)
+        sigma[s] = DensityOperator(
+            full, qmat.conjugate_local(u, rho_n.matrix, full))
+        words[s] = qmat.conjugate_local(u, pi_ab, full)
     return decomp, code_proj, sigma, words
 
 
@@ -373,26 +368,20 @@ def ea_packing_constants(channel: KrausChannel, phi: PureState, n: int,
         sequential_projectors(channel, decomp, delta))
 
 
-def _word(encoder: qmat.Operator, projectors: typicality.ProjectorBundle,
-          joint: str):
-    """Y -> U Pi_joint U† Y, as W (W† Y) with W = U B on d x r columns,
-    B = ``projectors.basis(joint)`` on every factor."""
-    w = qmat.apply_local(encoder, projectors.basis(joint), projectors.space)
-    return lambda y: w @ (w.conj().T @ y)
-
-
 def _chain(y: np.ndarray, project, words):
-    """Yield Pi_k Y_k for the word projectors Pi_k (callables) in order.
+    """Yield Pi_k Y_k for the word projectors Pi_k = W_k W_k† in order.
 
-    Y_1 = ``y`` lies in the range of the code projector Pi (``project``),
+    ``words`` yields the d x r blocks W_k = U_k B of the stack
+    [U_1 B ... U_K B] that :func:`eacode.encode` builds for Pi = B B†, so
+    Pi_k = U_k Pi U_k† is applied as W_k (W_k† Y).  Y_1 = ``y`` lies in the range of the code projector Pi (``project``),
     and Y_{k+1} = Pi (Y_k - Pi_k Y_k) = Pi (I - Pi_k) Pi Y_k.  So with y =
     Pi V, the k-th output is Pi_k Pi Qbar_{k-1} ... Qbar_1 V, whose squared
     norm is the weight of the sequential POVM's k-th element on V V†.
     """
-    for k, word in enumerate(words):
+    for k, w in enumerate(words):
         if k:
             y = project(y - p)
-        p = word(y)
+        p = w @ (w.conj().T @ y)
         yield p
 
 
@@ -401,26 +390,29 @@ def sequential_table(factor: np.ndarray, encoders: Sequence,
     """The sequential decoder's table [T; abort] on the codeword factors.
 
     ``encoders`` lists the receiver encoders U_k of the book's messages in
-    order and ``factor`` is R with rho_n = R R†, on ``projectors.space``
-    (:func:`sequential_projectors`).  T[k, j] = Tr{Lambda_k sigma_j}, where
-    Lambda is :func:`sequential_povm` of the word projectors U_k Pi_AB U_k†
-    inside the code projector Pi_A Pi_B and sigma_j = V_j V_j†,
-    V_j = U_j R; the last row is the abort weight
-    Tr{(I - sum_k Lambda_k) sigma_j}.
+    order (:attr:`eacode.EaCodeBook.encoders`) and ``factor`` is R with
+    rho_n = R R†, on ``projectors.space`` (:func:`sequential_projectors`).
+    T[k, j] = Tr{Lambda_k sigma_j}, where Lambda is :func:`sequential_povm`
+    of the word projectors U_k Pi_AB U_k† inside the code projector
+    Pi_A Pi_B and sigma_j = V_j V_j†, V_j = U_j R; the last row is the
+    abort weight Tr{(I - sum_k Lambda_k) sigma_j}.
 
-    Stack V = [V_1 ... V_K] and set Y = Pi V; row k of the table is the
-    block norms of Pi_{x_k} Y, and then Y <- Pi (Y - Pi_{x_k} Y)
-    (:func:`_chain`), so memory is a few d x Kr blocks.  Tr sigma_k =
-    |V_k|^2 must be 1 and every abort weight at least -1e-9.
+    Stack V = [V_1 ... V_K] and the words [U_1 B ... U_K B] with
+    Pi_AB = B B†, each from one :func:`eacode.encode`, and set Y = Pi V;
+    row k of the table is the block norms of Pi_{x_k} Y, and then
+    Y <- Pi (Y - Pi_{x_k} Y) (:func:`_chain`), so memory is a few d x Kc
+    and d x Kr blocks.  Tr sigma_k = |V_k|^2 must be 1 and every abort
+    weight at least -1e-9.
     """
     sent = range(len(encoders))
-    v, traces = eacode.codeword_factors(sent, factor, encoders,
-                                        projectors.space)
+    space = projectors.space
+    v, traces = eacode.codeword_factors(sent, factor, [encoders], space)
 
     def code(y):
         return projectors.apply("A", projectors.apply("B", y))
 
-    words = (_word(u, projectors, "AB") for u in encoders)
+    words = np.split(eacode.encode(projectors.basis("AB"), encoders, space),
+                     len(sent), axis=1)
     weights = np.array([eacode.block_overlaps(p, p, len(sent))
                         for p in _chain(code(v), code, words)])
     return eacode.codeword_table(sent, traces, weights)
@@ -436,9 +428,10 @@ def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
     and reports the empirical mean together with the packing bound at
     constants taken over the full index set (:func:`ea_packing_constants`).
     Everything is read off the channel output factor R; neither rho_n nor a
-    codeword state nor a POVM element is formed.  Encoders are built only
-    for the indices the books draw, each once.  Raises ``ValueError`` when
-    the code or word projector is empty at this ``delta``.
+    codeword state nor a POVM element is formed.  Each sampled book builds
+    the encoders of its own entries, each once (:class:`eacode.EaCodeBook`).
+    Raises ``ValueError`` when the code or word projector is empty at this
+    ``delta``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -453,15 +446,10 @@ def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
     bound = packing_lower_bound(PackingConstants(
         min(max(measured.epsilon, 1e-15), 1.0), measured.d, measured.D,
         message_count))
-    encoders = {}
     successes = []
     for t in range(trials):
         book = eacode.sample_code(decomp, message_count, seed + t)
-        for s in book.entries:
-            if s not in encoders:
-                encoders[s] = eacode.receiver_encoder([(decomp, s)])
-        table = sequential_table(
-            factor, [encoders[s] for s in book.entries], projectors)
+        table = sequential_table(factor, book.encoders, projectors)
         successes.append(float(np.diagonal(table).mean()))
     arr = np.array(successes)
     stderr = float(arr.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -515,6 +503,8 @@ class SuccessiveConstants:
             for k in ("epsilon", "d1_minus", "d1_plus", "d2", "D1")
         ):
             raise ValueError("successive constants must be positive")
+        if not self.epsilon <= 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
         if not self.eps_prime >= 0:
             raise ValueError("eps_prime must be nonnegative")
         required = _exp(self.d1_minus * self.L / self.D1) - 1.0
@@ -544,17 +534,13 @@ class SuccessiveBound:
 def successive_bound(c: SuccessiveConstants) -> SuccessiveBound:
     """|(1-2eps)(2 - e^{d2 M / d1_plus})|^2 - 2 sqrt(2 (eps + eps')).
 
-    The raw value may be negative at desk scale; the clamped value floors
-    it at zero.  As in :func:`packing_lower_bound`, the bracket is not
-    positive once d2 M / d1_plus >= ln 2, where the exponential is not
-    evaluated.
+    The main term is :func:`packing_lower_bound` at (eps, d2, d1_plus, M),
+    with its flag.  The raw value may be negative at desk scale; the
+    clamped value floors it at zero.
     """
-    x = c.d2 * c.M / c.d1_plus
-    bracket = 2.0 - math.exp(x) if x < LN2 else 0.0
-    positive = bracket > 0.0 and c.epsilon <= 0.5
-    main = abs((1.0 - 2.0 * c.epsilon) * bracket) ** 2 if bracket > 0 else 0.0
-    raw = main - 2.0 * math.sqrt(2.0 * (c.epsilon + c.eps_prime))
-    return SuccessiveBound(max(raw, 0.0), raw, positive)
+    main = packing_lower_bound(PackingConstants(c.epsilon, c.d2, c.d1_plus, c.M))
+    raw = main.value - 2.0 * math.sqrt(2.0 * (c.epsilon + c.eps_prime))
+    return SuccessiveBound(max(raw, 0.0), raw, main.condition_holds)
 
 
 def successive_povm(code1: Sequence, code2: Sequence, code_projector,
@@ -613,14 +599,13 @@ def ea_successive_povm(pair, projectors: typicality.ProjectorBundle
     b1, b2 = pair.book1, pair.book2
     pi = projectors.embedded
     code_proj = pi("A") @ pi("B") @ pi("C")
-    words_x = {}
-    for s1 in set(b1.entries):
-        u1 = eacode.receiver_encoder([(b1.decomp, s1)])
-        words_x[s1] = qmat.conjugate_local(u1, pi("AC"), full) @ pi("B")
-    words_xy = {}
-    for s1, s2 in itertools.product(set(b1.entries), set(b2.entries)):
-        u = eacode.receiver_encoder([(b1.decomp, s1), (b2.decomp, s2)])
-        words_xy[(s1, s2)] = qmat.conjugate_local(u, pi("ABC"), full)
+    alice = dict(zip(b1.entries, b1.encoders))
+    bob = {t: qmat.conjugate_local(u, pi("ABC"), full)
+           for t, u in zip(b2.entries, b2.encoders)}
+    words_x = {s: qmat.conjugate_local(u, pi("AC"), full) @ pi("B")
+               for s, u in alice.items()}
+    words_xy = {(s, t): qmat.conjugate_local(u, w, full)
+                for s, u in alice.items() for t, w in bob.items()}
     return successive_povm(
         list(b1.entries), list(b2.entries), code_proj, words_x, words_xy
     )
@@ -635,25 +620,28 @@ def successive_table(channel: KrausChannel, pair,
     on ``(sent, V, _) = pair.codewords(channel)`` without forming a d x d
     matrix.  That POVM is :func:`successive_povm` with the code projector
     Pi = Pi_A Pi_B Pi_C, Alice's words Pi_x(s) = U_1(s) Pi_AC U_1(s)† Pi_B
-    and the pair words Pi_xy(s, t) = U(s, t) Pi_ABC U(s, t)†.  Its element
-    (l, m) is M†M with M = Pi_xy(s_l, t_m) Pi_x(s_l) times the products of
-    the earlier tests, so T[(l, m), j] is the squared norm of M V_j.  Stack
-    V = [V_11 ... V_LM]; for each l, Bob's stage runs the sequential chain
-    (:func:`_chain`) inside Pi_x(s_l) from Pi_x(s_l) Y, and then Alice's
-    stage moves on with Y <- Pi (I - Pi_x(s_l)) Pi Y, from Y = V.
-    |V_j|^2 must be 1 and every abort weight at least -1e-9.
+    and the pair words Pi_xy(s, t) = U_1(s) U_2(t) Pi_ABC U_2(t)† U_1(s)†,
+    each encoder on its own share.  Its element (l, m) is M†M with
+    M = Pi_xy(s_l, t_m) Pi_x(s_l) times the products of the earlier tests,
+    so T[(l, m), j] is the squared norm of M V_j.  Stack V = [V_11 ... V_LM]
+    and Bob's words [U_2(t_1) B ... U_2(t_M) B] with Pi_ABC = B B†, once
+    (:func:`eacode.encode`); for each l, U_1(s_l) turns them, block by
+    block, into the words of Bob's stage, which runs the sequential chain (:func:`_chain`) inside
+    Pi_x(s_l) from Pi_x(s_l) Y, and then Alice's stage moves on with
+    Y <- Pi (I - Pi_x(s_l)) Pi Y, from Y = V.  |V_j|^2 must be 1 and every
+    abort weight at least -1e-9.
     """
     sent, v, traces = pair.codewords(channel)
     space = projectors.space
-    d1, d2 = pair.book1.decomp, pair.book2.decomp
+    bob = np.split(eacode.encode(projectors.basis("ABC"), pair.book2.encoders,
+                                 space), pair.M, axis=1)
 
     def code(y):
         for name in ("C", "B", "A"):
             y = projectors.apply(name, y)
         return y
 
-    def alice(s):
-        u = eacode.receiver_encoder([(d1, s)])
+    def alice(u):
         u_dag = qmat.Operator(u.space, u.matrix.conj().T)
         return lambda y: qmat.apply_local(u, projectors.apply(
             "AC", qmat.apply_local(u_dag, projectors.apply("B", y), space)),
@@ -661,11 +649,9 @@ def successive_table(channel: KrausChannel, pair,
 
     rows = []
     y = v
-    for l, s in enumerate(pair.book1.entries):
-        pi_x = alice(s)
-        words = (_word(eacode.receiver_encoder([(d1, s), (d2, t)]),
-                       projectors, "ABC")
-                 for t in pair.book2.entries)
+    for l, u in enumerate(pair.book1.encoders):
+        pi_x = alice(u)
+        words = (qmat.apply_local(u, w, space) for w in bob)
         rows += [eacode.block_overlaps(p, p, len(sent))
                  for p in _chain(pi_x(y), pi_x, words)]
         if l + 1 < pair.L:

@@ -81,17 +81,14 @@ class MacCodePair:
 
     def codewords(self, channel: KrausChannel):
         """(sent, V, traces): the pairs (l, m), l-major, V = [V_11 ... V_LM]
-        with V_lm = (U^T_1(s_l) (x) U^T_2(t_m)) R and rho_n = R R†, and
-        Tr sigma_lm = |V_lm|^2, each checked to be 1
+        with V_lm = U^T_1(s_l) U^T_2(t_m) R and rho_n = R R†, each encoder
+        on its own share, and Tr sigma_lm = |V_lm|^2, each checked to be 1
         (:func:`eacode.codeword_factors`)."""
         d1, d2 = self.book1.decomp, self.book2.decomp
         sent = list(itertools.product(range(self.L), range(self.M)))
-        encoders = [
-            eacode.receiver_encoder([(d1, s), (d2, t)])
-            for s, t in itertools.product(self.book1.entries, self.book2.entries)
-        ]
         v, traces = eacode.codeword_factors(
-            sent, eacode.channel_output_factor(channel, d1, d2), encoders,
+            sent, eacode.channel_output_factor(channel, d1, d2),
+            [self.book1.encoders, self.book2.encoders],
             eacode.channel_output_space(channel, d1, d2))
         return sent, v, traces
 
@@ -151,8 +148,7 @@ def build_upsilon(pair: MacCodePair, l: int, m: int,
     share (``qmat.conjugate_local``).  The oracle of :func:`gram_table`.
     """
     full = projectors.space
-    u1 = eacode.receiver_encoder([(pair.book1.decomp, pair.book1[l])])
-    u2 = eacode.receiver_encoder([(pair.book2.decomp, pair.book2[m])])
+    u1, u2 = pair.book1.encoders[l], pair.book2.encoders[m]
     pi = projectors.embedded
     wing = (pi("B") @ pi("AC")) @ (pi("C") @ pi("AB"))
     inner = qmat.conjugate_local(u2, projectors.embedded("ABC"), full)
@@ -233,24 +229,17 @@ def _detection_factors(pair: MacCodePair,
     (:meth:`~qmac.typicality.ProjectorBundle.apply`).  Z (Mr x q)
     holds Y's right singular vectors, less those of rounding residuals
     (:func:`qmat.rounding_residuals`), so Y_m = (Y Z) Z_m† with Z_m block m
-    of Z's rows, and W' = [W'_1 ... W'_L] with W'_l = U^T_1(s_l) Y Z.
+    of Z's rows, and W' = [W'_1 ... W'_L] with W'_l = U^T_1(s_l) Y Z.  Both
+    books' encoders act on their own shares (:func:`eacode.encode`): book
+    2's on B, book 1's on Y Z.
     """
     space = projectors.space
-    d1, d2 = pair.book1.decomp, pair.book2.decomp
-    y = np.hstack([
-        qmat.apply_local(eacode.receiver_encoder([(d2, t)]),
-                         projectors.basis("ABC"), space)
-        for t in pair.book2.entries
-    ])
+    y = eacode.encode(projectors.basis("ABC"), pair.book2.encoders, space)
     for name in ("B", "AC", "C", "AB"):
         y = projectors.apply(name, y)
     _, sigma, zh = np.linalg.svd(y, full_matrices=False)
     z = zh[~qmat.rounding_residuals(sigma, max(y.shape))].conj().T
-    y = y @ z
-    return np.hstack([
-        qmat.apply_local(eacode.receiver_encoder([(d1, s)]), y, space)
-        for s in pair.book1.entries
-    ]), z
+    return eacode.encode(y @ z, pair.book1.encoders, space), z
 
 
 def gram_table(channel: KrausChannel, pair: MacCodePair,

@@ -370,6 +370,20 @@ class TestGaussianRegion:
         assert len(lines) == 2 and lines[1].startswith("0.25,")
 
 
+def run_under_address_limit(limit: int, *argv):
+    """Run ``python -m qmac *argv`` in a child with a soft RLIMIT_AS."""
+    def set_limit():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "qmac", *argv], env=env,
+                          preexec_fn=set_limit, capture_output=True,
+                          text=True, timeout=120)
+
+
 class TestGaussianSweep:
     def test_two_steps_two_rows(self, capsys):
         code, out, _ = run(capsys, "gaussian-sweep", "--nsa", "1",
@@ -414,6 +428,21 @@ class TestGaussianSweep:
         assert float(row[0]) == 0.5
         assert float(row[1]) == obj["ea_region"]["r1"]
         assert float(row[7]) == obj["sum_gap"]
+
+    def test_refused_under_an_address_space_limit(self, tmp_path):
+        # 5 * 10^6 rows need about 3 GB: refused before the grid is built,
+        # where an unrefused run could be ended by the out-of-memory killer
+        target = tmp_path / "sweep.csv"
+        start = time.perf_counter()
+        proc = run_under_address_limit(
+            1 << 30, "gaussian-sweep", "--nsa", "1", "--nsb", "1",
+            "--steps", "5000000", "--out", str(target))
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert "gaussian-sweep" in proc.stderr
+        assert "needs an estimated 4.66 GiB for the sweep's rows" in proc.stderr
+        assert "over the memory limit of 1 GiB" in proc.stderr
+        assert not target.exists()
 
     @pytest.mark.parametrize("nsa, nsb", list(GOLDEN_SWEEPS), ids="-".join)
     def test_golden_csv(self, capsys, nsa, nsb):
@@ -658,18 +687,9 @@ class TestSimulateMac:
     def test_refused_under_an_address_space_limit(self):
         # under a 3 GiB address-space limit this run used to fail inside
         # OpenBLAS's allocator with exit 1
-        def limit():
-            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, hard))
-
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "qmac", "simulate-mac", "--channel",
-             "cnot-mac", "--n", "2", "--L", "300", "--M", "300"],
-            env=env, preexec_fn=limit, capture_output=True, text=True,
-            timeout=120)
+        proc = run_under_address_limit(
+            3 << 30, "simulate-mac", "--channel", "cnot-mac", "--n", "2",
+            "--L", "300", "--M", "300")
         assert proc.returncode == 4 and proc.stdout == ""
         assert "over the memory limit of 3 GiB" in proc.stderr
 

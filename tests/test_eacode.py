@@ -236,7 +236,7 @@ class TestReceiverEncoders:
             for d, s in encoders:
                 complex_u = qmat.Operator(
                     d.receiver_space, random_unitary(rng, d.receiver_space.dim))
-                for w in (eacode.receiver_encoder([(d, s)]), complex_u):
+                for w in (eacode.receiver_encoder(d, s), complex_u):
                     u = qmat.embed(w, space).matrix
                     assert np.max(np.abs(
                         qmat.conjugate_local(w, mat, space) - u @ mat @ u.conj().T
@@ -245,14 +245,18 @@ class TestReceiverEncoders:
                         qmat.apply_local(w, mat[:, :3], space) - u @ mat[:, :3]
                     )) < 1e-12
 
-    def test_encoder_order_must_follow_the_space(self):
-        d1 = eacode.type_decompose(bell_state("Ap", "A"), 1)
-        d2 = eacode.type_decompose(bell_state("Bp", "B"), 1)
+    def test_encoder_pair_order_does_not_matter(self):
+        # each encoder acts on its own share, so the two senders' encoders
+        # commute and either order of the pairs gives the same state
+        d1 = eacode.type_decompose(schmidt_state([0.7, 0.3], "Ap", "A"), 2)
+        d2 = eacode.type_decompose(schmidt_state([0.6, 0.4], "Bp", "B"), 2)
         rho = eacode.channel_output_state(qmat.named_channel("cnot-mac"), d1, d2)
-        s1 = eacode.sample_code(d1, 1, seed=1)[0]
-        s2 = eacode.sample_code(d2, 1, seed=2)[0]
-        with pytest.raises(ValueError, match="contiguous"):
-            eacode.conjugate_by_receiver_encoders(rho, [(d2, s2), (d1, s1)])
+        for seed in range(3):
+            s1 = eacode.sample_code(d1, 1, seed=2 * seed)[0]
+            s2 = eacode.sample_code(d2, 1, seed=2 * seed + 1)[0]
+            ab = eacode.conjugate_by_receiver_encoders(rho, [(d1, s1), (d2, s2)])
+            ba = eacode.conjugate_by_receiver_encoders(rho, [(d2, s2), (d1, s1)])
+            assert np.max(np.abs(ab.matrix - ba.matrix)) < 1e-12
 
 
 class TestSampleCode:
@@ -350,7 +354,7 @@ class TestAverageCodewordState:
         acc = np.zeros_like(rho.matrix)
         count = 0
         for s in eacode.enumerate_indices(dec):
-            u = eacode.receiver_encoder([(dec, s)])
+            u = eacode.receiver_encoder(dec, s)
             acc += qmat.conjugate_local(u, rho.matrix, rho.space)
             count += 1
         assert count == eacode.index_set_size(dec)

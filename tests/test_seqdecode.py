@@ -502,6 +502,24 @@ class TestSuccessive:
         )
         assert success >= seqdecode.successive_bound(c).value - 1e-9
 
+    def test_epsilon_above_one_rejected(self):
+        # as PackingConstants: the main term is the packing bound
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\]"):
+            SuccessiveConstants.from_measurements(1.5, 1.0, 2.0, 1.0, 10.0, 2, 2)
+
+    @pytest.mark.parametrize("eps", [1e-3, 0.3, 0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("d2, M", [(1.0, 1), (1.0, 5), (0.5, 40)])
+    def test_main_term_is_the_packing_bound(self, eps, d2, M):
+        # |(1 - 2 eps)(2 - e^{d2 M / d1+})|^2, zero with the flag down once
+        # d2 M / d1+ >= ln 2; the flag also drops for eps > 1/2
+        c = SuccessiveConstants.from_measurements(eps, 1.0, 20.0, d2, 1e3, 1, M)
+        b = seqdecode.successive_bound(c)
+        x = d2 * M / 20.0
+        main = (1 - 2 * eps) ** 2 * (2 - math.exp(x)) ** 2 if x < math.log(2) else 0.0
+        assert b.raw == pytest.approx(
+            main - 2 * math.sqrt(2 * (eps + c.eps_prime)), abs=1e-15)
+        assert b.condition_holds == (x < math.log(2) and eps <= 0.5)
+
 
 class TestParameterExponents:
     def test_unassisted_identities_symbolic(self):
@@ -545,7 +563,7 @@ def dense_table(instance, entries):
 def factored_table(channel, decomp, delta, entries):
     return seqdecode.sequential_table(
         eacode.channel_output_factor(channel, decomp),
-        [eacode.receiver_encoder([(decomp, s)]) for s in entries],
+        [eacode.receiver_encoder(decomp, s) for s in entries],
         seqdecode.sequential_projectors(channel, decomp, delta))
 
 
@@ -611,10 +629,11 @@ class TestSequentialWeights:
                 0, 1)
 
     def test_abort_weight_is_checked(self, monkeypatch):
-        # a word map that doubles its output decodes more than the trace
-        word = seqdecode._word
-        monkeypatch.setattr(seqdecode, "_word", lambda *args: (
-            lambda y, f=word(*args): 2.0 * f(y)))
+        # word projections that double their output decode more than the
+        # trace
+        chain = seqdecode._chain
+        monkeypatch.setattr(seqdecode, "_chain", lambda *args: (
+            2.0 * p for p in chain(*args)))
         with pytest.raises(ValueError, match="abort weight"):
             seqdecode.ea_sequential_protocol(
                 qmat.named_channel("identity:2"), bell_state(), 1, 2, 1.0,

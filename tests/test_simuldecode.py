@@ -534,6 +534,38 @@ class TestOnePassEvaluation:
             simuldecode.error_breakdown(ch, pair, povm)
             assert calls == {"channel_output_factor": 1}
 
+    @staticmethod
+    def count_encoders_and_tensors(monkeypatch):
+        calls = Counter()
+        for module, name in ((eacode, "hw_transpose_unitary"),
+                             (qmat, "tensor")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("mode", list(DECODERS))
+    def test_each_encoder_built_once_on_its_own_share(self, monkeypatch, mode):
+        # one encoder per codebook entry, L + M in all, and no joint
+        # encoder: the only tensor products are the channel input and the
+        # code state of the typical projectors
+        calls = self.count_encoders_and_tensors(monkeypatch)
+        ch = qmat.named_channel("cnot-mac")
+        d1 = eacode.type_decompose(schmidt_state([0.7, 0.3], "Ap", "A"), 2)
+        d2 = eacode.type_decompose(schmidt_state([0.6, 0.4], "Bp", "B"), 2)
+        calls.clear()
+        pair = simuldecode.MacCodePair.sample(d1, d2, 4, 4, 0, 1)
+        simuldecode.run_mac_experiment(ch, pair, mode, 1.0)
+        assert calls == {"hw_transpose_unitary": 8, "tensor": 2}
+
+    def test_sequential_trial_builds_each_encoder_once(self, monkeypatch):
+        calls = self.count_encoders_and_tensors(monkeypatch)
+        seqdecode.ea_sequential_protocol(
+            qmat.named_channel("amplitude-damping:0.3"),
+            schmidt_state([0.7, 0.3]), 2, 6, 1.0, 3, 1)
+        assert calls["hw_transpose_unitary"] == 6
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_simultaneous_run_forms_no_dense_operator(self, monkeypatch, n):
         # the Gram form builds no detection operator, no dense square-root
