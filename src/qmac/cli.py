@@ -3,9 +3,10 @@
 Every command is deterministic given its full flag set (seeds included),
 floats are emitted at 12 significant digits, and exit codes are 0 on
 success, 2 on validation failure, 3 on I/O failure, 4 when the dimension
-cap is exceeded or memory runs out, or when ``simulate-mac``,
-``simulate-seq`` or ``gaussian-sweep`` is estimated not to fit in memory.
-``QMAC_DIM_CAP`` overrides the cap.
+cap is exceeded or memory runs out, or when ``simulate-mac`` or
+``simulate-seq`` is estimated not to fit in memory.  ``gaussian-sweep``
+writes its grid in blocks of ``SWEEP_BLOCK_ROWS`` rows, so its memory does
+not grow with ``--steps``.  ``QMAC_DIM_CAP`` overrides the cap.
 """
 
 from __future__ import annotations
@@ -95,23 +96,28 @@ def _shared_state(spec: str, dim: int, sender: str, receiver: str) -> PureState:
     return PureState(FactorSpace((sender, receiver), (dim, dim)), vec)
 
 
-def _write_or_print(text: str, out: str | None) -> None:
+def _write_or_print(chunks, out: str | None) -> None:
+    """Write the strings of ``chunks`` in turn to ``out``, or to stdout."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", newline="") as f:
-            f.write(text)
+            f.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
+# rows of a gaussian-sweep grid evaluated and written at a time
+SWEEP_BLOCK_ROWS = 8192
+
+
 def cmd_gaussian_region(args) -> int:
     p = BosonicMacParams(args.eta, args.nsa, args.nsb)
     if args.format == "csv":
         rows = gaussian.region_sweep(args.nsa, args.nsb, [args.eta])
-        _write_or_print(gaussian.sweep_csv(rows), args.out)
+        _write_or_print([gaussian.sweep_csv(rows)], args.out)
         return 0
     cmp_ = gaussian.compare_regions(p)
     emit_json({
@@ -126,14 +132,22 @@ def cmd_gaussian_region(args) -> int:
 
 
 def cmd_gaussian_sweep(args) -> int:
-    if args.steps < 2:
-        raise ValueError(f"steps must be at least 2, got {args.steps}")
-    # peak RSS, numpy 2 on x86-64: 87 MiB at 10^5 steps, 608 MiB at 10^6 and
-    # 1757 MiB at 3 * 10^6; 1000 B per step is at or above all three
-    _require_memory(1000 * args.steps, "the sweep's rows")
-    grid = np.arange(args.steps) / (args.steps - 1)
-    rows = gaussian.region_sweep(args.nsa, args.nsb, grid)
-    _write_or_print(gaussian.sweep_csv(rows), args.out)
+    steps = args.steps
+    if steps < 2:
+        raise ValueError(f"steps must be at least 2, got {steps}")
+
+    def blocks():
+        # block [i, j) of the grid is bit for bit that slice of
+        # np.arange(steps) / (steps - 1), so the CSV does not depend on the
+        # block size; peak memory does not depend on steps
+        for i in range(0, steps, SWEEP_BLOCK_ROWS):
+            grid = np.arange(i, min(i + SWEEP_BLOCK_ROWS, steps)) / (steps - 1)
+            rows = gaussian.region_sweep(args.nsa, args.nsb, grid)
+            yield gaussian.sweep_csv(rows, header=i == 0)
+
+    chunks = blocks()
+    first = next(chunks)  # checks --nsa and --nsb before --out is opened
+    _write_or_print(itertools.chain([first], chunks), args.out)
     return 0
 
 
@@ -161,7 +175,7 @@ def cmd_simulate_seq(args) -> int:
         raise ValueError("n, messages and trials must be positive")
     _check_delta(args.delta)
     _check_seed(args.seed, range(args.seed, args.seed + args.trials))
-    _check_memory(channel, args, args.messages, False)
+    _check_memory(channel, args, args.messages, "sequential")
     report = seqdecode.ea_sequential_protocol(
         channel, phi, args.n, args.messages, args.delta, args.seed, args.trials
     )
@@ -181,17 +195,29 @@ def _require_memory(need: float, what: str) -> None:
             f"over the memory limit of {limit / 2**30:.3g} GiB")
 
 
-def _check_memory(channel, args, k: int, expanded: bool) -> None:
+# Copies of the codeword stack V (d x kc) that each decoder holds at its
+# peak, from peak RSS less the interpreter's 32 MiB (numpy 2, x86-64).  The
+# sequential decoder peaked at 4.2 V (depolarizing:0.2, n = 5, 8 messages)
+# and 4.4 V (n = 4, 32 messages).  The simultaneous decoder peaked at 3.2 V
+# (cnot-mac n = 3, L = M = 4) and at 4.4 GiB with V = 1 GiB (n = 4,
+# L = M = 2, dimension cap raised).  The successive decoder, whose chains
+# hold V, Y, Pi_x Y and their temporaries, peaked at 8.7 to 9.1 V (n = 3,
+# L M = 16, three shapes).
+_V_COPIES = {"sequential": 5, "simultaneous": 5, "successive": 10}
+
+
+def _check_memory(channel, args, k: int, decoder: str) -> None:
     """Refuse, before any codebook is sampled, a run of k codewords whose
     blocks exceed the memory limit (:func:`_require_memory`).  Counted at
     16 B per entry: the codeword stack V (d x kc, c <= k'^n columns of R
-    for k' Kraus matrices) four times (V, its projection, one decoder block
-    and the stacked encoded word bases, d x kr with r <= c), and with
-    ``expanded`` the simultaneous decoder's kr x kc expanded table; at 8 B,
-    the k x k weights and the (k + 1) x k table."""
+    for k' Kraus matrices) ``_V_COPIES[decoder]`` times, and for the
+    simultaneous decoder its kr x kc expanded table (r <= c) three times,
+    with its conjugate and their product; at 8 B, the k x k weights and
+    the (k + 1) x k table."""
     d = (math.prod(channel.in_space.dims) * channel.out_space.dim) ** args.n
     c = min(d, len(channel.kraus) ** args.n)
-    _require_memory(16 * k * c * (4 * d + (k * c if expanded else 0))
+    expanded = 3 * k * c if decoder == "simultaneous" else 0
+    _require_memory(16 * k * c * (_V_COPIES[decoder] * d + expanded)
                     + 8 * k * (2 * k + 1),
                     "the codeword stack and the decoder's blocks")
 
@@ -209,8 +235,9 @@ def cmd_simulate_mac(args) -> int:
     _check_seed(args.seed, range(2 * args.seed, 2 * (args.seed + args.trials)))
     d1 = eacode.type_decompose(phi, args.n)
     d2 = eacode.type_decompose(psi, args.n)
-    _check_memory(channel, args, args.L * args.M,
-                  args.mode == "simultaneous")
+    _check_memory(channel, args, args.L * args.M, args.mode)
+    # the typical projectors depend on the states, n and delta, not the seed
+    projectors = simuldecode.mac_typical_projectors(channel, d1, d2, args.delta)
     reports = []
     for t in range(args.trials):
         pair = simuldecode.MacCodePair.sample(
@@ -218,7 +245,7 @@ def cmd_simulate_mac(args) -> int:
             2 * (args.seed + t), 2 * (args.seed + t) + 1,
         )
         reports.append(simuldecode.run_mac_experiment(
-            channel, pair, args.mode, args.delta
+            channel, pair, args.mode, args.delta, projectors
         ))
     out = reports[0].to_json()
     if args.trials > 1:

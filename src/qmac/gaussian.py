@@ -390,11 +390,13 @@ def region_sweep(nsa: float, nsb: float, eta_grid) -> np.ndarray:
     return rows
 
 
-def sweep_csv(rows: np.ndarray) -> str:
+def sweep_csv(rows: np.ndarray, header: bool = True) -> str:
     """Locale-independent CSV at 12 significant digits, one row per point.
 
     Each row is one ``%`` on a template; ys_r1 and ys_r2, constant over a
-    :func:`region_sweep`, are written into the template once.
+    :func:`region_sweep`, are written into the template once.  With
+    ``header`` false the header line is left out, so that the CSV of
+    consecutive blocks of one grid is the concatenation of their texts.
     """
     cells, columns = [], []
     for key in _SWEEP_KEYS:
@@ -405,5 +407,5 @@ def sweep_csv(rows: np.ndarray) -> str:
             cells.append("%.12g")
             columns.append(column.tolist())
     template = ",".join(cells)
-    return "\n".join([SWEEP_CSV_HEADER,
+    return "\n".join([*([SWEEP_CSV_HEADER] if header else []),
                       *(template % row for row in zip(*columns)), ""])

@@ -439,7 +439,9 @@ def coherent_fidelity(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
 
 
 def run_mac_experiment(channel: KrausChannel, pair: MacCodePair, mode: str,
-                       delta: float) -> MacReport:
+                       delta: float,
+                       projectors: typicality.ProjectorBundle | None = None
+                       ) -> MacReport:
     """Decode with the requested decoder and report its exact error figures.
 
     The simultaneous decoder is read in Gram form (:func:`gram_table`) and
@@ -450,11 +452,17 @@ def run_mac_experiment(channel: KrausChannel, pair: MacCodePair, mode: str,
     worst pairwise miss 1 - min Tr{Lambda sigma} over message pairs, so
     both the average success and the coherent fidelity clear
     1 - epsilon_measured.
+
+    ``projectors`` is ``mac_typical_projectors(channel, d1, d2, delta)`` on
+    the pair's decompositions, built here when not given.  It does not
+    depend on the codebooks, so a caller that decodes several pairs over
+    the same decompositions builds it once and passes it in.
     """
     if mode not in ("simultaneous", "successive"):
         raise ValueError(f"unknown decoder mode {mode!r}")
     d1, d2 = pair.book1.decomp, pair.book2.decomp
-    projectors = mac_typical_projectors(channel, d1, d2, delta)
+    if projectors is None:
+        projectors = mac_typical_projectors(channel, d1, d2, delta)
     decoder = (gram_table if mode == "simultaneous"
                else seqdecode.successive_table)
     table = decoder(channel, pair, projectors)

@@ -429,20 +429,47 @@ class TestGaussianSweep:
         assert float(row[1]) == obj["ea_region"]["r1"]
         assert float(row[7]) == obj["sum_gap"]
 
-    def test_refused_under_an_address_space_limit(self, tmp_path):
-        # 5 * 10^6 rows need about 3 GB: refused before the grid is built,
-        # where an unrefused run could be ended by the out-of-memory killer
+    @pytest.mark.parametrize("steps", [
+        2, cli.SWEEP_BLOCK_ROWS - 1, cli.SWEEP_BLOCK_ROWS,
+        cli.SWEEP_BLOCK_ROWS + 1, 2 * cli.SWEEP_BLOCK_ROWS + 1])
+    def test_blocks_write_the_one_grid_csv(self, capsys, tmp_path, steps):
+        # written block by block, the CSV is that of one sweep over the grid
+        want = gaussian.sweep_csv(gaussian.region_sweep(
+            37.2, 5.1, np.arange(steps) / (steps - 1)))
+        argv = ("gaussian-sweep", "--nsa", "37.2", "--nsb", "5.1",
+                "--steps", str(steps))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == want
         target = tmp_path / "sweep.csv"
-        start = time.perf_counter()
-        proc = run_under_address_limit(
-            1 << 30, "gaussian-sweep", "--nsa", "1", "--nsb", "1",
-            "--steps", "5000000", "--out", str(target))
-        assert time.perf_counter() - start < 1
-        assert proc.returncode == 4 and proc.stdout == ""
-        assert "gaussian-sweep" in proc.stderr
-        assert "needs an estimated 4.66 GiB for the sweep's rows" in proc.stderr
-        assert "over the memory limit of 1 GiB" in proc.stderr
+        code, out, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 0 and out == ""
+        assert target.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--nsa", "nan"), ("--nsa", "-1"), ("--nsb", "inf"), ("--nsb", "-2"),
+        ("--steps", "1"), ("--steps", "-5")])
+    def test_bad_input_prints_nothing_and_creates_no_file(
+            self, capsys, tmp_path, flag, value):
+        argv = {"--nsa": "1", "--nsb": "1", "--steps": "20000", flag: value}
+        target = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "gaussian-sweep",
+                             *[x for kv in argv.items() for x in kv],
+                             "--out", str(target))
+        assert code == 2 and out == "" and err.startswith("error: ")
         assert not target.exists()
+
+    def test_runs_under_an_address_space_limit(self, tmp_path):
+        # streamed in blocks, the sweep's memory does not grow with --steps;
+        # an up-front estimate of 1,000 B per step refused this run
+        target = tmp_path / "sweep.csv"
+        proc = run_under_address_limit(
+            256 << 20, "gaussian-sweep", "--nsa", "1", "--nsb", "1",
+            "--steps", "300000", "--out", str(target))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ""
+        with open(target) as f:
+            assert f.readline() == gaussian.SWEEP_CSV_HEADER + "\n"
+            assert sum(1 for _ in f) == 300000
 
     @pytest.mark.parametrize("nsa, nsb", list(GOLDEN_SWEEPS), ids="-".join)
     def test_golden_csv(self, capsys, nsa, nsb):
@@ -692,6 +719,40 @@ class TestSimulateMac:
             "--L", "300", "--M", "300")
         assert proc.returncode == 4 and proc.stdout == ""
         assert "over the memory limit of 3 GiB" in proc.stderr
+
+    @pytest.mark.parametrize("mode, code", [("successive", 4),
+                                            ("simultaneous", 0)])
+    def test_each_decoder_has_its_own_estimate(self, mode, code):
+        # at n = 3, L = M = 4 the successive decoder peaks near 600 MiB and
+        # the simultaneous one near 240 MiB; the successive run used to pass
+        # its estimate and fail mid-run on an allocation
+        proc = run_under_address_limit(
+            512 << 20, "simulate-mac", "--channel", "cnot-mac", "--n", "3",
+            "--L", "4", "--M", "4", "--mode", mode)
+        assert proc.returncode == code, proc.stderr
+        if code == 4:
+            assert proc.stdout == ""
+            assert "simulate-mac: the run needs an estimated" in proc.stderr
+            assert "over the memory limit of 0.5 GiB" in proc.stderr
+        else:
+            assert json.loads(proc.stdout)["mode"] == mode
+
+    def test_typical_projectors_built_once_per_command(self, capsys,
+                                                       monkeypatch):
+        from qmac import simuldecode
+
+        builds = []
+        original = simuldecode.mac_typical_projectors
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simuldecode, "mac_typical_projectors", counted)
+        code, out, _ = run(capsys, "simulate-mac", "--channel", "cnot-mac",
+                           "--n", "2", "--trials", "3")
+        assert code == 0 and json.loads(out)["trials"] == 3
+        assert len(builds) == 1
 
     def test_blocklength_three_headline(self, capsys):
         # d = 4096: the two-sender experiment at n = 3 runs in Gram form
