@@ -2,16 +2,18 @@
 
 Every command is deterministic given its full flag set (seeds included),
 floats are emitted at 12 significant digits, and exit codes are 0 on
-success, 2 on validation failure, 3 on I/O failure, 4 when the dimension
-cap is exceeded or memory runs out, or when ``simulate-mac`` or
-``simulate-seq`` is estimated not to fit in memory.  ``gaussian-sweep``
-writes its grid in blocks of ``SWEEP_BLOCK_ROWS`` rows, so its memory does
-not grow with ``--steps``.  ``QMAC_DIM_CAP`` overrides the cap.
+success, 2 on validation failure, 3 on I/O failure and 4 when a run does
+not fit: ``simulate-mac`` or ``simulate-seq`` exceeds its byte estimate
+(:func:`_check_memory`, their only size guard), a dense matrix exceeds
+``qmat.dimension_cap()``, or memory runs out.  ``gaussian-sweep`` writes
+its grid in blocks of ``SWEEP_BLOCK_ROWS`` rows, so its memory does not
+grow with ``--steps``.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import itertools
 import json
 import math
@@ -62,8 +64,6 @@ def _load_channel(spec: str) -> qmat.KrausChannel:
         try:
             with open(spec) as f:
                 return qmat.channel_from_json(json.load(f))
-        except DimensionCapError:
-            raise
         except ValueError as e:  # JSONDecodeError included
             raise ValueError(f"channel file {spec}: {e}")
     return qmat.named_channel(spec)
@@ -183,43 +183,58 @@ def cmd_simulate_seq(args) -> int:
     return 0
 
 
-def _require_memory(need: float, what: str) -> None:
-    """Refuse a run whose estimated ``need`` bytes for ``what`` exceed the
-    smaller of the soft address-space limit and physical memory."""
+# Address space of the interpreter, numpy and the BLAS threads' malloc
+# arenas: peak address space less peak resident blocks measured 162 to 169
+# MiB (x86-64 Linux, numpy 2, two BLAS threads).
+_BASE_BYTES = 184 << 20
+
+# Copies of the codeword stack V (d x kc) that each decoder holds at its
+# peak with its own blocks, so that the estimate covers the peak address
+# space measured for the sequential decoder (identity:2 at n = 8 to 10,
+# amplitude-damping:0.3 at n = 6, 7) and the others (cnot-mac, n = 3, 4).
+_V_COPIES = {"sequential": 6, "simultaneous": 4, "successive": 10}
+
+
+def _check_memory(channel, args, k: int, decoder: str) -> int:
+    """The estimated bytes of a run of k codewords, refused with
+    ``MemoryError`` before the shared states are decomposed when over the
+    smaller of the soft address-space limit and physical memory.
+
+    From the channel's dimensions, its Kraus count K, n and k alone, at
+    16 B per complex entry and on top of ``_BASE_BYTES``, this counts the
+    codeword stack V (d x kc, c <= K^n columns of R) ``_V_COPIES[decoder]``
+    times and the simultaneous decoder's kc x kc expanded table three times;
+    twice each typical projector's basis, d_X^n x r_X^n on a marginal of
+    single-copy dimension d_X and rank r_X <= min(d_X, K d_1 / d_X) for the
+    single-copy output's d_1; the encoders of two books (the next trial's
+    and the last), d_share^2 each; and four n-fold shared states.  At 8 B
+    it counts the k x k weights and the (k + 1) x k table.
+    """
+    n, kraus, shares = args.n, len(channel.kraus), channel.in_space.dims
+    out = channel.out_space.dim
+    single = math.prod(shares) * out
+    d, c = single**n, min(single, kraus)**n
+    marginals, books = (shares[0], out, single), (k,)
+    if channel.is_mac:
+        marginals = (*shares, out, shares[0] * shares[1], shares[0] * out,
+                     single)
+        books = (args.L, args.M)
+    need = _BASE_BYTES + 8 * k * (2 * k + 1) + 16 * (
+        _V_COPIES[decoder] * d * k * c
+        + (3 * (k * c)**2 if decoder == "simultaneous" else 0)
+        + 2 * sum(m**n * min(m, single // m * kraus)**n for m in marginals)
+        + 2 * sum(b * s**(2 * n) for b, s in zip(books, shares))
+        + 4 * math.prod(shares)**(2 * n))
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
     limit = min(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"),
                 math.inf if soft == resource.RLIM_INFINITY else soft)
     if need > limit:
+        # a Decimal, since an estimate can pass a float's range (2^1024)
         raise MemoryError(
-            f"the run needs an estimated {need / 2**30:.3g} GiB for {what}, "
-            f"over the memory limit of {limit / 2**30:.3g} GiB")
-
-
-# Copies of the codeword stack V (d x kc) that each decoder holds at its
-# peak, from peak RSS less the interpreter's 32 MiB (numpy 2, x86-64).  The
-# sequential decoder peaked at 4.2 V (depolarizing:0.2, n = 5, 8 messages)
-# and 4.4 V (n = 4, 32 messages).  The simultaneous decoder peaked at 3.2 V
-# (cnot-mac n = 3, L = M = 4) and at 4.4 GiB with V = 1 GiB (n = 4,
-# L = M = 2, dimension cap raised).  The successive decoder, whose chains
-# hold V, Y, Pi_x Y and their temporaries, peaked at 8.7 to 9.1 V (n = 3,
-# L M = 16, three shapes).
-_V_COPIES = {"sequential": 5, "simultaneous": 5, "successive": 10}
-
-
-def _check_memory(channel, args, k: int, decoder: str) -> None:
-    """Refuse, before any codebook is sampled, a run of k codewords whose
-    blocks exceed the memory limit (:func:`_require_memory`).  Counted at
-    16 B per entry: the codeword stack V (d x kc, c <= k'^n columns of R
-    for k' Kraus matrices) ``_V_COPIES[decoder]`` times, and for the
-    simultaneous decoder its kr x kc expanded table (r <= c) three times,
-    with its conjugate and their product; at 8 B, the k x k weights and
-    the (k + 1) x k table."""
-    d = (math.prod(channel.in_space.dims) * channel.out_space.dim) ** args.n
-    c = min(d, len(channel.kraus) ** args.n)
-    expanded = 3 * k * c if decoder == "simultaneous" else 0
-    _require_memory(16 * k * c * (_V_COPIES[decoder] * d + expanded)
-                    + 8 * k * (2 * k + 1),
-                    "the codeword stack and the decoder's blocks")
+            f"the run needs an estimated {decimal.Decimal(need) / 2**30:.3g} "
+            "GiB for the codeword stack and the decoder's blocks, over the "
+            f"memory limit of {limit / 2**30:.3g} GiB")
+    return need
 
 
 def cmd_simulate_mac(args) -> int:
@@ -233,9 +248,9 @@ def cmd_simulate_mac(args) -> int:
         raise ValueError("n, L, M and trials must be positive")
     _check_delta(args.delta)
     _check_seed(args.seed, range(2 * args.seed, 2 * (args.seed + args.trials)))
+    _check_memory(channel, args, args.L * args.M, args.mode)
     d1 = eacode.type_decompose(phi, args.n)
     d2 = eacode.type_decompose(psi, args.n)
-    _check_memory(channel, args, args.L * args.M, args.mode)
     # the typical projectors depend on the states, n and delta, not the seed
     projectors = simuldecode.mac_typical_projectors(channel, d1, d2, args.delta)
     reports = []
@@ -483,10 +498,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DimensionCapError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except MemoryError as e:
+    except (DimensionCapError, MemoryError) as e:
         reason = str(e) or "the instance is too large for memory"
         print(f"error: {args.command}: {reason}", file=sys.stderr)
         return 4

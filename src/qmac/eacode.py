@@ -366,12 +366,12 @@ def channel_output_state(channel: KrausChannel, decomp: TypeDecomposition,
     uses.  Two senders: rho on (A..., B..., C...) from phi^(x)n (x)
     psi^(x)n, the channel consuming the two sender shares copy by copy.
     The factor order is :func:`channel_output_space`, and rho = R R† with
-    R from :func:`channel_output_factor`.
+    R from :func:`channel_output_factor`; refused above the dense cap.
     """
+    space = channel_output_space(channel, decomp, decomp2)
+    qmat.require_dense(space)
     r = channel_output_factor(channel, decomp, decomp2)
-    return DensityOperator(
-        channel_output_space(channel, decomp, decomp2), r @ r.conj().T
-    )
+    return DensityOperator(space, r @ r.conj().T)
 
 
 def receiver_encoder(decomp: TypeDecomposition, s: HwIndex) -> qmat.Operator:
@@ -452,8 +452,14 @@ def average_codeword_factors(r: np.ndarray, decomp: TypeDecomposition):
 
 
 def block_overlaps(x: np.ndarray, y: np.ndarray, count: int) -> np.ndarray:
-    """Re<X_j, Y_j>_F of each of ``count`` equal column blocks of ``x``, ``y``."""
-    return (x.conj() * y).real.reshape(x.shape[0], count, -1).sum(axis=(0, 2))
+    """Re<X_j, Y_j>_F of each of ``count`` equal column blocks of ``x``, ``y``,
+    formed 2^18 entries at a time (no temporary the size of ``x`` is held)
+    and added row by row."""
+    rows = max(1, (1 << 18) // x.shape[1])
+    sums = [(x[i:i + rows].conj() * y[i:i + rows]).real
+            .reshape(-1, count, x.shape[1] // count).sum(axis=2)
+            for i in range(0, x.shape[0], rows)]
+    return np.concatenate(sums).sum(axis=0)
 
 
 def _check_traces(sent, traces) -> None:

@@ -188,16 +188,18 @@ def ea_code_state(channel: KrausChannel, phi: PureState,
     (Ap, A) and ``psi`` on (Bp, B).  The channel consumes the sender shares
     (phi's alone for a single sender) and the result lives on the receiver
     shares followed by the channel outputs: (A, B, C...) or (A, B...).  It
-    is R R† with R from :func:`qmat.output_factor`.
+    is R R† with R from :func:`qmat.output_factor`; refused above the cap.
     """
     states = (phi,) if psi is None else (phi, psi)
     joint = qmat.tensor(*states)
     senders = tuple(s.space.labels[0] for s in states)
     receivers = tuple(s.space.labels[1] for s in states)
     outs = channel.out_space.labels
-    r = qmat.output_factor(channel, joint, [(senders, outs)], receivers + outs)
-    dims = joint.space.subspace(receivers).dims + channel.out_space.dims
-    return DensityOperator(FactorSpace(receivers + outs, dims), r @ r.conj().T)
+    space = FactorSpace(receivers + outs, joint.space.subspace(receivers).dims
+                        + channel.out_space.dims)
+    qmat.require_dense(space)
+    r = qmat.output_factor(channel, joint, [(senders, outs)], space.labels)
+    return DensityOperator(space, r @ r.conj().T)
 
 
 def _region_from_state(rho: DensityOperator, first, second) -> RateRegion:

@@ -4,15 +4,14 @@ Every finite-dimensional object in this package is a dense numpy array
 tagged with a :class:`FactorSpace` that names its tensor factors, so that
 partial traces, embeddings and channel applications can be requested by
 label instead of by axis bookkeeping.  All values are immutable and all
-operations are pure functions; the global dimension cap (default 4096,
-overridable through the ``QMAC_DIM_CAP`` environment variable) rejects
-instances too large for exact simulation.
+operations are pure functions.  A space may have any dimension, but a dense
+matrix on a whole space above :func:`dimension_cap` is refused
+(:func:`require_dense`, called by :func:`embed` and the dense code states).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,6 +26,7 @@ __all__ = [
     "KrausChannel",
     "PovmSet",
     "dimension_cap",
+    "require_dense",
     "frozen_copy",
     "power_space",
     "identity",
@@ -59,21 +59,20 @@ POVM_TOL = 1e-9
 
 
 class DimensionCapError(ValueError):
-    """Raised when a construction would exceed the configured dimension cap."""
+    """Raised when a dense matrix would be formed on a space above the cap."""
 
 
 def dimension_cap() -> int:
-    """Current dimension cap: ``QMAC_DIM_CAP`` if set, else 4096."""
-    raw = os.environ.get("QMAC_DIM_CAP")
-    if raw is None:
-        return DEFAULT_DIM_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        raise ValueError(f"QMAC_DIM_CAP must be a positive integer, got {raw!r}")
-    return cap
+    """The largest dimension of a space that holds a dense matrix: 4096."""
+    return DEFAULT_DIM_CAP
+
+
+def require_dense(space: FactorSpace) -> None:
+    """Refuse a dense matrix on ``space`` above :func:`dimension_cap`."""
+    if space.dim > dimension_cap():
+        raise DimensionCapError(
+            f"a dense matrix on {space.labels} would have dimension "
+            f"{space.dim}, exceeding the cap {dimension_cap()}")
 
 
 def frozen_copy(a: np.ndarray) -> np.ndarray:
@@ -107,12 +106,6 @@ class FactorSpace:
             raise ValueError(f"duplicate factor labels in {labels}")
         if any(d <= 0 for d in dims):
             raise ValueError("factor dimensions must be positive")
-        cap = dimension_cap()
-        if math.prod(dims) > cap:
-            raise DimensionCapError(
-                f"space {labels} has dimension {math.prod(dims)}, "
-                f"exceeding the cap {cap}"
-            )
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
 
@@ -243,19 +236,13 @@ def tensor(*ops):
     Accepts :class:`Operator`/:class:`DensityOperator` (all of one kind) or
     :class:`PureState` inputs.  Densities stay densities and pure states stay
     pure; the result space is the concatenation of the input spaces.
-
-    Raises
-    ------
-    DimensionCapError
-        If the product dimension exceeds the configured cap.
-    ValueError
-        On duplicate labels across the inputs.
+    Duplicate labels across the inputs raise ``ValueError``.
     """
     if not ops:
         raise ValueError("tensor() needs at least one operand")
     labels = [l for op in ops for l in op.space.labels]
     dims = [d for op in ops for d in op.space.dims]
-    space = FactorSpace(labels, dims)  # checks duplicates and the cap
+    space = FactorSpace(labels, dims)  # checks duplicates
     if all(isinstance(op, PureState) for op in ops):
         vec = ops[0].vector
         for op in ops[1:]:
@@ -307,8 +294,9 @@ def embed(op: Operator, target: FactorSpace) -> Operator:
 
     The operator's labels must be a subset of ``target.labels``; factor
     dimensions must agree.  The result acts as ``op`` on its own factors and
-    as identity elsewhere, ordered per ``target``.
+    as identity elsewhere, ordered per ``target``; refused above the cap.
     """
+    require_dense(target)
     missing = [l for l in target.labels if l not in op.space.labels]
     for l in op.space.labels:
         if target.dim_of(l) != op.space.dim_of(l):

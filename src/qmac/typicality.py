@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from . import qmat
-from .qmat import DimensionCapError
 
 __all__ = [
     "TypeClass",
@@ -86,17 +85,10 @@ def enumerate_types(n: int, alphabet_size: int) -> list[TypeClass]:
     """All compositions of n into alphabet_size parts, first letter descending.
 
     The classes partition the alphabet_size**n sequences, so their dims sum
-    to that total.  Raises :class:`DimensionCapError` when the sequence
-    count exceeds the configured cap.
+    to that total.
     """
     if n < 0 or alphabet_size < 1:
         raise ValueError("need n >= 0 and alphabet_size >= 1")
-    total = alphabet_size**n
-    cap = qmat.dimension_cap()
-    if total > cap:
-        raise DimensionCapError(
-            f"{alphabet_size}^{n} = {total} sequences exceed the cap {cap}"
-        )
     out: list[TypeClass] = []
 
     def rec(remaining: int, parts: list[int]):

@@ -370,6 +370,24 @@ class TestGaussianRegion:
         assert len(lines) == 2 and lines[1].startswith("0.25,")
 
 
+def estimated_bytes(monkeypatch, *argv) -> int:
+    """The byte estimate of an admitted ``simulate-*`` run, taken without
+    running it."""
+    class Estimated(Exception):
+        pass
+
+    check = cli._check_memory
+
+    def capture(*args):
+        raise Estimated(check(*args))
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_check_memory", capture)
+        with pytest.raises(Estimated) as caught:
+            cli.main(list(argv))
+    return caught.value.args[0]
+
+
 def run_under_address_limit(limit: int, *argv):
     """Run ``python -m qmac *argv`` in a child with a soft RLIMIT_AS."""
     def set_limit():
@@ -520,13 +538,6 @@ class TestSimulateSeq:
         code, _, err = run(capsys, "simulate-seq", "--channel", "cnot-mac")
         assert code == 2 and "single-sender" in err
 
-    def test_cap_exit_4(self, capsys, monkeypatch):
-        monkeypatch.setenv("QMAC_DIM_CAP", "8")
-        code, _, err = run(capsys, "simulate-seq", "--channel", "identity:2",
-                           "--n", "2", "--messages", "2")
-        assert code == 4
-        assert "cap" in err or "dimension" in err
-
     @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
     def test_non_finite_channel_file_exit_2(self, capsys, tmp_path, entry):
         # json reads NaN and Infinity; the channel must refuse them and name
@@ -556,12 +567,6 @@ class TestSimulateSeq:
         code, out, err = run(capsys, "simulate-seq", "--channel", str(spec))
         assert code == 2 and out == ""
         assert f"channel file {spec}:" in err and named in err
-
-    def test_bad_cap_variable_named(self, capsys, monkeypatch):
-        monkeypatch.setenv("QMAC_DIM_CAP", "abc")
-        code, _, err = run(capsys, "simulate-seq", "--channel", "identity:2")
-        assert code == 2
-        assert "QMAC_DIM_CAP" in err and "abc" in err
 
     @pytest.mark.parametrize("delta", ["nan", "inf", "-0.5"])
     def test_bad_delta_exit_2(self, capsys, delta):
@@ -606,6 +611,25 @@ class TestSimulateSeq:
         obj = json.loads(out)
         assert obj["d"] * obj["message_count"] / obj["D"] == 750
         assert obj["bound"] == 0.0 and obj["bound_condition_holds"] is False
+
+    def test_blocklength_eight_runs_by_default(self, capsys):
+        # d = 65,536, above the dense cap: no decode step forms a d x d matrix
+        code, out, _ = run(capsys, "simulate-seq", "--channel", "identity:2",
+                           "--n", "8", "--messages", "4", "--trials", "10")
+        assert code == 0
+        assert json.loads(out)["n"] == 8
+
+    @pytest.mark.parametrize("argv", [
+        ("--channel", "identity:2", "--n", "9"),
+        ("--channel", "amplitude-damping:0.3", "--n", "6"),
+    ], ids=" ".join)
+    def test_runs_under_a_limit_just_above_its_estimate(self, monkeypatch,
+                                                        argv):
+        argv = ("simulate-seq", *argv, "--messages", "4", "--trials", "10")
+        limit = estimated_bytes(monkeypatch, *argv) + (1 << 20)
+        proc = run_under_address_limit(limit, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["message_count"] == 4
 
     def test_n4_beyond_index_set_cap(self, capsys):
         # |S| = 294912 on d = 256: the protocol never enumerates S
@@ -711,6 +735,59 @@ class TestSimulateMac:
         assert "simulate-seq" in err and "estimated" in err
         assert "GiB for the codeword stack" in err and "memory limit" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate-seq", "--channel", "identity:2", "--n", "1000"),
+        ("simulate-mac", "--channel", "cnot-mac", "--n", "300"),
+    ], ids=" ".join)
+    def test_estimate_beyond_a_float_refused(self, capsys, argv):
+        # the estimates exceed 2^1024 bytes, which a float division overflows
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 4 and out == ""
+        assert f"{argv[0]}: the run needs an estimated" in err
+        assert "e+" in err and "memory limit" in err
+
+    def test_n4_successive_refused_under_6_gib(self):
+        start = time.perf_counter()
+        proc = run_under_address_limit(
+            6 << 30, "simulate-mac", "--channel", "cnot-mac", "--n", "4",
+            "--L", "2", "--M", "2", "--mode", "successive")
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert "simulate-mac: the run needs an estimated" in proc.stderr
+        assert "over the memory limit of 6 GiB" in proc.stderr
+
+    def test_n4_simultaneous_estimated_under_6_gib(self, monkeypatch):
+        # it peaks near 4.4 GiB; the successive run, refused above, holds
+        # about twice as many copies of the 1 GiB codeword stack
+        need = estimated_bytes(monkeypatch, "simulate-mac", "--channel",
+                               "cnot-mac", "--n", "4")
+        assert 4.4 * 2**30 < need < 6 << 30
+
+    @pytest.mark.parametrize("argv, single", [
+        (("simulate-mac", "--channel", "cnot-mac", "--n", "2", "--L", "4",
+          "--M", "4", "--mode", "simultaneous"), 16),
+        (("simulate-seq", "--channel", "amplitude-damping:0.3", "--phi",
+          "0.7,0.3", "--n", "3", "--messages", "4", "--trials", "5"), 4),
+    ], ids=lambda a: a[0] if isinstance(a, tuple) else str(a))
+    def test_dense_check_sees_only_the_single_copy_state(
+            self, capsys, monkeypatch, argv, single):
+        # the benchmark's runs: the dense cap is asked once, for the
+        # single-copy code state of info.ea_code_state, never for a space
+        # of n copies
+        checked = []
+        require = qmat.require_dense
+
+        def spy(space):
+            checked.append(space.dim)
+            require(space)
+
+        monkeypatch.setattr(qmat, "require_dense", spy)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert checked == [single]
+
     def test_refused_under_an_address_space_limit(self):
         # under a 3 GiB address-space limit this run used to fail inside
         # OpenBLAS's allocator with exit 1
@@ -797,6 +874,13 @@ class TestSimulateMac:
 
 
 class TestEaRegion:
+    def test_dense_cap_exit_4(self, capsys, monkeypatch):
+        # the cnot-mac code state is 16-dimensional and dense
+        monkeypatch.setattr(qmat, "DEFAULT_DIM_CAP", 8)
+        code, out, err = run(capsys, "ea-region", "--channel", "cnot-mac")
+        assert code == 4 and out == ""
+        assert "dimension 16, exceeding the cap 8" in err
+
     def test_cnot_mac_region(self, capsys):
         code, out, _ = run(capsys, "ea-region", "--channel", "cnot-mac")
         assert code == 0

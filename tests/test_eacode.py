@@ -465,6 +465,21 @@ def shared_state(weights, dim, sender, receiver):
 class TestChannelOutput:
     """rho = R R† against the dense Kraus sums it replaces."""
 
+    def test_state_refused_above_the_dense_cap_before_it_allocates(
+            self, monkeypatch):
+        # at n = 3 the qubit channel's output is on (A1..A3, B1..B3), d = 64;
+        # its factor R is 64-dimensional too and is not the dense state
+        def unreachable(*args):
+            raise AssertionError("the output factor was built")
+
+        ch = qmat.named_channel("amplitude-damping:0.3")
+        dec = eacode.type_decompose(shared_state("bell", 2, "Ap", "A"), 3)
+        monkeypatch.setattr(qmat, "DEFAULT_DIM_CAP", 32)
+        assert eacode.channel_output_factor(ch, dec).shape[0] == 64
+        monkeypatch.setattr(eacode, "channel_output_factor", unreachable)
+        with pytest.raises(qmat.DimensionCapError, match="dimension 64"):
+            eacode.channel_output_state(ch, dec)
+
     @pytest.mark.parametrize("weights", ["bell", "skewed"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("name", list(SINGLE_SENDER))

@@ -279,6 +279,17 @@ class TestUnassistedCcRegion:
 
 
 class TestEaCodeState:
+    def test_refused_above_the_dense_cap_before_it_allocates(self, monkeypatch):
+        # the cnot-mac code state is on (A, B, C), 16-dimensional
+        def unreachable(*args):
+            raise AssertionError("the output factor was built")
+
+        monkeypatch.setattr(qmat, "DEFAULT_DIM_CAP", 8)
+        monkeypatch.setattr(qmat, "output_factor", unreachable)
+        with pytest.raises(qmat.DimensionCapError, match="dimension 16"):
+            info.ea_code_state(qmat.named_channel("cnot-mac"),
+                               bell_state("Ap", "A"), bell_state("Bp", "B"))
+
     def test_single_sender_layout(self):
         # oracle: the n = 1 channel output of the type decomposition
         ch = qmat.named_channel("amplitude-damping:0.3")

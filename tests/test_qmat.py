@@ -37,10 +37,12 @@ class TestFactorSpace:
             FactorSpace(("A", "A"), (2, 2))
 
     def test_dimension_cap(self, monkeypatch):
-        monkeypatch.setenv("QMAC_DIM_CAP", "8")
-        with pytest.raises(DimensionCapError):
-            FactorSpace(("A", "B"), (4, 4))
-        FactorSpace(("A", "B"), (2, 4))  # exactly at the cap
+        # the cap bounds dense matrices only; a space of any size is accepted
+        assert qmat.dimension_cap() == 4096
+        assert FactorSpace(("A", "B"), (256, 256)).dim == 65536
+        monkeypatch.setattr(qmat, "DEFAULT_DIM_CAP", 8)
+        assert qmat.dimension_cap() == 8
+        FactorSpace(("A", "B"), (4, 4))
 
     def test_total_dim(self):
         sp = FactorSpace(("A", "B", "C"), (2, 3, 4))
@@ -81,11 +83,20 @@ class TestTensor:
             qmat.tensor(a, a)
 
     def test_cap_error(self, monkeypatch):
-        monkeypatch.setenv("QMAC_DIM_CAP", "4")
+        # a product above the cap is formed; embedding onto it is refused
+        monkeypatch.setattr(qmat, "DEFAULT_DIM_CAP", 4)
         a = qmat.identity(FactorSpace(("A",), (2,)))
         b = qmat.identity(FactorSpace(("B",), (4,)))
-        with pytest.raises(DimensionCapError):
-            qmat.tensor(a, b)
+        assert qmat.tensor(a, b).space.dim == 8
+        with pytest.raises(DimensionCapError, match="exceeding the cap 4"):
+            qmat.embed(a, FactorSpace(("A", "B"), (2, 4)))
+
+    def test_embed_refused_above_the_cap_before_it_allocates(self):
+        # a 2^40-dimensional identity would not fit in memory
+        a = qmat.identity(FactorSpace(("A",), (2,)))
+        target = FactorSpace(["A"] + [f"X{i}" for i in range(39)], (2,) * 40)
+        with pytest.raises(DimensionCapError, match="exceeding the cap 4096"):
+            qmat.embed(a, target)
 
     def test_pure_states(self):
         bell = bell_state()

@@ -453,13 +453,13 @@ class TestCoherentDecoder:
     def test_environment_is_not_a_factor(self, monkeypatch):
         # at n = 2 every space is 256-dimensional; the purified output is a
         # 256 x 16 factor, not a 4096-dimensional state with the environment
-        # as a factor, so a cap of 1024 leaves the fidelity unchanged
+        # as a factor, so a dense cap of 1024 leaves the fidelity unchanged
         ch = qmat.named_channel("cnot-mac")
         pair, d1, d2 = bell_pair_books(ch, n=2, seeds=(53, 54))
         povm = simuldecode.simultaneous_povm(
             pair, simuldecode.mac_typical_projectors(ch, d1, d2, 1.0))
         fid = simuldecode.coherent_fidelity(ch, pair, povm)
-        monkeypatch.setenv("QMAC_DIM_CAP", "1024")
+        monkeypatch.setattr(qmat, "DEFAULT_DIM_CAP", 1024)
         assert simuldecode.coherent_fidelity(ch, pair, povm) == fid
 
     def test_codeword_trace_is_checked(self, monkeypatch):

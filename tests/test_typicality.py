@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qmac import info, qmat, typicality
-from qmac.qmat import DensityOperator, DimensionCapError, FactorSpace
+from qmac.qmat import DensityOperator, FactorSpace
 
 from conftest import random_density, random_unitary, schmidt_state
 
@@ -43,9 +43,12 @@ class TestEnumerateTypes:
         assert len(seqs) == t.dim
 
     def test_cap(self, monkeypatch):
-        monkeypatch.setenv("QMAC_DIM_CAP", "100")
-        with pytest.raises(DimensionCapError):
-            typicality.enumerate_types(10, 2)
+        # the dense cap does not bound the sequence count
+        monkeypatch.setattr(qmat, "DEFAULT_DIM_CAP", 100)
+        assert sum(t.dim for t in typicality.enumerate_types(10, 2)) == 1024
+        types = typicality.enumerate_types(4, 16)
+        assert len(types) == math.comb(19, 4)
+        assert sum(t.dim for t in types) == 16**4
 
 
 class TestTypeClassProjector:
