@@ -30,29 +30,30 @@ print("cnot-mac assisted region:", region.bounds(), "bits per use")
 print("vertices:", region.vertices)
 
 for n in (1, 2):
-    d1 = eacode.type_decompose(phi, n)
-    d2 = eacode.type_decompose(psi, n)
+    decomps = [eacode.type_decompose(phi, n), eacode.type_decompose(psi, n)]
+    # R (rho = R R†) and the typical projectors do not depend on the books
+    factor = eacode.channel_output_factor(channel, decomps)
+    projectors = simuldecode.mac_typical_projectors(channel, decomps, 1.0)
     errs = {"simultaneous": [], "successive": []}
     for seed in range(8):
-        pair = simuldecode.MacCodePair.sample(
-            d1, d2, 2, 2, 100 + 2 * seed, 101 + 2 * seed
-        )
+        books = [eacode.sample_code(d, 2, 100 + 2 * seed + i)
+                 for i, d in enumerate(decomps)]
         for mode in errs:
-            rep = simuldecode.run_mac_experiment(channel, pair, mode, 1.0)
+            rep = simuldecode.run_mac_experiment(factor, books, mode,
+                                                 projectors)
             errs[mode].append(rep.avg_error)
     print(f"\nn = {n}: mean average error over 8 codebooks")
     for mode, vals in errs.items():
         print(f"  {mode:13s} {np.mean(vals):.4f}")
 
 # One experiment in detail: outcome breakdown, the randomization identity,
-# and the coherent decoder's fidelity guarantee.
-d1 = eacode.type_decompose(phi, 2)
-d2 = eacode.type_decompose(psi, 2)
-pair = simuldecode.MacCodePair.sample(d1, d2, 2, 2, 7, 8)
-report = simuldecode.run_mac_experiment(channel, pair, "simultaneous", 1.0)
+# and the coherent decoder's fidelity guarantee (n = 2, R and projectors
+# from the loop above).
+books = [eacode.sample_code(d, 2, seed) for d, seed in zip(decomps, (7, 8))]
+report = simuldecode.run_mac_experiment(factor, books, "simultaneous",
+                                        projectors)
 # the coherent decoder lifts the dense POVM itself
-povm = simuldecode.simultaneous_povm(
-    pair, simuldecode.mac_typical_projectors(channel, d1, d2, 1.0))
+povm = simuldecode.simultaneous_povm(books, projectors)
 print("\nn = 2 simultaneous decoder, seeds", report.seeds)
 print("  average error:", round(report.avg_error, 6))
 print("  error terms:", {k: round(v, 6) for k, v in report.breakdown.items()})
@@ -60,7 +61,8 @@ print("  max error via shift randomization:",
       round(report.max_error_randomized, 6), "(equals the average exactly)")
 
 decoder = simuldecode.coherent_decoder(povm)
-fidelity = simuldecode.coherent_fidelity(channel, pair, povm)
+fidelity = simuldecode.coherent_fidelity(factor, books, projectors.space,
+                                         povm)
 print("  coherent decoder: V+V = I within",
       f"{decoder.isometry_defect():.1e};",
       f"fidelity {fidelity:.4f} >= average success "

@@ -249,19 +249,19 @@ def cmd_simulate_mac(args) -> int:
     _check_delta(args.delta)
     _check_seed(args.seed, range(2 * args.seed, 2 * (args.seed + args.trials)))
     _check_memory(channel, args, args.L * args.M, args.mode)
-    d1 = eacode.type_decompose(phi, args.n)
-    d2 = eacode.type_decompose(psi, args.n)
-    # the typical projectors depend on the states, n and delta, not the seed
-    projectors = simuldecode.mac_typical_projectors(channel, d1, d2, args.delta)
+    decomps = [eacode.type_decompose(s, args.n) for s in (phi, psi)]
+    # R and the typical projectors depend on the states, n and delta, not
+    # the seed: both are built once, for every trial
+    projectors = simuldecode.mac_typical_projectors(channel, decomps,
+                                                    args.delta)
+    factor = eacode.channel_output_factor(channel, decomps)
     reports = []
     for t in range(args.trials):
-        pair = simuldecode.MacCodePair.sample(
-            d1, d2, args.L, args.M,
-            2 * (args.seed + t), 2 * (args.seed + t) + 1,
-        )
+        seed = 2 * (args.seed + t)
+        books = [eacode.sample_code(decomps[0], args.L, seed),
+                 eacode.sample_code(decomps[1], args.M, seed + 1)]
         reports.append(simuldecode.run_mac_experiment(
-            channel, pair, args.mode, args.delta, projectors
-        ))
+            factor, books, args.mode, projectors))
     out = reports[0].to_json()
     if args.trials > 1:
         # codebook-level averages over the per-trial exact figures
@@ -364,19 +364,22 @@ def cmd_check(args) -> int:
     bell = _shared_state("bell", 2, "Ap", "A")
     bell2 = _shared_state("bell", 2, "Bp", "B")
     channel = qmat.named_channel("cnot-mac")
-    d1, d2 = eacode.type_decompose(bell, 1), eacode.type_decompose(bell2, 1)
-    pair = simuldecode.MacCodePair.sample(d1, d2, 2, 2, 11, 12)
-    rep = simuldecode.run_mac_experiment(channel, pair, "simultaneous", 1.0)
+    decomps = [eacode.type_decompose(bell, 1), eacode.type_decompose(bell2, 1)]
+    books = [eacode.sample_code(decomps[0], 2, 11),
+             eacode.sample_code(decomps[1], 2, 12)]
+    projectors = simuldecode.mac_typical_projectors(channel, decomps, 1.0)
+    factor = eacode.channel_output_factor(channel, decomps)
+    rep = simuldecode.run_mac_experiment(factor, books, "simultaneous",
+                                         projectors)
     ok = abs(rep.max_error_randomized - rep.avg_error) < 1e-12
     report("shift-randomized max error equals average error", ok,
            f"difference {abs(rep.max_error_randomized - rep.avg_error):.2e}")
-    projectors = simuldecode.mac_typical_projectors(channel, d1, d2, 1.0)
-    povm = simuldecode.simultaneous_povm(pair, projectors)
+    povm = simuldecode.simultaneous_povm(books, projectors)
     gap = np.linalg.eigvalsh(np.eye(povm.space.dim) - povm.total()).min()
     report("POVM completeness", gap >= -1e-9, f"min identity gap {gap:.2e}")
-    sent, v, _ = pair.codewords(channel)
+    sent, v, _ = eacode.codeword_factors(factor, books, projectors.space)
     worst = float(np.max(np.abs(
-        simuldecode.gram_table(channel, pair, projectors)
+        simuldecode.gram_table(factor, books, projectors)
         - eacode.overlap_table(sent, v, povm)
     )))
     report("Gram-form table equals the dense POVM's table", worst < 1e-12,
@@ -387,21 +390,21 @@ def cmd_check(args) -> int:
     decomp, code_proj, _, words = seqdecode.ea_protocol_instance(
         seq_channel, phi, 1, 1.0)
     book = eacode.sample_code(decomp, 6, 5)
-    factor = eacode.channel_output_factor(seq_channel, decomp)
+    seq_factor = eacode.channel_output_factor(seq_channel, [decomp])
     seq_projectors = seqdecode.sequential_projectors(seq_channel, decomp, 1.0)
-    seq_v, _ = eacode.codeword_factors(range(6), factor, [book.encoders],
-                                       seq_projectors.space)
+    _, seq_v, _ = eacode.codeword_factors(seq_factor, [book],
+                                          seq_projectors.space)
     povm = seqdecode.sequential_povm(list(book.entries), code_proj, words)
     worst = float(np.max(np.abs(
-        seqdecode.sequential_table(factor, book.encoders, seq_projectors)
+        seqdecode.sequential_table(seq_factor, [book], seq_projectors)
         - eacode.overlap_table(range(6), seq_v, povm)
     )))
     report("factored sequential table equals the dense sequential POVM's",
            worst < 1e-12, f"max deviation {worst:.2e}")
     worst = float(np.max(np.abs(
-        seqdecode.successive_table(channel, pair, projectors)
+        seqdecode.successive_table(factor, books, projectors)
         - eacode.overlap_table(
-            sent, v, seqdecode.ea_successive_povm(pair, projectors))
+            sent, v, seqdecode.ea_successive_povm(books, projectors))
     )))
     report("factored successive table equals the dense successive POVM's",
            worst < 1e-12, f"max deviation {worst:.2e}")

@@ -316,20 +316,17 @@ def sample_code(decomp: TypeDecomposition, message_count: int, seed: int
     return EaCodeBook(message_count, entries, seed, decomp)
 
 
-def channel_output_space(channel: KrausChannel, decomp: TypeDecomposition,
-                         decomp2: TypeDecomposition | None = None
-                         ) -> FactorSpace:
+def channel_output_space(channel: KrausChannel, decomps) -> FactorSpace:
     """Factor order of :func:`channel_output_state`.
 
-    The receiver shares (A..., then B... for a second sender) come first,
-    then the channel outputs copy by copy (C1, C2, ... per output label).
+    The receiver shares of ``decomps`` (A..., then B..., one per sender)
+    come first, then the channel outputs copy by copy (C1, C2, ... per
+    output label).
     """
-    n = decomp.n
-    shares = [decomp.receiver_space]
-    if decomp2 is not None:
-        if decomp2.n != n:
-            raise ValueError("both senders must share the same block length")
-        shares.append(decomp2.receiver_space)
+    n = decomps[0].n
+    if any(d.n != n for d in decomps):
+        raise ValueError("every sender must share the same block length")
+    shares = [d.receiver_space for d in decomps]
     out = qmat.power_space(channel.out_space, n)
     return FactorSpace(
         tuple(l for sp in shares for l in sp.labels) + out.labels,
@@ -337,40 +334,36 @@ def channel_output_space(channel: KrausChannel, decomp: TypeDecomposition,
     )
 
 
-def channel_output_factor(channel: KrausChannel, decomp: TypeDecomposition,
-                          decomp2: TypeDecomposition | None = None
-                          ) -> np.ndarray:
+def channel_output_factor(channel: KrausChannel, decomps) -> np.ndarray:
     """R with R R† the channel output of :func:`channel_output_state`.
 
     The rows follow :func:`channel_output_space`; the columns index the
     environment of the n channel uses, so each column of R, after the
     receiver encoders act on it, is one branch of the purified output.
     """
-    space = channel_output_space(channel, decomp, decomp2)
-    decomps = (decomp,) if decomp2 is None else (decomp, decomp2)
+    space = channel_output_space(channel, decomps)
     uses = [
         (tuple(f"{d.sender_label}{i}" for d in decomps),
          tuple(f"{l}{i}" for l in channel.out_space.labels))
-        for i in range(1, decomp.n + 1)
+        for i in range(1, decomps[0].n + 1)
     ]
     state = qmat.tensor(*(d.phi_n for d in decomps))
     return qmat.output_factor(channel, state, uses, space.labels)
 
 
-def channel_output_state(channel: KrausChannel, decomp: TypeDecomposition,
-                         decomp2: TypeDecomposition | None = None
-                         ) -> DensityOperator:
+def channel_output_state(channel: KrausChannel, decomps) -> DensityOperator:
     """Channel output with receiver shares kept, before any encoding.
 
-    Single sender: rho on (A..., B...) from |phi>^(x)n through n channel
-    uses.  Two senders: rho on (A..., B..., C...) from phi^(x)n (x)
-    psi^(x)n, the channel consuming the two sender shares copy by copy.
-    The factor order is :func:`channel_output_space`, and rho = R R† with
-    R from :func:`channel_output_factor`; refused above the dense cap.
+    ``decomps`` lists one decomposition per sender, in the channel's input
+    order.  rho lives on (A..., B..., C...) from phi^(x)n (x) psi^(x)n (on
+    (A..., B...) from phi^(x)n for a single sender), the channel consuming
+    the sender shares copy by copy.  The factor order is
+    :func:`channel_output_space`, and rho = R R† with R from
+    :func:`channel_output_factor`; refused above the dense cap.
     """
-    space = channel_output_space(channel, decomp, decomp2)
+    space = channel_output_space(channel, decomps)
     qmat.require_dense(space)
-    r = channel_output_factor(channel, decomp, decomp2)
+    r = channel_output_factor(channel, decomps)
     return DensityOperator(space, r @ r.conj().T)
 
 
@@ -385,8 +378,13 @@ def receiver_encoder(decomp: TypeDecomposition, s: HwIndex) -> qmat.Operator:
 
 
 def encode(x: np.ndarray, encoders, space: FactorSpace) -> np.ndarray:
-    """[U_1 X ... U_K X]: each encoder applied to X on its own share of ``space``."""
-    return np.hstack([qmat.apply_local(u, x, space) for u in encoders])
+    """[U_1 X ... U_K X]: each encoder applied to X on its own share of
+    ``space``, written into one preallocated stack."""
+    c = x.shape[1]
+    out = np.empty((x.shape[0], len(encoders) * c), dtype=complex)
+    for k, u in enumerate(encoders):
+        out[:, k * c:(k + 1) * c] = qmat.apply_local(u, x, space)
+    return out
 
 
 def conjugate_by_receiver_encoders(state, indexed_encoders) -> DensityOperator:
@@ -469,22 +467,27 @@ def _check_traces(sent, traces) -> None:
             raise ValueError(f"codeword state {key} has trace {total}, not 1")
 
 
-def codeword_factors(sent, r: np.ndarray, books, space: FactorSpace):
-    """(V, traces): the codeword factors of the ``sent`` codewords.
+def codeword_factors(factor: np.ndarray, books, space: FactorSpace):
+    """(sent, V, traces): the codeword factors of a code of K books.
 
-    ``books`` lists one sequence of receiver encoders per sender
-    (:attr:`EaCodeBook.encoders`) and ``r`` is R with rho = R R† on
-    ``space``.  The last book's encoders act first (:func:`encode`), so two
-    books give the l-major V = [V_11 ... V_LM] with V_lm = U_1(s_l) U_2(t_m) R,
-    and one book gives V = [V_1 ... V_K] with V_k = U_k R.  sigma_j =
-    V_j V_j†, and traces[j] = Tr sigma_j = |V_j|^2, which must be 1.
+    ``books`` lists one :class:`EaCodeBook` per sender and ``factor`` is R
+    with rho = R R† on ``space``.  ``sent`` lists every K-tuple of message
+    indices in lexicographic order, and V = [V_j] in that order with
+    V_j = U_1(s_j1) ... U_K(s_jK) R, each encoder on its own share.  The
+    last book's encoders act first (:func:`encode`), so two books give the
+    l-major V = [V_11 ... V_LM].  sigma_j = V_j V_j†, and traces[j] =
+    Tr sigma_j = |V_j|^2, which must be 1.  The books must have distinct
+    seeds, so that the senders' codebooks are drawn independently.
     """
-    v = r
-    for encoders in reversed(books):
-        v = encode(v, encoders, space)
+    if len({b.seed for b in books}) < len(books):
+        raise ValueError("sender codebooks need independent seeds")
+    sent = list(itertools.product(*(range(b.message_count) for b in books)))
+    v = factor
+    for book in reversed(books):
+        v = encode(v, book.encoders, space)
     traces = block_overlaps(v, v, len(sent))
     _check_traces(sent, traces)
-    return v, traces
+    return sent, v, traces
 
 
 def codeword_table(sent, traces, weights: np.ndarray) -> np.ndarray:

@@ -180,17 +180,16 @@ class RateRegion:
         )
 
 
-def ea_code_state(channel: KrausChannel, phi: PureState,
-                  psi: PureState | None = None) -> DensityOperator:
+def ea_code_state(channel: KrausChannel, states) -> DensityOperator:
     """Single-copy code state: the channel applied to the senders' shares.
 
-    Each shared state lives on (sender, receiver) labels, e.g. ``phi`` on
-    (Ap, A) and ``psi`` on (Bp, B).  The channel consumes the sender shares
-    (phi's alone for a single sender) and the result lives on the receiver
-    shares followed by the channel outputs: (A, B, C...) or (A, B...).  It
-    is R R† with R from :func:`qmat.output_factor`; refused above the cap.
+    ``states`` lists one shared pure state per sender, each on (sender,
+    receiver) labels, e.g. phi on (Ap, A) and psi on (Bp, B).  The channel
+    consumes the sender shares and the result lives on the receiver shares
+    followed by the channel outputs: (A, B, C...) or, for a single sender,
+    (A, B...).  It is R R† with R from :func:`qmat.output_factor`; refused
+    above the cap.
     """
-    states = (phi,) if psi is None else (phi, psi)
     joint = qmat.tensor(*states)
     senders = tuple(s.space.labels[0] for s in states)
     receivers = tuple(s.space.labels[1] for s in states)
@@ -217,7 +216,7 @@ def ea_cc_region(mac: KrausChannel, phi: PureState, psi: PureState) -> RateRegio
     the shared pure states ``phi`` (Alice, e.g. on Ap/A) and ``psi`` (Bob,
     e.g. on Bp/B); A and B are the states' second labels.
     """
-    rho = ea_code_state(mac, phi, psi)
+    rho = ea_code_state(mac, (phi, psi))
     return _region_from_state(rho, phi.space.labels[1], psi.space.labels[1])
 
 
@@ -267,7 +266,7 @@ def lsd_q_region(mac: KrausChannel, phi: PureState, psi: PureState) -> RateRegio
     I(AB>C) = H(C) - H(ABC), clamped at zero; the raw values are kept on
     ``raw_bounds``.
     """
-    rho = ea_code_state(mac, phi, psi)
+    rho = ea_code_state(mac, (phi, psi))
     a, b = phi.space.labels[1], psi.space.labels[1]
     out_labels = tuple(l for l in rho.space.labels if l not in (a, b))
     h_all = von_neumann_entropy(rho)

@@ -8,8 +8,11 @@ one sender fully, then the other, over a multiple access channel.
 
 The assisted experiments are read on the codeword factors V_k = U_k R of
 the channel output rho_n = R R† (:func:`sequential_table`,
-:func:`successive_table`): each POVM element is a product of projectors, so
-its weight on a codeword is the squared norm of a product of projectors
+:func:`successive_table`).  Both take ``(factor, books, projectors)``: R,
+built once per run, the list of :class:`~qmac.eacode.EaCodeBook`s (one for
+the sequential decoder, Alice's and Bob's for the successive one) and the
+typical projectors.  Each POVM element is a product of projectors, so its
+weight on a codeword is the squared norm of a product of projectors
 applied to V_k, and no d x d matrix is formed.  The dense POVMs
 (:func:`sequential_povm`, :func:`successive_povm`,
 :func:`ea_successive_povm`) and the brute-force
@@ -260,9 +263,9 @@ def sequential_projectors(channel: KrausChannel, decomp, delta: float
     recv = (decomp.receiver_label,)
     out = channel.out_space.labels
     return typicality.projector_bundle(
-        info.ea_code_state(channel, decomp.phi), decomp.n, delta,
+        info.ea_code_state(channel, [decomp.phi]), decomp.n, delta,
         {"A": recv, "B": out, "AB": recv + out},
-        eacode.channel_output_space(channel, decomp),
+        eacode.channel_output_space(channel, [decomp]),
     )
 
 
@@ -338,7 +341,7 @@ def ea_protocol_instance(channel: KrausChannel, phi: PureState, n: int,
             f"{INDEX_SET_CAP}"
         )
     p = sequential_projectors(channel, decomp, delta)
-    rho_n = eacode.channel_output_state(channel, decomp)
+    rho_n = eacode.channel_output_state(channel, [decomp])
     code_proj, pi_ab = p.embedded("A") @ p.embedded("B"), p.embedded("AB")
     full = rho_n.space
     sigma = {}
@@ -364,7 +367,7 @@ def ea_packing_constants(channel: KrausChannel, phi: PureState, n: int,
     """
     decomp = eacode.type_decompose(phi, n)
     return _factor_constants(
-        eacode.channel_output_factor(channel, decomp), decomp,
+        eacode.channel_output_factor(channel, [decomp]), decomp,
         sequential_projectors(channel, decomp, delta))
 
 
@@ -385,34 +388,34 @@ def _chain(y: np.ndarray, project, words):
         yield p
 
 
-def sequential_table(factor: np.ndarray, encoders: Sequence,
+def sequential_table(factor: np.ndarray, books,
                      projectors: typicality.ProjectorBundle) -> np.ndarray:
     """The sequential decoder's table [T; abort] on the codeword factors.
 
-    ``encoders`` lists the receiver encoders U_k of the book's messages in
-    order (:attr:`eacode.EaCodeBook.encoders`) and ``factor`` is R with
-    rho_n = R R†, on ``projectors.space`` (:func:`sequential_projectors`).
+    ``books`` holds the one sender's :class:`~qmac.eacode.EaCodeBook`, whose
+    receiver encoders U_k are applied in message order, and ``factor`` is R
+    with rho_n = R R† on ``projectors.space`` (:func:`sequential_projectors`).
     T[k, j] = Tr{Lambda_k sigma_j}, where Lambda is :func:`sequential_povm`
     of the word projectors U_k Pi_AB U_k† inside the code projector
     Pi_A Pi_B and sigma_j = V_j V_j†, V_j = U_j R; the last row is the
     abort weight Tr{(I - sum_k Lambda_k) sigma_j}.
 
-    Stack V = [V_1 ... V_K] and the words [U_1 B ... U_K B] with
-    Pi_AB = B B†, each from one :func:`eacode.encode`, and set Y = Pi V;
-    row k of the table is the block norms of Pi_{x_k} Y, and then
+    Stack V = [V_1 ... V_K] (:func:`eacode.codeword_factors`) and the words
+    [U_1 B ... U_K B] with Pi_AB = B B† (:func:`eacode.encode`), and set
+    Y = Pi V; row k of the table is the block norms of Pi_{x_k} Y, and then
     Y <- Pi (Y - Pi_{x_k} Y) (:func:`_chain`), so memory is a few d x Kc
     and d x Kr blocks.  Tr sigma_k = |V_k|^2 must be 1 and every abort
     weight at least -1e-9.
     """
-    sent = range(len(encoders))
+    (book,) = books
     space = projectors.space
-    v, traces = eacode.codeword_factors(sent, factor, [encoders], space)
+    sent, v, traces = eacode.codeword_factors(factor, books, space)
 
     def code(y):
         return projectors.apply("A", projectors.apply("B", y))
 
-    words = np.split(eacode.encode(projectors.basis("AB"), encoders, space),
-                     len(sent), axis=1)
+    words = np.split(eacode.encode(projectors.basis("AB"), book.encoders,
+                                   space), len(sent), axis=1)
     weights = np.array([eacode.block_overlaps(p, p, len(sent))
                         for p in _chain(code(v), code, words)])
     return eacode.codeword_table(sent, traces, weights)
@@ -441,7 +444,7 @@ def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
         "code": projectors.rank("A") * projectors.rank("B"),
         "word": projectors.rank("AB"),
     }, delta)
-    factor = eacode.channel_output_factor(channel, decomp)
+    factor = eacode.channel_output_factor(channel, [decomp])
     measured = _factor_constants(factor, decomp, projectors)
     bound = packing_lower_bound(PackingConstants(
         min(max(measured.epsilon, 1e-15), 1.0), measured.d, measured.D,
@@ -449,7 +452,7 @@ def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
     successes = []
     for t in range(trials):
         book = eacode.sample_code(decomp, message_count, seed + t)
-        table = sequential_table(factor, book.encoders, projectors)
+        table = sequential_table(factor, [book], projectors)
         successes.append(float(np.diagonal(table).mean()))
     arr = np.array(successes)
     stderr = float(arr.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -585,9 +588,9 @@ def successive_povm(code1: Sequence, code2: Sequence, code_projector,
     return PovmSet(qmat.FactorSpace(("S",), (dim,)), elements)
 
 
-def ea_successive_povm(pair, projectors: typicality.ProjectorBundle
+def ea_successive_povm(books, projectors: typicality.ProjectorBundle
                        ) -> PovmSet:
-    """Two-stage decoder of a MAC code pair with the typical-projector families.
+    """Two-stage decoder of a two-book MAC code with the typical projectors.
 
     Code subspace: the product of the three single-system projectors.
     First stage tests Alice's codewords with the AC-pair projector rotated
@@ -596,7 +599,7 @@ def ea_successive_povm(pair, projectors: typicality.ProjectorBundle
     :func:`successive_table`.
     """
     full = projectors.space
-    b1, b2 = pair.book1, pair.book2
+    b1, b2 = books
     pi = projectors.embedded
     code_proj = pi("A") @ pi("B") @ pi("C")
     alice = dict(zip(b1.entries, b1.encoders))
@@ -611,52 +614,57 @@ def ea_successive_povm(pair, projectors: typicality.ProjectorBundle
     )
 
 
-def successive_table(channel: KrausChannel, pair,
+def successive_table(factor: np.ndarray, books,
                      projectors: typicality.ProjectorBundle) -> np.ndarray:
     """The successive decoder's table [T; abort] on the codeword factors.
 
-    ``pair`` is a :class:`~qmac.simuldecode.MacCodePair`.  Equal to
-    ``eacode.overlap_table(sent, V, ea_successive_povm(pair, projectors))``
-    on ``(sent, V, _) = pair.codewords(channel)`` without forming a d x d
-    matrix.  That POVM is :func:`successive_povm` with the code projector
-    Pi = Pi_A Pi_B Pi_C, Alice's words Pi_x(s) = U_1(s) Pi_AC U_1(s)† Pi_B
-    and the pair words Pi_xy(s, t) = U_1(s) U_2(t) Pi_ABC U_2(t)† U_1(s)†,
-    each encoder on its own share.  Its element (l, m) is M†M with
+    ``books`` holds Alice's and Bob's :class:`~qmac.eacode.EaCodeBook`s and
+    ``factor`` is R with rho_n = R R† on ``projectors.space``.  Equal to
+    ``eacode.overlap_table(sent, V, ea_successive_povm(books, projectors))``
+    on ``(sent, V, _) = eacode.codeword_factors(factor, books, space)``
+    without forming a d x d matrix.  That POVM is :func:`successive_povm`
+    with the code projector Pi = Pi_A Pi_B Pi_C, Alice's words
+    Pi_x(s) = U_1(s) Pi_AC U_1(s)† Pi_B = U_1(s) Pi_AC Pi_B U_1(s)† and the
+    pair words Pi_xy(s, t) = U_1(s) U_2(t) Pi_ABC U_2(t)† U_1(s)†, each
+    encoder on its own share.  Its element (l, m) is M†M with
     M = Pi_xy(s_l, t_m) Pi_x(s_l) times the products of the earlier tests,
-    so T[(l, m), j] is the squared norm of M V_j.  Stack V = [V_11 ... V_LM]
-    and Bob's words [U_2(t_1) B ... U_2(t_M) B] with Pi_ABC = B B†, once
-    (:func:`eacode.encode`); for each l, U_1(s_l) turns them, block by
-    block, into the words of Bob's stage, which runs the sequential chain (:func:`_chain`) inside
-    Pi_x(s_l) from Pi_x(s_l) Y, and then Alice's stage moves on with
-    Y <- Pi (I - Pi_x(s_l)) Pi Y, from Y = V.  |V_j|^2 must be 1 and every
-    abort weight at least -1e-9.
+    so T[(l, m), j] is the squared norm of M V_j.
+
+    Bob's stage runs in Alice's frame: U_1(s_l)† M V_j is the sequential
+    chain (:func:`_chain`) of Bob's words [U_2(t_1) B ... U_2(t_M) B] with
+    Pi_ABC = B B†, encoded once (:func:`eacode.encode`), inside the fixed
+    test Pi_AC Pi_B, from Pi_AC Pi_B U_1(s_l)† Y; U_1(s_l) keeps norms.
+    Alice's stage then moves on with Y <- Pi Y and
+    Y <- Pi (Y - U_1 Pi_AC Pi_B U_1† Y), from Y = V = [V_11 ... V_LM].  So
+    Bob's words are encoded once per table, and each of Alice's encoders
+    acts three times (the last once), however many words Bob's stage tests.
+    |V_j|^2 must be 1 and every abort weight at least -1e-9.
     """
-    sent, v, traces = pair.codewords(channel)
+    alice, bob = books
     space = projectors.space
-    bob = np.split(eacode.encode(projectors.basis("ABC"), pair.book2.encoders,
-                                 space), pair.M, axis=1)
+    sent, v, traces = eacode.codeword_factors(factor, books, space)
+    words = np.split(eacode.encode(projectors.basis("ABC"), bob.encoders,
+                                   space), bob.message_count, axis=1)
 
     def code(y):
         for name in ("C", "B", "A"):
             y = projectors.apply(name, y)
         return y
 
-    def alice(u):
-        u_dag = qmat.Operator(u.space, u.matrix.conj().T)
-        return lambda y: qmat.apply_local(u, projectors.apply(
-            "AC", qmat.apply_local(u_dag, projectors.apply("B", y), space)),
-            space)
+    def pi_x(y):  # Alice's word projector in her own frame
+        return projectors.apply("AC", projectors.apply("B", y))
 
     rows = []
     y = v
-    for l, u in enumerate(pair.book1.encoders):
-        pi_x = alice(u)
-        words = (qmat.apply_local(u, w, space) for w in bob)
+    for l, u in enumerate(alice.encoders):
+        u_dag = qmat.Operator(u.space, u.matrix.conj().T)
+        start = pi_x(qmat.apply_local(u_dag, y, space))
         rows += [eacode.block_overlaps(p, p, len(sent))
-                 for p in _chain(pi_x(y), pi_x, words)]
-        if l + 1 < pair.L:
+                 for p in _chain(start, pi_x, words)]
+        if l + 1 < alice.message_count:
             y = code(y)
-            y = code(y - pi_x(y))
+            y = code(y - qmat.apply_local(
+                u, pi_x(qmat.apply_local(u_dag, y, space)), space))
     return eacode.codeword_table(sent, traces, np.array(rows))
 
 

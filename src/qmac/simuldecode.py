@@ -8,11 +8,15 @@ of both codebooks converts the average error criterion into a maximal one,
 and lifting each POVM element to sqrt(Lambda) (x) |outcome> gives an
 isometry that decodes coherently.
 
-Every error figure reads one table T[k, j] = Tr{Lambda_k sigma_j} of
-overlaps on the codeword factors V_j = U_j R of the channel output
-rho_n = R R†, so no evaluation forms rho_n or any sigma_j.  The
-simultaneous decoder's table is read in Gram form (:func:`gram_table`):
-each detection operator is Upsilon_lm = W_lm W_lm† with W_lm only d x r,
+A code is a list of books, one :class:`~qmac.eacode.EaCodeBook` per
+sender, and every factored decoder reads ``(factor, books, projectors)``:
+R with rho_n = R R†, built once per run, the books, and the typical
+projectors of :func:`mac_typical_projectors`.  Every error figure reads
+one table T[k, j] = Tr{Lambda_k sigma_j} of overlaps on the codeword
+factors V_j = U_j R (:func:`eacode.codeword_factors`), so no evaluation
+forms rho_n or any sigma_j.  The simultaneous decoder's table is read in
+Gram form (:func:`gram_table`): each detection operator is
+Upsilon_lm = W_lm W_lm† with W_lm only d x r,
 where r is the rank of the joint typical projector Pi_ABC = B B†, and the
 square-root measurement of the W_lm is that of Hausladen, Jozsa,
 Schumacher, Westmoreland and Wootters (PRA 54, 1869, 1996).  It is taken on
@@ -29,7 +33,6 @@ the oracle, and it is the path of the coherent decoder.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -39,7 +42,6 @@ from . import eacode, info, qmat, seqdecode, typicality
 from .qmat import KrausChannel, PovmSet
 
 __all__ = [
-    "MacCodePair",
     "mac_typical_projectors",
     "build_upsilon",
     "sqrt_measurement",
@@ -60,85 +62,43 @@ __all__ = [
 SUPPORT_CUTOFF = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class MacCodePair:
-    """Independent random codebooks for the two senders."""
+def randomize_code(books, *shifts) -> list:
+    """Relabel each codebook by a modular message shift (common randomness).
 
-    book1: eacode.EaCodeBook
-    book2: eacode.EaCodeBook
-
-    @property
-    def L(self) -> int:
-        return self.book1.message_count
-
-    @property
-    def M(self) -> int:
-        return self.book2.message_count
-
-    @property
-    def seeds(self) -> tuple[int, int]:
-        return (self.book1.seed, self.book2.seed)
-
-    def codewords(self, channel: KrausChannel):
-        """(sent, V, traces): the pairs (l, m), l-major, V = [V_11 ... V_LM]
-        with V_lm = U^T_1(s_l) U^T_2(t_m) R and rho_n = R R†, each encoder
-        on its own share, and Tr sigma_lm = |V_lm|^2, each checked to be 1
-        (:func:`eacode.codeword_factors`)."""
-        d1, d2 = self.book1.decomp, self.book2.decomp
-        sent = list(itertools.product(range(self.L), range(self.M)))
-        v, traces = eacode.codeword_factors(
-            sent, eacode.channel_output_factor(channel, d1, d2),
-            [self.book1.encoders, self.book2.encoders],
-            eacode.channel_output_space(channel, d1, d2))
-        return sent, v, traces
-
-    @classmethod
-    def sample(cls, decomp1, decomp2, L, M, seed1, seed2):
-        if seed1 == seed2:
-            raise ValueError("sender codebooks need independent seeds")
-        return cls(
-            eacode.sample_code(decomp1, L, seed1),
-            eacode.sample_code(decomp2, M, seed2),
-        )
-
-
-def randomize_code(pair: MacCodePair, s_shift: int, t_shift: int) -> MacCodePair:
-    """Relabel both codebooks by modular message shifts (common randomness)."""
-    b1, b2 = pair.book1, pair.book2
-    if not (0 <= s_shift < b1.message_count and 0 <= t_shift < b2.message_count):
+    Message l of a book now sends the entry of message l + shift (mod its
+    message count); one shift per book.
+    """
+    if len(shifts) != len(books) or not all(
+            0 <= s < b.message_count for b, s in zip(books, shifts)):
         raise ValueError("shifts must lie within the message ranges")
-    # message l now sends the entry of message l + s (mod L), and so for Bob
-    e1 = b1.entries[s_shift:] + b1.entries[:s_shift]
-    e2 = b2.entries[t_shift:] + b2.entries[:t_shift]
-    return MacCodePair(
-        eacode.EaCodeBook(b1.message_count, e1, b1.seed, b1.decomp),
-        eacode.EaCodeBook(b2.message_count, e2, b2.seed, b2.decomp),
-    )
+    return [eacode.EaCodeBook(b.message_count, b.entries[s:] + b.entries[:s],
+                              b.seed, b.decomp)
+            for b, s in zip(books, shifts)]
 
 
-def mac_typical_projectors(channel: KrausChannel, decomp1, decomp2,
+def mac_typical_projectors(channel: KrausChannel, decomps,
                            delta: float) -> typicality.ProjectorBundle:
     """The six typical projectors of a two-sender channel output, kept small.
 
     On the full (A..., B..., C...) space, each of "A", "B", "C", "AB", "AC"
     and the joint "ABC" is kept as its type basis on its own n-copy factors
     (:class:`~qmac.typicality.ProjectorBundle`), so no d x d matrix is
-    formed.  Raises ``ValueError`` when one of them is empty at this
-    ``delta``.
+    formed.  ``decomps`` holds the two senders' decompositions.  Raises
+    ``ValueError`` when one of them is empty at this ``delta``.
     """
-    a, b = decomp1.receiver_label, decomp2.receiver_label
+    a, b = (d.receiver_label for d in decomps)
     c = channel.out_space.labels
     labels = {"A": (a,), "B": (b,), "C": c, "AB": (a, b), "AC": (a,) + c,
               "ABC": (a, b) + c}
     projectors = typicality.projector_bundle(
-        info.ea_code_state(channel, decomp1.phi, decomp2.phi), decomp1.n,
-        delta, labels, eacode.channel_output_space(channel, decomp1, decomp2))
+        info.ea_code_state(channel, [d.phi for d in decomps]), decomps[0].n,
+        delta, labels, eacode.channel_output_space(channel, decomps))
     typicality.require_nonempty(
         {name: projectors.rank(name) for name in labels}, delta)
     return projectors
 
 
-def build_upsilon(pair: MacCodePair, l: int, m: int,
+def build_upsilon(books, l: int, m: int,
                   projectors: typicality.ProjectorBundle) -> np.ndarray:
     """Detection operator for message pair (l, m), as a dense d x d matrix.
 
@@ -148,7 +108,7 @@ def build_upsilon(pair: MacCodePair, l: int, m: int,
     share (``qmat.conjugate_local``).  The oracle of :func:`gram_table`.
     """
     full = projectors.space
-    u1, u2 = pair.book1.encoders[l], pair.book2.encoders[m]
+    u1, u2 = books[0].encoders[l], books[1].encoders[m]
     pi = projectors.embedded
     wing = (pi("B") @ pi("AC")) @ (pi("C") @ pi("AB"))
     inner = qmat.conjugate_local(u2, projectors.embedded("ABC"), full)
@@ -205,22 +165,22 @@ def sqrt_measurement(upsilons: Mapping) -> PovmSet:
     return PovmSet(space, elements)
 
 
-def simultaneous_povm(pair: MacCodePair,
+def simultaneous_povm(books,
                       projectors: typicality.ProjectorBundle) -> PovmSet:
     """Square-root measurement over all (l, m) detection operators, dense.
 
     The oracle of :func:`gram_table`, for callers that need the POVM itself.
     """
+    alice, bob = books
     ups = {
-        (l, m): build_upsilon(pair, l, m, projectors)
-        for l in range(pair.L)
-        for m in range(pair.M)
+        (l, m): build_upsilon(books, l, m, projectors)
+        for l in range(alice.message_count)
+        for m in range(bob.message_count)
     }
     return sqrt_measurement(ups)
 
 
-def _detection_factors(pair: MacCodePair,
-                       projectors: typicality.ProjectorBundle):
+def _detection_factors(books, projectors: typicality.ProjectorBundle):
     """(W', Z) with Upsilon_lm = W_lm W_lm† and W_lm = W'_l Z_m†.
 
     W_lm = U^T_1(s_l) Y_m with Y = [Y_1 ... Y_M] = wing† [U^T_2(t_m) B]_m
@@ -233,54 +193,61 @@ def _detection_factors(pair: MacCodePair,
     books' encoders act on their own shares (:func:`eacode.encode`): book
     2's on B, book 1's on Y Z.
     """
+    alice, bob = books
     space = projectors.space
-    y = eacode.encode(projectors.basis("ABC"), pair.book2.encoders, space)
+    y = eacode.encode(projectors.basis("ABC"), bob.encoders, space)
     for name in ("B", "AC", "C", "AB"):
         y = projectors.apply(name, y)
     _, sigma, zh = np.linalg.svd(y, full_matrices=False)
     z = zh[~qmat.rounding_residuals(sigma, max(y.shape))].conj().T
-    return eacode.encode(y @ z, pair.book1.encoders, space), z
+    return eacode.encode(y @ z, alice.encoders, space), z
 
 
-def gram_table(channel: KrausChannel, pair: MacCodePair,
+def gram_table(factor: np.ndarray, books,
                projectors: typicality.ProjectorBundle) -> np.ndarray:
     """The simultaneous decoder's table [T; abort] in Gram form.
 
-    Equal to ``eacode.overlap_table(sent, V, simultaneous_povm(pair,
-    projectors))`` on ``(sent, V, _) = pair.codewords(channel)`` without
-    forming a d x d matrix.  Stack W = [W_11 ... W_LM] (l-major), so the
-    family sum is S = W W† and, with G = W†W, S^{+1/2} W = W G^{+1/2} on
+    ``books`` holds the two senders' :class:`~qmac.eacode.EaCodeBook`s and
+    ``factor`` is R with rho_n = R R† on ``projectors.space``.  Equal to
+    ``eacode.overlap_table(sent, V, simultaneous_povm(books, projectors))``
+    on ``(sent, V, _) = eacode.codeword_factors(factor, books, space)``
+    without forming a d x d matrix.  Stack W = [W_11 ... W_LM] (l-major), so
+    the family sum is S = W W† and, with G = W†W, S^{+1/2} W = W G^{+1/2} on
     the support: Lambda_lm = W G^{+1/2} P_lm† P_lm G^{+1/2} W† with P_lm the
     rows of block (l, m).  By :func:`_detection_factors`,
     W = W' (I_L (x) Z)† with Z an isometry, so S = W'W'† and
     G^{+1/2} W† = (I_L (x) Z) G'^{+1/2} W'† with G' = W'†W' only Lq x Lq.
     Hence T[(l, m), j] = |Z_m X'_{l,j}|_F^2 for the blocks X'_{l,j} of
-    X' = G'^{+1/2} W'† V = W'† S^{+1/2} V, expanded by one product Z X'; the
-    smaller of G' and S is decomposed.  Abort: |V_j|^2 - sum_k T[k, j].
+    X' = G'^{+1/2} W'† V = W'† S^{+1/2} V, read one row block Z_m X' at a
+    time (:func:`eacode.block_overlaps`); the smaller of G' and S is
+    decomposed.  (W', Z) is built before V, so V and Y are never held
+    together.  Abort: |V_j|^2 - sum_k T[k, j].
 
     The checks of :func:`sqrt_measurement` move to the smaller space: G'
     (or S) must be PSD within 1e-9, G'^{+1/2} G' G'^{+1/2} must equal its
     support projector within 1e-8, |V_j|^2 must be 1 and every abort
     weight at least -1e-9.
     """
-    sent, v, traces = pair.codewords(channel)
-    w, z = _detection_factors(pair, projectors)
+    w, z = _detection_factors(books, projectors)
+    sent, v, traces = eacode.codeword_factors(factor, books, projectors.space)
     wh = w.conj().T
     gram_side = w.shape[1] <= w.shape[0]
     total = wh @ w if gram_side else w @ wh  # G' or S
     inv_root, supp = _inverse_root(total)
     _check_support(inv_root @ total @ inv_root, supp)
     x = inv_root @ (wh @ v) if gram_side else wh @ (inv_root @ v)
-    L, M, K, q = pair.L, pair.M, len(sent), z.shape[1]
-    x = z @ x.reshape(L, q, v.shape[1]).transpose(1, 0, 2).reshape(q, -1)
-    weights = (x.conj() * x).real.reshape(M, -1, L, K, v.shape[1] // K)
-    weights = weights.sum(axis=(1, 4)).transpose(1, 0, 2).reshape(K, K)
+    L, M = (b.message_count for b in books)
+    K, q = len(sent), z.shape[1]
+    x = x.reshape(L, q, -1).transpose(1, 0, 2).reshape(q, -1)
+    weights = np.array([eacode.block_overlaps(p, p, L * K)
+                        for p in (zm @ x for zm in np.split(z, M))])
+    weights = weights.reshape(M, L, K).transpose(1, 0, 2).reshape(K, K)
     return eacode.codeword_table(sent, traces, weights)
 
 
-def _figures(pair: MacCodePair, table: np.ndarray) -> dict:
+def _figures(books, table: np.ndarray) -> dict:
     """Every error figure as a reduction of the table [T; abort]."""
-    L, M = pair.L, pair.M
+    L, M = (b.message_count for b in books)
     success = np.diagonal(table)
     decoded = table[:-1].reshape(L, M, L, M)  # (l', m') decoded, (l, m) sent
     same_l = np.eye(L, dtype=bool)[:, None, :, None]
@@ -304,11 +271,13 @@ def _figures(pair: MacCodePair, table: np.ndarray) -> dict:
     }
 
 
-def error_figures(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
-                  ) -> dict:
+def error_figures(factor: np.ndarray, books, space: qmat.FactorSpace,
+                  povm: PovmSet) -> dict:
     """Every error figure of ``povm``, each a reduction of one overlap table.
 
-    Returns ``avg_error`` (the mean over (l, m) of
+    ``factor`` is R with rho_n = R R† on ``space`` and ``books`` the two
+    senders' codebooks (:func:`eacode.codeword_factors`).  Returns
+    ``avg_error`` (the mean over (l, m) of
     Tr{(I - Lambda_{l,m}) sigma_{l,m}}), ``max_error_randomized``,
     ``epsilon_measured`` and the ``breakdown`` dict of
     :func:`error_breakdown`.  The average and the worst pair read the
@@ -316,12 +285,12 @@ def error_figures(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
     abort row, so its total is an independent second path to the average
     error.
     """
-    sent, v, _ = pair.codewords(channel)
-    return _figures(pair, eacode.overlap_table(sent, v, povm))
+    sent, v, _ = eacode.codeword_factors(factor, books, space)
+    return _figures(books, eacode.overlap_table(sent, v, povm))
 
 
-def error_breakdown(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
-                    ) -> dict:
+def error_breakdown(factor: np.ndarray, books, space: qmat.FactorSpace,
+                    povm: PovmSet) -> dict:
     """``error_figures(...)["breakdown"]``: the average error split by which
     sender was misidentified.
 
@@ -330,10 +299,11 @@ def error_breakdown(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
     ``total``.  Kept as a name because the benchmark tracer
     (``perfbench/spans.py``) binds it.
     """
-    return error_figures(channel, pair, povm)["breakdown"]
+    return error_figures(factor, books, space, povm)["breakdown"]
 
 
-def max_error_via_randomization(channel: KrausChannel, pair: MacCodePair,
+def max_error_via_randomization(factor: np.ndarray, books,
+                                space: qmat.FactorSpace,
                                 povm: PovmSet) -> float:
     """``error_figures(...)["max_error_randomized"]``: max over message pairs
     of the shift-averaged error.
@@ -344,7 +314,7 @@ def max_error_via_randomization(channel: KrausChannel, pair: MacCodePair,
     ``avg_error`` by construction, as the same float.  Kept as a name
     because the benchmark tracer (``perfbench/spans.py``) binds it.
     """
-    return error_figures(channel, pair, povm)["max_error_randomized"]
+    return error_figures(factor, books, space, povm)["max_error_randomized"]
 
 
 def hayashi_nagaoka_check(S, T, tol: float = 1e-9):
@@ -420,17 +390,18 @@ def coherent_decoder(povm: PovmSet) -> CoherentDecoder:
     return dec
 
 
-def coherent_fidelity(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
-                      ) -> float:
+def coherent_fidelity(factor: np.ndarray, books, space: qmat.FactorSpace,
+                      povm: PovmSet) -> float:
     """Overlap of the coherently decoded state with its ideal target.
 
     Averaged over the common-randomness shifts of both senders, the overlap
     of every superposition of messages is the mean over (l, m) of
     <psi_{l,m}| sqrt(Lambda_{l,m}) |psi_{l,m}> on the purified channel
     output, so it is at least the average success probability of the
-    underlying POVM.  Tr sigma_lm = |V_lm|^2 must be 1.
+    underlying POVM.  ``factor``, ``books`` and ``space`` are those of
+    :func:`error_figures`, and Tr sigma_lm = |V_lm|^2 must be 1.
     """
-    sent, v, _ = pair.codewords(channel)
+    sent, v, _ = eacode.codeword_factors(factor, books, space)
     total = 0.0
     for key, v_j in zip(sent, np.split(v, len(sent), axis=1)):
         root = qmat.operator_power(povm[key], 0.5, support_cutoff=0.0)
@@ -438,36 +409,32 @@ def coherent_fidelity(channel: KrausChannel, pair: MacCodePair, povm: PovmSet
     return total / len(sent)
 
 
-def run_mac_experiment(channel: KrausChannel, pair: MacCodePair, mode: str,
-                       delta: float,
-                       projectors: typicality.ProjectorBundle | None = None
-                       ) -> MacReport:
+def run_mac_experiment(factor: np.ndarray, books, mode: str,
+                       projectors: typicality.ProjectorBundle) -> MacReport:
     """Decode with the requested decoder and report its exact error figures.
 
-    The simultaneous decoder is read in Gram form (:func:`gram_table`) and
-    the successive decoder on the codeword factors
-    (:func:`seqdecode.successive_table`); neither forms a d x d matrix.
-    Callers that need the POVM build it with :func:`simultaneous_povm` or
-    :func:`seqdecode.ea_successive_povm`.  ``epsilon_measured`` is the
-    worst pairwise miss 1 - min Tr{Lambda sigma} over message pairs, so
-    both the average success and the coherent fidelity clear
-    1 - epsilon_measured.
-
-    ``projectors`` is ``mac_typical_projectors(channel, d1, d2, delta)`` on
-    the pair's decompositions, built here when not given.  It does not
-    depend on the codebooks, so a caller that decodes several pairs over
-    the same decompositions builds it once and passes it in.
+    Both decoders read ``(factor, books, projectors)``: R with
+    rho_n = R R†, the two senders' codebooks and
+    ``mac_typical_projectors`` of their decompositions.  R and the
+    projectors do not depend on the codebooks, so a caller that decodes
+    several pairs of books builds them once.  The simultaneous decoder is
+    read in Gram form (:func:`gram_table`) and the successive decoder on the
+    codeword factors (:func:`seqdecode.successive_table`); neither forms a
+    d x d matrix.  Callers that need the POVM build it with
+    :func:`simultaneous_povm` or :func:`seqdecode.ea_successive_povm`.
+    ``epsilon_measured`` is the worst pairwise miss 1 - min Tr{Lambda sigma}
+    over message pairs, so both the average success and the coherent
+    fidelity clear 1 - epsilon_measured.
     """
     if mode not in ("simultaneous", "successive"):
         raise ValueError(f"unknown decoder mode {mode!r}")
-    d1, d2 = pair.book1.decomp, pair.book2.decomp
-    if projectors is None:
-        projectors = mac_typical_projectors(channel, d1, d2, delta)
     decoder = (gram_table if mode == "simultaneous"
                else seqdecode.successive_table)
-    table = decoder(channel, pair, projectors)
-    return MacReport(n=d1.n, L=pair.L, M=pair.M, seeds=pair.seeds,
-                     mode=mode, **_figures(pair, table))
+    table = decoder(factor, books, projectors)
+    L, M = (b.message_count for b in books)
+    return MacReport(n=books[0].decomp.n, L=L, M=M,
+                     seeds=tuple(b.seed for b in books), mode=mode,
+                     **_figures(books, table))
 
 
 @dataclass(frozen=True, slots=True)

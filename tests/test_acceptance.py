@@ -46,10 +46,10 @@ def cnot_mac_instance():
     ch = qmat.named_channel("cnot-mac")
     d1 = eacode.type_decompose(bell_state("Ap", "A"), 1)
     d2 = eacode.type_decompose(bell_state("Bp", "B"), 1)
-    pair = simuldecode.MacCodePair.sample(d1, d2, 2, 2, 314, 315)
-    projectors = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
-    povm = simuldecode.simultaneous_povm(pair, projectors)
-    return ch, pair, projectors, povm
+    books = [eacode.sample_code(d1, 2, 314), eacode.sample_code(d2, 2, 315)]
+    projectors = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
+    povm = simuldecode.simultaneous_povm(books, projectors)
+    return ch, books, projectors, povm
 
 
 def test_criterion_01_closed_form_matches_numeric_oracle():
@@ -218,26 +218,26 @@ def test_criterion_09_hayashi_nagaoka():
 
 
 def test_criterion_10_randomization_identity(cnot_mac_instance):
-    ch, pair, projectors, povm = cnot_mac_instance
-    cases = [(ch, pair, povm)]
+    ch, books, projectors, povm = cnot_mac_instance
+    cases = [(ch, books, povm)]
     # a second code with unequal message counts on the adder channel
     adder = qmat.named_channel("adder-mac")
     d1 = eacode.type_decompose(bell_state("Ap", "A"), 1)
     d2 = eacode.type_decompose(bell_state("Bp", "B"), 1)
-    pair2 = simuldecode.MacCodePair.sample(d1, d2, 4, 3, 41, 42)
-    proj2 = simuldecode.mac_typical_projectors(adder, d1, d2, 1.5)
-    cases.append((adder, pair2, simuldecode.simultaneous_povm(pair2, proj2)))
+    books2 = [eacode.sample_code(d1, 4, 41), eacode.sample_code(d2, 3, 42)]
+    proj2 = simuldecode.mac_typical_projectors(adder, (d1, d2), 1.5)
+    cases.append((adder, books2, simuldecode.simultaneous_povm(books2, proj2)))
     # and the parallel-qubit channel at n = 1
     par = parallel_qubit_mac()
-    pair3 = simuldecode.MacCodePair.sample(d1, d2, 2, 2, 51, 52)
-    proj3 = simuldecode.mac_typical_projectors(par, d1, d2, 2.0)
-    cases.append((par, pair3, simuldecode.simultaneous_povm(pair3, proj3)))
+    books3 = [eacode.sample_code(d1, 2, 51), eacode.sample_code(d2, 2, 52)]
+    proj3 = simuldecode.mac_typical_projectors(par, (d1, d2), 2.0)
+    cases.append((par, books3, simuldecode.simultaneous_povm(books3, proj3)))
     worst = 0.0
-    for channel, code_pair, code_povm in cases:
-        avg = simuldecode.error_figures(channel, code_pair, code_povm)["avg_error"]
-        mx = simuldecode.max_error_via_randomization(
-            channel, code_pair, code_povm
-        )
+    for channel, code_books, code_povm in cases:
+        code = (eacode.channel_output_factor(channel, (d1, d2)), code_books,
+                eacode.channel_output_space(channel, (d1, d2)), code_povm)
+        avg = simuldecode.error_figures(*code)["avg_error"]
+        mx = simuldecode.max_error_via_randomization(*code)
         worst = max(worst, abs(avg - mx))
     report(10, worst <= 1e-12,
            f"max |shift-averaged max error - average error| = {worst:.3e} "
@@ -258,18 +258,21 @@ def test_criterion_11_super_dense_coding():
 
 
 def test_criterion_12_coherent_decoder(cnot_mac_instance):
-    ch, pair, projectors, povm = cnot_mac_instance
+    ch, books, projectors, povm = cnot_mac_instance
     decoder = simuldecode.coherent_decoder(povm)
     defect = decoder.isometry_defect()
-    rho = eacode.channel_output_state(ch, pair.book1.decomp, pair.book2.decomp)
+    decomps = [b.decomp for b in books]
+    rho = eacode.channel_output_state(ch, decomps)
     eps_measured = 1.0 - min(
         np.trace(povm[(l, m)] @ eacode.conjugate_by_receiver_encoders(
-            rho, [(pair.book1.decomp, pair.book1[l]),
-                  (pair.book2.decomp, pair.book2[m])]
+            rho, [(decomps[0], books[0][l]), (decomps[1], books[1][m])]
         ).matrix).real
-        for l in range(pair.L) for m in range(pair.M)
+        for l in range(books[0].message_count)
+        for m in range(books[1].message_count)
     )
-    fidelity = simuldecode.coherent_fidelity(ch, pair, povm)
+    fidelity = simuldecode.coherent_fidelity(
+        eacode.channel_output_factor(ch, decomps), books, projectors.space,
+        povm)
     ok = defect <= 1e-9 and fidelity >= 1.0 - eps_measured - 1e-10
     report(12, ok,
            f"isometry defect {defect:.2e}; fidelity {fidelity:.6f} >= "
@@ -294,8 +297,8 @@ def test_criterion_13_povm_completeness(measured_instances, cnot_mac_instance):
         worst = min(worst, gap)
         count += 1
     # the square-root measurement and the successive decoder on the MAC
-    ch, pair, projectors, povm = cnot_mac_instance
-    for p in (povm, seqdecode.ea_successive_povm(pair, projectors)):
+    ch, books, projectors, povm = cnot_mac_instance
+    for p in (povm, seqdecode.ea_successive_povm(books, projectors)):
         gap = np.linalg.eigvalsh(np.eye(p.space.dim) - p.total()).min()
         worst = min(worst, gap)
         count += 1

@@ -667,12 +667,14 @@ class TestSimulateMac:
                            "--mode", "simultaneous", "--seed", "7")
         assert code == 0
         obj = json.loads(out)
-        d1 = eacode.type_decompose(bell_state("Ap", "A"), 1)
-        d2 = eacode.type_decompose(bell_state("Bp", "B"), 1)
-        pair = simuldecode.MacCodePair.sample(d1, d2, 2, 2, 14, 15)
+        ch = qmat.named_channel("cnot-mac")
+        decomps = [eacode.type_decompose(bell_state(s, r), 1)
+                   for s, r in (("Ap", "A"), ("Bp", "B"))]
+        books = [eacode.sample_code(d, 2, seed)
+                 for d, seed in zip(decomps, (14, 15))]
         report = simuldecode.run_mac_experiment(
-            qmat.named_channel("cnot-mac"), pair, "simultaneous", 1.0
-        )
+            eacode.channel_output_factor(ch, decomps), books, "simultaneous",
+            simuldecode.mac_typical_projectors(ch, decomps, 1.0))
         assert np.isclose(obj["avg_error"], report.avg_error, atol=1e-9)
 
     def test_single_sender_rejected(self, capsys):
@@ -828,6 +830,31 @@ class TestSimulateMac:
         monkeypatch.setattr(simuldecode, "mac_typical_projectors", counted)
         code, out, _ = run(capsys, "simulate-mac", "--channel", "cnot-mac",
                            "--n", "2", "--trials", "3")
+        assert code == 0 and json.loads(out)["trials"] == 3
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate-mac", "--channel", "cnot-mac", "--n", "2", "--trials", "3"),
+        ("simulate-mac", "--channel", "cnot-mac", "--n", "2", "--trials", "3",
+         "--mode", "successive"),
+        ("simulate-seq", "--channel", "identity:2", "--n", "2", "--trials",
+         "3"),
+    ], ids=lambda a: " ".join(a[:1] + a[-2:]))
+    def test_output_factor_built_once_per_command(self, capsys, monkeypatch,
+                                                  argv):
+        # R does not depend on the codebooks: every trial's decoder reads
+        # the one factor that the command builds
+        from qmac import eacode
+
+        builds = []
+        original = eacode.channel_output_factor
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(eacode, "channel_output_factor", counted)
+        code, out, _ = run(capsys, *argv)
         assert code == 0 and json.loads(out)["trials"] == 3
         assert len(builds) == 1
 

@@ -208,12 +208,12 @@ class TestReceiverEncoders:
         if senders == 1:
             ch = qmat.named_channel("amplitude-damping:0.3")
             decomps = [d1]
-            rho = eacode.channel_output_state(ch, d1)
+            rho = eacode.channel_output_state(ch, [d1])
         else:
             ch = qmat.named_channel("cnot-mac")
             d2 = eacode.type_decompose(schmidt_state([0.6, 0.4], "Bp", "B"), n)
             decomps = [d1, d2]
-            rho = eacode.channel_output_state(ch, d1, d2)
+            rho = eacode.channel_output_state(ch, (d1, d2))
         space = rho.space
         rng = np.random.default_rng(17 + n)
         for trial in range(4):
@@ -250,7 +250,8 @@ class TestReceiverEncoders:
         # commute and either order of the pairs gives the same state
         d1 = eacode.type_decompose(schmidt_state([0.7, 0.3], "Ap", "A"), 2)
         d2 = eacode.type_decompose(schmidt_state([0.6, 0.4], "Bp", "B"), 2)
-        rho = eacode.channel_output_state(qmat.named_channel("cnot-mac"), d1, d2)
+        rho = eacode.channel_output_state(qmat.named_channel("cnot-mac"),
+                                          (d1, d2))
         for seed in range(3):
             s1 = eacode.sample_code(d1, 1, seed=2 * seed)[0]
             s2 = eacode.sample_code(d2, 1, seed=2 * seed + 1)[0]
@@ -281,6 +282,20 @@ class TestSampleCode:
             counts[s.triples] = counts.get(s.triples, 0) + 1
         assert len(counts) == 4
         assert min(counts.values()) > 800  # uniform within loose bounds
+
+    def test_code_books_need_independent_seeds(self):
+        # two senders' books drawn from one seed are not independent codes
+        ch = qmat.named_channel("cnot-mac")
+        decomps = [eacode.type_decompose(bell_state(s, r), 1)
+                   for s, r in (("Ap", "A"), ("Bp", "B"))]
+        space = eacode.channel_output_space(ch, decomps)
+        factor = eacode.channel_output_factor(ch, decomps)
+        books = [eacode.sample_code(d, 2, 7) for d in decomps]
+        with pytest.raises(ValueError, match="independent seeds"):
+            eacode.codeword_factors(factor, books, space)
+        books[1] = eacode.sample_code(decomps[1], 2, 8)
+        sent, _, _ = eacode.codeword_factors(factor, books, space)
+        assert sent == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 class TestExpectedCodeword:
@@ -350,7 +365,7 @@ class TestAverageCodewordState:
         # oracle: the exhaustive average of U^T(s) rho U^*(s) over all of S
         ch = qmat.named_channel(spec)
         dec = eacode.type_decompose(schmidt_state(probs), n)
-        rho = eacode.channel_output_state(ch, dec)
+        rho = eacode.channel_output_state(ch, [dec])
         acc = np.zeros_like(rho.matrix)
         count = 0
         for s in eacode.enumerate_indices(dec):
@@ -365,12 +380,13 @@ class TestAverageCodewordState:
         factored = sum(
             np.kron(cols @ cols.conj().T / cols.shape[1], y @ y.conj().T)
             for cols, y in eacode.average_codeword_factors(
-                eacode.channel_output_factor(ch, dec), dec))
+                eacode.channel_output_factor(ch, [dec]), dec))
         assert np.max(np.abs(factored - acc / count)) < 1e-12
 
     def test_receiver_share_must_lead(self):
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 1)
-        rho = eacode.channel_output_state(qmat.named_channel("identity:2"), dec)
+        rho = eacode.channel_output_state(qmat.named_channel("identity:2"),
+                                          [dec])
         swapped = qmat.permute(rho, tuple(reversed(rho.space.labels)))
         with pytest.raises(ValueError, match="receiver share"):
             eacode.average_codeword_state(swapped, dec)
@@ -383,14 +399,14 @@ class TestEncode:
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 1)
         s = HwIndex([(0, 0, 0), (0, 0, 0)], dec.block_dims)
         ch = qmat.named_channel("identity:2")
-        rho = eacode.channel_output_state(ch, dec)
+        rho = eacode.channel_output_state(ch, [dec])
         out = eacode.conjugate_by_receiver_encoders(rho, [(dec, s)])
         assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-12
 
     def test_spectrum_invariance(self):
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)
         ch = qmat.named_channel("amplitude-damping:0.3")
-        rho = eacode.channel_output_state(ch, dec)
+        rho = eacode.channel_output_state(ch, [dec])
         base = np.sort(np.linalg.eigvalsh(rho.matrix))
         book = eacode.sample_code(dec, 4, seed=2)
         for m in range(4):
@@ -402,7 +418,7 @@ class TestEncode:
         # classically correlated state sum_z p(t_z) |z><z| (x) |z><z|
         dec = eacode.type_decompose(bell_state(), 1)
         ch = qmat.named_channel("identity:2")
-        rho = eacode.channel_output_state(ch, dec)
+        rho = eacode.channel_output_state(ch, [dec])
         acc = None
         count = 0
         for s in eacode.enumerate_indices(dec):
@@ -423,21 +439,17 @@ def random_mac(rng, d_out=3, n_kraus=3):
                              FactorSpace(("C",), (d_out,)), kraus)
 
 
-def output_by_channel_loop(channel, decomp, decomp2=None):
+def output_by_channel_loop(channel, decomps):
     """Oracle: the output as n dense Kraus sums, apply_channel copy by copy."""
-    if decomp2 is None:
-        state = decomp.phi_n.density()
-        senders = (decomp.sender_label,)
-    else:
-        state = qmat.tensor(decomp.phi_n, decomp2.phi_n).density()
-        senders = (decomp.sender_label, decomp2.sender_label)
-    for i in range(1, decomp.n + 1):
+    state = qmat.tensor(*(d.phi_n for d in decomps)).density()
+    senders = tuple(d.sender_label for d in decomps)
+    for i in range(1, decomps[0].n + 1):
         state = qmat.apply_channel(
             channel, state,
             acting_on=tuple(f"{l}{i}" for l in senders),
             out_labels=tuple(f"{l}{i}" for l in channel.out_space.labels),
         )
-    space = eacode.channel_output_space(channel, decomp, decomp2)
+    space = eacode.channel_output_space(channel, decomps)
     return qmat.permute(state, space.labels)
 
 
@@ -475,10 +487,10 @@ class TestChannelOutput:
         ch = qmat.named_channel("amplitude-damping:0.3")
         dec = eacode.type_decompose(shared_state("bell", 2, "Ap", "A"), 3)
         monkeypatch.setattr(qmat, "DEFAULT_DIM_CAP", 32)
-        assert eacode.channel_output_factor(ch, dec).shape[0] == 64
+        assert eacode.channel_output_factor(ch, [dec]).shape[0] == 64
         monkeypatch.setattr(eacode, "channel_output_factor", unreachable)
         with pytest.raises(qmat.DimensionCapError, match="dimension 64"):
-            eacode.channel_output_state(ch, dec)
+            eacode.channel_output_state(ch, [dec])
 
     @pytest.mark.parametrize("weights", ["bell", "skewed"])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -487,11 +499,11 @@ class TestChannelOutput:
         ch = SINGLE_SENDER[name]()
         dec = eacode.type_decompose(
             shared_state(weights, ch.in_space.dim, "Ap", "A"), n)
-        got = eacode.channel_output_state(ch, dec)
-        want = output_by_channel_loop(ch, dec)
+        got = eacode.channel_output_state(ch, [dec])
+        want = output_by_channel_loop(ch, [dec])
         assert got.space == want.space
         assert np.max(np.abs(got.matrix - want.matrix)) < 1e-12
-        r = eacode.channel_output_factor(ch, dec)
+        r = eacode.channel_output_factor(ch, [dec])
         assert r.shape[0] == got.space.dim and r.shape[1] <= r.shape[0]
 
     @pytest.mark.parametrize("weights", ["bell", "skewed"])
@@ -501,8 +513,8 @@ class TestChannelOutput:
         ch = TWO_SENDERS[name]()
         d1 = eacode.type_decompose(shared_state(weights, 2, "Ap", "A"), n)
         d2 = eacode.type_decompose(bell_state("Bp", "B"), n)
-        got = eacode.channel_output_state(ch, d1, d2)
-        want = output_by_channel_loop(ch, d1, d2)
+        got = eacode.channel_output_state(ch, (d1, d2))
+        want = output_by_channel_loop(ch, (d1, d2))
         assert got.space == want.space
         assert np.max(np.abs(got.matrix - want.matrix)) < 1e-12
 
@@ -515,10 +527,10 @@ class TestChannelOutput:
         noiseless = qmat.KrausChannel(ch.in_space, ch.out_space, [np.eye(4)])
         d1 = eacode.type_decompose(bell_state("Ap", "A"), 2)
         d2 = eacode.type_decompose(schmidt_state([0.7, 0.3], "Bp", "B"), 2)
-        got = eacode.channel_output_state(ch, d1, d2)
-        want = eacode.channel_output_state(noiseless, d1, d2)
+        got = eacode.channel_output_state(ch, (d1, d2))
+        want = eacode.channel_output_state(noiseless, (d1, d2))
         assert np.max(np.abs(got.matrix - want.matrix)) < 1e-12
-        r = eacode.channel_output_factor(ch, d1, d2)
+        r = eacode.channel_output_factor(ch, (d1, d2))
         assert r.shape[1] <= r.shape[0] == got.space.dim
 
     def test_no_kraus_sum_and_one_state(self, monkeypatch):
@@ -538,8 +550,9 @@ class TestChannelOutput:
         monkeypatch.setattr(qmat.DensityOperator, "__init__", density_init)
         d1 = eacode.type_decompose(bell_state("Ap", "A"), 2)
         d2 = eacode.type_decompose(bell_state("Bp", "B"), 2)
-        eacode.channel_output_state(qmat.named_channel("cnot-mac"), d1, d2)
+        eacode.channel_output_state(qmat.named_channel("cnot-mac"), (d1, d2))
         assert calls == {"apply_channel": 0, "DensityOperator": 1}
         calls.update(apply_channel=0, DensityOperator=0)
-        eacode.channel_output_state(qmat.named_channel("depolarizing:0.2"), d1)
+        eacode.channel_output_state(qmat.named_channel("depolarizing:0.2"),
+                                    [d1])
         assert calls == {"apply_channel": 0, "DensityOperator": 1}

@@ -288,23 +288,25 @@ class TestEaCodeState:
         monkeypatch.setattr(qmat, "output_factor", unreachable)
         with pytest.raises(qmat.DimensionCapError, match="dimension 16"):
             info.ea_code_state(qmat.named_channel("cnot-mac"),
-                               bell_state("Ap", "A"), bell_state("Bp", "B"))
+                               (bell_state("Ap", "A"), bell_state("Bp", "B")))
 
     def test_single_sender_layout(self):
         # oracle: the n = 1 channel output of the type decomposition
         ch = qmat.named_channel("amplitude-damping:0.3")
         phi = schmidt_state([0.7, 0.3])
-        rho = info.ea_code_state(ch, phi)
+        rho = info.ea_code_state(ch, [phi])
         assert rho.space.labels == ("A", "B")
-        ref = eacode.channel_output_state(ch, eacode.type_decompose(phi, 1))
+        ref = eacode.channel_output_state(ch, [eacode.type_decompose(phi, 1)])
         assert ref.space.labels == ("A1", "B1")
         assert np.max(np.abs(rho.matrix - ref.matrix)) < 1e-12
 
     def test_labels_come_from_the_states(self):
         ch = parallel_qubit_mac()
-        rho = info.ea_code_state(ch, bell_state("Ap", "R"), bell_state("Bp", "S"))
+        rho = info.ea_code_state(
+            ch, (bell_state("Ap", "R"), bell_state("Bp", "S")))
         assert rho.space.labels == ("R", "S") + ch.out_space.labels
-        ref = info.ea_code_state(ch, bell_state("Ap", "A"), bell_state("Bp", "B"))
+        ref = info.ea_code_state(
+            ch, (bell_state("Ap", "A"), bell_state("Bp", "B")))
         assert np.array_equal(rho.matrix, ref.matrix)
 
     @pytest.mark.parametrize("name, weights", [
@@ -317,7 +319,7 @@ class TestEaCodeState:
         ch = qmat.named_channel(name)
         states = [schmidt_state(weights, s, r)
                   for s, r in zip(ch.in_space.labels, ("A", "B"))]
-        rho = info.ea_code_state(ch, *states)
+        rho = info.ea_code_state(ch, states)
         dense = qmat.apply_channel(ch, qmat.tensor(*states).density(),
                                    acting_on=ch.in_space.labels)
         dense = qmat.permute(dense, rho.space.labels)
@@ -339,10 +341,11 @@ class TestEaCodeState:
         monkeypatch.setattr(qmat, "apply_channel", apply_channel)
         monkeypatch.setattr(qmat.DensityOperator, "__init__", density_init)
         info.ea_code_state(qmat.named_channel("cnot-mac"),
-                           bell_state("Ap", "A"), bell_state("Bp", "B"))
+                           (bell_state("Ap", "A"), bell_state("Bp", "B")))
         assert calls == {"apply_channel": 0, "DensityOperator": 1}
         calls.update(apply_channel=0, DensityOperator=0)
-        info.ea_code_state(qmat.named_channel("depolarizing:0.2"), bell_state())
+        info.ea_code_state(qmat.named_channel("depolarizing:0.2"),
+                           [bell_state()])
         assert calls == {"apply_channel": 0, "DensityOperator": 1}
 
 
@@ -360,7 +363,7 @@ class TestQuantumRegions:
         ch = parallel_qubit_mac()
         phi, psi = bell_state("Ap", "A"), bell_state("Bp", "B")
         reg = info.lsd_q_region(ch, phi, psi)
-        rho = info.ea_code_state(ch, phi, psi)
+        rho = info.ea_code_state(ch, (phi, psi))
         h_cb = info.von_neumann_entropy(qmat.partial_trace(rho, ("C", "B")))
         h_all = info.von_neumann_entropy(rho)
         assert np.isclose(reg.r1_max, h_cb - h_all, atol=1e-12)

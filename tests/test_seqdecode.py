@@ -321,7 +321,7 @@ class TestCovariantPackingConstants:
         phi = bell_state() if weights is None else schmidt_state(weights)
         decomp = eacode.type_decompose(phi, 3)
         p = seqdecode.sequential_projectors(ch, decomp, delta)
-        rho = eacode.channel_output_state(ch, decomp)
+        rho = eacode.channel_output_state(ch, [decomp])
         code_proj = p.embedded("A") @ p.embedded("B")
         eps, d, residual = typicality.measure_word_constants(
             [rho.matrix], code_proj, [p.embedded("AB")])
@@ -562,8 +562,8 @@ def dense_table(instance, entries):
 
 def factored_table(channel, decomp, delta, entries):
     return seqdecode.sequential_table(
-        eacode.channel_output_factor(channel, decomp),
-        [eacode.receiver_encoder(decomp, s) for s in entries],
+        eacode.channel_output_factor(channel, [decomp]),
+        [eacode.EaCodeBook(len(entries), entries, 0, decomp)],
         seqdecode.sequential_projectors(channel, decomp, delta))
 
 
@@ -623,7 +623,7 @@ class TestSequentialWeights:
         factor = eacode.channel_output_factor
         monkeypatch.setattr(eacode, "channel_output_factor",
                             lambda *args: 1.001 * factor(*args))
-        with pytest.raises(ValueError, match="codeword state 0 has trace"):
+        with pytest.raises(ValueError, match=r"codeword state \(0,\) has trace"):
             seqdecode.ea_sequential_protocol(
                 qmat.named_channel("identity:2"), bell_state(), 1, 2, 1.0,
                 0, 1)

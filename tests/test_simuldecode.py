@@ -18,20 +18,48 @@ DECODERS = {"simultaneous": simuldecode.simultaneous_povm,
             "successive": seqdecode.ea_successive_povm}
 
 
-def overlap_table(ch, pair, povm):
-    """The dense reader's table of ``povm`` on the pair's codewords."""
-    sent, v, _ = pair.codewords(ch)
+def output_factor(ch, books):
+    """R with rho_n = R R† for the books' decompositions."""
+    return eacode.channel_output_factor(ch, [b.decomp for b in books])
+
+
+def read(reader, ch, books, povm):
+    """A dense reader, ``reader(R, books, space, povm)``, on the channel
+    output of the books' decompositions."""
+    space = eacode.channel_output_space(ch, [b.decomp for b in books])
+    return reader(output_factor(ch, books), books, space, povm)
+
+
+def overlap_table(ch, books, povm):
+    """The dense reader's table of ``povm`` on the books' codewords."""
+    space = eacode.channel_output_space(ch, [b.decomp for b in books])
+    sent, v, _ = eacode.codeword_factors(output_factor(ch, books), books,
+                                         space)
     return eacode.overlap_table(sent, v, povm)
+
+
+def sample_books(decomps, counts, seeds):
+    return [eacode.sample_code(d, k, s)
+            for d, k, s in zip(decomps, counts, seeds)]
+
+
+def run_experiment(ch, books, mode, delta):
+    """run_mac_experiment on R and the typical projectors of the books'
+    decompositions, each built here."""
+    return simuldecode.run_mac_experiment(
+        output_factor(ch, books), books, mode,
+        simuldecode.mac_typical_projectors(
+            ch, [b.decomp for b in books], delta))
 
 
 def bell_pair_books(channel, n=1, entries1=None, entries2=None, seeds=(5, 6)):
     d1 = eacode.type_decompose(bell_state("Ap", "A"), n)
     d2 = eacode.type_decompose(bell_state("Bp", "B"), n)
     if entries1 is None:
-        return simuldecode.MacCodePair.sample(d1, d2, 2, 2, *seeds), d1, d2
+        return sample_books((d1, d2), (2, 2), seeds), d1, d2
     b1 = eacode.EaCodeBook(len(entries1), entries1, seeds[0], d1)
     b2 = eacode.EaCodeBook(len(entries2), entries2, seeds[1], d2)
-    return simuldecode.MacCodePair(b1, b2), d1, d2
+    return [b1, b2], d1, d2
 
 
 def phase_books(channel):
@@ -43,23 +71,23 @@ def phase_books(channel):
     return bell_pair_books(channel, 1, [idx_i, idx_z], [idx_i, idx_z])
 
 
-def check_against_dense_oracle(ch, pair, povm):
+def check_against_dense_oracle(ch, books, povm):
     """The factor table and every figure against dense sigma_lm = U rho_n U†.
 
     Oracle: build each codeword state as a density matrix, take the
     probability of every outcome and of abort by a dense trace, and sum the
     wrong outcomes by which sender was misidentified.
     """
-    d1, d2 = pair.book1.decomp, pair.book2.decomp
-    rho = eacode.channel_output_state(ch, d1, d2)
-    L, M = pair.L, pair.M
+    d1, d2 = books[0].decomp, books[1].decomp
+    rho = eacode.channel_output_state(ch, (d1, d2))
+    L, M = (b.message_count for b in books)
     sent = [(l, m) for l in range(L) for m in range(M)]
     ops = [povm[k] for k in sent] + [povm.completion()]
     want_table = np.empty((len(sent) + 1, len(sent)))
     want = dict.fromkeys(("wrong_alice", "wrong_bob", "wrong_both", "abort"), 0.0)
     for j, (l, m) in enumerate(sent):
         sigma = eacode.conjugate_by_receiver_encoders(
-            rho, [(d1, pair.book1[l]), (d2, pair.book2[m])]
+            rho, [(d1, books[0][l]), (d2, books[1][m])]
         ).matrix
         want_table[:, j] = [np.trace(op @ sigma).real for op in ops]
         for i, (lp, mp) in enumerate(sent):
@@ -68,12 +96,12 @@ def check_against_dense_oracle(ch, pair, povm):
                         "wrong_bob" if lp == l else "wrong_both")
                 want[kind] += want_table[i, j] / (L * M)
         want["abort"] += want_table[-1, j] / (L * M)
-    table = overlap_table(ch, pair, povm)
+    table = overlap_table(ch, books, povm)
     assert table.shape == want_table.shape
     assert np.max(np.abs(table - want_table)) < 1e-12
-    err = simuldecode.error_figures(ch, pair, povm)["avg_error"]
+    err = read(simuldecode.error_figures, ch, books, povm)["avg_error"]
     assert abs(err - sum(want.values())) < 1e-12
-    parts = simuldecode.error_breakdown(ch, pair, povm)
+    parts = read(simuldecode.error_breakdown, ch, books, povm)
     assert abs(parts["total"] - err) < 1e-12
     for kind, value in want.items():
         assert abs(parts[kind] - value) < 1e-12
@@ -81,20 +109,20 @@ def check_against_dense_oracle(ch, pair, povm):
 
 class TestBuildUpsilon:
     def test_zero_joint_projector(self):
-        pair, d1, d2 = bell_pair_books(qmat.named_channel("cnot-mac"))
+        books, d1, d2 = bell_pair_books(qmat.named_channel("cnot-mac"))
         proj = simuldecode.mac_typical_projectors(
-            qmat.named_channel("cnot-mac"), d1, d2, 1.0
+            qmat.named_channel("cnot-mac"), (d1, d2), 1.0
         )
         dim = proj.space.dim
         zeroed = dataclasses.replace(proj, bases={
             **proj.bases, "ABC": (proj.space.labels, np.zeros((dim, 0)))})
-        ups = simuldecode.build_upsilon(pair, 0, 0, zeroed)
+        ups = simuldecode.build_upsilon(books, 0, 0, zeroed)
         assert np.max(np.abs(ups)) < 1e-12
 
     def test_six_projectors_and_joint_alias(self):
         ch = qmat.named_channel("cnot-mac")
         _, d1, d2 = bell_pair_books(ch)
-        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
         # five marginals on their own factors, the joint one on every factor,
         # each as an orthonormal basis
         assert set(proj.bases) == {"A", "B", "C", "AB", "AC", "ABC"}
@@ -109,7 +137,7 @@ class TestBuildUpsilon:
         # embedding of the single-copy state's typical projectors
         out = ch.out_space.labels
         want = typicality.embedded_typical_projectors(
-            info.ea_code_state(ch, d1.phi, d2.phi), 1, 1.0,
+            info.ea_code_state(ch, (d1.phi, d2.phi)), 1, 1.0,
             {"A": ("A",), "B": ("B",), "C": out, "AB": ("A", "B"),
              "AC": ("A",) + out, "ABC": ("A", "B") + out},
             proj.space,
@@ -126,7 +154,7 @@ class TestBuildUpsilon:
         d1, d2 = (eacode.type_decompose(schmidt_state(w, s, r), n)
                   for w, s, r in (([0.7, 0.3], "Ap", "A"),
                                   ([0.6, 0.4], "Bp", "B")))
-        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
         labels = proj.bases["AC"][0]
         start = proj.space.labels.index(labels[0])
         assert proj.space.labels[start:start + len(labels)] != labels
@@ -139,22 +167,22 @@ class TestBuildUpsilon:
 
     def test_identity_projectors_identity_indices(self):
         ch = parallel_qubit_mac()
-        pair, d1, d2 = phase_books(ch)
-        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
+        books, d1, d2 = phase_books(ch)
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
         dim = proj.space.dim
         eye = np.eye(dim)
         all_eye = dataclasses.replace(proj, bases={
             k: (labels, np.eye(len(b))) for k, (labels, b) in proj.bases.items()})
-        ups = simuldecode.build_upsilon(pair, 0, 0, all_eye)
+        ups = simuldecode.build_upsilon(books, 0, 0, all_eye)
         assert np.max(np.abs(ups - eye)) < 1e-10
 
     def test_psd_and_hermitian(self):
         ch = qmat.named_channel("cnot-mac")
-        pair, d1, d2 = bell_pair_books(ch)
-        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
+        books, d1, d2 = bell_pair_books(ch)
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
         for l in range(2):
             for m in range(2):
-                ups = simuldecode.build_upsilon(pair, l, m, proj)
+                ups = simuldecode.build_upsilon(books, l, m, proj)
                 assert np.max(np.abs(ups - ups.conj().T)) < 1e-10
                 assert np.linalg.eigvalsh(ups).min() > -1e-10
 
@@ -196,28 +224,29 @@ class TestAverageError:
         # parallel noiseless qubits, phase-flip codewords: four orthogonal
         # Bell-pair products, decoded exactly
         ch = parallel_qubit_mac()
-        pair, d1, d2 = phase_books(ch)
-        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 2.0)
-        povm = simuldecode.simultaneous_povm(pair, proj)
-        assert simuldecode.error_figures(ch, pair, povm)["avg_error"] < 1e-9
+        books, d1, d2 = phase_books(ch)
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 2.0)
+        povm = simuldecode.simultaneous_povm(books, proj)
+        err = read(simuldecode.error_figures, ch, books, povm)["avg_error"]
+        assert err < 1e-9
 
     def test_uniform_povm(self):
         ch = qmat.named_channel("cnot-mac")
-        pair, _, _ = bell_pair_books(ch)
+        books, _, _ = bell_pair_books(ch)
         dim = 16
         uniform = PovmSet(
             FactorSpace(("S",), (dim,)),
             {(l, m): np.eye(dim) / 4 for l in range(2) for m in range(2)},
         )
-        err = simuldecode.error_figures(ch, pair, uniform)["avg_error"]
+        err = read(simuldecode.error_figures, ch, books, uniform)["avg_error"]
         assert np.isclose(err, 1 - 1 / 4, atol=1e-12)
 
     def test_outcome_enumeration_oracle(self):
         ch = qmat.named_channel("cnot-mac")
-        pair, d1, d2 = bell_pair_books(ch, seeds=(21, 22))
-        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
-        povm = simuldecode.simultaneous_povm(pair, proj)
-        check_against_dense_oracle(ch, pair, povm)
+        books, d1, d2 = bell_pair_books(ch, seeds=(21, 22))
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
+        povm = simuldecode.simultaneous_povm(books, proj)
+        check_against_dense_oracle(ch, books, povm)
 
     @pytest.mark.parametrize("name, weights, n, L, M, mode", [
         ("adder-mac", None, 1, 3, 2, "simultaneous"),
@@ -236,11 +265,11 @@ class TestAverageError:
                   else schmidt_state(weights, s, r)
                   for s, r in (("Ap", "A"), ("Bp", "B"))]
         d1, d2 = (eacode.type_decompose(phi, n) for phi in states)
-        pair = simuldecode.MacCodePair.sample(d1, d2, L, M, 23, 24)
+        books = sample_books((d1, d2), (L, M), (23, 24))
         delta = 1.5 if name == "adder-mac" else 1.0
         povm = DECODERS[mode](
-            pair, simuldecode.mac_typical_projectors(ch, d1, d2, delta))
-        check_against_dense_oracle(ch, pair, povm)
+            books, simuldecode.mac_typical_projectors(ch, (d1, d2), delta))
+        check_against_dense_oracle(ch, books, povm)
 
     def test_error_never_increases_with_blocklength(self):
         # aggregate mean over 20 seed pairs at n = 2 vs the n = 1 value
@@ -249,13 +278,13 @@ class TestAverageError:
         for n in (1, 2):
             d1 = eacode.type_decompose(bell_state("Ap", "A"), n)
             d2 = eacode.type_decompose(bell_state("Bp", "B"), n)
-            proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
+            proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
             for seed in range(20):
-                pair = simuldecode.MacCodePair.sample(
-                    d1, d2, 2, 2, 1000 + 2 * seed, 1001 + 2 * seed
-                )
-                povm = simuldecode.simultaneous_povm(pair, proj)
-                errs[n].append(simuldecode.error_figures(ch, pair, povm)["avg_error"])
+                books = sample_books((d1, d2), (2, 2),
+                                     (1000 + 2 * seed, 1001 + 2 * seed))
+                povm = simuldecode.simultaneous_povm(books, proj)
+                errs[n].append(read(simuldecode.error_figures, ch, books,
+                                    povm)["avg_error"])
         assert np.mean(errs[2]) <= np.mean(errs[1]) + 1e-12
 
 
@@ -295,25 +324,25 @@ class TestHayashiNagaoka:
 class TestRandomization:
     def test_zero_shift_identity(self):
         ch = qmat.named_channel("cnot-mac")
-        pair, _, _ = bell_pair_books(ch)
-        same = simuldecode.randomize_code(pair, 0, 0)
-        assert same.book1.entries == pair.book1.entries
-        assert same.book2.entries == pair.book2.entries
+        books, _, _ = bell_pair_books(ch)
+        same = simuldecode.randomize_code(books, 0, 0)
+        assert same[0].entries == books[0].entries
+        assert same[1].entries == books[1].entries
 
     def test_shift_relabels(self):
         ch = qmat.named_channel("cnot-mac")
-        pair, _, _ = bell_pair_books(ch)
-        shifted = simuldecode.randomize_code(pair, 1, 0)
-        assert shifted.book1.entries == pair.book1.entries[::-1]
+        books, _, _ = bell_pair_books(ch)
+        shifted = simuldecode.randomize_code(books, 1, 0)
+        assert shifted[0].entries == books[0].entries[::-1]
 
     def test_max_error_equals_average_exhaustively(self):
         # the displayed shift-averaging identity, all four shifts summed
         ch = qmat.named_channel("cnot-mac")
-        pair, d1, d2 = bell_pair_books(ch, seeds=(31, 32))
-        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
-        povm = simuldecode.simultaneous_povm(pair, proj)
-        avg = simuldecode.error_figures(ch, pair, povm)["avg_error"]
-        mx = simuldecode.max_error_via_randomization(ch, pair, povm)
+        books, d1, d2 = bell_pair_books(ch, seeds=(31, 32))
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
+        povm = simuldecode.simultaneous_povm(books, proj)
+        avg = read(simuldecode.error_figures, ch, books, povm)["avg_error"]
+        mx = read(simuldecode.max_error_via_randomization, ch, books, povm)
         assert abs(avg - mx) < 1e-12
 
     def test_identity_on_adder_mac_rectangular(self):
@@ -321,11 +350,11 @@ class TestRandomization:
         ch = qmat.named_channel("adder-mac")
         d1 = eacode.type_decompose(bell_state("Ap", "A"), 1)
         d2 = eacode.type_decompose(bell_state("Bp", "B"), 1)
-        pair = simuldecode.MacCodePair.sample(d1, d2, 3, 2, 41, 42)
-        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.5)
-        povm = simuldecode.simultaneous_povm(pair, proj)
-        avg = simuldecode.error_figures(ch, pair, povm)["avg_error"]
-        mx = simuldecode.max_error_via_randomization(ch, pair, povm)
+        books = sample_books((d1, d2), (3, 2), (41, 42))
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.5)
+        povm = simuldecode.simultaneous_povm(books, proj)
+        avg = read(simuldecode.error_figures, ch, books, povm)["avg_error"]
+        mx = read(simuldecode.max_error_via_randomization, ch, books, povm)
         assert abs(avg - mx) < 1e-12
 
 
@@ -336,16 +365,16 @@ class TestRandomization:
         d1 = eacode.type_decompose(schmidt_state([0.7, 0.3], "Ap", "A"), 1)
         d2 = eacode.type_decompose(bell_state("Bp", "B"), 1)
         L, M = 3, 2
-        pair = simuldecode.MacCodePair.sample(d1, d2, L, M, 43, 44)
-        report = simuldecode.run_mac_experiment(ch, pair, "simultaneous", 1.5)
+        books = sample_books((d1, d2), (L, M), (43, 44))
+        report = run_experiment(ch, books, "simultaneous", 1.5)
         povm = simuldecode.simultaneous_povm(
-            pair, simuldecode.mac_typical_projectors(ch, d1, d2, 1.5))
-        rho = eacode.channel_output_state(ch, d1, d2)
+            books, simuldecode.mac_typical_projectors(ch, (d1, d2), 1.5))
+        rho = eacode.channel_output_state(ch, (d1, d2))
         pairwise = {}
         for l in range(L):
             for m in range(M):
                 sigma = eacode.conjugate_by_receiver_encoders(
-                    rho, [(d1, pair.book1[l]), (d2, pair.book2[m])]
+                    rho, [(d1, books[0][l]), (d2, books[1][m])]
                 )
                 pairwise[(l, m)] = 1.0 - np.trace(povm[(l, m)] @ sigma.matrix).real
         worst = max(
@@ -361,7 +390,7 @@ class TestRandomization:
     ], ids=lambda v: "skewed" if v == [0.7, 0.3] else
         "bell" if v is None else str(v))
     def test_relabeled_code_permutes_the_table(self, name, weights, L, M):
-        # decoding randomize_code(pair, s, t) with its own POVM sends pair
+        # decoding randomize_code(books, s, t) with its own POVM sends pair
         # (l, m) to the original (l + s, m + t): the same table, with rows
         # and columns permuted, so every pair's shift average is the mean
         ch = qmat.named_channel(name)
@@ -369,12 +398,12 @@ class TestRandomization:
                else schmidt_state(weights, "Ap", "A"))
         d1 = eacode.type_decompose(phi, 2)
         d2 = eacode.type_decompose(bell_state("Bp", "B"), 2)
-        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.5)
-        pair = simuldecode.MacCodePair.sample(d1, d2, L, M, 45, 46)
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.5)
+        books = sample_books((d1, d2), (L, M), (45, 46))
         table = overlap_table(
-            ch, pair, simuldecode.simultaneous_povm(pair, proj))
+            ch, books, simuldecode.simultaneous_povm(books, proj))
         for s, t in ((1, 0), (0, 1), (L - 1, M - 1)):
-            shifted = simuldecode.randomize_code(pair, s, t)
+            shifted = simuldecode.randomize_code(books, s, t)
             got = overlap_table(
                 ch, shifted, simuldecode.simultaneous_povm(shifted, proj))
             cols = [((l + s) % L) * M + (m + t) % M
@@ -392,7 +421,7 @@ class TestExpectedCodewordUnderChannel:
         psi = schmidt_state([0.7, 0.3], "Bp", "B")
         d1 = eacode.type_decompose(phi, 1)
         d2 = eacode.type_decompose(psi, 1)
-        rho = eacode.channel_output_state(ch, d1, d2)
+        rho = eacode.channel_output_state(ch, (d1, d2))
         acc = np.zeros_like(rho.matrix)
         count = 0
         for s2 in eacode.enumerate_indices(d2):
@@ -433,21 +462,21 @@ class TestCoherentDecoder:
 
     def test_projective_orthogonal_fidelity_one(self):
         ch = parallel_qubit_mac()
-        pair, d1, d2 = phase_books(ch)
-        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 2.0)
-        povm = simuldecode.simultaneous_povm(pair, proj)
+        books, d1, d2 = phase_books(ch)
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 2.0)
+        povm = simuldecode.simultaneous_povm(books, proj)
         dec = simuldecode.coherent_decoder(povm)
         assert dec.isometry_defect() < 1e-9
-        fid = simuldecode.coherent_fidelity(ch, pair, povm)
+        fid = read(simuldecode.coherent_fidelity, ch, books, povm)
         assert fid > 1 - 1e-9
 
     def test_fidelity_beats_average_success_on_cnot_mac(self):
         ch = qmat.named_channel("cnot-mac")
-        pair, d1, d2 = bell_pair_books(ch, seeds=(51, 52))
-        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
-        povm = simuldecode.simultaneous_povm(pair, proj)
-        err = simuldecode.error_figures(ch, pair, povm)["avg_error"]
-        fid = simuldecode.coherent_fidelity(ch, pair, povm)
+        books, d1, d2 = bell_pair_books(ch, seeds=(51, 52))
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
+        povm = simuldecode.simultaneous_povm(books, proj)
+        err = read(simuldecode.error_figures, ch, books, povm)["avg_error"]
+        fid = read(simuldecode.coherent_fidelity, ch, books, povm)
         assert fid >= (1 - err) - 1e-10
 
     def test_environment_is_not_a_factor(self, monkeypatch):
@@ -455,39 +484,40 @@ class TestCoherentDecoder:
         # 256 x 16 factor, not a 4096-dimensional state with the environment
         # as a factor, so a dense cap of 1024 leaves the fidelity unchanged
         ch = qmat.named_channel("cnot-mac")
-        pair, d1, d2 = bell_pair_books(ch, n=2, seeds=(53, 54))
+        books, d1, d2 = bell_pair_books(ch, n=2, seeds=(53, 54))
         povm = simuldecode.simultaneous_povm(
-            pair, simuldecode.mac_typical_projectors(ch, d1, d2, 1.0))
-        fid = simuldecode.coherent_fidelity(ch, pair, povm)
+            books, simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0))
+        fid = read(simuldecode.coherent_fidelity, ch, books, povm)
         monkeypatch.setattr(qmat, "DEFAULT_DIM_CAP", 1024)
-        assert simuldecode.coherent_fidelity(ch, pair, povm) == fid
+        assert read(simuldecode.coherent_fidelity, ch, books, povm) == fid
 
     def test_codeword_trace_is_checked(self, monkeypatch):
         ch = qmat.named_channel("cnot-mac")
-        pair, d1, d2 = bell_pair_books(ch)
+        books, d1, d2 = bell_pair_books(ch)
         povm = simuldecode.simultaneous_povm(
-            pair, simuldecode.mac_typical_projectors(ch, d1, d2, 1.0))
+            books, simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0))
         factor = eacode.channel_output_factor
         monkeypatch.setattr(eacode, "channel_output_factor",
                             lambda *args: 1.001 * factor(*args))
         with pytest.raises(ValueError, match=r"codeword state \(0, 0\) has trace"):
-            simuldecode.coherent_fidelity(ch, pair, povm)
+            read(simuldecode.coherent_fidelity, ch, books, povm)
 
 
 class TestSuccessiveMode:
     def test_successive_decodes_orthogonal_instance(self):
         ch = parallel_qubit_mac()
-        pair, d1, d2 = phase_books(ch)
-        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 2.0)
-        povm = seqdecode.ea_successive_povm(pair, proj)
-        assert simuldecode.error_figures(ch, pair, povm)["avg_error"] < 1e-9
+        books, d1, d2 = phase_books(ch)
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 2.0)
+        povm = seqdecode.ea_successive_povm(books, proj)
+        err = read(simuldecode.error_figures, ch, books, povm)["avg_error"]
+        assert err < 1e-9
 
     def test_ea_successive_povm_valid_and_reported(self):
         ch = qmat.named_channel("cnot-mac")
-        pair, d1, d2 = bell_pair_books(ch, seeds=(71, 72))
-        report = simuldecode.run_mac_experiment(ch, pair, "successive", 1.0)
+        books, d1, d2 = bell_pair_books(ch, seeds=(71, 72))
+        report = run_experiment(ch, books, "successive", 1.0)
         povm = seqdecode.ea_successive_povm(
-            pair, simuldecode.mac_typical_projectors(ch, d1, d2, 1.0))
+            books, simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0))
         gap = np.linalg.eigvalsh(
             np.eye(povm.space.dim) - povm.total()
         ).min()
@@ -497,15 +527,15 @@ class TestSuccessiveMode:
 
     def test_unknown_mode_rejected(self):
         ch = qmat.named_channel("cnot-mac")
-        pair, _, _ = bell_pair_books(ch)
+        books, _, _ = bell_pair_books(ch)
         with pytest.raises(ValueError, match="mode"):
-            simuldecode.run_mac_experiment(ch, pair, "oracle", 1.0)
+            run_experiment(ch, books, "oracle", 1.0)
 
     def test_reports_are_deterministic(self):
         ch = qmat.named_channel("cnot-mac")
-        pair, _, _ = bell_pair_books(ch, seeds=(81, 82))
-        r1 = simuldecode.run_mac_experiment(ch, pair, "simultaneous", 1.0)
-        r2 = simuldecode.run_mac_experiment(ch, pair, "simultaneous", 1.0)
+        books, _, _ = bell_pair_books(ch, seeds=(81, 82))
+        r1 = run_experiment(ch, books, "simultaneous", 1.0)
+        r2 = run_experiment(ch, books, "simultaneous", 1.0)
         assert r1.to_json() == r2.to_json()
 
 
@@ -523,15 +553,15 @@ class TestOnePassEvaluation:
         ch = qmat.named_channel("cnot-mac")
         d1 = eacode.type_decompose(bell_state("Ap", "A"), 1)
         d2 = eacode.type_decompose(bell_state("Bp", "B"), 1)
-        pair = simuldecode.MacCodePair.sample(d1, d2, 2, 3, 51, 52)
+        books = sample_books((d1, d2), (2, 3), (51, 52))
         for mode, decoder in DECODERS.items():
             calls.clear()
-            simuldecode.run_mac_experiment(ch, pair, mode, 1.0)
+            run_experiment(ch, books, mode, 1.0)
             assert calls == {"channel_output_factor": 1}
             povm = decoder(
-                pair, simuldecode.mac_typical_projectors(ch, d1, d2, 1.0))
+                books, simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0))
             calls.clear()
-            simuldecode.error_breakdown(ch, pair, povm)
+            read(simuldecode.error_breakdown, ch, books, povm)
             assert calls == {"channel_output_factor": 1}
 
     @staticmethod
@@ -555,8 +585,8 @@ class TestOnePassEvaluation:
         d1 = eacode.type_decompose(schmidt_state([0.7, 0.3], "Ap", "A"), 2)
         d2 = eacode.type_decompose(schmidt_state([0.6, 0.4], "Bp", "B"), 2)
         calls.clear()
-        pair = simuldecode.MacCodePair.sample(d1, d2, 4, 4, 0, 1)
-        simuldecode.run_mac_experiment(ch, pair, mode, 1.0)
+        books = sample_books((d1, d2), (4, 4), (0, 1))
+        run_experiment(ch, books, mode, 1.0)
         assert calls == {"hw_transpose_unitary": 8, "tensor": 2}
 
     def test_sequential_trial_builds_each_encoder_once(self, monkeypatch):
@@ -579,51 +609,51 @@ class TestOnePassEvaluation:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
         ch = qmat.named_channel("cnot-mac")
-        pair, _, _ = bell_pair_books(ch, n=n, seeds=(57, 58))
-        report = simuldecode.run_mac_experiment(ch, pair, "simultaneous", 1.0)
+        books, _, _ = bell_pair_books(ch, n=n, seeds=(57, 58))
+        report = run_experiment(ch, books, "simultaneous", 1.0)
         assert 0 <= report.avg_error <= 1
         assert calls == {}
 
     def test_codeword_trace_is_checked(self, monkeypatch):
         # Tr sigma_lm = |V_lm|^2 is checked on the dense table's columns
         ch = qmat.named_channel("cnot-mac")
-        pair, d1, d2 = bell_pair_books(ch)
+        books, d1, d2 = bell_pair_books(ch)
         povm = simuldecode.simultaneous_povm(
-            pair, simuldecode.mac_typical_projectors(ch, d1, d2, 1.0))
+            books, simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0))
         factor = eacode.channel_output_factor
         monkeypatch.setattr(eacode, "channel_output_factor",
                             lambda *args: 1.001 * factor(*args))
         with pytest.raises(ValueError, match=r"codeword state \(0, 0\) has trace"):
-            simuldecode.error_figures(ch, pair, povm)["avg_error"]
+            read(simuldecode.error_figures, ch, books, povm)["avg_error"]
         # and on |V_lm|^2 by the Gram form
         with pytest.raises(ValueError, match=r"codeword state \(0, 0\) has trace"):
-            simuldecode.run_mac_experiment(ch, pair, "simultaneous", 1.0)
+            run_experiment(ch, books, "simultaneous", 1.0)
 
     def test_outcomes_must_be_the_pairs_in_order(self):
         ch = qmat.named_channel("cnot-mac")
-        pair, _, _ = bell_pair_books(ch)
+        books, _, _ = bell_pair_books(ch)
         space = FactorSpace(("S",), (16,))
         swapped = PovmSet(space, {(l, m): np.eye(16) / 4
                                   for m in range(2) for l in range(2)})
         # the pairs are sent l-major, and this POVM lists them m-major
         with pytest.raises(ValueError, match="sent codewords, in order"):
-            simuldecode.error_figures(ch, pair, swapped)["avg_error"]
+            read(simuldecode.error_figures, ch, books, swapped)["avg_error"]
 
     @pytest.mark.parametrize("mode", ["simultaneous", "successive"])
     def test_report_matches_standalone_wrappers(self, mode):
         ch = qmat.named_channel("cnot-mac")
         d1 = eacode.type_decompose(bell_state("Ap", "A"), 2)
         d2 = eacode.type_decompose(bell_state("Bp", "B"), 2)
-        pair = simuldecode.MacCodePair.sample(d1, d2, 2, 2, 61, 62)
-        report = simuldecode.run_mac_experiment(ch, pair, mode, 1.0)
+        books = sample_books((d1, d2), (2, 2), (61, 62))
+        report = run_experiment(ch, books, mode, 1.0)
         povm = DECODERS[mode](
-            pair, simuldecode.mac_typical_projectors(ch, d1, d2, 1.0))
+            books, simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0))
         out = report.to_json()
-        avg = simuldecode.error_figures(ch, pair, povm)["avg_error"]
-        mx = simuldecode.max_error_via_randomization(ch, pair, povm)
+        avg = read(simuldecode.error_figures, ch, books, povm)["avg_error"]
+        mx = read(simuldecode.max_error_via_randomization, ch, books, povm)
         assert abs(out["avg_error"] - avg) < 1e-12
         assert abs(out["max_error_randomized"] - mx) < 1e-12
-        parts = simuldecode.error_breakdown(ch, pair, povm)
+        parts = read(simuldecode.error_breakdown, ch, books, povm)
         assert out["error_terms"].keys() == parts.keys()
         for key, value in parts.items():
             assert abs(out["error_terms"][key] - value) < 1e-12
@@ -635,7 +665,7 @@ def sample_pair(name, weights, n, L, M, seeds):
               else schmidt_state(weights, s, r)
               for s, r in (("Ap", "A"), ("Bp", "B"))]
     d1, d2 = (eacode.type_decompose(phi, n) for phi in states)
-    return ch, simuldecode.MacCodePair.sample(d1, d2, L, M, *seeds), d1, d2
+    return ch, sample_books((d1, d2), (L, M), seeds), d1, d2
 
 
 class TestGramForm:
@@ -663,18 +693,18 @@ class TestGramForm:
         # oracle: the dense square-root measurement and its overlap table;
         # kr_side marks the side the full Kr x Kr Gram form took ("S" where
         # Kr > d), and S_SIDE the side the factored form takes
-        ch, pair, d1, d2 = sample_pair(name, weights, n, L, M,
-                                       (2 * seed, 2 * seed + 1))
+        ch, books, d1, d2 = sample_pair(name, weights, n, L, M,
+                                        (2 * seed, 2 * seed + 1))
         proj = simuldecode.mac_typical_projectors(
-            ch, d1, d2, 1.5 if name == "adder-mac" else 1.0)
+            ch, (d1, d2), 1.5 if name == "adder-mac" else 1.0)
         kr = L * M * proj.rank("ABC")
         assert (kr > proj.space.dim) == (kr_side == "S")
-        w, _ = simuldecode._detection_factors(pair, proj)
+        w, _ = simuldecode._detection_factors(books, proj)
         s_side = (name, n, L, M) in self.S_SIDE
         assert (w.shape[1] > proj.space.dim) == s_side
         want = overlap_table(
-            ch, pair, simuldecode.simultaneous_povm(pair, proj))
-        got = simuldecode.gram_table(ch, pair, proj)
+            ch, books, simuldecode.simultaneous_povm(books, proj))
+        got = simuldecode.gram_table(output_factor(ch, books), books, proj)
         assert got.shape == want.shape == (L * M + 1, L * M)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -682,45 +712,46 @@ class TestGramForm:
     def test_row_space_of_the_shared_factor(self, M, q):
         # Y = [Y_1 ... Y_M] has rank q: full column rank Mr = 16 at M = 1,
         # where nothing is dropped, and 24 of Mr = 64 at M = 4
-        ch, pair, d1, d2 = sample_pair("cnot-mac", None, 2, 2, M, (2, 3))
-        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
-        w, z = simuldecode._detection_factors(pair, proj)
+        ch, books, d1, d2 = sample_pair("cnot-mac", None, 2, 2, M, (2, 3))
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
+        w, z = simuldecode._detection_factors(books, proj)
         assert z.shape == (M * proj.rank("ABC"), q)
-        assert w.shape == (proj.space.dim, pair.L * q)
+        assert w.shape == (proj.space.dim, books[0].message_count * q)
         assert np.max(np.abs(z.conj().T @ z - np.eye(q))) < 1e-12
 
     def test_decomposes_the_small_gram_matrix(self, monkeypatch):
         # the benchmark's op at --seed 1: G' is Lq x Lq = 96 x 96, where
         # G = W†W was Kr x Kr = 256 x 256
-        ch, pair, d1, d2 = sample_pair("cnot-mac", None, 2, 4, 4, (2, 3))
-        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
+        ch, books, d1, d2 = sample_pair("cnot-mac", None, 2, 4, 4, (2, 3))
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
         shapes = []
         inverse_root = simuldecode._inverse_root
         monkeypatch.setattr(simuldecode, "_inverse_root",
                             lambda m: shapes.append(m.shape) or inverse_root(m))
-        simuldecode.gram_table(ch, pair, proj)
+        simuldecode.gram_table(output_factor(ch, books), books, proj)
         assert shapes == [(96, 96)]
 
     def test_detection_factors_square_to_the_dense_operators(self):
-        ch, pair, d1, d2 = sample_pair("adder-mac", [0.7, 0.3], 2, 2, 3,
-                                       (63, 64))
-        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.5)
-        w, z = simuldecode._detection_factors(pair, proj)
+        ch, books, d1, d2 = sample_pair("adder-mac", [0.7, 0.3], 2, 2, 3,
+                                        (63, 64))
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.5)
+        w, z = simuldecode._detection_factors(books, proj)
         r, q = proj.rank("ABC"), z.shape[1]
-        for l, m in itertools.product(range(pair.L), range(pair.M)):
+        for l, m in itertools.product(*(range(b.message_count)
+                                        for b in books)):
             block = w[:, l * q:(l + 1) * q] @ z[m * r:(m + 1) * r].conj().T
-            ups = simuldecode.build_upsilon(pair, l, m, proj)
+            ups = simuldecode.build_upsilon(books, l, m, proj)
             assert np.max(np.abs(block @ block.conj().T - ups)) < 1e-12
 
     def test_support_defect_is_checked(self, monkeypatch):
         # a wrong inverse root misses the support projector of G
-        ch, pair, d1, d2 = sample_pair("cnot-mac", None, 2, 2, 2, (65, 66))
-        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
+        ch, books, d1, d2 = sample_pair("cnot-mac", None, 2, 2, 2, (65, 66))
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
         inverse_root = simuldecode._inverse_root
         monkeypatch.setattr(simuldecode, "_inverse_root", lambda m: tuple(
             1.001 * x if i == 0 else x for i, x in enumerate(inverse_root(m))))
         with pytest.raises(ValueError, match="misses the support projector"):
-            simuldecode.gram_table(ch, pair, proj)
+            simuldecode.gram_table(output_factor(ch, books), books, proj)
 
 
 class TestBlocklengthThree:
@@ -728,16 +759,16 @@ class TestBlocklengthThree:
     # so these check what the Gram form can check on its own
 
     def test_adder_mac_identities(self):
-        ch, pair, d1, d2 = sample_pair("adder-mac", None, 3, 2, 2, (0, 1))
-        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
+        ch, books, d1, d2 = sample_pair("adder-mac", None, 3, 2, 2, (0, 1))
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
         assert proj.space.dim == 1728
-        report = simuldecode.run_mac_experiment(ch, pair, "simultaneous", 1.0)
+        report = run_experiment(ch, books, "simultaneous", 1.0)
         assert abs(report.breakdown["total"] - report.avg_error) < 1e-12
-        table = simuldecode.gram_table(ch, pair, proj)
+        table = simuldecode.gram_table(output_factor(ch, books), books, proj)
         assert table[:-1].sum(axis=0).max() <= 1 + 1e-12
         assert table[-1].min() >= -1e-12
         # G'^{+1/2} G' G'^{+1/2} is the support projector of G'
-        w, _ = simuldecode._detection_factors(pair, proj)
+        w, _ = simuldecode._detection_factors(books, proj)
         assert w.shape[1] <= w.shape[0]
         gram = w.conj().T @ w
         inv_root, supp = simuldecode._inverse_root(gram)
@@ -745,8 +776,8 @@ class TestBlocklengthThree:
 
     def test_cnot_mac_average_error(self):
         # an independent implementation measured the same value
-        ch, pair, _, _ = sample_pair("cnot-mac", None, 3, 2, 2, (0, 1))
-        report = simuldecode.run_mac_experiment(ch, pair, "simultaneous", 1.0)
+        ch, books, _, _ = sample_pair("cnot-mac", None, 3, 2, 2, (0, 1))
+        report = run_experiment(ch, books, "simultaneous", 1.0)
         assert abs(report.avg_error - 0.52734375) < 1e-12
         assert abs(report.breakdown["total"] - report.avg_error) < 1e-12
 
@@ -764,13 +795,13 @@ class TestSuccessiveTable:
         "bell" if v is None else str(v))
     def test_matches_dense_oracle(self, name, weights, n, L, M, seed):
         # oracle: the dense successive POVM and its overlap table
-        ch, pair, d1, d2 = sample_pair(name, weights, n, L, M,
-                                       (2 * seed, 2 * seed + 1))
+        ch, books, d1, d2 = sample_pair(name, weights, n, L, M,
+                                        (2 * seed, 2 * seed + 1))
         proj = simuldecode.mac_typical_projectors(
-            ch, d1, d2, 1.5 if name == "adder-mac" else 1.0)
+            ch, (d1, d2), 1.5 if name == "adder-mac" else 1.0)
         want = overlap_table(
-            ch, pair, seqdecode.ea_successive_povm(pair, proj))
-        got = seqdecode.successive_table(ch, pair, proj)
+            ch, books, seqdecode.ea_successive_povm(books, proj))
+        got = seqdecode.successive_table(output_factor(ch, books), books, proj)
         assert got.shape == want.shape == (L * M + 1, L * M)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -786,26 +817,48 @@ class TestSuccessiveTable:
             monkeypatch.setattr(module, name, refuse)
         monkeypatch.setattr(typicality.ProjectorBundle, "embedded", refuse)
         ch = qmat.named_channel("cnot-mac")
-        pair, _, _ = bell_pair_books(ch, n=n, seeds=(59, 60))
-        report = simuldecode.run_mac_experiment(ch, pair, "successive", 1.0)
+        books, _, _ = bell_pair_books(ch, n=n, seeds=(59, 60))
+        report = run_experiment(ch, books, "successive", 1.0)
         assert abs(report.breakdown["total"] - report.avg_error) < 1e-12
 
     def test_codeword_trace_is_checked(self, monkeypatch):
         ch = qmat.named_channel("cnot-mac")
-        pair, _, _ = bell_pair_books(ch)
+        books, _, _ = bell_pair_books(ch)
         factor = eacode.channel_output_factor
         monkeypatch.setattr(eacode, "channel_output_factor",
                             lambda *args: 1.001 * factor(*args))
         with pytest.raises(ValueError, match=r"codeword state \(0, 0\) has trace"):
-            simuldecode.run_mac_experiment(ch, pair, "successive", 1.0)
+            run_experiment(ch, books, "successive", 1.0)
+
+    def test_encoders_act_a_number_of_times_fixed_in_m(self, monkeypatch):
+        # V and Bob's words [U_2(t_m) B] are encoded once per table (L + 2M
+        # encoder applications), and Bob's stage runs in Alice's frame, so
+        # her encoder then acts three times per message and once for the
+        # last, however many words Bob's stage tests
+        ch, books, d1, d2 = sample_pair("cnot-mac", None, 2, 4, 4, (0, 1))
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
+        factor = output_factor(ch, books)
+        calls = Counter()
+        apply_local = qmat.apply_local
+
+        def counted(*args, **kwargs):
+            calls[args[0].space] += 1
+            return apply_local(*args, **kwargs)
+
+        monkeypatch.setattr(qmat, "apply_local", counted)
+        seqdecode.successive_table(factor, books, proj)
+        L, M = 4, 4
+        assert calls == {d1.receiver_space: L + 3 * L - 2,
+                         d2.receiver_space: 2 * M}
 
     def test_cnot_mac_blocklength_three(self):
         # d = 4096, where the dense POVM ran out of memory: the identities
         # the table satisfies on its own
-        ch, pair, d1, d2 = sample_pair("cnot-mac", None, 3, 2, 2, (0, 1))
-        proj = simuldecode.mac_typical_projectors(ch, d1, d2, 1.0)
-        table = seqdecode.successive_table(ch, pair, proj)
+        ch, books, d1, d2 = sample_pair("cnot-mac", None, 3, 2, 2, (0, 1))
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
+        table = seqdecode.successive_table(output_factor(ch, books), books,
+                                           proj)
         assert np.max(np.abs(table.sum(axis=0) - 1.0)) < 1e-12
         assert table.min() >= -1e-12
-        report = simuldecode.run_mac_experiment(ch, pair, "successive", 1.0)
+        report = run_experiment(ch, books, "successive", 1.0)
         assert abs(report.breakdown["total"] - report.avg_error) < 1e-12

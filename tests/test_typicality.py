@@ -196,7 +196,7 @@ class TestTypicalProjector:
         # which a delta above 54 would otherwise admit beside the one true
         # eigenvector
         rho = info.ea_code_state(qmat.named_channel("identity:3"),
-                                 schmidt_state([1 / 3] * 3))
+                                 [schmidt_state([1 / 3] * 3)])
         tp = typicality.typical_projector(rho, 1, delta)
         assert tp.rank == 1
         assert tp.lambda_min == tp.lambda_max
@@ -282,9 +282,11 @@ class TestProjectorBundle:
         d1, d2 = (eacode.type_decompose(schmidt_state(w, s, r), 2)
                   for w, s, r in (([0.7, 0.3], "Ap", "A"),
                                   ([0.6, 0.4], "Bp", "B")))
-        pair = simuldecode.MacCodePair.sample(d1, d2, 2, 3, 4, 5)
+        ch = qmat.named_channel("cnot-mac")
+        books = [eacode.sample_code(d1, 2, 4), eacode.sample_code(d2, 3, 5)]
         rep = simuldecode.run_mac_experiment(
-            qmat.named_channel("cnot-mac"), pair, run, 1.0)
+            eacode.channel_output_factor(ch, (d1, d2)), books, run,
+            simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0))
         assert 0.0 <= rep.avg_error <= 1.0
 
 

@@ -43,8 +43,7 @@ def _instances():
             0.1, 1.0, 2.0, 1.0, 8.0, 2, 2
         ),
         seqdecode.SuccessiveBound(0.0, -0.1, False),
-        simuldecode.MacCodePair.sample(d1, d2, 2, 2, 5, 6),
-        simuldecode.mac_typical_projectors(cnot, d1, d2, 1.0),
+        simuldecode.mac_typical_projectors(cnot, (d1, d2), 1.0),
         simuldecode.coherent_decoder(povm),
         simuldecode.MacReport(1, 2, 2, 0.1, 0.1, 0.1, (0, 1), "simultaneous", {}),
     ]
@@ -54,7 +53,7 @@ INSTANCES = _instances()
 
 
 def test_every_value_type_is_covered():
-    assert len({type(x) for x in INSTANCES}) == len(INSTANCES) == 24
+    assert len({type(x) for x in INSTANCES}) == len(INSTANCES) == 23
 
 
 @pytest.mark.parametrize("obj", INSTANCES, ids=lambda x: type(x).__name__)
