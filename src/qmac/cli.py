@@ -191,8 +191,8 @@ _BASE_BYTES = 184 << 20
 # Copies of the codeword stack V (d x kc) that each decoder holds at its
 # peak with its own blocks, so that the estimate covers the peak address
 # space measured for the sequential decoder (identity:2 at n = 8 to 10,
-# amplitude-damping:0.3 at n = 6, 7) and the others (cnot-mac, n = 3, 4).
-_V_COPIES = {"sequential": 6, "simultaneous": 4, "successive": 10}
+# amplitude-damping:0.3 at n = 6, 7) and the others (cnot-mac, n = 2 to 4).
+_V_COPIES = {"sequential": 6, "simultaneous": 3, "successive": 8}
 
 
 def _check_memory(channel, args, k: int, decoder: str) -> int:
@@ -203,12 +203,13 @@ def _check_memory(channel, args, k: int, decoder: str) -> int:
     From the channel's dimensions, its Kraus count K, n and k alone, at
     16 B per complex entry and on top of ``_BASE_BYTES``, this counts the
     codeword stack V (d x kc, c <= K^n columns of R) ``_V_COPIES[decoder]``
-    times and the simultaneous decoder's kc x kc expanded table three times;
-    twice each typical projector's basis, d_X^n x r_X^n on a marginal of
-    single-copy dimension d_X and rank r_X <= min(d_X, K d_1 / d_X) for the
-    single-copy output's d_1; the encoders of two books (the next trial's
-    and the last), d_share^2 each; and four n-fold shared states.  At 8 B
-    it counts the k x k weights and the (k + 1) x k table.
+    times and the simultaneous decoder's X' (Lq x kc, q <= min(d, M r) for
+    the joint projector's rank r <= c) twice; twice each typical
+    projector's basis, d_X^n x r_X^n on a marginal of single-copy dimension
+    d_X and rank r_X <= min(d_X, K d_1 / d_X) for the single-copy output's
+    d_1; the encoders of two books (the next trial's and the last),
+    d_share^2 each; and four n-fold shared states.  At 8 B it counts the
+    k x k weights and the (k + 1) x k table.
     """
     n, kraus, shares = args.n, len(channel.kraus), channel.in_space.dims
     out = channel.out_space.dim
@@ -221,7 +222,8 @@ def _check_memory(channel, args, k: int, decoder: str) -> int:
         books = (args.L, args.M)
     need = _BASE_BYTES + 8 * k * (2 * k + 1) + 16 * (
         _V_COPIES[decoder] * d * k * c
-        + (3 * (k * c)**2 if decoder == "simultaneous" else 0)
+        + (2 * args.L * min(d, args.M * c) * k * c
+           if decoder == "simultaneous" else 0)
         + 2 * sum(m**n * min(m, single // m * kraus)**n for m in marginals)
         + 2 * sum(b * s**(2 * n) for b, s in zip(books, shares))
         + 4 * math.prod(shares)**(2 * n))

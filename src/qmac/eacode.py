@@ -319,14 +319,16 @@ def sample_code(decomp: TypeDecomposition, message_count: int, seed: int
 def channel_output_space(channel: KrausChannel, decomps) -> FactorSpace:
     """Factor order of :func:`channel_output_state`.
 
-    The receiver shares of ``decomps`` (A..., then B..., one per sender)
-    come first, then the channel outputs copy by copy (C1, C2, ... per
-    output label).
+    The receiver shares of ``decomps`` come first in reverse sender order
+    (B..., then A...; A... alone for one sender), then the channel outputs
+    copy by copy (C1, C2, ... per output label).
     """
     n = decomps[0].n
     if any(d.n != n for d in decomps):
         raise ValueError("every sender must share the same block length")
-    shares = [d.receiver_space for d in decomps]
+    # in (B..., A..., C...) every name the decoders read is a contiguous
+    # run: A, B, C, AB, AC and ABC, so each projector is one stacked product
+    shares = [d.receiver_space for d in reversed(decomps)]
     out = qmat.power_space(channel.out_space, n)
     return FactorSpace(
         tuple(l for sp in shares for l in sp.labels) + out.labels,
@@ -355,7 +357,7 @@ def channel_output_state(channel: KrausChannel, decomps) -> DensityOperator:
     """Channel output with receiver shares kept, before any encoding.
 
     ``decomps`` lists one decomposition per sender, in the channel's input
-    order.  rho lives on (A..., B..., C...) from phi^(x)n (x) psi^(x)n (on
+    order.  rho lives on (B..., A..., C...) from phi^(x)n (x) psi^(x)n (on
     (A..., B...) from phi^(x)n for a single sender), the channel consuming
     the sender shares copy by copy.  The factor order is
     :func:`channel_output_space`, and rho = R R† with R from

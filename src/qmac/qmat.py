@@ -34,6 +34,7 @@ __all__ = [
     "permute",
     "permute_rows",
     "embed",
+    "local_shape",
     "apply_local",
     "conjugate_local",
     "partial_trace",
@@ -308,27 +309,28 @@ def embed(op: Operator, target: FactorSpace) -> Operator:
     return permute(big, target.labels)
 
 
-def _local_shape(op: Operator, space: FactorSpace) -> tuple:
-    """Shape that exposes the factors ``op`` acts on as axis 1 of a 3-way split."""
-    labels = op.space.labels
+def local_shape(sub: FactorSpace, space: FactorSpace) -> tuple:
+    """(before, sub.dim, -1): the view of ``space.dim`` rows whose axis 1 is
+    ``sub``, a contiguous run of ``space`` (in order, else ``ValueError``)."""
+    labels = sub.labels
     start = space.axis(labels[0])
     stop = start + len(labels)
     if space.labels[start:stop] != labels:
         raise ValueError(f"{labels} is not a contiguous run of {space.labels}")
-    if space.dims[start:stop] != op.space.dims:
+    if space.dims[start:stop] != sub.dims:
         raise ValueError(f"dimension mismatch on labels {labels}")
-    return (math.prod(space.dims[:start]), op.space.dim, -1)
+    return (math.prod(space.dims[:start]), sub.dim, -1)
 
 
 def apply_local(op: Operator, mat, space: FactorSpace) -> np.ndarray:
     """(op (x) I) @ mat on ``space`` without forming op (x) I.
 
-    ``op`` must act on a contiguous run of ``space``'s factors, in the same
-    order; ``mat`` is a vector or matrix with ``space.dim`` rows.  The cost is
-    one (batched) product with the small matrix, not a ``space.dim``-sized one.
+    ``op`` must act on a contiguous run of ``space`` (:func:`local_shape`);
+    ``mat`` is a vector or matrix with ``space.dim`` rows.  The cost is one
+    stacked product with the small matrix, not a ``space.dim``-sized one.
     """
     mat = np.asarray(mat)
-    out = np.matmul(op.matrix, mat.reshape(_local_shape(op, space)))
+    out = np.matmul(op.matrix, mat.reshape(local_shape(op.space, space)))
     return out.reshape(mat.shape)
 
 

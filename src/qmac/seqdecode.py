@@ -634,8 +634,8 @@ def successive_table(factor: np.ndarray, books,
     chain (:func:`_chain`) of Bob's words [U_2(t_1) B ... U_2(t_M) B] with
     Pi_ABC = B B†, encoded once (:func:`eacode.encode`), inside the fixed
     test Pi_AC Pi_B, from Pi_AC Pi_B U_1(s_l)† Y; U_1(s_l) keeps norms.
-    Alice's stage then moves on with Y <- Pi Y and
-    Y <- Pi (Y - U_1 Pi_AC Pi_B U_1† Y), from Y = V = [V_11 ... V_LM].  So
+    Alice's stage then moves on with Y <- Pi (Y - U_1 Pi_AC Pi_B U_1† Y)
+    from Y = Pi V, V = [V_11 ... V_LM], so Pi acts once per update.  So
     Bob's words are encoded once per table, and each of Alice's encoders
     acts three times (the last once), however many words Bob's stage tests.
     |V_j|^2 must be 1 and every abort weight at least -1e-9.
@@ -662,7 +662,8 @@ def successive_table(factor: np.ndarray, books,
         rows += [eacode.block_overlaps(p, p, len(sent))
                  for p in _chain(start, pi_x, words)]
         if l + 1 < alice.message_count:
-            y = code(y)
+            if not l:  # V enters Pi's range once; each update keeps Y there
+                y = code(y)
             y = code(y - qmat.apply_local(
                 u, pi_x(qmat.apply_local(u_dag, y, space)), space))
     return eacode.codeword_table(sent, traces, np.array(rows))

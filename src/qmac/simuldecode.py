@@ -50,7 +50,6 @@ __all__ = [
     "error_figures",
     "error_breakdown",
     "hayashi_nagaoka_check",
-    "randomize_code",
     "max_error_via_randomization",
     "coherent_decoder",
     "coherent_fidelity",
@@ -62,29 +61,16 @@ __all__ = [
 SUPPORT_CUTOFF = 1e-12
 
 
-def randomize_code(books, *shifts) -> list:
-    """Relabel each codebook by a modular message shift (common randomness).
-
-    Message l of a book now sends the entry of message l + shift (mod its
-    message count); one shift per book.
-    """
-    if len(shifts) != len(books) or not all(
-            0 <= s < b.message_count for b, s in zip(books, shifts)):
-        raise ValueError("shifts must lie within the message ranges")
-    return [eacode.EaCodeBook(b.message_count, b.entries[s:] + b.entries[:s],
-                              b.seed, b.decomp)
-            for b, s in zip(books, shifts)]
-
-
 def mac_typical_projectors(channel: KrausChannel, decomps,
                            delta: float) -> typicality.ProjectorBundle:
     """The six typical projectors of a two-sender channel output, kept small.
 
-    On the full (A..., B..., C...) space, each of "A", "B", "C", "AB", "AC"
-    and the joint "ABC" is kept as its type basis on its own n-copy factors
-    (:class:`~qmac.typicality.ProjectorBundle`), so no d x d matrix is
-    formed.  ``decomps`` holds the two senders' decompositions.  Raises
-    ``ValueError`` when one of them is empty at this ``delta``.
+    On the full (B..., A..., C...) space, each of "A", "B", "C", "AB", "AC"
+    and the joint "ABC" is kept as its type basis on its own n-copy factors,
+    a contiguous run (:class:`~qmac.typicality.ProjectorBundle`), so no
+    d x d matrix is formed.  ``decomps`` holds the two senders'
+    decompositions.  Raises ``ValueError`` when one of them is empty at
+    this ``delta``.
     """
     a, b = (d.receiver_label for d in decomps)
     c = channel.out_space.labels

@@ -252,16 +252,18 @@ class ProjectorBundle:
     """The typical projectors of one n-copy space, each kept as its basis.
 
     ``bases`` maps a name to ``(labels, B)``: B holds orthonormal columns
-    spanning the projector Pi = B B† on the n-copy factors ``labels``, with
-    rows in the factor order of ``space``.  The joint projector is the
-    entry whose labels cover all of ``space``.  The factored decoders apply
-    them to d x c blocks; :meth:`embedded` builds the d x d matrices that
-    the dense oracles read.  Every B must have orthonormal columns, within
-    1e-9.
+    spanning Pi = B B† on the n-copy factors ``labels``, a contiguous run of
+    ``space`` in its order, with rows in that order.  The joint projector
+    covers all of ``space``.  The factored decoders apply them to d x c
+    blocks; :meth:`embedded` builds the d x d matrices that the dense
+    oracles read.  A split run, or a B whose columns are not orthonormal
+    within 1e-9, raises ``ValueError`` naming the projector.
     """
 
     space: qmat.FactorSpace
     bases: dict
+    # name -> the run's (before, d_X, -1) view (qmat.local_shape)
+    _shapes: dict = field(default_factory=dict, init=False)
     # d x d matrices, each built on first use by embedded()
     _dense: dict = field(default_factory=dict, init=False)
 
@@ -269,7 +271,12 @@ class ProjectorBundle:
         object.__setattr__(self, "bases", {
             name: (tuple(labels), qmat.frozen_copy(b))
             for name, (labels, b) in self.bases.items()})
-        for name, (_, b) in self.bases.items():
+        for name, (labels, b) in self.bases.items():
+            try:
+                self._shapes[name] = qmat.local_shape(
+                    self.space.subspace(labels), self.space)
+            except ValueError as e:
+                raise ValueError(f"projector {name!r}: {e}") from None
             defect = float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1])),
                                   initial=0.0))
             if defect > PROJECTOR_TOL:
@@ -297,19 +304,15 @@ class ProjectorBundle:
     def apply(self, name: str, mat: np.ndarray) -> np.ndarray:
         """(Pi_name (x) I) @ mat on d x c blocks, as B (B† Y).
 
-        The rows of the name's factors move to the front and back.  A
+        One stacked product on the (before, d_X, after) view of ``mat``,
+        whose axis 1 is the name's contiguous run, so no row moves.  A
         full-rank projector is the identity, so ``mat`` itself returns.
         """
-        labels, b = self.bases[name]
+        b = self.bases[name][1]
         if b.shape[1] == b.shape[0]:
             return mat
-        own = [self.space.axis(l) for l in labels]
-        perm = own + [i for i in range(len(self.space.dims)) if i not in own]
-        y = mat.reshape(self.space.dims + (-1,)).transpose(perm + [len(perm)])
-        moved = y.shape
-        y = b @ (b.conj().T @ y.reshape(b.shape[0], -1))
-        back = np.argsort(perm).tolist() + [len(perm)]
-        return y.reshape(moved).transpose(back).reshape(mat.shape)
+        y = mat.reshape(self._shapes[name])
+        return (b @ (b.conj().T @ y)).reshape(mat.shape)
 
 
 def projector_bundle(rho: qmat.DensityOperator, n: int, delta: float,

@@ -32,7 +32,7 @@ GOLDEN_MAC_N2_SEED0 = """\
     "wrong_alice": 0.15625,
     "wrong_bob": 0.28125,
     "wrong_both": 0.46875,
-    "abort": -5.55111512313e-16,
+    "abort": -4.4408920985e-16,
     "total": 0.90625
   },
   "trials": 1
@@ -761,11 +761,12 @@ class TestSimulateMac:
         assert "over the memory limit of 6 GiB" in proc.stderr
 
     def test_n4_simultaneous_estimated_under_6_gib(self, monkeypatch):
-        # it peaks near 4.4 GiB; the successive run, refused above, holds
-        # about twice as many copies of the 1 GiB codeword stack
+        # its address space peaks at 3,609 MiB; the successive run, refused
+        # above, holds more than twice as many copies of the 1 GiB codeword
+        # stack
         need = estimated_bytes(monkeypatch, "simulate-mac", "--channel",
                                "cnot-mac", "--n", "4")
-        assert 4.4 * 2**30 < need < 6 << 30
+        assert 3609 << 20 < need < 6 << 30
 
     @pytest.mark.parametrize("argv, single", [
         (("simulate-mac", "--channel", "cnot-mac", "--n", "2", "--L", "4",
@@ -815,6 +816,18 @@ class TestSimulateMac:
             assert "over the memory limit of 0.5 GiB" in proc.stderr
         else:
             assert json.loads(proc.stdout)["mode"] == mode
+
+    def test_many_codewords_run_under_a_limit_just_above_the_estimate(
+            self, monkeypatch):
+        # 1,024 codeword pairs: the estimate counts the simultaneous
+        # decoder's Lq x kc blocks X', where it counted a kc x kc table
+        # (12.4 GiB) that the decoder does not form
+        argv = ("simulate-mac", "--channel", "cnot-mac", "--n", "2",
+                "--L", "32", "--M", "32")
+        limit = estimated_bytes(monkeypatch, *argv) + (1 << 20)
+        proc = run_under_address_limit(limit, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["avg_error"] == 0.997802734375
 
     def test_typical_projectors_built_once_per_command(self, capsys,
                                                        monkeypatch):

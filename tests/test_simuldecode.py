@@ -38,6 +38,14 @@ def overlap_table(ch, books, povm):
     return eacode.overlap_table(sent, v, povm)
 
 
+def randomize_code(books, *shifts) -> list:
+    """Relabel each codebook by a modular message shift (common randomness):
+    message l of a book sends the entry of message l + shift."""
+    return [eacode.EaCodeBook(b.message_count, b.entries[s:] + b.entries[:s],
+                              b.seed, b.decomp)
+            for b, s in zip(books, shifts)]
+
+
 def sample_books(decomps, counts, seeds):
     return [eacode.sample_code(d, k, s)
             for d, k, s in zip(decomps, counts, seeds)]
@@ -149,7 +157,7 @@ class TestBuildUpsilon:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("name", ["cnot-mac", "adder-mac"])
     def test_apply_matches_the_embedded_projectors(self, name, n):
-        # AC's factors are split by B's; C and AB are rank-deficient here
+        # AC's factors are one run after B's; C and AB are rank-deficient
         ch = qmat.named_channel(name)
         d1, d2 = (eacode.type_decompose(schmidt_state(w, s, r), n)
                   for w, s, r in (([0.7, 0.3], "Ap", "A"),
@@ -157,7 +165,7 @@ class TestBuildUpsilon:
         proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
         labels = proj.bases["AC"][0]
         start = proj.space.labels.index(labels[0])
-        assert proj.space.labels[start:start + len(labels)] != labels
+        assert proj.space.labels[start:start + len(labels)] == labels
         mats = np.random.default_rng(n).normal(size=(proj.space.dim, 5))
         for key in ("AC", "C", "AB"):
             if key != "AC":
@@ -325,14 +333,14 @@ class TestRandomization:
     def test_zero_shift_identity(self):
         ch = qmat.named_channel("cnot-mac")
         books, _, _ = bell_pair_books(ch)
-        same = simuldecode.randomize_code(books, 0, 0)
+        same = randomize_code(books, 0, 0)
         assert same[0].entries == books[0].entries
         assert same[1].entries == books[1].entries
 
     def test_shift_relabels(self):
         ch = qmat.named_channel("cnot-mac")
         books, _, _ = bell_pair_books(ch)
-        shifted = simuldecode.randomize_code(books, 1, 0)
+        shifted = randomize_code(books, 1, 0)
         assert shifted[0].entries == books[0].entries[::-1]
 
     def test_max_error_equals_average_exhaustively(self):
@@ -403,7 +411,7 @@ class TestRandomization:
         table = overlap_table(
             ch, books, simuldecode.simultaneous_povm(books, proj))
         for s, t in ((1, 0), (0, 1), (L - 1, M - 1)):
-            shifted = simuldecode.randomize_code(books, s, t)
+            shifted = randomize_code(books, s, t)
             got = overlap_table(
                 ch, shifted, simuldecode.simultaneous_povm(shifted, proj))
             cols = [((l + s) % L) * M + (m + t) % M
@@ -446,9 +454,9 @@ class TestExpectedCodewordUnderChannel:
                 qmat.Operator(FactorSpace(("B",), (2,)), pi_b),
                 qmat.Operator(out.space, out.matrix),
             )
-            block = qmat.permute(block, ("A", "B", "C"))
+            # rho lives on the n = 1 copies of these labels, in its own order
+            block = qmat.permute(block, [l[:-1] for l in rho.space.labels])
             expect += p * block.matrix
-        # rho lives on (A1, B1, C1); relabel for comparison
         assert np.max(np.abs(acc - expect)) < 1e-9
 
 
@@ -850,6 +858,24 @@ class TestSuccessiveTable:
         L, M = 4, 4
         assert calls == {d1.receiver_space: L + 3 * L - 2,
                          d2.receiver_space: 2 * M}
+
+    def test_code_projector_applied_once_per_alice_update(self, monkeypatch):
+        # Y stays in the range of Pi = Pi_A Pi_B Pi_C after each of Alice's
+        # L - 1 updates, so Pi acts on V once and then once per update
+        ch, books, d1, d2 = sample_pair("cnot-mac", [0.7, 0.3], 2, 4, 2,
+                                        (0, 1))
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
+        factor = output_factor(ch, books)
+        calls = Counter()
+        apply = typicality.ProjectorBundle.apply
+
+        def counted(self, name, mat):
+            calls[name] += 1
+            return apply(self, name, mat)
+
+        monkeypatch.setattr(typicality.ProjectorBundle, "apply", counted)
+        seqdecode.successive_table(factor, books, proj)
+        assert calls["A"] == 4
 
     def test_cnot_mac_blocklength_three(self):
         # d = 4096, where the dense POVM ran out of memory: the identities

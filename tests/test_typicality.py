@@ -249,6 +249,31 @@ class TestProjectorBundle:
             typicality.ProjectorBundle(p.space,
                                        {**p.bases, "AB": (labels, 1.1 * b)})
 
+    def test_rejects_a_split_projector(self):
+        # A1 and B1 are split by A2: no stacked product applies them in place
+        _, p = self.bundle()
+        with pytest.raises(ValueError, match="projector 'A1B1'.*contiguous"):
+            typicality.ProjectorBundle(
+                p.space, {**p.bases, "A1B1": (("A1", "B1"), np.eye(4))})
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_decoders_read_contiguous_runs(self, n):
+        # the MAC output is laid out (B..., A..., C...), so AC is a run too
+        from qmac import eacode, seqdecode, simuldecode
+
+        d1, d2 = (eacode.type_decompose(schmidt_state(w, s, r), n)
+                  for w, s, r in (([0.7, 0.3], "Ap", "A"),
+                                  ([0.6, 0.4], "Bp", "B")))
+        bundles = [
+            simuldecode.mac_typical_projectors(
+                qmat.named_channel("cnot-mac"), (d1, d2), 1.0),
+            seqdecode.sequential_projectors(
+                qmat.named_channel("amplitude-damping:0.3"), d1, 1.0)]
+        for p in bundles:
+            for name, (labels, _) in p.bases.items():
+                start = p.space.labels.index(labels[0])
+                assert p.space.labels[start:start + len(labels)] == labels, name
+
     def test_full_rank_projector_returns_its_input(self):
         # every eigenvector of the maximally mixed state is typical
         rho = DensityOperator(FactorSpace(("A", "B"), (2, 2)), np.eye(4) / 4)
