@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import itertools
 import json
 import math
@@ -209,19 +210,25 @@ def _check_memory(channel, args, k: int, decoder: str) -> int:
     d_X and rank r_X <= min(d_X, K d_1 / d_X) for the single-copy output's
     d_1; the encoders of two books (the next trial's and the last),
     d_share^2 each; and four n-fold shared states.  At 8 B it counts the
-    k x k weights and the (k + 1) x k table.
+    k x k weights and the (k + 1) x k table.  The sequential decoder stacks
+    a group of trials (:func:`seqdecode.trial_group`; R has exactly c
+    columns there), so its V, books, weights and tables count once per
+    trial of the group.
     """
     n, kraus, shares = args.n, len(channel.kraus), channel.in_space.dims
     out = channel.out_space.dim
     single = math.prod(shares) * out
     d, c = single**n, min(single, kraus)**n
-    marginals, books = (shares[0], out, single), (k,)
+    group = 1
+    if decoder == "sequential":
+        group = seqdecode.trial_group(16 * d * k * c, k, args.trials)
+    marginals, books = (shares[0], out, single), (group * k,)
     if channel.is_mac:
         marginals = (*shares, out, shares[0] * shares[1], shares[0] * out,
                      single)
         books = (args.L, args.M)
-    need = _BASE_BYTES + 8 * k * (2 * k + 1) + 16 * (
-        _V_COPIES[decoder] * d * k * c
+    need = _BASE_BYTES + 8 * group * k * (2 * k + 1) + 16 * (
+        _V_COPIES[decoder] * group * d * k * c
         + (2 * args.L * min(d, args.M * c) * k * c
            if decoder == "simultaneous" else 0)
         + 2 * sum(m**n * min(m, single // m * kraus)**n for m in marginals)
@@ -419,7 +426,10 @@ def cmd_check(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qmac`` parser, built once per process: parsing reads it and
+    changes nothing in it."""
     parser = argparse.ArgumentParser(
         prog="qmac",
         description=(

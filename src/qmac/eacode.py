@@ -41,6 +41,7 @@ __all__ = [
     "average_codeword_factors",
     "block_overlaps",
     "codeword_factors",
+    "codeword_stack",
     "codeword_table",
     "overlap_table",
 ]
@@ -148,9 +149,11 @@ class TypeDecomposition:
         ]
         self._sender_block_basis = typicality.type_basis(self.types, left)
         self._receiver_block_basis = typicality.type_basis(self.types, right)
-        assembled = sum(
-            math.sqrt(p) * self.block_vector(i) for i, p in enumerate(self.probs)
-        )
+        # sum_t sqrt(p_t) |block t> = sum_j w_j s_j (x) r_j with
+        # w_j = sqrt(p_t / d_t) on block t's columns: one product
+        w = np.repeat(np.sqrt(self.probs / self.block_dims), self.block_dims)
+        assembled = ((self._sender_block_basis * w)
+                     @ self._receiver_block_basis.T).ravel()
         defect = float(np.linalg.norm(assembled - self.phi_n.vector))
         if defect > REASSEMBLY_TOL:
             raise AssertionError(
@@ -379,13 +382,21 @@ def receiver_encoder(decomp: TypeDecomposition, s: HwIndex) -> qmat.Operator:
     return qmat.Operator(decomp.receiver_space, hw_transpose_unitary(s, decomp))
 
 
-def encode(x: np.ndarray, encoders, space: FactorSpace) -> np.ndarray:
-    """[U_1 X ... U_K X]: each encoder applied to X on its own share of
-    ``space``, written into one preallocated stack."""
-    c = x.shape[1]
-    out = np.empty((x.shape[0], len(encoders) * c), dtype=complex)
-    for k, u in enumerate(encoders):
-        out[:, k * c:(k + 1) * c] = qmat.apply_local(u, x, space)
+def encode(x: np.ndarray, books, space: FactorSpace) -> np.ndarray:
+    """The (T, d, Kc) stack of [U_1 X ... U_K X], one per book of ``books``.
+
+    ``books`` holds T :class:`EaCodeBook`s of one sender, K entries each;
+    U_k is a book's k-th receiver encoder, applied on the sender's own share
+    of ``space`` (:func:`qmat.apply_local`).  ``x`` is d x c, shared by
+    every book, or (T, d, c), one per book.  The blocks are written into one
+    preallocated stack.
+    """
+    c = x.shape[-1]
+    x = np.broadcast_to(x, (len(books),) + x.shape[-2:])
+    out = np.empty(x.shape[:2] + (books[0].message_count * c,), dtype=complex)
+    for t, book in enumerate(books):
+        for k, u in enumerate(book.encoders):
+            out[t, :, k * c:(k + 1) * c] = qmat.apply_local(u, x[t], space)
     return out
 
 
@@ -452,14 +463,18 @@ def average_codeword_factors(r: np.ndarray, decomp: TypeDecomposition):
 
 
 def block_overlaps(x: np.ndarray, y: np.ndarray, count: int) -> np.ndarray:
-    """Re<X_j, Y_j>_F of each of ``count`` equal column blocks of ``x``, ``y``,
-    formed 2^18 entries at a time (no temporary the size of ``x`` is held)
-    and added row by row."""
-    rows = max(1, (1 << 18) // x.shape[1])
-    sums = [(x[i:i + rows].conj() * y[i:i + rows]).real
-            .reshape(-1, count, x.shape[1] // count).sum(axis=2)
-            for i in range(0, x.shape[0], rows)]
-    return np.concatenate(sums).sum(axis=0)
+    """Re<X_j, Y_j>_F of each of ``count`` equal column blocks of ``x``, ``y``.
+
+    ``x`` and ``y`` are d x kc matrices, or stacks of them on the leading
+    axes, which the result keeps.  The products are formed 2^18 entries at
+    a time (no temporary the size of ``x`` is held) and added row by row.
+    """
+    cols = x.shape[-1]
+    rows = max(1, (1 << 18) // x[..., 0, :].size)
+    sums = [(x[..., i:i + rows, :].conj() * y[..., i:i + rows, :]).real
+            .reshape(*x.shape[:-2], -1, count, cols // count).sum(axis=-1)
+            for i in range(0, x.shape[-2], rows)]
+    return np.concatenate(sums, axis=-2).sum(axis=-2)
 
 
 def _check_traces(sent, traces) -> None:
@@ -479,16 +494,31 @@ def codeword_factors(factor: np.ndarray, books, space: FactorSpace):
     last book's encoders act first (:func:`encode`), so two books give the
     l-major V = [V_11 ... V_LM].  sigma_j = V_j V_j†, and traces[j] =
     Tr sigma_j = |V_j|^2, which must be 1.  The books must have distinct
-    seeds, so that the senders' codebooks are drawn independently.
+    seeds, so that the senders' codebooks are drawn independently.  The
+    T = 1 case of :func:`codeword_stack`.
     """
-    if len({b.seed for b in books}) < len(books):
-        raise ValueError("sender codebooks need independent seeds")
-    sent = list(itertools.product(*(range(b.message_count) for b in books)))
+    sent, v, traces = codeword_stack(factor, [books], space)
+    return sent, v[0], traces[0]
+
+
+def codeword_stack(factor: np.ndarray, codes, space: FactorSpace):
+    """(sent, V, traces) of :func:`codeword_factors` for T codes at once.
+
+    ``codes`` lists T codes of the same shape, each a list of K books as in
+    :func:`codeword_factors`.  V is their (T, d, kc) stack and traces the
+    (T, k) stack of their traces, each checked.
+    """
+    for books in codes:
+        if len({b.seed for b in books}) < len(books):
+            raise ValueError("sender codebooks need independent seeds")
+    sent = list(itertools.product(*(range(b.message_count)
+                                    for b in codes[0])))
     v = factor
-    for book in reversed(books):
-        v = encode(v, book.encoders, space)
+    for books in reversed(list(zip(*codes))):  # one sender's T books
+        v = encode(v, books, space)
     traces = block_overlaps(v, v, len(sent))
-    _check_traces(sent, traces)
+    for row in traces:
+        _check_traces(sent, row)
     return sent, v, traces
 
 

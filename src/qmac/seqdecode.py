@@ -38,6 +38,8 @@ __all__ = [
     "SeqReport",
     "sequential_projectors",
     "sequential_table",
+    "sequential_tables",
+    "trial_group",
     "sequential_povm",
     "exact_success_probability",
     "expected_success_exhaustive",
@@ -376,16 +378,37 @@ def _chain(y: np.ndarray, project, words):
 
     ``words`` yields the d x r blocks W_k = U_k B of the stack
     [U_1 B ... U_K B] that :func:`eacode.encode` builds for Pi = B B†, so
-    Pi_k = U_k Pi U_k† is applied as W_k (W_k† Y).  Y_1 = ``y`` lies in the range of the code projector Pi (``project``),
-    and Y_{k+1} = Pi (Y_k - Pi_k Y_k) = Pi (I - Pi_k) Pi Y_k.  So with y =
-    Pi V, the k-th output is Pi_k Pi Qbar_{k-1} ... Qbar_1 V, whose squared
-    norm is the weight of the sequential POVM's k-th element on V V†.
+    Pi_k = U_k Pi U_k† is applied as W_k (W_k† Y).  Y_1 = ``y`` lies in the
+    range of the code projector Pi (``project``), and Y_{k+1} =
+    Pi (Y_k - Pi_k Y_k) = Pi (I - Pi_k) Pi Y_k.  So with y = Pi V, the k-th
+    output is Pi_k Pi Qbar_{k-1} ... Qbar_1 V, whose squared norm is the
+    weight of the sequential POVM's k-th element on V V†.  ``y`` and the
+    W_k may be stacks on their leading axes, one chain per entry.
     """
     for k, w in enumerate(words):
         if k:
             y = project(y - p)
-        p = w @ (w.conj().T @ y)
+        p = w @ (w.conj().swapaxes(-1, -2) @ y)
         yield p
+
+
+# A group of stacked trials (:func:`trial_group`) holds at most GROUP_BYTES
+# of codeword stacks V and GROUP_CODEWORDS codewords, unless one trial alone
+# holds more.  Past a few hundred codewords a larger stack saves no numpy
+# calls, while each codeword's book entry holds about 1 KiB of Python
+# objects, which a stack of tiny trials would otherwise multiply.
+GROUP_BYTES = 4 << 20
+GROUP_CODEWORDS = 1024
+
+
+def trial_group(v_bytes: int, message_count: int, trials: int) -> int:
+    """How many of ``trials`` trials of ``message_count`` codewords each
+    are decoded as one stack, when one trial's V takes ``v_bytes``: as many
+    as keep the group's V within max(v_bytes, ``GROUP_BYTES``) and its
+    codewords within max(message_count, ``GROUP_CODEWORDS``), and at least
+    one."""
+    return max(1, min(trials, GROUP_BYTES // v_bytes,
+                      GROUP_CODEWORDS // message_count))
 
 
 def sequential_table(factor: np.ndarray, books,
@@ -398,27 +421,39 @@ def sequential_table(factor: np.ndarray, books,
     T[k, j] = Tr{Lambda_k sigma_j}, where Lambda is :func:`sequential_povm`
     of the word projectors U_k Pi_AB U_k† inside the code projector
     Pi_A Pi_B and sigma_j = V_j V_j†, V_j = U_j R; the last row is the
-    abort weight Tr{(I - sum_k Lambda_k) sigma_j}.
-
-    Stack V = [V_1 ... V_K] (:func:`eacode.codeword_factors`) and the words
-    [U_1 B ... U_K B] with Pi_AB = B B† (:func:`eacode.encode`), and set
-    Y = Pi V; row k of the table is the block norms of Pi_{x_k} Y, and then
-    Y <- Pi (Y - Pi_{x_k} Y) (:func:`_chain`), so memory is a few d x Kc
-    and d x Kr blocks.  Tr sigma_k = |V_k|^2 must be 1 and every abort
-    weight at least -1e-9.
+    abort weight Tr{(I - sum_k Lambda_k) sigma_j}.  The T = 1 case of
+    :func:`sequential_tables`.
     """
-    (book,) = books
+    return sequential_tables(factor, [books], projectors)[0]
+
+
+def sequential_tables(factor: np.ndarray, codes,
+                      projectors: typicality.ProjectorBundle) -> list:
+    """The tables of :func:`sequential_table` for T codes, as one stack.
+
+    ``codes`` lists T one-book codes of the same message count.  Stack
+    V = [V_1 ... V_K] per code (:func:`eacode.codeword_stack`) and the
+    words [U_1 B ... U_K B] with Pi_AB = B B† (:func:`eacode.encode`), each
+    as a (T, d, .) array, and set Y = Pi V; row k of a table is the block
+    norms of Pi_{x_k} Y, and then Y <- Pi (Y - Pi_{x_k} Y) (:func:`_chain`),
+    so memory is a few T x d x Kc and T x d x Kr blocks.  Every product acts
+    on each code's matrices as it would on that code alone, so each table is
+    bit for bit the one of its code decoded alone.  Tr sigma_k = |V_k|^2
+    must be 1 and every abort weight at least -1e-9.
+    """
     space = projectors.space
-    sent, v, traces = eacode.codeword_factors(factor, books, space)
+    sent, v, traces = eacode.codeword_stack(factor, codes, space)
 
     def code(y):
         return projectors.apply("A", projectors.apply("B", y))
 
-    words = np.split(eacode.encode(projectors.basis("AB"), book.encoders,
-                                   space), len(sent), axis=1)
+    words = np.split(eacode.encode(projectors.basis("AB"),
+                                   [book for (book,) in codes], space),
+                     len(sent), axis=-1)
     weights = np.array([eacode.block_overlaps(p, p, len(sent))
                         for p in _chain(code(v), code, words)])
-    return eacode.codeword_table(sent, traces, weights)
+    return [eacode.codeword_table(sent, row, weights[:, t])
+            for t, row in enumerate(traces)]
 
 
 def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
@@ -433,8 +468,10 @@ def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
     Everything is read off the channel output factor R; neither rho_n nor a
     codeword state nor a POVM element is formed.  Each sampled book builds
     the encoders of its own entries, each once (:class:`eacode.EaCodeBook`).
-    Raises ``ValueError`` when the code or word projector is empty at this
-    ``delta``.
+    The trials are decoded in groups of :func:`trial_group` as one stack
+    (:func:`sequential_tables`), and each group's books are drawn when it
+    starts.  Raises ``ValueError`` when the code or word projector is empty
+    at this ``delta``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -449,11 +486,14 @@ def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
     bound = packing_lower_bound(PackingConstants(
         min(max(measured.epsilon, 1e-15), 1.0), measured.d, measured.D,
         message_count))
+    group = trial_group(16 * factor.size * message_count, message_count,
+                        trials)
     successes = []
-    for t in range(trials):
-        book = eacode.sample_code(decomp, message_count, seed + t)
-        table = sequential_table(factor, [book], projectors)
-        successes.append(float(np.diagonal(table).mean()))
+    for start in range(0, trials, group):
+        codes = [[eacode.sample_code(decomp, message_count, seed + t)]
+                 for t in range(start, min(start + group, trials))]
+        successes += [float(np.diagonal(table).mean())
+                      for table in sequential_tables(factor, codes, projectors)]
     arr = np.array(successes)
     stderr = float(arr.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return SeqReport(
@@ -643,8 +683,8 @@ def successive_table(factor: np.ndarray, books,
     alice, bob = books
     space = projectors.space
     sent, v, traces = eacode.codeword_factors(factor, books, space)
-    words = np.split(eacode.encode(projectors.basis("ABC"), bob.encoders,
-                                   space), bob.message_count, axis=1)
+    words = np.split(eacode.encode(projectors.basis("ABC"), [bob], space)[0],
+                     bob.message_count, axis=1)
 
     def code(y):
         for name in ("C", "B", "A"):

@@ -175,18 +175,22 @@ def _detection_factors(books, projectors: typicality.ProjectorBundle):
     (:meth:`~qmac.typicality.ProjectorBundle.apply`).  Z (Mr x q)
     holds Y's right singular vectors, less those of rounding residuals
     (:func:`qmat.rounding_residuals`), so Y_m = (Y Z) Z_m† with Z_m block m
-    of Z's rows, and W' = [W'_1 ... W'_L] with W'_l = U^T_1(s_l) Y Z.  Both
-    books' encoders act on their own shares (:func:`eacode.encode`): book
-    2's on B, book 1's on Y Z.
+    of Z's rows, and W' = [W'_1 ... W'_L] with W'_l = U^T_1(s_l) Y Z.  A
+    tall Y is first reduced to the Mr x Mr R of Y = QR, which has Y's
+    singular values and right singular vectors.  Both books' encoders act
+    on their own shares (:func:`eacode.encode`): book 2's on B, book 1's
+    on Y Z.
     """
     alice, bob = books
     space = projectors.space
-    y = eacode.encode(projectors.basis("ABC"), bob.encoders, space)
+    y = eacode.encode(projectors.basis("ABC"), [bob], space)[0]
     for name in ("B", "AC", "C", "AB"):
         y = projectors.apply(name, y)
-    _, sigma, zh = np.linalg.svd(y, full_matrices=False)
+    tall = y.shape[0] > y.shape[1]
+    _, sigma, zh = np.linalg.svd(np.linalg.qr(y, mode="r") if tall else y,
+                                 full_matrices=False)
     z = zh[~qmat.rounding_residuals(sigma, max(y.shape))].conj().T
-    return eacode.encode(y @ z, alice.encoders, space), z
+    return eacode.encode(y @ z, [alice], space)[0], z
 
 
 def gram_table(factor: np.ndarray, books,

@@ -216,6 +216,8 @@ def typical_projector(rho: qmat.DensityOperator, n: int, delta: float
     :func:`type_basis` of the retained types in the eigenbasis.
     Eigenvalues at most dim * machine epsilon * lambda_max are rounding
     residuals of zero (:func:`qmat.rounding_residuals`), and count as zero.
+    The eigenvalues descend, so the zeros are a suffix: only the types over
+    the support letters are enumerated, their counts padded with zeros.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -226,12 +228,13 @@ def typical_projector(rho: qmat.DensityOperator, n: int, delta: float
     vals[qmat.rounding_residuals(vals, len(vals))] = 0.0
     entropy = float(-sum(v * math.log2(v) for v in vals if v > 0))
     space = qmat.power_space(rho.space, n)
+    support = int(np.count_nonzero(vals))
+    zeros = (0,) * (len(vals) - support)
     typical = []
     weight = 0.0
     lam_max, lam_min = -np.inf, np.inf
-    for t in enumerate_types(n, len(vals)):
-        if any(c > 0 and vals[i] <= 0 for i, c in enumerate(t.counts)):
-            continue
+    for t in enumerate_types(n, support):
+        t = TypeClass(t.counts + zeros)
         log_lam = sum(c * math.log2(vals[i]) for i, c in enumerate(t.counts) if c)
         if abs(-log_lam / n - entropy) <= delta + 1e-12:
             typical.append(t)
@@ -305,13 +308,14 @@ class ProjectorBundle:
         """(Pi_name (x) I) @ mat on d x c blocks, as B (B† Y).
 
         One stacked product on the (before, d_X, after) view of ``mat``,
-        whose axis 1 is the name's contiguous run, so no row moves.  A
-        full-rank projector is the identity, so ``mat`` itself returns.
+        whose axis 1 is the name's contiguous run, so no row moves.  ``mat``
+        may be a stack of d x c blocks on its leading axes.  A full-rank
+        projector is the identity, so ``mat`` itself returns.
         """
         b = self.bases[name][1]
         if b.shape[1] == b.shape[0]:
             return mat
-        y = mat.reshape(self._shapes[name])
+        y = mat.reshape(mat.shape[:-2] + self._shapes[name])
         return (b @ (b.conj().T @ y)).reshape(mat.shape)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmac import cli, gaussian, qmat
+from qmac import cli, gaussian, qmat, seqdecode
 
 
 GOLDEN_MAC_N2_SEED0 = """\
@@ -402,6 +402,30 @@ def run_under_address_limit(limit: int, *argv):
                           text=True, timeout=120)
 
 
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reused_parser_prints_what_a_fresh_process_prints(self, capsys):
+        # main twice in one process, around an argv that exits 2, prints the
+        # bytes of a fresh run
+        good = ("simulate-seq", "--channel", "identity:2", "--n", "2",
+                "--trials", "3")
+        bad = ("simulate-seq", "--channel", "identity:2", "--n", "two")
+        limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+        fresh_good = run_under_address_limit(limit, *good)
+        fresh_bad = run_under_address_limit(limit, *bad)
+        assert (fresh_good.returncode, fresh_bad.returncode) == (0, 2)
+        code, first, _ = run(capsys, *good)
+        with pytest.raises(SystemExit) as caught:
+            cli.main(list(bad))
+        assert caught.value.code == 2
+        assert capsys.readouterr().err == fresh_bad.stderr
+        again, second, _ = run(capsys, *good)
+        assert code == again == 0
+        assert first == second == fresh_good.stdout
+
+
 class TestGaussianSweep:
     def test_two_steps_two_rows(self, capsys):
         code, out, _ = run(capsys, "gaussian-sweep", "--nsa", "1",
@@ -630,6 +654,18 @@ class TestSimulateSeq:
         proc = run_under_address_limit(limit, *argv)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["message_count"] == 4
+
+    def test_stacked_trials_run_under_a_limit_just_above_the_estimate(
+            self, monkeypatch):
+        # one trial's V is 256 x 64 complex entries, 256 KiB, so the 64
+        # trials run in four stacks of 16, which the estimate counts
+        argv = ("simulate-seq", "--channel", "amplitude-damping:0.3", "--n",
+                "4", "--messages", "4", "--trials", "64")
+        assert seqdecode.trial_group(16 * 256 * 16 * 4, 4, 64) == 16
+        limit = estimated_bytes(monkeypatch, *argv) + (1 << 20)
+        proc = run_under_address_limit(limit, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["success_mean"] == 0.824567703767
 
     def test_n4_beyond_index_set_cap(self, capsys):
         # |S| = 294912 on d = 256: the protocol never enumerates S

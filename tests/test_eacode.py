@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qmac import eacode, qmat
+from qmac import eacode, qmat, typicality
 from qmac.eacode import HwIndex
 from qmac.qmat import FactorSpace, PureState
 
@@ -93,6 +93,19 @@ class TestTypeDecompose:
             math.sqrt(p) * dec.block_vector(i) for i, p in enumerate(dec.probs)
         )
         assert np.linalg.norm(rebuilt - dec.phi_n.vector) < 1e-10
+
+    def test_reassembly_defect_is_checked(self, monkeypatch):
+        # one perturbed entry of a block basis misses the n-fold state
+        type_basis = typicality.type_basis
+
+        def perturbed(types, local_basis):
+            b = type_basis(types, local_basis)
+            b[0, -1] += 1e-6
+            return b
+
+        monkeypatch.setattr(typicality, "type_basis", perturbed)
+        with pytest.raises(AssertionError, match="reassembly misses"):
+            eacode.type_decompose(schmidt_state([0.6, 0.4]), 2)
 
     def test_blocks_maximally_entangled(self):
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)

@@ -639,6 +639,60 @@ class TestSequentialWeights:
                 qmat.named_channel("identity:2"), bell_state(), 1, 2, 1.0,
                 0, 1)
 
+    @pytest.mark.parametrize("spec,weights,n,messages", [
+        ("amplitude-damping:0.3", [0.7, 0.3], 3, 4),
+        ("depolarizing:0.2", [0.8, 0.2], 2, 6),
+        ("identity:2", None, 2, 1),
+    ])
+    def test_each_table_of_a_stack_is_its_code_alone(self, spec, weights, n,
+                                                     messages):
+        ch = qmat.named_channel(spec)
+        phi = bell_state() if weights is None else schmidt_state(weights)
+        decomp = eacode.type_decompose(phi, n)
+        factor = eacode.channel_output_factor(ch, [decomp])
+        projectors = seqdecode.sequential_projectors(ch, decomp, 1.0)
+        codes = [[eacode.sample_code(decomp, messages, seed)]
+                 for seed in range(5)]
+        stacked = seqdecode.sequential_tables(factor, codes, projectors)
+        assert len(stacked) == 5
+        for books, table in zip(codes, stacked):
+            assert np.array_equal(
+                table, seqdecode.sequential_table(factor, books, projectors))
+
+    # one trial's V is 64 x 32 complex entries (32 KiB) for 4 codewords:
+    # GROUP_BYTES = 0 decodes the trials one by one, three trials' V make
+    # groups of 3, and 8 codewords groups of 2
+    @pytest.mark.parametrize("limit,value,groups", [
+        ("GROUP_BYTES", 0, [1] * 7),
+        ("GROUP_BYTES", 3 * 32768, [3, 3, 1]),
+        ("GROUP_CODEWORDS", 8, [2, 2, 2, 1]),
+    ])
+    def test_grouping_leaves_the_report_unchanged(self, monkeypatch, limit,
+                                                  value, groups):
+        args = (qmat.named_channel("amplitude-damping:0.3"),
+                schmidt_state([0.7, 0.3]), 3, 4, 1.0, 0, 7)
+        calls = []
+        tables = seqdecode.sequential_tables
+
+        def counted(factor, codes, projectors):
+            calls.append(len(codes))
+            return tables(factor, codes, projectors)
+
+        monkeypatch.setattr(seqdecode, "sequential_tables", counted)
+        stacked = seqdecode.ea_sequential_protocol(*args)
+        monkeypatch.setattr(seqdecode, limit, value)
+        grouped = seqdecode.ea_sequential_protocol(*args)
+        assert calls == [7] + groups
+        assert grouped == stacked
+
+    def test_trial_group(self):
+        assert seqdecode.trial_group(1 << 20, 4, 64) == 4
+        assert seqdecode.trial_group(1 << 20, 4, 3) == 3
+        assert seqdecode.trial_group(5 << 20, 4, 64) == 1
+        # tiny trials: the codeword count bounds the group
+        assert seqdecode.trial_group(64, 4, 10**6) == 256
+        assert seqdecode.trial_group(64, 2000, 64) == 1
+
     def test_blocklength_five(self):
         # the dense path measured 0.986686862179 here in about 70 s
         rep = seqdecode.ea_sequential_protocol(

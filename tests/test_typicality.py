@@ -206,6 +206,76 @@ class TestTypicalProjector:
         with pytest.raises(ValueError, match="delta"):
             typicality.typical_projector(qubit_state(0.8), 2, delta)
 
+    @staticmethod
+    def mac_marginal(spec, phi, keep):
+        # the single-copy marginal that mac_typical_projectors reads
+        channel = qmat.named_channel(spec)
+        shares = [schmidt_state(phi, "Ap", "A"),
+                  schmidt_state([0.5, 0.5], "Bp", "B")]
+        return qmat.partial_trace(info.ea_code_state(channel, shares),
+                                  keep + channel.out_space.labels)
+
+    @staticmethod
+    def full_alphabet(rho, n, delta):
+        # reference: every type over the full eigen-alphabet, those touching
+        # a zero eigenvalue skipped
+        vals, vecs = qmat.eig_hermitian(rho)
+        vals = np.clip(vals.real, 0.0, None)
+        vals[qmat.rounding_residuals(vals, len(vals))] = 0.0
+        entropy = float(-sum(v * math.log2(v) for v in vals if v > 0))
+        typical, weight = [], 0.0
+        lam_max, lam_min = -np.inf, np.inf
+        for t in typicality.enumerate_types(n, len(vals)):
+            if any(c > 0 and vals[i] <= 0 for i, c in enumerate(t.counts)):
+                continue
+            log_lam = sum(c * math.log2(vals[i])
+                          for i, c in enumerate(t.counts) if c)
+            if abs(-log_lam / n - entropy) <= delta + 1e-12:
+                typical.append(t)
+                lam = 2.0**log_lam
+                weight += t.dim * lam
+                lam_max, lam_min = max(lam_max, lam), min(lam_min, lam)
+        return typicality.type_basis(typical, vecs), weight, lam_max, lam_min
+
+    RANK_DEFICIENT = {
+        "cnot-mac-ABC": ("cnot-mac", [0.5, 0.5], ("A", "B")),
+        "cnot-mac-AC": ("cnot-mac", [0.5, 0.5], ("A",)),
+        "adder-mac-ABC": ("adder-mac", [0.7, 0.3], ("A", "B")),
+        "adder-mac-AC": ("adder-mac", [0.7, 0.3], ("A",)),
+    }
+
+    @pytest.mark.parametrize("spec,phi,keep", RANK_DEFICIENT.values(),
+                             ids=RANK_DEFICIENT)
+    @pytest.mark.parametrize("delta", [0.3, 1.0])
+    def test_support_letters_give_the_full_alphabet_projector(
+            self, spec, phi, keep, delta):
+        rho = self.mac_marginal(spec, phi, keep)
+        tp = typicality.typical_projector(rho, 2, delta)
+        basis, weight, lam_max, lam_min = self.full_alphabet(rho, 2, delta)
+        assert tp.rank > 0
+        assert np.array_equal(tp.basis, basis)
+        assert (tp.weight, tp.lambda_max, tp.lambda_min) == (
+            weight, lam_max, lam_min)
+
+    @pytest.mark.parametrize("spec,phi,keep", RANK_DEFICIENT.values(),
+                             ids=RANK_DEFICIENT)
+    def test_types_enumerated_over_the_support(self, monkeypatch, spec, phi,
+                                               keep):
+        # the ABC (dim 16 or 12) and AC (8 or 6) marginals have rank 4, so
+        # n = 2 enumerates 10 types, not 136, 78, 36 or 21
+        rho = self.mac_marginal(spec, phi, keep)
+        sizes = []
+        enumerate_types = typicality.enumerate_types
+
+        def spy(n, alphabet_size):
+            sizes.append(alphabet_size)
+            return enumerate_types(n, alphabet_size)
+
+        monkeypatch.setattr(typicality, "enumerate_types", spy)
+        typicality.typical_projector(rho, 2, 1.0)
+        assert rho.space.dim > 4
+        assert sizes == [4]
+
     def test_multipartite_marginal_usage(self):
         # projector built on a designated marginal embeds by label
         rng = np.random.default_rng(55)
