@@ -208,10 +208,15 @@ def _check_memory(channel, args, k: int, decoder: str) -> int:
     the joint projector's rank r <= c) twice; twice each typical
     projector's basis, d_X^n x r_X^n on a marginal of single-copy dimension
     d_X and rank r_X <= min(d_X, K d_1 / d_X) for the single-copy output's
-    d_1; the encoders of two books (the next trial's and the last),
-    d_share^2 each; and four n-fold shared states.  At 8 B it counts the
-    k x k weights and the (k + 1) x k table.  The sequential decoder stacks
-    a group of trials (:func:`seqdecode.trial_group`; R has exactly c
+    d_1; two books per sender (the next trial's and the last), whose
+    entries each hold a d_share^n x d_share^n slice of the book's encoder
+    stack and, measured at under 256 (1 + T) B for T type blocks, their
+    draws, index objects and share of the book's own objects; each
+    sender's phase rows, d_share^n entries per drawn entry and at most
+    2 d_share^2n in all; and four n-fold shared states.  At 8 B it counts
+    three k x k copies of the decoded weights (their rows, the rows' array
+    and the table with its abort row).  The sequential decoder stacks a
+    group of trials (:func:`seqdecode.trial_group`; R has exactly c
     columns there), so its V, books, weights and tables count once per
     trial of the group.
     """
@@ -227,12 +232,16 @@ def _check_memory(channel, args, k: int, decoder: str) -> int:
         marginals = (*shares, out, shares[0] * shares[1], shares[0] * out,
                      single)
         books = (args.L, args.M)
-    need = _BASE_BYTES + 8 * group * k * (2 * k + 1) + 16 * (
+    drawn = [args.trials * b // group for b in books]  # entries per sender
+    # one book entry in units of 16 B: its stack slice, draws and objects
+    entry = [s**(2 * n) + 16 * (1 + math.comb(n + s - 1, n)) for s in shares]
+    need = _BASE_BYTES + 8 * group * k * (3 * k + 1) + 16 * (
         _V_COPIES[decoder] * group * d * k * c
         + (2 * args.L * min(d, args.M * c) * k * c
            if decoder == "simultaneous" else 0)
         + 2 * sum(m**n * min(m, single // m * kraus)**n for m in marginals)
-        + 2 * sum(b * s**(2 * n) for b, s in zip(books, shares))
+        + 2 * sum(b * e for b, e in zip(books, entry))
+        + sum(min(t, 2 * s**n) * s**n for t, s in zip(drawn, shares))
         + 4 * math.prod(shares)**(2 * n))
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
     limit = min(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"),

@@ -30,6 +30,7 @@ __all__ = [
     "transpose_trick_residual",
     "enumerate_indices",
     "index_set_size",
+    "encoder_stack",
     "sample_code",
     "channel_output_space",
     "channel_output_factor",
@@ -115,6 +116,7 @@ class TypeDecomposition:
         self.receiver_label = receiver
         self.schmidt_probs = coeffs**2
         self.types = tuple(typicality.enumerate_types(n, d))
+        self.block_dims = tuple(t.dim for t in self.types)
         self.probs = np.array(
             [
                 t.dim * math.prod(
@@ -147,6 +149,10 @@ class TypeDecomposition:
         self.block_slices = [
             slice(start, start + d) for start, d in zip(starts, self.block_dims)
         ]
+        # each column's block dimension and block start (encoder_stack)
+        self._column_dims = np.repeat(self.block_dims, self.block_dims)
+        self._column_starts = np.repeat(
+            [sl.start for sl in self.block_slices], self.block_dims)
         self._sender_block_basis = typicality.type_basis(self.types, left)
         self._receiver_block_basis = typicality.type_basis(self.types, right)
         # sum_t sqrt(p_t) |block t> = sum_j w_j s_j (x) r_j with
@@ -159,10 +165,7 @@ class TypeDecomposition:
             raise AssertionError(
                 f"type-block reassembly misses the n-fold state by {defect:.3e}"
             )
-
-    @property
-    def block_dims(self) -> tuple[int, ...]:
-        return tuple(t.dim for t in self.types)
+        self._phase_rows = {}
 
     def block_vector(self, t_index: int) -> np.ndarray:
         """Unit vector of the maximally entangled block t on ``full_space``."""
@@ -177,6 +180,19 @@ class TypeDecomposition:
 
     def block_state(self, t_index: int) -> PureState:
         return PureState(self.full_space, self.block_vector(t_index))
+
+    def phase_row(self, d: int, z: int, b: int) -> np.ndarray:
+        """(-1)^b e^{2 pi i j z / d} for j < d, built once per (d, z, b).
+
+        The entries of :func:`_block_matrix` in a block of dimension d, from
+        the same scalar expressions, so the encoders read from this table
+        are bit for bit the ones :func:`hw_transpose_unitary` builds.
+        """
+        key = (d, z, b)
+        if key not in self._phase_rows:
+            row = np.array([np.exp(2j * np.pi * j * z / d) for j in range(d)])
+            self._phase_rows[key] = (-1.0) ** b * row
+        return self._phase_rows[key]
 
 
 def type_decompose(phi: PureState, n: int) -> TypeDecomposition:
@@ -270,31 +286,78 @@ def enumerate_indices(decomp: TypeDecomposition):
         yield HwIndex(combo, decomp.block_dims)
 
 
+def encoder_stack(decomp: TypeDecomposition, draws: np.ndarray) -> np.ndarray:
+    """U^T(s_k) of each row of ``draws``, one read-only (K, d_s, d_s) stack.
+
+    ``draws`` is a (K, blocks, 3) integer array of the triples (x_t, z_t,
+    b_t).  Slice k equals :func:`hw_transpose_unitary` of row k bit for bit:
+    the block matrices M_k of all K rows are filled by one fancy-index
+    assignment, with phases from :meth:`TypeDecomposition.phase_row`, and
+    C M_k^T C† is then written over M_k, C the receiver's type basis, one
+    slice at a time, so no temporary beyond one d_s x d_s matrix is held.
+    """
+    if draws.shape[1:] != (len(decomp.types), 3):
+        raise ValueError(
+            "index block dimensions do not match the decomposition")
+    k, d_s = len(draws), decomp.receiver_space.dim
+    dims, start = decomp._column_dims, decomp._column_starts
+    cols = np.arange(d_s)
+    # M[start + (j + x) % d, start + j] = (-1)^b e^{2 pi i j z / d}
+    x = np.repeat(draws[:, :, 0], decomp.block_dims, axis=1)
+    rows = start + (cols - start + x) % dims
+    phases = [decomp.phase_row(d, z, b) for triples in draws.tolist()
+              for d, (_, z, b) in zip(decomp.block_dims, triples)]
+    stack = np.zeros((k, d_s, d_s), dtype=complex)
+    if k:
+        stack[np.arange(k)[:, None], rows, cols] = np.concatenate(
+            phases).reshape(k, d_s)
+    c = decomp._receiver_block_basis
+    c_dag = c.conj().T
+    for m in stack:
+        np.matmul(c @ m.T, c_dag, out=m)
+    stack.setflags(write=False)
+    return stack
+
+
 @dataclass(frozen=True, slots=True)
 class EaCodeBook:
     """A random code: one Heisenberg-Weyl index vector per message.
 
-    ``encoders`` holds the receiver encoder U^T(s) of each entry, in
-    message order (:func:`receiver_encoder`), built once with the book.
+    ``draws`` holds the entries as a read-only (K, blocks, 3) integer array
+    of their triples (x_t, z_t, b_t), and ``stack`` their receiver encoders
+    U^T(s) as one read-only (K, d_s, d_s) array, both in message order and
+    built once with the book (:func:`encoder_stack`).  ``stack[k]`` equals
+    :func:`hw_transpose_unitary` of entry k bit for bit, and
+    :meth:`encoder` wraps it as an operator on the receiver share.
     """
 
     message_count: int
     entries: tuple[HwIndex, ...]
     seed: int
     decomp: TypeDecomposition
-    encoders: tuple[qmat.Operator, ...] = field(
-        init=False, compare=False, repr=False)
+    draws: np.ndarray = field(init=False, compare=False, repr=False)
+    stack: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         entries = tuple(self.entries)
         if len(entries) != self.message_count:
             raise ValueError("entry count must equal message_count")
+        if any(s.block_dims != self.decomp.block_dims for s in entries):
+            raise ValueError(
+                "index block dimensions do not match the decomposition")
+        draws = np.array([s.triples for s in entries], dtype=np.intp
+                         ).reshape(len(entries), len(self.decomp.types), 3)
+        draws.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "encoders", tuple(
-            receiver_encoder(self.decomp, s) for s in entries))
+        object.__setattr__(self, "draws", draws)
+        object.__setattr__(self, "stack", encoder_stack(self.decomp, draws))
 
     def __getitem__(self, m: int) -> HwIndex:
         return self.entries[m]
+
+    def encoder(self, m: int) -> qmat.Operator:
+        """U^T of entry ``m`` on the receiver share, read from the stack."""
+        return qmat.Operator(self.decomp.receiver_space, self.stack[m])
 
 
 def sample_code(decomp: TypeDecomposition, message_count: int, seed: int
@@ -302,19 +365,23 @@ def sample_code(decomp: TypeDecomposition, message_count: int, seed: int
     """Draw a codebook uniformly from the full index set S.
 
     Per-message draws come from a counter-based generator keyed by the seed
-    with the counter offset by the message index, so books are reproducible
-    and messages can be sampled independently (or in parallel) in any
-    order.
+    with the counter offset by the message index (Philox, counter
+    m << 128), so books are reproducible and messages can be sampled
+    independently (or in parallel) in any order.  Message m draws x_t, z_t
+    and b_t block by block, below d_t, d_t and 2.  One generator serves the
+    book with its counter reset per message, and one ``integers`` call on
+    those bounds draws what the scalar calls draw, bit for bit.
     """
+    bits = np.random.Philox(key=seed)
+    rng = np.random.Generator(bits)
+    state = bits.state
+    highs = np.repeat(np.array(decomp.block_dims), 3)
+    highs[2::3] = 2
     entries = []
     for m in range(message_count):
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=m << 128))
-        triples = []
-        for d in decomp.block_dims:
-            x = int(rng.integers(d))
-            z = int(rng.integers(d))
-            b = int(rng.integers(2))
-            triples.append((x, z, b))
+        state["state"]["counter"] = np.array([0, 0, m, 0], dtype=np.uint64)
+        bits.state = state  # also empties the output buffer
+        triples = rng.integers(highs).reshape(-1, 3).tolist()
         entries.append(HwIndex(triples, decomp.block_dims))
     return EaCodeBook(message_count, entries, seed, decomp)
 
@@ -377,26 +444,45 @@ def receiver_encoder(decomp: TypeDecomposition, s: HwIndex) -> qmat.Operator:
 
     Each sender's encoder acts on its own share only, so the encoders of
     two senders commute and no joint encoder is formed; apply one with
-    :func:`encode`, :func:`qmat.apply_local` or :func:`qmat.conjugate_local`.
+    :func:`qmat.apply_local` or :func:`qmat.conjugate_local`.  The
+    per-index oracle of a book's stack (:class:`EaCodeBook`), which
+    :func:`encode` applies.
     """
     return qmat.Operator(decomp.receiver_space, hw_transpose_unitary(s, decomp))
+
+
+# :func:`encode` forms at most ENCODE_BYTES of encoded blocks per product,
+# or one block where that is larger, so its temporary stays small
+ENCODE_BYTES = 4 << 20
 
 
 def encode(x: np.ndarray, books, space: FactorSpace) -> np.ndarray:
     """The (T, d, Kc) stack of [U_1 X ... U_K X], one per book of ``books``.
 
     ``books`` holds T :class:`EaCodeBook`s of one sender, K entries each;
-    U_k is a book's k-th receiver encoder, applied on the sender's own share
-    of ``space`` (:func:`qmat.apply_local`).  ``x`` is d x c, shared by
-    every book, or (T, d, c), one per book.  The blocks are written into one
-    preallocated stack.
+    U_k is a book's k-th receiver encoder (``book.stack[k]``), applied on
+    the sender's own share of ``space``.  ``x`` is d x c, shared by every
+    book, or (T, d, c), one per book.  The books' stacks act as one stacked
+    product on the share's (before, d_s, after) view of X
+    (:func:`qmat.local_shape`), on as many entries at a time as keep the
+    product within ``ENCODE_BYTES``, and the blocks are moved into one
+    preallocated stack.  Each block is bit for bit the product
+    :func:`qmat.apply_local` forms.
     """
-    c = x.shape[-1]
-    x = np.broadcast_to(x, (len(books),) + x.shape[-2:])
-    out = np.empty(x.shape[:2] + (books[0].message_count * c,), dtype=complex)
-    for t, book in enumerate(books):
-        for k, u in enumerate(book.encoders):
-            out[t, :, k * c:(k + 1) * c] = qmat.apply_local(u, x[t], space)
+    t, c, k = len(books), x.shape[-1], books[0].message_count
+    x = np.broadcast_to(x, (t,) + x.shape[-2:])
+    before, d_s, _ = qmat.local_shape(books[0].decomp.receiver_space, space)
+    out = np.empty(x.shape[:2] + (k * c,), dtype=complex)
+    blocks = out.reshape(t, before, d_s, -1, k, c)
+    view = x.reshape(t, before, 1, d_s, -1)
+    step = max(1, ENCODE_BYTES // (16 * x[0].size * t))
+    for lo in range(0, k, step):
+        # one book's stack is read in place, not copied
+        u = (books[0].stack[None, lo:lo + step] if t == 1 else
+             np.stack([book.stack[lo:lo + step] for book in books]))
+        # (T, before, entries, d_s, after, c), freed once moved
+        blocks[..., lo:lo + step, :] = np.matmul(u[:, None], view).reshape(
+            t, before, -1, d_s, blocks.shape[3], c).transpose(0, 1, 3, 4, 2, 5)
     return out
 
 
@@ -506,7 +592,9 @@ def codeword_stack(factor: np.ndarray, codes, space: FactorSpace):
 
     ``codes`` lists T codes of the same shape, each a list of K books as in
     :func:`codeword_factors`.  V is their (T, d, kc) stack and traces the
-    (T, k) stack of their traces, each checked.
+    (T, k) stack of their traces, each checked.  Each sender's T books
+    encode in one :func:`encode`, their encoder stacks acting as one
+    stacked product.
     """
     for books in codes:
         if len({b.seed for b in books}) < len(books):

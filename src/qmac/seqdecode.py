@@ -395,8 +395,9 @@ def _chain(y: np.ndarray, project, words):
 # A group of stacked trials (:func:`trial_group`) holds at most GROUP_BYTES
 # of codeword stacks V and GROUP_CODEWORDS codewords, unless one trial alone
 # holds more.  Past a few hundred codewords a larger stack saves no numpy
-# calls, while each codeword's book entry holds about 1 KiB of Python
-# objects, which a stack of tiny trials would otherwise multiply.
+# calls, while each codeword's book entry holds its encoder and 0.4 to 0.7
+# KiB of index objects and array headers (tracemalloc at n = 1, in books of
+# 1,024 and of 2 entries), which a stack of tiny trials would multiply.
 GROUP_BYTES = 4 << 20
 GROUP_CODEWORDS = 1024
 
@@ -467,7 +468,7 @@ def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
     constants taken over the full index set (:func:`ea_packing_constants`).
     Everything is read off the channel output factor R; neither rho_n nor a
     codeword state nor a POVM element is formed.  Each sampled book builds
-    the encoders of its own entries, each once (:class:`eacode.EaCodeBook`).
+    its entries' encoders once, as one stack (:class:`eacode.EaCodeBook`).
     The trials are decoded in groups of :func:`trial_group` as one stack
     (:func:`sequential_tables`), and each group's books are drawn when it
     starts.  Raises ``ValueError`` when the code or word projector is empty
@@ -642,9 +643,9 @@ def ea_successive_povm(books, projectors: typicality.ProjectorBundle
     b1, b2 = books
     pi = projectors.embedded
     code_proj = pi("A") @ pi("B") @ pi("C")
-    alice = dict(zip(b1.entries, b1.encoders))
-    bob = {t: qmat.conjugate_local(u, pi("ABC"), full)
-           for t, u in zip(b2.entries, b2.encoders)}
+    alice = {s: b1.encoder(k) for k, s in enumerate(b1.entries)}
+    bob = {t: qmat.conjugate_local(b2.encoder(k), pi("ABC"), full)
+           for k, t in enumerate(b2.entries)}
     words_x = {s: qmat.conjugate_local(u, pi("AC"), full) @ pi("B")
                for s, u in alice.items()}
     words_xy = {(s, t): qmat.conjugate_local(u, w, full)
@@ -696,7 +697,8 @@ def successive_table(factor: np.ndarray, books,
 
     rows = []
     y = v
-    for l, u in enumerate(alice.encoders):
+    for l in range(alice.message_count):
+        u = alice.encoder(l)
         u_dag = qmat.Operator(u.space, u.matrix.conj().T)
         start = pi_x(qmat.apply_local(u_dag, y, space))
         rows += [eacode.block_overlaps(p, p, len(sent))

@@ -94,7 +94,7 @@ def build_upsilon(books, l: int, m: int,
     share (``qmat.conjugate_local``).  The oracle of :func:`gram_table`.
     """
     full = projectors.space
-    u1, u2 = books[0].encoders[l], books[1].encoders[m]
+    u1, u2 = books[0].encoder(l), books[1].encoder(m)
     pi = projectors.embedded
     wing = (pi("B") @ pi("AC")) @ (pi("C") @ pi("AB"))
     inner = qmat.conjugate_local(u2, projectors.embedded("ABC"), full)

@@ -9,6 +9,7 @@ an eigenvalue product, so projectors are assembled block by block.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -123,15 +124,40 @@ def type_sequences(t: TypeClass):
     yield from rec()
 
 
+@functools.lru_cache(maxsize=16)
+def _sequence_table(n: int, alphabet_size: int) -> dict:
+    """Type counts -> the (d_t, n) array of that type's sequences, in
+    lexicographic order, for every length-n sequence over the alphabet.
+
+    One ``np.indices`` table in lexicographic order, grouped by type with a
+    stable sort, so each group keeps that order (:func:`type_sequences`).
+    The arrays are read-only, since one command's types share them.
+    """
+    seqs = np.indices((alphabet_size,) * n).reshape(n, -1).T
+    counts = np.stack([(seqs == letter).sum(axis=1)
+                       for letter in range(alphabet_size)], axis=1)
+    keys, inverse = np.unique(counts, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    groups = np.split(seqs[np.argsort(inverse, kind="stable")],
+                      np.cumsum(np.bincount(inverse))[:-1])
+    for g in groups:
+        g.setflags(write=False)
+    return {tuple(k.tolist()): g for k, g in zip(keys, groups)}
+
+
 def type_basis(types: Sequence[TypeClass], local_basis: np.ndarray) -> np.ndarray:
     """Product vectors  b_{z1} (x) ... (x) b_{zn}  as columns, one per sequence.
 
     Columns run type by type and lexicographically within each type, so
     each type owns a contiguous run of ``t.dim`` columns; ``local_basis``
-    holds the single-copy basis as columns.
+    holds the single-copy basis as columns.  The sequences come from one
+    cached table over the letters the types use (:func:`_sequence_table`).
     """
     local_basis = np.asarray(local_basis, dtype=complex)
-    seqs = np.array([seq for t in types for seq in type_sequences(t)])
+    used = 1 + max(max((i for i, c in enumerate(t.counts) if c), default=0)
+                   for t in types)
+    table = _sequence_table(types[0].n, used)
+    seqs = np.concatenate([table[t.counts[:used]] for t in types])
     cols = local_basis[:, seqs[:, 0]]
     for letters in seqs.T[1:]:
         # column-wise Kronecker product with the next letter's basis vector

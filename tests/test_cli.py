@@ -667,6 +667,17 @@ class TestSimulateSeq:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["success_mean"] == 0.824567703767
 
+    def test_many_messages_run_under_a_limit_just_above_the_estimate(
+            self, monkeypatch):
+        # 1,024 codewords on d = 4: the three 8 MiB copies of the k x k
+        # weights, not V, set the peak, and the estimate counts all three
+        argv = ("simulate-seq", "--channel", "identity:2", "--n", "1",
+                "--messages", "1024", "--trials", "40")
+        limit = estimated_bytes(monkeypatch, *argv) + (1 << 20)
+        proc = run_under_address_limit(limit, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["success_mean"] == 0.001953125
+
     def test_n4_beyond_index_set_cap(self, capsys):
         # |S| = 294912 on d = 256: the protocol never enumerates S
         code, out, _ = run(capsys, "simulate-seq", "--channel",

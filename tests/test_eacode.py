@@ -273,7 +273,53 @@ class TestReceiverEncoders:
             assert np.max(np.abs(ab.matrix - ba.matrix)) < 1e-12
 
 
+SEEDS = [0, 1, 2**31, 2**63 - 1, 2**64 - 1]
+SCHMIDT = {"2 letters": [0.7, 0.3], "3 letters": [0.5, 0.3, 0.2]}
+
+
+def per_message_entries(decomp, message_count, seed):
+    """Reference draws: a generator per message, keyed by the seed with
+    counter m << 128, and scalar draws below d_t, d_t and 2 block by block."""
+    entries = []
+    for m in range(message_count):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=m << 128))
+        entries.append(HwIndex(
+            [(int(rng.integers(d)), int(rng.integers(d)), int(rng.integers(2)))
+             for d in decomp.block_dims], decomp.block_dims))
+    return tuple(entries)
+
+
 class TestSampleCode:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("weights", list(SCHMIDT))
+    def test_draws_pinned_to_per_message_generators(self, weights, n):
+        dec = eacode.type_decompose(schmidt_state(SCHMIDT[weights]), n)
+        for seed in SEEDS:
+            book = eacode.sample_code(dec, 8, seed)
+            want = per_message_entries(dec, 8, seed)
+            assert book.entries == want
+            assert book.draws.tolist() == [list(map(list, s.triples))
+                                           for s in want]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("weights", list(SCHMIDT))
+    def test_stack_is_the_oracle_encoder_bit_for_bit(self, weights, n):
+        dec = eacode.type_decompose(schmidt_state(SCHMIDT[weights]), n)
+        for seed in SEEDS:
+            book = eacode.sample_code(dec, 8, seed)
+            assert book.stack.shape == (8,) + (dec.receiver_space.dim,) * 2
+            assert not book.stack.flags.writeable
+            for k, s in enumerate(book.entries):
+                assert np.array_equal(book.stack[k],
+                                      eacode.hw_transpose_unitary(s, dec))
+
+    def test_entries_of_another_decomposition_refused(self):
+        dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)
+        other = eacode.type_decompose(schmidt_state([0.7, 0.3]), 1)
+        entries = eacode.sample_code(other, 2, 0).entries
+        with pytest.raises(ValueError, match="block dimensions"):
+            eacode.EaCodeBook(2, entries, 0, dec)
+
     def test_reproducible(self):
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)
         b1 = eacode.sample_code(dec, 5, seed=99)
@@ -405,8 +451,43 @@ class TestAverageCodewordState:
             eacode.average_codeword_state(swapped, dec)
 
 
+def encode_by_apply_local(x, books, space):
+    """Reference for eacode.encode: one qmat.apply_local per entry, of the
+    oracle encoder, into the (T, d, Kc) stack."""
+    x = np.broadcast_to(x, (len(books),) + x.shape[-2:])
+    return np.array([
+        np.hstack([qmat.apply_local(eacode.receiver_encoder(book.decomp, s),
+                                    x_t, space) for s in book.entries])
+        for book, x_t in zip(books, x)])
+
+
 class TestEncode:
     """Codeword states: the channel output conjugated by receiver encoders."""
+
+    @pytest.mark.parametrize("case", ["bob's share, first",
+                                      "alice's share, behind bob's",
+                                      "a (T, d, c) stack",
+                                      "in one-entry products"])
+    def test_stacked_encode_is_apply_local_bit_for_bit(self, monkeypatch,
+                                                       case):
+        ch = qmat.named_channel("cnot-mac")
+        d1 = eacode.type_decompose(schmidt_state([0.7, 0.3], "Ap", "A"), 2)
+        d2 = eacode.type_decompose(schmidt_state([0.6, 0.4], "Bp", "B"), 2)
+        space = eacode.channel_output_space(ch, [d1, d2])
+        assert space.labels[:4] == ("B1", "B2", "A1", "A2")
+        r = eacode.channel_output_factor(ch, [d1, d2])
+        x, books = r, [eacode.sample_code(d1, 3, 7)]
+        if case.startswith("bob"):
+            books = [eacode.sample_code(d2, 3, 7)]
+        elif case.startswith("a (T"):
+            x = np.stack([r, eacode.encode(r, [eacode.sample_code(d2, 1, 8)],
+                                           space)[0]])
+            books = [eacode.sample_code(d1, 3, seed) for seed in (7, 9)]
+        elif case.startswith("in one"):
+            monkeypatch.setattr(eacode, "ENCODE_BYTES", 1)
+        got = eacode.encode(x, books, space)
+        assert got.shape == (len(books), r.shape[0], 3 * r.shape[1])
+        assert np.array_equal(got, encode_by_apply_local(x, books, space))
 
     def test_identity_channel_zero_index(self):
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 1)

@@ -349,25 +349,31 @@ class TestCovariantPackingConstants:
             )
 
     def test_codewords_built_only_for_drawn_indices(self, monkeypatch):
-        calls = []
-        original = eacode.hw_transpose_unitary
+        trials, messages = 3, 4
+        phi = schmidt_state([0.7, 0.3])
+        decomp = eacode.type_decompose(phi, 3)
+        drawn = [str(s) for t in range(trials) for s in
+                 eacode.sample_code(decomp, messages, t).draws.tolist()]
+        built = []
+        original = eacode.encoder_stack
 
-        def counting(s, decomp):
-            calls.append(s)
-            return original(s, decomp)
+        def counting(decomp, draws):
+            built.extend(map(str, draws.tolist()))
+            return original(decomp, draws)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the protocol enumerated the index set")
 
-        monkeypatch.setattr(eacode, "hw_transpose_unitary", counting)
+        monkeypatch.setattr(eacode, "encoder_stack", counting)
+        monkeypatch.setattr(eacode, "hw_transpose_unitary", refuse)
         monkeypatch.setattr(seqdecode, "ea_protocol_instance", refuse)
-        trials, messages = 3, 4
         seqdecode.ea_sequential_protocol(
-            qmat.named_channel("amplitude-damping:0.3"),
-            schmidt_state([0.7, 0.3]), 3, messages, 1.0, 0, trials,
+            qmat.named_channel("amplitude-damping:0.3"), phi, 3, messages,
+            1.0, 0, trials,
         )
-        assert 0 < len(calls) <= trials * messages
-        assert len(set(calls)) == len(calls)  # each index built once
+        assert 0 < len(built) <= trials * messages
+        assert len(set(built)) == len(built)  # each index built once
+        assert built == drawn  # the books' entries, in trial order
 
     def test_index_set_beyond_oracle_cap(self):
         # n = 4: |S| = 294912, refused by the oracle, run by the protocol

@@ -574,20 +574,25 @@ class TestOnePassEvaluation:
 
     @staticmethod
     def count_encoders_and_tensors(monkeypatch):
+        # "entries" counts the encoders that the stacks build; the per-index
+        # oracle hw_transpose_unitary is counted too, and must not run
         calls = Counter()
-        for module, name in ((eacode, "hw_transpose_unitary"),
+        for module, name in ((eacode, "encoder_stack"),
+                             (eacode, "hw_transpose_unitary"),
                              (qmat, "tensor")):
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
+                if _name == "encoder_stack":
+                    calls["entries"] += len(args[1])
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
         return calls
 
     @pytest.mark.parametrize("mode", list(DECODERS))
     def test_each_encoder_built_once_on_its_own_share(self, monkeypatch, mode):
-        # one encoder per codebook entry, L + M in all, and no joint
-        # encoder: the only tensor products are the channel input and the
-        # code state of the typical projectors
+        # one stack per codebook, one encoder per entry, L + M in all, and
+        # no joint encoder: the only tensor products are the channel input
+        # and the code state of the typical projectors
         calls = self.count_encoders_and_tensors(monkeypatch)
         ch = qmat.named_channel("cnot-mac")
         d1 = eacode.type_decompose(schmidt_state([0.7, 0.3], "Ap", "A"), 2)
@@ -595,14 +600,15 @@ class TestOnePassEvaluation:
         calls.clear()
         books = sample_books((d1, d2), (4, 4), (0, 1))
         run_experiment(ch, books, mode, 1.0)
-        assert calls == {"hw_transpose_unitary": 8, "tensor": 2}
+        assert calls == {"encoder_stack": 2, "entries": 8, "tensor": 2}
 
     def test_sequential_trial_builds_each_encoder_once(self, monkeypatch):
         calls = self.count_encoders_and_tensors(monkeypatch)
         seqdecode.ea_sequential_protocol(
             qmat.named_channel("amplitude-damping:0.3"),
             schmidt_state([0.7, 0.3]), 2, 6, 1.0, 3, 1)
-        assert calls["hw_transpose_unitary"] == 6
+        assert (calls["encoder_stack"], calls["entries"]) == (1, 6)
+        assert "hw_transpose_unitary" not in calls
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_simultaneous_run_forms_no_dense_operator(self, monkeypatch, n):
@@ -839,25 +845,33 @@ class TestSuccessiveTable:
             run_experiment(ch, books, "successive", 1.0)
 
     def test_encoders_act_a_number_of_times_fixed_in_m(self, monkeypatch):
-        # V and Bob's words [U_2(t_m) B] are encoded once per table (L + 2M
-        # encoder applications), and Bob's stage runs in Alice's frame, so
-        # her encoder then acts three times per message and once for the
-        # last, however many words Bob's stage tests
-        ch, books, d1, d2 = sample_pair("cnot-mac", None, 2, 4, 4, (0, 1))
-        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
-        factor = output_factor(ch, books)
+        # V and Bob's words [U_2(t_m) B] are encoded once per table (one
+        # encode of Alice's book and two of Bob's), and Bob's stage runs in
+        # Alice's frame, so her encoder then acts three times per message
+        # and once for the last, however many words Bob's stage tests
         calls = Counter()
-        apply_local = qmat.apply_local
+        apply_local, encode = qmat.apply_local, eacode.encode
 
-        def counted(*args, **kwargs):
+        def counted_apply(*args, **kwargs):
             calls[args[0].space] += 1
             return apply_local(*args, **kwargs)
 
-        monkeypatch.setattr(qmat, "apply_local", counted)
-        seqdecode.successive_table(factor, books, proj)
-        L, M = 4, 4
-        assert calls == {d1.receiver_space: L + 3 * L - 2,
-                         d2.receiver_space: 2 * M}
+        def counted_encode(x, books, space):
+            calls["encode", books[0].decomp.receiver_space] += 1
+            return encode(x, books, space)
+
+        monkeypatch.setattr(qmat, "apply_local", counted_apply)
+        monkeypatch.setattr(eacode, "encode", counted_encode)
+        L = 4
+        for M in (2, 4):
+            ch, books, d1, d2 = sample_pair("cnot-mac", None, 2, L, M, (0, 1))
+            proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
+            factor = output_factor(ch, books)
+            calls.clear()
+            seqdecode.successive_table(factor, books, proj)
+            assert calls == {("encode", d1.receiver_space): 1,
+                             ("encode", d2.receiver_space): 2,
+                             d1.receiver_space: 3 * L - 2}
 
     def test_code_projector_applied_once_per_alice_update(self, monkeypatch):
         # Y stays in the range of Pi = Pi_A Pi_B Pi_C after each of Alice's

@@ -100,6 +100,23 @@ class TestTypeBasis:
         for col, seq in zip(b.T, seqs):
             assert np.array_equal(col, kron_vector(u, seq))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("alphabet", [1, 2, 3, 4])
+    def test_sequences_match_the_recursive_enumeration(self, alphabet, n):
+        # whole type lists, sub-lists, reorderings and zero-padded counts
+        # give the columns the recursive type_sequences gives, exactly
+        rng = np.random.default_rng(10 * alphabet + n)
+        types = typicality.enumerate_types(n, alphabet)
+        lists = [types, types[::-1], types[1::2] or types,
+                 [types[i] for i in rng.permutation(len(types))],
+                 [typicality.TypeClass(t.counts + (0,)) for t in types]]
+        for sub in lists:
+            u = random_unitary(rng, len(sub[0].counts))
+            seqs = np.array([seq for t in sub
+                             for seq in typicality.type_sequences(t)])
+            want = np.array([kron_vector(u, seq) for seq in seqs]).T
+            assert np.array_equal(typicality.type_basis(sub, u), want)
+
     def test_typical_projector_is_sum_of_outer_products(self):
         # reference: one rank-one update per retained sequence
         rho = DensityOperator(FactorSpace(("A",), (3,)),
