@@ -193,7 +193,9 @@ _BASE_BYTES = 184 << 20
 # peak with its own blocks, so that the estimate covers the peak address
 # space measured for the sequential decoder (identity:2 at n = 8 to 10,
 # amplitude-damping:0.3 at n = 6, 7) and the others (cnot-mac, n = 2 to 4).
-_V_COPIES = {"sequential": 6, "simultaneous": 3, "successive": 8}
+# The sequential and successive chains run in the coordinates of their test
+# projector, so neither holds a d-row block per step.
+_V_COPIES = {"sequential": 4, "simultaneous": 3, "successive": 5}
 
 
 def _check_memory(channel, args, k: int, decoder: str) -> int:
@@ -214,8 +216,9 @@ def _check_memory(channel, args, k: int, decoder: str) -> int:
     draws, index objects and share of the book's own objects; each
     sender's phase rows, d_share^n entries per drawn entry and at most
     2 d_share^2n in all; and four n-fold shared states.  At 8 B it counts
-    three k x k copies of the decoded weights (their rows, the rows' array
-    and the table with its abort row).  The sequential decoder stacks a
+    the (k + 1) x k table that each decoder fills in place, with its abort
+    row (:func:`eacode.codeword_table`), and two rows of k: the row being
+    read and the column sums.  The sequential decoder stacks a
     group of trials (:func:`seqdecode.trial_group`; R has exactly c
     columns there), so its V, books, weights and tables count once per
     trial of the group.
@@ -235,7 +238,7 @@ def _check_memory(channel, args, k: int, decoder: str) -> int:
     drawn = [args.trials * b // group for b in books]  # entries per sender
     # one book entry in units of 16 B: its stack slice, draws and objects
     entry = [s**(2 * n) + 16 * (1 + math.comb(n + s - 1, n)) for s in shares]
-    need = _BASE_BYTES + 8 * group * k * (3 * k + 1) + 16 * (
+    need = _BASE_BYTES + 8 * group * k * (k + 3) + 16 * (
         _V_COPIES[decoder] * group * d * k * c
         + (2 * args.L * min(d, args.M * c) * k * c
            if decoder == "simultaneous" else 0)

@@ -610,19 +610,23 @@ def codeword_stack(factor: np.ndarray, codes, space: FactorSpace):
     return sent, v, traces
 
 
-def codeword_table(sent, traces, weights: np.ndarray) -> np.ndarray:
-    """The table [T; abort] from a decoder's weights T[k, j] = Tr{Lambda_k sigma_j}.
+def codeword_table(sent, traces, table: np.ndarray) -> np.ndarray:
+    """Finish a decoder's table [T; abort] in place, and return it.
 
-    The abort row is |V_j|^2 minus the decoded weight of column j, which is
-    the weight of the completion outcome and must be at least -1e-9.
+    Every row of ``table`` but its last holds the decoder's weights
+    T[k, j] = Tr{Lambda_k sigma_j}; the last row becomes the abort weights,
+    |V_j|^2 minus the decoded weight of column j, the weight of the
+    completion outcome, which must be at least -1e-9.  ``table`` may be a
+    (K + 1, T, K) stack of T tables, with ``traces`` their (T, K) traces.
     """
-    abort = traces - weights.sum(axis=0)
-    for key, weight in zip(sent, abort):
+    abort = table[-1]
+    np.subtract(traces, table[:-1].sum(axis=0), out=abort)
+    for key, weight in zip(sent, abort.reshape(-1, len(sent)).min(axis=0)):
         if weight < -qmat.POVM_TOL:
             raise ValueError(
                 f"codeword {key} has abort weight {weight:.3e} < "
                 f"-{qmat.POVM_TOL}: the decoder's weights exceed its trace")
-    return np.vstack([weights, abort])
+    return table
 
 
 def overlap_table(sent, v: np.ndarray, povm: PovmSet) -> np.ndarray:

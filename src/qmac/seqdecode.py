@@ -13,7 +13,9 @@ built once per run, the list of :class:`~qmac.eacode.EaCodeBook`s (one for
 the sequential decoder, Alice's and Bob's for the successive one) and the
 typical projectors.  Each POVM element is a product of projectors, so its
 weight on a codeword is the squared norm of a product of projectors
-applied to V_k, and no d x d matrix is formed.  The dense POVMs
+applied to V_k, and no d x d matrix is formed.  The word projectors are
+tested inside a fixed test projector, and that chain (:func:`_chain`) runs
+in the coordinates of the test's range.  The dense POVMs
 (:func:`sequential_povm`, :func:`successive_povm`,
 :func:`ea_successive_povm`) and the brute-force
 :func:`ea_protocol_instance` stay as their oracles.
@@ -373,23 +375,29 @@ def ea_packing_constants(channel: KrausChannel, phi: PureState, n: int,
         sequential_projectors(channel, decomp, delta))
 
 
-def _chain(y: np.ndarray, project, words):
-    """Yield Pi_k Y_k for the word projectors Pi_k = W_k W_k† in order.
+def _chain(y: np.ndarray, words):
+    """Yield T_k = W~_k† Y~_k for the word projectors Pi_k = W_k W_k† in
+    order, in the coordinates of a fixed test Pi = Q Q†.
 
-    ``words`` yields the d x r blocks W_k = U_k B of the stack
-    [U_1 B ... U_K B] that :func:`eacode.encode` builds for Pi = B B†, so
-    Pi_k = U_k Pi U_k† is applied as W_k (W_k† Y).  Y_1 = ``y`` lies in the
-    range of the code projector Pi (``project``), and Y_{k+1} =
-    Pi (Y_k - Pi_k Y_k) = Pi (I - Pi_k) Pi Y_k.  So with y = Pi V, the k-th
-    output is Pi_k Pi Qbar_{k-1} ... Qbar_1 V, whose squared norm is the
-    weight of the sequential POVM's k-th element on V V†.  ``y`` and the
-    W_k may be stacks on their leading axes, one chain per entry.
+    The d x r blocks W_k = U_k B of the stack [U_1 B ... U_K B] that
+    :func:`eacode.encode` builds for Pi_AB = B B† have orthonormal columns,
+    so Pi_k = U_k Pi_AB U_k† and |Pi_k Y|^2 = |W_k† Y|^2.  The chain
+    Y_1 = Pi V, Y_{k+1} = Pi (Y_k - Pi_k Y_k) = Pi (I - Pi_k) Pi Y_k stays
+    in Pi's range, so Y_k = Q Y~_k, and it runs on Y~_k = Q† Y_k alone:
+    ``y`` is Y~_1 = Q† V and ``words`` yields the blocks W~_k = Q† W_k
+    (:meth:`typicality.ProjectorBundle.coordinates`), so T_k = W_k† Y_k and
+    Y~_{k+1} = Y~_k - W~_k T_k.  No projector acts and no d-row block is
+    formed.  The squared block norms of T_k are those of
+    Pi_k Pi Qbar_{k-1} ... Qbar_1 V, the weights of the sequential POVM's
+    k-th element on V V†.  ``y`` and the W~_k may be stacks on their
+    leading axes, one chain per entry; ``y`` is updated in place.
     """
     for k, w in enumerate(words):
         if k:
-            y = project(y - p)
-        p = w @ (w.conj().swapaxes(-1, -2) @ y)
-        yield p
+            y -= last @ t
+        t = w.conj().swapaxes(-1, -2) @ y
+        last = w
+        yield t
 
 
 # A group of stacked trials (:func:`trial_group`) holds at most GROUP_BYTES
@@ -434,27 +442,33 @@ def sequential_tables(factor: np.ndarray, codes,
 
     ``codes`` lists T one-book codes of the same message count.  Stack
     V = [V_1 ... V_K] per code (:func:`eacode.codeword_stack`) and the
-    words [U_1 B ... U_K B] with Pi_AB = B B† (:func:`eacode.encode`), each
-    as a (T, d, .) array, and set Y = Pi V; row k of a table is the block
-    norms of Pi_{x_k} Y, and then Y <- Pi (Y - Pi_{x_k} Y) (:func:`_chain`),
-    so memory is a few T x d x Kc and T x d x Kr blocks.  Every product acts
-    on each code's matrices as it would on that code alone, so each table is
-    bit for bit the one of its code decoded alone.  Tr sigma_k = |V_k|^2
-    must be 1 and every abort weight at least -1e-9.
+    words W = [U_1 B ... U_K B] with Pi_AB = B B† (:func:`eacode.encode`),
+    each as a (T, d, .) array, and take both in the coordinates of the code
+    projector Pi = Pi_A Pi_B = Q Q†, Q = B_A (x) B_B
+    (:meth:`typicality.ProjectorBundle.coordinates` of ("A", "B")): Q† V
+    and Q† W, q = r_A r_B rows each.  V is dropped, and row k of a table is
+    the block norms of T_k = W~_k† Y~_k, Y~ <- Y~ - W~_k T_k
+    (:func:`_chain`), so memory is a T x d x Kc and a T x d x Kr block
+    until they enter the coordinates, then a few T x q x . blocks.  The
+    rows fill one preallocated (K + 1, T, K) table, whose last row
+    :func:`eacode.codeword_table` fills with the abort weights, and table
+    t is its slice [:, t].  Every product acts on each code's matrices as
+    it would on that code alone, so each table is bit for bit the one of
+    its code decoded alone.  Tr sigma_k = |V_k|^2 must be 1 and every abort
+    weight at least -1e-9.
     """
     space = projectors.space
     sent, v, traces = eacode.codeword_stack(factor, codes, space)
-
-    def code(y):
-        return projectors.apply("A", projectors.apply("B", y))
-
-    words = np.split(eacode.encode(projectors.basis("AB"),
-                                   [book for (book,) in codes], space),
-                     len(sent), axis=-1)
-    weights = np.array([eacode.block_overlaps(p, p, len(sent))
-                        for p in _chain(code(v), code, words)])
-    return [eacode.codeword_table(sent, row, weights[:, t])
-            for t, row in enumerate(traces)]
+    y = projectors.coordinates(("A", "B"), v)
+    del v
+    words = np.split(projectors.coordinates(("A", "B"), eacode.encode(
+        projectors.basis("AB"), [book for (book,) in codes], space)),
+        len(sent), axis=-1)
+    table = np.empty((len(sent) + 1,) + traces.shape)
+    for k, t in enumerate(_chain(y, words)):
+        table[k] = eacode.block_overlaps(t, t, len(sent))
+    eacode.codeword_table(sent, traces, table)
+    return [table[:, t] for t in range(len(codes))]
 
 
 def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
@@ -674,18 +688,24 @@ def successive_table(factor: np.ndarray, books,
     Bob's stage runs in Alice's frame: U_1(s_l)† M V_j is the sequential
     chain (:func:`_chain`) of Bob's words [U_2(t_1) B ... U_2(t_M) B] with
     Pi_ABC = B B†, encoded once (:func:`eacode.encode`), inside the fixed
-    test Pi_AC Pi_B, from Pi_AC Pi_B U_1(s_l)† Y; U_1(s_l) keeps norms.
-    Alice's stage then moves on with Y <- Pi (Y - U_1 Pi_AC Pi_B U_1† Y)
-    from Y = Pi V, V = [V_11 ... V_LM], so Pi acts once per update.  So
-    Bob's words are encoded once per table, and each of Alice's encoders
-    acts three times (the last once), however many words Bob's stage tests.
+    test Pi_x = Pi_B Pi_AC = Q Q†, Q = B_B (x) B_AC, from
+    Pi_x U_1(s_l)† Y; U_1(s_l) keeps norms.  The chain runs in Q's
+    coordinates (:meth:`typicality.ProjectorBundle.coordinates` of
+    ("B", "AC")): Bob's words enter them once per table and each start
+    once, Q† U_1(s_l)† Y, so no projector acts inside it.  Alice's stage
+    then moves on with Y <- Pi (Y - U_1 Pi_x U_1† Y) from Y = Pi V,
+    V = [V_11 ... V_LM], so Pi acts once per update.  So each of Alice's
+    encoders acts three times (the last once), however many words Bob's
+    stage tests.  The rows (l, m) fill one preallocated table, whose last
+    row :func:`eacode.codeword_table` fills with the abort weights.
     |V_j|^2 must be 1 and every abort weight at least -1e-9.
     """
     alice, bob = books
     space = projectors.space
     sent, v, traces = eacode.codeword_factors(factor, books, space)
-    words = np.split(eacode.encode(projectors.basis("ABC"), [bob], space)[0],
-                     bob.message_count, axis=1)
+    test = ("B", "AC")
+    words = np.split(projectors.coordinates(test, eacode.encode(
+        projectors.basis("ABC"), [bob], space)[0]), bob.message_count, axis=1)
 
     def code(y):
         for name in ("C", "B", "A"):
@@ -695,20 +715,21 @@ def successive_table(factor: np.ndarray, books,
     def pi_x(y):  # Alice's word projector in her own frame
         return projectors.apply("AC", projectors.apply("B", y))
 
-    rows = []
+    table = np.empty((len(sent) + 1, len(sent)))
     y = v
     for l in range(alice.message_count):
         u = alice.encoder(l)
         u_dag = qmat.Operator(u.space, u.matrix.conj().T)
-        start = pi_x(qmat.apply_local(u_dag, y, space))
-        rows += [eacode.block_overlaps(p, p, len(sent))
-                 for p in _chain(start, pi_x, words)]
+        start = projectors.coordinates(test, qmat.apply_local(u_dag, y, space))
+        for m, t in enumerate(_chain(start, words)):
+            table[l * bob.message_count + m] = eacode.block_overlaps(
+                t, t, len(sent))
         if l + 1 < alice.message_count:
             if not l:  # V enters Pi's range once; each update keeps Y there
                 y = code(y)
             y = code(y - qmat.apply_local(
                 u, pi_x(qmat.apply_local(u_dag, y, space)), space))
-    return eacode.codeword_table(sent, traces, np.array(rows))
+    return eacode.codeword_table(sent, traces, table)
 
 
 def unassisted_successive_exponents(n, delta, h_b, h_b_given_x, h_b_given_xy):

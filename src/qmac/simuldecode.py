@@ -211,7 +211,9 @@ def gram_table(factor: np.ndarray, books,
     X' = G'^{+1/2} W'† V = W'† S^{+1/2} V, read one row block Z_m X' at a
     time (:func:`eacode.block_overlaps`); the smaller of G' and S is
     decomposed.  (W', Z) is built before V, so V and Y are never held
-    together.  Abort: |V_j|^2 - sum_k T[k, j].
+    together.  The rows (l, m) fill one preallocated table, whose last row
+    is the abort weight |V_j|^2 - sum_k T[k, j]
+    (:func:`eacode.codeword_table`).
 
     The checks of :func:`sqrt_measurement` move to the smaller space: G'
     (or S) must be PSD within 1e-9, G'^{+1/2} G' G'^{+1/2} must equal its
@@ -229,10 +231,12 @@ def gram_table(factor: np.ndarray, books,
     L, M = (b.message_count for b in books)
     K, q = len(sent), z.shape[1]
     x = x.reshape(L, q, -1).transpose(1, 0, 2).reshape(q, -1)
-    weights = np.array([eacode.block_overlaps(p, p, L * K)
-                        for p in (zm @ x for zm in np.split(z, M))])
-    weights = weights.reshape(M, L, K).transpose(1, 0, 2).reshape(K, K)
-    return eacode.codeword_table(sent, traces, weights)
+    table = np.empty((K + 1, K))
+    rows = table[:-1].reshape(L, M, K)  # row (l, m) of the table
+    for m, zm in enumerate(np.split(z, M)):
+        p = zm @ x
+        rows[:, m] = eacode.block_overlaps(p, p, L * K).reshape(L, K)
+    return eacode.codeword_table(sent, traces, table)
 
 
 def _figures(books, table: np.ndarray) -> dict:

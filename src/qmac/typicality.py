@@ -284,7 +284,9 @@ class ProjectorBundle:
     spanning Pi = B B† on the n-copy factors ``labels``, a contiguous run of
     ``space`` in its order, with rows in that order.  The joint projector
     covers all of ``space``.  The factored decoders apply them to d x c
-    blocks; :meth:`embedded` builds the d x d matrices that the dense
+    blocks (:meth:`apply`) or take the coordinates of a product of two of
+    them that tile ``space`` (:meth:`coordinates`), in which the decoders'
+    chains run; :meth:`embedded` builds the d x d matrices that the dense
     oracles read.  A split run, or a B whose columns are not orthonormal
     within 1e-9, raises ``ValueError`` naming the projector.
     """
@@ -343,6 +345,30 @@ class ProjectorBundle:
             return mat
         y = mat.reshape(mat.shape[:-2] + self._shapes[name])
         return (b @ (b.conj().T @ y)).reshape(mat.shape)
+
+    def coordinates(self, names, mat: np.ndarray) -> np.ndarray:
+        """Q† @ mat for Q = B_X (x) B_Z, the coordinates of Pi_X Pi_Z mat.
+
+        ``names`` is (X, Z): two projectors whose runs tile ``space``, X's
+        first.  Q has orthonormal columns and Q Q† = Pi_X Pi_Z, so
+        Q (Q† Y) = Pi_X Pi_Z Y.  Z's run acts first, as one stacked product
+        B_Z† Y on its view, then X's, whose leading view the smaller rows
+        keep valid.  A full-rank run stays in its own coordinates (B is
+        replaced by I), so a d x c block comes back r_X r_Z x c, or as
+        ``mat`` itself when both runs are full rank.  ``mat`` may be a
+        stack of blocks on its leading axes.
+        """
+        x, z = names
+        if self.bases[x][0] + self.bases[z][0] != self.space.labels:
+            raise ValueError(f"projectors {x!r} and {z!r} do not tile "
+                             f"{self.space.labels} in that order")
+        lead = mat.shape[:-2]
+        for name in (z, x):
+            b = self.bases[name][1]
+            if b.shape[1] < b.shape[0]:
+                y = mat.reshape(lead + self._shapes[name])
+                mat = (b.conj().T @ y).reshape(lead + (-1, mat.shape[-1]))
+        return mat
 
 
 def projector_bundle(rho: qmat.DensityOperator, n: int, delta: float,

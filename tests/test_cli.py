@@ -669,8 +669,8 @@ class TestSimulateSeq:
 
     def test_many_messages_run_under_a_limit_just_above_the_estimate(
             self, monkeypatch):
-        # 1,024 codewords on d = 4: the three 8 MiB copies of the k x k
-        # weights, not V, set the peak, and the estimate counts all three
+        # 1,024 codewords on d = 4: the 8 MiB (k + 1) x k table, which the
+        # decoder fills in place, not V, sets the peak
         argv = ("simulate-seq", "--channel", "identity:2", "--n", "1",
                 "--messages", "1024", "--trials", "40")
         limit = estimated_bytes(monkeypatch, *argv) + (1 << 20)
@@ -809,11 +809,18 @@ class TestSimulateMac:
 
     def test_n4_simultaneous_estimated_under_6_gib(self, monkeypatch):
         # its address space peaks at 3,609 MiB; the successive run, refused
-        # above, holds more than twice as many copies of the 1 GiB codeword
-        # stack
+        # above, is estimated at more copies of the 1 GiB codeword stack
         need = estimated_bytes(monkeypatch, "simulate-mac", "--channel",
                                "cnot-mac", "--n", "4")
         assert 3609 << 20 < need < 6 << 30
+
+    def test_n4_successive_estimated_under_physical_memory(self, monkeypatch):
+        # its address space peaks at 3,968 MiB; admitted on an 8 GB host,
+        # refused under 6 GiB (above)
+        need = estimated_bytes(monkeypatch, "simulate-mac", "--channel",
+                               "cnot-mac", "--n", "4", "--L", "2", "--M", "2",
+                               "--mode", "successive")
+        assert 3968 << 20 < need < 7 << 30
 
     @pytest.mark.parametrize("argv, single", [
         (("simulate-mac", "--channel", "cnot-mac", "--n", "2", "--L", "4",
@@ -850,9 +857,10 @@ class TestSimulateMac:
     @pytest.mark.parametrize("mode, code", [("successive", 4),
                                             ("simultaneous", 0)])
     def test_each_decoder_has_its_own_estimate(self, mode, code):
-        # at n = 3, L = M = 4 the successive decoder peaks near 600 MiB and
-        # the simultaneous one near 240 MiB; the successive run used to pass
-        # its estimate and fail mid-run on an allocation
+        # at n = 3, L = M = 4 the successive decoder is estimated at 520 MiB
+        # (its address space peaks at 467 MiB) and the simultaneous one at
+        # 425 MiB; the successive run used to pass its estimate and fail
+        # mid-run on an allocation
         proc = run_under_address_limit(
             512 << 20, "simulate-mac", "--channel", "cnot-mac", "--n", "3",
             "--L", "4", "--M", "4", "--mode", mode)

@@ -609,6 +609,29 @@ class TestSequentialWeights:
         want, _ = dense_table(instance, entries)
         assert np.max(np.abs(table - want)) < 1e-12
 
+    # at delta = 0.5 Pi_A and Pi_B are rank-deficient, so the chain's
+    # coordinates Q† = B_A† (x) B_B† drop rows of both runs
+    @pytest.mark.parametrize("spec,n,ranks", [
+        ("amplitude-damping:0.3", 2, (3, 1)),
+        ("identity:2", 2, (3, 3)),
+        ("amplitude-damping:0.3", 3, (7, 4)),
+    ])
+    def test_stack_matches_dense_povm_in_rank_deficient_tests(self, spec, n,
+                                                              ranks):
+        ch = qmat.named_channel(spec)
+        instance = seqdecode.ea_protocol_instance(
+            ch, schmidt_state([0.7, 0.3]), n, 0.5)
+        decomp = instance[0]
+        projectors = seqdecode.sequential_projectors(ch, decomp, 0.5)
+        assert (projectors.rank("A"), projectors.rank("B")) == ranks
+        codes = [[eacode.sample_code(decomp, 5, seed)] for seed in range(3)]
+        tables = seqdecode.sequential_tables(
+            eacode.channel_output_factor(ch, [decomp]), codes, projectors)
+        for (book,), table in zip(codes, tables):
+            want, _ = dense_table(instance, book.entries)
+            assert table.shape == want.shape == (6, 5)
+            assert np.max(np.abs(table - want)) < 1e-12
+
     def test_protocol_forms_no_dense_operator(self, monkeypatch):
         # neither rho_n, a codeword state, an embedded projector nor a POVM
         def refuse(*args, **kwargs):
@@ -690,6 +713,54 @@ class TestSequentialWeights:
         grouped = seqdecode.ea_sequential_protocol(*args)
         assert calls == [7] + groups
         assert grouped == stacked
+
+    @pytest.mark.parametrize("decoder", ["sequential", "successive"])
+    def test_chain_steps_apply_no_projector(self, monkeypatch, decoder):
+        # the chain runs in the coordinates of its fixed test, so none of
+        # its steps calls ProjectorBundle.apply; skewed states make every
+        # run of the tests rank-deficient or C's so at n = 2
+        from qmac import simuldecode
+
+        calls, steps = [], []
+        apply, chain = typicality.ProjectorBundle.apply, seqdecode._chain
+
+        def counted(self, name, mat):
+            calls.append(name)
+            return apply(self, name, mat)
+
+        def watched(*args):
+            it = chain(*args)
+            while True:
+                before = len(calls)
+                try:
+                    t = next(it)
+                except StopIteration:
+                    return
+                steps.append(len(calls) - before)
+                yield t
+
+        monkeypatch.setattr(typicality.ProjectorBundle, "apply", counted)
+        monkeypatch.setattr(seqdecode, "_chain", watched)
+        if decoder == "sequential":
+            ch = qmat.named_channel("amplitude-damping:0.3")
+            decomp = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)
+            seqdecode.sequential_table(
+                eacode.channel_output_factor(ch, [decomp]),
+                [eacode.sample_code(decomp, 4, 0)],
+                seqdecode.sequential_projectors(ch, decomp, 0.5))
+            assert steps == [0] * 4
+            return
+        ch = qmat.named_channel("cnot-mac")
+        decomps = [eacode.type_decompose(schmidt_state(w, s, r), 2)
+                   for w, s, r in (([0.8, 0.2], "Ap", "A"),
+                                   ([0.9, 0.1], "Bp", "B"))]
+        seqdecode.successive_table(
+            eacode.channel_output_factor(ch, decomps),
+            [eacode.sample_code(decomps[0], 3, 0),
+             eacode.sample_code(decomps[1], 4, 1)],
+            simuldecode.mac_typical_projectors(ch, decomps, 0.5))
+        assert steps == [0] * 12
+        assert calls  # Alice's stage still projects
 
     def test_trial_group(self):
         assert seqdecode.trial_group(1 << 20, 4, 64) == 4

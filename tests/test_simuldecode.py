@@ -819,6 +819,28 @@ class TestSuccessiveTable:
         assert got.shape == want.shape == (L * M + 1, L * M)
         assert np.max(np.abs(got - want)) < 1e-12
 
+    # Bob's stage runs in the coordinates of its fixed test Pi_B Pi_AC;
+    # these skewed states make both runs rank-deficient (ranks of B and AC)
+    @pytest.mark.parametrize("name, n, delta, ranks", [
+        ("cnot-mac", 2, 0.5, (1, 2)),
+        ("adder-mac", 2, 1.0, (1, 5)),
+        ("cnot-mac", 1, 1.0, (1, 1)),
+    ])
+    def test_matches_dense_oracle_in_rank_deficient_tests(self, name, n,
+                                                          delta, ranks):
+        ch = qmat.named_channel(name)
+        d1, d2 = (eacode.type_decompose(schmidt_state(w, s, r), n)
+                  for w, s, r in (([0.8, 0.2], "Ap", "A"),
+                                  ([0.9, 0.1], "Bp", "B")))
+        books = sample_books((d1, d2), (3, 4), (8, 9))
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), delta)
+        assert (proj.rank("B"), proj.rank("AC")) == ranks
+        want = overlap_table(
+            ch, books, seqdecode.ea_successive_povm(books, proj))
+        got = seqdecode.successive_table(output_factor(ch, books), books, proj)
+        assert got.shape == want.shape == (13, 12)
+        assert np.max(np.abs(got - want)) < 1e-12
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_run_forms_no_dense_operator(self, monkeypatch, n):
         def refuse(*args, **kwargs):

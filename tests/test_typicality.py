@@ -372,6 +372,77 @@ class TestProjectorBundle:
             assert p.rank(name) == space.subspace(labels).dim
             assert p.apply(name, mats) is mats
 
+    @staticmethod
+    def decoder_bundle(test, weights, n, delta):
+        """The bundle whose pair of runs ``test`` is a decoder's fixed
+        test: ("A", "B") for the sequential decoder on
+        amplitude-damping:0.3, ("B", "AC") for the successive decoder's
+        Bob stage on cnot-mac."""
+        from qmac import eacode, seqdecode, simuldecode
+
+        decomps = [eacode.type_decompose(schmidt_state(w, s, r), n)
+                   for w, s, r in zip(weights, ("Ap", "Bp"), ("A", "B"))]
+        if test == ("A", "B"):
+            return seqdecode.sequential_projectors(
+                qmat.named_channel("amplitude-damping:0.3"), *decomps, delta)
+        return simuldecode.mac_typical_projectors(
+            qmat.named_channel("cnot-mac"), decomps, delta)
+
+    # (ranks of X and Z, out of their dims) per case: at delta = 0.5 both
+    # runs of each test are rank-deficient; at delta = 1 the leading run
+    # (Pi_A, Pi_B) is full rank and stays in its own coordinates
+    @pytest.mark.parametrize("test, weights, n, delta, ranks", [
+        (("A", "B"), ([0.7, 0.3],), 2, 0.5, ((3, 4), (1, 4))),
+        (("A", "B"), ([0.7, 0.3],), 3, 0.5, ((7, 8), (4, 8))),
+        (("A", "B"), ([0.7, 0.3],), 2, 1.0, ((4, 4), (3, 4))),
+        (("B", "AC"), ([0.8, 0.2], [0.9, 0.1]), 2, 0.5, ((1, 4), (2, 64))),
+        (("B", "AC"), ([0.7, 0.3], [0.6, 0.4]), 2, 1.0, ((4, 4), (15, 64))),
+    ], ids=str)
+    def test_coordinates_match_the_embedded_projectors(self, test, weights,
+                                                       n, delta, ranks):
+        # oracle: Pi_X Pi_Z embedded as d x d matrices; Q† is the
+        # coordinates of the identity, Q = B_X (x) B_Z with I for B of a
+        # full-rank run
+        p = self.decoder_bundle(test, weights, n, delta)
+        assert tuple((p.rank(x), p.basis(x).shape[0]) for x in test) == ranks
+        d = p.space.dim
+        q_dag = p.coordinates(test, np.eye(d, dtype=complex))
+        x, z = (p.basis(name) if p.rank(name) < p.basis(name).shape[0]
+                else np.eye(p.rank(name)) for name in test)
+        assert np.max(np.abs(q_dag - np.kron(x, z).conj().T)) < 1e-12
+        assert q_dag.shape == (math.prod(r for r, _ in ranks), d)
+        assert np.max(np.abs(q_dag @ q_dag.conj().T
+                             - np.eye(len(q_dag)))) < 1e-12
+        rng = np.random.default_rng(34)
+        y = rng.normal(size=(2, d, 3)) + 1j * rng.normal(size=(2, d, 3))
+        got = p.coordinates(test, y)
+        assert got.shape == (2, len(q_dag), 3)
+        assert np.max(np.abs(got - q_dag @ y)) < 1e-12
+        want = p.embedded(test[0]) @ p.embedded(test[1]) @ y
+        assert np.max(np.abs(q_dag.conj().T @ got - want)) < 1e-12
+
+    def test_full_rank_runs_keep_their_own_coordinates(self):
+        # a unitary basis is replaced by I, not applied: a trailing
+        # full-rank run gives Q† = B_X† (x) I, and two give the input back
+        space = FactorSpace(("X1", "Z1"), (3, 2))
+        rng = np.random.default_rng(35)
+        b_x = random_unitary(rng, 3)[:, :2]
+        u_x, u_z = random_unitary(rng, 3), random_unitary(rng, 2)
+        mats = rng.normal(size=(6, 2))
+        p = typicality.ProjectorBundle(space, {"X": (("X1",), b_x),
+                                               "Z": (("Z1",), u_z)})
+        want = np.kron(b_x, np.eye(2)).conj().T @ mats
+        assert np.max(np.abs(p.coordinates(("X", "Z"), mats) - want)) < 1e-12
+        p = typicality.ProjectorBundle(space, {"X": (("X1",), u_x),
+                                               "Z": (("Z1",), u_z)})
+        assert p.coordinates(("X", "Z"), mats) is mats
+
+    @pytest.mark.parametrize("test", [("B", "A"), ("A", "AB"), ("A", "A")])
+    def test_coordinates_need_two_runs_that_tile_the_space(self, test):
+        _, p = self.bundle()
+        with pytest.raises(ValueError, match="do not tile"):
+            p.coordinates(test, np.eye(16))
+
     @pytest.mark.parametrize("run", ["sequential", "simultaneous", "successive"])
     def test_decoders_form_no_dense_projector(self, monkeypatch, run):
         # every projector stays a basis: neither the n-copy projector B B†
