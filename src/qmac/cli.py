@@ -195,7 +195,7 @@ _BASE_BYTES = 184 << 20
 # amplitude-damping:0.3 at n = 6, 7) and the others (cnot-mac, n = 2 to 4).
 # The sequential and successive chains run in the coordinates of their test
 # projector, so neither holds a d-row block per step.
-_V_COPIES = {"sequential": 4, "simultaneous": 3, "successive": 5}
+_V_COPIES = {"sequential": 4, "simultaneous": 3, "successive": 4}
 
 
 def _check_memory(channel, args, k: int, decoder: str) -> int:

@@ -327,8 +327,8 @@ class EaCodeBook:
     of their triples (x_t, z_t, b_t), and ``stack`` their receiver encoders
     U^T(s) as one read-only (K, d_s, d_s) array, both in message order and
     built once with the book (:func:`encoder_stack`).  ``stack[k]`` equals
-    :func:`hw_transpose_unitary` of entry k bit for bit, and
-    :meth:`encoder` wraps it as an operator on the receiver share.
+    :func:`hw_transpose_unitary` of entry k bit for bit.  The dense oracles
+    build their encoders from the indices (:func:`receiver_encoder`).
     """
 
     message_count: int
@@ -354,10 +354,6 @@ class EaCodeBook:
 
     def __getitem__(self, m: int) -> HwIndex:
         return self.entries[m]
-
-    def encoder(self, m: int) -> qmat.Operator:
-        """U^T of entry ``m`` on the receiver share, read from the stack."""
-        return qmat.Operator(self.decomp.receiver_space, self.stack[m])
 
 
 def sample_code(decomp: TypeDecomposition, message_count: int, seed: int

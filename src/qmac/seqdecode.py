@@ -1,4 +1,4 @@
-"""Sequential and successive decoding: POVMs, success bounds, diagnostics.
+"""Sequential and successive decoding: POVMs, the packing bound, diagnostics.
 
 A sequential decoder tests codewords one at a time with yes/no projective
 measurements; its POVM is a product of sandwiched projectors.  The packing
@@ -35,8 +35,6 @@ from .qmat import DensityOperator, DimensionCapError, KrausChannel, PovmSet, Pur
 __all__ = [
     "PackingConstants",
     "PackingBound",
-    "SuccessiveConstants",
-    "SuccessiveBound",
     "SeqReport",
     "sequential_projectors",
     "sequential_table",
@@ -53,9 +51,6 @@ __all__ = [
     "successive_povm",
     "ea_successive_povm",
     "successive_table",
-    "successive_bound",
-    "unassisted_successive_exponents",
-    "assisted_successive_exponents",
 ]
 
 EXHAUSTIVE_CAP = 100_000
@@ -530,77 +525,6 @@ def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
 # two-stage (sequential and successive) decoding
 # ---------------------------------------------------------------------------
 
-def _exp(x: float) -> float:
-    """e^x, or infinity where that overflows a float."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-@dataclass(frozen=True, slots=True)
-class SuccessiveConstants:
-    """Constants of the two-stage packing bound.
-
-    ``eps_prime`` must be consistent with the first-stage guarantee
-    2 - e^{d1_minus L / D1} >= 1 - eps_prime.
-    """
-
-    epsilon: float
-    eps_prime: float
-    d1_minus: float
-    d1_plus: float
-    d2: float
-    D1: float
-    L: int
-    M: int
-
-    def __post_init__(self):
-        if not all(
-            getattr(self, k) > 0
-            for k in ("epsilon", "d1_minus", "d1_plus", "d2", "D1")
-        ):
-            raise ValueError("successive constants must be positive")
-        if not self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if not self.eps_prime >= 0:
-            raise ValueError("eps_prime must be nonnegative")
-        required = _exp(self.d1_minus * self.L / self.D1) - 1.0
-        if self.eps_prime < required - 1e-12:
-            raise ValueError(
-                f"eps_prime {self.eps_prime} below the consistent minimum "
-                f"{required}"
-            )
-
-    @classmethod
-    def from_measurements(cls, epsilon, d1_minus, d1_plus, d2, D1, L, M):
-        """Pick the smallest consistent eps_prime (infinite when e^{d1_minus
-        L / D1} overflows)."""
-        eps_prime = max(0.0, _exp(d1_minus * L / D1) - 1.0)
-        return cls(epsilon, eps_prime, d1_minus, d1_plus, d2, D1, L, M)
-
-
-@dataclass(frozen=True, slots=True)
-class SuccessiveBound:
-    """Two-stage bound, raw and clamped to [0, 1]."""
-
-    value: float
-    raw: float
-    condition_holds: bool
-
-
-def successive_bound(c: SuccessiveConstants) -> SuccessiveBound:
-    """|(1-2eps)(2 - e^{d2 M / d1_plus})|^2 - 2 sqrt(2 (eps + eps')).
-
-    The main term is :func:`packing_lower_bound` at (eps, d2, d1_plus, M),
-    with its flag.  The raw value may be negative at desk scale; the
-    clamped value floors it at zero.
-    """
-    main = packing_lower_bound(PackingConstants(c.epsilon, c.d2, c.d1_plus, c.M))
-    raw = main.value - 2.0 * math.sqrt(2.0 * (c.epsilon + c.eps_prime))
-    return SuccessiveBound(max(raw, 0.0), raw, main.condition_holds)
-
-
 def successive_povm(code1: Sequence, code2: Sequence, code_projector,
                     word_projectors_x: Mapping,
                     word_projectors_xy: Mapping) -> PovmSet:
@@ -650,16 +574,17 @@ def ea_successive_povm(books, projectors: typicality.ProjectorBundle
     Code subspace: the product of the three single-system projectors.
     First stage tests Alice's codewords with the AC-pair projector rotated
     by her encoder (times the B projector); the second stage tests Bob's
-    with the rotated joint projector.  The oracle of
-    :func:`successive_table`.
+    with the rotated joint projector.  The oracle of :func:`successive_table`,
+    whose encoders it builds from their indices, not from the books' stacks.
     """
     full = projectors.space
     b1, b2 = books
     pi = projectors.embedded
     code_proj = pi("A") @ pi("B") @ pi("C")
-    alice = {s: b1.encoder(k) for k, s in enumerate(b1.entries)}
-    bob = {t: qmat.conjugate_local(b2.encoder(k), pi("ABC"), full)
-           for k, t in enumerate(b2.entries)}
+    alice = {s: eacode.receiver_encoder(b1.decomp, s) for s in b1.entries}
+    bob = {t: qmat.conjugate_local(eacode.receiver_encoder(b2.decomp, t),
+                                   pi("ABC"), full)
+           for t in b2.entries}
     words_x = {s: qmat.conjugate_local(u, pi("AC"), full) @ pi("B")
                for s, u in alice.items()}
     words_xy = {(s, t): qmat.conjugate_local(u, w, full)
@@ -667,6 +592,11 @@ def ea_successive_povm(books, projectors: typicality.ProjectorBundle
     return successive_povm(
         list(b1.entries), list(b2.entries), code_proj, words_x, words_xy
     )
+
+
+def _on_share(u: np.ndarray, z: np.ndarray, shape: tuple) -> np.ndarray:
+    """(u (x) I) @ z, u on the run of a :func:`qmat.local_shape` view."""
+    return np.matmul(u, z.reshape(shape)).reshape(z.shape)
 
 
 def successive_table(factor: np.ndarray, books,
@@ -685,79 +615,51 @@ def successive_table(factor: np.ndarray, books,
     M = Pi_xy(s_l, t_m) Pi_x(s_l) times the products of the earlier tests,
     so T[(l, m), j] is the squared norm of M V_j.
 
-    Bob's stage runs in Alice's frame: U_1(s_l)† M V_j is the sequential
-    chain (:func:`_chain`) of Bob's words [U_2(t_1) B ... U_2(t_M) B] with
-    Pi_ABC = B B†, encoded once (:func:`eacode.encode`), inside the fixed
-    test Pi_x = Pi_B Pi_AC = Q Q†, Q = B_B (x) B_AC, from
-    Pi_x U_1(s_l)† Y; U_1(s_l) keeps norms.  The chain runs in Q's
-    coordinates (:meth:`typicality.ProjectorBundle.coordinates` of
-    ("B", "AC")): Bob's words enter them once per table and each start
-    once, Q† U_1(s_l)† Y, so no projector acts inside it.  Alice's stage
-    then moves on with Y <- Pi (Y - U_1 Pi_x U_1† Y) from Y = Pi V,
-    V = [V_11 ... V_LM], so Pi acts once per update.  So each of Alice's
-    encoders acts three times (the last once), however many words Bob's
-    stage tests.  The rows (l, m) fill one preallocated table, whose last
-    row :func:`eacode.codeword_table` fills with the abort weights.
+    Both stages run in Alice's frame Z_l = U_1(s_l)† Y_l, Y_l her stage
+    before its l-th test (Y_0 = V = [V_11 ... V_LM]); U_1 keeps norms.  Bob's
+    stage is the sequential chain (:func:`_chain`) of his words
+    [U_2(t_1) B ... U_2(t_M) B], Pi_ABC = B B†, encoded once
+    (:func:`eacode.encode`), inside the fixed test Pi_x = Pi_B Pi_AC = Q Q†,
+    Q = B_B (x) B_AC, from Q† Z_l: it runs in Q's coordinates
+    (:meth:`typicality.ProjectorBundle.coordinates`), so no projector acts
+    inside it.  Every U_1 is block-diagonal on A's type blocks, so it
+    commutes with Pi (as in :func:`_factor_constants`), and Alice's update
+    Y_{l+1} = Pi (Y_l - U_1(s_l) Pi_x U_1(s_l)† Y_l) is
+    Z_{l+1} = S_l Pi (Z_l - Pi_x Z_l) with the frame steps
+    S_l = U_1(s_{l+1})† U_1(s_l), all L - 1 one stacked product of her
+    book's stack.  Z_0 = U_1(s_0)† V is formed once and V dropped, and Pi
+    acts on Z_0 after l = 0, whose elements carry no Pi.  So her encoders
+    act L times per table.  The chain updates its start in place, which is
+    Z itself only when Pi_B and Pi_AC are full rank: then Pi_x = I and
+    Z - Pi_x Z is zero whatever Z holds, so Z needs no copy.  The rows
+    (l, m) fill one preallocated table, whose last row
+    :func:`eacode.codeword_table` fills with the abort weights.
     |V_j|^2 must be 1 and every abort weight at least -1e-9.
     """
     alice, bob = books
     space = projectors.space
-    sent, v, traces = eacode.codeword_factors(factor, books, space)
-    test = ("B", "AC")
+    sent, z, traces = eacode.codeword_factors(factor, books, space)
+    test, code = ("B", "AC"), ("C", "B", "A")  # Pi_x and Pi
     words = np.split(projectors.coordinates(test, eacode.encode(
         projectors.basis("ABC"), [bob], space)[0]), bob.message_count, axis=1)
 
-    def code(y):
-        for name in ("C", "B", "A"):
+    def project(y, names):  # the product of the named projectors
+        for name in names:
             y = projectors.apply(name, y)
         return y
 
-    def pi_x(y):  # Alice's word projector in her own frame
-        return projectors.apply("AC", projectors.apply("B", y))
-
+    shape = qmat.local_shape(alice.decomp.receiver_space, space)
+    u = alice.stack
+    steps = u[1:].conj().swapaxes(-1, -2) @ u[:-1]  # the S_l
     table = np.empty((len(sent) + 1, len(sent)))
-    y = v
+    z = _on_share(u[0].conj().T, z, shape)  # Z_0; V is dropped
     for l in range(alice.message_count):
-        u = alice.encoder(l)
-        u_dag = qmat.Operator(u.space, u.matrix.conj().T)
-        start = projectors.coordinates(test, qmat.apply_local(u_dag, y, space))
+        start = projectors.coordinates(test, z)
         for m, t in enumerate(_chain(start, words)):
             table[l * bob.message_count + m] = eacode.block_overlaps(
                 t, t, len(sent))
         if l + 1 < alice.message_count:
-            if not l:  # V enters Pi's range once; each update keeps Y there
-                y = code(y)
-            y = code(y - qmat.apply_local(
-                u, pi_x(qmat.apply_local(u_dag, y, space)), space))
+            if not l:
+                z = project(z, code)
+            z = _on_share(steps[l], project(z - project(z, test), code), shape)
     return eacode.codeword_table(sent, traces, table)
-
-
-def unassisted_successive_exponents(n, delta, h_b, h_b_given_x, h_b_given_xy):
-    """Base-2 exponents of the unassisted parameter choices.
-
-    D1 = 2^{n(H(B) - delta)}, d1+ = 2^{n(H(B|X) - delta)},
-    d1- = 2^{n(H(B|X) + delta)}, d2 = 2^{n(H(B|XY) + delta)}, so that
-    D1/d1- = 2^{n(I(X;B) - 2 delta)} and d1+/d2 = 2^{n(I(Y;B|X) - 2 delta)}
-    hold identically.  Works on floats or symbolic quantities alike.
-    """
-    return {
-        "D1": n * (h_b - delta),
-        "d1_plus": n * (h_b_given_x - delta),
-        "d1_minus": n * (h_b_given_x + delta),
-        "d2": n * (h_b_given_xy + delta),
-    }
-
-
-def assisted_successive_exponents(n, delta, h_a, h_b, h_c, h_ac, h_abc):
-    """Base-2 exponents of the entanglement-assisted parameter choices.
-
-    D1 = 2^{n(H(A)+H(B)+H(C) - delta)}, d1+ = 2^{n(H(B)+H(AC) - delta)},
-    d1- = 2^{n(H(B)+H(AC) + delta)}, d2 = 2^{n(H(ABC) + delta)}, giving
-    D1/d1- = 2^{n(I(A;C) - 2 delta)} and d1+/d2 = 2^{n(I(B;AC) - 2 delta)}.
-    """
-    return {
-        "D1": n * (h_a + h_b + h_c - delta),
-        "d1_plus": n * (h_b + h_ac - delta),
-        "d1_minus": n * (h_b + h_ac + delta),
-        "d2": n * (h_abc + delta),
-    }

@@ -91,10 +91,12 @@ def build_upsilon(books, l: int, m: int,
     U^T_1 wing† U^T_2 Pi_ABC U^*_2 wing U^*_1 with the wing
     (Pi_B Pi_AC)(Pi_C Pi_AB) and the encoders pulled to the receiver shares;
     positive semidefinite by construction.  Each encoder acts only on its own
-    share (``qmat.conjugate_local``).  The oracle of :func:`gram_table`.
+    share (``qmat.conjugate_local``).  The oracle of :func:`gram_table`,
+    whose encoders it builds from their indices, not from the books' stacks.
     """
     full = projectors.space
-    u1, u2 = books[0].encoder(l), books[1].encoder(m)
+    u1, u2 = (eacode.receiver_encoder(b.decomp, b[k])
+              for b, k in zip(books, (l, m)))
     pi = projectors.embedded
     wing = (pi("B") @ pi("AC")) @ (pi("C") @ pi("AB"))
     inner = qmat.conjugate_local(u2, projectors.embedded("ABC"), full)

@@ -58,15 +58,17 @@ def parallel_qubit_mac():
     )
 
 
-def fully_depolarizing_mac():
+def fully_depolarizing_mac(out=4):
+    """Two qubits in, the maximally mixed state of dimension ``out`` out:
+    Kraus matrices |i><ab| / sqrt(out)."""
     kraus = []
-    for i in range(4):
+    for i in range(out):
         for j in range(4):
-            k = np.zeros((4, 4), dtype=complex)
-            k[i, j] = 0.5
+            k = np.zeros((out, 4), dtype=complex)
+            k[i, j] = 1.0 / math.sqrt(out)
             kraus.append(k)
     return KrausChannel(
-        FactorSpace(("Ap", "Bp"), (2, 2)), FactorSpace(("C",), (4,)),
+        FactorSpace(("Ap", "Bp"), (2, 2)), FactorSpace(("C",), (out,)),
         kraus, name="depolarizing-mac",
     )
 

@@ -797,15 +797,15 @@ class TestSimulateMac:
         assert f"{argv[0]}: the run needs an estimated" in err
         assert "e+" in err and "memory limit" in err
 
-    def test_n4_successive_refused_under_6_gib(self):
+    def test_n4_successive_refused_under_5_gib(self):
         start = time.perf_counter()
         proc = run_under_address_limit(
-            6 << 30, "simulate-mac", "--channel", "cnot-mac", "--n", "4",
+            5 << 30, "simulate-mac", "--channel", "cnot-mac", "--n", "4",
             "--L", "2", "--M", "2", "--mode", "successive")
         assert time.perf_counter() - start < 1
         assert proc.returncode == 4 and proc.stdout == ""
         assert "simulate-mac: the run needs an estimated" in proc.stderr
-        assert "over the memory limit of 6 GiB" in proc.stderr
+        assert "over the memory limit of 5 GiB" in proc.stderr
 
     def test_n4_simultaneous_estimated_under_6_gib(self, monkeypatch):
         # its address space peaks at 3,609 MiB; the successive run, refused
@@ -815,12 +815,13 @@ class TestSimulateMac:
         assert 3609 << 20 < need < 6 << 30
 
     def test_n4_successive_estimated_under_physical_memory(self, monkeypatch):
-        # its address space peaks at 3,968 MiB; admitted on an 8 GB host,
-        # refused under 6 GiB (above)
+        # its address space peaks at 3,904 MiB, estimated at 5,312 MiB (4
+        # copies of the 1 GiB codeword stack); admitted on an 8 GB host,
+        # refused under 5 GiB (above)
         need = estimated_bytes(monkeypatch, "simulate-mac", "--channel",
                                "cnot-mac", "--n", "4", "--L", "2", "--M", "2",
                                "--mode", "successive")
-        assert 3968 << 20 < need < 7 << 30
+        assert 3904 << 20 < need < 6 << 30
 
     @pytest.mark.parametrize("argv, single", [
         (("simulate-mac", "--channel", "cnot-mac", "--n", "2", "--L", "4",
@@ -857,18 +858,18 @@ class TestSimulateMac:
     @pytest.mark.parametrize("mode, code", [("successive", 4),
                                             ("simultaneous", 0)])
     def test_each_decoder_has_its_own_estimate(self, mode, code):
-        # at n = 3, L = M = 4 the successive decoder is estimated at 520 MiB
-        # (its address space peaks at 467 MiB) and the simultaneous one at
-        # 425 MiB; the successive run used to pass its estimate and fail
-        # mid-run on an allocation
+        # at n = 3, L = M = 4 the successive decoder is estimated at 456.5
+        # MiB (its address space peaks at 403 MiB) and the simultaneous one
+        # at 424.5 MiB; the successive run used to pass its estimate and
+        # fail mid-run on an allocation
         proc = run_under_address_limit(
-            512 << 20, "simulate-mac", "--channel", "cnot-mac", "--n", "3",
+            440 << 20, "simulate-mac", "--channel", "cnot-mac", "--n", "3",
             "--L", "4", "--M", "4", "--mode", mode)
         assert proc.returncode == code, proc.stderr
         if code == 4:
             assert proc.stdout == ""
             assert "simulate-mac: the run needs an estimated" in proc.stderr
-            assert "over the memory limit of 0.5 GiB" in proc.stderr
+            assert "over the memory limit of 0.43 GiB" in proc.stderr
         else:
             assert json.loads(proc.stdout)["mode"] == mode
 

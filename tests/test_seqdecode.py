@@ -4,11 +4,10 @@ import math
 
 import numpy as np
 import pytest
-import sympy as sp
 
 from qmac import eacode, qmat, seqdecode, typicality
 from qmac.qmat import FactorSpace
-from qmac.seqdecode import PackingConstants, SuccessiveConstants
+from qmac.seqdecode import PackingConstants
 
 from conftest import bell_state, packing_instances, random_unitary, schmidt_state
 
@@ -406,43 +405,6 @@ class TestBoundAgainstExhaustiveSuccess:
 
 
 class TestSuccessive:
-    def test_bound_perfect_limit(self):
-        c = SuccessiveConstants.from_measurements(
-            1e-12, d1_minus=1.0, d1_plus=1e9, d2=1.0, D1=1e12, L=1, M=1
-        )
-        b = seqdecode.successive_bound(c)
-        assert abs(b.value - 1.0) < 1e-5
-
-    def test_subtractive_term_clamps(self):
-        # eps = eps' = 0.1: the 2 sqrt(2 (eps + eps')) = 2 sqrt(0.4) ~ 1.2649
-        # penalty swamps the main term, so the clamped bound is zero
-        c = SuccessiveConstants(0.1, 0.1, 1.0, 1e9, 1.0, 1e12, 1, 1)
-        b = seqdecode.successive_bound(c)
-        assert b.raw < 0 and b.value == 0.0
-        main = (0.8 * (2 - math.exp(1e-9))) ** 2
-        assert np.isclose(main - b.raw, 2 * math.sqrt(0.4), atol=1e-12)
-
-    def test_eps_prime_consistency_enforced(self):
-        with pytest.raises(ValueError, match="consistent"):
-            SuccessiveConstants(0.1, 0.0, 1.0, 2.0, 1.0, 2.0, 4, 1)
-
-    def test_from_measurements_minimal(self):
-        c = SuccessiveConstants.from_measurements(0.1, 1.0, 2.0, 1.0, 10.0, 2, 2)
-        assert np.isclose(c.eps_prime, math.exp(2 / 10) - 1)
-
-    def test_huge_exponents_without_overflow(self):
-        # d1- L / D1 = 1e6 makes the consistent eps' infinite; d2 M / d1+ =
-        # 1e6 makes the bracket negative, so the bound is 0
-        c = SuccessiveConstants.from_measurements(
-            0.1, d1_minus=1e6, d1_plus=1.0, d2=1e6, D1=1.0, L=1, M=1)
-        assert c.eps_prime == math.inf
-        b = seqdecode.successive_bound(c)
-        assert b.value == 0.0 and not b.condition_holds
-        c = SuccessiveConstants.from_measurements(
-            0.1, d1_minus=1.0, d1_plus=1.0, d2=1e6, D1=1e9, L=1, M=1)
-        b = seqdecode.successive_bound(c)
-        assert b.value == 0.0 and b.raw < 0 and not b.condition_holds
-
     def test_orthogonal_two_stage_decodes_perfectly(self):
         # Pi_x: rank-2 blocks; Pi_xy: basis states; codewords the basis states
         dim = 4
@@ -494,63 +456,6 @@ class TestSuccessive:
                     mat = mat @ pi @ (eye - px[xx]) @ pi
                 expect = mat.conj().T @ mat
                 assert np.max(np.abs(povm[(l, m)] - expect)) < 1e-12
-
-    def test_l_m_one_success_beats_bound(self):
-        dim = 4
-        pi = np.eye(dim)
-        px = {0: np.diag([1.0, 1.0, 0, 0]).astype(complex)}
-        pxy = {(0, 0): np.diag([1.0, 0, 0, 0]).astype(complex)}
-        povm = seqdecode.successive_povm([0], [0], pi, px, pxy)
-        state = pxy[(0, 0)]
-        success = np.trace(povm[(0, 0)] @ state).real
-        c = SuccessiveConstants.from_measurements(
-            1e-12, 1.0, 1e6, 1.0, 1e9, 1, 1
-        )
-        assert success >= seqdecode.successive_bound(c).value - 1e-9
-
-    def test_epsilon_above_one_rejected(self):
-        # as PackingConstants: the main term is the packing bound
-        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\]"):
-            SuccessiveConstants.from_measurements(1.5, 1.0, 2.0, 1.0, 10.0, 2, 2)
-
-    @pytest.mark.parametrize("eps", [1e-3, 0.3, 0.5, 0.7, 1.0])
-    @pytest.mark.parametrize("d2, M", [(1.0, 1), (1.0, 5), (0.5, 40)])
-    def test_main_term_is_the_packing_bound(self, eps, d2, M):
-        # |(1 - 2 eps)(2 - e^{d2 M / d1+})|^2, zero with the flag down once
-        # d2 M / d1+ >= ln 2; the flag also drops for eps > 1/2
-        c = SuccessiveConstants.from_measurements(eps, 1.0, 20.0, d2, 1e3, 1, M)
-        b = seqdecode.successive_bound(c)
-        x = d2 * M / 20.0
-        main = (1 - 2 * eps) ** 2 * (2 - math.exp(x)) ** 2 if x < math.log(2) else 0.0
-        assert b.raw == pytest.approx(
-            main - 2 * math.sqrt(2 * (eps + c.eps_prime)), abs=1e-15)
-        assert b.condition_holds == (x < math.log(2) and eps <= 0.5)
-
-
-class TestParameterExponents:
-    def test_unassisted_identities_symbolic(self):
-        n, delta = sp.symbols("n delta", positive=True)
-        hb, hbx, hbxy = sp.symbols("H_B H_BX H_BXY")
-        e = seqdecode.unassisted_successive_exponents(n, delta, hb, hbx, hbxy)
-        i_xb = hb - hbx
-        i_ybx = hbx - hbxy
-        assert sp.simplify(e["D1"] - e["d1_minus"] - n * (i_xb - 2 * delta)) == 0
-        assert sp.simplify(e["d1_plus"] - e["d2"] - n * (i_ybx - 2 * delta)) == 0
-
-    def test_assisted_identities_symbolic(self):
-        n, delta = sp.symbols("n delta", positive=True)
-        ha, hb, hc, hac, habc = sp.symbols("H_A H_B H_C H_AC H_ABC")
-        e = seqdecode.assisted_successive_exponents(
-            n, delta, ha, hb, hc, hac, habc
-        )
-        i_ac = ha + hc - hac
-        i_bac = hb + hac - habc
-        assert sp.simplify(e["D1"] - e["d1_minus"] - n * (i_ac - 2 * delta)) == 0
-        assert sp.simplify(e["d1_plus"] - e["d2"] - n * (i_bac - 2 * delta)) == 0
-
-    def test_numeric_consistency(self):
-        e = seqdecode.unassisted_successive_exponents(3, 0.1, 1.5, 0.9, 0.4)
-        assert np.isclose(e["D1"] - e["d1_minus"], 3 * ((1.5 - 0.9) - 0.2))
 
 
 def dense_table(instance, entries):

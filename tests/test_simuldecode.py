@@ -11,7 +11,8 @@ from qmac import eacode, info, qmat, seqdecode, simuldecode, typicality
 from qmac.eacode import HwIndex
 from qmac.qmat import FactorSpace, PovmSet
 
-from conftest import bell_state, parallel_qubit_mac, schmidt_state
+from conftest import (bell_state, fully_depolarizing_mac, parallel_qubit_mac,
+                      schmidt_state)
 
 
 DECODERS = {"simultaneous": simuldecode.simultaneous_povm,
@@ -796,6 +797,16 @@ class TestBlocklengthThree:
         assert abs(report.breakdown["total"] - report.avg_error) < 1e-12
 
 
+def bob_through_mac():
+    """Bob's qubit passes and Alice's is discarded: |b><ab|, a = 0, 1."""
+    kraus = [np.zeros((2, 4), dtype=complex) for _ in range(2)]
+    for a, b in itertools.product(range(2), repeat=2):
+        kraus[a][b, 2 * a + b] = 1.0
+    return qmat.KrausChannel(
+        FactorSpace(("Ap", "Bp"), (2, 2)), FactorSpace(("C",), (2,)),
+        kraus, name="bob-through")
+
+
 class TestSuccessiveTable:
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("name, weights, n, L, M", [
@@ -868,11 +879,13 @@ class TestSuccessiveTable:
 
     def test_encoders_act_a_number_of_times_fixed_in_m(self, monkeypatch):
         # V and Bob's words [U_2(t_m) B] are encoded once per table (one
-        # encode of Alice's book and two of Bob's), and Bob's stage runs in
-        # Alice's frame, so her encoder then acts three times per message
-        # and once for the last, however many words Bob's stage tests
+        # encode of Alice's book and two of Bob's), and both stages run in
+        # Alice's frame, so her encoders act L times per table: U_1(s_0)†
+        # on V, then one frame step per update, however many words Bob's
+        # stage tests; no encoder acts as an operator
         calls = Counter()
         apply_local, encode = qmat.apply_local, eacode.encode
+        on_share = seqdecode._on_share
 
         def counted_apply(*args, **kwargs):
             calls[args[0].space] += 1
@@ -882,8 +895,13 @@ class TestSuccessiveTable:
             calls["encode", books[0].decomp.receiver_space] += 1
             return encode(x, books, space)
 
+        def counted_on_share(u, z, shape):
+            calls["on share", u.shape] += 1
+            return on_share(u, z, shape)
+
         monkeypatch.setattr(qmat, "apply_local", counted_apply)
         monkeypatch.setattr(eacode, "encode", counted_encode)
+        monkeypatch.setattr(seqdecode, "_on_share", counted_on_share)
         L = 4
         for M in (2, 4):
             ch, books, d1, d2 = sample_pair("cnot-mac", None, 2, L, M, (0, 1))
@@ -891,9 +909,10 @@ class TestSuccessiveTable:
             factor = output_factor(ch, books)
             calls.clear()
             seqdecode.successive_table(factor, books, proj)
+            d_s = d1.receiver_space.dim
             assert calls == {("encode", d1.receiver_space): 1,
                              ("encode", d2.receiver_space): 2,
-                             d1.receiver_space: 3 * L - 2}
+                             ("on share", (d_s, d_s)): L}
 
     def test_code_projector_applied_once_per_alice_update(self, monkeypatch):
         # Y stays in the range of Pi = Pi_A Pi_B Pi_C after each of Alice's
@@ -912,6 +931,45 @@ class TestSuccessiveTable:
         monkeypatch.setattr(typicality.ProjectorBundle, "apply", counted)
         seqdecode.successive_table(factor, books, proj)
         assert calls["A"] == 4
+
+    def test_oracles_read_no_encoder_stack(self, monkeypatch):
+        # the dense oracles build each encoder from its index, so books
+        # whose stacks hold their encoders in reverse order decode
+        # differently under the factored decoders and under the oracles
+        stack = eacode.encoder_stack
+        monkeypatch.setattr(eacode, "encoder_stack",
+                            lambda decomp, draws: stack(decomp, draws)[::-1])
+        ch, books, d1, d2 = sample_pair("cnot-mac", None, 2, 3, 3, (0, 1))
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
+        factor = output_factor(ch, books)
+        for table, povm in ((seqdecode.successive_table,
+                             seqdecode.ea_successive_povm),
+                            (simuldecode.gram_table,
+                             simuldecode.simultaneous_povm)):
+            want = overlap_table(ch, books, povm(books, proj))
+            assert np.max(np.abs(table(factor, books, proj) - want)) > 0.1
+
+    @pytest.mark.parametrize("channel, joint_rank", [
+        (fully_depolarizing_mac(out=2), 8), (bob_through_mac(), 2)],
+        ids=["depolarizing", "bob-through"])
+    def test_matches_dense_oracle_when_every_test_is_full_rank(
+            self, channel, joint_rank):
+        # two qubits in, one out: with Bell states Pi_B and Pi_AC are full
+        # rank, so Pi_x = I, the chain's start is Z itself and Alice's
+        # update is zero; the joint test is full rank on the fully
+        # depolarizing MAC and rank-deficient where Bob's qubit passes
+        _, d1, d2 = bell_pair_books(channel)
+        books = sample_books((d1, d2), (3, 3), (4, 5))
+        proj = simuldecode.mac_typical_projectors(channel, (d1, d2), 1.0)
+        assert proj.rank("ABC") == joint_rank
+        z = np.zeros((proj.space.dim, 2), dtype=complex)
+        assert proj.coordinates(("B", "AC"), z) is z
+        want = overlap_table(
+            channel, books, seqdecode.ea_successive_povm(books, proj))
+        got = seqdecode.successive_table(output_factor(channel, books), books,
+                                         proj)
+        assert got.shape == want.shape == (10, 9)
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_cnot_mac_blocklength_three(self):
         # d = 4096, where the dense POVM ran out of memory: the identities

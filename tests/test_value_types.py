@@ -39,10 +39,6 @@ def _instances():
         seqdecode.PackingConstants(0.1, 1.0, 2.0, 2),
         seqdecode.PackingBound(0.5, True),
         seqdecode.SeqReport(0.5, 0.1, 0.0, False, 0.1, 1.0, 2.0, 1, 2, 0, 3),
-        seqdecode.SuccessiveConstants.from_measurements(
-            0.1, 1.0, 2.0, 1.0, 8.0, 2, 2
-        ),
-        seqdecode.SuccessiveBound(0.0, -0.1, False),
         simuldecode.mac_typical_projectors(cnot, (d1, d2), 1.0),
         simuldecode.coherent_decoder(povm),
         simuldecode.MacReport(1, 2, 2, 0.1, 0.1, 0.1, (0, 1), "simultaneous", {}),
@@ -53,7 +49,7 @@ INSTANCES = _instances()
 
 
 def test_every_value_type_is_covered():
-    assert len({type(x) for x in INSTANCES}) == len(INSTANCES) == 23
+    assert len({type(x) for x in INSTANCES}) == len(INSTANCES) == 21
 
 
 @pytest.mark.parametrize("obj", INSTANCES, ids=lambda x: type(x).__name__)
