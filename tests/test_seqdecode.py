@@ -457,6 +457,23 @@ class TestSuccessive:
                 expect = mat.conj().T @ mat
                 assert np.max(np.abs(povm[(l, m)] - expect)) < 1e-12
 
+    @pytest.mark.parametrize("rank", [6, 4, 2])
+    def test_first_pair_is_its_test_inside_alices(self, rank):
+        # L = M = 1: no earlier test acts, and neither does the code
+        # projector, so Lambda = Pi_x Pi_xy Pi_x whatever Pi is
+        rng = np.random.default_rng(rank)
+        dim = 6
+
+        def projector(r):
+            u = random_unitary(rng, dim)[:, :r]
+            return u @ u.conj().T
+
+        px, pxy = {0: projector(4)}, {(0, 0): projector(2)}
+        povm = seqdecode.successive_povm([0], [0], projector(rank), px, pxy)
+        assert list(povm.elements) == [(0, 0)]
+        expect = px[0] @ pxy[(0, 0)] @ px[0]
+        assert np.max(np.abs(povm[(0, 0)] - expect)) < 1e-12
+
 
 def dense_table(instance, entries):
     """Oracle: the full table [T; abort] of the dense sequential POVM on the

@@ -807,6 +807,17 @@ def bob_through_mac():
         kraus, name="bob-through")
 
 
+
+def xor_mac():
+    """Both qubits in, their parity out: |a + b mod 2><ab|, a = 0, 1."""
+    kraus = [np.zeros((2, 4), dtype=complex) for _ in range(2)]
+    for a, b in itertools.product(range(2), repeat=2):
+        kraus[a][a ^ b, 2 * a + b] = 1.0
+    return qmat.KrausChannel(
+        FactorSpace(("Ap", "Bp"), (2, 2)), FactorSpace(("C",), (2,)),
+        kraus, name="xor")
+
+
 class TestSuccessiveTable:
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("name, weights, n, L, M", [
@@ -836,6 +847,9 @@ class TestSuccessiveTable:
         ("cnot-mac", 2, 0.5, (1, 2)),
         ("adder-mac", 2, 1.0, (1, 5)),
         ("cnot-mac", 1, 1.0, (1, 1)),
+        ("adder-mac", 1, 1.0, (1, 1)),
+        ("cnot-mac", 2, 1.0, (1, 5)),
+        ("adder-mac", 2, 0.5, (1, 2)),
     ])
     def test_matches_dense_oracle_in_rank_deficient_tests(self, name, n,
                                                           delta, ranks):
@@ -970,6 +984,110 @@ class TestSuccessiveTable:
                                          proj)
         assert got.shape == want.shape == (10, 9)
         assert np.max(np.abs(got - want)) < 1e-12
+
+    # Alice's update runs in her frame because each U_1 commutes with
+    # Pi = Pi_A Pi_B Pi_C; skewed states make Pi a proper subspace
+    @pytest.mark.parametrize("name, n, delta", [
+        ("cnot-mac", 1, 1.0), ("cnot-mac", 2, 0.5), ("cnot-mac", 2, 1.0),
+        ("adder-mac", 1, 1.0), ("adder-mac", 2, 1.0),
+    ])
+    def test_alice_encoders_commute_with_the_code_projector(self, name, n,
+                                                            delta):
+        ch, books, d1, d2 = sample_pair(name, [0.7, 0.3], n, 4, 1, (3, 4))
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), delta)
+        pi = proj.embedded("A") @ proj.embedded("B") @ proj.embedded("C")
+        assert np.trace(pi).real < proj.space.dim - 0.5
+        for s in books[0].entries:
+            u = eacode.receiver_encoder(d1, s)
+            assert np.max(np.abs(
+                qmat.conjugate_local(u, pi, proj.space) - pi)) < 1e-12
+
+    @pytest.mark.parametrize("name, weights, n", [
+        ("cnot-mac", None, 1), ("cnot-mac", [0.7, 0.3], 2),
+        ("adder-mac", None, 2), ("adder-mac", [0.7, 0.3], 1),
+    ], ids=lambda v: "skewed" if v == [0.7, 0.3] else
+        "bell" if v is None else str(v))
+    def test_matches_dense_oracle_when_alice_repeats_an_index(self, name,
+                                                              weights, n):
+        # Alice's entries s, s, t, s: one frame step is the identity and the
+        # last undoes the one before it
+        ch, books, d1, _ = sample_pair(name, weights, n, 2, 3, (10, 11))
+        s, t = books[0].entries
+        assert s != t
+        books = [eacode.EaCodeBook(4, (s, s, t, s), 10, d1), books[1]]
+        proj = simuldecode.mac_typical_projectors(
+            ch, [b.decomp for b in books], 1.5 if name == "adder-mac" else 1.0)
+        want = overlap_table(
+            ch, books, seqdecode.ea_successive_povm(books, proj))
+        got = seqdecode.successive_table(output_factor(ch, books), books, proj)
+        assert got.shape == want.shape == (13, 12)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("channel, weights", [
+        (parallel_qubit_mac(), None), (fully_depolarizing_mac(), [0.7, 0.3]),
+        (fully_depolarizing_mac(out=2), [0.7, 0.3]),
+        (bob_through_mac(), [0.7, 0.3]),
+    ], ids=["parallel-qubits-bell", "depolarizing-4-skewed",
+            "depolarizing-2-skewed", "bob-through-skewed"])
+    def test_matches_dense_oracle_on_qubit_macs(self, channel, weights, seed):
+        # Pi_x = Pi_B Pi_AC is the identity on the fully depolarizing MACs
+        # and rank-deficient on the other two
+        d1, d2 = (eacode.type_decompose(
+            bell_state(s, r) if weights is None
+            else schmidt_state(weights, s, r), 1)
+            for s, r in (("Ap", "A"), ("Bp", "B")))
+        books = sample_books((d1, d2), (3, 2), (2 * seed, 2 * seed + 1))
+        proj = simuldecode.mac_typical_projectors(channel, (d1, d2), 1.0)
+        want = overlap_table(
+            channel, books, seqdecode.ea_successive_povm(books, proj))
+        got = seqdecode.successive_table(output_factor(channel, books), books,
+                                         proj)
+        assert got.shape == want.shape == (7, 6)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("seeds", [(12, 13), (14, 15)])
+    def test_matches_dense_oracle_at_blocklength_three(self, seeds):
+        # d = 512 with one output qubit that Alice's input reaches; the
+        # type blocks of dimension 3 make her encoders more than Pauli
+        # operators up to phase, so a frame step S_l and its inverse
+        # differ in more than a phase
+        channel = xor_mac()
+        d1, d2 = (eacode.type_decompose(schmidt_state([0.7, 0.3], s, r), 3)
+                  for s, r in (("Ap", "A"), ("Bp", "B")))
+        assert max(d1.block_dims) == 3
+        books = sample_books((d1, d2), (3, 2), seeds)
+        proj = simuldecode.mac_typical_projectors(channel, (d1, d2), 1.0)
+        want = overlap_table(
+            channel, books, seqdecode.ea_successive_povm(books, proj))
+        got = seqdecode.successive_table(output_factor(channel, books), books,
+                                         proj)
+        assert got.shape == want.shape == (7, 6)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("name, weights, n, delta", [
+        ("cnot-mac", None, 1, 1.0), ("cnot-mac", [0.7, 0.3], 1, 1.0),
+        ("cnot-mac", None, 2, 1.0), ("cnot-mac", [0.7, 0.3], 2, 0.5),
+        ("adder-mac", None, 1, 1.5), ("adder-mac", [0.7, 0.3], 1, 1.0),
+        ("adder-mac", None, 2, 1.5), ("adder-mac", [0.7, 0.3], 2, 1.0),
+    ], ids=lambda v: "skewed" if v == [0.7, 0.3] else
+        "bell" if v is None else str(v))
+    def test_rows_read_only_the_tests_before_them(self, name, weights, n,
+                                                  delta):
+        # row (l, m) reads s_0 ... s_l and t_0 ... t_m alone, so dropping
+        # later entries of either book leaves it as it was on every
+        # codeword kept; column (l, m) is the codeword of pair (l, m)
+        ch, books, d1, d2 = sample_pair(name, weights, n, 3, 3, (6, 7))
+        proj = simuldecode.mac_typical_projectors(ch, (d1, d2), delta)
+        factor = output_factor(ch, books)
+        full = seqdecode.successive_table(factor, books, proj)
+        for L, M in ((2, 3), (3, 2), (1, 1)):
+            short = [eacode.EaCodeBook(k, b.entries[:k], b.seed, b.decomp)
+                     for b, k in zip(books, (L, M))]
+            pairs = [3 * l + m for l in range(L) for m in range(M)]
+            got = seqdecode.successive_table(factor, short, proj)
+            assert np.max(np.abs(got[:-1] - full[np.ix_(pairs, pairs)])
+                          ) < 1e-12
 
     def test_cnot_mac_blocklength_three(self):
         # d = 4096, where the dense POVM ran out of memory: the identities
