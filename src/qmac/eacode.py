@@ -115,14 +115,14 @@ class TypeDecomposition:
         self.sender_label = sender
         self.receiver_label = receiver
         self.schmidt_probs = coeffs**2
-        self.types = tuple(typicality.enumerate_types(n, d))
-        self.block_dims = tuple(t.dim for t in self.types)
+        # the types' counts and dims from one table (typicality.type_table)
+        counts, self.block_dims = typicality.type_table(self.n, d)
+        self.types = tuple(map(typicality.TypeClass, counts.tolist()))
         self.probs = np.array(
             [
-                t.dim * math.prod(
-                    self.schmidt_probs[i] ** c for i, c in enumerate(t.counts)
-                )
-                for t in self.types
+                dim * math.prod(self.schmidt_probs[i] ** c
+                                for i, c in enumerate(row))
+                for row, dim in zip(counts.tolist(), self.block_dims)
             ]
         )
         self.sender_space = FactorSpace(
@@ -153,8 +153,8 @@ class TypeDecomposition:
         self._column_dims = np.repeat(self.block_dims, self.block_dims)
         self._column_starts = np.repeat(
             [sl.start for sl in self.block_slices], self.block_dims)
-        self._sender_block_basis = typicality.type_basis(self.types, left)
-        self._receiver_block_basis = typicality.type_basis(self.types, right)
+        self._sender_block_basis = typicality.type_basis(counts, left)
+        self._receiver_block_basis = typicality.type_basis(counts, right)
         # sum_t sqrt(p_t) |block t> = sum_j w_j s_j (x) r_j with
         # w_j = sqrt(p_t / d_t) on block t's columns: one product
         w = np.repeat(np.sqrt(self.probs / self.block_dims), self.block_dims)

@@ -11,6 +11,7 @@ four-mode output state and reads off seven marginal entropies.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -157,10 +158,23 @@ def _check_photon_numbers(nsa: float, nsb: float) -> None:
             )
 
 
+# 1 / ln 2: g(N) in bits is one multiplication of its value in nats
+_INV_LN2 = 1.0 / math.log(2.0)
+# the smallest normal float; below it 1/N can overflow
+_TINY = sys.float_info.min
+
+
 def g_entropy(N: float) -> float:
     """Thermal-state entropy g(N) = (N+1) log2(N+1) - N log2 N in bits.
 
-    Values in (-1e-12, 0) clamp to zero; anything lower, NaN or +inf raises.
+    Evaluated as g(N) = (log1p(N) + N log1p(1/N)) / ln 2, a sum of two
+    positive terms that does not cancel: the textbook difference loses
+    3e-5 of its value at N = 10^12 and all of it at 10^16, where this form
+    stays within a few ulps (log1p(N), not log2(N + 1), keeps the term
+    N / ln 2 that N + 1 rounds away below N ~ 1e-16).  Below the smallest
+    normal float, where 1/N can overflow, g(N) = N (1 - ln N) / ln 2 to
+    within N^2.  Values in (-1e-12, 0) clamp to zero; anything lower, NaN
+    or +inf raises.
     """
     N = float(N)
     if not -1e-12 <= N < math.inf:
@@ -169,7 +183,9 @@ def g_entropy(N: float) -> float:
         )
     if N <= 0.0:
         return 0.0
-    return (N + 1) * math.log2(N + 1) - N * math.log2(N)
+    if N < _TINY:
+        return N * (1.0 - math.log(N)) * _INV_LN2
+    return (math.log1p(N) + N * math.log1p(1 / N)) * _INV_LN2
 
 
 def tms_covariance(n_s: float, modes=("A", "Ap")) -> CovarianceState:
@@ -270,35 +286,62 @@ def _g_array(n: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"mean photon number must be finite and nonnegative, got {n[~ok][0]}"
         )
-    pos = n > 0.0
-    m = np.where(pos, n, 1.0)  # keeps 0 log2 0 out of the arithmetic
-    return np.where(pos, (m + 1) * np.log2(m + 1) - m * np.log2(m), 0.0)
+    normal = n >= _TINY
+    m = np.where(normal, n, 1.0)  # keeps 1/0 and 1/subnormal out
+    out = np.log1p(1 / m)
+    out *= m
+    out += np.log1p(m)
+    out *= _INV_LN2
+    if not normal.all():
+        tiny = n[~normal]  # at most 0, or subnormal
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[~normal] = np.where(
+                tiny > 0.0, tiny * (1.0 - np.log(tiny)) * _INV_LN2, 0.0)
+    return out
 
 
 def _lambda_pair(c: np.ndarray, nsa: float, nsb: float) -> np.ndarray:
-    """|lambda+-| = |c D +- sqrt(c^2 D^2 + 2c(2NaNb+Na+Nb) + 1)|, D = |Na-Nb|."""
-    diff = abs(nsa - nsb)
-    root = np.sqrt(c**2 * diff**2 + 2 * c * (2 * nsa * nsb + nsa + nsb) + 1.0)
-    return np.abs([c * diff + root, c * diff - root])
+    """|lambda+-| = |c D +- root|, root = sqrt(c^2 D^2 + s), D = |Na - Nb|.
+
+    With s = 2c(2NaNb + Na + Nb) + 1, |lambda-| = root - cD is taken as
+    s / (cD + root), which does not cancel.  Photon numbers at which the
+    closed form overflows a float raise ``ValueError`` naming both.
+    """
+    c = np.asarray(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cd = c * abs(nsa - nsb)
+        s = 2 * c * (2 * nsa * nsb + nsa + nsb) + 1.0
+        out = np.array([cd + np.sqrt(cd * cd + s), s])
+        out[1] /= out[0]
+    if not np.isfinite(out).all():
+        raise ValueError(
+            f"nsa = {nsa} and nsb = {nsb} overflow the closed form of the "
+            "region: its symplectic eigenvalues exceed the float range")
+    return out
 
 
-def _region_figures(eta: np.ndarray, nsa: float, nsb: float, ga: float,
-                    gb: float) -> tuple[np.ndarray, ...]:
-    """Unclamped (r1, r2, sum, ys_sum, sum_gap) over eta, given g(Na) and g(Nb).
+def _region_figures(eta: np.ndarray, nsa: float, nsb: float
+                    ) -> tuple[np.ndarray, ...]:
+    """Unclamped (r1, r2, sum, ys_sum, sum_gap) over eta, then g(Na), g(Nb).
 
     The only place the closed forms are written.  The pair entropies enter
     through the symplectic eigenvalues lambda+- of the AC (c = 1 - eta) and
     BC (c = eta) blocks; the expressions produce the negative branch with a
     sign, so absolute values are taken, which the numeric pipeline confirms.
     h_E is the environment entropy, the sum gap is g(Na) + g(Nb) - h_E.
+    Every g value, g(Na) and g(Nb) included, comes from :func:`_g_array`,
+    so that g(Na) - h_E at eta = 0 (and g(Nb) - h_E at eta = 1) is an exact
+    zero: numpy's vectorized logarithms need not round as the scalar ones
+    of :func:`g_entropy` do.
     """
     lam_plus, lam_minus = _lambda_pair(np.array([1 - eta, eta]), nsa, nsb)
     g_plus, g_minus, (h_e, ys_sum) = _g_array(np.array([
         (lam_plus - 1) / 2, (lam_minus - 1) / 2,
         [eta * nsb + (1 - eta) * nsa, eta * nsa + (1 - eta) * nsb]]))
+    ga, gb = _g_array(np.array([nsa, nsb])).tolist()
     h_ac, h_bc = g_plus + g_minus
     return (ga + h_bc - h_e, gb + h_ac - h_e, ga + gb + ys_sum - h_e, ys_sum,
-            ga + gb - h_e)
+            ga + gb - h_e, ga, gb)
 
 
 def ea_bosonic_region(p: BosonicMacParams) -> RateRegion:
@@ -355,9 +398,8 @@ def compare_regions(p: BosonicMacParams) -> dict:
     g), a vertex-by-vertex report, and whether the assisted region contains
     the outer bound.
     """
-    ga, gb = g_entropy(p.nsa), g_entropy(p.nsb)
-    r1, r2, rsum, ys_sum, sum_gap = (float(x[0]) for x in _region_figures(
-        np.array([p.eta]), p.nsa, p.nsb, ga, gb))
+    *figures, ga, gb = _region_figures(np.array([p.eta]), p.nsa, p.nsb)
+    r1, r2, rsum, ys_sum, sum_gap = (float(x[0]) for x in figures)
     ea, ys = RateRegion(r1, r2, rsum), RateRegion(ga, gb, ys_sum)
     vertices = [{"vertex": [x, y], "inside_ea": ea.contains(x, y)}
                 for x, y in ys.vertices]
@@ -381,8 +423,7 @@ def region_sweep(nsa: float, nsb: float, eta_grid) -> np.ndarray:
     bad = ~((eta >= 0.0) & (eta <= 1.0))
     if bad.any():
         raise ValueError(f"eta out of range: {eta[bad][0]}")
-    ga, gb = g_entropy(nsa), g_entropy(nsb)
-    r1, r2, rsum, ys_sum, sum_gap = _region_figures(eta, nsa, nsb, ga, gb)
+    r1, r2, rsum, ys_sum, sum_gap, ga, gb = _region_figures(eta, nsa, nsb)
     rows = np.empty(len(eta), dtype=[(key, float) for key in _SWEEP_KEYS])
     rows["eta"], rows["ys_r1"], rows["ys_r2"] = eta, ga, gb
     rows["r1"], rows["r2"], rows["sum"] = (np.maximum(x, 0.0) for x in (r1, r2, rsum))

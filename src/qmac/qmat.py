@@ -39,6 +39,7 @@ __all__ = [
     "conjugate_local",
     "partial_trace",
     "eig_hermitian",
+    "state_spectrum",
     "rounding_residuals",
     "operator_power",
     "apply_channel",
@@ -182,15 +183,25 @@ class DensityOperator(Operator):
 
     def __post_init__(self):
         Operator.__post_init__(self)
-        defect = self.hermiticity_defect()
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"density matrix not Hermitian (defect {defect:.3e})")
-        tr = self.trace
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} differs from 1")
-        lo = float(np.min(np.linalg.eigvalsh(_sym(self.matrix))))
-        if lo < -PSD_TOL:
-            raise ValueError(f"density matrix has eigenvalue {lo:.3e} < -{PSD_TOL}")
+        _check_hermitian_unit_trace(self)
+        _check_psd(np.linalg.eigvalsh(_sym(self.matrix)))
+
+
+def _check_hermitian_unit_trace(op: Operator) -> None:
+    """The first two checks of a state: Hermitian and unit trace within 1e-10."""
+    defect = op.hermiticity_defect()
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"density matrix not Hermitian (defect {defect:.3e})")
+    tr = op.trace
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix trace {tr} differs from 1")
+
+
+def _check_psd(vals: np.ndarray) -> None:
+    """The last check of a state: no eigenvalue in ``vals`` below -1e-9."""
+    lo = float(np.min(vals))
+    if lo < -PSD_TOL:
+        raise ValueError(f"density matrix has eigenvalue {lo:.3e} < -{PSD_TOL}")
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -397,6 +408,23 @@ def eig_hermitian(op):
     vals, vecs = np.linalg.eigh(_sym(m))
     order = np.argsort(-vals, kind="stable")
     return vals[order], vecs[:, order]
+
+
+def state_spectrum(op: Operator):
+    """:func:`eig_hermitian` of ``op``, checked to be a state on the way.
+
+    A :class:`DensityOperator` was checked when it was made.  Any other
+    operator gets the checks of that constructor, with its tolerances, and
+    the positivity check reads the eigenvalues decomposed here, so a state
+    that is only decomposed is never decomposed twice.
+    """
+    checked = isinstance(op, DensityOperator)
+    if not checked:
+        _check_hermitian_unit_trace(op)
+    vals, vecs = eig_hermitian(op)
+    if not checked:
+        _check_psd(vals)
+    return vals, vecs
 
 
 def rounding_residuals(vals: np.ndarray, size: int) -> np.ndarray:

@@ -104,10 +104,12 @@ def build_upsilon(books, l: int, m: int,
     return (core + core.conj().T) / 2.0
 
 
-def _inverse_root(total: np.ndarray):
-    """(total^{+1/2}, support projector) of a family sum, cutoff 1e-12.
+def _support(total: np.ndarray):
+    """(E, f): the eigenvectors E of a family sum whose eigenvalues lambda
+    exceed 1e-12, and f = lambda^{-1/2}, so total^{+1/2} = E diag(f) E†.
 
-    Raises when ``total`` has an eigenvalue below -1e-9.
+    The one cutoff rule of the square root.  Raises when ``total`` has an
+    eigenvalue below -1e-9.
     """
     vals, vecs = qmat.eig_hermitian(total)
     if float(vals.min()) < -qmat.PSD_TOL:
@@ -115,16 +117,19 @@ def _inverse_root(total: np.ndarray):
             f"detection operators sum to an eigenvalue {vals.min():.3e} "
             f"< -{qmat.PSD_TOL}"
         )
-    on_support = vals > SUPPORT_CUTOFF
-    inv_root_vals = np.zeros_like(vals)
-    inv_root_vals[on_support] = vals[on_support] ** -0.5
-    return ((vecs * inv_root_vals) @ vecs.conj().T,
-            (vecs * on_support) @ vecs.conj().T)
+    on_support = vals > SUPPORT_CUTOFF  # a prefix: the eigenvalues descend
+    return vecs[:, on_support], vals[on_support] ** -0.5
+
+
+def _inverse_root(total: np.ndarray):
+    """(total^{+1/2}, support projector) of a family sum (:func:`_support`)."""
+    e, f = _support(total)
+    return (e * f) @ e.conj().T, e @ e.conj().T
 
 
 def _check_support(resolved: np.ndarray, supp: np.ndarray) -> None:
     """Raise when the measurement misses the support projector by over 1e-8."""
-    defect = float(np.max(np.abs(resolved - supp)))
+    defect = float(np.max(np.abs(resolved - supp), initial=0.0))
     if defect > 1e-8:
         raise ValueError(
             f"square-root measurement misses the support projector by {defect:.3e}; "
@@ -211,25 +216,40 @@ def gram_table(factor: np.ndarray, books,
     G^{+1/2} W† = (I_L (x) Z) G'^{+1/2} W'† with G' = W'†W' only Lq x Lq.
     Hence T[(l, m), j] = |Z_m X'_{l,j}|_F^2 for the blocks X'_{l,j} of
     X' = G'^{+1/2} W'† V = W'† S^{+1/2} V, read one row block Z_m X' at a
-    time (:func:`eacode.block_overlaps`); the smaller of G' and S is
-    decomposed.  (W', Z) is built before V, so V and Y are never held
+    time (:func:`eacode.block_overlaps`).  The smaller of G' and S is
+    decomposed once and read on its support only (:func:`_support`): its
+    r_s eigenvectors E with eigenvalues lambda > 1e-12 and f = lambda^{-1/2},
+    so G'^{+1/2} = E diag(f) E† and no Lq x Lq (or d x d) square root is
+    formed.  On the G' side X' = E (f ⊙ E†(W'†V)) or E (f ⊙ (W'E)†V),
+    whichever costs fewer flops; on the S side X' = (W'†E f)(E†V), which
+    always costs fewer than W'†(E (f ⊙ E†V)): r <= c for R's c columns, so
+    Lq <= L M r <= kc.  (W', Z) is built before V, so V and Y are never held
     together.  The rows (l, m) fill one preallocated table, whose last row
     is the abort weight |V_j|^2 - sum_k T[k, j]
     (:func:`eacode.codeword_table`).
 
     The checks of :func:`sqrt_measurement` move to the smaller space: G'
-    (or S) must be PSD within 1e-9, G'^{+1/2} G' G'^{+1/2} must equal its
-    support projector within 1e-8, |V_j|^2 must be 1 and every abort
-    weight at least -1e-9.
+    (or S) must be PSD within 1e-9, f E†G'E f must be the identity within
+    1e-8 (G'^{+1/2} G' G'^{+1/2} minus its support projector, written in
+    the support basis), |V_j|^2 must be 1 and every abort weight at least
+    -1e-9.
     """
     w, z = _detection_factors(books, projectors)
     sent, v, traces = eacode.codeword_factors(factor, books, projectors.space)
     wh = w.conj().T
-    gram_side = w.shape[1] <= w.shape[0]
+    (d, lq), cols = w.shape, v.shape[1]
+    gram_side = lq <= d
     total = wh @ w if gram_side else w @ wh  # G' or S
-    inv_root, supp = _inverse_root(total)
-    _check_support(inv_root @ total @ inv_root, supp)
-    x = inv_root @ (wh @ v) if gram_side else wh @ (inv_root @ v)
+    e, f = _support(total)
+    ef = e * f
+    _check_support(ef.conj().T @ (total @ ef), np.eye(len(f)))
+    rs = len(f)
+    if not gram_side:  # X' = (W'†E f)(E†V), the cheaper order as Lq <= kc
+        x = (wh @ ef) @ (e.conj().T @ v)
+    elif d * lq * rs + d * rs * cols < d * lq * cols + lq * rs * cols:
+        x = e @ ((w @ ef).conj().T @ v)  # X' = E (f ⊙ (W'E)†V)
+    else:
+        x = e @ (ef.conj().T @ (wh @ v))  # X' = E (f ⊙ E†(W'†V))
     L, M = (b.message_count for b in books)
     K, q = len(sent), z.shape[1]
     x = x.reshape(L, q, -1).transpose(1, 0, 2).reshape(q, -1)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -23,6 +22,7 @@ __all__ = [
     "TypicalProjector",
     "ProjectorBundle",
     "MeasuredConstants",
+    "type_table",
     "enumerate_types",
     "type_sequences",
     "type_basis",
@@ -82,25 +82,41 @@ class TypeClass:
         return f"TypeClass{self.counts}"
 
 
+@functools.lru_cache(maxsize=16)
+def type_table(n: int, letters: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The types of length-n sequences over ``letters`` letters as integers:
+    a read-only (T, letters) array of their counts and the tuple of their
+    multinomial dims, in :func:`enumerate_types` order.
+
+    The one enumeration of types; callers that only need counts and dims
+    read it and build no :class:`TypeClass`.
+    """
+    if n < 0 or letters < 1:
+        raise ValueError("need n >= 0 and alphabet_size >= 1")
+    rows: list[tuple[int, ...]] = []
+
+    def rec(remaining: int, parts: tuple[int, ...]):
+        if len(parts) == letters - 1:
+            rows.append(parts + (remaining,))
+            return
+        for c in range(remaining, -1, -1):
+            rec(remaining - c, parts + (c,))
+
+    rec(n, ())
+    counts = np.array(rows, dtype=np.int64).reshape(len(rows), letters)
+    counts.setflags(write=False)
+    top = math.factorial(n)
+    return counts, tuple(top // math.prod(map(math.factorial, r)) for r in rows)
+
+
 def enumerate_types(n: int, alphabet_size: int) -> list[TypeClass]:
     """All compositions of n into alphabet_size parts, first letter descending.
 
     The classes partition the alphabet_size**n sequences, so their dims sum
     to that total.
     """
-    if n < 0 or alphabet_size < 1:
-        raise ValueError("need n >= 0 and alphabet_size >= 1")
-    out: list[TypeClass] = []
-
-    def rec(remaining: int, parts: list[int]):
-        if len(parts) == alphabet_size - 1:
-            out.append(TypeClass(parts + [remaining]))
-            return
-        for c in range(remaining, -1, -1):
-            rec(remaining - c, parts + [c])
-
-    rec(n, [])
-    return out
+    counts, _ = type_table(n, alphabet_size)
+    return [TypeClass(c) for c in counts.tolist()]
 
 
 def type_sequences(t: TypeClass):
@@ -145,19 +161,23 @@ def _sequence_table(n: int, alphabet_size: int) -> dict:
     return {tuple(k.tolist()): g for k, g in zip(keys, groups)}
 
 
-def type_basis(types: Sequence[TypeClass], local_basis: np.ndarray) -> np.ndarray:
+def type_basis(types, local_basis: np.ndarray) -> np.ndarray:
     """Product vectors  b_{z1} (x) ... (x) b_{zn}  as columns, one per sequence.
 
-    Columns run type by type and lexicographically within each type, so
-    each type owns a contiguous run of ``t.dim`` columns; ``local_basis``
-    holds the single-copy basis as columns.  The sequences come from one
-    cached table over the letters the types use (:func:`_sequence_table`).
+    ``types`` is a sequence of :class:`TypeClass` or an integer array whose
+    rows are their counts (:func:`type_table`); trailing letters that no
+    type uses may be left out of the rows.  Columns run type by type and
+    lexicographically within each type, so each type owns a contiguous run
+    of ``t.dim`` columns; ``local_basis`` holds the single-copy basis as
+    columns.  The sequences come from one cached table over the letters the
+    types use (:func:`_sequence_table`).
     """
+    counts = np.array([t.counts for t in types]) if (
+        len(types) and isinstance(types[0], TypeClass)) else np.asarray(types)
     local_basis = np.asarray(local_basis, dtype=complex)
-    used = 1 + max(max((i for i, c in enumerate(t.counts) if c), default=0)
-                   for t in types)
-    table = _sequence_table(types[0].n, used)
-    seqs = np.concatenate([table[t.counts[:used]] for t in types])
+    used = 1 + int(np.flatnonzero(counts.any(axis=0)).max(initial=0))
+    table = _sequence_table(int(counts[0].sum()), used)
+    seqs = np.concatenate([table[tuple(row)] for row in counts[:, :used].tolist()])
     cols = local_basis[:, seqs[:, 0]]
     for letters in seqs.T[1:]:
         # column-wise Kronecker product with the next letter's basis vector
@@ -230,7 +250,7 @@ class TypicalProjector:
         return self.basis.shape[1]
 
 
-def typical_projector(rho: qmat.DensityOperator, n: int, delta: float
+def typical_projector(rho: qmat.Operator, n: int, delta: float
                       ) -> TypicalProjector:
     """Entropy-typical projector of rho^(x)n.
 
@@ -243,37 +263,38 @@ def typical_projector(rho: qmat.DensityOperator, n: int, delta: float
     Eigenvalues at most dim * machine epsilon * lambda_max are rounding
     residuals of zero (:func:`qmat.rounding_residuals`), and count as zero.
     The eigenvalues descend, so the zeros are a suffix: only the types over
-    the support letters are enumerated, their counts padded with zeros.
+    the support letters are read, from one cached table of their counts and
+    dims (:func:`type_table`), and no :class:`TypeClass` is built.  Each
+    log2 lam is summed letter by letter, in letter order, so the retained
+    types, ``weight``, ``lambda_max`` and ``lambda_min`` are bit for bit
+    those of a loop over ``enumerate_types``.  ``rho`` is decomposed once
+    (:func:`qmat.state_spectrum`): an operator that is not a
+    :class:`~qmat.DensityOperator` is checked to be a state there.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if not delta >= 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    vals, vecs = qmat.eig_hermitian(rho)
+    vals, vecs = qmat.state_spectrum(rho)
     vals = np.clip(vals.real, 0.0, None)
     vals[qmat.rounding_residuals(vals, len(vals))] = 0.0
     entropy = float(-sum(v * math.log2(v) for v in vals if v > 0))
     space = qmat.power_space(rho.space, n)
     support = int(np.count_nonzero(vals))
-    zeros = (0,) * (len(vals) - support)
-    typical = []
+    counts, dims = type_table(n, support)
+    log_lam = np.zeros(len(counts))
+    for letter, log_val in enumerate(map(math.log2, vals[:support])):
+        log_lam += counts[:, letter] * log_val
+    typical = np.flatnonzero(np.abs(-log_lam / n - entropy) <= delta + 1e-12)
+    if not typical.size:
+        return TypicalProjector(space, np.zeros((space.dim, 0), dtype=complex),
+                                entropy, 0.0, float("nan"), float("nan"))
+    lams = [2.0**x for x in log_lam[typical].tolist()]
     weight = 0.0
-    lam_max, lam_min = -np.inf, np.inf
-    for t in enumerate_types(n, support):
-        t = TypeClass(t.counts + zeros)
-        log_lam = sum(c * math.log2(vals[i]) for i, c in enumerate(t.counts) if c)
-        if abs(-log_lam / n - entropy) <= delta + 1e-12:
-            typical.append(t)
-            lam = 2.0**log_lam
-            weight += t.dim * lam
-            lam_max = max(lam_max, lam)
-            lam_min = min(lam_min, lam)
-    if typical:
-        basis = type_basis(typical, vecs)
-    else:
-        basis = np.zeros((space.dim, 0), dtype=complex)
-        lam_max = lam_min = float("nan")
-    return TypicalProjector(space, basis, entropy, weight, lam_max, lam_min)
+    for i, lam in zip(typical.tolist(), lams):
+        weight += dims[i] * lam
+    return TypicalProjector(space, type_basis(counts[typical], vecs),
+                            entropy, weight, max(lams), min(lams))
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -380,11 +401,18 @@ def projector_bundle(rho: qmat.DensityOperator, n: int, delta: float,
     labels of ``rho`` that the marginal keeps (label X covers X1..Xn of
     ``space``).  Each projector is kept as its type basis, its rows moved
     to the factor order of ``space``, so no d x d matrix is formed.  An
-    empty projector is not an error here.
+    empty projector is not an error here.  Each marginal is traced out as
+    a plain operator and checked to be a state once, by
+    :func:`typical_projector` on the spectrum it decomposes; a marginal
+    that fails raises ``ValueError`` naming it.
     """
+    op = qmat.Operator(rho.space, rho.matrix)
     bases = {}
     for name, keep in marginals.items():
-        tp = typical_projector(qmat.partial_trace(rho, keep), n, delta)
+        try:
+            tp = typical_projector(qmat.partial_trace(op, keep), n, delta)
+        except ValueError as e:
+            raise ValueError(f"marginal {name!r}: {e}") from None
         labels = [l for l in space.labels if l in tp.space.labels]
         bases[name] = (labels, qmat.permute_rows(tp.basis, tp.space, labels))
     return ProjectorBundle(space, bases)

@@ -202,15 +202,17 @@ GOLDEN_REGIONS = {
 
 
 # gaussian-sweep CSVs pinned byte for byte.  The rows cover eta = 0 and
-# eta = 1, and the clamp at zero: the unclamped r1 at (0, 7), eta = 0.1 is
-# -4.4e-16.
+# eta = 1, and r1 at (0, 7), which is exactly zero: the difference form of g
+# printed residuals of 4.9e-15 and 2.7e-14 at eta = 0.2 and 0.9.  The clamp
+# of a negative residual is pinned by test_gaussian's
+# test_negative_residuals_clamp_to_zero.
 GOLDEN_SWEEPS = {
     ("1000", "10"): """\
 eta,r1,r2,sum,ys_r1,ys_r2,ys_sum,sum_gap
 0,0,9.66893371227,9.66893371227,11.4092004327,4.83446685614,4.83446685614,4.83446685614
-0.1,13.0722670496,9.66725494752,13.2022657275,11.4092004327,4.83446685614,8.21747708703,4.98478864052
+0.1,13.0722670496,9.66725494752,13.2022657276,11.4092004327,4.83446685614,8.21747708703,4.98478864052
 0.2,14.2399786887,9.66515924525,14.2992119909,11.4092004327,4.83446685614,9.14659723156,5.15261475932
-0.3,15.014854024,9.66246925323,15.0497027616,11.4092004327,4.83446685614,9.70713700538,5.34256575621
+0.3,15.014854024,9.66246925324,15.0497027616,11.4092004327,4.83446685614,9.70713700538,5.34256575621
 0.4,15.6486805687,9.65889041096,15.6711801024,11.4092004327,4.83446685614,10.1098062192,5.56137388324
 0.5,16.2286285326,9.65389495601,16.2436672889,11.4092004327,4.83446685614,10.4242620875,5.81940520133
 0.6,16.806111174,9.6464341786,16.8161544753,11.4092004327,4.83446685614,10.6822934056,6.1338610697
@@ -223,14 +225,14 @@ eta,r1,r2,sum,ys_r1,ys_r2,ys_sum,sum_gap
 eta,r1,r2,sum,ys_r1,ys_r2,ys_sum,sum_gap
 0,0,8.69703109119,8.69703109119,0,4.3485155456,4.3485155456,4.3485155456
 0.1,0,6.89383292269,6.89383292269,0,4.3485155456,4.20692766689,2.6869052558
-0.2,4.88498130835e-15,6.04671605899,6.04671605899,0,4.3485155456,4.04988552936,1.99683052963
+0.2,0,6.04671605899,6.04671605899,0,4.3485155456,4.04988552936,1.99683052963
 0.3,0,5.4098893263,5.4098893263,0,4.3485155456,3.87358766018,1.53630166612
 0.4,0,4.86153813494,4.86153813494,0,4.3485155456,3.67262526378,1.18891287116
 0.5,0,4.3485155456,4.3485155456,0,4.3485155456,3.43892027929,0.909595266308
 0.6,0,3.83549295626,3.83549295626,0,4.3485155456,3.15960267444,0.675890281821
 0.7,0,3.28714176489,3.28714176489,0,4.3485155456,2.81221387948,0.474927885414
 0.8,0,2.6503150322,2.6503150322,0,4.3485155456,2.35168501596,0.298630016241
-0.9,2.6645352591e-14,1.80319816851,1.80319816851,0,4.3485155456,1.6616102898,0.141587878709
+0.9,0,1.80319816851,1.80319816851,0,4.3485155456,1.6616102898,0.141587878709
 1,0,0,0,0,4.3485155456,0,0
 """,
 }
@@ -521,7 +523,37 @@ class TestGaussianSweep:
         assert out == GOLDEN_SWEEPS[nsa, nsb]
 
 
+    def test_large_photon_number(self, capsys):
+        # g(10^16) = 54.5935445591 at 50 digits; the textbook difference
+        # printed ys_r1 = 0 and sum_gap = -62
+        code, out, _ = run(capsys, "gaussian-sweep", "--nsa", "1e16",
+                           "--nsb", "1", "--steps", "3")
+        assert code == 0
+        rows = [[float(x) for x in line.split(",")]
+                for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 3
+        for row in rows:
+            assert abs(row[4] - 54.5935445591) <= 1e-9
+            assert row[7] >= 0
+
+    @pytest.mark.parametrize("flag", ["--nsa", "--nsb"])
+    def test_overflow_exits_2_naming_the_input(self, capsys, flag):
+        argv = {"--nsa": "1", "--nsb": "1", flag: "1e155"}
+        code, out, err = run(capsys, "gaussian-sweep", "--steps", "3",
+                             *[x for kv in argv.items() for x in kv])
+        assert code == 2 and out == ""
+        assert "nsa = " in err and "nsb = " in err and "1e+155" in err
+
+
 class TestCompareYs:
+    def test_large_photon_number_contained(self, capsys):
+        code, out, _ = run(capsys, "compare-ys", "--eta", "0.5",
+                           "--nsa", "1e16", "--nsb", "1")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["ea_contains_ys"] is True
+        assert abs(obj["sum_gap"] - 3.0) <= 1e-9
+
     def test_fig2b_not_contained(self, capsys):
         code, out, _ = run(capsys, "compare-ys", "--eta", "0.95",
                            "--nsa", "1", "--nsb", "1")

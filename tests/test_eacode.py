@@ -107,6 +107,30 @@ class TestTypeDecompose:
         with pytest.raises(AssertionError, match="reassembly misses"):
             eacode.type_decompose(schmidt_state([0.6, 0.4]), 2)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("weights", [[0.7, 0.3], [0.5, 0.3, 0.2],
+                                         [0.4, 0.3, 0.2, 0.1], [1.0, 0.0]])
+    def test_fields_match_a_type_class_per_type(self, weights, n):
+        # oracle: one TypeClass per type of enumerate_types, as the fields
+        # were built before they read the type table; bit for bit
+        dec = eacode.type_decompose(schmidt_state(weights), n)
+        coeffs, left, right = eacode.schmidt(dec.phi, (dec.sender_label,))
+        types = typicality.enumerate_types(n, len(coeffs))
+        sq = coeffs**2
+        probs = np.array([t.dim * math.prod(sq[i] ** c
+                                            for i, c in enumerate(t.counts))
+                          for t in types])
+        assert dec.types == tuple(types)
+        assert all(type(t) is typicality.TypeClass for t in dec.types)
+        assert dec.block_dims == tuple(t.dim for t in types)
+        assert all(type(d) is int for d in dec.block_dims)
+        assert np.array_equal(dec.probs, probs)
+        assert np.array_equal(dec.schmidt_probs, coeffs**2)
+        assert np.array_equal(dec._sender_block_basis,
+                              typicality.type_basis(types, left))
+        assert np.array_equal(dec._receiver_block_basis,
+                              typicality.type_basis(types, right))
+
     def test_blocks_maximally_entangled(self):
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)
         block = dec.block_state(1)  # the (1,1) type, d_t = 2

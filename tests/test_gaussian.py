@@ -47,6 +47,23 @@ class TestGEntropy:
         with pytest.raises(ValueError, match=f"got {bad}"):
             g_entropy(bad)
 
+    # g at large, small and subnormal N, mpmath-frozen at 50 digits; the
+    # textbook difference (N+1) log2(N+1) - N log2 N is off by 1.1e-3 at
+    # 10^12 and gives 0 at 10^16, and log2(N + 1) drops N / ln 2 at 3e-308
+    EXTREME_N = {1e12: 41.305832179538032929, 1e16: 54.593544559086761045,
+                 1e154: 513.01962165354276503, 1e300: 998.02112350709766784,
+                 1e-3: 0.011409200432742474159, 1e-20: 6.7881256938636206721e-19,
+                 3e-308: 3.0690347572964264579e-305,
+                 1e-320: 1.0644478510307969275e-317}
+
+    @pytest.mark.parametrize("n", list(EXTREME_N))
+    def test_no_cancellation_at_extreme_n(self, n):
+        # a subnormal N carries an absolute error of its spacing, 5e-324
+        want = self.EXTREME_N[n]
+        tol = max(1e-15 * want, 1e-322)
+        assert abs(g_entropy(n) - want) <= tol
+        assert abs(gaussian._g_array(np.array([n]))[0] - want) <= tol
+
 
 class TestTmsCovariance:
     def test_vacuum_is_identity(self):
@@ -354,6 +371,30 @@ class TestRegionSweep:
         with pytest.raises(ValueError, match="eta"):
             gaussian.region_sweep(1.0, 2.0, grid)
 
+    def test_negative_residuals_clamp_to_zero(self):
+        # at N_a = 0, r1 is exactly zero; on a fine grid the unclamped
+        # closed form rounds below zero at some eta, and the sweep prints 0
+        grid = np.arange(1001) / 1000
+        raw = gaussian._region_figures(grid, 0.0, 7.0)[0]
+        assert raw.min() < 0 and np.abs(raw).max() < 1e-14
+        rows = gaussian.region_sweep(0.0, 7.0, grid)
+        assert np.array_equal(rows["r1"], np.maximum(raw, 0.0))
+        assert rows["r1"].min() == 0.0
+
+    def test_exact_zeros_at_the_ends(self):
+        # r1 = g(Na) - h_E at eta = 0 and r2 = g(Nb) - h_E at eta = 1 are
+        # exact zeros; g(Na) and g(Nb) from the scalar g_entropy printed
+        # residuals such as 4.4e-16 on 75 of 4,000 of these ends, since
+        # numpy's log1p need not round as math.log1p does
+        rng = np.random.default_rng(1)
+        for _ in range(400):
+            nsa = float(f"{10 ** rng.uniform(0, 3):.6g}")
+            nsb = float(f"{10 ** rng.uniform(0, 2):.6g}")
+            rows = gaussian.region_sweep(nsa, nsb, [0.0, 0.5, 1.0])
+            raw = gaussian._region_figures(np.array([0.0, 1.0]), nsa, nsb)
+            assert (rows["r1"][0], rows["r2"][-1]) == (0.0, 0.0), (nsa, nsb)
+            assert (raw[0][0], raw[1][1]) == (0.0, 0.0), (nsa, nsb)
+
     def test_empty_grid_header_only(self):
         rows = gaussian.region_sweep(1.0, 2.0, [])
         assert len(rows) == 0
@@ -396,6 +437,35 @@ class TestGArray:
         want = np.array([g_entropy(x) for x in xs])
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, want))
         assert abs(got[4] - 2.0) <= 1e-14 and abs(got[5] - G_10) < 1e-13
+
+
+class TestLargePhotonNumbers:
+    # (r1, r2, sum, ys_sum, sum_gap) at eta = 0.5, N_a = 10^16, N_b = 1,
+    # mpmath-frozen at 50 digits: lambda- = c D - root cancelled to 0 there,
+    # and the sweep printed ys_r1 = 0 and sum_gap = -62
+    WANT = (56.593544559086760845, 3.9999999999999998, 56.593544559086761045,
+            53.593544559086761262, 2.9999999999999997836)
+
+    def test_region_figures_at_1e16(self):
+        got = gaussian._region_figures(np.array([0.5]), 1e16, 1.0)
+        for g, w in zip(got, self.WANT):
+            assert abs(float(g[0]) - w) <= 1e-14 * w
+
+    def test_lambda_minus_does_not_cancel(self):
+        # lambda+ lambda- = s exactly, so lambda- = s / lambda+
+        c, nsa, nsb = 0.5, 1e16, 1.0
+        lam_plus, lam_minus = gaussian._lambda_pair(c, nsa, nsb)
+        s = 2 * c * (2 * nsa * nsb + nsa + nsb) + 1
+        assert lam_minus > 1.0
+        assert abs(lam_plus * lam_minus - s) <= 4e-16 * s
+
+    @pytest.mark.parametrize("nsa, nsb", [(1e155, 1.0), (1.0, 1e155),
+                                          (1e300, 1e300)])
+    def test_overflow_is_refused_naming_the_input(self, nsa, nsb):
+        with pytest.raises(ValueError, match="nsa = .* and nsb = .* overflow"):
+            gaussian.region_sweep(nsa, nsb, [0.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match="nsa = .* and nsb = .* overflow"):
+            gaussian.compare_regions(BosonicMacParams(0.5, nsa, nsb))
 
 
 def _region_figures_oracle(eta, nsa, nsb):

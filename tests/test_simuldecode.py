@@ -683,13 +683,24 @@ def sample_pair(name, weights, n, L, M, seeds):
     return ch, sample_books((d1, d2), (L, M), seeds), d1, d2
 
 
+def spy_support(monkeypatch):
+    """Record the (E, f) of every square root that ``gram_table`` takes."""
+    seen = []
+    support = simuldecode._support
+
+    def spy(total):
+        seen.append((total.shape, *support(total)))
+        return seen[-1][1:]
+
+    monkeypatch.setattr(simuldecode, "_support", spy)
+    return seen
+
+
 class TestGramForm:
     # the cases whose square root is taken on the d x d family sum S, where
     # Lq > d; every other case decomposes the Lq x Lq Gram matrix G'
     S_SIDE = {("cnot-mac", 1, 8, 6), ("adder-mac", 1, 6, 4)}
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("name, weights, n, L, M, kr_side", [
+    CASES = [
         ("cnot-mac", None, 1, 2, 2, "G"),
         ("cnot-mac", [0.7, 0.3], 1, 3, 2, "S"),
         ("adder-mac", None, 1, 2, 3, "S"),
@@ -701,8 +712,17 @@ class TestGramForm:
         ("cnot-mac", [0.7, 0.3], 2, 2, 3, "G"),
         ("adder-mac", None, 2, 2, 3, "G"),
         ("adder-mac", [0.7, 0.3], 2, 3, 2, "G"),
-    ], ids=lambda v: "skewed" if v == [0.7, 0.3] else
-        "bell" if v is None else str(v))
+    ]
+
+    @staticmethod
+    def projectors(name, ch, d1, d2):
+        return simuldecode.mac_typical_projectors(
+            ch, (d1, d2), 1.5 if name == "adder-mac" else 1.0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name, weights, n, L, M, kr_side", CASES,
+                             ids=lambda v: "skewed" if v == [0.7, 0.3] else
+                             "bell" if v is None else str(v))
     def test_table_matches_dense_oracle(self, name, weights, n, L, M, kr_side,
                                         seed):
         # oracle: the dense square-root measurement and its overlap table;
@@ -710,8 +730,7 @@ class TestGramForm:
         # Kr > d), and S_SIDE the side the factored form takes
         ch, books, d1, d2 = sample_pair(name, weights, n, L, M,
                                         (2 * seed, 2 * seed + 1))
-        proj = simuldecode.mac_typical_projectors(
-            ch, (d1, d2), 1.5 if name == "adder-mac" else 1.0)
+        proj = self.projectors(name, ch, d1, d2)
         kr = L * M * proj.rank("ABC")
         assert (kr > proj.space.dim) == (kr_side == "S")
         w, _ = simuldecode._detection_factors(books, proj)
@@ -722,6 +741,34 @@ class TestGramForm:
         got = simuldecode.gram_table(output_factor(ch, books), books, proj)
         assert got.shape == want.shape == (L * M + 1, L * M)
         assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_cases_cover_a_proper_support_on_both_sides(self, monkeypatch):
+        # the square root is read on the support only, so the cases must
+        # include a G' whose support rank r_s is below Lq and an S of rank
+        # below d; each E is orthonormal and f^2 inverts G' on it
+        seen = spy_support(monkeypatch)
+        proper = set()
+        for name, weights, n, L, M, _ in self.CASES:
+            for seed in (1, 2, 3):
+                ch, books, d1, d2 = sample_pair(name, weights, n, L, M,
+                                                (2 * seed, 2 * seed + 1))
+                proj = self.projectors(name, ch, d1, d2)
+                w, _ = simuldecode._detection_factors(books, proj)
+                seen.clear()
+                simuldecode.gram_table(output_factor(ch, books), books, proj)
+                [(shape, e, f)] = seen
+                s_side = (name, n, L, M) in self.S_SIDE
+                assert shape == ((proj.space.dim,) * 2 if s_side
+                                 else (w.shape[1],) * 2)
+                assert e.shape == (shape[0], len(f))
+                assert np.max(np.abs(e.conj().T @ e - np.eye(len(f)))) < 1e-12
+                total = w @ w.conj().T if s_side else w.conj().T @ w
+                ef = e * f
+                assert np.max(np.abs(ef.conj().T @ total @ ef
+                                     - np.eye(len(f)))) < 1e-10
+                if len(f) < shape[0]:
+                    proper.add("S" if s_side else "G")
+        assert proper == {"G", "S"}
 
     @pytest.mark.parametrize("M, q", [(1, 16), (4, 24)])
     def test_row_space_of_the_shared_factor(self, M, q):
@@ -739,12 +786,11 @@ class TestGramForm:
         # G = W†W was Kr x Kr = 256 x 256
         ch, books, d1, d2 = sample_pair("cnot-mac", None, 2, 4, 4, (2, 3))
         proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
-        shapes = []
-        inverse_root = simuldecode._inverse_root
-        monkeypatch.setattr(simuldecode, "_inverse_root",
-                            lambda m: shapes.append(m.shape) or inverse_root(m))
+        seen = spy_support(monkeypatch)
         simuldecode.gram_table(output_factor(ch, books), books, proj)
-        assert shapes == [(96, 96)]
+        # one decomposition, read on its support of rank 36
+        assert [(shape, e.shape, f.shape) for shape, e, f in seen] == [
+            ((96, 96), (96, 36), (36,))]
 
     def test_detection_factors_square_to_the_dense_operators(self):
         ch, books, d1, d2 = sample_pair("adder-mac", [0.7, 0.3], 2, 2, 3,
@@ -759,12 +805,16 @@ class TestGramForm:
             assert np.max(np.abs(block @ block.conj().T - ups)) < 1e-12
 
     def test_support_defect_is_checked(self, monkeypatch):
-        # a wrong inverse root misses the support projector of G
+        # a wrong inverse root f = lambda^{-1/2} misses the support of G'
         ch, books, d1, d2 = sample_pair("cnot-mac", None, 2, 2, 2, (65, 66))
         proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
-        inverse_root = simuldecode._inverse_root
-        monkeypatch.setattr(simuldecode, "_inverse_root", lambda m: tuple(
-            1.001 * x if i == 0 else x for i, x in enumerate(inverse_root(m))))
+        support = simuldecode._support
+
+        def scaled(total):
+            e, f = support(total)
+            return e, 1.001 * f
+
+        monkeypatch.setattr(simuldecode, "_support", scaled)
         with pytest.raises(ValueError, match="misses the support projector"):
             simuldecode.gram_table(output_factor(ch, books), books, proj)
 
@@ -782,10 +832,14 @@ class TestBlocklengthThree:
         table = simuldecode.gram_table(output_factor(ch, books), books, proj)
         assert table[:-1].sum(axis=0).max() <= 1 + 1e-12
         assert table[-1].min() >= -1e-12
-        # G'^{+1/2} G' G'^{+1/2} is the support projector of G'
+        # G'^{+1/2} G' G'^{+1/2} is the support projector of G', in the
+        # support basis f E† G' E f = I, and in G's own coordinates
         w, _ = simuldecode._detection_factors(books, proj)
         assert w.shape[1] <= w.shape[0]
         gram = w.conj().T @ w
+        e, f = simuldecode._support(gram)
+        ef = e * f
+        assert np.max(np.abs(ef.conj().T @ gram @ ef - np.eye(len(f)))) < 1e-10
         inv_root, supp = simuldecode._inverse_root(gram)
         assert np.max(np.abs(inv_root @ gram @ inv_root - supp)) < 1e-10
 

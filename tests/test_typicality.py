@@ -282,16 +282,104 @@ class TestTypicalProjector:
         # n = 2 enumerates 10 types, not 136, 78, 36 or 21
         rho = self.mac_marginal(spec, phi, keep)
         sizes = []
-        enumerate_types = typicality.enumerate_types
+        type_table = typicality.type_table
 
-        def spy(n, alphabet_size):
-            sizes.append(alphabet_size)
-            return enumerate_types(n, alphabet_size)
+        def spy(n, letters):
+            sizes.append(letters)
+            return type_table(n, letters)
 
-        monkeypatch.setattr(typicality, "enumerate_types", spy)
+        monkeypatch.setattr(typicality, "type_table", spy)
+
+        class NoTypeClass:
+            def __init__(self, *args):
+                raise AssertionError("a TypeClass was built")
+
+        monkeypatch.setattr(typicality, "TypeClass", NoTypeClass)
         typicality.typical_projector(rho, 2, 1.0)
         assert rho.space.dim > 4
         assert sizes == [4]
+
+    @staticmethod
+    def per_type(rho, n, delta):
+        # reference: one TypeClass per type of enumerate_types over the
+        # support letters, zero-padded, its log2 lam summed letter by letter
+        vals, vecs = qmat.eig_hermitian(rho)
+        vals = np.clip(vals.real, 0.0, None)
+        vals[qmat.rounding_residuals(vals, len(vals))] = 0.0
+        support = int(np.count_nonzero(vals))
+        zeros = (0,) * (len(vals) - support)
+        entropy = float(-sum(v * math.log2(v) for v in vals if v > 0))
+        typical, weight = [], 0.0
+        lam_max, lam_min = -np.inf, np.inf
+        for t in typicality.enumerate_types(n, support):
+            t = typicality.TypeClass(t.counts + zeros)
+            log_lam = 0.0
+            for i, c in enumerate(t.counts):
+                if c:
+                    log_lam += c * math.log2(vals[i])
+            if abs(-log_lam / n - entropy) <= delta + 1e-12:
+                typical.append(t)
+                lam = 2.0**log_lam
+                weight += t.dim * lam
+                lam_max, lam_min = max(lam_max, lam), min(lam_min, lam)
+        if not typical:
+            return (np.zeros((len(vals) ** n, 0), dtype=complex), weight,
+                    float("nan"), float("nan"))
+        return typicality.type_basis(typical, vecs), weight, lam_max, lam_min
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0, 10.0])
+    @pytest.mark.parametrize("support", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_type_table_matches_a_type_class_per_type(self, n, support, delta):
+        # a random state on 5 letters whose last 5 - support eigenvalues
+        # are zero, in a random eigenbasis: the basis, weight and extreme
+        # eigenvalues are bit for bit those of one TypeClass per type
+        rng = np.random.default_rng(100 * n + 10 * support + int(delta))
+        u = random_unitary(rng, 5)
+        p = np.zeros(5)
+        p[:support] = rng.dirichlet(np.ones(support))
+        rho = DensityOperator(FactorSpace(("A",), (5,)), (u * p) @ u.conj().T)
+        tp = typicality.typical_projector(rho, n, delta)
+        basis, weight, lam_max, lam_min = self.per_type(rho, n, delta)
+        assert np.array_equal(tp.basis, basis)
+        got = (tp.weight, tp.lambda_max, tp.lambda_min)
+        assert np.array_equal(got, (weight, lam_max, lam_min), equal_nan=True)
+
+    def test_type_table_is_enumerate_types(self):
+        for n, letters in itertools.product(range(5), range(1, 6)):
+            counts, dims = typicality.type_table(n, letters)
+            types = typicality.enumerate_types(n, letters)
+            assert counts.tolist() == [list(t.counts) for t in types]
+            assert dims == tuple(t.dim for t in types)
+            assert not counts.flags.writeable
+
+    def test_negative_marginal_eigenvalue_is_named(self):
+        # a marginal with an eigenvalue of -1e-6 fails the state check that
+        # the typical projector makes on the spectrum it decomposes
+        rho = np.diag([0.6, 0.0, -1e-6, 0.4 + 1e-6]).astype(complex)
+        space = FactorSpace(("A", "B"), (2, 2))
+        bundle_space = FactorSpace(("A1", "A2", "B1", "B2"), (2,) * 4)
+        op = qmat.Operator(space, rho)
+        with pytest.raises(ValueError, match="eigenvalue -1.000e-06"):
+            typicality.typical_projector(op, 2, 1.0)
+        with pytest.raises(ValueError,
+                           match=r"marginal 'AB': density matrix has "
+                                 r"eigenvalue -1.000e-06"):
+            typicality.projector_bundle(
+                op, 2, 1.0, {"A": ("A",), "AB": ("A", "B")}, bundle_space)
+
+    @pytest.mark.parametrize("matrix, message", [
+        (np.diag([0.5, 0.5 + 1e-9]), "trace"),
+        (np.array([[0.5, 1e-9], [0.0, 0.5]]), "not Hermitian"),
+    ])
+    def test_operator_is_checked_as_a_state(self, matrix, message):
+        # the trace and Hermiticity checks of a DensityOperator, at its
+        # tolerances, on an operator that is only decomposed
+        op = qmat.Operator(FactorSpace(("A",), (2,)), matrix)
+        with pytest.raises(ValueError, match=message):
+            DensityOperator(op.space, op.matrix)
+        with pytest.raises(ValueError, match=message):
+            typicality.typical_projector(op, 2, 1.0)
 
     def test_multipartite_marginal_usage(self):
         # projector built on a designated marginal embeds by label
