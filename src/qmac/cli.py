@@ -197,6 +197,11 @@ _BASE_BYTES = 184 << 20
 # projector, so neither holds a d-row block per step.
 _V_COPIES = {"sequential": 4, "simultaneous": 3, "successive": 4}
 
+# A book's own objects besides its entries' stack slices and draws: the
+# book and its two array headers, 0.4 to 0.6 KiB under tracemalloc at
+# n = 1 to 3, in books of 2 to 1,024 entries, counted as 1 KiB.
+_BOOK_BYTES = 1 << 10
+
 
 def _check_memory(channel, args, k: int, decoder: str) -> int:
     """The estimated bytes of a run of k codewords, refused with
@@ -210,17 +215,15 @@ def _check_memory(channel, args, k: int, decoder: str) -> int:
     the joint projector's rank r <= c) twice; twice each typical
     projector's basis, d_X^n x r_X^n on a marginal of single-copy dimension
     d_X and rank r_X <= min(d_X, K d_1 / d_X) for the single-copy output's
-    d_1; two books per sender (the next trial's and the last), whose
-    entries each hold a d_share^n x d_share^n slice of the book's encoder
-    stack and, measured at under 256 (1 + T) B for T type blocks, their
-    draws, index objects and share of the book's own objects; each
-    sender's phase rows, d_share^n entries per drawn entry and at most
-    2 d_share^2n in all; and four n-fold shared states.  At 8 B it counts
-    the (k + 1) x k table that each decoder fills in place, with its abort
-    row (:func:`eacode.codeword_table`), and two rows of k: the row being
-    read and the column sums.  The sequential decoder stacks a
-    group of trials (:func:`seqdecode.trial_group`; R has exactly c
-    columns there), so its V, books, weights and tables count once per
+    d_1; two books per sender (the next trial's and the last), each
+    ``_BOOK_BYTES`` of its own objects and, per entry, a
+    d_share^n x d_share^n slice of the book's encoder stack and a row of
+    its draw array, 24 B per type block; and four n-fold shared states.
+    At 8 B it counts the (k + 1) x k table that each decoder fills in
+    place, with its abort row (:func:`eacode.codeword_table`), and two rows
+    of k: the row being read and the column sums.  The sequential decoder
+    stacks a group of trials (:func:`seqdecode.trial_group`; R has exactly
+    c columns there), so its V, books, weights and tables count once per
     trial of the group.
     """
     n, kraus, shares = args.n, len(channel.kraus), channel.in_space.dims
@@ -235,16 +238,14 @@ def _check_memory(channel, args, k: int, decoder: str) -> int:
         marginals = (*shares, out, shares[0] * shares[1], shares[0] * out,
                      single)
         books = (args.L, args.M)
-    drawn = [args.trials * b // group for b in books]  # entries per sender
-    # one book entry in units of 16 B: its stack slice, draws and objects
-    entry = [s**(2 * n) + 16 * (1 + math.comb(n + s - 1, n)) for s in shares]
-    need = _BASE_BYTES + 8 * group * k * (k + 3) + 16 * (
+    # one book entry: its stack slice and its row of the draw array
+    entry = [16 * s**(2 * n) + 24 * math.comb(n + s - 1, n) for s in shares]
+    need = _BASE_BYTES + 8 * group * k * (k + 3) + 2 * sum(
+        b * e + group * _BOOK_BYTES for b, e in zip(books, entry)) + 16 * (
         _V_COPIES[decoder] * group * d * k * c
         + (2 * args.L * min(d, args.M * c) * k * c
            if decoder == "simultaneous" else 0)
         + 2 * sum(m**n * min(m, single // m * kraus)**n for m in marginals)
-        + 2 * sum(b * e for b, e in zip(books, entry))
-        + sum(min(t, 2 * s**n) * s**n for t, s in zip(drawn, shares))
         + 4 * math.prod(shares)**(2 * n))
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
     limit = min(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"),

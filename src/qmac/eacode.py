@@ -92,8 +92,13 @@ class TypeDecomposition:
     n : int
     schmidt_probs : ndarray
         Squared Schmidt coefficients, descending.
-    types : tuple of TypeClass
-        Type classes of length-n sequences over the Schmidt alphabet.
+    counts : ndarray
+        The types of length-n sequences over the Schmidt alphabet, one
+        read-only row of letter counts per type block
+        (:func:`typicality.type_table`); no :class:`typicality.TypeClass`
+        is built.
+    block_dims : tuple of int
+        The types' multinomial dims d_t, the blocks' dimensions.
     probs : ndarray
         Block weights p(t) = p(representative) * d_t; sums to 1.
     sender_space, receiver_space : FactorSpace
@@ -116,13 +121,12 @@ class TypeDecomposition:
         self.receiver_label = receiver
         self.schmidt_probs = coeffs**2
         # the types' counts and dims from one table (typicality.type_table)
-        counts, self.block_dims = typicality.type_table(self.n, d)
-        self.types = tuple(map(typicality.TypeClass, counts.tolist()))
+        self.counts, self.block_dims = typicality.type_table(self.n, d)
         self.probs = np.array(
             [
                 dim * math.prod(self.schmidt_probs[i] ** c
                                 for i, c in enumerate(row))
-                for row, dim in zip(counts.tolist(), self.block_dims)
+                for row, dim in zip(self.counts.tolist(), self.block_dims)
             ]
         )
         self.sender_space = FactorSpace(
@@ -149,12 +153,8 @@ class TypeDecomposition:
         self.block_slices = [
             slice(start, start + d) for start, d in zip(starts, self.block_dims)
         ]
-        # each column's block dimension and block start (encoder_stack)
-        self._column_dims = np.repeat(self.block_dims, self.block_dims)
-        self._column_starts = np.repeat(
-            [sl.start for sl in self.block_slices], self.block_dims)
-        self._sender_block_basis = typicality.type_basis(counts, left)
-        self._receiver_block_basis = typicality.type_basis(counts, right)
+        self._sender_block_basis = typicality.type_basis(self.counts, left)
+        self._receiver_block_basis = typicality.type_basis(self.counts, right)
         # sum_t sqrt(p_t) |block t> = sum_j w_j s_j (x) r_j with
         # w_j = sqrt(p_t / d_t) on block t's columns: one product
         w = np.repeat(np.sqrt(self.probs / self.block_dims), self.block_dims)
@@ -165,34 +165,6 @@ class TypeDecomposition:
             raise AssertionError(
                 f"type-block reassembly misses the n-fold state by {defect:.3e}"
             )
-        self._phase_rows = {}
-
-    def block_vector(self, t_index: int) -> np.ndarray:
-        """Unit vector of the maximally entangled block t on ``full_space``."""
-        t = self.types[t_index]
-        sl = self.block_slices[t_index]
-        cols_s = self._sender_block_basis[:, sl]
-        cols_r = self._receiver_block_basis[:, sl]
-        vec = np.zeros(self.full_space.dim, dtype=complex)
-        for j in range(t.dim):
-            vec += np.kron(cols_s[:, j], cols_r[:, j])
-        return vec / math.sqrt(t.dim)
-
-    def block_state(self, t_index: int) -> PureState:
-        return PureState(self.full_space, self.block_vector(t_index))
-
-    def phase_row(self, d: int, z: int, b: int) -> np.ndarray:
-        """(-1)^b e^{2 pi i j z / d} for j < d, built once per (d, z, b).
-
-        The entries of :func:`_block_matrix` in a block of dimension d, from
-        the same scalar expressions, so the encoders read from this table
-        are bit for bit the ones :func:`hw_transpose_unitary` builds.
-        """
-        key = (d, z, b)
-        if key not in self._phase_rows:
-            row = np.array([np.exp(2j * np.pi * j * z / d) for j in range(d)])
-            self._phase_rows[key] = (-1.0) ** b * row
-        return self._phase_rows[key]
 
 
 def type_decompose(phi: PureState, n: int) -> TypeDecomposition:
@@ -237,8 +209,8 @@ def _block_matrix(s: HwIndex, decomp: TypeDecomposition) -> np.ndarray:
         raise ValueError("index block dimensions do not match the decomposition")
     dim = decomp.sender_space.dim
     out = np.zeros((dim, dim), dtype=complex)
-    for (x, z, b), t, sl in zip(s.triples, decomp.types, decomp.block_slices):
-        d = t.dim
+    for (x, z, b), d, sl in zip(s.triples, decomp.block_dims,
+                                decomp.block_slices):
         block = np.zeros((d, d), dtype=complex)
         for j in range(d):
             block[(j + x) % d, j] = np.exp(2j * np.pi * j * z / d)
@@ -286,31 +258,37 @@ def enumerate_indices(decomp: TypeDecomposition):
         yield HwIndex(combo, decomp.block_dims)
 
 
+def _draw_bounds(decomp: TypeDecomposition) -> np.ndarray:
+    """The (blocks, 3) exclusive bounds d_t, d_t and 2 of each (x_t, z_t, b_t)."""
+    bounds = np.repeat(np.array(decomp.block_dims)[:, None], 3, axis=1)
+    bounds[:, 2] = 2
+    return bounds
+
+
 def encoder_stack(decomp: TypeDecomposition, draws: np.ndarray) -> np.ndarray:
     """U^T(s_k) of each row of ``draws``, one read-only (K, d_s, d_s) stack.
 
     ``draws`` is a (K, blocks, 3) integer array of the triples (x_t, z_t,
-    b_t).  Slice k equals :func:`hw_transpose_unitary` of row k bit for bit:
-    the block matrices M_k of all K rows are filled by one fancy-index
-    assignment, with phases from :meth:`TypeDecomposition.phase_row`, and
-    C M_k^T C† is then written over M_k, C the receiver's type basis, one
-    slice at a time, so no temporary beyond one d_s x d_s matrix is held.
+    b_t), as :class:`EaCodeBook` checks it.  Slice k equals
+    :func:`hw_transpose_unitary` of row k bit for bit: the block matrices
+    M_k of all K rows are filled by one fancy-index assignment, their phases
+    (-1)^b e^{2 pi i j z / d} one array expression whose real angle
+    2 pi j z / d is formed first, which gives the bits of
+    :func:`_block_matrix`'s scalar expression, and C M_k^T C† is then
+    written over M_k, C the receiver's type basis, one slice at a time, so
+    no temporary beyond one d_s x d_s matrix is held.
     """
-    if draws.shape[1:] != (len(decomp.types), 3):
-        raise ValueError(
-            "index block dimensions do not match the decomposition")
     k, d_s = len(draws), decomp.receiver_space.dim
-    dims, start = decomp._column_dims, decomp._column_starts
+    # each column's block dimension and block start
+    dims, start = np.repeat([decomp.block_dims, [
+        sl.start for sl in decomp.block_slices]], decomp.block_dims, axis=1)
     cols = np.arange(d_s)
-    # M[start + (j + x) % d, start + j] = (-1)^b e^{2 pi i j z / d}
-    x = np.repeat(draws[:, :, 0], decomp.block_dims, axis=1)
-    rows = start + (cols - start + x) % dims
-    phases = [decomp.phase_row(d, z, b) for triples in draws.tolist()
-              for d, (_, z, b) in zip(decomp.block_dims, triples)]
+    j = cols - start  # each column's index in its block
+    x, z, b = np.repeat(draws, decomp.block_dims, axis=1).transpose(2, 0, 1)
     stack = np.zeros((k, d_s, d_s), dtype=complex)
-    if k:
-        stack[np.arange(k)[:, None], rows, cols] = np.concatenate(
-            phases).reshape(k, d_s)
+    # M[start + (j + x) % d, start + j] = (-1)^b e^{2 pi i j z / d}
+    stack[np.arange(k)[:, None], start + (j + x) % dims, cols] = (
+        (-1.0) ** b * np.exp(1j * (2 * np.pi * j * z / dims)))
     c = decomp._receiver_block_basis
     c_dag = c.conj().T
     for m in stack:
@@ -323,37 +301,56 @@ def encoder_stack(decomp: TypeDecomposition, draws: np.ndarray) -> np.ndarray:
 class EaCodeBook:
     """A random code: one Heisenberg-Weyl index vector per message.
 
-    ``draws`` holds the entries as a read-only (K, blocks, 3) integer array
-    of their triples (x_t, z_t, b_t), and ``stack`` their receiver encoders
-    U^T(s) as one read-only (K, d_s, d_s) array, both in message order and
-    built once with the book (:func:`encoder_stack`).  ``stack[k]`` equals
-    :func:`hw_transpose_unitary` of entry k bit for bit.  The dense oracles
-    build their encoders from the indices (:func:`receiver_encoder`).
+    ``draws`` is the book's only index data: a read-only (K, blocks, 3)
+    integer array of each message's triples (x_t, z_t, b_t), with
+    0 <= x_t, z_t < d_t and b_t in {0, 1}.  It is copied and checked when
+    the book is made, and draws of another decomposition's shape, or a
+    triple out of range, raise ``ValueError`` naming the message.  ``stack``
+    holds the receiver encoders U^T(s) of the messages as one read-only
+    (K, d_s, d_s) array, built once with the book (:func:`encoder_stack`);
+    ``stack[k]`` equals :func:`hw_transpose_unitary` of entry k bit for
+    bit.  ``book[k]`` and ``entries`` build :class:`HwIndex` values from
+    the draws on demand, for the dense oracles, which build their encoders
+    from the indices (:func:`receiver_encoder`).
     """
 
-    message_count: int
-    entries: tuple[HwIndex, ...]
-    seed: int
     decomp: TypeDecomposition
-    draws: np.ndarray = field(init=False, compare=False, repr=False)
+    draws: np.ndarray = field(compare=False, repr=False)
+    seed: int
     stack: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        entries = tuple(self.entries)
-        if len(entries) != self.message_count:
-            raise ValueError("entry count must equal message_count")
-        if any(s.block_dims != self.decomp.block_dims for s in entries):
+        draws, bounds = np.asarray(self.draws), _draw_bounds(self.decomp)
+        if draws.size and draws.dtype.kind not in "iu":
+            raise ValueError(f"draws must be integers, not {draws.dtype}")
+        if draws.ndim != 3 or draws.shape[1:] != bounds.shape:
             raise ValueError(
-                "index block dimensions do not match the decomposition")
-        draws = np.array([s.triples for s in entries], dtype=np.intp
-                         ).reshape(len(entries), len(self.decomp.types), 3)
+                f"message 0 of the draws, shaped {draws.shape}, is not one "
+                "(x, z, b) triple for each of the decomposition's "
+                f"{len(bounds)} type blocks: index block dimensions differ")
+        draws = draws.astype(np.intp)
+        bad = (draws < 0) | (draws >= bounds)
+        if bad.any():
+            m, t = np.argwhere(bad.any(axis=2))[0]
+            raise ValueError(
+                f"message {m}: index {tuple(draws[m, t].tolist())} out of "
+                f"range for block dimension {bounds[t, 0]}")
         draws.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "draws", draws)
         object.__setattr__(self, "stack", encoder_stack(self.decomp, draws))
 
+    @property
+    def message_count(self) -> int:
+        return len(self.draws)
+
+    @property
+    def entries(self) -> tuple[HwIndex, ...]:
+        """Every message's :class:`HwIndex`, built from the draws."""
+        return tuple(HwIndex(triples, self.decomp.block_dims)
+                     for triples in self.draws.tolist())
+
     def __getitem__(self, m: int) -> HwIndex:
-        return self.entries[m]
+        return HwIndex(self.draws[m].tolist(), self.decomp.block_dims)
 
 
 def sample_code(decomp: TypeDecomposition, message_count: int, seed: int
@@ -366,20 +363,19 @@ def sample_code(decomp: TypeDecomposition, message_count: int, seed: int
     independently (or in parallel) in any order.  Message m draws x_t, z_t
     and b_t block by block, below d_t, d_t and 2.  One generator serves the
     book with its counter reset per message, and one ``integers`` call on
-    those bounds draws what the scalar calls draw, bit for bit.
+    those bounds draws what the scalar calls draw, bit for bit, into row m
+    of the book's draw array; no :class:`HwIndex` is built.
     """
     bits = np.random.Philox(key=seed)
     rng = np.random.Generator(bits)
     state = bits.state
-    highs = np.repeat(np.array(decomp.block_dims), 3)
-    highs[2::3] = 2
-    entries = []
+    bounds = _draw_bounds(decomp)
+    draws = np.empty((message_count,) + bounds.shape, dtype=np.intp)
     for m in range(message_count):
         state["state"]["counter"] = np.array([0, 0, m, 0], dtype=np.uint64)
         bits.state = state  # also empties the output buffer
-        triples = rng.integers(highs).reshape(-1, 3).tolist()
-        entries.append(HwIndex(triples, decomp.block_dims))
-    return EaCodeBook(message_count, entries, seed, decomp)
+        draws[m] = rng.integers(bounds)
+    return EaCodeBook(decomp, draws, seed)
 
 
 def channel_output_space(channel: KrausChannel, decomps) -> FactorSpace:
@@ -515,12 +511,12 @@ def average_codeword_state(rho: DensityOperator, decomp: TypeDecomposition
     d_rest = rho.space.dim // d_a
     blocks = rho.matrix.reshape(d_a, d_rest, d_a, d_rest)
     out = np.zeros((rho.space.dim, rho.space.dim), dtype=complex)
-    for t, sl in zip(decomp.types, decomp.block_slices):
+    for d, sl in zip(decomp.block_dims, decomp.block_slices):
         cols = decomp._receiver_block_basis[:, sl]
         p_t = cols @ cols.conj().T
         # Tr_A[(P_t (x) I) rho]: contract rho's two receiver indices with P_t
         rest = np.tensordot(blocks, p_t, axes=([0, 2], [1, 0]))
-        out += np.kron(p_t / t.dim, rest)
+        out += np.kron(p_t / d, rest)
     return DensityOperator(rho.space, out)
 
 

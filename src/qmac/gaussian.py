@@ -373,16 +373,24 @@ def ea_bosonic_region_numeric(p: BosonicMacParams) -> RateRegion:
 
     Serves as the independent oracle for :func:`ea_bosonic_region`: builds
     the four-mode covariance, extracts every marginal and evaluates
-    I(A;BC), I(B;AC) and I(AB;C) through symplectic spectra.
+    I(A;BC), I(B;AC) and I(AB;C) through symplectic spectra.  A covariance
+    that fails its checks at these photon numbers raises ``ValueError``
+    naming ``nsa`` and ``nsb``.
     """
-    v = bosonic_output_state(p)
+    try:
+        v = bosonic_output_state(p)
 
-    def h(*modes):
-        return gaussian_entropy(v.marginal(modes))
+        def h(*modes):
+            return gaussian_entropy(v.marginal(modes))
 
-    h_abc = h("E")  # the global state is pure
-    return RateRegion(h("A") + h("B", "C") - h_abc, h("B") + h("A", "C") - h_abc,
-                      h("A", "B") + h("C") - h_abc)
+        h_abc = h("E")  # the global state is pure
+        return RateRegion(h("A") + h("B", "C") - h_abc,
+                          h("B") + h("A", "C") - h_abc,
+                          h("A", "B") + h("C") - h_abc)
+    except ValueError as e:
+        raise ValueError(
+            f"the numeric oracle at nsa = {p.nsa} and nsb = {p.nsb}: {e}"
+        ) from None
 
 
 def yen_shapiro_bound(p: BosonicMacParams) -> RateRegion:

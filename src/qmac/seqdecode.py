@@ -398,9 +398,10 @@ def _chain(y: np.ndarray, words):
 # A group of stacked trials (:func:`trial_group`) holds at most GROUP_BYTES
 # of codeword stacks V and GROUP_CODEWORDS codewords, unless one trial alone
 # holds more.  Past a few hundred codewords a larger stack saves no numpy
-# calls, while each codeword's book entry holds its encoder and 0.4 to 0.7
-# KiB of index objects and array headers (tracemalloc at n = 1, in books of
-# 1,024 and of 2 entries), which a stack of tiny trials would multiply.
+# calls, while each trial's book holds, besides its entries' encoders and
+# draws, 0.4 to 0.6 KiB of its own objects and array headers (tracemalloc
+# at n = 1, in books of 2 and of 1,024 entries): 0.2 KiB a codeword in
+# books of 2, which a stack of tiny trials would multiply.
 GROUP_BYTES = 4 << 20
 GROUP_CODEWORDS = 1024
 
@@ -476,8 +477,9 @@ def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
     and reports the empirical mean together with the packing bound at
     constants taken over the full index set (:func:`ea_packing_constants`).
     Everything is read off the channel output factor R; neither rho_n nor a
-    codeword state nor a POVM element is formed.  Each sampled book builds
-    its entries' encoders once, as one stack (:class:`eacode.EaCodeBook`).
+    codeword state nor a POVM element is formed.  Each sampled book is its
+    draw array, and builds its entries' encoders once, as one stack
+    (:class:`eacode.EaCodeBook`).
     The trials are decoded in groups of :func:`trial_group` as one stack
     (:func:`sequential_tables`), and each group's books are drawn when it
     starts.  Raises ``ValueError`` when the code or word projector is empty
@@ -532,14 +534,16 @@ def successive_povm(code1: Sequence, code2: Sequence, code_projector,
 
     Lambda_{l,m} = M†M with
     M = Pi_{x(l),y(m)} Qbarbar_{x(l),y(m-1)} ... Qbarbar_{x(l),y(1)}
-        Pi_{x(l)} Qbar_{x(l-1)} ... Qbar_{x(1)},
+        Pi_{x(l)} Qbar_{x(l-1)} ... Qbar_{x(1)} Pi,
     where Qbar uses the code projector sandwich and Qbarbar the Pi_{x(l)}
     sandwich.  Since Pi_{x(l)} absorbs into Qbarbar, this is the
     sequential POVM of Bob's codewords inside Pi_{x(l)}, conjugated by
     Alice's first-stage product:
     Lambda_{l,m} = F Qbarbar ... Pibarbar_{x(l),y(m)} ... Qbarbar F†
-    with F = Qbar_{x(1)} ... Qbar_{x(l-1)} and Pibarbar the Pi_{x(l)}
-    sandwich of Pi_{x(l),y(m)}.
+    with F = Pi Qbar_{x(1)} ... Qbar_{x(l-1)} and Pibarbar the Pi_{x(l)}
+    sandwich of Pi_{x(l),y(m)}.  F starts with Pi, as GLM's Pi Pi_x Pi
+    does (arXiv:1012.0386), so the family sums to at most Pi whether or
+    not Alice's tests commute with Pi; Pi Qbar = Qbar, so only l = 0 sees it.
     """
     pi = _check_projector(code_projector, "code projector")
     dim = pi.shape[0]
@@ -556,7 +560,7 @@ def successive_povm(code1: Sequence, code2: Sequence, code_projector,
         for x in set(code1) for y in set(code2)
     }
     elements = {}
-    first = np.eye(dim)
+    first = pi
     for l, x in enumerate(code1):
         left = first
         for m, y in enumerate(code2):
@@ -571,27 +575,27 @@ def ea_successive_povm(books, projectors: typicality.ProjectorBundle
                        ) -> PovmSet:
     """Two-stage decoder of a two-book MAC code with the typical projectors.
 
-    Code subspace: the product of the three single-system projectors.
-    First stage tests Alice's codewords with the AC-pair projector rotated
-    by her encoder (times the B projector); the second stage tests Bob's
-    with the rotated joint projector.  The oracle of :func:`successive_table`,
-    whose encoders it builds from their indices, not from the books' stacks.
+    Code subspace: the product Pi of the three single-system projectors,
+    which every element starts with.  First stage tests Alice's codewords
+    with the AC-pair projector rotated by her encoder (times the B
+    projector); the second stage tests Bob's with the rotated joint
+    projector.  The oracle of :func:`successive_table`, whose encoders it
+    builds from their indices, not from the books' stacks.
     """
     full = projectors.space
     b1, b2 = books
+    code1, code2 = b1.entries, b2.entries
     pi = projectors.embedded
     code_proj = pi("A") @ pi("B") @ pi("C")
-    alice = {s: eacode.receiver_encoder(b1.decomp, s) for s in b1.entries}
+    alice = {s: eacode.receiver_encoder(b1.decomp, s) for s in code1}
     bob = {t: qmat.conjugate_local(eacode.receiver_encoder(b2.decomp, t),
                                    pi("ABC"), full)
-           for t in b2.entries}
+           for t in code2}
     words_x = {s: qmat.conjugate_local(u, pi("AC"), full) @ pi("B")
                for s, u in alice.items()}
     words_xy = {(s, t): qmat.conjugate_local(u, w, full)
                 for s, u in alice.items() for t, w in bob.items()}
-    return successive_povm(
-        list(b1.entries), list(b2.entries), code_proj, words_x, words_xy
-    )
+    return successive_povm(code1, code2, code_proj, words_x, words_xy)
 
 
 def _on_share(u: np.ndarray, z: np.ndarray, shape: tuple) -> np.ndarray:
@@ -613,12 +617,12 @@ def successive_table(factor: np.ndarray, books,
     pair words Pi_xy(s, t) = U_1(s) U_2(t) Pi_ABC U_2(t)† U_1(s)†, each
     encoder on its own share.  Its element (l, m) is M†M with
     M = Pi_xy(s_l, t_m) Pi_x(s_l) times the products of the earlier tests,
-    so T[(l, m), j] is the squared norm of M V_j.
+    so T[(l, m), j] is the squared norm of M Pi V_j.
 
     Both stages run in Alice's frame Z_l = U_1(s_l)† Y_l, Y_l her stage
-    before its l-th test (Y_0 = V = [V_11 ... V_LM]); U_1 keeps norms.  Bob's
-    stage is the sequential chain (:func:`_chain`) of his words
-    [U_2(t_1) B ... U_2(t_M) B], Pi_ABC = B B†, encoded once
+    before its l-th test (Y_0 = Pi V, V = [V_11 ... V_LM]); U_1 keeps
+    norms.  Bob's stage is the sequential chain (:func:`_chain`) of his
+    words [U_2(t_1) B ... U_2(t_M) B], Pi_ABC = B B†, encoded once
     (:func:`eacode.encode`), inside the fixed test Pi_x = Pi_B Pi_AC = Q Q†,
     Q = B_B (x) B_AC, from Q† Z_l: it runs in Q's coordinates
     (:meth:`typicality.ProjectorBundle.coordinates`), so no projector acts
@@ -627,14 +631,15 @@ def successive_table(factor: np.ndarray, books,
     Y_{l+1} = Pi (Y_l - U_1(s_l) Pi_x U_1(s_l)† Y_l) is
     Z_{l+1} = S_l Pi (Z_l - Pi_x Z_l) with the frame steps
     S_l = U_1(s_{l+1})† U_1(s_l), all L - 1 one stacked product of her
-    book's stack.  Z_0 = U_1(s_0)† V is formed once and V dropped, and Pi
-    acts on Z_0 after l = 0, whose elements carry no Pi.  So her encoders
-    act L times per table.  The chain updates its start in place, which is
-    Z itself only when Pi_B and Pi_AC are full rank: then Pi_x = I and
-    Z - Pi_x Z is zero whatever Z holds, so Z needs no copy.  The rows
-    (l, m) fill one preallocated table, whose last row
-    :func:`eacode.codeword_table` fills with the abort weights.
-    |V_j|^2 must be 1 and every abort weight at least -1e-9.
+    book's stack.  Z_0 = Pi U_1(s_0)† V is formed once and V dropped: Pi
+    acts on it before l = 0, since every element starts with Pi
+    (:func:`successive_povm`).  So her encoders act L times per table.
+    The chain updates its start in place, which is Z itself only when Pi_B
+    and Pi_AC are full rank: then Pi_x = I and Z - Pi_x Z is zero whatever
+    Z holds, so Z needs no copy.  The rows (l, m) fill one preallocated
+    table, whose last row :func:`eacode.codeword_table` fills with the
+    abort weights.  |V_j|^2 must be 1 and every abort weight at least
+    -1e-9.
     """
     alice, bob = books
     space = projectors.space
@@ -652,14 +657,12 @@ def successive_table(factor: np.ndarray, books,
     u = alice.stack
     steps = u[1:].conj().swapaxes(-1, -2) @ u[:-1]  # the S_l
     table = np.empty((len(sent) + 1, len(sent)))
-    z = _on_share(u[0].conj().T, z, shape)  # Z_0; V is dropped
+    z = project(_on_share(u[0].conj().T, z, shape), code)  # Z_0; V dropped
     for l in range(alice.message_count):
         start = projectors.coordinates(test, z)
         for m, t in enumerate(_chain(start, words)):
             table[l * bob.message_count + m] = eacode.block_overlaps(
                 t, t, len(sent))
         if l + 1 < alice.message_count:
-            if not l:
-                z = project(z, code)
             z = _on_share(steps[l], project(z - project(z, test), code), shape)
     return eacode.codeword_table(sent, traces, table)

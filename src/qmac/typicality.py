@@ -29,7 +29,6 @@ __all__ = [
     "type_class_projector",
     "typical_projector",
     "projector_bundle",
-    "embedded_typical_projectors",
     "require_nonempty",
     "measure_word_constants",
     "measure_code_constant",
@@ -161,19 +160,18 @@ def _sequence_table(n: int, alphabet_size: int) -> dict:
     return {tuple(k.tolist()): g for k, g in zip(keys, groups)}
 
 
-def type_basis(types, local_basis: np.ndarray) -> np.ndarray:
+def type_basis(counts, local_basis: np.ndarray) -> np.ndarray:
     """Product vectors  b_{z1} (x) ... (x) b_{zn}  as columns, one per sequence.
 
-    ``types`` is a sequence of :class:`TypeClass` or an integer array whose
-    rows are their counts (:func:`type_table`); trailing letters that no
-    type uses may be left out of the rows.  Columns run type by type and
-    lexicographically within each type, so each type owns a contiguous run
-    of ``t.dim`` columns; ``local_basis`` holds the single-copy basis as
-    columns.  The sequences come from one cached table over the letters the
-    types use (:func:`_sequence_table`).
+    ``counts`` is an integer array whose rows are the letter counts of the
+    types (:func:`type_table`); trailing letters that no type uses may be
+    left out of the rows.  Columns run type by type and lexicographically
+    within each type, so each type owns a contiguous run of d_t columns;
+    ``local_basis`` holds the single-copy basis as columns.  The sequences
+    come from one cached table over the letters the types use
+    (:func:`_sequence_table`).
     """
-    counts = np.array([t.counts for t in types]) if (
-        len(types) and isinstance(types[0], TypeClass)) else np.asarray(types)
+    counts = np.asarray(counts)
     local_basis = np.asarray(local_basis, dtype=complex)
     used = 1 + int(np.flatnonzero(counts.any(axis=0)).max(initial=0))
     table = _sequence_table(int(counts[0].sum()), used)
@@ -205,7 +203,7 @@ def type_class_projector(t: TypeClass, local_basis: np.ndarray | None = None
             f"basis has {np.shape(local_basis)[1]} columns for a "
             f"{len(t.counts)}-letter type"
         )
-    b = type_basis([t], local_basis)
+    b = type_basis([t.counts], local_basis)
     return b @ b.conj().T
 
 
@@ -416,23 +414,6 @@ def projector_bundle(rho: qmat.DensityOperator, n: int, delta: float,
         labels = [l for l in space.labels if l in tp.space.labels]
         bases[name] = (labels, qmat.permute_rows(tp.basis, tp.space, labels))
     return ProjectorBundle(space, bases)
-
-
-def embedded_typical_projectors(rho: qmat.DensityOperator, n: int,
-                                delta: float, marginals: dict,
-                                target: qmat.FactorSpace) -> dict:
-    """Typical projectors of marginals of ``rho``, embedded in the n-fold space.
-
-    ``rho`` is a single-copy state and ``marginals`` maps a name to the
-    labels of ``rho`` that the marginal keeps.  Each marginal's typical
-    projector on its n copies (label X -> X1..Xn) is extended by identity
-    onto ``target``, which must hold those copies.  Returns name -> matrix.
-    """
-    out = {}
-    for name, labels in marginals.items():
-        tp = typical_projector(qmat.partial_trace(rho, labels), n, delta)
-        out[name] = qmat.embed(qmat.Operator(tp.space, tp.projector), target).matrix
-    return out
 
 
 def require_nonempty(ranks: dict, delta: float) -> None:

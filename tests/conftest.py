@@ -4,7 +4,16 @@ import math
 
 import numpy as np
 
+from qmac import eacode
 from qmac.qmat import FactorSpace, KrausChannel, PureState
+
+
+def book_of(decomp, entries, seed):
+    """The :class:`eacode.EaCodeBook` whose messages send ``entries``, a
+    sequence of :class:`eacode.HwIndex`, in order."""
+    draws = np.array([s.triples for s in entries], dtype=np.intp)
+    return eacode.EaCodeBook(
+        decomp, draws.reshape(len(entries), len(decomp.block_dims), 3), seed)
 
 
 def random_unitary(rng, dim):
@@ -56,6 +65,27 @@ def parallel_qubit_mac():
         FactorSpace(("Ap", "Bp"), (2, 2)), FactorSpace(("C",), (4,)),
         [np.eye(4)], name="parallel-qubits",
     )
+
+
+def random_mac(seed):
+    """A seeded small MAC and its code parameters: (channel, phi, psi, delta).
+
+    Two qubit inputs and an output of dimension 2 to 4, through an isometric
+    set of 1 to 3 Kraus matrices (as many as an isometry of the 4-dim input
+    needs at least); the shared states have Dirichlet Schmidt weights, and
+    delta is one of 0.5, 1 and 1.5.
+    """
+    rng = np.random.default_rng(seed)
+    out = int(rng.integers(2, 5))
+    n_kraus = int(rng.integers(-(-4 // out), 4))
+    big = random_unitary(rng, out * n_kraus)[:, :4]
+    channel = KrausChannel(
+        FactorSpace(("Ap", "Bp"), (2, 2)), FactorSpace(("C",), (out,)),
+        [big[i * out:(i + 1) * out] for i in range(n_kraus)],
+        name=f"random-mac-{seed}")
+    phi, psi = (schmidt_state(rng.dirichlet(np.ones(2)).tolist(), s, r)
+                for s, r in (("Ap", "A"), ("Bp", "B")))
+    return channel, phi, psi, float(rng.choice([0.5, 1.0, 1.5]))
 
 
 def fully_depolarizing_mac(out=4):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmac import cli, gaussian, qmat, seqdecode
+from qmac import cli, eacode, gaussian, qmat, seqdecode, typicality
 
 
 GOLDEN_MAC_N2_SEED0 = """\
@@ -371,6 +371,14 @@ class TestGaussianRegion:
         assert lines[0] == gaussian.SWEEP_CSV_HEADER
         assert len(lines) == 2 and lines[1].startswith("0.25,")
 
+    def test_oracle_failure_names_the_photon_numbers(self, capsys):
+        # the oracle's covariance fails its symmetry check at Na = 10^6
+        code, out, err = run(capsys, "gaussian-region", "--nsa", "1e6",
+                             "--nsb", "1", "--eta", "0.3")
+        assert code == 2 and out == ""
+        assert "nsa = 1000000.0" in err and "nsb = 1.0" in err
+        assert "not symmetric" in err
+
 
 def estimated_bytes(monkeypatch, *argv) -> int:
     """The byte estimate of an admitted ``simulate-*`` run, taken without
@@ -722,6 +730,30 @@ class TestSimulateSeq:
             assert math.isfinite(obj[key]), key
 
 
+REFERENCE_ARGV = {
+    name: tuple(w["argv"]) for name, w in json.loads(
+        (Path(__file__).resolve().parent.parent / "perfbench"
+         / "reference.json").read_text()).items()}
+
+
+class TestNoIndexObjects:
+    # books are draw arrays and types are table rows on every command path:
+    # the benchmark's commands and successive decoding build neither an
+    # HwIndex nor a TypeClass
+    @pytest.mark.parametrize("argv", list(REFERENCE_ARGV.values()) + [
+        ("simulate-mac", "--channel", "cnot-mac", "--n", "2",
+         "--mode", "successive", "--phi", "0.7,0.3")], ids=" ".join)
+    def test_command_builds_neither_class(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an index or type object was built")
+
+        monkeypatch.setattr(eacode, "HwIndex", refuse)
+        monkeypatch.setattr(typicality, "TypeClass", refuse)
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out
+
+
 class TestSimulateMac:
     def test_modes_both_report(self, capsys):
         for mode in ("simultaneous", "successive"):
@@ -735,6 +767,24 @@ class TestSimulateMac:
             assert set(obj["error_terms"]) == {
                 "wrong_alice", "wrong_bob", "wrong_both", "abort", "total"
             }
+
+    @pytest.mark.parametrize("mode", ["successive", "simultaneous"])
+    def test_parallel_qubits_from_json(self, capsys, tmp_path, mode):
+        # two noiseless qubits: Alice's test Pi_B Pi_AC does not commute
+        # with the code projector, so a successive family without Pi in
+        # front sums beyond the identity and its abort weights go negative
+        spec = tmp_path / "parallel.json"
+        eye = [[float(i == j), 0.0] for i in range(4) for j in range(4)]
+        spec.write_text(json.dumps(
+            {"in_dims": [2, 2], "out_dims": [4], "kraus": [eye]}))
+        code, out, err = run(capsys, "simulate-mac", "--channel", str(spec),
+                             "--phi", "0.7,0.3", "--psi", "0.7,0.3",
+                             "--n", "1", "--L", "2", "--M", "2",
+                             "--mode", mode)
+        assert code == 0, err
+        obj = json.loads(out)
+        assert obj["error_terms"]["abort"] >= -1e-9
+        assert -1e-9 <= obj["avg_error"] <= 1 + 1e-9
 
     def test_exact_value_matches_library(self, capsys):
         # oracle: the in-process experiment with the same seeds

@@ -10,6 +10,7 @@ from qmac import eacode, qmat, typicality
 from qmac.eacode import HwIndex
 from qmac.qmat import FactorSpace, PureState
 
+from oracles import block_state, block_vector
 from conftest import (
     bell_state,
     random_kraus_channel,
@@ -67,7 +68,7 @@ class TestTypeDecompose:
     def test_binomial_block_weights(self):
         phi = schmidt_state([0.7, 0.3])
         dec = eacode.type_decompose(phi, 2)
-        assert [t.counts for t in dec.types] == [(2, 0), (1, 1), (0, 2)]
+        assert dec.counts.tolist() == [[2, 0], [1, 1], [0, 2]]
         assert np.allclose(dec.probs, [0.49, 0.42, 0.09])
         assert np.isclose(dec.probs.sum(), 1.0, atol=1e-12)
 
@@ -81,16 +82,18 @@ class TestTypeDecompose:
         v[0] = 1.0
         phi = PureState(FactorSpace(("Ap", "A"), (2, 2)), v)
         dec = eacode.type_decompose(phi, 3)
-        live = [(t, p) for t, p in zip(dec.types, dec.probs) if p > 1e-12]
+        live = [(c, p) for c, p in zip(dec.counts.tolist(), dec.probs)
+                if p > 1e-12]
         assert len(live) == 1
-        assert live[0][0].counts == (3, 0)
+        assert live[0][0] == [3, 0]
         assert np.isclose(live[0][1], 1.0)
 
     def test_reassembly(self):
         # construction asserts it; verify the pieces explicitly anyway
         dec = eacode.type_decompose(schmidt_state([0.6, 0.4]), 2)
         rebuilt = sum(
-            math.sqrt(p) * dec.block_vector(i) for i, p in enumerate(dec.probs)
+            math.sqrt(p) * block_vector(dec, i)
+            for i, p in enumerate(dec.probs)
         )
         assert np.linalg.norm(rebuilt - dec.phi_n.vector) < 1e-10
 
@@ -98,8 +101,8 @@ class TestTypeDecompose:
         # one perturbed entry of a block basis misses the n-fold state
         type_basis = typicality.type_basis
 
-        def perturbed(types, local_basis):
-            b = type_basis(types, local_basis)
+        def perturbed(counts, local_basis):
+            b = type_basis(counts, local_basis)
             b[0, -1] += 1e-6
             return b
 
@@ -120,20 +123,21 @@ class TestTypeDecompose:
         probs = np.array([t.dim * math.prod(sq[i] ** c
                                             for i, c in enumerate(t.counts))
                           for t in types])
-        assert dec.types == tuple(types)
-        assert all(type(t) is typicality.TypeClass for t in dec.types)
+        assert dec.counts.tolist() == [list(t.counts) for t in types]
+        assert not dec.counts.flags.writeable
         assert dec.block_dims == tuple(t.dim for t in types)
         assert all(type(d) is int for d in dec.block_dims)
         assert np.array_equal(dec.probs, probs)
         assert np.array_equal(dec.schmidt_probs, coeffs**2)
+        counts = [t.counts for t in types]
         assert np.array_equal(dec._sender_block_basis,
-                              typicality.type_basis(types, left))
+                              typicality.type_basis(counts, left))
         assert np.array_equal(dec._receiver_block_basis,
-                              typicality.type_basis(types, right))
+                              typicality.type_basis(counts, right))
 
     def test_blocks_maximally_entangled(self):
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)
-        block = dec.block_state(1)  # the (1,1) type, d_t = 2
+        block = block_state(dec, 1)  # the (1,1) type, d_t = 2
         red = qmat.partial_trace(block, dec.sender_space.labels)
         vals = np.sort(np.linalg.eigvalsh(red.matrix))[::-1]
         assert np.allclose(vals[:2], [0.5, 0.5], atol=1e-10)
@@ -173,8 +177,8 @@ class TestHwUnitary:
     def test_module_blocks_match_definition(self):
         # the dim-4 block of a qubit n=4 decomposition
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 4)
-        t_index = [i for i, t in enumerate(dec.types) if t.dim == 4][0]
-        triples = [(0, 0, 0)] * len(dec.types)
+        t_index = dec.block_dims.index(4)
+        triples = [(0, 0, 0)] * len(dec.block_dims)
         triples[t_index] = (3, 2, 0)
         s = HwIndex(triples, dec.block_dims)
         block = eacode._block_matrix(s, dec)[dec.block_slices[t_index],
@@ -338,11 +342,43 @@ class TestSampleCode:
                                       eacode.hw_transpose_unitary(s, dec))
 
     def test_entries_of_another_decomposition_refused(self):
+        # n = 1 and n = 3 give 2 and 4 type blocks, n = 2 three
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)
-        other = eacode.type_decompose(schmidt_state([0.7, 0.3]), 1)
-        entries = eacode.sample_code(other, 2, 0).entries
-        with pytest.raises(ValueError, match="block dimensions"):
-            eacode.EaCodeBook(2, entries, 0, dec)
+        for n in (1, 3):
+            other = eacode.type_decompose(schmidt_state([0.7, 0.3]), n)
+            draws = eacode.sample_code(other, 2, 0).draws
+            with pytest.raises(ValueError, match="message 0 of the draws.* "
+                                                 "block dimensions differ"):
+                eacode.EaCodeBook(dec, draws, 0)
+
+    @pytest.mark.parametrize("case, message, edit", [
+        ("x at d_t", 1, (1, 1, 0, 2)),
+        ("z at d_t", 2, (2, 1, 1, 2)),
+        ("b = 2", 0, (0, 0, 2, 2)),
+        ("negative x", 2, (2, 2, 0, -1)),
+        ("negative b", 1, (1, 0, 2, -1)),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_draws_out_of_range_refused_naming_the_message(self, case,
+                                                           message, edit):
+        # blocks of dims (1, 2, 1) at n = 2; one entry of one message moved
+        # out of its range
+        dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)
+        draws = eacode.sample_code(dec, 3, 0).draws.copy()
+        m, t, i, value = edit
+        draws[m, t, i] = value
+        with pytest.raises(ValueError,
+                           match=f"message {message}: .* out of range"):
+            eacode.EaCodeBook(dec, draws, 0)
+
+    def test_draws_are_a_read_only_copy(self):
+        dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)
+        draws = np.zeros((2, 3, 3), dtype=np.int32)
+        book = eacode.EaCodeBook(dec, draws, 0)
+        assert book.draws.dtype == np.intp and not book.draws.flags.writeable
+        assert draws.flags.writeable
+        draws[0, 1] = 1
+        assert not book.draws.any() and book.message_count == 2
+        assert book[1] == HwIndex([(0, 0, 0)] * 3, dec.block_dims)
 
     def test_reproducible(self):
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)
@@ -386,13 +422,13 @@ class TestExpectedCodeword:
     def test_block_twirl_gives_product_of_maximally_mixed(self, n, want_dim):
         # exhaustive average over one block's 2 d^2 indices
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), n)
-        t_index = [i for i, t in enumerate(dec.types) if t.dim == want_dim][0]
-        block = dec.block_state(t_index)
+        t_index = dec.block_dims.index(want_dim)
+        block = block_state(dec, t_index)
         acc = np.zeros((block.space.dim, block.space.dim), dtype=complex)
         count = 0
         d = want_dim
         for x, z, b in itertools.product(range(d), range(d), range(2)):
-            triples = [(0, 0, 0)] * len(dec.types)
+            triples = [(0, 0, 0)] * len(dec.block_dims)
             triples[t_index] = (x, z, b)
             s = HwIndex(triples, dec.block_dims)
             u = qmat.embed(
@@ -427,12 +463,12 @@ class TestExpectedCodeword:
             count += 1
         acc /= count
         expect = np.zeros_like(acc)
-        for i, (t, p) in enumerate(zip(dec.types, dec.probs)):
+        for i, (d, p) in enumerate(zip(dec.block_dims, dec.probs)):
             sl = dec.block_slices[i]
             pi_s = (dec._sender_block_basis[:, sl]
-                    @ dec._sender_block_basis[:, sl].conj().T) / t.dim
+                    @ dec._sender_block_basis[:, sl].conj().T) / d
             pi_r = (dec._receiver_block_basis[:, sl]
-                    @ dec._receiver_block_basis[:, sl].conj().T) / t.dim
+                    @ dec._receiver_block_basis[:, sl].conj().T) / d
             expect += p * np.kron(pi_s, pi_r)
         assert np.max(np.abs(acc - expect)) < 1e-10
 

@@ -9,7 +9,8 @@ from qmac import eacode, qmat, seqdecode, typicality
 from qmac.qmat import FactorSpace
 from qmac.seqdecode import PackingConstants
 
-from conftest import bell_state, packing_instances, random_unitary, schmidt_state
+from conftest import (bell_state, book_of, packing_instances, random_unitary,
+                      schmidt_state)
 
 # |0.98 (2 - e^(2^-5))|^2, frozen from a 30-digit mpmath evaluation
 PACKING_BOUND_EXAMPLE = 0.900395004096159375474
@@ -454,13 +455,14 @@ class TestSuccessive:
                 mat = mat @ px[x]
                 for xx in reversed(code1[:l]):
                     mat = mat @ pi @ (eye - px[xx]) @ pi
+                mat = mat @ pi  # Alice's product starts with Pi
                 expect = mat.conj().T @ mat
                 assert np.max(np.abs(povm[(l, m)] - expect)) < 1e-12
 
     @pytest.mark.parametrize("rank", [6, 4, 2])
     def test_first_pair_is_its_test_inside_alices(self, rank):
-        # L = M = 1: no earlier test acts, and neither does the code
-        # projector, so Lambda = Pi_x Pi_xy Pi_x whatever Pi is
+        # L = M = 1: no earlier test acts, and the code projector starts
+        # Alice's product, so Lambda = Pi Pi_x Pi_xy Pi_x Pi
         rng = np.random.default_rng(rank)
         dim = 6
 
@@ -468,10 +470,11 @@ class TestSuccessive:
             u = random_unitary(rng, dim)[:, :r]
             return u @ u.conj().T
 
+        pi = projector(rank)
         px, pxy = {0: projector(4)}, {(0, 0): projector(2)}
-        povm = seqdecode.successive_povm([0], [0], projector(rank), px, pxy)
+        povm = seqdecode.successive_povm([0], [0], pi, px, pxy)
         assert list(povm.elements) == [(0, 0)]
-        expect = px[0] @ pxy[(0, 0)] @ px[0]
+        expect = pi @ px[0] @ pxy[(0, 0)] @ px[0] @ pi
         assert np.max(np.abs(povm[(0, 0)] - expect)) < 1e-12
 
 
@@ -491,7 +494,7 @@ def dense_table(instance, entries):
 def factored_table(channel, decomp, delta, entries):
     return seqdecode.sequential_table(
         eacode.channel_output_factor(channel, [decomp]),
-        [eacode.EaCodeBook(len(entries), entries, 0, decomp)],
+        [book_of(decomp, entries, 0)],
         seqdecode.sequential_projectors(channel, decomp, delta))
 
 

@@ -11,8 +11,9 @@ from qmac import eacode, info, qmat, seqdecode, simuldecode, typicality
 from qmac.eacode import HwIndex
 from qmac.qmat import FactorSpace, PovmSet
 
-from conftest import (bell_state, fully_depolarizing_mac, parallel_qubit_mac,
-                      schmidt_state)
+from oracles import embedded_typical_projectors
+from conftest import (bell_state, book_of, fully_depolarizing_mac,
+                      parallel_qubit_mac, random_mac, schmidt_state)
 
 
 DECODERS = {"simultaneous": simuldecode.simultaneous_povm,
@@ -42,8 +43,7 @@ def overlap_table(ch, books, povm):
 def randomize_code(books, *shifts) -> list:
     """Relabel each codebook by a modular message shift (common randomness):
     message l of a book sends the entry of message l + shift."""
-    return [eacode.EaCodeBook(b.message_count, b.entries[s:] + b.entries[:s],
-                              b.seed, b.decomp)
+    return [eacode.EaCodeBook(b.decomp, np.roll(b.draws, -s, axis=0), b.seed)
             for b, s in zip(books, shifts)]
 
 
@@ -66,8 +66,8 @@ def bell_pair_books(channel, n=1, entries1=None, entries2=None, seeds=(5, 6)):
     d2 = eacode.type_decompose(bell_state("Bp", "B"), n)
     if entries1 is None:
         return sample_books((d1, d2), (2, 2), seeds), d1, d2
-    b1 = eacode.EaCodeBook(len(entries1), entries1, seeds[0], d1)
-    b2 = eacode.EaCodeBook(len(entries2), entries2, seeds[1], d2)
+    b1 = book_of(d1, entries1, seeds[0])
+    b2 = book_of(d2, entries2, seeds[1])
     return [b1, b2], d1, d2
 
 
@@ -145,7 +145,7 @@ class TestBuildUpsilon:
         # embedded() builds each of the six once, equal to the eager
         # embedding of the single-copy state's typical projectors
         out = ch.out_space.labels
-        want = typicality.embedded_typical_projectors(
+        want = embedded_typical_projectors(
             info.ea_code_state(ch, (d1.phi, d2.phi)), 1, 1.0,
             {"A": ("A",), "B": ("B",), "C": out, "AB": ("A", "B"),
              "AC": ("A",) + out, "ABC": ("A", "B") + out},
@@ -439,12 +439,12 @@ class TestExpectedCodewordUnderChannel:
             count += 1
         acc /= count
         expect = np.zeros_like(acc)
-        for i, (t, p) in enumerate(zip(d2.types, d2.probs)):
+        for i, (d, p) in enumerate(zip(d2.block_dims, d2.probs)):
             sl = d2.block_slices[i]
             pi_b = (d2._receiver_block_basis[:, sl]
-                    @ d2._receiver_block_basis[:, sl].conj().T) / t.dim
+                    @ d2._receiver_block_basis[:, sl].conj().T) / d
             pi_bp = (d2._sender_block_basis[:, sl]
-                     @ d2._sender_block_basis[:, sl].conj().T) / t.dim
+                     @ d2._sender_block_basis[:, sl].conj().T) / d
             inp = qmat.tensor(
                 phi.density(),
                 qmat.DensityOperator(FactorSpace(("Bp",), (2,)), pi_bp),
@@ -1068,7 +1068,7 @@ class TestSuccessiveTable:
         ch, books, d1, _ = sample_pair(name, weights, n, 2, 3, (10, 11))
         s, t = books[0].entries
         assert s != t
-        books = [eacode.EaCodeBook(4, (s, s, t, s), 10, d1), books[1]]
+        books = [book_of(d1, (s, s, t, s), 10), books[1]]
         proj = simuldecode.mac_typical_projectors(
             ch, [b.decomp for b in books], 1.5 if name == "adder-mac" else 1.0)
         want = overlap_table(
@@ -1136,7 +1136,7 @@ class TestSuccessiveTable:
         factor = output_factor(ch, books)
         full = seqdecode.successive_table(factor, books, proj)
         for L, M in ((2, 3), (3, 2), (1, 1)):
-            short = [eacode.EaCodeBook(k, b.entries[:k], b.seed, b.decomp)
+            short = [eacode.EaCodeBook(b.decomp, b.draws[:k], b.seed)
                      for b, k in zip(books, (L, M))]
             pairs = [3 * l + m for l in range(L) for m in range(M)]
             got = seqdecode.successive_table(factor, short, proj)
@@ -1154,3 +1154,51 @@ class TestSuccessiveTable:
         assert table.min() >= -1e-12
         report = run_experiment(ch, books, "successive", 1.0)
         assert abs(report.breakdown["total"] - report.avg_error) < 1e-12
+
+
+RANDOM_MACS = range(64)
+
+
+class TestRandomMacs:
+    """Seeded random MACs, 64 at n = 1 and 8 at n = 2, as a standing check
+    of every factored MAC decoder against its dense POVM, which must be a
+    POVM: the named channels' test projectors commute with the code
+    projector, and so hide a family that sums beyond the identity."""
+
+    @staticmethod
+    def projectors(seed, n=1):
+        ch, phi, psi, delta = random_mac(seed)
+        decomps = [eacode.type_decompose(s, n) for s in (phi, psi)]
+        return ch, decomps, simuldecode.mac_typical_projectors(
+            ch, decomps, delta)
+
+    def test_at_least_fifty_decode_at_n_1(self):
+        decoded = 0
+        for seed in RANDOM_MACS:
+            try:
+                self.projectors(seed)
+                decoded += 1
+            except ValueError as e:
+                # the one refusal: an empty typical projector, naming delta
+                assert f"delta = {random_mac(seed)[3]} leaves" in str(e)
+        assert decoded >= 50
+
+    @pytest.mark.parametrize("seed, n", [(seed, 1) for seed in RANDOM_MACS]
+                             + [(seed, 2) for seed in range(8)])
+    def test_tables_match_dense_povms(self, seed, n):
+        try:
+            ch, decomps, proj = self.projectors(seed, n)
+        except ValueError as e:
+            assert "projector empty" in str(e)
+            return
+        books = sample_books(decomps, (2, 2), (2 * seed, 2 * seed + 1))
+        factor = eacode.channel_output_factor(ch, decomps)
+        eye = np.eye(proj.space.dim)
+        for povm, table in (
+                (seqdecode.ea_successive_povm(books, proj),
+                 seqdecode.successive_table(factor, books, proj)),
+                (simuldecode.simultaneous_povm(books, proj),
+                 simuldecode.gram_table(factor, books, proj))):
+            assert np.linalg.eigvalsh(eye - povm.total()).min() >= -1e-9
+            assert np.max(np.abs(table - overlap_table(ch, books, povm))
+                          ) < 1e-12

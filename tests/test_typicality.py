@@ -10,6 +10,7 @@ from qmac import info, qmat, typicality
 from qmac.qmat import DensityOperator, FactorSpace
 
 from conftest import random_density, random_unitary, schmidt_state
+from oracles import embedded_typical_projectors
 
 
 class TestEnumerateTypes:
@@ -94,7 +95,7 @@ class TestTypeBasis:
         rng = np.random.default_rng(5)
         u = random_unitary(rng, 3)
         types = typicality.enumerate_types(3, 3)
-        b = typicality.type_basis(types, u)
+        b = typicality.type_basis([t.counts for t in types], u)
         seqs = [seq for t in types for seq in typicality.type_sequences(t)]
         assert b.shape == (27, 27)
         for col, seq in zip(b.T, seqs):
@@ -115,7 +116,8 @@ class TestTypeBasis:
             seqs = np.array([seq for t in sub
                              for seq in typicality.type_sequences(t)])
             want = np.array([kron_vector(u, seq) for seq in seqs]).T
-            assert np.array_equal(typicality.type_basis(sub, u), want)
+            assert np.array_equal(
+                typicality.type_basis([t.counts for t in sub], u), want)
 
     def test_typical_projector_is_sum_of_outer_products(self):
         # reference: one rank-one update per retained sequence
@@ -252,7 +254,8 @@ class TestTypicalProjector:
                 lam = 2.0**log_lam
                 weight += t.dim * lam
                 lam_max, lam_min = max(lam_max, lam), min(lam_min, lam)
-        return typicality.type_basis(typical, vecs), weight, lam_max, lam_min
+        return (typicality.type_basis([t.counts for t in typical], vecs),
+                weight, lam_max, lam_min)
 
     RANK_DEFICIENT = {
         "cnot-mac-ABC": ("cnot-mac", [0.5, 0.5], ("A", "B")),
@@ -325,7 +328,8 @@ class TestTypicalProjector:
         if not typical:
             return (np.zeros((len(vals) ** n, 0), dtype=complex), weight,
                     float("nan"), float("nan"))
-        return typicality.type_basis(typical, vecs), weight, lam_max, lam_min
+        return (typicality.type_basis([t.counts for t in typical], vecs),
+                weight, lam_max, lam_min)
 
     @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0, 10.0])
     @pytest.mark.parametrize("support", [1, 2, 3, 4])
@@ -404,7 +408,7 @@ class TestProjectorBundle:
     def test_matches_embedded_projectors(self):
         # oracle: the typical projectors embedded as d x d matrices
         rho, p = self.bundle()
-        want = typicality.embedded_typical_projectors(
+        want = embedded_typical_projectors(
             rho, 2, 0.6, {"A": ("A",), "B": ("B",), "AB": ("A", "B")}, p.space)
         mats = np.random.default_rng(32).normal(size=(16, 3))
         for name, mat in want.items():
