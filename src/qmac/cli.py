@@ -197,10 +197,15 @@ _BASE_BYTES = 184 << 20
 # projector, so neither holds a d-row block per step.
 _V_COPIES = {"sequential": 4, "simultaneous": 3, "successive": 4}
 
-# A book's own objects besides its entries' stack slices and draws: the
-# book and its two array headers, 0.4 to 0.6 KiB under tracemalloc at
-# n = 1 to 3, in books of 2 to 1,024 entries, counted as 1 KiB.
-_BOOK_BYTES = 1 << 10
+# A book's own objects besides its entries' index maps and draws: the
+# book and its three array headers, 0.6 to 1.05 KiB under tracemalloc at
+# n = 1 to 3, in books of 2 to 1,024 entries, counted as 1.5 KiB.
+_BOOK_BYTES = 3 << 9
+
+
+def _entry_bytes(share: int, n: int) -> int:
+    """Bytes of one book entry: its index and phase rows and its draws."""
+    return 24 * (share**n + math.comb(n + share - 1, n))
 
 
 def _check_memory(channel, args, k: int, decoder: str) -> int:
@@ -216,9 +221,10 @@ def _check_memory(channel, args, k: int, decoder: str) -> int:
     projector's basis, d_X^n x r_X^n on a marginal of single-copy dimension
     d_X and rank r_X <= min(d_X, K d_1 / d_X) for the single-copy output's
     d_1; two books per sender (the next trial's and the last), each
-    ``_BOOK_BYTES`` of its own objects and, per entry, a
-    d_share^n x d_share^n slice of the book's encoder stack and a row of
-    its draw array, 24 B per type block; and four n-fold shared states.
+    ``_BOOK_BYTES`` of its own objects and, per entry, an index and a
+    phase row of d_share^n entries and a row of its draw array
+    (:func:`_entry_bytes`), with no d_share^n x d_share^n encoder; and four
+    n-fold shared states.
     At 8 B it counts the (k + 1) x k table that each decoder fills in
     place, with its abort row (:func:`eacode.codeword_table`), and two rows
     of k: the row being read and the column sums.  The sequential decoder
@@ -238,8 +244,7 @@ def _check_memory(channel, args, k: int, decoder: str) -> int:
         marginals = (*shares, out, shares[0] * shares[1], shares[0] * out,
                      single)
         books = (args.L, args.M)
-    # one book entry: its stack slice and its row of the draw array
-    entry = [16 * s**(2 * n) + 24 * math.comb(n + s - 1, n) for s in shares]
+    entry = [_entry_bytes(s, n) for s in shares]
     need = _BASE_BYTES + 8 * group * k * (k + 3) + 2 * sum(
         b * e + group * _BOOK_BYTES for b, e in zip(books, entry)) + 16 * (
         _V_COPIES[decoder] * group * d * k * c

@@ -30,7 +30,8 @@ __all__ = [
     "transpose_trick_residual",
     "enumerate_indices",
     "index_set_size",
-    "encoder_stack",
+    "encoder_maps",
+    "apply_map",
     "sample_code",
     "channel_output_space",
     "channel_output_factor",
@@ -38,7 +39,6 @@ __all__ = [
     "receiver_encoder",
     "encode",
     "conjugate_by_receiver_encoders",
-    "average_codeword_state",
     "average_codeword_factors",
     "block_overlaps",
     "codeword_factors",
@@ -107,6 +107,9 @@ class TypeDecomposition:
         Side-major n-fold space: sender labels then receiver labels.
     phi_n : PureState
         The n-fold state on ``full_space``.
+    receiver_perm, receiver_units : ndarray or None
+        Column a of the receiver's type basis C holds its one nonzero,
+        receiver_units[a], in row receiver_perm[a]; None if C is not monomial.
     """
 
     def __init__(self, phi: PureState, n: int):
@@ -165,6 +168,11 @@ class TypeDecomposition:
             raise AssertionError(
                 f"type-block reassembly misses the n-fold state by {defect:.3e}"
             )
+        c, nonzero = self._receiver_block_basis, self._receiver_block_basis != 0
+        self.receiver_perm = self.receiver_units = None
+        if (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all():
+            self.receiver_perm = nonzero.argmax(axis=0)
+            self.receiver_units = c[self.receiver_perm, np.arange(len(c))]
 
 
 def type_decompose(phi: PureState, n: int) -> TypeDecomposition:
@@ -265,36 +273,45 @@ def _draw_bounds(decomp: TypeDecomposition) -> np.ndarray:
     return bounds
 
 
-def encoder_stack(decomp: TypeDecomposition, draws: np.ndarray) -> np.ndarray:
-    """U^T(s_k) of each row of ``draws``, one read-only (K, d_s, d_s) stack.
+def encoder_maps(decomp: TypeDecomposition, draws: np.ndarray) -> tuple:
+    """Read-only (K, d_s) arrays (index, phase) with (U^T(s_k) X)[r] =
+    phase[k, r] X[index[k, r]], for the (K, blocks, 3) ``draws``.
 
-    ``draws`` is a (K, blocks, 3) integer array of the triples (x_t, z_t,
-    b_t), as :class:`EaCodeBook` checks it.  Slice k equals
-    :func:`hw_transpose_unitary` of row k bit for bit: the block matrices
-    M_k of all K rows are filled by one fancy-index assignment, their phases
-    (-1)^b e^{2 pi i j z / d} one array expression whose real angle
-    2 pi j z / d is formed first, which gives the bits of
-    :func:`_block_matrix`'s scalar expression, and C M_k^T C† is then
-    written over M_k, C the receiver's type basis, one slice at a time, so
-    no temporary beyond one d_s x d_s matrix is held.
+    U^T = C M^T C†; row a = start_t + j of M^T holds (-1)^b e^{2 pi i j z/d}
+    in column s = start_t + (j + x_t) mod d_t, so row perm[a] of U^T reads
+    perm[s] with that phase times gamma_a conj(gamma_s) (C's units).  The
+    real angle is formed first, as in :func:`_block_matrix`, so with unit
+    gamma the map equals :func:`hw_transpose_unitary` bit for bit.  Raises
+    ``ValueError`` naming the state when C is not monomial.
     """
-    k, d_s = len(draws), decomp.receiver_space.dim
-    # each column's block dimension and block start
+    perm, units = decomp.receiver_perm, decomp.receiver_units
+    if perm is None:
+        raise ValueError(
+            f"the shared state on {decomp.phi.space.labels} has a receiver "
+            f"type basis at n = {decomp.n} that is not a permutation with "
+            "phases, so its encoders are not index maps")
+    # each row's block dimension and block start
     dims, start = np.repeat([decomp.block_dims, [
         sl.start for sl in decomp.block_slices]], decomp.block_dims, axis=1)
-    cols = np.arange(d_s)
-    j = cols - start  # each column's index in its block
+    j = np.arange(len(perm)) - start  # each row's index in its block
     x, z, b = np.repeat(draws, decomp.block_dims, axis=1).transpose(2, 0, 1)
-    stack = np.zeros((k, d_s, d_s), dtype=complex)
-    # M[start + (j + x) % d, start + j] = (-1)^b e^{2 pi i j z / d}
-    stack[np.arange(k)[:, None], start + (j + x) % dims, cols] = (
-        (-1.0) ** b * np.exp(1j * (2 * np.pi * j * z / dims)))
-    c = decomp._receiver_block_basis
-    c_dag = c.conj().T
-    for m in stack:
-        np.matmul(c @ m.T, c_dag, out=m)
-    stack.setflags(write=False)
-    return stack
+    src = start + (j + x) % dims
+    index, phase = np.empty(src.shape, np.intp), np.empty(src.shape, complex)
+    index[:, perm] = perm[src]
+    phase[:, perm] = units * ((-1.0) ** b * np.exp(
+        1j * (2 * np.pi * j * z / dims))) * units[src].conj()
+    for maps in (index, phase):
+        maps.setflags(write=False)
+    return index, phase
+
+
+def apply_map(index: np.ndarray, phase: np.ndarray, x: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """out[t, :, r] = phase[t, r] x[t, :, index[t, r]] for T maps in (T, d_s)
+    arrays on (T, before, d_s, ...) views; ``out`` may be ``x``."""
+    t, b = np.arange(len(x))[:, None, None], np.arange(x.shape[1])[:, None]
+    return np.multiply(x[t, b, index[:, None]], phase.reshape(
+        len(phase), 1, -1, *(1,) * (x.ndim - 3)), out=out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -305,19 +322,19 @@ class EaCodeBook:
     integer array of each message's triples (x_t, z_t, b_t), with
     0 <= x_t, z_t < d_t and b_t in {0, 1}.  It is copied and checked when
     the book is made, and draws of another decomposition's shape, or a
-    triple out of range, raise ``ValueError`` naming the message.  ``stack``
-    holds the receiver encoders U^T(s) of the messages as one read-only
-    (K, d_s, d_s) array, built once with the book (:func:`encoder_stack`);
-    ``stack[k]`` equals :func:`hw_transpose_unitary` of entry k bit for
-    bit.  ``book[k]`` and ``entries`` build :class:`HwIndex` values from
-    the draws on demand, for the dense oracles, which build their encoders
+    triple out of range, raise ``ValueError`` naming the message.  ``index``
+    and ``phase`` hold the messages' receiver encoders U^T(s) as (K, d_s)
+    index maps, built once with the book (:func:`encoder_maps`).
+    ``book[k]`` and ``entries`` build :class:`HwIndex` values from the
+    draws on demand, for the dense oracles, which build their encoders
     from the indices (:func:`receiver_encoder`).
     """
 
     decomp: TypeDecomposition
     draws: np.ndarray = field(compare=False, repr=False)
     seed: int
-    stack: np.ndarray = field(init=False, compare=False, repr=False)
+    index: np.ndarray = field(init=False, compare=False, repr=False)
+    phase: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         draws, bounds = np.asarray(self.draws), _draw_bounds(self.decomp)
@@ -337,7 +354,9 @@ class EaCodeBook:
                 f"range for block dimension {bounds[t, 0]}")
         draws.setflags(write=False)
         object.__setattr__(self, "draws", draws)
-        object.__setattr__(self, "stack", encoder_stack(self.decomp, draws))
+        for name, maps in zip(("index", "phase"),
+                              encoder_maps(self.decomp, draws)):
+            object.__setattr__(self, name, maps)
 
     @property
     def message_count(self) -> int:
@@ -436,45 +455,34 @@ def receiver_encoder(decomp: TypeDecomposition, s: HwIndex) -> qmat.Operator:
 
     Each sender's encoder acts on its own share only, so the encoders of
     two senders commute and no joint encoder is formed; apply one with
-    :func:`qmat.apply_local` or :func:`qmat.conjugate_local`.  The
-    per-index oracle of a book's stack (:class:`EaCodeBook`), which
+    :func:`qmat.apply_local` or :func:`qmat.conjugate_local`.  The dense
+    per-index oracle of a book's index maps (:class:`EaCodeBook`), which
     :func:`encode` applies.
     """
     return qmat.Operator(decomp.receiver_space, hw_transpose_unitary(s, decomp))
-
-
-# :func:`encode` forms at most ENCODE_BYTES of encoded blocks per product,
-# or one block where that is larger, so its temporary stays small
-ENCODE_BYTES = 4 << 20
 
 
 def encode(x: np.ndarray, books, space: FactorSpace) -> np.ndarray:
     """The (T, d, Kc) stack of [U_1 X ... U_K X], one per book of ``books``.
 
     ``books`` holds T :class:`EaCodeBook`s of one sender, K entries each;
-    U_k is a book's k-th receiver encoder (``book.stack[k]``), applied on
-    the sender's own share of ``space``.  ``x`` is d x c, shared by every
-    book, or (T, d, c), one per book.  The books' stacks act as one stacked
-    product on the share's (before, d_s, after) view of X
-    (:func:`qmat.local_shape`), on as many entries at a time as keep the
-    product within ``ENCODE_BYTES``, and the blocks are moved into one
-    preallocated stack.  Each block is bit for bit the product
-    :func:`qmat.apply_local` forms.
+    U_k is a book's k-th receiver encoder, an index map, applied on the
+    sender's own share of ``space``.  ``x`` is d x c, shared by every book,
+    or (T, d, c), one per book.  Entry k of the T books gathers the share
+    axis of X's (T, before, d_s, after, c) view (:func:`qmat.local_shape`)
+    into its blocks of one preallocated stack (:func:`apply_map`), so one
+    entry's T blocks are held at a time.
     """
     t, c, k = len(books), x.shape[-1], books[0].message_count
     x = np.broadcast_to(x, (t,) + x.shape[-2:])
     before, d_s, _ = qmat.local_shape(books[0].decomp.receiver_space, space)
     out = np.empty(x.shape[:2] + (k * c,), dtype=complex)
     blocks = out.reshape(t, before, d_s, -1, k, c)
-    view = x.reshape(t, before, 1, d_s, -1)
-    step = max(1, ENCODE_BYTES // (16 * x[0].size * t))
-    for lo in range(0, k, step):
-        # one book's stack is read in place, not copied
-        u = (books[0].stack[None, lo:lo + step] if t == 1 else
-             np.stack([book.stack[lo:lo + step] for book in books]))
-        # (T, before, entries, d_s, after, c), freed once moved
-        blocks[..., lo:lo + step, :] = np.matmul(u[:, None], view).reshape(
-            t, before, -1, d_s, blocks.shape[3], c).transpose(0, 1, 3, 4, 2, 5)
+    view = x.reshape(blocks.shape[:4] + (c,))
+    index = np.stack([book.index for book in books], axis=1)
+    phase = np.stack([book.phase for book in books], axis=1)
+    for e in range(k):
+        apply_map(index[e], phase[e], view, blocks[..., e, :])
     return out
 
 
@@ -490,41 +498,14 @@ def conjugate_by_receiver_encoders(state, indexed_encoders) -> DensityOperator:
     return DensityOperator(state.space, mat)
 
 
-def average_codeword_state(rho: DensityOperator, decomp: TypeDecomposition
-                           ) -> DensityOperator:
-    """rho-bar = |S|^-1 sum_s U^T(s) rho U^*(s), in closed form.
-
-    ``rho`` carries the receiver share of ``decomp`` as its leading factors,
-    as :func:`channel_output_state` lays it out.  The independent signs b_t
-    cancel every term between two type blocks, and the Heisenberg-Weyl
-    twirl inside block t replaces that block by I/d_t, so
-
-        rho-bar = sum_t (P_t / d_t) (x) Tr_A[(P_t (x) I) rho (P_t (x) I)]
-
-    with P_t the receiver projector onto block t.  The cost is one partial
-    trace per block instead of one conjugation per index in S.
-    """
-    share = decomp.receiver_space
-    if rho.space.labels[:len(share.labels)] != share.labels:
-        raise ValueError("the receiver share must lead the state's factors")
-    d_a = share.dim
-    d_rest = rho.space.dim // d_a
-    blocks = rho.matrix.reshape(d_a, d_rest, d_a, d_rest)
-    out = np.zeros((rho.space.dim, rho.space.dim), dtype=complex)
-    for d, sl in zip(decomp.block_dims, decomp.block_slices):
-        cols = decomp._receiver_block_basis[:, sl]
-        p_t = cols @ cols.conj().T
-        # Tr_A[(P_t (x) I) rho]: contract rho's two receiver indices with P_t
-        rest = np.tensordot(blocks, p_t, axes=([0, 2], [1, 0]))
-        out += np.kron(p_t / d, rest)
-    return DensityOperator(rho.space, out)
-
-
 def average_codeword_factors(r: np.ndarray, decomp: TypeDecomposition):
-    """The type blocks of :func:`average_codeword_state`, on the factor R.
+    """The type blocks of the average codeword state, on the factor R.
 
     ``r`` is R with rho = R R† on :func:`channel_output_space`, the receiver
-    share of ``decomp`` leading.  Yields one pair (C_t, Y_t) per type block:
+    share of ``decomp`` leading.  The independent signs b_t cancel every
+    term of rho-bar = |S|^-1 sum_s U^T(s) rho U^*(s) between two type
+    blocks, and the Heisenberg-Weyl twirl inside block t replaces that
+    block by I/d_t.  Yields one pair (C_t, Y_t) per type block:
     C_t holds orthonormal columns of the receiver projector P_t = C_t C_t†,
     and Y_t Y_t† = Tr_A[(P_t (x) I) rho], so that
 
@@ -585,8 +566,7 @@ def codeword_stack(factor: np.ndarray, codes, space: FactorSpace):
     ``codes`` lists T codes of the same shape, each a list of K books as in
     :func:`codeword_factors`.  V is their (T, d, kc) stack and traces the
     (T, k) stack of their traces, each checked.  Each sender's T books
-    encode in one :func:`encode`, their encoder stacks acting as one
-    stacked product.
+    encode in one :func:`encode`, entry by entry as index maps.
     """
     for books in codes:
         if len({b.seed for b in books}) < len(books):

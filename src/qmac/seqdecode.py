@@ -50,6 +50,7 @@ __all__ = [
     "ea_sequential_protocol",
     "successive_povm",
     "ea_successive_povm",
+    "frame_maps",
     "successive_table",
 ]
 
@@ -398,9 +399,9 @@ def _chain(y: np.ndarray, words):
 # A group of stacked trials (:func:`trial_group`) holds at most GROUP_BYTES
 # of codeword stacks V and GROUP_CODEWORDS codewords, unless one trial alone
 # holds more.  Past a few hundred codewords a larger stack saves no numpy
-# calls, while each trial's book holds, besides its entries' encoders and
-# draws, 0.4 to 0.6 KiB of its own objects and array headers (tracemalloc
-# at n = 1, in books of 2 and of 1,024 entries): 0.2 KiB a codeword in
+# calls, while each trial's book holds, besides its entries' index maps and
+# draws, 0.6 to 1.05 KiB of its own objects and array headers (tracemalloc
+# at n = 1, in books of 2 and of 1,024 entries): 0.3 KiB a codeword in
 # books of 2, which a stack of tiny trials would multiply.
 GROUP_BYTES = 4 << 20
 GROUP_CODEWORDS = 1024
@@ -478,7 +479,7 @@ def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
     constants taken over the full index set (:func:`ea_packing_constants`).
     Everything is read off the channel output factor R; neither rho_n nor a
     codeword state nor a POVM element is formed.  Each sampled book is its
-    draw array, and builds its entries' encoders once, as one stack
+    draw array, and builds its entries' encoders once, as index maps
     (:class:`eacode.EaCodeBook`).
     The trials are decoded in groups of :func:`trial_group` as one stack
     (:func:`sequential_tables`), and each group's books are drawn when it
@@ -580,7 +581,7 @@ def ea_successive_povm(books, projectors: typicality.ProjectorBundle
     with the AC-pair projector rotated by her encoder (times the B
     projector); the second stage tests Bob's with the rotated joint
     projector.  The oracle of :func:`successive_table`, whose encoders it
-    builds from their indices, not from the books' stacks.
+    builds from their indices, not from the books' index maps.
     """
     full = projectors.space
     b1, b2 = books
@@ -598,9 +599,16 @@ def ea_successive_povm(books, projectors: typicality.ProjectorBundle
     return successive_povm(code1, code2, code_proj, words_x, words_xy)
 
 
-def _on_share(u: np.ndarray, z: np.ndarray, shape: tuple) -> np.ndarray:
-    """(u (x) I) @ z, u on the run of a :func:`qmat.local_shape` view."""
-    return np.matmul(u, z.reshape(shape)).reshape(z.shape)
+def frame_maps(book) -> tuple:
+    """(index, phase): the (K, d_s) maps of U(s_0)† in row 0 and of the frame
+    steps S_l = U(s_{l+1})† U(s_l) in row l + 1, U the receiver encoders of
+    ``book``.  With inv = argsort(i), (i, p)† = (inv, conj(p[inv])) and
+    (i, p)† (i', p') = (i'[inv], conj(p[inv]) p'[inv])."""
+    index = np.argsort(book.index, axis=1)
+    phase = np.take_along_axis(book.phase, index, axis=1).conj()
+    phase[1:] *= np.take_along_axis(book.phase[:-1], index[1:], axis=1)
+    index[1:] = np.take_along_axis(book.index[:-1], index[1:], axis=1)
+    return index, phase
 
 
 def successive_table(factor: np.ndarray, books,
@@ -630,10 +638,11 @@ def successive_table(factor: np.ndarray, books,
     commutes with Pi (as in :func:`_factor_constants`), and Alice's update
     Y_{l+1} = Pi (Y_l - U_1(s_l) Pi_x U_1(s_l)† Y_l) is
     Z_{l+1} = S_l Pi (Z_l - Pi_x Z_l) with the frame steps
-    S_l = U_1(s_{l+1})† U_1(s_l), all L - 1 one stacked product of her
-    book's stack.  Z_0 = Pi U_1(s_0)† V is formed once and V dropped: Pi
-    acts on it before l = 0, since every element starts with Pi
-    (:func:`successive_povm`).  So her encoders act L times per table.
+    S_l = U_1(s_{l+1})† U_1(s_l), index maps (:func:`frame_maps`) each
+    gathered over Z (:func:`eacode.apply_map`).  Z_0 = Pi U_1(s_0)† V is
+    formed once, over V, and V dropped: Pi acts on it before l = 0, since
+    every element starts with Pi (:func:`successive_povm`).  So her
+    encoders act L times per table.
     The chain updates its start in place, which is Z itself only when Pi_B
     and Pi_AC are full rank: then Pi_x = I and Z - Pi_x Z is zero whatever
     Z holds, so Z needs no copy.  The rows (l, m) fill one preallocated
@@ -654,15 +663,20 @@ def successive_table(factor: np.ndarray, books,
         return y
 
     shape = qmat.local_shape(alice.decomp.receiver_space, space)
-    u = alice.stack
-    steps = u[1:].conj().swapaxes(-1, -2) @ u[:-1]  # the S_l
+    index, phase = frame_maps(alice)
+
+    def on_share(l, z):  # map l of Alice's frame on her share, over z
+        v = z.reshape((1,) + shape)
+        eacode.apply_map(index[l:l + 1], phase[l:l + 1], v, v)
+        return v.reshape(z.shape)
+
     table = np.empty((len(sent) + 1, len(sent)))
-    z = project(_on_share(u[0].conj().T, z, shape), code)  # Z_0; V dropped
+    z = project(on_share(0, z), code)  # Z_0; V dropped
     for l in range(alice.message_count):
         start = projectors.coordinates(test, z)
         for m, t in enumerate(_chain(start, words)):
             table[l * bob.message_count + m] = eacode.block_overlaps(
                 t, t, len(sent))
         if l + 1 < alice.message_count:
-            z = _on_share(steps[l], project(z - project(z, test), code), shape)
+            z = on_share(l + 1, project(z - project(z, test), code))
     return eacode.codeword_table(sent, traces, table)

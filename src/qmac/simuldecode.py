@@ -92,7 +92,7 @@ def build_upsilon(books, l: int, m: int,
     (Pi_B Pi_AC)(Pi_C Pi_AB) and the encoders pulled to the receiver shares;
     positive semidefinite by construction.  Each encoder acts only on its own
     share (``qmat.conjugate_local``).  The oracle of :func:`gram_table`,
-    whose encoders it builds from their indices, not from the books' stacks.
+    whose encoders it builds from their indices, not from the books' maps.
     """
     full = projectors.space
     u1, u2 = (eacode.receiver_encoder(b.decomp, b[k])

@@ -6,7 +6,16 @@ import math
 import numpy as np
 
 from qmac import qmat, typicality
-from qmac.qmat import PureState
+from qmac.qmat import DensityOperator, PureState
+
+
+def dense_map(index, phase) -> np.ndarray:
+    """The d_s x d_s matrix of the index map X -> phase * X[index] that
+    :func:`eacode.apply_map` applies: row r holds phase[r] in column
+    index[r]."""
+    out = np.zeros((len(index),) * 2, dtype=complex)
+    out[np.arange(len(index)), index] = phase
+    return out
 
 
 def block_vector(decomp, t_index: int) -> np.ndarray:
@@ -44,3 +53,33 @@ def embedded_typical_projectors(rho: qmat.DensityOperator, n: int,
         out[name] = qmat.embed(qmat.Operator(tp.space, tp.projector),
                                target).matrix
     return out
+
+
+def average_codeword_state(rho: DensityOperator, decomp) -> DensityOperator:
+    """rho-bar = |S|^-1 sum_s U^T(s) rho U^*(s), in closed form.
+
+    ``rho`` carries the receiver share of ``decomp`` as its leading factors,
+    as :func:`eacode.channel_output_state` lays it out; the dense oracle of
+    :func:`eacode.average_codeword_factors`.  The independent signs b_t
+    cancel every term between two type blocks, and the Heisenberg-Weyl
+    twirl inside block t replaces that block by I/d_t, so
+
+        rho-bar = sum_t (P_t / d_t) (x) Tr_A[(P_t (x) I) rho (P_t (x) I)]
+
+    with P_t the receiver projector onto block t.  The cost is one partial
+    trace per block instead of one conjugation per index in S.
+    """
+    share = decomp.receiver_space
+    if rho.space.labels[:len(share.labels)] != share.labels:
+        raise ValueError("the receiver share must lead the state's factors")
+    d_a = share.dim
+    d_rest = rho.space.dim // d_a
+    blocks = rho.matrix.reshape(d_a, d_rest, d_a, d_rest)
+    out = np.zeros((rho.space.dim, rho.space.dim), dtype=complex)
+    for d, sl in zip(decomp.block_dims, decomp.block_slices):
+        cols = decomp._receiver_block_basis[:, sl]
+        p_t = cols @ cols.conj().T
+        # Tr_A[(P_t (x) I) rho]: contract rho's two receiver indices with P_t
+        rest = np.tensordot(blocks, p_t, axes=([0, 2], [1, 0]))
+        out += np.kron(p_t / d, rest)
+    return DensityOperator(rho.space, out)

@@ -737,17 +737,22 @@ REFERENCE_ARGV = {
 
 
 class TestNoIndexObjects:
-    # books are draw arrays and types are table rows on every command path:
-    # the benchmark's commands and successive decoding build neither an
-    # HwIndex nor a TypeClass
+    # books are draw arrays with index maps, and types are table rows, on
+    # every command path: the benchmark's commands, successive decoding and
+    # a sequential run at d_s = 256 build no HwIndex, no TypeClass and no
+    # dense d_s x d_s encoder
     @pytest.mark.parametrize("argv", list(REFERENCE_ARGV.values()) + [
         ("simulate-mac", "--channel", "cnot-mac", "--n", "2",
-         "--mode", "successive", "--phi", "0.7,0.3")], ids=" ".join)
+         "--mode", "successive", "--phi", "0.7,0.3"),
+        ("simulate-seq", "--channel", "identity:2", "--n", "8")],
+        ids=" ".join)
     def test_command_builds_neither_class(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
-            raise AssertionError("an index or type object was built")
+            raise AssertionError("an index, type or dense encoder was built")
 
-        monkeypatch.setattr(eacode, "HwIndex", refuse)
+        for name in ("HwIndex", "hw_transpose_unitary", "_block_matrix",
+                     "receiver_encoder"):
+            monkeypatch.setattr(eacode, name, refuse)
         monkeypatch.setattr(typicality, "TypeClass", refuse)
         code, out, err = run(capsys, *argv)
         assert code == 0, err
@@ -904,6 +909,23 @@ class TestSimulateMac:
                                "cnot-mac", "--n", "4", "--L", "2", "--M", "2",
                                "--mode", "successive")
         assert 3904 << 20 < need < 6 << 30
+
+    def test_identity_n12_admitted_with_books_as_index_maps(self,
+                                                            monkeypatch):
+        # on 7.83 GiB of physical memory n = 12 (d_s = 4,096) is estimated
+        # at about 6.7 GiB and admitted: the 4 entries of each of its two
+        # books hold index maps, under 1 MiB in all, where dense d_s x d_s
+        # encoders took 2 GiB and the run was refused at 8.68 GiB
+        phys = int(7.83 * 2**30)
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": phys // 4096}
+        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(cli.resource, "getrlimit", lambda _: (
+            cli.resource.RLIM_INFINITY,) * 2)
+        need = estimated_bytes(monkeypatch, "simulate-seq", "--channel",
+                               "identity:2", "--n", "12", "--messages", "4",
+                               "--trials", "10")
+        assert 6.6 * 2**30 < need < phys
+        assert 2 * 4 * cli._entry_bytes(2, 12) < 1 << 20
 
     @pytest.mark.parametrize("argv, single", [
         (("simulate-mac", "--channel", "cnot-mac", "--n", "2", "--L", "4",

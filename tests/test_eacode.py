@@ -10,7 +10,8 @@ from qmac import eacode, qmat, typicality
 from qmac.eacode import HwIndex
 from qmac.qmat import FactorSpace, PureState
 
-from oracles import block_state, block_vector
+from oracles import (average_codeword_state, block_state, block_vector,
+                     dense_map)
 from conftest import (
     bell_state,
     random_kraus_channel,
@@ -330,16 +331,39 @@ class TestSampleCode:
                                            for s in want]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("weights", list(SCHMIDT))
-    def test_stack_is_the_oracle_encoder_bit_for_bit(self, weights, n):
-        dec = eacode.type_decompose(schmidt_state(SCHMIDT[weights]), n)
+    @pytest.mark.parametrize("weights", ["0.7,0.3", "0.3,0.7", "bell",
+                                         "0.5,0.3,0.2"])
+    def test_maps_are_the_oracle_encoder_bit_for_bit(self, weights, n):
+        # the Schmidt order puts the weight 0.7 first, so at (0.3, 0.7) the
+        # receiver's type basis C sends the first type's sequence 0...0 to
+        # the product vector |1...1>, not to |0...0>
+        phi = (bell_state() if weights == "bell" else
+               schmidt_state([float(p) for p in weights.split(",")]))
+        dec = eacode.type_decompose(phi, n)
+        d_s = dec.receiver_space.dim
+        assert dec.receiver_perm[0] == (d_s - 1 if weights == "0.3,0.7" else 0)
         for seed in SEEDS:
             book = eacode.sample_code(dec, 8, seed)
-            assert book.stack.shape == (8,) + (dec.receiver_space.dim,) * 2
-            assert not book.stack.flags.writeable
+            for maps, dtype in ((book.index, np.intp), (book.phase, complex)):
+                assert (maps.shape, maps.dtype) == ((8, d_s), dtype)
+                assert not maps.flags.writeable
             for k, s in enumerate(book.entries):
-                assert np.array_equal(book.stack[k],
+                assert np.array_equal(dense_map(book.index[k], book.phase[k]),
                                       eacode.hw_transpose_unitary(s, dec))
+
+    def test_rotated_receiver_basis_refused_by_a_book(self):
+        # a Hadamard on the receiver's side: C is no permutation, so the
+        # encoders are no index maps, while the dense oracles take the state
+        h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+        phi = PureState(FactorSpace(("Ap", "A"), (2, 2)), np.kron(
+            np.eye(2), h) @ schmidt_state([0.7, 0.3]).vector)
+        dec = eacode.type_decompose(phi, 2)
+        assert dec.receiver_perm is None and dec.receiver_units is None
+        with pytest.raises(ValueError, match=r"state on \('Ap', 'A'\) has a "
+                           r"receiver type basis at n = 2 that is not a perm"):
+            eacode.sample_code(dec, 2, 0)
+        for s in eacode.enumerate_indices(dec):
+            assert eacode.transpose_trick_residual(s, dec) < 1e-10
 
     def test_entries_of_another_decomposition_refused(self):
         # n = 1 and n = 3 give 2 and 4 type blocks, n = 2 three
@@ -492,7 +516,7 @@ class TestAverageCodewordState:
             acc += qmat.conjugate_local(u, rho.matrix, rho.space)
             count += 1
         assert count == eacode.index_set_size(dec)
-        avg = eacode.average_codeword_state(rho, dec)
+        avg = average_codeword_state(rho, dec)
         assert avg.space == rho.space
         assert np.max(np.abs(avg.matrix - acc / count)) < 1e-12
         # the same blocks on the factor R
@@ -508,7 +532,7 @@ class TestAverageCodewordState:
                                           [dec])
         swapped = qmat.permute(rho, tuple(reversed(rho.space.labels)))
         with pytest.raises(ValueError, match="receiver share"):
-            eacode.average_codeword_state(swapped, dec)
+            average_codeword_state(swapped, dec)
 
 
 def encode_by_apply_local(x, books, space):
@@ -527,9 +551,8 @@ class TestEncode:
     @pytest.mark.parametrize("case", ["bob's share, first",
                                       "alice's share, behind bob's",
                                       "a (T, d, c) stack",
-                                      "in one-entry products"])
-    def test_stacked_encode_is_apply_local_bit_for_bit(self, monkeypatch,
-                                                       case):
+                                      "two books on one X"])
+    def test_stacked_encode_is_apply_local_bit_for_bit(self, case):
         ch = qmat.named_channel("cnot-mac")
         d1 = eacode.type_decompose(schmidt_state([0.7, 0.3], "Ap", "A"), 2)
         d2 = eacode.type_decompose(schmidt_state([0.6, 0.4], "Bp", "B"), 2)
@@ -543,8 +566,8 @@ class TestEncode:
             x = np.stack([r, eacode.encode(r, [eacode.sample_code(d2, 1, 8)],
                                            space)[0]])
             books = [eacode.sample_code(d1, 3, seed) for seed in (7, 9)]
-        elif case.startswith("in one"):
-            monkeypatch.setattr(eacode, "ENCODE_BYTES", 1)
+        elif case.startswith("two books"):
+            books = [eacode.sample_code(d1, 3, seed) for seed in (7, 9)]
         got = eacode.encode(x, books, space)
         assert got.shape == (len(books), r.shape[0], 3 * r.shape[1])
         assert np.array_equal(got, encode_by_apply_local(x, books, space))

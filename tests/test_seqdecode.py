@@ -9,6 +9,7 @@ from qmac import eacode, qmat, seqdecode, typicality
 from qmac.qmat import FactorSpace
 from qmac.seqdecode import PackingConstants
 
+from oracles import average_codeword_state
 from conftest import (bell_state, book_of, packing_instances, random_unitary,
                       schmidt_state)
 
@@ -326,7 +327,7 @@ class TestCovariantPackingConstants:
         eps, d, residual = typicality.measure_word_constants(
             [rho.matrix], code_proj, [p.embedded("AB")])
         D = typicality.measure_code_constant(
-            eacode.average_codeword_state(rho, decomp).matrix, code_proj)
+            average_codeword_state(rho, decomp).matrix, code_proj)
         cov = seqdecode.ea_packing_constants(ch, phi, 3, delta)
         assert abs(cov.epsilon - eps) <= 1e-12
         assert _same_constant(cov.d, d, 1e-12)
@@ -355,7 +356,7 @@ class TestCovariantPackingConstants:
         drawn = [str(s) for t in range(trials) for s in
                  eacode.sample_code(decomp, messages, t).draws.tolist()]
         built = []
-        original = eacode.encoder_stack
+        original = eacode.encoder_maps
 
         def counting(decomp, draws):
             built.extend(map(str, draws.tolist()))
@@ -364,7 +365,7 @@ class TestCovariantPackingConstants:
         def refuse(*args, **kwargs):
             raise AssertionError("the protocol enumerated the index set")
 
-        monkeypatch.setattr(eacode, "encoder_stack", counting)
+        monkeypatch.setattr(eacode, "encoder_maps", counting)
         monkeypatch.setattr(eacode, "hw_transpose_unitary", refuse)
         monkeypatch.setattr(seqdecode, "ea_protocol_instance", refuse)
         seqdecode.ea_sequential_protocol(

@@ -11,7 +11,7 @@ from qmac import eacode, info, qmat, seqdecode, simuldecode, typicality
 from qmac.eacode import HwIndex
 from qmac.qmat import FactorSpace, PovmSet
 
-from oracles import embedded_typical_projectors
+from oracles import dense_map, embedded_typical_projectors
 from conftest import (bell_state, book_of, fully_depolarizing_mac,
                       parallel_qubit_mac, random_mac, schmidt_state)
 
@@ -575,15 +575,16 @@ class TestOnePassEvaluation:
 
     @staticmethod
     def count_encoders_and_tensors(monkeypatch):
-        # "entries" counts the encoders that the stacks build; the per-index
-        # oracle hw_transpose_unitary is counted too, and must not run
+        # "entries" counts the encoders that the books' index maps hold; the
+        # per-index oracle hw_transpose_unitary is counted too, and must not
+        # run
         calls = Counter()
-        for module, name in ((eacode, "encoder_stack"),
+        for module, name in ((eacode, "encoder_maps"),
                              (eacode, "hw_transpose_unitary"),
                              (qmat, "tensor")):
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
-                if _name == "encoder_stack":
+                if _name == "encoder_maps":
                     calls["entries"] += len(args[1])
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
@@ -591,7 +592,7 @@ class TestOnePassEvaluation:
 
     @pytest.mark.parametrize("mode", list(DECODERS))
     def test_each_encoder_built_once_on_its_own_share(self, monkeypatch, mode):
-        # one stack per codebook, one encoder per entry, L + M in all, and
+        # one map build per codebook, one encoder per entry, L + M in all, and
         # no joint encoder: the only tensor products are the channel input
         # and the code state of the typical projectors
         calls = self.count_encoders_and_tensors(monkeypatch)
@@ -601,14 +602,14 @@ class TestOnePassEvaluation:
         calls.clear()
         books = sample_books((d1, d2), (4, 4), (0, 1))
         run_experiment(ch, books, mode, 1.0)
-        assert calls == {"encoder_stack": 2, "entries": 8, "tensor": 2}
+        assert calls == {"encoder_maps": 2, "entries": 8, "tensor": 2}
 
     def test_sequential_trial_builds_each_encoder_once(self, monkeypatch):
         calls = self.count_encoders_and_tensors(monkeypatch)
         seqdecode.ea_sequential_protocol(
             qmat.named_channel("amplitude-damping:0.3"),
             schmidt_state([0.7, 0.3]), 2, 6, 1.0, 3, 1)
-        assert (calls["encoder_stack"], calls["entries"]) == (1, 6)
+        assert (calls["encoder_maps"], calls["entries"]) == (1, 6)
         assert "hw_transpose_unitary" not in calls
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -948,12 +949,13 @@ class TestSuccessiveTable:
     def test_encoders_act_a_number_of_times_fixed_in_m(self, monkeypatch):
         # V and Bob's words [U_2(t_m) B] are encoded once per table (one
         # encode of Alice's book and two of Bob's), and both stages run in
-        # Alice's frame, so her encoders act L times per table: U_1(s_0)†
-        # on V, then one frame step per update, however many words Bob's
-        # stage tests; no encoder acts as an operator
-        calls = Counter()
+        # Alice's frame, so her encoders act L times per table, each as one
+        # gather outside encode: U_1(s_0)† on V, then one frame step per
+        # update, however many words Bob's stage tests; no encoder acts as
+        # an operator
+        calls, encoding = Counter(), []
         apply_local, encode = qmat.apply_local, eacode.encode
-        on_share = seqdecode._on_share
+        apply_map = eacode.apply_map
 
         def counted_apply(*args, **kwargs):
             calls[args[0].space] += 1
@@ -961,15 +963,20 @@ class TestSuccessiveTable:
 
         def counted_encode(x, books, space):
             calls["encode", books[0].decomp.receiver_space] += 1
-            return encode(x, books, space)
+            encoding.append(True)
+            try:
+                return encode(x, books, space)
+            finally:
+                encoding.pop()
 
-        def counted_on_share(u, z, shape):
-            calls["on share", u.shape] += 1
-            return on_share(u, z, shape)
+        def counted_map(index, phase, x, out):
+            if not encoding:
+                calls["map", index.shape] += 1
+            return apply_map(index, phase, x, out)
 
         monkeypatch.setattr(qmat, "apply_local", counted_apply)
         monkeypatch.setattr(eacode, "encode", counted_encode)
-        monkeypatch.setattr(seqdecode, "_on_share", counted_on_share)
+        monkeypatch.setattr(eacode, "apply_map", counted_map)
         L = 4
         for M in (2, 4):
             ch, books, d1, d2 = sample_pair("cnot-mac", None, 2, L, M, (0, 1))
@@ -980,7 +987,23 @@ class TestSuccessiveTable:
             d_s = d1.receiver_space.dim
             assert calls == {("encode", d1.receiver_space): 1,
                              ("encode", d2.receiver_space): 2,
-                             ("on share", (d_s, d_s)): L}
+                             ("map", (1, d_s)): L}
+
+    @pytest.mark.parametrize("weights, n", [(None, 2), ([0.7, 0.3], 2),
+                                            ([0.3, 0.7], 3),
+                                            ([0.5, 0.3, 0.2], 2)])
+    def test_frame_maps_are_the_oracle_products(self, weights, n):
+        # U_1(s_0)† and every S_l = U_1(s_{l+1})† U_1(s_l), composed as
+        # index maps, against the products of the dense oracle encoders
+        phi = bell_state() if weights is None else schmidt_state(weights)
+        dec = eacode.type_decompose(phi, n)
+        book = eacode.sample_code(dec, 5, 3)
+        u = [eacode.hw_transpose_unitary(s, dec) for s in book.entries]
+        index, phase = seqdecode.frame_maps(book)
+        assert index.shape == phase.shape == (5, dec.receiver_space.dim)
+        for l, want in enumerate([u[0].conj().T] + [
+                u[l + 1].conj().T @ u[l] for l in range(4)]):
+            assert np.max(np.abs(dense_map(index[l], phase[l]) - want)) <= 1e-15
 
     def test_code_projector_applied_once_per_alice_update(self, monkeypatch):
         # Y stays in the range of Pi = Pi_A Pi_B Pi_C after each of Alice's
@@ -1000,13 +1023,13 @@ class TestSuccessiveTable:
         seqdecode.successive_table(factor, books, proj)
         assert calls["A"] == 4
 
-    def test_oracles_read_no_encoder_stack(self, monkeypatch):
+    def test_oracles_read_no_encoder_maps(self, monkeypatch):
         # the dense oracles build each encoder from its index, so books
-        # whose stacks hold their encoders in reverse order decode
+        # whose index maps hold their encoders in reverse order decode
         # differently under the factored decoders and under the oracles
-        stack = eacode.encoder_stack
-        monkeypatch.setattr(eacode, "encoder_stack",
-                            lambda decomp, draws: stack(decomp, draws)[::-1])
+        maps = eacode.encoder_maps
+        monkeypatch.setattr(eacode, "encoder_maps", lambda decomp, draws: tuple(
+            m[::-1] for m in maps(decomp, draws)))
         ch, books, d1, d2 = sample_pair("cnot-mac", None, 2, 3, 3, (0, 1))
         proj = simuldecode.mac_typical_projectors(ch, (d1, d2), 1.0)
         factor = output_factor(ch, books)
