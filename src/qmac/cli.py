@@ -3,8 +3,9 @@
 Every command is deterministic given its full flag set (seeds included),
 floats are emitted at 12 significant digits, and exit codes are 0 on
 success, 2 on validation failure, 3 on I/O failure and 4 when a run does
-not fit: ``simulate-mac`` or ``simulate-seq`` exceeds its byte estimate
-(:func:`_check_memory`, their only size guard), a dense matrix exceeds
+not fit: ``simulate-mac`` or ``simulate-seq`` exceeds its byte count (their
+only size guard: :func:`_check_memory` up front, then the decoder's own
+count once its projectors are built), a dense matrix exceeds
 ``qmat.dimension_cap()``, or memory runs out.  ``gaussian-sweep`` writes
 its grid in blocks of ``SWEEP_BLOCK_ROWS`` rows, so its memory does not
 grow with ``--steps``.
@@ -13,13 +14,10 @@ grow with ``--steps``.
 from __future__ import annotations
 
 import argparse
-import decimal
 import functools
 import itertools
 import json
 import math
-import os
-import resource
 import sys
 from dataclasses import asdict
 
@@ -176,26 +174,20 @@ def cmd_simulate_seq(args) -> int:
         raise ValueError("n, messages and trials must be positive")
     _check_delta(args.delta)
     _check_seed(args.seed, range(args.seed, args.seed + args.trials))
-    _check_memory(channel, args, args.messages, "sequential")
+    held = _check_memory(channel, args, args.messages)
     report = seqdecode.ea_sequential_protocol(
-        channel, phi, args.n, args.messages, args.delta, args.seed, args.trials
-    )
+        channel, phi, args.n, args.messages, args.delta, args.seed,
+        args.trials, held)
     emit_json(report.to_json())
     return 0
 
 
-# Address space of the interpreter, numpy and the BLAS threads' malloc
-# arenas: peak address space less peak resident blocks measured 162 to 169
-# MiB (x86-64 Linux, numpy 2, two BLAS threads).
-_BASE_BYTES = 184 << 20
-
-# Copies of the codeword stack V (d x kc) that each decoder holds at its
-# peak with its own blocks, so that the estimate covers the peak address
-# space measured for the sequential decoder (identity:2 at n = 8 to 10,
-# amplitude-damping:0.3 at n = 6, 7) and the others (cnot-mac, n = 2 to 4).
-# The sequential and successive chains run in the coordinates of their test
-# projector, so neither holds a d-row block per step.
-_V_COPIES = {"sequential": 4, "simultaneous": 3, "successive": 4}
+# Address space besides what the counts hold: the interpreter, numpy, the
+# BLAS threads' malloc arenas and the heap that malloc keeps of freed
+# blocks under its 32 MiB mmap threshold.  Peak address space less the
+# traced peak (tracemalloc) measured 180 to 260 MiB over ROADMAP item 10's
+# grid (x86-64 Linux, numpy 2, two BLAS threads).
+_BASE_BYTES = 264 << 20
 
 # A book's own objects besides its entries' index maps and draws: the
 # book and its three array headers, 0.6 to 1.05 KiB under tracemalloc at
@@ -208,60 +200,31 @@ def _entry_bytes(share: int, n: int) -> int:
     return 24 * (share**n + math.comb(n + share - 1, n))
 
 
-def _check_memory(channel, args, k: int, decoder: str) -> int:
-    """The estimated bytes of a run of k codewords, refused with
-    ``MemoryError`` before the shared states are decomposed when over the
-    smaller of the soft address-space limit and physical memory.
+def _check_memory(channel, args, k: int) -> int:
+    """The bytes that a run of k codewords holds besides its decoder's
+    blocks, R and the typical projectors' bases, which the decoder counts
+    on top of them (:func:`seqdecode.sequential_bytes`,
+    :func:`seqdecode.successive_bytes`, :func:`simuldecode.gram_bytes`).
 
-    From the channel's dimensions, its Kraus count K, n and k alone, at
-    16 B per complex entry and on top of ``_BASE_BYTES``, this counts the
-    codeword stack V (d x kc, c <= K^n columns of R) ``_V_COPIES[decoder]``
-    times and the simultaneous decoder's X' (Lq x kc, q <= min(d, M r) for
-    the joint projector's rank r <= c) twice; twice each typical
-    projector's basis, d_X^n x r_X^n on a marginal of single-copy dimension
-    d_X and rank r_X <= min(d_X, K d_1 / d_X) for the single-copy output's
-    d_1; two books per sender (the next trial's and the last), each
-    ``_BOOK_BYTES`` of its own objects and, per entry, an index and a
-    phase row of d_share^n entries and a row of its draw array
-    (:func:`_entry_bytes`), with no d_share^n x d_share^n encoder; and four
-    n-fold shared states.
-    At 8 B it counts the (k + 1) x k table that each decoder fills in
-    place, with its abort row (:func:`eacode.codeword_table`), and two rows
-    of k: the row being read and the column sums.  The sequential decoder
-    stacks a group of trials (:func:`seqdecode.trial_group`; R has exactly
-    c columns there), so its V, books, weights and tables count once per
-    trial of the group.
+    From the channel's dimensions, its Kraus count K, n and k alone:
+    ``_BASE_BYTES``; each sender's decomposition, its n-fold shared state
+    and its two type bases, d_share^n x d_share^n complex each; and two
+    books per sender (the next trial's and the last), each ``_BOOK_BYTES``
+    of its own objects and, per entry, an index and a phase row and a row
+    of its draws (:func:`_entry_bytes`).  With these it counts the least
+    that every decoder holds, R (d x c, c <= K^n columns), one codeword
+    stack V (d x kc) and the (k + 1) x k table of its weights, and refuses
+    the run with ``MemoryError`` before the shared states are decomposed
+    when that passes the memory limit (:func:`qmat.require_bytes`).
     """
-    n, kraus, shares = args.n, len(channel.kraus), channel.in_space.dims
-    out = channel.out_space.dim
-    single = math.prod(shares) * out
-    d, c = single**n, min(single, kraus)**n
-    group = 1
-    if decoder == "sequential":
-        group = seqdecode.trial_group(16 * d * k * c, k, args.trials)
-    marginals, books = (shares[0], out, single), (group * k,)
-    if channel.is_mac:
-        marginals = (*shares, out, shares[0] * shares[1], shares[0] * out,
-                     single)
-        books = (args.L, args.M)
-    entry = [_entry_bytes(s, n) for s in shares]
-    need = _BASE_BYTES + 8 * group * k * (k + 3) + 2 * sum(
-        b * e + group * _BOOK_BYTES for b, e in zip(books, entry)) + 16 * (
-        _V_COPIES[decoder] * group * d * k * c
-        + (2 * args.L * min(d, args.M * c) * k * c
-           if decoder == "simultaneous" else 0)
-        + 2 * sum(m**n * min(m, single // m * kraus)**n for m in marginals)
-        + 4 * math.prod(shares)**(2 * n))
-    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-    limit = min(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"),
-                math.inf if soft == resource.RLIM_INFINITY else soft)
-    if need > limit:
-        # a Decimal, since an estimate can pass a float's range (2^1024)
-        raise MemoryError(
-            f"the run needs an estimated {decimal.Decimal(need) / 2**30:.3g} "
-            "GiB for the codeword stack and the decoder's blocks, over the "
-            f"memory limit of {limit / 2**30:.3g} GiB")
-    return need
+    n, shares = args.n, channel.in_space.dims
+    single = math.prod(shares) * channel.out_space.dim
+    d, c = single**n, min(single, len(channel.kraus))**n
+    books = (args.L, args.M) if channel.is_mac else (k,)
+    held = _BASE_BYTES + 48 * sum(s**(2 * n) for s in shares) + 2 * sum(
+        b * _entry_bytes(s, n) + _BOOK_BYTES for b, s in zip(books, shares))
+    qmat.require_bytes(held + 16 * d * c * (k + 1) + 8 * k * (k + 1))
+    return held
 
 
 def cmd_simulate_mac(args) -> int:
@@ -275,7 +238,7 @@ def cmd_simulate_mac(args) -> int:
         raise ValueError("n, L, M and trials must be positive")
     _check_delta(args.delta)
     _check_seed(args.seed, range(2 * args.seed, 2 * (args.seed + args.trials)))
-    _check_memory(channel, args, args.L * args.M, args.mode)
+    held = _check_memory(channel, args, args.L * args.M)
     decomps = [eacode.type_decompose(s, args.n) for s in (phi, psi)]
     # R and the typical projectors depend on the states, n and delta, not
     # the seed: both are built once, for every trial
@@ -288,7 +251,7 @@ def cmd_simulate_mac(args) -> int:
         books = [eacode.sample_code(decomps[0], args.L, seed),
                  eacode.sample_code(decomps[1], args.M, seed + 1)]
         reports.append(simuldecode.run_mac_experiment(
-            factor, books, args.mode, projectors))
+            factor, books, args.mode, projectors, held))
     out = reports[0].to_json()
     if args.trials > 1:
         # codebook-level averages over the per-trial exact figures

@@ -41,6 +41,8 @@ __all__ = [
     "conjugate_by_receiver_encoders",
     "average_codeword_factors",
     "block_overlaps",
+    "overlap_entries",
+    "object_bytes",
     "codeword_factors",
     "codeword_stack",
     "codeword_table",
@@ -534,6 +536,22 @@ def block_overlaps(x: np.ndarray, y: np.ndarray, count: int) -> np.ndarray:
             .reshape(*x.shape[:-2], -1, count, cols // count).sum(axis=-1)
             for i in range(0, x.shape[-2], rows)]
     return np.concatenate(sums, axis=-2).sum(axis=-2)
+
+
+def object_bytes(codewords: int) -> int:
+    """Bytes that a decoder call holds besides its arrays' data: its frames,
+    closures and array headers with numpy's iteration buffers (of 8,192
+    elements an operand), under 1 MiB, and per codeword its key in
+    ``sent`` (a tuple of up to two ints and its list slot) and its blocks'
+    views, under 256 B (tracemalloc, CPython 3.11)."""
+    return (1 << 20) + 256 * codewords
+
+
+def overlap_entries(size: int, row: int) -> float:
+    """Complex entries' worth of the temporaries that :func:`block_overlaps`
+    holds on an x of ``size`` entries with ``row`` entries in a row of its
+    stack: two complex chunks of one row or 2^18 entries, and a real one."""
+    return 2.5 * min(size, max(row, 1 << 18))
 
 
 def _check_traces(sent, traces) -> None:

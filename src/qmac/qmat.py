@@ -6,12 +6,14 @@ partial traces, embeddings and channel applications can be requested by
 label instead of by axis bookkeeping.  All values are immutable and all
 operations are pure functions.  A space may have any dimension, but a dense
 matrix on a whole space above :func:`dimension_cap` is refused
-(:func:`require_dense`, called by :func:`embed` and the dense code states).
+(:func:`require_dense`, called by :func:`embed` and the dense code states),
+and a run whose byte count exceeds the memory limit (:func:`require_bytes`).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,6 +29,7 @@ __all__ = [
     "PovmSet",
     "dimension_cap",
     "require_dense",
+    "require_bytes",
     "frozen_copy",
     "power_space",
     "identity",
@@ -75,6 +78,24 @@ def require_dense(space: FactorSpace) -> None:
         raise DimensionCapError(
             f"a dense matrix on {space.labels} would have dimension "
             f"{space.dim}, exceeding the cap {dimension_cap()}")
+
+
+def require_bytes(need: int) -> int:
+    """Refuse, with ``MemoryError``, a run counted at ``need`` bytes when
+    that exceeds the smaller of the soft address-space limit and physical
+    memory; return ``need``.  The message names both figures."""
+    import resource  # here, so that importing the package does not load it
+
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    limit = min(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"),
+                math.inf if soft == resource.RLIM_INFINITY else soft)
+    if need > limit:
+        from decimal import Decimal  # a count can pass a float's range
+        raise MemoryError(
+            f"the run needs an estimated {Decimal(need) / 2**30:.3g} GiB for "
+            "the codeword stack and the decoder's blocks, over the memory "
+            f"limit of {limit / 2**30:.3g} GiB")
+    return need
 
 
 def frozen_copy(a: np.ndarray) -> np.ndarray:

@@ -40,6 +40,7 @@ __all__ = [
     "sequential_table",
     "sequential_tables",
     "trial_group",
+    "sequential_bytes",
     "sequential_povm",
     "exact_success_probability",
     "expected_success_exhaustive",
@@ -52,6 +53,7 @@ __all__ = [
     "ea_successive_povm",
     "frame_maps",
     "successive_table",
+    "successive_bytes",
 ]
 
 EXHAUSTIVE_CAP = 100_000
@@ -310,7 +312,7 @@ def _factor_constants(r: np.ndarray, decomp,
     d = (1.0 / inv_d) if (np.isfinite(inv_d) and inv_d > 0) else np.inf
     b_a = projectors.basis("A").conj().T
     top = max((
-        float(np.linalg.eigvalsh(y @ y.conj().T)[-1]) / cols.shape[1]
+        float(np.linalg.norm(y, 2)) ** 2 / cols.shape[1]
         for cols, y in eacode.average_codeword_factors(r_b, decomp)
         if _squared_norm(b_a @ cols) > 0.5
     ), default=0.0)
@@ -417,6 +419,30 @@ def trial_group(v_bytes: int, message_count: int, trials: int) -> int:
                       GROUP_CODEWORDS // message_count))
 
 
+def sequential_bytes(d: int, c: int, k: int, group: int, shapes: dict
+                     ) -> int:
+    """The bytes that :func:`sequential_tables` allocates for ``group``
+    codes of k codewords on a d x c factor R, ``shapes`` the bases' (d_X,
+    r_X) (:meth:`typicality.ProjectorBundle.shapes`): its table and the
+    most complex entries one stage holds.  The stages: V (d x kc a code)
+    with a gathered R or the traces' temporaries; V and its coordinate
+    blocks; Y = Q†V (or V) with the words W (d x kr, r = r_AB) and a
+    gathered B or W's coordinate blocks; the chain's Y, its update,
+    W~ = Q†W, T_k (r x kc) and W~_k's copy.
+    """
+    q, formed = typicality.coordinate_rows(shapes, ("A", "B"))
+    r, row = shapes["AB"][1], group * k * c
+    v, w = row * d, group * k * d * r
+    t = row * r
+    return 16 * int(max(
+        v + max(group * d * c, eacode.overlap_entries(v, row)),
+        v * (1 + formed),
+        q * v + w + max(group * d * r, formed * w),
+        2 * q * v + q * w + t + group * q * d * r
+        + eacode.overlap_entries(t, row))) + 8 * (k + 1) * group * k + (
+            24 * group * k * shapes["A"][0]) + eacode.object_bytes(group * k)
+
+
 def sequential_table(factor: np.ndarray, books,
                      projectors: typicality.ProjectorBundle) -> np.ndarray:
     """The sequential decoder's table [T; abort] on the codeword factors.
@@ -434,7 +460,8 @@ def sequential_table(factor: np.ndarray, books,
 
 
 def sequential_tables(factor: np.ndarray, codes,
-                      projectors: typicality.ProjectorBundle) -> list:
+                      projectors: typicality.ProjectorBundle,
+                      held: int = 0) -> list:
     """The tables of :func:`sequential_table` for T codes, as one stack.
 
     ``codes`` lists T one-book codes of the same message count.  Stack
@@ -452,8 +479,14 @@ def sequential_tables(factor: np.ndarray, codes,
     t is its slice [:, t].  Every product acts on each code's matrices as
     it would on that code alone, so each table is bit for bit the one of
     its code decoded alone.  Tr sigma_k = |V_k|^2 must be 1 and every abort
-    weight at least -1e-9.
+    weight at least -1e-9.  The run is refused first when ``held`` bytes,
+    R, the bases and :func:`sequential_bytes` pass the memory limit
+    (:func:`qmat.require_bytes`).
     """
+    qmat.require_bytes(held + factor.nbytes + projectors.nbytes
+                       + sequential_bytes(*factor.shape,
+                                          codes[0][0].message_count,
+                                          len(codes), projectors.shapes()))
     space = projectors.space
     sent, v, traces = eacode.codeword_stack(factor, codes, space)
     y = projectors.coordinates(("A", "B"), v)
@@ -470,7 +503,7 @@ def sequential_tables(factor: np.ndarray, codes,
 
 def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
                            message_count: int, delta: float, seed: int,
-                           trials: int) -> SeqReport:
+                           trials: int, held: int = 0) -> SeqReport:
     """Run the entanglement-assisted sequential decoder end to end.
 
     Samples ``trials`` codebooks, evaluates the exact average success of
@@ -482,8 +515,9 @@ def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
     draw array, and builds its entries' encoders once, as index maps
     (:class:`eacode.EaCodeBook`).
     The trials are decoded in groups of :func:`trial_group` as one stack
-    (:func:`sequential_tables`), and each group's books are drawn when it
-    starts.  Raises ``ValueError`` when the code or word projector is empty
+    (:func:`sequential_tables`, which counts its bytes on top of the
+    caller's ``held``), and each group's books are drawn when it starts.
+    Raises ``ValueError`` when the code or word projector is empty
     at this ``delta``.
     """
     if trials < 1:
@@ -506,7 +540,8 @@ def ea_sequential_protocol(channel: KrausChannel, phi: PureState, n: int,
         codes = [[eacode.sample_code(decomp, message_count, seed + t)]
                  for t in range(start, min(start + group, trials))]
         successes += [float(np.diagonal(table).mean())
-                      for table in sequential_tables(factor, codes, projectors)]
+                      for table in sequential_tables(factor, codes, projectors,
+                                                     held)]
     arr = np.array(successes)
     stderr = float(arr.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return SeqReport(
@@ -611,8 +646,38 @@ def frame_maps(book) -> tuple:
     return index, phase
 
 
+def successive_bytes(d: int, c: int, L: int, M: int, shapes: dict) -> int:
+    """The bytes that :func:`successive_table` allocates for L x M
+    codewords on a d x c factor R, ``shapes`` as in
+    :func:`sequential_bytes`.  The stages: V (d x kc, k = LM) with Bob's
+    stack and a gathered copy or the traces' temporaries; V with Bob's
+    words (d x Mr, r = r_ABC) and a gathered B or their coordinate blocks;
+    then, beside Q†W, Z with a gathered copy or the code projector's blocks
+    (:func:`typicality.applied_blocks`); Z with the chain's start, its
+    update, T_k and W~_k's copy; and, with the start and T_k held, Alice's
+    update: Z with the test's blocks, or Z, Z - Pi_x Z and the code
+    projector's blocks, or Z, the next Z and its gathered copy.
+    """
+    q, formed = typicality.coordinate_rows(shapes, ("B", "AC"))
+    r, row = shapes["ABC"][1], L * M * c
+    v, bob, words, t = row * d, M * c * d, q * M * d * r, row * r
+    start = q * v * (q < 1)
+    code = typicality.applied_blocks(shapes, ("C", "B", "A"))
+    return 16 * int(max(
+        v + bob + max(bob, eacode.overlap_entries(v, row)),
+        v + M * d * r + max(d * r, formed * M * d * r),
+        words + v * max(2, 1 + code),
+        words + v + max(formed * v, start + q * v + t + q * d * r
+                        + eacode.overlap_entries(t, row)),
+        words + start + t + v * max(
+            1 + typicality.applied_blocks(shapes, ("B", "AC")), 2 + code, 3),
+    )) + 8 * (L * M + 1) * L * M + eacode.object_bytes(L * M) + 24 * (
+        L * shapes["A"][0] + M * shapes["B"][0])
+
+
 def successive_table(factor: np.ndarray, books,
-                     projectors: typicality.ProjectorBundle) -> np.ndarray:
+                     projectors: typicality.ProjectorBundle,
+                     held: int = 0) -> np.ndarray:
     """The successive decoder's table [T; abort] on the codeword factors.
 
     ``books`` holds Alice's and Bob's :class:`~qmac.eacode.EaCodeBook`s and
@@ -648,9 +713,15 @@ def successive_table(factor: np.ndarray, books,
     Z holds, so Z needs no copy.  The rows (l, m) fill one preallocated
     table, whose last row :func:`eacode.codeword_table` fills with the
     abort weights.  |V_j|^2 must be 1 and every abort weight at least
-    -1e-9.
+    -1e-9.  The run is refused first when ``held`` bytes, R, the bases and
+    :func:`successive_bytes` pass the memory limit
+    (:func:`qmat.require_bytes`).
     """
     alice, bob = books
+    qmat.require_bytes(held + factor.nbytes + projectors.nbytes
+                       + successive_bytes(*factor.shape, alice.message_count,
+                                          bob.message_count,
+                                          projectors.shapes()))
     space = projectors.space
     sent, z, traces = eacode.codeword_factors(factor, books, space)
     test, code = ("B", "AC"), ("C", "B", "A")  # Pi_x and Pi

@@ -47,6 +47,7 @@ __all__ = [
     "sqrt_measurement",
     "simultaneous_povm",
     "gram_table",
+    "gram_bytes",
     "error_figures",
     "error_breakdown",
     "hayashi_nagaoka_check",
@@ -200,8 +201,53 @@ def _detection_factors(books, projectors: typicality.ProjectorBundle):
     return eacode.encode(y @ z, [alice], space)[0], z
 
 
+def _x_order(d: int, lq: int, rs: int, cols: int) -> int:
+    """How :func:`gram_table` forms X' from V's ``cols`` columns: 0 as
+    (W'†E f)(E†V) when S (d x d) is the smaller, else 1 as E (f ⊙ (W'E)†V)
+    or 2 as E (f ⊙ E†(W'†V)), whichever costs fewer flops."""
+    if lq > d:
+        return 0
+    flops = (d * lq * rs + d * rs * cols, d * lq * cols + lq * rs * cols)
+    return 1 if flops[0] < flops[1] else 2
+
+
+def gram_bytes(d: int, c: int, L: int, M: int, shapes: dict, q: int = 0,
+               rs: int = 0) -> int:
+    """The bytes that :func:`gram_table` allocates for L x M codewords on a
+    d x c factor R, ``shapes`` as in :func:`seqdecode.sequential_bytes`, q
+    the columns of Z and rs the rank of G' or S (0 until known).  The
+    stages: Y (d x Mr, r = r_ABC) with a gathered B or the wing's blocks;
+    Y with the QR's copy and R, or the SVD's factors; Y, Y Z twice and W'
+    (d x Lq); W', Z and W'† with seven n_s x n_s blocks, n_s = min(d, Lq);
+    then W', Z, G' or S, E and E f with V (d x kc, k = LM) and Bob's stack
+    and a gathered copy or the traces' temporaries, or with V, X' (Lq x kc)
+    and what forms it (:func:`_x_order`), or X' twice, or X' and two row
+    blocks Z_m X' (r x Lkc).
+    """
+    r, k, lq = shapes["ABC"][1], L * M, L * q
+    y, mr, kc = M * d * r, M * r, L * M * c
+    v, bob, x = kc * d, M * c * d, lq * kc
+    small, p = min(d, lq), r * L * kc
+    kept = lq * d + mr * q + small * (small + 2 * rs)  # to the end
+    form = (x + rs * (lq + kc + d) + lq * d,
+            max(2 * d * rs, rs * kc + max(d * rs, x)),
+            x + max(lq * d, rs * (small + kc)))[_x_order(d, lq, rs, kc)]
+    return 16 * int(max(
+        y + max(d * r, y * typicality.applied_blocks(
+            shapes, ("B", "AC", "C", "AB"))),
+        y + (max(y + mr * mr, 3 * mr * mr) if d > mr else y + d * d),
+        y + 2 * d * q + lq * d,
+        2 * lq * d + mr * q + 7 * small * small,
+        kept + v + bob + max(bob, eacode.overlap_entries(v, kc)),
+        kept + v + max(form, 2 * x,
+                       x + 2 * p + eacode.overlap_entries(p, L * kc)),
+    )) + 8 * (k + 1) * k + eacode.object_bytes(k) + 24 * (
+        L * shapes["A"][0] + M * shapes["B"][0])
+
+
 def gram_table(factor: np.ndarray, books,
-               projectors: typicality.ProjectorBundle) -> np.ndarray:
+               projectors: typicality.ProjectorBundle,
+               held: int = 0) -> np.ndarray:
     """The simultaneous decoder's table [T; abort] in Gram form.
 
     ``books`` holds the two senders' :class:`~qmac.eacode.EaCodeBook`s and
@@ -223,34 +269,43 @@ def gram_table(factor: np.ndarray, books,
     formed.  On the G' side X' = E (f ⊙ E†(W'†V)) or E (f ⊙ (W'E)†V),
     whichever costs fewer flops; on the S side X' = (W'†E f)(E†V), which
     always costs fewer than W'†(E (f ⊙ E†V)): r <= c for R's c columns, so
-    Lq <= L M r <= kc.  (W', Z) is built before V, so V and Y are never held
-    together.  The rows (l, m) fill one preallocated table, whose last row
-    is the abort weight |V_j|^2 - sum_k T[k, j]
+    Lq <= L M r <= kc.  (W', Z) and E are built before V, so V and Y are
+    never held together.  The rows (l, m) fill one preallocated table,
+    whose last row is the abort weight |V_j|^2 - sum_k T[k, j]
     (:func:`eacode.codeword_table`).
 
     The checks of :func:`sqrt_measurement` move to the smaller space: G'
     (or S) must be PSD within 1e-9, f E†G'E f must be the identity within
     1e-8 (G'^{+1/2} G' G'^{+1/2} minus its support projector, written in
     the support basis), |V_j|^2 must be 1 and every abort weight at least
-    -1e-9.
+    -1e-9.  The run is refused when ``held`` bytes, R, the bases and
+    :func:`gram_bytes` pass the memory limit (:func:`qmat.require_bytes`):
+    first with q = rs = 0, then, once G' or S is decomposed, with the real
+    q and its rank rs, before V is formed.
     """
+    def require(q=0, rs=0):
+        qmat.require_bytes(held + factor.nbytes + projectors.nbytes
+                           + gram_bytes(*factor.shape, L, M,
+                                        projectors.shapes(), q, rs))
+
+    L, M = (b.message_count for b in books)
+    require()
     w, z = _detection_factors(books, projectors)
-    sent, v, traces = eacode.codeword_factors(factor, books, projectors.space)
-    wh = w.conj().T
-    (d, lq), cols = w.shape, v.shape[1]
-    gram_side = lq <= d
-    total = wh @ w if gram_side else w @ wh  # G' or S
+    d, lq = w.shape
+    total = w.conj().T @ w if lq <= d else w @ w.conj().T  # G' or S
     e, f = _support(total)
     ef = e * f
     _check_support(ef.conj().T @ (total @ ef), np.eye(len(f)))
-    rs = len(f)
-    if not gram_side:  # X' = (W'†E f)(E†V), the cheaper order as Lq <= kc
-        x = (wh @ ef) @ (e.conj().T @ v)
-    elif d * lq * rs + d * rs * cols < d * lq * cols + lq * rs * cols:
+    rs, cols = len(f), L * M * factor.shape[1]
+    require(z.shape[1], rs)
+    sent, v, traces = eacode.codeword_factors(factor, books, projectors.space)
+    order = _x_order(d, lq, rs, cols)
+    if order == 0:  # X' = (W'†E f)(E†V), the cheaper order as Lq <= kc
+        x = (w.conj().T @ ef) @ (e.conj().T @ v)
+    elif order == 1:
         x = e @ ((w @ ef).conj().T @ v)  # X' = E (f ⊙ (W'E)†V)
     else:
-        x = e @ (ef.conj().T @ (wh @ v))  # X' = E (f ⊙ E†(W'†V))
-    L, M = (b.message_count for b in books)
+        x = e @ (ef.conj().T @ (w.conj().T @ v))  # X' = E (f ⊙ E†(W'†V))
     K, q = len(sent), z.shape[1]
     x = x.reshape(L, q, -1).transpose(1, 0, 2).reshape(q, -1)
     table = np.empty((K + 1, K))
@@ -426,7 +481,8 @@ def coherent_fidelity(factor: np.ndarray, books, space: qmat.FactorSpace,
 
 
 def run_mac_experiment(factor: np.ndarray, books, mode: str,
-                       projectors: typicality.ProjectorBundle) -> MacReport:
+                       projectors: typicality.ProjectorBundle,
+                       held: int = 0) -> MacReport:
     """Decode with the requested decoder and report its exact error figures.
 
     Both decoders read ``(factor, books, projectors)``: R with
@@ -440,13 +496,14 @@ def run_mac_experiment(factor: np.ndarray, books, mode: str,
     :func:`simultaneous_povm` or :func:`seqdecode.ea_successive_povm`.
     ``epsilon_measured`` is the worst pairwise miss 1 - min Tr{Lambda sigma}
     over message pairs, so both the average success and the coherent
-    fidelity clear 1 - epsilon_measured.
+    fidelity clear 1 - epsilon_measured.  Each decoder counts its bytes on
+    top of the caller's ``held`` and refuses a run that passes the limit.
     """
     if mode not in ("simultaneous", "successive"):
         raise ValueError(f"unknown decoder mode {mode!r}")
     decoder = (gram_table if mode == "simultaneous"
                else seqdecode.successive_table)
-    table = decoder(factor, books, projectors)
+    table = decoder(factor, books, projectors, held)
     L, M = (b.message_count for b in books)
     return MacReport(n=books[0].decomp.n, L=L, M=M,
                      seeds=tuple(b.seed for b in books), mode=mode,

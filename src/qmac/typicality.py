@@ -29,6 +29,8 @@ __all__ = [
     "type_class_projector",
     "typical_projector",
     "projector_bundle",
+    "applied_blocks",
+    "coordinate_rows",
     "require_nonempty",
     "measure_word_constants",
     "measure_code_constant",
@@ -342,6 +344,16 @@ class ProjectorBundle:
         """Rank of projector ``name``, its basis's column count."""
         return self.basis(name).shape[1]
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the bases."""
+        return sum(b.nbytes for _, b in self.bases.values())
+
+    def shapes(self) -> dict:
+        """Each projector's basis shape (d_X, r_X), which the decoders' byte
+        counts read (:func:`qmac.seqdecode.sequential_bytes`)."""
+        return {name: b.shape for name, (_, b) in self.bases.items()}
+
     def embedded(self, name: str) -> np.ndarray:
         """Projector ``name`` as a d x d matrix on ``space``, built once."""
         if name not in self._dense:
@@ -414,6 +426,30 @@ def projector_bundle(rho: qmat.DensityOperator, n: int, delta: float,
         labels = [l for l in space.labels if l in tp.space.labels]
         bases[name] = (labels, qmat.permute_rows(tp.basis, tp.space, labels))
     return ProjectorBundle(space, bases)
+
+
+def applied_blocks(shapes: dict, names) -> float:
+    """The most blocks the size of Y, besides Y, that applying the named
+    projectors to Y in turn (:meth:`ProjectorBundle.apply`) holds at once.
+
+    ``shapes`` maps a name to its basis shape (d_X, r_X).  A full-rank
+    projector returns its input; any other forms B†Y, r_X / d_X of Y, and
+    a new block, while the block before it stays held.
+    """
+    most, before = 0.0, 0
+    for d_x, r_x in (shapes[name] for name in names):
+        if r_x < d_x:
+            most, before = max(most, before + r_x / d_x + 1), 1
+    return most
+
+
+def coordinate_rows(shapes: dict, names) -> tuple:
+    """(q, formed): the rows of :meth:`ProjectorBundle.coordinates`' result
+    for ``names`` = (X, Z), and the rows of the blocks it forms, each as a
+    fraction of its input's rows; ``shapes`` as in :func:`applied_blocks`.
+    """
+    f_x, f_z = (r / d for d, r in (shapes[name] for name in names))
+    return f_x * f_z, f_z * (f_z < 1) + f_x * f_z * (f_x < 1)
 
 
 def require_nonempty(ranks: dict, delta: float) -> None:

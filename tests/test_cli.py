@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmac import cli, eacode, gaussian, qmat, seqdecode, typicality
+from qmac import cli, eacode, gaussian, qmat, seqdecode, simuldecode, typicality
 
 
 GOLDEN_MAC_N2_SEED0 = """\
@@ -381,18 +381,25 @@ class TestGaussianRegion:
 
 
 def estimated_bytes(monkeypatch, *argv) -> int:
-    """The byte estimate of an admitted ``simulate-*`` run, taken without
-    running it."""
+    """The byte estimate of an admitted ``simulate-*`` run: the count of its
+    last check before the decoder forms V (:func:`qmat.require_bytes`),
+    taken by running it in process up to that check.  The command checks
+    up front and the decoder on entry; the simultaneous decoder checks once
+    more, with the real q."""
     class Estimated(Exception):
         pass
 
-    check = cli._check_memory
+    last = 3 if argv[0] == "simulate-mac" and "successive" not in argv else 2
+    require, needs = qmat.require_bytes, []
 
-    def capture(*args):
-        raise Estimated(check(*args))
+    def record(need):
+        needs.append(require(need))
+        if len(needs) == last:
+            raise Estimated(max(needs))
+        return need
 
     with monkeypatch.context() as m:
-        m.setattr(cli, "_check_memory", capture)
+        m.setattr(qmat, "require_bytes", record)
         with pytest.raises(Estimated) as caught:
             cli.main(list(argv))
     return caught.value.args[0]
@@ -884,47 +891,62 @@ class TestSimulateMac:
         assert f"{argv[0]}: the run needs an estimated" in err
         assert "e+" in err and "memory limit" in err
 
-    def test_n4_successive_refused_under_5_gib(self):
+    def test_n4_successive_refused_under_1_gib(self):
+        # below R and one 1 GiB codeword stack, which the command counts
+        # before the shared states are decomposed
         start = time.perf_counter()
         proc = run_under_address_limit(
-            5 << 30, "simulate-mac", "--channel", "cnot-mac", "--n", "4",
+            1 << 30, "simulate-mac", "--channel", "cnot-mac", "--n", "4",
             "--L", "2", "--M", "2", "--mode", "successive")
         assert time.perf_counter() - start < 1
         assert proc.returncode == 4 and proc.stdout == ""
         assert "simulate-mac: the run needs an estimated" in proc.stderr
-        assert "over the memory limit of 5 GiB" in proc.stderr
+        assert "over the memory limit of 1 GiB" in proc.stderr
 
-    def test_n4_simultaneous_estimated_under_6_gib(self, monkeypatch):
-        # its address space peaks at 3,609 MiB; the successive run, refused
-        # above, is estimated at more copies of the 1 GiB codeword stack
-        need = estimated_bytes(monkeypatch, "simulate-mac", "--channel",
-                               "cnot-mac", "--n", "4")
-        assert 3609 << 20 < need < 6 << 30
+    # the shapes of cnot-mac's bases at n = 4 (d = 65,536), where R is
+    # 65,536 x 256; the simultaneous decoder's Z has q = 416 columns and
+    # its G' rank 624
+    N4_SHAPES = {"A": (16, 16), "B": (16, 16), "C": (256, 256),
+                 "AB": (256, 256), "AC": (4096, 256), "ABC": (65536, 256)}
 
-    def test_n4_successive_estimated_under_physical_memory(self, monkeypatch):
-        # its address space peaks at 3,904 MiB, estimated at 5,312 MiB (4
-        # copies of the 1 GiB codeword stack); admitted on an 8 GB host,
-        # refused under 5 GiB (above)
-        need = estimated_bytes(monkeypatch, "simulate-mac", "--channel",
-                               "cnot-mac", "--n", "4", "--L", "2", "--M", "2",
-                               "--mode", "successive")
-        assert 3904 << 20 < need < 6 << 30
+    @classmethod
+    def n4_estimate(cls, count) -> int:
+        args = cli.build_parser().parse_args(
+            ["simulate-mac", "--channel", "cnot-mac", "--n", "4"])
+        held = cli._check_memory(qmat.named_channel("cnot-mac"), args, 4)
+        return held + 16 * 65536 * 256 + 16 * sum(
+            d * r for d, r in cls.N4_SHAPES.values()) + count
 
-    def test_identity_n12_admitted_with_books_as_index_maps(self,
-                                                            monkeypatch):
-        # on 7.83 GiB of physical memory n = 12 (d_s = 4,096) is estimated
-        # at about 6.7 GiB and admitted: the 4 entries of each of its two
+    def test_n4_simultaneous_estimated_within_a_quarter(self):
+        # its address space peaks at 3,645 MiB: the estimate covers it, and
+        # its part above 184 MiB is within 25% of the peak's
+        need = self.n4_estimate(simuldecode.gram_bytes(
+            65536, 256, 2, 2, self.N4_SHAPES, 416, 624))
+        assert 3645 << 20 < need < (184 + 1.25 * (3645 - 184)) * 2**20
+
+    def test_n4_successive_estimated_within_a_quarter(self):
+        # its address space peaks at 3,904 MiB, estimated at 3,967.0 MiB
+        # (three copies of the 1 GiB codeword stack, R and the bases);
+        # admitted on an 8 GB host, refused up front under 1 GiB (above)
+        need = self.n4_estimate(seqdecode.successive_bytes(
+            65536, 256, 2, 2, self.N4_SHAPES))
+        assert 3904 << 20 < need < (184 + 1.25 * (3904 - 184)) * 2**20
+
+    def test_identity_n12_admitted_with_books_as_index_maps(self):
+        # on 7.83 GiB of physical memory n = 12 (d_s = 4,096, d = 2^24) is
+        # estimated at about 5.3 GiB and admitted: Pi_A and Pi_B are full
+        # rank and Pi_AB has rank 1, and the 4 entries of each of its two
         # books hold index maps, under 1 MiB in all, where dense d_s x d_s
         # encoders took 2 GiB and the run was refused at 8.68 GiB
-        phys = int(7.83 * 2**30)
-        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": phys // 4096}
-        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
-        monkeypatch.setattr(cli.resource, "getrlimit", lambda _: (
-            cli.resource.RLIM_INFINITY,) * 2)
-        need = estimated_bytes(monkeypatch, "simulate-seq", "--channel",
-                               "identity:2", "--n", "12", "--messages", "4",
-                               "--trials", "10")
-        assert 6.6 * 2**30 < need < phys
+        args = cli.build_parser().parse_args(
+            ["simulate-seq", "--channel", "identity:2", "--n", "12",
+             "--messages", "4"])
+        held = cli._check_memory(qmat.named_channel("identity:2"), args, 4)
+        shapes = {"A": (4096, 4096), "B": (4096, 4096), "AB": (1 << 24, 1)}
+        # R and the bases of Pi_A, Pi_B and Pi_AB, 2^24 entries each
+        need = held + 16 * (1 << 24) * 4 + seqdecode.sequential_bytes(
+            1 << 24, 1, 4, 1, shapes)
+        assert 5067 << 20 < need < int(7.83 * 2**30)
         assert 2 * 4 * cli._entry_bytes(2, 12) < 1 << 20
 
     @pytest.mark.parametrize("argv, single", [
@@ -962,9 +984,9 @@ class TestSimulateMac:
     @pytest.mark.parametrize("mode, code", [("successive", 4),
                                             ("simultaneous", 0)])
     def test_each_decoder_has_its_own_estimate(self, mode, code):
-        # at n = 3, L = M = 4 the successive decoder is estimated at 456.5
+        # at n = 3, L = M = 4 the successive decoder is estimated at 476.7
         # MiB (its address space peaks at 403 MiB) and the simultaneous one
-        # at 424.5 MiB; the successive run used to pass its estimate and
+        # at 404.4 MiB; the successive run used to pass its estimate and
         # fail mid-run on an allocation
         proc = run_under_address_limit(
             440 << 20, "simulate-mac", "--channel", "cnot-mac", "--n", "3",
@@ -980,14 +1002,38 @@ class TestSimulateMac:
     def test_many_codewords_run_under_a_limit_just_above_the_estimate(
             self, monkeypatch):
         # 1,024 codeword pairs: the estimate counts the simultaneous
-        # decoder's Lq x kc blocks X', where it counted a kc x kc table
-        # (12.4 GiB) that the decoder does not form
+        # decoder's Lq x kc blocks X' with the real q, where it once counted
+        # a kc x kc table (12.4 GiB) that the decoder does not form
         argv = ("simulate-mac", "--channel", "cnot-mac", "--n", "2",
                 "--L", "32", "--M", "32")
         limit = estimated_bytes(monkeypatch, *argv) + (1 << 20)
         proc = run_under_address_limit(limit, *argv)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["avg_error"] == 0.997802734375
+
+    def test_many_codewords_run_under_1_gib(self):
+        # the estimate counts X' with the real q = 24, where it bounded q by
+        # min(d, M c) = 256 and refused this run at 4.4 GiB
+        proc = run_under_address_limit(
+            1 << 30, "simulate-mac", "--channel", "cnot-mac", "--n", "2",
+            "--L", "32", "--M", "32")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["avg_error"] == 0.997802734375
+
+    def test_refused_with_the_real_q_before_v(self, monkeypatch):
+        # just under the estimate, which only the decoder's count with the
+        # real q reaches, the run is refused before V is formed
+        argv = ("simulate-mac", "--channel", "cnot-mac", "--n", "2",
+                "--L", "32", "--M", "32")
+        limit = estimated_bytes(monkeypatch, *argv) - (1 << 20)
+        start = time.perf_counter()
+        proc = run_under_address_limit(limit, *argv)
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert "simulate-mac: the run needs an estimated 0.791 GiB" in (
+            proc.stderr)
+        assert f"over the memory limit of {limit / 2**30:.3g} GiB" in (
+            proc.stderr)
 
     def test_typical_projectors_built_once_per_command(self, capsys,
                                                        monkeypatch):

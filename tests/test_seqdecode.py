@@ -629,9 +629,9 @@ class TestSequentialWeights:
         calls = []
         tables = seqdecode.sequential_tables
 
-        def counted(factor, codes, projectors):
+        def counted(factor, codes, projectors, held=0):
             calls.append(len(codes))
-            return tables(factor, codes, projectors)
+            return tables(factor, codes, projectors, held)
 
         monkeypatch.setattr(seqdecode, "sequential_tables", counted)
         stacked = seqdecode.ea_sequential_protocol(*args)

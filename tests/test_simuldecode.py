@@ -1225,3 +1225,65 @@ class TestRandomMacs:
             assert np.linalg.eigvalsh(eye - povm.total()).min() >= -1e-9
             assert np.max(np.abs(table - overlap_table(ch, books, povm))
                           ) < 1e-12
+
+
+class TestByteCounts:
+    """Each decoder's byte count (:func:`seqdecode.sequential_bytes`,
+    :func:`seqdecode.successive_bytes`, :func:`simuldecode.gram_bytes`)
+    holds what its call allocates: tracemalloc's peak over the call, less
+    what was traced at its start, stays within the count that the call
+    checks, less R and the bases.  BLAS workspace and the interpreter are
+    outside tracemalloc; the address-limit tests in test_cli cover them."""
+
+    @staticmethod
+    def traced_and_counted(monkeypatch, decoder, factor, books, projectors):
+        import tracemalloc
+        require, needs = qmat.require_bytes, []
+        monkeypatch.setattr(qmat, "require_bytes",
+                            lambda need: needs.append(need) or require(need))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            decoder(factor, books, projectors)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        return peak, max(needs) - factor.nbytes - projectors.nbytes
+
+    @pytest.mark.parametrize("spec, weights, n, messages, trials", [
+        ("amplitude-damping:0.3", None, 4, 4, 16),
+        ("amplitude-damping:0.3", (0.7, 0.3), 5, 4, 1),
+        ("identity:2", None, 8, 4, 1),
+        ("depolarizing:0.2", (0.7, 0.3), 4, 8, 3),
+    ])
+    def test_sequential(self, monkeypatch, spec, weights, n, messages,
+                        trials):
+        ch = qmat.named_channel(spec)
+        phi = bell_state() if weights is None else schmidt_state(weights)
+        decomp = eacode.type_decompose(phi, n)
+        factor = eacode.channel_output_factor(ch, [decomp])
+        projectors = seqdecode.sequential_projectors(ch, decomp, 1.0)
+        codes = [[eacode.sample_code(decomp, messages, seed)]
+                 for seed in range(trials)]
+        peak, count = self.traced_and_counted(
+            monkeypatch, seqdecode.sequential_tables, factor, codes,
+            projectors)
+        assert peak <= count < 2 * peak + (1 << 20)
+
+    @pytest.mark.parametrize("mode", ["successive", "simultaneous"])
+    @pytest.mark.parametrize("name, weights, n, L, M", [
+        ("cnot-mac", None, 3, 2, 2),
+        ("cnot-mac", (0.7, 0.3), 3, 4, 4),
+        ("cnot-mac", None, 2, 16, 16),
+        ("adder-mac", None, 3, 2, 2),
+    ])
+    def test_mac(self, monkeypatch, mode, name, weights, n, L, M):
+        ch, books, _, _ = sample_pair(name, weights, n, L, M, (0, 1))
+        projectors = simuldecode.mac_typical_projectors(
+            ch, [b.decomp for b in books], 1.0)
+        decoder = (simuldecode.gram_table if mode == "simultaneous"
+                   else seqdecode.successive_table)
+        peak, count = self.traced_and_counted(
+            monkeypatch, decoder, output_factor(ch, books), books, projectors)
+        assert peak <= count < 2 * peak + (1 << 20)
