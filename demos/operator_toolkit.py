@@ -39,9 +39,10 @@ for delta in (0.1, 0.2, 0.35, 0.6, 1.0):
 
 # Every type class of sequences carries a subspace; together they resolve
 # the identity of the 4-copy space.
-types = typicality.enumerate_types(4, 2)
-total = sum(typicality.type_class_projector(t) for t in types)
+# A type is a row of letter counts; type_table lists them with their dims.
+counts, dims = typicality.type_table(4, 2)
+total = sum(typicality.type_class_projector(row) for row in counts)
 print("\ntype classes of n=4 binary sequences:",
-      [(t.counts, t.dim) for t in types])
+      list(zip(map(tuple, counts.tolist()), dims)))
 print("sum of type projectors is the identity:",
       bool(np.allclose(total, np.eye(16))))

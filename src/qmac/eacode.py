@@ -21,7 +21,6 @@ from .qmat import DensityOperator, FactorSpace, KrausChannel, PovmSet, PureState
 
 __all__ = [
     "TypeDecomposition",
-    "HwIndex",
     "EaCodeBook",
     "schmidt",
     "type_decompose",
@@ -97,8 +96,7 @@ class TypeDecomposition:
     counts : ndarray
         The types of length-n sequences over the Schmidt alphabet, one
         read-only row of letter counts per type block
-        (:func:`typicality.type_table`); no :class:`typicality.TypeClass`
-        is built.
+        (:func:`typicality.type_table`).
     block_dims : tuple of int
         The types' multinomial dims d_t, the blocks' dimensions.
     probs : ndarray
@@ -182,45 +180,53 @@ def type_decompose(phi: PureState, n: int) -> TypeDecomposition:
     return TypeDecomposition(phi, n)
 
 
-@dataclass(frozen=True, slots=True)
-class HwIndex:
-    """Per-type Heisenberg-Weyl indices (x_t, z_t, b_t).
+def _draw_bounds(decomp: TypeDecomposition) -> np.ndarray:
+    """The (blocks, 3) exclusive bounds d_t, d_t and 2 of each (x_t, z_t, b_t)."""
+    bounds = np.repeat(np.array(decomp.block_dims)[:, None], 3, axis=1)
+    bounds[:, 2] = 2
+    return bounds
 
-    ``x_t`` and ``z_t`` are shift and phase exponents modulo the block
-    dimension; ``b_t`` in {0, 1} flips the block's global sign.  Two
-    indices are equal when their triples are.
+
+def _check_draws(draws, decomp: TypeDecomposition, ndim: int = 2
+                 ) -> np.ndarray:
+    """A read-only ``intp`` copy of ``draws``, checked against ``decomp``.
+
+    An encoder index is a (blocks, 3) row of Heisenberg-Weyl triples
+    (x_t, z_t, b_t), one per type block: shift and phase exponents modulo
+    the block dimension d_t and a sign bit that flips the block.  ``draws``
+    is one row (``ndim`` 2) or a book's (K, blocks, 3) stack of K rows, one
+    per message (``ndim`` 3).  Integers with 0 <= x_t, z_t < d_t and
+    b_t in {0, 1} are required; a row of another decomposition's shape, or
+    a triple out of range, raises ``ValueError`` naming the row.
     """
-
-    triples: tuple[tuple[int, int, int], ...]
-    block_dims: tuple[int, ...] = field(compare=False)
-
-    def __post_init__(self):
-        triples = tuple(
-            (int(x), int(z), int(b)) for x, z, b in self.triples
-        )
-        block_dims = tuple(int(d) for d in self.block_dims)
-        if len(triples) != len(block_dims):
-            raise ValueError("one (x, z, b) triple per type block required")
-        for (x, z, b), d in zip(triples, block_dims):
-            if not (0 <= x < d and 0 <= z < d and b in (0, 1)):
-                raise ValueError(
-                    f"index ({x}, {z}, {b}) out of range for block dimension {d}"
-                )
-        object.__setattr__(self, "triples", triples)
-        object.__setattr__(self, "block_dims", block_dims)
-
-    def __repr__(self):
-        return f"HwIndex{self.triples}"
+    draws, bounds = np.asarray(draws), _draw_bounds(decomp)
+    if draws.size and draws.dtype.kind not in "iu":
+        raise ValueError(f"draws must be integers, not {draws.dtype}")
+    if draws.ndim != ndim or draws.shape[-2:] != bounds.shape:
+        want = "rows" if ndim == 3 else "a row"
+        raise ValueError(
+            f"draws shaped {draws.shape} are not {want} of one (x, z, b) "
+            f"triple for each of the decomposition's {len(bounds)} type "
+            "blocks: index block dimensions differ")
+    rows = draws.astype(np.intp).reshape((-1,) + bounds.shape)
+    bad = (rows < 0) | (rows >= bounds)
+    if bad.any():
+        m, t = np.argwhere(bad.any(axis=2))[0]
+        raise ValueError(
+            f"row {m}: index {tuple(rows[m, t].tolist())} out of range for "
+            f"block dimension {bounds[t, 0]}")
+    rows = rows.reshape(draws.shape)
+    rows.setflags(write=False)
+    return rows
 
 
-def _block_matrix(s: HwIndex, decomp: TypeDecomposition) -> np.ndarray:
-    """Block-diagonal (-1)^b X(x) Z(z) in the (type, lex-sequence) basis."""
-    if s.block_dims != decomp.block_dims:
-        raise ValueError("index block dimensions do not match the decomposition")
+def _block_matrix(s, decomp: TypeDecomposition) -> np.ndarray:
+    """Block-diagonal (-1)^b X(x) Z(z) in the (type, lex-sequence) basis,
+    for the (blocks, 3) index row ``s`` (:func:`_check_draws`)."""
     dim = decomp.sender_space.dim
     out = np.zeros((dim, dim), dtype=complex)
-    for (x, z, b), d, sl in zip(s.triples, decomp.block_dims,
-                                decomp.block_slices):
+    for (x, z, b), d, sl in zip(_check_draws(s, decomp).tolist(),
+                                decomp.block_dims, decomp.block_slices):
         block = np.zeros((d, d), dtype=complex)
         for j in range(d):
             block[(j + x) % d, j] = np.exp(2j * np.pi * j * z / d)
@@ -228,19 +234,19 @@ def _block_matrix(s: HwIndex, decomp: TypeDecomposition) -> np.ndarray:
     return out
 
 
-def hw_unitary(s: HwIndex, decomp: TypeDecomposition) -> np.ndarray:
+def hw_unitary(s, decomp: TypeDecomposition) -> np.ndarray:
     """The encoder U(s) on the sender's n-fold share, block-diagonal by type."""
     b = decomp._sender_block_basis
     return b @ _block_matrix(s, decomp) @ b.conj().T
 
 
-def hw_transpose_unitary(s: HwIndex, decomp: TypeDecomposition) -> np.ndarray:
+def hw_transpose_unitary(s, decomp: TypeDecomposition) -> np.ndarray:
     """U^T(s) on the receiver's n-fold share (transpose in the paired bases)."""
     b = decomp._receiver_block_basis
     return b @ _block_matrix(s, decomp).T @ b.conj().T
 
 
-def transpose_trick_residual(s: HwIndex, decomp: TypeDecomposition) -> float:
+def transpose_trick_residual(s, decomp: TypeDecomposition) -> float:
     """Norm of (U(s) on sender - U^T(s) on receiver) applied to the n-fold state.
 
     Zero for every index vector: the encoder ricochets off the type-block
@@ -259,20 +265,11 @@ def index_set_size(decomp: TypeDecomposition) -> int:
 
 
 def enumerate_indices(decomp: TypeDecomposition):
-    """Yield every HwIndex in S, lexicographic in (x, z, b) per block."""
-    ranges = [
+    """An iterator over every index row of S as nested tuples
+    ((x, z, b), ...), lexicographic in (x, z, b) per block."""
+    return itertools.product(*(
         itertools.product(range(d), range(d), range(2))
-        for d in decomp.block_dims
-    ]
-    for combo in itertools.product(*ranges):
-        yield HwIndex(combo, decomp.block_dims)
-
-
-def _draw_bounds(decomp: TypeDecomposition) -> np.ndarray:
-    """The (blocks, 3) exclusive bounds d_t, d_t and 2 of each (x_t, z_t, b_t)."""
-    bounds = np.repeat(np.array(decomp.block_dims)[:, None], 3, axis=1)
-    bounds[:, 2] = 2
-    return bounds
+        for d in decomp.block_dims))
 
 
 def encoder_maps(decomp: TypeDecomposition, draws: np.ndarray) -> tuple:
@@ -321,15 +318,12 @@ class EaCodeBook:
     """A random code: one Heisenberg-Weyl index vector per message.
 
     ``draws`` is the book's only index data: a read-only (K, blocks, 3)
-    integer array of each message's triples (x_t, z_t, b_t), with
-    0 <= x_t, z_t < d_t and b_t in {0, 1}.  It is copied and checked when
-    the book is made, and draws of another decomposition's shape, or a
-    triple out of range, raise ``ValueError`` naming the message.  ``index``
-    and ``phase`` hold the messages' receiver encoders U^T(s) as (K, d_s)
-    index maps, built once with the book (:func:`encoder_maps`).
-    ``book[k]`` and ``entries`` build :class:`HwIndex` values from the
-    draws on demand, for the dense oracles, which build their encoders
-    from the indices (:func:`receiver_encoder`).
+    integer array whose row k is message k's index (:func:`_check_draws`,
+    which copies and checks it when the book is made).  ``index`` and
+    ``phase`` hold the messages' receiver encoders U^T(s) as (K, d_s)
+    index maps, built once with the book (:func:`encoder_maps`).  The
+    dense oracles build their encoders from the rows ``draws[k]``
+    (:func:`receiver_encoder`).
     """
 
     decomp: TypeDecomposition
@@ -339,22 +333,7 @@ class EaCodeBook:
     phase: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        draws, bounds = np.asarray(self.draws), _draw_bounds(self.decomp)
-        if draws.size and draws.dtype.kind not in "iu":
-            raise ValueError(f"draws must be integers, not {draws.dtype}")
-        if draws.ndim != 3 or draws.shape[1:] != bounds.shape:
-            raise ValueError(
-                f"message 0 of the draws, shaped {draws.shape}, is not one "
-                "(x, z, b) triple for each of the decomposition's "
-                f"{len(bounds)} type blocks: index block dimensions differ")
-        draws = draws.astype(np.intp)
-        bad = (draws < 0) | (draws >= bounds)
-        if bad.any():
-            m, t = np.argwhere(bad.any(axis=2))[0]
-            raise ValueError(
-                f"message {m}: index {tuple(draws[m, t].tolist())} out of "
-                f"range for block dimension {bounds[t, 0]}")
-        draws.setflags(write=False)
+        draws = _check_draws(self.draws, self.decomp, ndim=3)
         object.__setattr__(self, "draws", draws)
         for name, maps in zip(("index", "phase"),
                               encoder_maps(self.decomp, draws)):
@@ -365,13 +344,10 @@ class EaCodeBook:
         return len(self.draws)
 
     @property
-    def entries(self) -> tuple[HwIndex, ...]:
-        """Every message's :class:`HwIndex`, built from the draws."""
-        return tuple(HwIndex(triples, self.decomp.block_dims)
-                     for triples in self.draws.tolist())
-
-    def __getitem__(self, m: int) -> HwIndex:
-        return HwIndex(self.draws[m].tolist(), self.decomp.block_dims)
+    def entries(self) -> tuple:
+        """Every message's index row as nested tuples ((x, z, b), ...), the
+        hashable letters that the dense oracles key their maps by."""
+        return tuple(tuple(map(tuple, row)) for row in self.draws.tolist())
 
 
 def sample_code(decomp: TypeDecomposition, message_count: int, seed: int
@@ -385,7 +361,7 @@ def sample_code(decomp: TypeDecomposition, message_count: int, seed: int
     and b_t block by block, below d_t, d_t and 2.  One generator serves the
     book with its counter reset per message, and one ``integers`` call on
     those bounds draws what the scalar calls draw, bit for bit, into row m
-    of the book's draw array; no :class:`HwIndex` is built.
+    of the book's draw array.
     """
     bits = np.random.Philox(key=seed)
     rng = np.random.Generator(bits)
@@ -452,8 +428,9 @@ def channel_output_state(channel: KrausChannel, decomps) -> DensityOperator:
     return DensityOperator(space, r @ r.conj().T)
 
 
-def receiver_encoder(decomp: TypeDecomposition, s: HwIndex) -> qmat.Operator:
-    """U^T(s) on ``decomp.receiver_space``, the sender's own receiver share.
+def receiver_encoder(decomp: TypeDecomposition, s) -> qmat.Operator:
+    """U^T(s) on ``decomp.receiver_space``, the sender's own receiver share,
+    for the (blocks, 3) index row ``s`` (:func:`_check_draws`).
 
     Each sender's encoder acts on its own share only, so the encoders of
     two senders commute and no joint encoder is formed; apply one with

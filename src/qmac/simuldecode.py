@@ -93,10 +93,10 @@ def build_upsilon(books, l: int, m: int,
     (Pi_B Pi_AC)(Pi_C Pi_AB) and the encoders pulled to the receiver shares;
     positive semidefinite by construction.  Each encoder acts only on its own
     share (``qmat.conjugate_local``).  The oracle of :func:`gram_table`,
-    whose encoders it builds from their indices, not from the books' maps.
+    whose encoders it builds from the books' draws rows, not from their maps.
     """
     full = projectors.space
-    u1, u2 = (eacode.receiver_encoder(b.decomp, b[k])
+    u1, u2 = (eacode.receiver_encoder(b.decomp, b.draws[k])
               for b, k in zip(books, (l, m)))
     pi = projectors.embedded
     wing = (pi("B") @ pi("AC")) @ (pi("C") @ pi("AB"))
@@ -221,8 +221,8 @@ def gram_bytes(d: int, c: int, L: int, M: int, shapes: dict, q: int = 0,
     (d x Lq); W', Z and W'† with seven n_s x n_s blocks, n_s = min(d, Lq);
     then W', Z, G' or S, E and E f with V (d x kc, k = LM) and Bob's stack
     and a gathered copy or the traces' temporaries, or with V, X' (Lq x kc)
-    and what forms it (:func:`_x_order`), or X' twice, or X' and two row
-    blocks Z_m X' (r x Lkc).
+    and what forms it (:func:`_x_order`), or X' twice, or X' and the one
+    buffer that holds each row block Z_m X' (r x Lkc) in turn.
     """
     r, k, lq = shapes["ABC"][1], L * M, L * q
     y, mr, kc = M * d * r, M * r, L * M * c
@@ -240,7 +240,7 @@ def gram_bytes(d: int, c: int, L: int, M: int, shapes: dict, q: int = 0,
         2 * lq * d + mr * q + 7 * small * small,
         kept + v + bob + max(bob, eacode.overlap_entries(v, kc)),
         kept + v + max(form, 2 * x,
-                       x + 2 * p + eacode.overlap_entries(p, L * kc)),
+                       x + p + eacode.overlap_entries(p, L * kc)),
     )) + 8 * (k + 1) * k + eacode.object_bytes(k) + 24 * (
         L * shapes["A"][0] + M * shapes["B"][0])
 
@@ -262,7 +262,8 @@ def gram_table(factor: np.ndarray, books,
     G^{+1/2} W† = (I_L (x) Z) G'^{+1/2} W'† with G' = W'†W' only Lq x Lq.
     Hence T[(l, m), j] = |Z_m X'_{l,j}|_F^2 for the blocks X'_{l,j} of
     X' = G'^{+1/2} W'† V = W'† S^{+1/2} V, read one row block Z_m X' at a
-    time (:func:`eacode.block_overlaps`).  The smaller of G' and S is
+    time, each formed in one preallocated buffer
+    (:func:`eacode.block_overlaps`).  The smaller of G' and S is
     decomposed once and read on its support only (:func:`_support`): its
     r_s eigenvectors E with eigenvalues lambda > 1e-12 and f = lambda^{-1/2},
     so G'^{+1/2} = E diag(f) E† and no Lq x Lq (or d x d) square root is
@@ -310,8 +311,9 @@ def gram_table(factor: np.ndarray, books,
     x = x.reshape(L, q, -1).transpose(1, 0, 2).reshape(q, -1)
     table = np.empty((K + 1, K))
     rows = table[:-1].reshape(L, M, K)  # row (l, m) of the table
+    p = np.empty((len(z) // M, x.shape[1]), dtype=complex)  # each Z_m X'
     for m, zm in enumerate(np.split(z, M)):
-        p = zm @ x
+        np.matmul(zm, x, out=p)
         rows[:, m] = eacode.block_overlaps(p, p, L * K).reshape(L, K)
     return eacode.codeword_table(sent, traces, table)
 

@@ -18,12 +18,10 @@ import numpy as np
 from . import qmat
 
 __all__ = [
-    "TypeClass",
     "TypicalProjector",
     "ProjectorBundle",
     "MeasuredConstants",
     "type_table",
-    "enumerate_types",
     "type_sequences",
     "type_basis",
     "type_class_projector",
@@ -40,57 +38,16 @@ __all__ = [
 PROJECTOR_TOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class TypeClass:
-    """All length-n sequences with a fixed letter-occurrence histogram.
-
-    Two classes are equal when their counts are.
-
-    Attributes
-    ----------
-    counts : tuple of int
-        Occurrences of each alphabet letter; sums to n.
-    dim : int
-        Number of sequences in the class (the multinomial coefficient).
-    representative : tuple of int
-        Lexicographically least member sequence.
-    """
-
-    counts: tuple[int, ...]
-    dim: int = field(init=False, compare=False)
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        if any(c < 0 for c in counts):
-            raise ValueError("type counts must be nonnegative")
-        dim = math.factorial(sum(counts))
-        for c in counts:
-            dim //= math.factorial(c)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "dim", dim)
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def representative(self) -> tuple[int, ...]:
-        return tuple(
-            letter for letter, c in enumerate(self.counts) for _ in range(c)
-        )
-
-    def __repr__(self):
-        return f"TypeClass{self.counts}"
-
-
 @functools.lru_cache(maxsize=16)
 def type_table(n: int, letters: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """The types of length-n sequences over ``letters`` letters as integers:
     a read-only (T, letters) array of their counts and the tuple of their
-    multinomial dims, in :func:`enumerate_types` order.
+    multinomial dims (the types' sequence counts, which sum to
+    letters**n).
 
-    The one enumeration of types; callers that only need counts and dims
-    read it and build no :class:`TypeClass`.
+    The one enumeration of types: every composition of n into ``letters``
+    parts, the first letter's count descending, then the next one's.  A
+    type is a row of the counts.
     """
     if n < 0 or letters < 1:
         raise ValueError("need n >= 0 and alphabet_size >= 1")
@@ -110,20 +67,11 @@ def type_table(n: int, letters: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return counts, tuple(top // math.prod(map(math.factorial, r)) for r in rows)
 
 
-def enumerate_types(n: int, alphabet_size: int) -> list[TypeClass]:
-    """All compositions of n into alphabet_size parts, first letter descending.
-
-    The classes partition the alphabet_size**n sequences, so their dims sum
-    to that total.
-    """
-    counts, _ = type_table(n, alphabet_size)
-    return [TypeClass(c) for c in counts.tolist()]
-
-
-def type_sequences(t: TypeClass):
-    """Yield the sequences of a type class in lexicographic order."""
-    counts = list(t.counts)
-    n = t.n
+def type_sequences(counts):
+    """Yield the sequences of the type with letter counts ``counts`` (a
+    row of :func:`type_table`) in lexicographic order."""
+    counts = [int(c) for c in counts]
+    n = sum(counts)
     seq: list[int] = []
 
     def rec():
@@ -187,25 +135,27 @@ def type_basis(counts, local_basis: np.ndarray) -> np.ndarray:
     return cols
 
 
-def type_class_projector(t: TypeClass, local_basis: np.ndarray | None = None
+def type_class_projector(counts, local_basis: np.ndarray | None = None
                          ) -> np.ndarray:
     """Rank-d_t projector onto the span of a type class's product vectors.
 
     Parameters
     ----------
-    t : TypeClass
+    counts : sequence of int
+        The type's letter counts, a row of :func:`type_table`.
     local_basis : array, optional
         Columns are the single-copy basis; defaults to the computational
         basis of the alphabet size.
     """
+    letters = len(counts)
     if local_basis is None:
-        local_basis = np.eye(len(t.counts), dtype=complex)
-    if np.shape(local_basis)[1] != len(t.counts):
+        local_basis = np.eye(letters, dtype=complex)
+    if np.shape(local_basis)[1] != letters:
         raise ValueError(
             f"basis has {np.shape(local_basis)[1]} columns for a "
-            f"{len(t.counts)}-letter type"
+            f"{letters}-letter type"
         )
-    b = type_basis([t.counts], local_basis)
+    b = type_basis([counts], local_basis)
     return b @ b.conj().T
 
 
@@ -264,12 +214,12 @@ def typical_projector(rho: qmat.Operator, n: int, delta: float
     residuals of zero (:func:`qmat.rounding_residuals`), and count as zero.
     The eigenvalues descend, so the zeros are a suffix: only the types over
     the support letters are read, from one cached table of their counts and
-    dims (:func:`type_table`), and no :class:`TypeClass` is built.  Each
-    log2 lam is summed letter by letter, in letter order, so the retained
-    types, ``weight``, ``lambda_max`` and ``lambda_min`` are bit for bit
-    those of a loop over ``enumerate_types``.  ``rho`` is decomposed once
-    (:func:`qmat.state_spectrum`): an operator that is not a
-    :class:`~qmat.DensityOperator` is checked to be a state there.
+    dims (:func:`type_table`).  Each log2 lam is summed letter by letter, in
+    letter order, so the retained types, ``weight``, ``lambda_max`` and
+    ``lambda_min`` are bit for bit those of a loop over the types one by
+    one.  ``rho`` is decomposed once (:func:`qmat.state_spectrum`): an
+    operator that is not a :class:`~qmat.DensityOperator` is checked to be
+    a state there.
     """
     if n < 1:
         raise ValueError("need n >= 1")

@@ -8,12 +8,12 @@ from qmac import eacode
 from qmac.qmat import FactorSpace, KrausChannel, PureState
 
 
-def book_of(decomp, entries, seed):
-    """The :class:`eacode.EaCodeBook` whose messages send ``entries``, a
-    sequence of :class:`eacode.HwIndex`, in order."""
-    draws = np.array([s.triples for s in entries], dtype=np.intp)
+def book_of(decomp, rows, seed):
+    """The :class:`eacode.EaCodeBook` whose messages send ``rows``, a
+    sequence of (blocks, 3) index rows, in order."""
+    draws = np.array(rows, dtype=np.intp)
     return eacode.EaCodeBook(
-        decomp, draws.reshape(len(entries), len(decomp.block_dims), 3), seed)
+        decomp, draws.reshape(len(rows), len(decomp.block_dims), 3), seed)
 
 
 def random_unitary(rng, dim):

@@ -194,8 +194,8 @@ def test_criterion_08_transpose_trick_residuals():
                  int(rng.integers(2)))
                 for d in decomp.block_dims
             ]
-            s = eacode.HwIndex(triples, decomp.block_dims)
-            worst = max(worst, eacode.transpose_trick_residual(s, decomp))
+            worst = max(worst,
+                        eacode.transpose_trick_residual(triples, decomp))
     report(8, worst < 1e-10,
            f"max residual over 300 random indices on n = 2 states = {worst:.2e}")
 
@@ -265,7 +265,8 @@ def test_criterion_12_coherent_decoder(cnot_mac_instance):
     rho = eacode.channel_output_state(ch, decomps)
     eps_measured = 1.0 - min(
         np.trace(povm[(l, m)] @ eacode.conjugate_by_receiver_encoders(
-            rho, [(decomps[0], books[0][l]), (decomps[1], books[1][m])]
+            rho, [(decomps[0], books[0].draws[l]),
+                  (decomps[1], books[1].draws[m])]
         ).matrix).real
         for l in range(books[0].message_count)
         for m in range(books[1].message_count)

@@ -743,24 +743,25 @@ REFERENCE_ARGV = {
          / "reference.json").read_text()).items()}
 
 
-class TestNoIndexObjects:
+class TestNoOracleCalls:
     # books are draw arrays with index maps, and types are table rows, on
     # every command path: the benchmark's commands, successive decoding and
-    # a sequential run at d_s = 256 build no HwIndex, no TypeClass and no
-    # dense d_s x d_s encoder
+    # a sequential run at d_s = 256 build no dense d_s x d_s encoder from
+    # an index row and list no type's sequences one by one
     @pytest.mark.parametrize("argv", list(REFERENCE_ARGV.values()) + [
         ("simulate-mac", "--channel", "cnot-mac", "--n", "2",
          "--mode", "successive", "--phi", "0.7,0.3"),
         ("simulate-seq", "--channel", "identity:2", "--n", "8")],
         ids=" ".join)
-    def test_command_builds_neither_class(self, capsys, monkeypatch, argv):
+    def test_command_calls_no_oracle(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
-            raise AssertionError("an index, type or dense encoder was built")
+            raise AssertionError("a dense encoder or a type's sequence list "
+                                 "was built")
 
-        for name in ("HwIndex", "hw_transpose_unitary", "_block_matrix",
+        for name in ("hw_transpose_unitary", "_block_matrix",
                      "receiver_encoder"):
             monkeypatch.setattr(eacode, name, refuse)
-        monkeypatch.setattr(typicality, "TypeClass", refuse)
+        monkeypatch.setattr(typicality, "type_sequences", refuse)
         code, out, err = run(capsys, *argv)
         assert code == 0, err
         assert out
@@ -1030,7 +1031,7 @@ class TestSimulateMac:
         proc = run_under_address_limit(limit, *argv)
         assert time.perf_counter() - start < 1
         assert proc.returncode == 4 and proc.stdout == ""
-        assert "simulate-mac: the run needs an estimated 0.791 GiB" in (
+        assert "simulate-mac: the run needs an estimated 0.709 GiB" in (
             proc.stderr)
         assert f"over the memory limit of {limit / 2**30:.3g} GiB" in (
             proc.stderr)

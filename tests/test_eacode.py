@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from qmac import eacode, qmat, typicality
-from qmac.eacode import HwIndex
 from qmac.qmat import FactorSpace, PureState
 
 from oracles import (average_codeword_state, block_state, block_vector,
@@ -115,22 +114,23 @@ class TestTypeDecompose:
     @pytest.mark.parametrize("weights", [[0.7, 0.3], [0.5, 0.3, 0.2],
                                          [0.4, 0.3, 0.2, 0.1], [1.0, 0.0]])
     def test_fields_match_a_type_class_per_type(self, weights, n):
-        # oracle: one TypeClass per type of enumerate_types, as the fields
-        # were built before they read the type table; bit for bit
+        # oracle: each type's multinomial dim and weight from its counts
+        # row alone, type by type; bit for bit
         dec = eacode.type_decompose(schmidt_state(weights), n)
         coeffs, left, right = eacode.schmidt(dec.phi, (dec.sender_label,))
-        types = typicality.enumerate_types(n, len(coeffs))
+        counts = typicality.type_table(n, len(coeffs))[0].tolist()
+        dims = [math.factorial(n) // math.prod(map(math.factorial, row))
+                for row in counts]
         sq = coeffs**2
-        probs = np.array([t.dim * math.prod(sq[i] ** c
-                                            for i, c in enumerate(t.counts))
-                          for t in types])
-        assert dec.counts.tolist() == [list(t.counts) for t in types]
+        probs = np.array([dim * math.prod(sq[i] ** c
+                                          for i, c in enumerate(row))
+                          for row, dim in zip(counts, dims)])
+        assert dec.counts.tolist() == counts
         assert not dec.counts.flags.writeable
-        assert dec.block_dims == tuple(t.dim for t in types)
+        assert dec.block_dims == tuple(dims)
         assert all(type(d) is int for d in dec.block_dims)
         assert np.array_equal(dec.probs, probs)
         assert np.array_equal(dec.schmidt_probs, coeffs**2)
-        counts = [t.counts for t in types]
         assert np.array_equal(dec._sender_block_basis,
                               typicality.type_basis(counts, left))
         assert np.array_equal(dec._receiver_block_basis,
@@ -147,7 +147,7 @@ class TestTypeDecompose:
 class TestHwUnitary:
     def test_zero_index_is_signed_identity(self):
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)
-        s = HwIndex([(0, 0, 1), (0, 0, 0), (0, 0, 1)], dec.block_dims)
+        s = [(0, 0, 1), (0, 0, 0), (0, 0, 1)]
         u = eacode.hw_unitary(s, dec)
         # blockwise +-identity: squares to the identity
         assert np.max(np.abs(u @ u - np.eye(4))) < 1e-12
@@ -156,7 +156,7 @@ class TestHwUnitary:
     def test_xz_on_dim2_block_matches_hand_matrix(self):
         # X(1)Z(1) = [[0, -1], [1, 0]] in the block's sequence basis
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)
-        s = HwIndex([(0, 0, 0), (1, 1, 0), (0, 0, 0)], dec.block_dims)
+        s = [(0, 0, 0), (1, 1, 0), (0, 0, 0)]
         block = eacode._block_matrix(s, dec)
         sl = dec.block_slices[1]
         assert np.allclose(block[sl, sl], np.array([[0, -1], [1, 0]]), atol=1e-12)
@@ -181,9 +181,8 @@ class TestHwUnitary:
         t_index = dec.block_dims.index(4)
         triples = [(0, 0, 0)] * len(dec.block_dims)
         triples[t_index] = (3, 2, 0)
-        s = HwIndex(triples, dec.block_dims)
-        block = eacode._block_matrix(s, dec)[dec.block_slices[t_index],
-                                             dec.block_slices[t_index]]
+        sl = dec.block_slices[t_index]
+        block = eacode._block_matrix(triples, dec)[sl, sl]
         expect = np.zeros((4, 4), dtype=complex)
         for j in range(4):
             expect[(j + 3) % 4, j] = np.exp(2j * np.pi * j * 2 / 4)
@@ -197,19 +196,70 @@ class TestHwUnitary:
                 (int(rng.integers(d)), int(rng.integers(d)), int(rng.integers(2)))
                 for d in dec.block_dims
             ]
-            u = eacode.hw_unitary(HwIndex(triples, dec.block_dims), dec)
+            u = eacode.hw_unitary(triples, dec)
             assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-10
 
-    def test_index_range_validation(self):
+    ORACLES = {
+        "_block_matrix": eacode._block_matrix,
+        "hw_unitary": eacode.hw_unitary,
+        "hw_transpose_unitary": eacode.hw_transpose_unitary,
+        "receiver_encoder": lambda s, dec: eacode.receiver_encoder(dec, s),
+        "transpose_trick_residual": eacode.transpose_trick_residual,
+        "conjugate_by_receiver_encoders":
+            lambda s, dec: eacode.conjugate_by_receiver_encoders(
+                eacode.channel_output_state(
+                    qmat.named_channel("identity:2"), [dec]), [(dec, s)]),
+        "a book": lambda s, dec: eacode.EaCodeBook(dec, [s], 0),
+    }
+
+    @pytest.mark.parametrize("caller", list(ORACLES))
+    @pytest.mark.parametrize("row, match", [
+        ([(0, 0, 0), (2, 0, 0), (0, 0, 0)],
+         r"row 0: index \(2, 0, 0\) out of range for block dimension 2"),
+        ([(0, 0, 0), (0, 0, 2), (0, 0, 0)], r"\(0, 0, 2\) out of range"),
+        ([(0, 0, 0), (0, -1, 0), (0, 0, 0)], r"\(0, -1, 0\) out of range"),
+        ([(0, 0, 0)] * 2, r"draws shaped \(.*2, 3\) are not .* the "
+                          "decomposition's 3 type blocks: index block "
+                          "dimensions differ"),
+        ([(0.0, 0, 0)] * 3, "draws must be integers, not float64"),
+    ], ids=["x at d_t", "b = 2", "negative z", "two blocks", "floats"])
+    def test_one_validator_refuses_a_row(self, caller, row, match):
+        # every oracle and the book check an index row with _check_draws
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)
-        with pytest.raises(ValueError, match="out of range"):
-            HwIndex([(0, 0, 0), (2, 0, 0), (0, 0, 0)], dec.block_dims)
+        with pytest.raises(ValueError, match=match):
+            self.ORACLES[caller](row, dec)
+
+    def test_oracles_take_one_row(self):
+        # a book's (K, blocks, 3) draws are not one encoder's index
+        dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)
+        draws = eacode.sample_code(dec, 2, 0).draws
+        with pytest.raises(ValueError, match=r"not a row of one \(x, z, b\)"):
+            eacode.hw_transpose_unitary(draws, dec)
+        assert np.array_equal(eacode.hw_transpose_unitary(draws[1], dec),
+                              eacode.hw_transpose_unitary(
+                                  eacode.sample_code(dec, 2, 0).entries[1],
+                                  dec))
+
+    @pytest.mark.parametrize("weights, n", [([0.5, 0.5], 1),
+                                            ([0.7, 0.3], 2),
+                                            ([0.5, 0.3, 0.2], 1)])
+    def test_index_rows_enumerated_lexicographically(self, weights, n):
+        # every row of S once, lexicographic in (x, z, b) block by block:
+        # the order of the nested tuples themselves
+        dec = eacode.type_decompose(schmidt_state(weights), n)
+        rows = list(eacode.enumerate_indices(dec))
+        assert len(rows) == len(set(rows)) == eacode.index_set_size(dec)
+        assert rows == sorted(rows)
+        assert rows[0] == ((0, 0, 0),) * len(dec.block_dims)
+        assert rows[-1] == tuple((d - 1, d - 1, 1) for d in dec.block_dims)
+        assert all(type(v) is int for row in rows for t in row for v in t)
+        assert np.array_equal(eacode._check_draws(rows, dec, ndim=3), rows)
 
 
 class TestTransposeTrick:
     def test_identity_index(self):
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)
-        s = HwIndex([(0, 0, 0)] * 3, dec.block_dims)
+        s = [(0, 0, 0)] * 3
         assert eacode.transpose_trick_residual(s, dec) < 1e-12
 
     def test_bell_ricochet_any_unitary(self):
@@ -231,8 +281,7 @@ class TestTransposeTrick:
                 (int(rng.integers(d)), int(rng.integers(d)), int(rng.integers(2)))
                 for d in dec.block_dims
             ]
-            s = HwIndex(triples, dec.block_dims)
-            assert eacode.transpose_trick_residual(s, dec) < 1e-10
+            assert eacode.transpose_trick_residual(triples, dec) < 1e-10
 
 
 class TestReceiverEncoders:
@@ -260,7 +309,7 @@ class TestReceiverEncoders:
         rng = np.random.default_rng(17 + n)
         for trial in range(4):
             encoders = [
-                (d, eacode.sample_code(d, 1, seed=100 * trial + i)[0])
+                (d, eacode.sample_code(d, 1, seed=100 * trial + i).draws[0])
                 for i, d in enumerate(decomps)
             ]
             want = rho.matrix
@@ -295,8 +344,8 @@ class TestReceiverEncoders:
         rho = eacode.channel_output_state(qmat.named_channel("cnot-mac"),
                                           (d1, d2))
         for seed in range(3):
-            s1 = eacode.sample_code(d1, 1, seed=2 * seed)[0]
-            s2 = eacode.sample_code(d2, 1, seed=2 * seed + 1)[0]
+            s1 = eacode.sample_code(d1, 1, seed=2 * seed).draws[0]
+            s2 = eacode.sample_code(d2, 1, seed=2 * seed + 1).draws[0]
             ab = eacode.conjugate_by_receiver_encoders(rho, [(d1, s1), (d2, s2)])
             ba = eacode.conjugate_by_receiver_encoders(rho, [(d2, s2), (d1, s1)])
             assert np.max(np.abs(ab.matrix - ba.matrix)) < 1e-12
@@ -308,13 +357,14 @@ SCHMIDT = {"2 letters": [0.7, 0.3], "3 letters": [0.5, 0.3, 0.2]}
 
 def per_message_entries(decomp, message_count, seed):
     """Reference draws: a generator per message, keyed by the seed with
-    counter m << 128, and scalar draws below d_t, d_t and 2 block by block."""
+    counter m << 128, and scalar draws below d_t, d_t and 2 block by block,
+    as nested tuples of rows."""
     entries = []
     for m in range(message_count):
         rng = np.random.Generator(np.random.Philox(key=seed, counter=m << 128))
-        entries.append(HwIndex(
-            [(int(rng.integers(d)), int(rng.integers(d)), int(rng.integers(2)))
-             for d in decomp.block_dims], decomp.block_dims))
+        entries.append(tuple(
+            (int(rng.integers(d)), int(rng.integers(d)), int(rng.integers(2)))
+            for d in decomp.block_dims))
     return tuple(entries)
 
 
@@ -327,8 +377,7 @@ class TestSampleCode:
             book = eacode.sample_code(dec, 8, seed)
             want = per_message_entries(dec, 8, seed)
             assert book.entries == want
-            assert book.draws.tolist() == [list(map(list, s.triples))
-                                           for s in want]
+            assert book.draws.tolist() == [list(map(list, s)) for s in want]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("weights", ["0.7,0.3", "0.3,0.7", "bell",
@@ -371,9 +420,12 @@ class TestSampleCode:
         for n in (1, 3):
             other = eacode.type_decompose(schmidt_state([0.7, 0.3]), n)
             draws = eacode.sample_code(other, 2, 0).draws
-            with pytest.raises(ValueError, match="message 0 of the draws.* "
-                                                 "block dimensions differ"):
+            with pytest.raises(ValueError, match="draws shaped .* not rows "
+                                                 ".* block dimensions differ"):
                 eacode.EaCodeBook(dec, draws, 0)
+            with pytest.raises(ValueError, match="draws shaped .* not a row "
+                                                 ".* block dimensions differ"):
+                eacode.receiver_encoder(dec, draws[0])
 
     @pytest.mark.parametrize("case, message, edit", [
         ("x at d_t", 1, (1, 1, 0, 2)),
@@ -391,7 +443,7 @@ class TestSampleCode:
         m, t, i, value = edit
         draws[m, t, i] = value
         with pytest.raises(ValueError,
-                           match=f"message {message}: .* out of range"):
+                           match=f"row {message}: .* out of range"):
             eacode.EaCodeBook(dec, draws, 0)
 
     def test_draws_are_a_read_only_copy(self):
@@ -402,7 +454,7 @@ class TestSampleCode:
         assert draws.flags.writeable
         draws[0, 1] = 1
         assert not book.draws.any() and book.message_count == 2
-        assert book[1] == HwIndex([(0, 0, 0)] * 3, dec.block_dims)
+        assert book.entries[1] == ((0, 0, 0),) * 3
 
     def test_reproducible(self):
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)
@@ -422,7 +474,7 @@ class TestSampleCode:
         books = eacode.sample_code(dec, 4000, seed=8)
         counts = {}
         for s in books.entries:
-            counts[s.triples] = counts.get(s.triples, 0) + 1
+            counts[s] = counts.get(s, 0) + 1
         assert len(counts) == 4
         assert min(counts.values()) > 800  # uniform within loose bounds
 
@@ -454,10 +506,9 @@ class TestExpectedCodeword:
         for x, z, b in itertools.product(range(d), range(d), range(2)):
             triples = [(0, 0, 0)] * len(dec.block_dims)
             triples[t_index] = (x, z, b)
-            s = HwIndex(triples, dec.block_dims)
             u = qmat.embed(
                 qmat.Operator(dec.receiver_space,
-                              eacode.hw_transpose_unitary(s, dec)),
+                              eacode.hw_transpose_unitary(triples, dec)),
                 dec.full_space,
             ).matrix
             vec = u @ block.vector
@@ -574,7 +625,7 @@ class TestEncode:
 
     def test_identity_channel_zero_index(self):
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 1)
-        s = HwIndex([(0, 0, 0), (0, 0, 0)], dec.block_dims)
+        s = [(0, 0, 0), (0, 0, 0)]
         ch = qmat.named_channel("identity:2")
         rho = eacode.channel_output_state(ch, [dec])
         out = eacode.conjugate_by_receiver_encoders(rho, [(dec, s)])
@@ -587,7 +638,8 @@ class TestEncode:
         base = np.sort(np.linalg.eigvalsh(rho.matrix))
         book = eacode.sample_code(dec, 4, seed=2)
         for m in range(4):
-            out = eacode.conjugate_by_receiver_encoders(rho, [(dec, book[m])])
+            out = eacode.conjugate_by_receiver_encoders(
+                rho, [(dec, book.draws[m])])
             assert np.max(np.abs(np.sort(np.linalg.eigvalsh(out.matrix)) - base)) < 1e-10
 
     def test_exhaustive_average_matches_block_structure(self):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from qmac import eacode, info, qmat, seqdecode, simuldecode, typicality
-from qmac.eacode import HwIndex
 from qmac.qmat import FactorSpace, PovmSet
 
 from oracles import dense_map, embedded_typical_projectors
@@ -73,10 +72,8 @@ def bell_pair_books(channel, n=1, entries1=None, entries2=None, seeds=(5, 6)):
 
 def phase_books(channel):
     """n=1 Bell codebooks whose two codewords differ by a Z phase flip."""
-    d1 = eacode.type_decompose(bell_state("Ap", "A"), 1)
-    dims = d1.block_dims
-    idx_i = HwIndex([(0, 0, 0), (0, 0, 0)], dims)
-    idx_z = HwIndex([(0, 0, 0), (0, 0, 1)], dims)
+    idx_i = [(0, 0, 0), (0, 0, 0)]
+    idx_z = [(0, 0, 0), (0, 0, 1)]
     return bell_pair_books(channel, 1, [idx_i, idx_z], [idx_i, idx_z])
 
 
@@ -96,7 +93,7 @@ def check_against_dense_oracle(ch, books, povm):
     want = dict.fromkeys(("wrong_alice", "wrong_bob", "wrong_both", "abort"), 0.0)
     for j, (l, m) in enumerate(sent):
         sigma = eacode.conjugate_by_receiver_encoders(
-            rho, [(d1, books[0][l]), (d2, books[1][m])]
+            rho, [(d1, books[0].draws[l]), (d2, books[1].draws[m])]
         ).matrix
         want_table[:, j] = [np.trace(op @ sigma).real for op in ops]
         for i, (lp, mp) in enumerate(sent):
@@ -383,7 +380,7 @@ class TestRandomization:
         for l in range(L):
             for m in range(M):
                 sigma = eacode.conjugate_by_receiver_encoders(
-                    rho, [(d1, books[0][l]), (d2, books[1][m])]
+                    rho, [(d1, books[0].draws[l]), (d2, books[1].draws[m])]
                 )
                 pairwise[(l, m)] = 1.0 - np.trace(povm[(l, m)] @ sigma.matrix).real
         worst = max(

@@ -13,62 +13,67 @@ from conftest import random_density, random_unitary, schmidt_state
 from oracles import embedded_typical_projectors
 
 
-class TestEnumerateTypes:
+class TestTypeTable:
     def test_binary_n2(self):
-        types = typicality.enumerate_types(2, 2)
-        assert [t.counts for t in types] == [(2, 0), (1, 1), (0, 2)]
-        assert [t.dim for t in types] == [1, 2, 1]
+        counts, dims = typicality.type_table(2, 2)
+        assert counts.tolist() == [[2, 0], [1, 1], [0, 2]]
+        assert dims == (1, 2, 1)
 
     def test_n1_singletons(self):
-        types = typicality.enumerate_types(1, 5)
-        assert len(types) == 5
-        assert all(t.dim == 1 for t in types)
+        counts, dims = typicality.type_table(1, 5)
+        assert len(counts) == 5
+        assert dims == (1,) * 5
 
     def test_dims_sum_to_sequence_count(self):
         # oracle: exhaustive sequence enumeration
-        types = typicality.enumerate_types(4, 2)
-        assert sum(t.dim for t in types) == 2**4
+        counts, dims = typicality.type_table(4, 2)
+        assert sum(dims) == 2**4
         counted = {}
         for seq in itertools.product(range(2), repeat=4):
             key = (seq.count(0), seq.count(1))
             counted[key] = counted.get(key, 0) + 1
-        for t in types:
-            assert counted[t.counts] == t.dim
+        for row, dim in zip(counts.tolist(), dims):
+            assert counted[tuple(row)] == dim
 
-    def test_representative_is_lex_least(self):
-        t = typicality.TypeClass((1, 2, 1))
-        assert t.representative == (0, 1, 1, 2)
-        seqs = list(typicality.type_sequences(t))
-        assert seqs[0] == t.representative
-        assert seqs == sorted(seqs)
-        assert len(seqs) == t.dim
+    def test_sequences_are_lexicographic(self):
+        # the first is the letters in order, the least sequence of the type
+        seqs = list(typicality.type_sequences((1, 2, 1)))
+        assert seqs[0] == (0, 1, 1, 2)
+        assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
+        assert len(seqs) == math.factorial(4) // 2
+        assert all(tuple(seq.count(a) for a in range(3)) == (1, 2, 1)
+                   for seq in seqs)
+        # a row of the table, as numpy integers, gives the same list
+        counts, dims = typicality.type_table(4, 3)
+        row = counts.tolist().index([1, 2, 1])
+        assert list(typicality.type_sequences(counts[row])) == seqs
+        assert dims[row] == len(seqs)
 
     def test_cap(self, monkeypatch):
         # the dense cap does not bound the sequence count
         monkeypatch.setattr(qmat, "DEFAULT_DIM_CAP", 100)
-        assert sum(t.dim for t in typicality.enumerate_types(10, 2)) == 1024
-        types = typicality.enumerate_types(4, 16)
-        assert len(types) == math.comb(19, 4)
-        assert sum(t.dim for t in types) == 16**4
+        assert sum(typicality.type_table(10, 2)[1]) == 1024
+        counts, dims = typicality.type_table(4, 16)
+        assert len(counts) == math.comb(19, 4)
+        assert sum(dims) == 16**4
 
 
 class TestTypeClassProjector:
     def test_rank_and_span(self):
-        t = typicality.TypeClass((1, 1))
-        proj = typicality.type_class_projector(t)
+        proj = typicality.type_class_projector((1, 1))
         # span{|01>, |10>}
         expected = np.zeros((4, 4))
         expected[1, 1] = expected[2, 2] = 1.0
         assert np.allclose(proj, expected)
 
     def test_resolution_of_identity(self):
-        types = typicality.enumerate_types(3, 2)
-        total = sum(typicality.type_class_projector(t) for t in types)
+        counts, _ = typicality.type_table(3, 2)
+        total = sum(typicality.type_class_projector(row) for row in counts)
         assert np.max(np.abs(total - np.eye(8))) < 1e-12
 
     def test_orthogonal_across_types(self):
-        types = typicality.enumerate_types(3, 2)
-        projs = [typicality.type_class_projector(t) for t in types]
+        counts, _ = typicality.type_table(3, 2)
+        projs = [typicality.type_class_projector(row) for row in counts]
         for i in range(len(projs)):
             for j in range(i + 1, len(projs)):
                 assert np.max(np.abs(projs[i] @ projs[j])) < 1e-12
@@ -76,10 +81,13 @@ class TestTypeClassProjector:
     def test_rotated_basis(self):
         rng = np.random.default_rng(31)
         u = random_unitary(rng, 2)
-        t = typicality.TypeClass((1, 1))
-        proj = typicality.type_class_projector(t, u)
+        proj = typicality.type_class_projector((1, 1), u)
         assert np.max(np.abs(proj @ proj - proj)) < 1e-12
-        assert np.isclose(np.trace(proj).real, t.dim)
+        assert np.isclose(np.trace(proj).real, 2)
+
+    def test_basis_of_another_alphabet_refused(self):
+        with pytest.raises(ValueError, match="3 columns for a 2-letter type"):
+            typicality.type_class_projector((1, 1), np.eye(3))
 
 
 def kron_vector(basis, seq):
@@ -94,9 +102,9 @@ class TestTypeBasis:
     def test_columns_are_kron_products_in_type_then_lex_order(self):
         rng = np.random.default_rng(5)
         u = random_unitary(rng, 3)
-        types = typicality.enumerate_types(3, 3)
-        b = typicality.type_basis([t.counts for t in types], u)
-        seqs = [seq for t in types for seq in typicality.type_sequences(t)]
+        counts, _ = typicality.type_table(3, 3)
+        b = typicality.type_basis(counts, u)
+        seqs = [seq for row in counts for seq in typicality.type_sequences(row)]
         assert b.shape == (27, 27)
         for col, seq in zip(b.T, seqs):
             assert np.array_equal(col, kron_vector(u, seq))
@@ -107,17 +115,16 @@ class TestTypeBasis:
         # whole type lists, sub-lists, reorderings and zero-padded counts
         # give the columns the recursive type_sequences gives, exactly
         rng = np.random.default_rng(10 * alphabet + n)
-        types = typicality.enumerate_types(n, alphabet)
+        types = typicality.type_table(n, alphabet)[0].tolist()
         lists = [types, types[::-1], types[1::2] or types,
                  [types[i] for i in rng.permutation(len(types))],
-                 [typicality.TypeClass(t.counts + (0,)) for t in types]]
+                 [row + [0] for row in types]]
         for sub in lists:
-            u = random_unitary(rng, len(sub[0].counts))
-            seqs = np.array([seq for t in sub
-                             for seq in typicality.type_sequences(t)])
+            u = random_unitary(rng, len(sub[0]))
+            seqs = np.array([seq for row in sub
+                             for seq in typicality.type_sequences(row)])
             want = np.array([kron_vector(u, seq) for seq in seqs]).T
-            assert np.array_equal(
-                typicality.type_basis([t.counts for t in sub], u), want)
+            assert np.array_equal(typicality.type_basis(sub, u), want)
 
     def test_typical_projector_is_sum_of_outer_products(self):
         # reference: one rank-one update per retained sequence
@@ -244,17 +251,18 @@ class TestTypicalProjector:
         entropy = float(-sum(v * math.log2(v) for v in vals if v > 0))
         typical, weight = [], 0.0
         lam_max, lam_min = -np.inf, np.inf
-        for t in typicality.enumerate_types(n, len(vals)):
-            if any(c > 0 and vals[i] <= 0 for i, c in enumerate(t.counts)):
+        counts, dims = typicality.type_table(n, len(vals))
+        for row, dim in zip(counts.tolist(), dims):
+            if any(c > 0 and vals[i] <= 0 for i, c in enumerate(row)):
                 continue
             log_lam = sum(c * math.log2(vals[i])
-                          for i, c in enumerate(t.counts) if c)
+                          for i, c in enumerate(row) if c)
             if abs(-log_lam / n - entropy) <= delta + 1e-12:
-                typical.append(t)
+                typical.append(row)
                 lam = 2.0**log_lam
-                weight += t.dim * lam
+                weight += dim * lam
                 lam_max, lam_min = max(lam_max, lam), min(lam_min, lam)
-        return (typicality.type_basis([t.counts for t in typical], vecs),
+        return (typicality.type_basis(typical, vecs),
                 weight, lam_max, lam_min)
 
     RANK_DEFICIENT = {
@@ -293,19 +301,18 @@ class TestTypicalProjector:
 
         monkeypatch.setattr(typicality, "type_table", spy)
 
-        class NoTypeClass:
-            def __init__(self, *args):
-                raise AssertionError("a TypeClass was built")
+        def refuse(*args):
+            raise AssertionError("a type's sequences were listed one by one")
 
-        monkeypatch.setattr(typicality, "TypeClass", NoTypeClass)
+        monkeypatch.setattr(typicality, "type_sequences", refuse)
         typicality.typical_projector(rho, 2, 1.0)
         assert rho.space.dim > 4
         assert sizes == [4]
 
     @staticmethod
     def per_type(rho, n, delta):
-        # reference: one TypeClass per type of enumerate_types over the
-        # support letters, zero-padded, its log2 lam summed letter by letter
+        # reference: one counts row per type over the support letters,
+        # zero-padded, its log2 lam summed letter by letter
         vals, vecs = qmat.eig_hermitian(rho)
         vals = np.clip(vals.real, 0.0, None)
         vals[qmat.rounding_residuals(vals, len(vals))] = 0.0
@@ -314,21 +321,22 @@ class TestTypicalProjector:
         entropy = float(-sum(v * math.log2(v) for v in vals if v > 0))
         typical, weight = [], 0.0
         lam_max, lam_min = -np.inf, np.inf
-        for t in typicality.enumerate_types(n, support):
-            t = typicality.TypeClass(t.counts + zeros)
+        counts, dims = typicality.type_table(n, support)
+        for row, dim in zip(counts.tolist(), dims):
+            row = tuple(row) + zeros
             log_lam = 0.0
-            for i, c in enumerate(t.counts):
+            for i, c in enumerate(row):
                 if c:
                     log_lam += c * math.log2(vals[i])
             if abs(-log_lam / n - entropy) <= delta + 1e-12:
-                typical.append(t)
+                typical.append(row)
                 lam = 2.0**log_lam
-                weight += t.dim * lam
+                weight += dim * lam
                 lam_max, lam_min = max(lam_max, lam), min(lam_min, lam)
         if not typical:
             return (np.zeros((len(vals) ** n, 0), dtype=complex), weight,
                     float("nan"), float("nan"))
-        return (typicality.type_basis([t.counts for t in typical], vecs),
+        return (typicality.type_basis(typical, vecs),
                 weight, lam_max, lam_min)
 
     @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0, 10.0])
@@ -337,7 +345,7 @@ class TestTypicalProjector:
     def test_type_table_matches_a_type_class_per_type(self, n, support, delta):
         # a random state on 5 letters whose last 5 - support eigenvalues
         # are zero, in a random eigenbasis: the basis, weight and extreme
-        # eigenvalues are bit for bit those of one TypeClass per type
+        # eigenvalues are bit for bit those of a loop over the types' rows
         rng = np.random.default_rng(100 * n + 10 * support + int(delta))
         u = random_unitary(rng, 5)
         p = np.zeros(5)
@@ -349,12 +357,19 @@ class TestTypicalProjector:
         got = (tp.weight, tp.lambda_max, tp.lambda_min)
         assert np.array_equal(got, (weight, lam_max, lam_min), equal_nan=True)
 
-    def test_type_table_is_enumerate_types(self):
+    def test_type_table_is_every_composition(self):
+        # oracle: every composition of n, first letter's count descending
+        # (reverse lexicographic), each with its sequence count
         for n, letters in itertools.product(range(5), range(1, 6)):
             counts, dims = typicality.type_table(n, letters)
-            types = typicality.enumerate_types(n, letters)
-            assert counts.tolist() == [list(t.counts) for t in types]
-            assert dims == tuple(t.dim for t in types)
+            want = sorted((c for c in itertools.product(range(n + 1),
+                                                        repeat=letters)
+                           if sum(c) == n), reverse=True)
+            seqs = [tuple(seq.count(a) for a in range(letters))
+                    for seq in itertools.product(range(letters), repeat=n)]
+            assert counts.tolist() == [list(c) for c in want]
+            assert dims == tuple(seqs.count(c) for c in want)
+            assert all(type(d) is int for d in dims)
             assert not counts.flags.writeable
 
     def test_negative_marginal_eigenvalue_is_named(self):

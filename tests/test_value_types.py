@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from qmac import eacode, gaussian, info, qmat, seqdecode, simuldecode, typicality
-from qmac.eacode import HwIndex
 from qmac.qmat import FactorSpace
-from qmac.typicality import TypeClass
 
 from conftest import bell_state
 
@@ -27,9 +25,7 @@ def _instances():
         qmat.PureState(space, [1.0, 0.0]),
         qmat.named_channel("identity:2"),
         povm,
-        HwIndex([(0, 0, 0), (0, 0, 1)], d1.block_dims),
         eacode.sample_code(d1, 2, 0),
-        TypeClass((1, 1)),
         typicality.typical_projector(qmat.DensityOperator(space, eye / 2), 1, 1.0),
         typicality.MeasuredConstants(0.1, 1.0, 2.0, 0.0),
         info.RateRegion(1.0, 1.0, 1.5),
@@ -49,7 +45,7 @@ INSTANCES = _instances()
 
 
 def test_every_value_type_is_covered():
-    assert len({type(x) for x in INSTANCES}) == len(INSTANCES) == 21
+    assert len({type(x) for x in INSTANCES}) == len(INSTANCES) == 19
 
 
 @pytest.mark.parametrize("obj", INSTANCES, ids=lambda x: type(x).__name__)
@@ -73,19 +69,6 @@ class TestValueEquality:
         assert a == b and hash(a) == hash(b)
         assert a != FactorSpace(("A", "B"), (3, 2))
         assert a != FactorSpace(("B", "A"), (2, 3))
-
-    def test_type_class(self):
-        a = TypeClass([2, 1])
-        assert a == TypeClass((2, 1)) and hash(a) == hash(TypeClass((2, 1)))
-        assert a != TypeClass((1, 2))
-        assert {a: "x"}[TypeClass((2, 1))] == "x"
-
-    def test_hw_index_ignores_block_dims(self):
-        a = HwIndex([(0, 0, 1)], (2,))
-        b = HwIndex([(0, 0, 1)], (3,))
-        assert a == b and hash(a) == hash(b)
-        assert a != HwIndex([(1, 0, 1)], (2,))
-        assert {a: "x"}[b] == "x"
 
     def test_array_types_compare_by_identity(self):
         space = FactorSpace(("A",), (2,))
