@@ -91,8 +91,8 @@ class TypeDecomposition:
     phi : PureState
         Single-copy state on (sender, receiver) labels.
     n : int
-    schmidt_probs : ndarray
-        Squared Schmidt coefficients, descending.
+    schmidt_probs, sender_schmidt, receiver_schmidt : ndarray
+        Squared Schmidt coefficients, descending, and the d x d bases.
     counts : ndarray
         The types of length-n sequences over the Schmidt alphabet, one
         read-only row of letter counts per type block
@@ -107,9 +107,10 @@ class TypeDecomposition:
         Side-major n-fold space: sender labels then receiver labels.
     phi_n : PureState
         The n-fold state on ``full_space``.
-    receiver_perm, receiver_units : ndarray or None
-        Column a of the receiver's type basis C holds its one nonzero,
-        receiver_units[a], in row receiver_perm[a]; None if C is not monomial.
+    sender_perm, sender_units, receiver_perm, receiver_units : ndarray
+        Column a of a side's type basis holds units[a] in row perm[a]
+        (:func:`typicality.type_permutation`), read-only; the dense oracles
+        form the d_s^n x d_s^n bases (:func:`typicality.type_basis`).
     """
 
     def __init__(self, phi: PureState, n: int):
@@ -123,6 +124,7 @@ class TypeDecomposition:
         self.sender_label = sender
         self.receiver_label = receiver
         self.schmidt_probs = coeffs**2
+        self.sender_schmidt, self.receiver_schmidt = left, right
         # the types' counts and dims from one table (typicality.type_table)
         self.counts, self.block_dims = typicality.type_table(self.n, d)
         self.probs = np.array(
@@ -144,6 +146,17 @@ class TypeDecomposition:
             self.sender_space.labels + self.receiver_space.labels,
             self.sender_space.dims + self.receiver_space.dims,
         )
+        for side, basis in (("receiver", right), ("sender", left)):
+            try:
+                maps = typicality.type_permutation(self.counts, basis)
+            except ValueError:
+                raise ValueError(
+                    f"the shared state on {phi.space.labels} has a {side} "
+                    f"type basis at n = {self.n} that is not a permutation "
+                    "with phases, so its encoders are not index maps") from None
+            for name, a in zip(("perm", "units"), maps):
+                a.setflags(write=False)
+                setattr(self, f"{side}_{name}", a)
         vec = phi.vector
         for _ in range(n - 1):
             vec = np.kron(vec, phi.vector)
@@ -151,32 +164,27 @@ class TypeDecomposition:
         self.phi_n = qmat.permute(
             PureState(copy_major, vec), self.full_space.labels
         )
-        # per-block sequence bases, built once; columns ordered (type, lex seq)
         starts = itertools.accumulate(self.block_dims, initial=0)
         self.block_slices = [
             slice(start, start + d) for start, d in zip(starts, self.block_dims)
         ]
-        self._sender_block_basis = typicality.type_basis(self.counts, left)
-        self._receiver_block_basis = typicality.type_basis(self.counts, right)
-        # sum_t sqrt(p_t) |block t> = sum_j w_j s_j (x) r_j with
-        # w_j = sqrt(p_t / d_t) on block t's columns: one product
+        # sum_t sqrt(p_t) |block t> = sum_a w_a s_a (x) r_a, w_a = sqrt(p_t /
+        # d_t): w_a u_s[a] u_r[a] at (perm_s[a], perm_r[a]), zero elsewhere
         w = np.repeat(np.sqrt(self.probs / self.block_dims), self.block_dims)
-        assembled = ((self._sender_block_basis * w)
-                     @ self._receiver_block_basis.T).ravel()
-        defect = float(np.linalg.norm(assembled - self.phi_n.vector))
-        if defect > REASSEMBLY_TOL:
+        state = self.phi_n.vector.reshape(self.sender_space.dim, -1)
+        found = state[self.sender_perm, self.receiver_perm]
+        defect = float(np.linalg.norm(
+            found - w * self.sender_units * self.receiver_units))
+        outside = np.count_nonzero(state) - np.count_nonzero(found)
+        if defect > REASSEMBLY_TOL or outside:
             raise AssertionError(
-                f"type-block reassembly misses the n-fold state by {defect:.3e}"
-            )
-        c, nonzero = self._receiver_block_basis, self._receiver_block_basis != 0
-        self.receiver_perm = self.receiver_units = None
-        if (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all():
-            self.receiver_perm = nonzero.argmax(axis=0)
-            self.receiver_units = c[self.receiver_perm, np.arange(len(c))]
+                f"type-block reassembly misses the n-fold state by "
+                f"{defect:.3e}, with {outside} nonzero entries outside")
 
 
 def type_decompose(phi: PureState, n: int) -> TypeDecomposition:
-    """Decompose |phi>^(x)n into maximally entangled type blocks."""
+    """Decompose |phi>^(x)n into maximally entangled type blocks; a rotated
+    Schmidt basis (no permutation with phases) is refused, naming phi."""
     return TypeDecomposition(phi, n)
 
 
@@ -236,13 +244,13 @@ def _block_matrix(s, decomp: TypeDecomposition) -> np.ndarray:
 
 def hw_unitary(s, decomp: TypeDecomposition) -> np.ndarray:
     """The encoder U(s) on the sender's n-fold share, block-diagonal by type."""
-    b = decomp._sender_block_basis
+    b = typicality.type_basis(decomp.counts, decomp.sender_schmidt)
     return b @ _block_matrix(s, decomp) @ b.conj().T
 
 
 def hw_transpose_unitary(s, decomp: TypeDecomposition) -> np.ndarray:
     """U^T(s) on the receiver's n-fold share (transpose in the paired bases)."""
-    b = decomp._receiver_block_basis
+    b = typicality.type_basis(decomp.counts, decomp.receiver_schmidt)
     return b @ _block_matrix(s, decomp).T @ b.conj().T
 
 
@@ -280,15 +288,10 @@ def encoder_maps(decomp: TypeDecomposition, draws: np.ndarray) -> tuple:
     in column s = start_t + (j + x_t) mod d_t, so row perm[a] of U^T reads
     perm[s] with that phase times gamma_a conj(gamma_s) (C's units).  The
     real angle is formed first, as in :func:`_block_matrix`, so with unit
-    gamma the map equals :func:`hw_transpose_unitary` bit for bit.  Raises
-    ``ValueError`` naming the state when C is not monomial.
+    gamma the map equals :func:`hw_transpose_unitary` bit for bit.  C is
+    ``decomp.receiver_perm`` and ``decomp.receiver_units``.
     """
     perm, units = decomp.receiver_perm, decomp.receiver_units
-    if perm is None:
-        raise ValueError(
-            f"the shared state on {decomp.phi.space.labels} has a receiver "
-            f"type basis at n = {decomp.n} that is not a permutation with "
-            "phases, so its encoders are not index maps")
     # each row's block dimension and block start
     dims, start = np.repeat([decomp.block_dims, [
         sl.start for sl in decomp.block_slices]], decomp.block_dims, axis=1)
@@ -484,20 +487,20 @@ def average_codeword_factors(r: np.ndarray, decomp: TypeDecomposition):
     share of ``decomp`` leading.  The independent signs b_t cancel every
     term of rho-bar = |S|^-1 sum_s U^T(s) rho U^*(s) between two type
     blocks, and the Heisenberg-Weyl twirl inside block t replaces that
-    block by I/d_t.  Yields one pair (C_t, Y_t) per type block:
-    C_t holds orthonormal columns of the receiver projector P_t = C_t C_t†,
-    and Y_t Y_t† = Tr_A[(P_t (x) I) rho], so that
+    block by I/d_t.  Yields one pair (rows_t, Y_t) per type block: the
+    receiver projector P_t = C_t C_t† is one on the share's rows rows_t
+    (``receiver_perm`` on the block), and Y_t Y_t† = Tr_A[(P_t (x) I) rho]
+    with Y_t = C_t† R, R's rows rows_t times the units' conjugates, so that
 
         rho-bar = sum_t (P_t / d_t) (x) Y_t Y_t†.
 
-    Y_t has the rows of rho after the receiver share and d_t times R's
-    columns.  No d x d matrix is formed.
+    No d x d matrix is formed.
     """
-    rows = r.reshape(decomp.receiver_space.dim, -1)
+    share = r.reshape(decomp.receiver_space.dim, -1, r.shape[1])
     for sl in decomp.block_slices:
-        cols = decomp._receiver_block_basis[:, sl]
-        y = (cols.conj().T @ rows).reshape(cols.shape[1], -1, r.shape[1])
-        yield cols, y.transpose(1, 0, 2).reshape(y.shape[1], -1)
+        rows = decomp.receiver_perm[sl]
+        y = share[rows] * decomp.receiver_units[sl, None, None].conj()
+        yield rows, y.transpose(1, 0, 2).reshape(y.shape[1], -1)
 
 
 def block_overlaps(x: np.ndarray, y: np.ndarray, count: int) -> np.ndarray:

@@ -293,10 +293,10 @@ def _factor_constants(r: np.ndarray, decomp,
     sum_t (P_t / d_t) (x) Y_t Y_t† (:func:`eacode.average_codeword_factors`)
     and Pi_A P_t is P_t or 0, so the top eigenvalue of Pi rho-bar Pi, 1/D,
     is the largest of lambda_max(Pi_B Y_t Y_t† Pi_B) / d_t over the blocks
-    that Pi_A = B_A B_A† keeps, those with |B_A† P_t|^2 = d_t.  The
-    commutator residual is the Frobenius norm of [Pi_AB, rho_n],
-    sqrt(2) |(I - B B†) R R† B|_F, which bounds its max-norm.  No d x d
-    matrix is formed.
+    that Pi_A = B_A B_A† keeps, those where B_A†'s columns at the block's
+    rows have squared norm d_t.  The commutator residual is the Frobenius
+    norm of [Pi_AB, rho_n], sqrt(2) |(I - B B†) R R† B|_F, which bounds its
+    max-norm.  No d x d matrix is formed.
     """
     r_b = projectors.apply("B", r)
     b = projectors.basis("AB")
@@ -312,9 +312,9 @@ def _factor_constants(r: np.ndarray, decomp,
     d = (1.0 / inv_d) if (np.isfinite(inv_d) and inv_d > 0) else np.inf
     b_a = projectors.basis("A").conj().T
     top = max((
-        float(np.linalg.norm(y, 2)) ** 2 / cols.shape[1]
-        for cols, y in eacode.average_codeword_factors(r_b, decomp)
-        if _squared_norm(b_a @ cols) > 0.5
+        float(np.linalg.norm(y, 2)) ** 2 / len(rows)
+        for rows, y in eacode.average_codeword_factors(r_b, decomp)
+        if _squared_norm(b_a[:, rows]) > 0.5
     ), default=0.0)
     D = (1.0 / top) if top > 0 else np.inf
     residual = math.sqrt(2.0) * float(

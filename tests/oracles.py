@@ -18,14 +18,54 @@ def dense_map(index, phase) -> np.ndarray:
     return out
 
 
+def type_sequences(counts):
+    """Yield the sequences of the type with letter counts ``counts`` (a
+    row of :func:`typicality.type_table`) in lexicographic order, one by
+    one: the recursive oracle of the grouped sequence table that
+    :func:`typicality.type_basis` and :func:`typicality.type_permutation`
+    read."""
+    counts = [int(c) for c in counts]
+    n = sum(counts)
+    seq: list[int] = []
+
+    def rec():
+        if len(seq) == n:
+            yield tuple(seq)
+            return
+        for letter, c in enumerate(counts):
+            if c > 0:
+                counts[letter] -= 1
+                seq.append(letter)
+                yield from rec()
+                seq.pop()
+                counts[letter] += 1
+
+    yield from rec()
+
+
+def type_bases(decomp) -> tuple:
+    """The dense d_s^n x d_s^n type bases (S, C) of the sender's and the
+    receiver's share of ``decomp``, formed from its Schmidt bases by
+    :func:`typicality.type_basis`, not from its permutations."""
+    return tuple(typicality.type_basis(decomp.counts, b) for b in
+                 (decomp.sender_schmidt, decomp.receiver_schmidt))
+
+
+def block_projectors(decomp, t_index: int) -> tuple:
+    """The projectors (P_t^sender, P_t^receiver) onto type block t of the
+    two shares, each divided by d_t: the block's twirled state on each."""
+    sl = decomp.block_slices[t_index]
+    return tuple(b[:, sl] @ b[:, sl].conj().T / decomp.block_dims[t_index]
+                 for b in type_bases(decomp))
+
+
 def block_vector(decomp, t_index: int) -> np.ndarray:
     """Unit vector of the maximally entangled type block t of ``decomp`` on
     its ``full_space``: sum_j s_j (x) r_j / sqrt(d_t) over the block's
     sender and receiver basis columns."""
     d = decomp.block_dims[t_index]
     sl = decomp.block_slices[t_index]
-    cols_s = decomp._sender_block_basis[:, sl]
-    cols_r = decomp._receiver_block_basis[:, sl]
+    cols_s, cols_r = (b[:, sl] for b in type_bases(decomp))
     vec = np.zeros(decomp.full_space.dim, dtype=complex)
     for j in range(d):
         vec += np.kron(cols_s[:, j], cols_r[:, j])
@@ -76,8 +116,9 @@ def average_codeword_state(rho: DensityOperator, decomp) -> DensityOperator:
     d_rest = rho.space.dim // d_a
     blocks = rho.matrix.reshape(d_a, d_rest, d_a, d_rest)
     out = np.zeros((rho.space.dim, rho.space.dim), dtype=complex)
+    basis = type_bases(decomp)[1]
     for d, sl in zip(decomp.block_dims, decomp.block_slices):
-        cols = decomp._receiver_block_basis[:, sl]
+        cols = basis[:, sl]
         p_t = cols @ cols.conj().T
         # Tr_A[(P_t (x) I) rho]: contract rho's two receiver indices with P_t
         rest = np.tensordot(blocks, p_t, axes=([0, 2], [1, 0]))

@@ -747,7 +747,8 @@ class TestNoOracleCalls:
     # books are draw arrays with index maps, and types are table rows, on
     # every command path: the benchmark's commands, successive decoding and
     # a sequential run at d_s = 256 build no dense d_s x d_s encoder from
-    # an index row and list no type's sequences one by one
+    # an index row (and src has no lister of a type's sequences one by one:
+    # that oracle is tests/oracles.py's type_sequences)
     @pytest.mark.parametrize("argv", list(REFERENCE_ARGV.values()) + [
         ("simulate-mac", "--channel", "cnot-mac", "--n", "2",
          "--mode", "successive", "--phi", "0.7,0.3"),
@@ -755,16 +756,48 @@ class TestNoOracleCalls:
         ids=" ".join)
     def test_command_calls_no_oracle(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
-            raise AssertionError("a dense encoder or a type's sequence list "
-                                 "was built")
+            raise AssertionError("a dense encoder was built")
 
         for name in ("hw_transpose_unitary", "_block_matrix",
                      "receiver_encoder"):
             monkeypatch.setattr(eacode, name, refuse)
-        monkeypatch.setattr(typicality, "type_sequences", refuse)
         code, out, err = run(capsys, *argv)
         assert code == 0, err
         assert out
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate-seq", "--channel", "amplitude-damping:0.3", "--phi",
+         "0.7,0.3", "--n", "3"),
+        ("simulate-mac", "--channel", "cnot-mac", "--n", "2", "--phi",
+         "0.7,0.3", "--mode", "simultaneous"),
+        ("simulate-mac", "--channel", "cnot-mac", "--n", "2", "--phi",
+         "0.7,0.3", "--mode", "successive")], ids=" ".join)
+    def test_command_forms_no_dense_type_basis(self, capsys, monkeypatch,
+                                               argv):
+        # a decomposition keeps its type bases as permutations with phases:
+        # no command forms the d_s^n x d_s^n basis of a Schmidt basis, which
+        # only the dense oracles do, while the typical projectors still
+        # form theirs from their marginals' eigenvectors
+        schmidt, type_basis, local = eacode.schmidt, typicality.type_basis, []
+
+        def record(*args):
+            out = schmidt(*args)
+            local.extend(out[1:])
+            return out
+
+        def refuse(counts, basis):
+            if any(basis is b for b in local):
+                raise AssertionError("a dense type basis was formed")
+            return type_basis(counts, basis)
+
+        monkeypatch.setattr(eacode, "schmidt", record)
+        monkeypatch.setattr(typicality, "type_basis", refuse)
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert json.loads(out) and local
+        dec = eacode.type_decompose(cli._shared_state("bell", 2, "Ap", "A"), 1)
+        with pytest.raises(AssertionError, match="dense type basis"):
+            eacode.hw_transpose_unitary([(0, 0, 0)] * 2, dec)
 
 
 class TestSimulateMac:
@@ -935,10 +968,12 @@ class TestSimulateMac:
 
     def test_identity_n12_admitted_with_books_as_index_maps(self):
         # on 7.83 GiB of physical memory n = 12 (d_s = 4,096, d = 2^24) is
-        # estimated at about 5.3 GiB and admitted: Pi_A and Pi_B are full
-        # rank and Pi_AB has rank 1, and the 4 entries of each of its two
-        # books hold index maps, under 1 MiB in all, where dense d_s x d_s
-        # encoders took 2 GiB and the run was refused at 8.68 GiB
+        # estimated at about 4.8 GiB and admitted, and its address space
+        # peaks at 4,555 MiB: Pi_A and Pi_B are full rank and Pi_AB has
+        # rank 1, the decomposition holds no dense type basis, and the 4
+        # entries of each of its two books hold index maps, under 1 MiB in
+        # all, where dense d_s x d_s encoders took 2 GiB and the run was
+        # refused at 8.68 GiB
         args = cli.build_parser().parse_args(
             ["simulate-seq", "--channel", "identity:2", "--n", "12",
              "--messages", "4"])
@@ -947,7 +982,7 @@ class TestSimulateMac:
         # R and the bases of Pi_A, Pi_B and Pi_AB, 2^24 entries each
         need = held + 16 * (1 << 24) * 4 + seqdecode.sequential_bytes(
             1 << 24, 1, 4, 1, shapes)
-        assert 5067 << 20 < need < int(7.83 * 2**30)
+        assert 4555 << 20 < need < int(7.83 * 2**30)
         assert 2 * 4 * cli._entry_bytes(2, 12) < 1 << 20
 
     @pytest.mark.parametrize("argv, single", [
@@ -985,7 +1020,7 @@ class TestSimulateMac:
     @pytest.mark.parametrize("mode, code", [("successive", 4),
                                             ("simultaneous", 0)])
     def test_each_decoder_has_its_own_estimate(self, mode, code):
-        # at n = 3, L = M = 4 the successive decoder is estimated at 476.7
+        # at n = 3, L = M = 4 the successive decoder is estimated at 476.6
         # MiB (its address space peaks at 403 MiB) and the simultaneous one
         # at 404.4 MiB; the successive run used to pass its estimate and
         # fail mid-run on an allocation

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from qmac import eacode, qmat, typicality
 from qmac.qmat import FactorSpace, PureState
 
-from oracles import (average_codeword_state, block_state, block_vector,
-                     dense_map)
+from oracles import (average_codeword_state, block_projectors, block_state,
+                     block_vector, dense_map)
 from conftest import (
     bell_state,
     random_kraus_channel,
@@ -98,17 +99,36 @@ class TestTypeDecompose:
         assert np.linalg.norm(rebuilt - dec.phi_n.vector) < 1e-10
 
     def test_reassembly_defect_is_checked(self, monkeypatch):
-        # one perturbed entry of a block basis misses the n-fold state
-        type_basis = typicality.type_basis
+        # one perturbed unit of the receiver's type basis, which is built
+        # first, misses the n-fold state
+        type_permutation, calls = typicality.type_permutation, []
 
         def perturbed(counts, local_basis):
-            b = type_basis(counts, local_basis)
-            b[0, -1] += 1e-6
-            return b
+            rows, units = type_permutation(counts, local_basis)
+            if not calls:
+                units[-1] += 1e-6
+            calls.append(len(rows))
+            return rows, units
 
-        monkeypatch.setattr(typicality, "type_basis", perturbed)
-        with pytest.raises(AssertionError, match="reassembly misses"):
+        monkeypatch.setattr(typicality, "type_permutation", perturbed)
+        with pytest.raises(AssertionError, match="misses the n-fold state by "
+                           "4.000e-07, with 0 nonzero entries outside"):
             eacode.type_decompose(schmidt_state([0.6, 0.4]), 2)
+        assert calls == [4, 4]
+
+    def test_entries_outside_the_blocks_are_checked(self, monkeypatch):
+        # a 1e-13 entry at |01> of a state whose Schmidt data is the
+        # unperturbed state's: every block entry matches, and the n-fold
+        # state's entries outside the blocks are counted
+        clean = schmidt_state([0.6, 0.4])
+        vec = clean.vector.copy()
+        vec[1] = 1e-13
+        phi = PureState(clean.space, vec)
+        data = eacode.schmidt(clean, ("Ap",))
+        monkeypatch.setattr(eacode, "schmidt", lambda *args: data)
+        with pytest.raises(AssertionError, match="misses the n-fold state by "
+                           "0.000e[+]00, with 5 nonzero entries outside"):
+            eacode.type_decompose(phi, 2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("weights", [[0.7, 0.3], [0.5, 0.3, 0.2],
@@ -131,10 +151,44 @@ class TestTypeDecompose:
         assert all(type(d) is int for d in dec.block_dims)
         assert np.array_equal(dec.probs, probs)
         assert np.array_equal(dec.schmidt_probs, coeffs**2)
-        assert np.array_equal(dec._sender_block_basis,
-                              typicality.type_basis(counts, left))
-        assert np.array_equal(dec._receiver_block_basis,
-                              typicality.type_basis(counts, right))
+        for side, local in (("sender", left), ("receiver", right)):
+            # each column of the dense type basis has one nonzero: its row
+            # is the perm's entry and its value the unit, bit for bit
+            b = typicality.type_basis(counts, local)
+            nonzero = b != 0
+            assert (nonzero.sum(axis=0) == 1).all()
+            rows = nonzero.argmax(axis=0)
+            perm, units = (getattr(dec, f"{side}_{f}")
+                           for f in ("perm", "units"))
+            assert np.array_equal(perm, rows)
+            assert np.array_equal(units, b[rows, np.arange(len(rows))])
+            assert not (perm.flags.writeable or units.flags.writeable)
+
+    @pytest.mark.parametrize("side", ["sender", "receiver"])
+    def test_rotated_basis_refused_when_decomposed(self, side):
+        # a Hadamard on one side: its type basis is no permutation, so the
+        # encoders are no index maps, and the state is refused at once
+        h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+        rotate = (np.kron(h, np.eye(2)) if side == "sender"
+                  else np.kron(np.eye(2), h))
+        phi = PureState(FactorSpace(("Ap", "A"), (2, 2)),
+                        rotate @ schmidt_state([0.7, 0.3]).vector)
+        with pytest.raises(ValueError, match=rf"state on \('Ap', 'A'\) has a "
+                           rf"{side} type basis at n = 2 that is not a perm"):
+            eacode.type_decompose(phi, 2)
+
+    def test_holds_the_state_and_its_permutations_alone(self):
+        # at n = 8 the n-fold state takes 1 MiB, and the rest is O(d_s^n)
+        # with d_s^n = 256, where the two dense type bases held 2 MiB more
+        bell = bell_state()
+        eacode.type_decompose(bell, 1)
+        tracemalloc.start()
+        try:
+            dec = eacode.type_decompose(bell, 8)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < dec.phi_n.vector.nbytes + 256 * 2**8 + (64 << 10)
 
     def test_blocks_maximally_entangled(self):
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)
@@ -400,20 +454,6 @@ class TestSampleCode:
                 assert np.array_equal(dense_map(book.index[k], book.phase[k]),
                                       eacode.hw_transpose_unitary(s, dec))
 
-    def test_rotated_receiver_basis_refused_by_a_book(self):
-        # a Hadamard on the receiver's side: C is no permutation, so the
-        # encoders are no index maps, while the dense oracles take the state
-        h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-        phi = PureState(FactorSpace(("Ap", "A"), (2, 2)), np.kron(
-            np.eye(2), h) @ schmidt_state([0.7, 0.3]).vector)
-        dec = eacode.type_decompose(phi, 2)
-        assert dec.receiver_perm is None and dec.receiver_units is None
-        with pytest.raises(ValueError, match=r"state on \('Ap', 'A'\) has a "
-                           r"receiver type basis at n = 2 that is not a perm"):
-            eacode.sample_code(dec, 2, 0)
-        for s in eacode.enumerate_indices(dec):
-            assert eacode.transpose_trick_residual(s, dec) < 1e-10
-
     def test_entries_of_another_decomposition_refused(self):
         # n = 1 and n = 3 give 2 and 4 type blocks, n = 2 three
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)
@@ -515,10 +555,7 @@ class TestExpectedCodeword:
             acc += np.outer(vec, vec.conj())
             count += 1
         acc /= count
-        sl = dec.block_slices[t_index]
-        pi_s = dec._sender_block_basis[:, sl] @ dec._sender_block_basis[:, sl].conj().T / d
-        pi_r = dec._receiver_block_basis[:, sl] @ dec._receiver_block_basis[:, sl].conj().T / d
-        expect = np.kron(pi_s, pi_r)
+        expect = np.kron(*block_projectors(dec, t_index))
         assert np.max(np.abs(acc - expect)) < 1e-10
 
     def test_full_state_average_over_s(self):
@@ -538,13 +575,8 @@ class TestExpectedCodeword:
             count += 1
         acc /= count
         expect = np.zeros_like(acc)
-        for i, (d, p) in enumerate(zip(dec.block_dims, dec.probs)):
-            sl = dec.block_slices[i]
-            pi_s = (dec._sender_block_basis[:, sl]
-                    @ dec._sender_block_basis[:, sl].conj().T) / d
-            pi_r = (dec._receiver_block_basis[:, sl]
-                    @ dec._receiver_block_basis[:, sl].conj().T) / d
-            expect += p * np.kron(pi_s, pi_r)
+        for i, p in enumerate(dec.probs):
+            expect += p * np.kron(*block_projectors(dec, i))
         assert np.max(np.abs(acc - expect)) < 1e-10
 
 
@@ -570,10 +602,11 @@ class TestAverageCodewordState:
         avg = average_codeword_state(rho, dec)
         assert avg.space == rho.space
         assert np.max(np.abs(avg.matrix - acc / count)) < 1e-12
-        # the same blocks on the factor R
+        # the same blocks on the factor R, P_t one on the block's rows
+        share = np.arange(dec.receiver_space.dim)
         factored = sum(
-            np.kron(cols @ cols.conj().T / cols.shape[1], y @ y.conj().T)
-            for cols, y in eacode.average_codeword_factors(
+            np.kron(np.diag(np.isin(share, rows)) / len(rows), y @ y.conj().T)
+            for rows, y in eacode.average_codeword_factors(
                 eacode.channel_output_factor(ch, [dec]), dec))
         assert np.max(np.abs(factored - acc / count)) < 1e-12
 

@@ -10,7 +10,7 @@ import pytest
 from qmac import eacode, info, qmat, seqdecode, simuldecode, typicality
 from qmac.qmat import FactorSpace, PovmSet
 
-from oracles import dense_map, embedded_typical_projectors
+from oracles import block_projectors, dense_map, embedded_typical_projectors
 from conftest import (bell_state, book_of, fully_depolarizing_mac,
                       parallel_qubit_mac, random_mac, schmidt_state)
 
@@ -436,12 +436,8 @@ class TestExpectedCodewordUnderChannel:
             count += 1
         acc /= count
         expect = np.zeros_like(acc)
-        for i, (d, p) in enumerate(zip(d2.block_dims, d2.probs)):
-            sl = d2.block_slices[i]
-            pi_b = (d2._receiver_block_basis[:, sl]
-                    @ d2._receiver_block_basis[:, sl].conj().T) / d
-            pi_bp = (d2._sender_block_basis[:, sl]
-                     @ d2._sender_block_basis[:, sl].conj().T) / d
+        for i, p in enumerate(d2.probs):
+            pi_bp, pi_b = block_projectors(d2, i)
             inp = qmat.tensor(
                 phi.density(),
                 qmat.DensityOperator(FactorSpace(("Bp",), (2,)), pi_bp),
