@@ -207,11 +207,11 @@ def _check_memory(channel, args, k: int) -> int:
     :func:`seqdecode.successive_bytes`, :func:`simuldecode.gram_bytes`).
 
     From the channel's dimensions, its Kraus count K, n and k alone:
-    ``_BASE_BYTES``; each sender's n-fold shared state, d_share^2n complex
-    entries (its type bases are O(d_share^n) permutations); and two books
-    per sender (the next trial's and the last), each ``_BOOK_BYTES`` of its
-    own objects and, per entry, an index and a phase row and a row of its
-    draws (:func:`_entry_bytes`).  With these it counts the least that
+    ``_BASE_BYTES``, which covers the decompositions too (O(d_share^n)
+    permutations; no n-fold state is formed); and two books per sender (the
+    next trial's and the last), each ``_BOOK_BYTES`` of its own objects
+    and, per entry, an index and a phase row and a row of its draws
+    (:func:`_entry_bytes`).  With these it counts the least that
     every decoder holds, R (d x c, c <= K^n columns), one codeword stack V
     (d x kc) and the (k + 1) x k table of its weights, and refuses the run
     with ``MemoryError`` before the shared states are decomposed when that
@@ -221,7 +221,7 @@ def _check_memory(channel, args, k: int) -> int:
     single = math.prod(shares) * channel.out_space.dim
     d, c = single**n, min(single, len(channel.kraus))**n
     books = (args.L, args.M) if channel.is_mac else (k,)
-    held = _BASE_BYTES + 16 * sum(s**(2 * n) for s in shares) + 2 * sum(
+    held = _BASE_BYTES + 2 * sum(
         b * _entry_bytes(s, n) + _BOOK_BYTES for b, s in zip(books, shares))
     qmat.require_bytes(held + 16 * d * c * (k + 1) + 8 * k * (k + 1))
     return held

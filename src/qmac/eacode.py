@@ -103,10 +103,6 @@ class TypeDecomposition:
         Block weights p(t) = p(representative) * d_t; sums to 1.
     sender_space, receiver_space : FactorSpace
         n-fold one-sided spaces (labels like Ap1..Apn / A1..An).
-    full_space : FactorSpace
-        Side-major n-fold space: sender labels then receiver labels.
-    phi_n : PureState
-        The n-fold state on ``full_space``.
     sender_perm, sender_units, receiver_perm, receiver_units : ndarray
         Column a of a side's type basis holds units[a] in row perm[a]
         (:func:`typicality.type_permutation`), read-only; the dense oracles
@@ -118,11 +114,12 @@ class TypeDecomposition:
             raise ValueError("type decomposition needs a two-factor pure state")
         sender, receiver = phi.space.labels
         coeffs, left, right = schmidt(phi, (sender,))
+        for basis in (left, right):  # the SVD's residuals of exact zeros
+            basis[qmat.rounding_residuals(np.abs(basis), len(basis))] = 0.0
         d = len(coeffs)
         self.phi = phi
         self.n = int(n)
-        self.sender_label = sender
-        self.receiver_label = receiver
+        self.sender_label, self.receiver_label = sender, receiver
         self.schmidt_probs = coeffs**2
         self.sender_schmidt, self.receiver_schmidt = left, right
         # the types' counts and dims from one table (typicality.type_table)
@@ -134,18 +131,9 @@ class TypeDecomposition:
                 for row, dim in zip(self.counts.tolist(), self.block_dims)
             ]
         )
-        self.sender_space = FactorSpace(
-            tuple(f"{sender}{i}" for i in range(1, n + 1)),
-            (phi.space.dim_of(sender),) * n,
-        )
-        self.receiver_space = FactorSpace(
-            tuple(f"{receiver}{i}" for i in range(1, n + 1)),
-            (phi.space.dim_of(receiver),) * n,
-        )
-        self.full_space = FactorSpace(
-            self.sender_space.labels + self.receiver_space.labels,
-            self.sender_space.dims + self.receiver_space.dims,
-        )
+        self.sender_space, self.receiver_space = (
+            qmat.power_space(phi.space.subspace((l,)), self.n) for l in
+            (sender, receiver))
         for side, basis in (("receiver", right), ("sender", left)):
             try:
                 maps = typicality.type_permutation(self.counts, basis)
@@ -157,25 +145,21 @@ class TypeDecomposition:
             for name, a in zip(("perm", "units"), maps):
                 a.setflags(write=False)
                 setattr(self, f"{side}_{name}", a)
-        vec = phi.vector
-        for _ in range(n - 1):
-            vec = np.kron(vec, phi.vector)
-        copy_major = qmat.power_space(phi.space, n)
-        self.phi_n = qmat.permute(
-            PureState(copy_major, vec), self.full_space.labels
-        )
         starts = itertools.accumulate(self.block_dims, initial=0)
         self.block_slices = [
             slice(start, start + d) for start, d in zip(starts, self.block_dims)
         ]
         # sum_t sqrt(p_t) |block t> = sum_a w_a s_a (x) r_a, w_a = sqrt(p_t /
-        # d_t): w_a u_s[a] u_r[a] at (perm_s[a], perm_r[a]), zero elsewhere
+        # d_t): w_a u_s[a] u_r[a] at (perm_s[a], perm_r[a]), zero elsewhere;
+        # phi^(x)n holds prod_i phi[rows_s(z_i), rows_r(z_i)] there
         w = np.repeat(np.sqrt(self.probs / self.block_dims), self.block_dims)
-        state = self.phi_n.vector.reshape(self.sender_space.dim, -1)
-        found = state[self.sender_perm, self.receiver_perm]
+        state = phi.vector.reshape(len(left), -1)
+        rows_s, rows_r = ((b != 0).argmax(axis=0) for b in (left, right))
+        found = typicality.type_basis(self.counts,
+                                      state[None, rows_s, rows_r])[0]
         defect = float(np.linalg.norm(
             found - w * self.sender_units * self.receiver_units))
-        outside = np.count_nonzero(state) - np.count_nonzero(found)
+        outside = np.count_nonzero(state)**self.n - np.count_nonzero(found)
         if defect > REASSEMBLY_TOL or outside:
             raise AssertionError(
                 f"type-block reassembly misses the n-fold state by "
@@ -260,11 +244,12 @@ def transpose_trick_residual(s, decomp: TypeDecomposition) -> float:
     Zero for every index vector: the encoder ricochets off the type-block
     entanglement onto the receiver side.
     """
-    u_s = qmat.Operator(decomp.sender_space, hw_unitary(s, decomp))
-    vec = decomp.phi_n.vector
-    lhs = qmat.apply_local(u_s, vec, decomp.full_space)
-    rhs = qmat.apply_local(receiver_encoder(decomp, s), vec, decomp.full_space)
-    return float(np.linalg.norm(lhs - rhs))
+    # phi^(x)n as a sender x receiver matrix, column by receiver sequence
+    phi = decomp.phi.vector.reshape(decomp.sender_space.dims[0], -1)
+    seqs = np.indices(phi.shape[1:] * decomp.n).reshape(decomp.n, -1).T
+    state = qmat.column_power(phi, seqs)
+    lhs = hw_unitary(s, decomp) @ state
+    return float(np.linalg.norm(lhs - state @ hw_transpose_unitary(s, decomp).T))
 
 
 def index_set_size(decomp: TypeDecomposition) -> int:
@@ -390,12 +375,10 @@ def channel_output_space(channel: KrausChannel, decomps) -> FactorSpace:
         raise ValueError("every sender must share the same block length")
     # in (B..., A..., C...) every name the decoders read is a contiguous
     # run: A, B, C, AB, AC and ABC, so each projector is one stacked product
-    shares = [d.receiver_space for d in reversed(decomps)]
-    out = qmat.power_space(channel.out_space, n)
-    return FactorSpace(
-        tuple(l for sp in shares for l in sp.labels) + out.labels,
-        tuple(d for sp in shares for d in sp.dims) + out.dims,
-    )
+    sides = [d.receiver_space for d in reversed(decomps)] + [
+        qmat.power_space(channel.out_space, n)]
+    return FactorSpace(sum((sp.labels for sp in sides), ()),
+                       sum((sp.dims for sp in sides), ()))
 
 
 def channel_output_factor(channel: KrausChannel, decomps) -> np.ndarray:
@@ -404,15 +387,20 @@ def channel_output_factor(channel: KrausChannel, decomps) -> np.ndarray:
     The rows follow :func:`channel_output_space`; the columns index the
     environment of the n channel uses, so each column of R, after the
     receiver encoders act on it, is one branch of the purified output.
+    The channel is used once, on the single-copy states, and R = r^(x)n,
+    every sequence of r's columns in lexicographic order, is filled in
+    place (:func:`qmat.column_power`).
     """
     space = channel_output_space(channel, decomps)
-    uses = [
-        (tuple(f"{d.sender_label}{i}" for d in decomps),
-         tuple(f"{l}{i}" for l in channel.out_space.labels))
-        for i in range(1, decomps[0].n + 1)
-    ]
-    state = qmat.tensor(*(d.phi_n for d in decomps))
-    return qmat.output_factor(channel, state, uses, space.labels)
+    state = qmat.tensor(*(d.phi for d in decomps))
+    outs = channel.out_space
+    shares = state.space.subspace(d.receiver_label for d in reversed(decomps))
+    single = FactorSpace(shares.labels + outs.labels, shares.dims + outs.dims)
+    r = qmat.output_factor(
+        channel, state, (tuple(d.sender_label for d in decomps), outs.labels),
+        single.labels)
+    seqs = list(itertools.product(range(r.shape[1]), repeat=decomps[0].n))
+    return qmat.column_power(r, seqs, single, space.labels)
 
 
 def channel_output_state(channel: KrausChannel, decomps) -> DensityOperator:

@@ -197,7 +197,7 @@ def ea_code_state(channel: KrausChannel, states) -> DensityOperator:
     space = FactorSpace(receivers + outs, joint.space.subspace(receivers).dims
                         + channel.out_space.dims)
     qmat.require_dense(space)
-    r = qmat.output_factor(channel, joint, [(senders, outs)], space.labels)
+    r = qmat.output_factor(channel, joint, (senders, outs), space.labels)
     return DensityOperator(space, r @ r.conj().T)
 
 

@@ -32,10 +32,10 @@ __all__ = [
     "require_bytes",
     "frozen_copy",
     "power_space",
+    "column_power",
     "identity",
     "tensor",
     "permute",
-    "permute_rows",
     "embed",
     "local_shape",
     "apply_local",
@@ -99,7 +99,10 @@ def require_bytes(need: int) -> int:
 
 
 def frozen_copy(a: np.ndarray) -> np.ndarray:
-    """A read-only complex copy of ``a``."""
+    """``a`` if it is a read-only complex array of its own, else such a copy."""
+    if (isinstance(a, np.ndarray) and a.dtype == complex
+            and a.flags.owndata and not a.flags.writeable):
+        return a
     out = np.array(a, dtype=complex)
     out.setflags(write=False)
     return out
@@ -156,13 +159,38 @@ class FactorSpace:
 
 def power_space(space: FactorSpace, n: int) -> FactorSpace:
     """n-fold copy of a space, copy-major: labels X -> X1, X2, ..., Xn."""
-    labels = []
-    dims = []
-    for i in range(1, n + 1):
-        for l, d in zip(space.labels, space.dims):
-            labels.append(f"{l}{i}")
-            dims.append(d)
-    return FactorSpace(labels, dims)
+    return FactorSpace([f"{l}{i}" for i in range(1, n + 1)
+                        for l in space.labels], space.dims * n)
+
+
+def column_power(m, seqs, single: FactorSpace | None = None, labels=None
+                 ) -> np.ndarray:
+    """Columns m[:, seqs[a, 0]] (x) ... (x) m[:, seqs[a, n-1]] for the
+    (N, n) integer ``seqs``, with m's rows on ``single`` (one factor when
+    omitted) and the result's on its n copies in the order ``labels``
+    (copy-major when omitted).  Copy by copy, the product so far times the
+    next copy's columns is written into a view of a new array with an axis
+    per factor in ``labels``' order: no row moves, equal bits in any order.
+    """
+    m, seqs = np.asarray(m, dtype=complex), np.asarray(seqs)
+    single = single or FactorSpace(("X",), (len(m),))
+    n, k, dims, cols = seqs.shape[1], len(single.dims), single.dims, len(seqs)
+    order = (list(range(n * k)) if labels is None
+             else _permutation(power_space(single, n), labels))
+    out = np.ones((1, cols), dtype=complex)
+    for i in range(n):  # out holds the product of the first i copies
+        axes = [f for f in order if f < (i + 1) * k]
+
+        def view(a, lo, hi):  # 1 on the axes of factors outside [lo, hi)
+            return a.reshape([dims[f % k] if lo <= f < hi else 1
+                              for f in axes] + [cols])
+
+        last = [f - i * k for f in axes if f >= i * k]
+        tail = m[:, seqs[:, i]].reshape(dims + (cols,)).transpose(last + [k])
+        held, out = out, np.empty((len(out) * single.dim, cols), complex)
+        np.multiply(view(held, 0, i * k), view(tail, i * k, (i + 1) * k),
+                    out=view(out, 0, (i + 1) * k))
+    return out
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -310,16 +338,6 @@ def permute(op, new_labels: Sequence[str]):
     if isinstance(op, DensityOperator):
         return DensityOperator(space, mat)
     return Operator(space, mat)
-
-
-def permute_rows(r: np.ndarray, space: FactorSpace, labels) -> np.ndarray:
-    """The rows of ``r`` (on ``space``) reordered to the factor order ``labels``.
-
-    The row counterpart of :func:`permute`, for a stack of column vectors.
-    """
-    perm = _permutation(space, labels)
-    t = r.reshape(space.dims + (r.shape[-1],)).transpose(perm + [len(perm)])
-    return t.reshape(space.dim, r.shape[-1])
 
 
 def embed(op: Operator, target: FactorSpace) -> Operator:
@@ -572,16 +590,16 @@ def apply_channel(ch: KrausChannel, state, acting_on=None, out_labels=None):
     return Operator(new_space, acc)
 
 
-def output_factor(ch: KrausChannel, state: PureState, uses, labels) -> np.ndarray:
-    """R with R R† the output of ``state`` after the channel ``uses``.
+def output_factor(ch: KrausChannel, state: PureState, use, labels) -> np.ndarray:
+    """R with R R† the output of ``state`` after one use of the channel.
 
-    Each use ``(acting_on, out_labels)`` sends the named factors through the
+    The use ``(acting_on, out_labels)`` sends the named factors through the
     channel, as in :func:`apply_channel`, but contracts the Kraus matrices
     with those factors only; the Kraus index joins R's columns, so the
     environment is never a factor of the space.  R's rows follow ``labels``.
     R is never wider than tall: more than d_in d_out Kraus matrices are
-    reduced to d_in d_out by a QR of the stacked matrices, and a use that
-    leaves R wider than tall is followed by a QR of R†.
+    reduced to d_in d_out by a QR of the stacked matrices, and an R wider
+    than tall by a QR of R†; R^(x)n is :func:`column_power`'s.
     """
     d_in, d_out = ch.in_space.dim, ch.out_space.dim
     kraus = np.stack(ch.kraus).reshape(len(ch.kraus), d_out * d_in)
@@ -589,18 +607,15 @@ def output_factor(ch: KrausChannel, state: PureState, uses, labels) -> np.ndarra
         # rows of S with S^T S* = K^T K*: the same sum K_i X K_i†
         kraus = np.linalg.qr(kraus, mode="r")
     kraus = kraus.reshape(-1, d_in)  # rows (Kraus index, output)
-    space = state.space
-    r = state.vector.reshape(-1, 1)
-    for acting_on, out_labels in uses:
-        acting_on, rest, new_space = _channel_use(ch, space, acting_on, out_labels)
-        moved = permute_rows(r, space, acting_on + rest).reshape(d_in, -1)
-        # rows (Kraus, out, rest), columns c -> rows (out, rest), columns (c, Kraus)
-        r = (kraus @ moved).reshape(-1, new_space.dim, r.shape[1]).transpose(1, 2, 0)
-        r = r.reshape(new_space.dim, -1)
-        if r.shape[1] > r.shape[0]:
-            r = np.linalg.qr(r.conj().T, mode="r").conj().T
-        space = new_space
-    return permute_rows(r, space, labels)
+    acting_on, rest, space = _channel_use(ch, state.space, *use)
+    moved = permute(state, acting_on + rest).vector.reshape(d_in, -1)
+    # rows (Kraus, out, rest) -> rows (out, rest), columns Kraus
+    r = (kraus @ moved).reshape(-1, space.dim).T
+    if r.shape[1] > r.shape[0]:
+        r = np.linalg.qr(r.conj().T, mode="r").conj().T
+    perm = _permutation(space, labels)
+    r = r.reshape(space.dims + (-1,)).transpose(perm + [len(perm)])
+    return r.reshape(space.dim, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -103,17 +103,10 @@ def type_basis(counts, local_basis: np.ndarray) -> np.ndarray:
     types (:func:`type_table`); trailing letters that no type uses may be
     left out of the rows.  Columns run type by type and lexicographically
     within each type, so each type owns a contiguous run of d_t columns;
-    ``local_basis`` holds the single-copy basis as columns.
+    ``local_basis`` holds the single-copy basis as columns
+    (:func:`qmat.column_power`).
     """
-    local_basis = np.asarray(local_basis, dtype=complex)
-    seqs = _sequences(counts)
-    cols = local_basis[:, seqs[:, 0]]
-    for letters in seqs.T[1:]:
-        # column-wise Kronecker product with the next letter's basis vector
-        cols = (cols[:, None, :] * local_basis[:, letters][None]).reshape(
-            -1, len(seqs)
-        )
-    return cols
+    return qmat.column_power(local_basis, _sequences(counts))
 
 
 def type_permutation(counts, local_basis: np.ndarray) -> tuple:
@@ -124,12 +117,10 @@ def type_permutation(counts, local_basis: np.ndarray) -> tuple:
     nz = (local_basis != 0).astype(int)
     if nz.shape != nz.shape[::-1] or (nz.T @ nz != np.eye(len(nz))).any():
         raise ValueError("the local basis is not a permutation with phases")
-    perm, local = nz.argmax(0), local_basis.T[nz.T == 1].astype(complex)
+    perm, local = nz.argmax(0), local_basis.T[nz.T == 1]
     seqs = _sequences(counts)
-    rows, units = perm[seqs[:, 0]], local[seqs[:, 0]]
-    for letters in seqs.T[1:]:
-        rows, units = rows * len(perm) + perm[letters], units * local[letters]
-    return rows, units
+    rows = np.ravel_multi_index(tuple(perm[seqs].T), (len(perm),) * len(seqs.T))
+    return rows, qmat.column_power(local[None], seqs)[0]
 
 
 def type_class_projector(counts, local_basis: np.ndarray | None = None
@@ -163,7 +154,7 @@ class TypicalProjector:
     Attributes
     ----------
     space : FactorSpace
-        The n-fold space (copy-major labels ``X1, Y1, X2, Y2, ...``).
+        The n-fold space, labels ``X1, Y1, X2, ...`` (or ``within``'s order).
     basis : ndarray
         Orthonormal columns B spanning the projector's range, one per
         retained product eigenvector (``space.dim`` x rank).
@@ -197,7 +188,7 @@ class TypicalProjector:
         return self.basis.shape[1]
 
 
-def typical_projector(rho: qmat.Operator, n: int, delta: float
+def typical_projector(rho: qmat.Operator, n: int, delta: float, within=None
                       ) -> TypicalProjector:
     """Entropy-typical projector of rho^(x)n.
 
@@ -206,7 +197,9 @@ def typical_projector(rho: qmat.Operator, n: int, delta: float
     eigenvalue are never retained.  By construction every retained
     eigenvalue obeys the equipartition sandwich
     2^{-n(H+delta)} <= lam <= 2^{-n(H-delta)}.  The basis B is the
-    :func:`type_basis` of the retained types in the eigenbasis.
+    :func:`type_basis` of the retained types in the eigenbasis, built in
+    place with its rows on the n copies of ``rho``'s factors in the order
+    they take in the space ``within``, if given (:func:`qmat.column_power`).
     Eigenvalues at most dim * machine epsilon * lambda_max are rounding
     residuals of zero (:func:`qmat.rounding_residuals`), and count as zero.
     The eigenvalues descend, so the zeros are a suffix: only the types over
@@ -227,21 +220,25 @@ def typical_projector(rho: qmat.Operator, n: int, delta: float
     vals[qmat.rounding_residuals(vals, len(vals))] = 0.0
     entropy = float(-sum(v * math.log2(v) for v in vals if v > 0))
     space = qmat.power_space(rho.space, n)
+    if within is not None:
+        space = within.subspace(l for l in within.labels if l in space.labels)
     support = int(np.count_nonzero(vals))
     counts, dims = type_table(n, support)
     log_lam = np.zeros(len(counts))
     for letter, log_val in enumerate(map(math.log2, vals[:support])):
         log_lam += counts[:, letter] * log_val
     typical = np.flatnonzero(np.abs(-log_lam / n - entropy) <= delta + 1e-12)
-    if not typical.size:
-        return TypicalProjector(space, np.zeros((space.dim, 0), dtype=complex),
-                                entropy, 0.0, float("nan"), float("nan"))
     lams = [2.0**x for x in log_lam[typical].tolist()]
     weight = 0.0
     for i, lam in zip(typical.tolist(), lams):
         weight += dims[i] * lam
-    return TypicalProjector(space, type_basis(counts[typical], vecs),
-                            entropy, weight, max(lams), min(lams))
+    seqs = (_sequences(counts[typical]) if typical.size
+            else np.empty((0, n), np.intp))
+    basis = qmat.column_power(vecs, seqs, rho.space, space.labels)
+    basis.setflags(write=False)  # kept as it is (qmat.frozen_copy)
+    return TypicalProjector(space, basis, entropy, weight,
+                            max(lams, default=math.nan),
+                            min(lams, default=math.nan))
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -306,8 +303,7 @@ class ProjectorBundle:
         if name not in self._dense:
             labels, b = self.bases[name]
             op = qmat.Operator(self.space.subspace(labels), b @ b.conj().T)
-            self._dense[name] = qmat.frozen_copy(
-                qmat.embed(op, self.space).matrix)
+            self._dense[name] = qmat.embed(op, self.space).matrix
         return self._dense[name]
 
     def apply(self, name: str, mat: np.ndarray) -> np.ndarray:
@@ -356,10 +352,11 @@ def projector_bundle(rho: qmat.DensityOperator, n: int, delta: float,
 
     ``rho`` is a single-copy state and ``marginals`` maps a name to the
     labels of ``rho`` that the marginal keeps (label X covers X1..Xn of
-    ``space``).  Each projector is kept as its type basis, its rows moved
-    to the factor order of ``space``, so no d x d matrix is formed.  An
-    empty projector is not an error here.  Each marginal is traced out as
-    a plain operator and checked to be a state once, by
+    ``space``).  Each projector is kept as its type basis, built once by
+    :func:`typical_projector` with its rows in the factor order of
+    ``space`` and not copied, so no d x d matrix is formed and no row
+    moves.  An empty projector is not an error here.  Each marginal is
+    traced out as a plain operator and checked to be a state once, by
     :func:`typical_projector` on the spectrum it decomposes; a marginal
     that fails raises ``ValueError`` naming it.
     """
@@ -367,11 +364,11 @@ def projector_bundle(rho: qmat.DensityOperator, n: int, delta: float,
     bases = {}
     for name, keep in marginals.items():
         try:
-            tp = typical_projector(qmat.partial_trace(op, keep), n, delta)
+            tp = typical_projector(qmat.partial_trace(op, keep), n, delta,
+                                   space)
         except ValueError as e:
             raise ValueError(f"marginal {name!r}: {e}") from None
-        labels = [l for l in space.labels if l in tp.space.labels]
-        bases[name] = (labels, qmat.permute_rows(tp.basis, tp.space, labels))
+        bases[name] = (tp.space.labels, tp.basis)
     return ProjectorBundle(space, bases)
 
 

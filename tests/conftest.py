@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from qmac import eacode
+from qmac import eacode, qmat
 from qmac.qmat import FactorSpace, KrausChannel, PureState
 
 
@@ -101,6 +101,38 @@ def fully_depolarizing_mac(out=4):
         FactorSpace(("Ap", "Bp"), (2, 2)), FactorSpace(("C",), (out,)),
         kraus, name="depolarizing-mac",
     )
+
+
+def two_output_mac():
+    """A JSON channel from two qubits with two output labels, C1 and C2
+    (``out_dims`` [2, 2]): a random isometry split into two Kraus
+    matrices."""
+    big = random_unitary(np.random.default_rng(43), 8)[:, :4]
+    kraus = [[[float(e.real), float(e.imag)] for e in big[i:i + 4].ravel()]
+             for i in (0, 4)]
+    return qmat.channel_from_json(
+        {"in_dims": [2, 2], "out_dims": [2, 2], "kraus": kraus})
+
+
+# the channels whose n-copy products (R and the typical bases) are checked
+# against the n-use and copy-major oracles of tests/oracles.py
+PRODUCT_CHANNELS = {
+    "cnot-mac": lambda: qmat.named_channel("cnot-mac"),
+    "adder-mac": lambda: qmat.named_channel("adder-mac"),
+    "amplitude-damping": lambda: qmat.named_channel("amplitude-damping:0.3"),
+    "depolarizing": lambda: qmat.named_channel("depolarizing:0.2"),
+    "identity:2": lambda: qmat.named_channel("identity:2"),
+    "json C1 C2": two_output_mac,
+}
+
+
+def shared_decomps(channel, weights, n):
+    """One decomposition per sender of ``channel`` at block length n: Bell
+    states, or the skewed weights (0.7, 0.3) and (0.6, 0.4)."""
+    skewed = ([0.7, 0.3], [0.6, 0.4])
+    return [eacode.type_decompose(
+        bell_state(s, r) if weights == "bell" else schmidt_state(w, s, r), n)
+        for s, r, w in zip(channel.in_space.labels, ("A", "B"), skewed)]
 
 
 def packing_instances(max_instances=None):

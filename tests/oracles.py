@@ -5,8 +5,105 @@ import math
 
 import numpy as np
 
-from qmac import qmat, typicality
-from qmac.qmat import DensityOperator, PureState
+from qmac import eacode, qmat, typicality
+from qmac.qmat import DensityOperator, FactorSpace, PureState
+
+
+def full_space(decomp) -> FactorSpace:
+    """The side-major n-fold space of ``decomp``: sender labels, then
+    receiver labels."""
+    sides = (decomp.sender_space, decomp.receiver_space)
+    return FactorSpace(sides[0].labels + sides[1].labels,
+                       sides[0].dims + sides[1].dims)
+
+
+def permute_rows(r: np.ndarray, space: FactorSpace, labels) -> np.ndarray:
+    """The rows of ``r`` (on ``space``) moved to the factor order
+    ``labels``: the oracle of the row orders that
+    :func:`qmat.column_power` writes in place."""
+    perm = [space.axis(l) for l in labels]
+    t = r.reshape(space.dims + (r.shape[-1],)).transpose(perm + [len(perm)])
+    return t.reshape(space.dim, r.shape[-1])
+
+
+def phi_power(decomp) -> PureState:
+    """phi^(x)n on :func:`full_space`, by n - 1 ``np.kron`` calls and a
+    :func:`qmat.permute` from the copy-major order: the oracle of the
+    n-fold products that :func:`qmat.column_power` fills in place."""
+    vec = decomp.phi.vector
+    for _ in range(decomp.n - 1):
+        vec = np.kron(vec, decomp.phi.vector)
+    copy_major = qmat.power_space(decomp.phi.space, decomp.n)
+    return qmat.permute(PureState(copy_major, vec), full_space(decomp).labels)
+
+
+def output_factor_uses(ch, state, uses, labels) -> np.ndarray:
+    """R with R R† the output of ``state`` after the channel ``uses``, one
+    contraction of the Kraus matrices per use ``(acting_on, out_labels)``
+    on the whole state, with a QR of R† whenever R is wider than tall: the
+    n-use oracle of :func:`qmat.output_factor` and
+    :func:`eacode.channel_output_factor`.  R's rows follow ``labels``."""
+    d_in = ch.in_space.dim
+    kraus = np.stack(ch.kraus).reshape(len(ch.kraus), -1)
+    if len(kraus) > kraus.shape[1]:
+        kraus = np.linalg.qr(kraus, mode="r")
+    kraus = kraus.reshape(-1, d_in)
+    space, r = state.space, state.vector.reshape(-1, 1)
+    for acting_on, out_labels in uses:
+        acting_on, rest, new_space = qmat._channel_use(ch, space, acting_on,
+                                                       out_labels)
+        moved = permute_rows(r, space, acting_on + rest).reshape(d_in, -1)
+        r = (kraus @ moved).reshape(-1, new_space.dim, r.shape[1]).transpose(
+            1, 2, 0).reshape(new_space.dim, -1)
+        if r.shape[1] > r.shape[0]:
+            r = np.linalg.qr(r.conj().T, mode="r").conj().T
+        space = new_space
+    return permute_rows(r, space, labels)
+
+
+def channel_output_factor_by_uses(channel, decomps) -> np.ndarray:
+    """:func:`eacode.channel_output_factor` as n channel uses on the tensor
+    of the senders' :func:`phi_power` states."""
+    uses = [(tuple(f"{d.sender_label}{i}" for d in decomps),
+             tuple(f"{l}{i}" for l in channel.out_space.labels))
+            for i in range(1, decomps[0].n + 1)]
+    state = qmat.tensor(*(phi_power(d) for d in decomps))
+    return output_factor_uses(channel, state, uses, eacode.channel_output_space(
+        channel, decomps).labels)
+
+
+def gram_defect(r: np.ndarray, s: np.ndarray, rows: int = 512) -> float:
+    """max |R R† - S S†| over the entries, formed ``rows`` rows at a time,
+    so no d x d matrix is held."""
+    return max(float(np.max(np.abs(r[i:i + rows] @ r.conj().T
+                                   - s[i:i + rows] @ s.conj().T)))
+               for i in range(0, len(r), rows))
+
+
+def kron_columns(local_basis, seqs) -> np.ndarray:
+    """Column a = local[:, seqs[a, 0]] (x) ... (x) local[:, seqs[a, n-1]],
+    copy-major, by chained column-wise Kronecker products: the oracle of
+    :func:`qmat.column_power`."""
+    local_basis = np.asarray(local_basis, dtype=complex)
+    cols = local_basis[:, seqs[:, 0]]
+    for letters in seqs.T[1:]:
+        cols = (cols[:, None, :] * local_basis[:, letters][None]).reshape(
+            -1, len(seqs))
+    return cols
+
+
+def bundle_bases(rho, n: int, delta: float, marginals: dict,
+                 space: FactorSpace) -> dict:
+    """name -> (labels, B) of :func:`typicality.projector_bundle`, each B
+    the copy-major basis of :func:`typicality.typical_projector` with its
+    rows then moved to ``space``'s order (:func:`permute_rows`)."""
+    out = {}
+    for name, keep in marginals.items():
+        tp = typicality.typical_projector(qmat.partial_trace(rho, keep), n,
+                                          delta)
+        labels = tuple(l for l in space.labels if l in tp.space.labels)
+        out[name] = (labels, permute_rows(tp.basis, tp.space, labels))
+    return out
 
 
 def dense_map(index, phase) -> np.ndarray:
@@ -61,19 +158,19 @@ def block_projectors(decomp, t_index: int) -> tuple:
 
 def block_vector(decomp, t_index: int) -> np.ndarray:
     """Unit vector of the maximally entangled type block t of ``decomp`` on
-    its ``full_space``: sum_j s_j (x) r_j / sqrt(d_t) over the block's
+    its :func:`full_space`: sum_j s_j (x) r_j / sqrt(d_t) over the block's
     sender and receiver basis columns."""
     d = decomp.block_dims[t_index]
     sl = decomp.block_slices[t_index]
     cols_s, cols_r = (b[:, sl] for b in type_bases(decomp))
-    vec = np.zeros(decomp.full_space.dim, dtype=complex)
+    vec = np.zeros(full_space(decomp).dim, dtype=complex)
     for j in range(d):
         vec += np.kron(cols_s[:, j], cols_r[:, j])
     return vec / math.sqrt(d)
 
 
 def block_state(decomp, t_index: int) -> PureState:
-    return PureState(decomp.full_space, block_vector(decomp, t_index))
+    return PureState(full_space(decomp), block_vector(decomp, t_index))
 
 
 def embedded_typical_projectors(rho: qmat.DensityOperator, n: int,

@@ -11,12 +11,15 @@ from qmac import eacode, qmat, typicality
 from qmac.qmat import FactorSpace, PureState
 
 from oracles import (average_codeword_state, block_projectors, block_state,
-                     block_vector, dense_map)
+                     block_vector, channel_output_factor_by_uses, dense_map,
+                     full_space, gram_defect, phi_power)
 from conftest import (
+    PRODUCT_CHANNELS,
     bell_state,
     random_kraus_channel,
     random_unitary,
     schmidt_state,
+    shared_decomps,
 )
 
 
@@ -96,7 +99,7 @@ class TestTypeDecompose:
             math.sqrt(p) * block_vector(dec, i)
             for i, p in enumerate(dec.probs)
         )
-        assert np.linalg.norm(rebuilt - dec.phi_n.vector) < 1e-10
+        assert np.linalg.norm(rebuilt - phi_power(dec).vector) < 1e-10
 
     def test_reassembly_defect_is_checked(self, monkeypatch):
         # one perturbed unit of the receiver's type basis, which is built
@@ -188,7 +191,36 @@ class TestTypeDecompose:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert held < dec.phi_n.vector.nbytes + 256 * 2**8 + (64 << 10)
+        assert held < phi_power(dec).vector.nbytes + 256 * 2**8 + (64 << 10)
+
+    def test_traces_no_n_fold_state(self):
+        # at n = 10 phi^(x)n takes 16 MiB, and building it by np.kron and a
+        # permute traced 64 MiB; the reassembly check reads phi's entries
+        bell = bell_state()
+        eacode.type_decompose(bell, 1)
+        tracemalloc.start()
+        try:
+            dec = eacode.type_decompose(bell, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert not hasattr(dec, "phi_n")
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("phased", ["01", "10"])
+    def test_phase_on_either_schmidt_term_is_accepted(self, phased, n):
+        # sqrt(0.7)|01> + sqrt(0.3)|10> with e^{0.9i} on one term: the
+        # SVD leaves ~1e-16 entries where the Schmidt bases, permutations
+        # with phases, have zeros, and those residuals are set to zero
+        vec = np.zeros(4, dtype=complex)
+        vec[1], vec[2] = math.sqrt(0.7), math.sqrt(0.3)
+        vec[int(phased, 2)] *= np.exp(0.9j)
+        dec = eacode.type_decompose(
+            PureState(FactorSpace(("Ap", "A"), (2, 2)), vec), n)
+        rebuilt = sum(math.sqrt(p) * block_vector(dec, i)
+                      for i, p in enumerate(dec.probs))
+        assert np.linalg.norm(rebuilt - phi_power(dec).vector) < 1e-10
 
     def test_blocks_maximally_entangled(self):
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)
@@ -549,7 +581,7 @@ class TestExpectedCodeword:
             u = qmat.embed(
                 qmat.Operator(dec.receiver_space,
                               eacode.hw_transpose_unitary(triples, dec)),
-                dec.full_space,
+                full_space(dec),
             ).matrix
             vec = u @ block.vector
             acc += np.outer(vec, vec.conj())
@@ -561,16 +593,16 @@ class TestExpectedCodeword:
     def test_full_state_average_over_s(self):
         # exhaustive average over S at n = 2 reproduces sum_t p(t) pi_t (x) pi_t
         dec = eacode.type_decompose(schmidt_state([0.7, 0.3]), 2)
-        full_dim = dec.full_space.dim
+        full_dim = full_space(dec).dim
         acc = np.zeros((full_dim, full_dim), dtype=complex)
         count = 0
         for s in eacode.enumerate_indices(dec):
             u = qmat.embed(
                 qmat.Operator(dec.receiver_space,
                               eacode.hw_transpose_unitary(s, dec)),
-                dec.full_space,
+                full_space(dec),
             ).matrix
-            vec = u @ dec.phi_n.vector
+            vec = u @ phi_power(dec).vector
             acc += np.outer(vec, vec.conj())
             count += 1
         acc /= count
@@ -703,7 +735,7 @@ def random_mac(rng, d_out=3, n_kraus=3):
 
 def output_by_channel_loop(channel, decomps):
     """Oracle: the output as n dense Kraus sums, apply_channel copy by copy."""
-    state = qmat.tensor(*(d.phi_n for d in decomps)).density()
+    state = qmat.tensor(*(phi_power(d) for d in decomps)).density()
     senders = tuple(d.sender_label for d in decomps)
     for i in range(1, decomps[0].n + 1):
         state = qmat.apply_channel(
@@ -794,6 +826,48 @@ class TestChannelOutput:
         assert np.max(np.abs(got.matrix - want.matrix)) < 1e-12
         r = eacode.channel_output_factor(ch, (d1, d2))
         assert r.shape[1] <= r.shape[0] == got.space.dim
+
+    @pytest.mark.parametrize("weights", ["bell", "skewed"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(PRODUCT_CHANNELS))
+    def test_factor_matches_the_n_use_oracle(self, name, n, weights):
+        # R = r^(x)n from one channel use, against n uses on the senders'
+        # n-fold states; C1 and C2 of a two-output channel stay copy-major
+        ch = PRODUCT_CHANNELS[name]()
+        decomps = shared_decomps(ch, weights, n)
+        r = eacode.channel_output_factor(ch, decomps)
+        want = channel_output_factor_by_uses(ch, decomps)
+        assert r.shape == want.shape
+        assert gram_defect(r, want) < 1e-15
+        if name == "json C1 C2":
+            assert eacode.channel_output_space(ch, decomps).labels[2 * n:] == (
+                tuple(f"C{j}{i}" for i in range(1, n + 1) for j in (1, 2)))
+
+    def test_one_channel_use_on_the_single_copy_states(self, monkeypatch):
+        spaces, output_factor = [], qmat.output_factor
+
+        def counted(ch, state, use, labels):
+            spaces.append(state.space)
+            return output_factor(ch, state, use, labels)
+
+        monkeypatch.setattr(qmat, "output_factor", counted)
+        ch = qmat.named_channel("cnot-mac")
+        eacode.channel_output_factor(ch, shared_decomps(ch, "skewed", 3))
+        assert spaces == [FactorSpace(("Ap", "A", "Bp", "B"), (2,) * 4)]
+
+    def test_factor_is_filled_in_place(self):
+        # at cnot-mac n = 3 R is 4,096 x 64 (4 MiB); n uses on the senders'
+        # n-fold states peaked at 2.25 R
+        ch = qmat.named_channel("cnot-mac")
+        decomps = shared_decomps(ch, "bell", 3)
+        eacode.channel_output_factor(ch, decomps)
+        tracemalloc.start()
+        try:
+            r = eacode.channel_output_factor(ch, decomps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * r.nbytes
 
     def test_no_kraus_sum_and_one_state(self, monkeypatch):
         calls = {"apply_channel": 0, "DensityOperator": 0}

@@ -188,7 +188,7 @@ class TestEaCcRegion:
         ch = qmat.named_channel("cnot-mac")
         phi, psi = bell_state("Ap", "A"), bell_state("Bp", "B")
         joint = qmat.tensor(phi, psi)
-        r = qmat.output_factor(ch, joint, [(("Ap", "Bp"), ("C",))],
+        r = qmat.output_factor(ch, joint, (("Ap", "Bp"), ("C",)),
                                ("A", "B", "C"))
         assert r.shape == (16, 4)  # A, B, C (2 qubits) by E (2-qubit ancilla)
         rho = DensityOperator(FactorSpace(("A", "B", "C"), (2, 2, 4)),

@@ -22,7 +22,9 @@ from conftest import (
     random_density,
     random_kraus_channel,
     random_pure_vector,
+    random_unitary,
 )
+from oracles import kron_columns, output_factor_uses, permute_rows
 
 
 def basis_projector(dim, i):
@@ -344,6 +346,41 @@ class TestPovmSet:
         assert np.allclose(povm.completion(), 0.25 * np.eye(2))
 
 
+class TestColumnPower:
+    """The n-fold column products, filled in place in a requested row order."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_products_in_any_row_order_bit_for_bit(self, n):
+        # oracle: chained column-wise Kronecker products, copy-major, with
+        # the rows then moved; every order of the 2n factors gives it
+        rng = np.random.default_rng(80)
+        m = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        single = FactorSpace(("A", "C"), (2, 3))
+        power = qmat.power_space(single, n)
+        seqs = rng.integers(0, 4, size=(7, n))
+        want = kron_columns(m, seqs)
+        assert np.array_equal(qmat.column_power(m, seqs, single), want)
+        for labels in (power.labels, power.labels[::-1],
+                       tuple(rng.permutation(power.labels)),
+                       tuple(f"A{i}" for i in range(1, n + 1))
+                       + tuple(f"C{i}" for i in range(1, n + 1))):
+            got = qmat.column_power(m, seqs, single, labels)
+            assert np.array_equal(
+                got, permute_rows(want, power, labels)), labels
+
+    def test_one_factor_and_no_columns(self):
+        u = random_unitary(np.random.default_rng(81), 3)
+        seqs = np.array([[0, 2], [1, 1]])
+        assert np.array_equal(qmat.column_power(u, seqs),
+                              kron_columns(u, seqs))
+        assert qmat.column_power(u, np.empty((0, 4), int)).shape == (81, 0)
+
+    def test_labels_must_be_the_copies(self):
+        single = FactorSpace(("A", "C"), (2, 2))
+        with pytest.raises(ValueError, match="permutation"):
+            qmat.column_power(np.eye(4), [[0, 1]], single, ("A1", "C1", "A2"))
+
+
 class TestIsometricExtension:
     """The output factor R (R R† is the channel output) and the isometry it holds."""
 
@@ -353,7 +390,7 @@ class TestIsometricExtension:
         # isometry V = sum_i K_i (x) |i>_E up to the order of its indices
         rng = np.random.default_rng(77)
         ch = random_kraus_channel(rng, 2, 3, n_kraus=2)
-        r = qmat.output_factor(ch, bell_state("Ap", "Q"), [(("Ap",), ("B",))],
+        r = qmat.output_factor(ch, bell_state("Ap", "Q"), (("Ap",), ("B",)),
                                ("B", "Q"))
         v = math.sqrt(2) * r.reshape(3, 2, 2).transpose(0, 2, 1).reshape(6, 2)
         space = FactorSpace(("B", "E"), (3, 2))
@@ -368,7 +405,7 @@ class TestIsometricExtension:
     def test_purified_application_matches_channel(self):
         ch = qmat.named_channel("amplitude-damping:0.4")
         bell = bell_state("Ap", "A")
-        r = qmat.output_factor(ch, bell, [(("Ap",), ("B",))], ("B", "A"))
+        r = qmat.output_factor(ch, bell, (("Ap",), ("B",)), ("B", "A"))
         reduced = r @ r.conj().T
         direct = qmat.apply_channel(ch, bell.density(), acting_on=("Ap",))
         direct = qmat.permute(direct, ("B", "A")).matrix
@@ -380,7 +417,7 @@ class TestIsometricExtension:
         ch = qmat.named_channel("depolarizing:0.3")
         rng = np.random.default_rng(78)
         state = PureState(FactorSpace(("Ap",), (2,)), random_pure_vector(rng, 2))
-        r = qmat.output_factor(ch, state, [(("Ap",), ("B",))], ("B",))
+        r = qmat.output_factor(ch, state, (("Ap",), ("B",)), ("B",))
         assert r.shape == (2, 2)
         direct = qmat.apply_channel(ch, state.density()).matrix
         assert np.max(np.abs(r @ r.conj().T - direct)) < 1e-12
@@ -391,19 +428,20 @@ class TestIsometricExtension:
         ch = KrausChannel(FactorSpace(("Ap",), (2,)), FactorSpace(("B",), (2,)),
                           [np.eye(2) / 8] * 64)
         bell = bell_state("Ap", "A")
-        r = qmat.output_factor(ch, bell, [(("Ap",), ("B",))], ("A", "B"))
+        r = qmat.output_factor(ch, bell, (("Ap",), ("B",)), ("A", "B"))
         assert r.shape == (4, 4)
         assert np.max(np.abs(r @ r.conj().T - bell.density().matrix)) < 1e-12
 
     def test_uses_in_sequence_and_row_order(self):
-        # two uses of a 2 -> 3 channel on the two halves of a random state
-        # on (Ap1, Ap2, Q); rows in a requested order differ by a permutation
+        # the n-use oracle: two uses of a 2 -> 3 channel on the two halves
+        # of a random state on (Ap1, Ap2, Q); rows in a requested order
+        # differ by a permutation
         rng = np.random.default_rng(79)
         ch = random_kraus_channel(rng, 2, 3, n_kraus=3)
         space = FactorSpace(("Ap1", "Ap2", "Q"), (2, 2, 2))
         state = PureState(space, random_pure_vector(rng, 8))
         uses = [(("Ap1",), ("B1",)), (("Ap2",), ("B2",))]
-        r = qmat.output_factor(ch, state, uses, ("Q", "B1", "B2"))
+        r = output_factor_uses(ch, state, uses, ("Q", "B1", "B2"))
         want = state.density()
         for (acting_on, out_labels) in uses:
             want = qmat.apply_channel(ch, want, acting_on, out_labels)
@@ -415,8 +453,8 @@ class TestIsometricExtension:
         ch = qmat.named_channel("identity:2")
         bell = bell_state("Ap", "A")
         with pytest.raises(ValueError, match="collide"):
-            qmat.output_factor(ch, bell, [(("Ap",), ("A",))], ("A",))
+            qmat.output_factor(ch, bell, (("Ap",), ("A",)), ("A",))
         with pytest.raises(ValueError, match="permutation"):
-            qmat.output_factor(ch, bell, [(("Ap",), ("B",))], ("A",))
+            qmat.output_factor(ch, bell, (("Ap",), ("B",)), ("A",))
         with pytest.raises(KeyError):
-            qmat.output_factor(ch, bell, [(("Bp",), ("B",))], ("A", "B"))
+            qmat.output_factor(ch, bell, (("Bp",), ("B",)), ("A", "B"))

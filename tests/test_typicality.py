@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ import pytest
 from qmac import info, qmat, typicality
 from qmac.qmat import DensityOperator, FactorSpace
 
-from conftest import random_density, random_unitary, schmidt_state
-from oracles import embedded_typical_projectors, type_sequences
+from conftest import (PRODUCT_CHANNELS, random_density, random_unitary,
+                      schmidt_state, shared_decomps)
+from oracles import bundle_bases, embedded_typical_projectors, type_sequences
 
 
 class TestTypeTable:
@@ -462,6 +464,77 @@ class TestProjectorBundle:
             for name, (labels, _) in p.bases.items():
                 start = p.space.labels.index(labels[0])
                 assert p.space.labels[start:start + len(labels)] == labels, name
+
+    @staticmethod
+    def command_bundle(name, weights, n):
+        """The bundle that simulate-mac (two senders) or simulate-seq (one)
+        builds on ``name`` at delta = 1, its single-copy code state and
+        its marginals."""
+        from qmac import eacode, seqdecode, simuldecode
+
+        ch = PRODUCT_CHANNELS[name]()
+        decomps = shared_decomps(ch, weights, n)
+        rho = info.ea_code_state(ch, [d.phi for d in decomps])
+        recv, out = rho.space.labels[:len(decomps)], ch.out_space.labels
+        if ch.is_mac:
+            (a, b), c = recv, out
+            marginals = {"A": (a,), "B": (b,), "C": c, "AB": (a, b),
+                         "AC": (a,) + c, "ABC": (a, b) + c}
+            p = simuldecode.mac_typical_projectors(ch, decomps, 1.0)
+        else:
+            marginals = {"A": recv, "B": out, "AB": recv + out}
+            p = seqdecode.sequential_projectors(ch, decomps[0], 1.0)
+        assert p.space == eacode.channel_output_space(ch, decomps)
+        return p, rho, marginals
+
+    @pytest.mark.parametrize("weights", ["bell", "skewed"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(PRODUCT_CHANNELS))
+    def test_bases_match_the_moved_kron_bases(self, name, n, weights):
+        # oracle: each basis built copy-major by chained Kronecker products,
+        # its rows then moved to the space's order
+        p, rho, marginals = self.command_bundle(name, weights, n)
+        want = bundle_bases(rho, n, 1.0, marginals, p.space)
+        assert p.bases.keys() == want.keys()
+        for key, (labels, b) in want.items():
+            assert p.bases[key][0] == labels
+            assert p.basis(key).shape == b.shape
+            assert np.max(np.abs(p.basis(key) - b), initial=0.0) < 1e-15
+
+    def test_bases_built_in_place(self, monkeypatch):
+        # each basis is built once, in the space's row order: no row moves
+        # and no copy-major type basis
+        p, rho, marginals = self.command_bundle("cnot-mac", "skewed", 2)
+
+        def refuse(*args):
+            raise AssertionError("a basis was built copy-major or moved")
+
+        monkeypatch.setattr(qmat, "permute", refuse)
+        monkeypatch.setattr(typicality, "type_basis", refuse)
+        got = typicality.projector_bundle(rho, 2, 1.0, marginals, p.space)
+        for key, (labels, b) in p.bases.items():
+            assert got.bases[key][0] == labels
+            assert np.array_equal(got.basis(key), b)
+            assert not got.basis(key).flags.writeable
+
+    def test_build_traces_its_bases_and_one_more(self):
+        # cnot-mac n = 3 with Bell states: the build holds its bases and
+        # one basis more (the orthonormality check's conjugate), where
+        # building each copy-major, moving and copying it traced 17 MiB
+        # for 4.6 MiB of bases
+        from qmac import simuldecode
+
+        ch = qmat.named_channel("cnot-mac")
+        decomps = shared_decomps(ch, "bell", 3)
+        simuldecode.mac_typical_projectors(ch, decomps, 1.0)
+        tracemalloc.start()
+        try:
+            p = simuldecode.mac_typical_projectors(ch, decomps, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        largest = max(b.nbytes for _, b in p.bases.values())
+        assert peak <= p.nbytes + largest + (1 << 20)
 
     def test_full_rank_projector_returns_its_input(self):
         # every eigenvector of the maximally mixed state is typical
